@@ -40,12 +40,10 @@ from .estimator import (
 )
 from .noise import NoiseSpec, Waveform, periodogram, rng_for_period, synth_band_limited
 from .protocol import (
-    PeriodRecord,
     RateEstimate,
     SessionReport,
     extract_key,
     run_session,
-    simulate_period,
     wilson_interval,
 )
 

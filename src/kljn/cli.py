@@ -22,7 +22,7 @@ from . import analytic
 from .circuit import LoopState, channel_waveforms, generator_psd
 from .config import ConfigError, SystemConfig, load_config, with_overrides
 from .decision import EmptySecureBandError
-from .estimator import squared_noise_psd_theory
+from .estimator import finite_mean_square, squared_noise_psd_theory
 from .noise import NoiseSpec, Waveform, periodogram, rng_for_period, synth_band_limited
 from .protocol import extract_key, key_to_hex, run_session
 
@@ -74,8 +74,8 @@ def cmd_levels(args) -> int:
             )
             emp[label] = synth_band_limited(spec, rng)
         u_c, i_c = channel_waveforms(emp["a"], emp["b"], loop)
-        emp_v = float(np.mean(np.square(u_c.samples)))
-        emp_i = float(np.mean(np.square(i_c.samples)))
+        emp_v = finite_mean_square(u_c)
+        emp_i = finite_mean_square(i_c)
         th_v = levels.voltage_for(state)
         th_i = levels.current_for(state)
         lines.append(
@@ -99,9 +99,7 @@ def cmd_sweep(args) -> int:
     for gamma in gammas:
         cfg = with_overrides(config, gamma=gamma)
         eps_th = analytic.epsilon_analytic(mode, force_state, cfg.fractions, gamma)
-        report = run_session(
-            cfg, cfg.n_periods, cfg.master_seed, force_state=force_state, workers=args.workers
-        )
+        report = run_session(cfg, force_state=force_state, workers=args.workers)
         est = {
             ("voltage", "00"): report.eps_hat_v_00,
             ("voltage", "11"): report.eps_hat_v_11,
@@ -125,15 +123,8 @@ def cmd_session(args) -> int:
     config = _load(args)
     if config.n_periods < 1:
         raise ConfigError("session requires n_periods >= 1")
-    report, records = run_session(
-        config,
-        config.n_periods,
-        config.master_seed,
-        force_state=args.force_state,
-        workers=args.workers,
-        keep_records=True,
-    )
-    alice, bob = extract_key(records)
+    report = run_session(config, force_state=args.force_state, workers=args.workers)
+    alice, bob = extract_key(report.bits, report.outcome_code)
     payload = report.to_dict()
     payload["key_bits"] = len(alice)
     payload["alice_key_hex"] = key_to_hex(alice)

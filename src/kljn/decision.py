@@ -4,13 +4,16 @@ Voltage and current mean squares are each read against a two-cut band: the
 middle band is the secure 01/10 reading, the outer regions are the insecure
 00 and 11 readings. The combined rule keeps a bit only when both readings
 are secure, discards single-sided insecure readings, and raises an alarm
-when the two readings name opposite insecure states.
+when the two readings name opposite insecure states. ``interpret_arrays``
+applies the same cuts and rule to whole arrays of periods.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+
+import numpy as np
 
 from .analytic import ThresholdFractions
 from .circuit import LevelTable
@@ -26,7 +29,6 @@ class CombinedOutcome(enum.Enum):
     KEEP_SECURE = "keep_secure"
     DISCARD_INSECURE_00 = "discard_insecure_00"
     DISCARD_INSECURE_11 = "discard_insecure_11"
-    DISCARD_MIXED = "discard_mixed"
     ALARM_CONFLICT = "alarm_conflict"
 
 
@@ -121,3 +123,29 @@ def combine(v: Interpretation, i: Interpretation) -> CombinedOutcome:
     readings are secure; opposite-corner insecure readings trigger the alarm.
     """
     return _COMBINE_TABLE[(v, i)]
+
+
+# outcome code indexed [v_code, i_code]
+_OUTCOME_CODE = np.array(
+    [[tuple(CombinedOutcome).index(combine(v, i)) for i in Interpretation] for v in Interpretation],
+    dtype=np.int8,
+)
+
+
+def interpret_arrays(
+    msv: np.ndarray, msi: np.ndarray, bands: DecisionBands
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Array form of interpret_voltage, interpret_current and combine.
+
+    Returns int8 arrays (v_code, i_code, outcome_code). Interpretation codes
+    index ``tuple(Interpretation)`` (0 reads 00, 1 reads 11, 2 reads secure);
+    outcome codes index ``tuple(CombinedOutcome)``. Values exactly on a cut
+    read as secure, as in the scalar readers.
+    """
+    v_code = np.full(msv.shape, 2, dtype=np.int8)
+    v_code[msv < bands.v_low_cut] = 0
+    v_code[msv > bands.v_high_cut] = 1
+    i_code = np.full(msi.shape, 2, dtype=np.int8)
+    i_code[msi < bands.i_low_cut] = 1
+    i_code[msi > bands.i_high_cut] = 0
+    return v_code, i_code, _OUTCOME_CODE[v_code, i_code]

@@ -2,10 +2,12 @@
 
 Each period draws fresh resistor bits for both parties, synthesizes fresh
 generator noise, solves the loop, measures the finite-time mean squares, and
-interprets them. Sessions aggregate confusion matrices, dangerous-error rate
-estimates with binomial intervals, fidelity, and the discard rate. Periods
-are independent given their derived random sub-streams, so a session may be
-executed in parallel and still produce a seed-deterministic report.
+interprets them. A session keeps its periods as arrays (bits, mean squares,
+outcome codes) and aggregates them into confusion matrices, dangerous-error
+rate estimates with binomial intervals, fidelity, and the discard rate; the
+key comes from the same arrays. Periods are independent given their derived
+random sub-streams, so a session may be executed in parallel and still
+produce a seed-deterministic report.
 """
 
 from __future__ import annotations
@@ -19,36 +21,13 @@ import numpy as np
 
 from .circuit import LoopState, channel_waveforms, generator_psd
 from .config import SystemConfig
-from .decision import (
-    CombinedOutcome,
-    Interpretation,
-    combine,
-    interpret_current,
-    interpret_voltage,
-)
-from .estimator import Measurement, measure_period
+from .decision import CombinedOutcome, interpret_arrays
+from .estimator import measure_period
 from .noise import NoiseSpec, rng_for_period, synth_band_limited
 
 ACTUAL_STATES = ("00", "11", "0110")
-_INTERP_BY_CODE = (Interpretation.B00, Interpretation.B11, Interpretation.SECURE_0110)
 _OUTCOMES = tuple(CombinedOutcome)
-
-
-@dataclass(frozen=True)
-class PeriodRecord:
-    index: int
-    bit_alice: int
-    bit_bob: int
-    measurement: Measurement
-    v_interp: Interpretation
-    i_interp: Interpretation
-    outcome: CombinedOutcome
-
-    @property
-    def actual(self) -> str:
-        if self.bit_alice == self.bit_bob:
-            return "00" if self.bit_alice == 0 else "11"
-        return "0110"
+_KEEP = _OUTCOMES.index(CombinedOutcome.KEEP_SECURE)
 
 
 @dataclass(frozen=True)
@@ -100,17 +79,21 @@ class SessionReport:
     confusion_i: list
     # combined_counts[actual][outcome name] = count
     combined_counts: dict
-    eps_hat_v_00: RateEstimate = field(default=None)
-    eps_hat_v_11: RateEstimate = field(default=None)
-    eps_hat_i_00: RateEstimate = field(default=None)
-    eps_hat_i_11: RateEstimate = field(default=None)
-    eps_hat_combined_00: RateEstimate = field(default=None)
-    eps_hat_combined_11: RateEstimate = field(default=None)
-    fidelity: Optional[float] = None
-    discard_rate: float = 0.0
+    eps_hat_v_00: RateEstimate
+    eps_hat_v_11: RateEstimate
+    eps_hat_i_00: RateEstimate
+    eps_hat_i_11: RateEstimate
+    eps_hat_combined_00: RateEstimate
+    eps_hat_combined_11: RateEstimate
+    fidelity: Optional[float]
+    discard_rate: float
     # per-actual-state first and second moments of (msv, msi) for
     # independence diagnostics: [n, sum v, sum i, sum v^2, sum i^2, sum v*i]
-    moment_sums: dict = field(default_factory=dict)
+    moment_sums: dict
+    # per-period arrays, not part of the serialized report: int8 (n, 2) bits
+    # (Alice, Bob) and int8 outcome codes indexing tuple(CombinedOutcome)
+    bits: np.ndarray = field(repr=False, compare=False)
+    outcome_code: np.ndarray = field(repr=False, compare=False)
 
     def msq_correlation(self, actual: str) -> Optional[float]:
         """Sample correlation between per-period msv and msi for one actual state."""
@@ -204,91 +187,22 @@ def _simulate_chunk(
     return {"bits": bits, "msv": msv, "msi": msi}
 
 
-def _interpret_arrays(config: SystemConfig, msv: np.ndarray, msi: np.ndarray):
-    """Vectorized interpretation codes: 0 = read 00, 1 = read 11, 2 = read secure."""
-    bands = config.bands()
-    v_code = np.full(msv.shape, 2, dtype=np.int8)
-    v_code[msv < bands.v_low_cut] = 0
-    v_code[msv > bands.v_high_cut] = 1
-    i_code = np.full(msi.shape, 2, dtype=np.int8)
-    i_code[msi < bands.i_low_cut] = 1
-    i_code[msi > bands.i_high_cut] = 0
-    return v_code, i_code
-
-
-# outcome code lookup indexed [v_code, i_code]; codes follow _OUTCOMES order
-_OUTCOME_CODE = np.empty((3, 3), dtype=np.int8)
-for _v in range(3):
-    for _i in range(3):
-        _OUTCOME_CODE[_v, _i] = _OUTCOMES.index(
-            combine(_INTERP_BY_CODE[_v], _INTERP_BY_CODE[_i])
-        )
-
-
-def simulate_period(
-    config: SystemConfig,
-    period_index: int,
-    master_seed: int,
-    force_state: Optional[str] = None,
-    forced_measurement: Optional[Measurement] = None,
-    forced_bits: Optional[tuple[int, int]] = None,
-) -> PeriodRecord:
-    """Simulate one bit-exchange period, deterministically in (seed, index).
-
-    ``forced_measurement`` and ``forced_bits`` are test hooks that bypass the
-    noise synthesis and/or the random bit draws.
-    """
-    if forced_bits is not None:
-        bit_a, bit_b = forced_bits
-        if forced_measurement is None:
-            force_state = {(0, 0): "00", (1, 1): "11"}.get(
-                (bit_a, bit_b), "0110"
-            )
-    if forced_measurement is not None:
-        if forced_bits is None:
-            bit_a, bit_b = _draw_bits(rng_for_period(master_seed, period_index), force_state)
-        m = forced_measurement
-    else:
-        chunk = _simulate_chunk(config, master_seed, period_index, period_index + 1, force_state)
-        bit_a, bit_b = (int(b) for b in chunk["bits"][0])
-        m = Measurement(msv=float(chunk["msv"][0]), msi=float(chunk["msi"][0]))
-        if forced_bits is not None and (bit_a, bit_b) != tuple(forced_bits):
-            # forced 0110 may land on either orientation; re-run is not needed
-            # because both orientations are statistically identical, but honor
-            # the caller's exact bits for the record
-            bit_a, bit_b = forced_bits
-    bands = config.bands()
-    v_interp = interpret_voltage(m.msv, bands)
-    i_interp = interpret_current(m.msi, bands)
-    return PeriodRecord(
-        index=period_index,
-        bit_alice=bit_a,
-        bit_bob=bit_b,
-        measurement=m,
-        v_interp=v_interp,
-        i_interp=i_interp,
-        outcome=combine(v_interp, i_interp),
-    )
-
-
 def run_session(
     config: SystemConfig,
-    n_periods: int,
-    master_seed: int,
     force_state: Optional[str] = None,
     workers: int = 1,
-    keep_records: bool = False,
-) -> SessionReport | tuple[SessionReport, list[PeriodRecord]]:
-    """Run a full session and aggregate the accounting.
+) -> SessionReport:
+    """Run ``config.n_periods`` periods from ``config.master_seed`` and aggregate the accounting.
 
     With ``workers > 1`` the periods are simulated in parallel processes;
     the report is identical to the serial run because every period has its
     own derived random stream and aggregation is order-insensitive counting.
-    When ``keep_records`` is true, returns (report, records).
     """
+    n_periods = config.n_periods
+    master_seed = config.master_seed
     if n_periods < 1:
         raise ValueError(f"n_periods must be >= 1, got {n_periods}")
-    config.bands()  # fail fast on an empty secure band
+    bands = config.bands()  # fail fast on an empty secure band
 
     if workers <= 1 or n_periods < 2 * workers:
         chunks = [_simulate_chunk(config, master_seed, 0, n_periods, force_state)]
@@ -305,8 +219,7 @@ def run_session(
     bits = np.concatenate([c["bits"] for c in chunks])
     msv = np.concatenate([c["msv"] for c in chunks])
     msi = np.concatenate([c["msi"] for c in chunks])
-    v_code, i_code = _interpret_arrays(config, msv, msi)
-    outcome_code = _OUTCOME_CODE[v_code, i_code]
+    v_code, i_code, outcome_code = interpret_arrays(msv, msi, bands)
 
     same = bits[:, 0] == bits[:, 1]
     actual_code = np.where(same, bits[:, 0], 2).astype(np.int8)  # 0->00, 1->11, 2->secure
@@ -339,7 +252,7 @@ def run_session(
     n_kept = sum(combined_counts[s][CombinedOutcome.KEEP_SECURE.value] for s in ACTUAL_STATES)
     n_secure = moment_sums["0110"][0]
 
-    report = SessionReport(
+    return SessionReport(
         n_periods=n_periods,
         master_seed=master_seed,
         config_hash=config.config_hash(),
@@ -364,43 +277,21 @@ def run_session(
         ),
         discard_rate=1.0 - n_kept / n_periods,
         moment_sums=moment_sums,
+        bits=bits,
+        outcome_code=outcome_code,
     )
-    if not keep_records:
-        return report
-
-    records = []
-    for j in range(n_periods):
-        m = Measurement(msv=float(msv[j]), msi=float(msi[j]))
-        v_interp = _INTERP_BY_CODE[v_code[j]]
-        i_interp = _INTERP_BY_CODE[i_code[j]]
-        records.append(
-            PeriodRecord(
-                index=j,
-                bit_alice=int(bits[j, 0]),
-                bit_bob=int(bits[j, 1]),
-                measurement=m,
-                v_interp=v_interp,
-                i_interp=i_interp,
-                outcome=_OUTCOMES[outcome_code[j]],
-            )
-        )
-    return report, records
 
 
-def extract_key(records: Sequence[PeriodRecord]) -> tuple[list[int], list[int]]:
-    """Key bits from the kept periods.
+def extract_key(bits: np.ndarray, outcome_code: np.ndarray) -> tuple[list[int], list[int]]:
+    """Key bits from the kept periods of per-period ``bits`` and ``outcome_code`` arrays.
 
     Convention: the shared key bit is Alice's bit. Alice takes her own bit;
     Bob takes the inverse of his. On error-free kept periods (true 01/10) the
     two keys are identical; a wrongly kept 00 or 11 period produces exactly
-    one mismatching bit pair.
+    one mismatching bit pair. Returns lists of Python ints.
     """
-    alice, bob = [], []
-    for rec in records:
-        if rec.outcome is CombinedOutcome.KEEP_SECURE:
-            alice.append(rec.bit_alice)
-            bob.append(1 - rec.bit_bob)
-    return alice, bob
+    kept = bits[outcome_code == _KEEP]
+    return kept[:, 0].tolist(), (1 - kept[:, 1]).tolist()
 
 
 def key_to_hex(bits: Sequence[int]) -> str:

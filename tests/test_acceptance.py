@@ -27,16 +27,15 @@ from kljn.circuit import (
     theoretical_levels,
 )
 from kljn.config import SystemConfig
-from kljn.decision import CombinedOutcome, Interpretation, combine
+from kljn.decision import CombinedOutcome, Interpretation, combine, interpret_arrays
 from kljn.estimator import (
     AveragingWindow,
-    Measurement,
     averaged_fluctuation_rms,
     measurement_slice,
     squared_noise_psd_theory,
 )
 from kljn.noise import NoiseSpec, Waveform, periodogram, rng_for_period, synth_band_limited
-from kljn.protocol import extract_key, run_session, simulate_period
+from kljn.protocol import extract_key, run_session
 
 NORM = PhysicsConstants.normalized()
 
@@ -135,8 +134,8 @@ def test_criterion_05_fluctuation_rms(gamma):
 
 
 def test_criterion_06_monte_carlo_vs_analytic():
-    cfg = SystemConfig(alpha=100.0, gamma=50.0, master_seed=11)
-    report = run_session(cfg, 10**5, cfg.master_seed, force_state="11")
+    cfg = SystemConfig(alpha=100.0, gamma=50.0, n_periods=10**5, master_seed=11)
+    report = run_session(cfg, force_state="11")
     est = report.eps_hat_i_11
     analytic = epsilon_current_11(0.5, 50.0)
     assert analytic == pytest.approx(2.53e-2, rel=5e-3)
@@ -151,8 +150,8 @@ def test_criterion_07_exponential_decay_slope():
     n = 50_000
     counts, trials = [], []
     for gamma in gammas:
-        cfg = SystemConfig(alpha=100.0, gamma=gamma, master_seed=13)
-        report = run_session(cfg, n, cfg.master_seed, force_state="11")
+        cfg = SystemConfig(alpha=100.0, gamma=gamma, n_periods=n, master_seed=13)
+        report = run_session(cfg, force_state="11")
         counts.append(report.eps_hat_i_11.k)
         trials.append(report.eps_hat_i_11.n)
     eps = np.array(counts) / np.array(trials)
@@ -168,8 +167,8 @@ def test_criterion_07_exponential_decay_slope():
 
 def test_criterion_08_independence_and_product_law():
     n = 10**6
-    cfg = SystemConfig(alpha=100.0, gamma=30.0, master_seed=17)
-    report = run_session(cfg, n, cfg.master_seed, force_state="11")
+    cfg = SystemConfig(alpha=100.0, gamma=30.0, n_periods=n, master_seed=17)
+    report = run_session(cfg, force_state="11")
     corr = report.msq_correlation("11")
     assert abs(corr) < 4.0 / math.sqrt(n)
     p_v = report.eps_hat_v_11.p
@@ -205,37 +204,37 @@ def test_criterion_09_table_2_logic():
 
 
 def test_criterion_10_protocol_accounting_and_keys():
-    cfg = SystemConfig(gamma=60.0, master_seed=19)
     n = 2000
-    report, records = run_session(cfg, n, cfg.master_seed, keep_records=True)
+    cfg = SystemConfig(gamma=60.0, n_periods=n, master_seed=19)
+    report = run_session(cfg)
     assert sum(sum(v.values()) for v in report.combined_counts.values()) == n
-    alice, bob = extract_key(records)
+    alice, bob = extract_key(report.bits, report.outcome_code)
     dangerous = (
         report.combined_counts["00"][CombinedOutcome.KEEP_SECURE.value]
         + report.combined_counts["11"][CombinedOutcome.KEEP_SECURE.value]
     )
     assert sum(a != b for a, b in zip(alice, bob)) == dangerous
 
-    # injected forced errors: insecure periods disguised at the secure level
+    # injected errors: 00 periods disguised at the secure level, read by the
+    # session's own interpretation code
     levels = cfg.levels()
-    bad = [
-        simulate_period(
-            cfg, k, cfg.master_seed,
-            forced_bits=(0, 0),
-            forced_measurement=Measurement(msv=levels.v_0110, msi=levels.i_0110),
-        )
-        for k in range(5)
-    ]
-    alice, bob = extract_key(records + bad)
+    bad_bits = np.zeros((5, 2), dtype=np.int8)
+    _, _, bad_outcome = interpret_arrays(
+        np.full(5, levels.v_0110), np.full(5, levels.i_0110), cfg.bands()
+    )
+    alice, bob = extract_key(
+        np.concatenate([report.bits, bad_bits]),
+        np.concatenate([report.outcome_code, bad_outcome]),
+    )
     assert sum(a != b for a, b in zip(alice, bob)) == dangerous + 5
     announce(10, "counts close, clean keys agree, injected errors mismatch exactly")
 
 
 def test_criterion_11_determinism(tmp_path):
     cfg = SystemConfig(gamma=40.0, n_periods=400, master_seed=23)
-    serial_1 = run_session(cfg, 400, cfg.master_seed)
-    serial_2 = run_session(cfg, 400, cfg.master_seed)
-    parallel = run_session(cfg, 400, cfg.master_seed, workers=2)
+    serial_1 = run_session(cfg)
+    serial_2 = run_session(cfg)
+    parallel = run_session(cfg, workers=2)
     dumps = [json.dumps(r.to_dict(), sort_keys=True) for r in (serial_1, serial_2, parallel)]
     assert dumps[0] == dumps[1] == dumps[2]
 

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from kljn.analytic import ThresholdFractions
@@ -10,6 +11,7 @@ from kljn.decision import (
     EmptySecureBandError,
     Interpretation,
     combine,
+    interpret_arrays,
     interpret_current,
     interpret_voltage,
     make_bands,
@@ -131,6 +133,24 @@ class TestCombine:
             alarm = combine(v, i) is CombinedOutcome.ALARM_CONFLICT
             assert alarm == ({v, i} == {self.B0, self.B1})
 
-    def test_mixed_discard_is_never_emitted(self):
-        for v, i in itertools.product(Interpretation, repeat=2):
-            assert combine(v, i) is not CombinedOutcome.DISCARD_MIXED
+
+class TestInterpretArrays:
+    @pytest.fixture
+    def bands(self):
+        return make_bands(reference_levels(), half_fracs())
+
+    def test_codes_match_scalar_readers(self, bands):
+        levels = reference_levels()
+        points = [levels.v_00, levels.v_0110, levels.v_11, levels.i_00, levels.i_0110, levels.i_11]
+        for cut in (bands.v_low_cut, bands.v_high_cut, bands.i_low_cut, bands.i_high_cut):
+            points += [np.nextafter(cut, 0.0), cut, np.nextafter(cut, np.inf)]
+        # every voltage point against every current point
+        msv, msi = (a.ravel() for a in np.meshgrid(points, points))
+        v_code, i_code, outcome_code = interpret_arrays(msv, msi, bands)
+        for k in range(msv.size):
+            v = interpret_voltage(float(msv[k]), bands)
+            i = interpret_current(float(msi[k]), bands)
+            assert tuple(Interpretation)[v_code[k]] is v
+            assert tuple(Interpretation)[i_code[k]] is i
+            assert tuple(CombinedOutcome)[outcome_code[k]] is combine(v, i)
+        assert set(outcome_code.tolist()) == set(range(len(CombinedOutcome)))

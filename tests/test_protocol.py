@@ -2,19 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from kljn.config import SystemConfig
-from kljn.decision import CombinedOutcome, Interpretation
-from kljn.estimator import Measurement
+from kljn.config import SystemConfig, with_overrides
+from kljn.decision import (
+    CombinedOutcome,
+    combine,
+    interpret_arrays,
+    interpret_current,
+    interpret_voltage,
+)
 from kljn.protocol import (
     ACTUAL_STATES,
-    PeriodRecord,
+    _simulate_chunk,
     extract_key,
     key_to_hex,
     run_session,
-    simulate_period,
     wilson_interval,
 )
+
+OUTCOMES = tuple(CombinedOutcome)
 
 
 def small_config(**kw):
@@ -23,64 +32,88 @@ def small_config(**kw):
     return SystemConfig(**defaults)
 
 
+def codes(*outcomes):
+    return np.array([OUTCOMES.index(o) for o in outcomes], dtype=np.int8)
+
+
+def read_periods(cfg, msv, msi):
+    """Outcome codes of periods with the given mean squares, read as a session reads them."""
+    return interpret_arrays(np.asarray(msv, float), np.asarray(msi, float), cfg.bands())[2]
+
+
+def reference_extract_key(bits, outcome_code):
+    """Per-period loop: Alice's bit and the inverse of Bob's from each kept period."""
+    alice, bob = [], []
+    for (bit_a, bit_b), code in zip(bits.tolist(), outcome_code.tolist()):
+        if OUTCOMES[code] is CombinedOutcome.KEEP_SECURE:
+            alice.append(bit_a)
+            bob.append(1 - bit_b)
+    return alice, bob
+
+
 class TestSimulatePeriod:
+    """Periods as a session simulates and reads them: bits, mean squares, outcome codes."""
+
     def test_deterministic(self):
-        cfg = small_config()
-        a = simulate_period(cfg, 7, master_seed=123)
-        b = simulate_period(cfg, 7, master_seed=123)
-        assert a == b
+        cfg = small_config(n_periods=8, master_seed=123)
+        a = run_session(cfg)
+        b = run_session(cfg)
+        assert a.to_dict() == b.to_dict()
+        assert np.array_equal(a.bits, b.bits)
+        assert np.array_equal(a.outcome_code, b.outcome_code)
 
     def test_seed_changes_result(self):
-        cfg = small_config()
-        a = simulate_period(cfg, 7, master_seed=123)
-        b = simulate_period(cfg, 7, master_seed=124)
-        assert a.measurement != b.measurement
+        cfg = small_config(n_periods=8, master_seed=123)
+        a = run_session(cfg)
+        b = run_session(with_overrides(cfg, master_seed=124))
+        assert a.moment_sums != b.moment_sums
 
     def test_forced_exact_levels_secure(self):
         cfg = small_config()
         levels = cfg.levels()
-        rec = simulate_period(
-            cfg,
-            0,
-            master_seed=1,
-            forced_bits=(0, 1),
-            forced_measurement=Measurement(msv=levels.v_0110, msi=levels.i_0110),
-        )
-        assert rec.outcome is CombinedOutcome.KEEP_SECURE
-        assert rec.actual == "0110"
+        bits = np.array([(0, 1)], dtype=np.int8)
+        outcome_code = read_periods(cfg, [levels.v_0110], [levels.i_0110])
+        assert OUTCOMES[outcome_code[0]] is CombinedOutcome.KEEP_SECURE
+        assert extract_key(bits, outcome_code) == ([0], [0])
 
     def test_forced_exact_levels_00(self):
         cfg = small_config()
         levels = cfg.levels()
-        rec = simulate_period(
-            cfg,
-            0,
-            master_seed=1,
-            forced_bits=(0, 0),
-            forced_measurement=Measurement(msv=levels.v_00, msi=levels.i_00),
-        )
-        assert rec.outcome is CombinedOutcome.DISCARD_INSECURE_00
+        bits = np.array([(0, 0)], dtype=np.int8)
+        outcome_code = read_periods(cfg, [levels.v_00], [levels.i_00])
+        assert OUTCOMES[outcome_code[0]] is CombinedOutcome.DISCARD_INSECURE_00
+        assert extract_key(bits, outcome_code) == ([], [])
 
     def test_force_state_pins_bits(self):
-        cfg = small_config()
-        rec = simulate_period(cfg, 4, master_seed=5, force_state="11")
-        assert (rec.bit_alice, rec.bit_bob) == (1, 1)
-        rec = simulate_period(cfg, 4, master_seed=5, force_state="0110")
-        assert rec.bit_alice != rec.bit_bob
+        cfg = small_config(n_periods=5, master_seed=5)
+        report = run_session(cfg, force_state="11")
+        assert (report.bits == 1).all()
+        report = run_session(cfg, force_state="0110")
+        assert (report.bits[:, 0] != report.bits[:, 1]).all()
 
     def test_outcome_consistent_with_interps(self):
-        from kljn.decision import combine
-
-        cfg = small_config()
-        for idx in range(20):
-            rec = simulate_period(cfg, idx, master_seed=9)
-            assert rec.outcome is combine(rec.v_interp, rec.i_interp)
+        cfg = small_config(n_periods=20, master_seed=9)
+        report = run_session(cfg)
+        periods = _simulate_chunk(cfg, cfg.master_seed, 0, cfg.n_periods, None)
+        assert np.array_equal(periods["bits"], report.bits)
+        bands = cfg.bands()
+        for msv, msi, code in zip(periods["msv"], periods["msi"], report.outcome_code):
+            v = interpret_voltage(float(msv), bands)
+            i = interpret_current(float(msi), bands)
+            assert OUTCOMES[code] is combine(v, i)
 
 
 class TestRunSession:
+    def test_report_describes_its_config(self):
+        cfg = small_config(n_periods=50, master_seed=1)
+        report = run_session(cfg)
+        assert report.config_hash == cfg.config_hash()
+        assert (report.n_periods, report.master_seed) == (50, 1)
+        assert report.bits.shape == (50, 2)
+        assert report.outcome_code.shape == (50,)
+
     def test_single_period_report(self):
-        cfg = small_config()
-        report = run_session(cfg, 1, master_seed=2)
+        report = run_session(small_config(n_periods=1, master_seed=2))
         assert report.n_periods == 1
         total = sum(
             sum(report.combined_counts[s].values()) for s in ACTUAL_STATES
@@ -88,91 +121,93 @@ class TestRunSession:
         assert total == 1
 
     def test_accounting_closure(self):
-        cfg = small_config()
         n = 1000
-        report = run_session(cfg, n, master_seed=11)
+        report = run_session(small_config(n_periods=n, master_seed=11))
         assert sum(sum(report.combined_counts[s].values()) for s in ACTUAL_STATES) == n
         for mat in (report.confusion_v, report.confusion_i):
             for a_code, a_name in enumerate(ACTUAL_STATES):
                 assert sum(mat[a_code]) == report.moment_sums[a_name][0]
 
     def test_secure_fraction_near_half(self):
-        cfg = small_config()
         n = 4000
-        report = run_session(cfg, n, master_seed=13)
+        report = run_session(small_config(n_periods=n, master_seed=13))
         n_secure = report.moment_sums["0110"][0]
         # 4-sigma binomial window around 1/2
         assert abs(n_secure - n / 2) < 4 * math.sqrt(n * 0.25)
 
     def test_matches_per_period_simulation(self):
-        cfg = small_config()
-        report, records = run_session(cfg, 25, master_seed=17, keep_records=True)
-        for rec in records:
-            assert rec == simulate_period(cfg, rec.index, master_seed=17)
+        cfg = small_config(n_periods=25, master_seed=17)
+        report = run_session(cfg)
+        for j in range(cfg.n_periods):
+            period = _simulate_chunk(cfg, cfg.master_seed, j, j + 1, None)
+            assert np.array_equal(period["bits"][0], report.bits[j])
+            assert read_periods(cfg, period["msv"], period["msi"])[0] == report.outcome_code[j]
 
     def test_parallel_identical_to_serial(self):
-        cfg = small_config()
-        serial = run_session(cfg, 300, master_seed=19)
-        parallel = run_session(cfg, 300, master_seed=19, workers=3)
+        cfg = small_config(n_periods=300, master_seed=19)
+        serial = run_session(cfg)
+        parallel = run_session(cfg, workers=3)
         assert serial.to_dict() == parallel.to_dict()
+        assert np.array_equal(serial.bits, parallel.bits)
+        assert np.array_equal(serial.outcome_code, parallel.outcome_code)
 
     def test_forced_state_conditioning(self):
-        cfg = small_config()
-        report = run_session(cfg, 500, master_seed=23, force_state="11")
+        report = run_session(small_config(n_periods=500, master_seed=23), force_state="11")
         assert report.moment_sums["11"][0] == 500
         assert report.moment_sums["00"][0] == 0
         assert report.eps_hat_i_00.p is None  # undefined, not zero
         assert report.eps_hat_i_11.p is not None
 
     def test_undefined_rates_at_tiny_n(self):
-        cfg = small_config()
-        report = run_session(cfg, 1, master_seed=2, force_state="0110")
+        report = run_session(small_config(n_periods=1, master_seed=2), force_state="0110")
         assert report.eps_hat_i_11.p is None
         assert report.fidelity is not None
 
     def test_rejects_empty_session(self):
         with pytest.raises(ValueError):
-            run_session(small_config(), 0, master_seed=1)
+            run_session(small_config(n_periods=0, master_seed=1))
 
     def test_msq_correlation_diagnostic(self):
-        cfg = small_config()
-        report = run_session(cfg, 2000, master_seed=29, force_state="11")
+        report = run_session(small_config(n_periods=2000, master_seed=29), force_state="11")
         corr = report.msq_correlation("11")
         assert abs(corr) < 4 / math.sqrt(2000)
 
 
 class TestKeyExtraction:
-    @staticmethod
-    def record(bits, outcome, index=0):
-        return PeriodRecord(
-            index=index,
-            bit_alice=bits[0],
-            bit_bob=bits[1],
-            measurement=Measurement(msv=1.0, msi=1.0),
-            v_interp=Interpretation.SECURE_0110,
-            i_interp=Interpretation.SECURE_0110,
-            outcome=outcome,
-        )
-
     def test_kept_secure_periods_agree(self):
-        recs = [
-            self.record((0, 1), CombinedOutcome.KEEP_SECURE),
-            self.record((1, 0), CombinedOutcome.KEEP_SECURE, 1),
-            self.record((0, 0), CombinedOutcome.DISCARD_INSECURE_00, 2),
-        ]
-        alice, bob = extract_key(recs)
+        bits = np.array([(0, 1), (1, 0), (0, 0)], dtype=np.int8)
+        outcome_code = codes(
+            CombinedOutcome.KEEP_SECURE,
+            CombinedOutcome.KEEP_SECURE,
+            CombinedOutcome.DISCARD_INSECURE_00,
+        )
+        alice, bob = extract_key(bits, outcome_code)
         assert alice == [0, 1]
         assert bob == [0, 1]
 
     def test_wrongly_kept_insecure_period_mismatches(self):
-        recs = [self.record((0, 0), CombinedOutcome.KEEP_SECURE)]
-        alice, bob = extract_key(recs)
+        bits = np.array([(0, 0)], dtype=np.int8)
+        alice, bob = extract_key(bits, codes(CombinedOutcome.KEEP_SECURE))
         assert alice == [0] and bob == [1]
 
+    @given(
+        st.integers(0, 40).flatmap(
+            lambda n: st.tuples(
+                arrays(np.int8, (n, 2), elements=st.integers(0, 1)),
+                arrays(np.int8, n, elements=st.integers(0, len(OUTCOMES) - 1)),
+            )
+        )
+    )
+    def test_matches_per_period_loop(self, periods):
+        bits, outcome_code = periods
+        alice, bob = extract_key(bits, outcome_code)
+        assert (alice, bob) == reference_extract_key(bits, outcome_code)
+        assert all(type(b) is int for b in alice + bob)
+        assert len(key_to_hex(alice)) == 2 * ((len(alice) + 7) // 8)
+
     def test_session_keys_agree_when_no_dangerous_errors(self):
-        cfg = small_config(gamma=100.0)
-        report, records = run_session(cfg, 400, master_seed=31, keep_records=True)
-        alice, bob = extract_key(records)
+        report = run_session(small_config(gamma=100.0, n_periods=400, master_seed=31))
+        alice, bob = extract_key(report.bits, report.outcome_code)
         mismatches = sum(a != b for a, b in zip(alice, bob))
         dangerous = (
             report.combined_counts["00"][CombinedOutcome.KEEP_SECURE.value]
