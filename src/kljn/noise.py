@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
-from scipy import signal
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,11 @@ class Waveform:
         return self.samples.size
 
 
+def _period_key(master_seed: int, period_index: int) -> np.ndarray:
+    # an explicit uint64 array: a plain list would pass seeds >= 2**63 through float64
+    return np.array([master_seed, period_index], dtype=np.uint64)
+
+
 def rng_for_period(master_seed: int, period_index: int) -> np.random.Generator:
     """Named random sub-stream for one bit-exchange period.
 
@@ -74,7 +79,80 @@ def rng_for_period(master_seed: int, period_index: int) -> np.random.Generator:
     indices and reproducible regardless of evaluation order, so periods can
     be simulated in parallel without changing any result.
     """
-    return np.random.Generator(np.random.Philox(key=[master_seed, period_index]))
+    return np.random.Generator(np.random.Philox(key=_period_key(master_seed, period_index)))
+
+
+def period_streams(master_seed: int, period_indices) -> Iterator[np.random.Generator]:
+    """The streams of ``rng_for_period`` for each index in turn, from one generator.
+
+    One Philox is re-keyed per period (fresh counter and empty buffers), which
+    is several times cheaper than constructing one. The same generator object
+    is yielded every time, so each stream must be drawn from before the next
+    is requested.
+    """
+    bit_generator = np.random.Philox(key=_period_key(master_seed, 0))
+    rng = np.random.Generator(bit_generator)
+    state = bit_generator.state  # counter 0, buffers empty
+    key = state["state"]["key"]
+    for index in period_indices:
+        key[1] = index
+        bit_generator.state = state
+        yield rng
+
+
+@dataclass(frozen=True)
+class BandBins:
+    """Which real-FFT bins a band-limited synthesis fills, and their scales.
+
+    The in-band complex bins are rfft indices 1..n_band; DC and out-of-band
+    bins are exactly zero. When the band reaches the Nyquist frequency of an
+    even-length synthesis (sample_rate = 2*bandwidth), that bin must be real
+    and gets a single coefficient. A synthesis draws ``n_normals`` standard
+    normals in this order: the Nyquist one (if any), then a real and an
+    imaginary part per in-band bin.
+    """
+
+    n_samples: int
+    n_band: int
+    nyquist: bool
+    scale: float  # std of the real and of the imaginary part of an in-band coefficient
+    nyquist_scale: float
+
+    @property
+    def n_normals(self) -> int:
+        return int(self.nyquist) + 2 * self.n_band
+
+
+def band_bins(spec: NoiseSpec) -> BandBins:
+    """Bin layout and coefficient scales giving the expected one-sided PSD ``spec.psd_level``."""
+    n = spec.n_samples
+    fs = spec.sample_rate
+    freqs = np.fft.rfftfreq(n, d=1.0 / fs)
+    # include the bin at B itself; tolerance covers float grid round-off
+    in_band = (freqs > 0) & (freqs <= spec.bandwidth * (1 + 1e-12))
+    # Nyquist bin of a real FFT must be real-valued
+    nyquist = bool(n % 2 == 0 and in_band[-1])
+    return BandBins(
+        n_samples=n,
+        n_band=int(np.count_nonzero(in_band)) - nyquist,
+        nyquist=nyquist,
+        scale=math.sqrt(spec.psd_level * fs * n / 4.0),
+        nyquist_scale=math.sqrt(spec.psd_level * fs * n / 2.0),
+    )
+
+
+def band_coefficients(bins: BandBins, normals: np.ndarray, scale, nyquist_scale) -> np.ndarray:
+    """rfft coefficients, shape ``(..., n_samples // 2 + 1)``, from normals laid out as ``bins`` says.
+
+    ``normals`` has shape ``(..., bins.n_normals)``; ``scale`` and
+    ``nyquist_scale`` are scalars or arrays of shape ``normals.shape[:-1]``.
+    """
+    coeffs = np.zeros(normals.shape[:-1] + (bins.n_samples // 2 + 1,), dtype=complex)
+    if bins.nyquist:
+        coeffs[..., -1] = normals[..., 0] * nyquist_scale
+    g = normals[..., int(bins.nyquist) :]
+    coeffs[..., 1 : bins.n_band + 1] = (g[..., 0::2] + 1j * g[..., 1::2]) * np.asarray(scale)[..., None]
+    return coeffs
 
 
 def synth_band_limited(spec: NoiseSpec, rng: np.random.Generator) -> Waveform:
@@ -85,25 +163,9 @@ def synth_band_limited(spec: NoiseSpec, rng: np.random.Generator) -> Waveform:
     out-of-band bins (and DC) are exactly zero. The sample variance converges
     to psd_level * bandwidth.
     """
-    n = spec.n_samples
-    fs = spec.sample_rate
-    freqs = np.fft.rfftfreq(n, d=1.0 / fs)
-    # include the bin at B itself; tolerance covers float grid round-off
-    in_band = (freqs > 0) & (freqs <= spec.bandwidth * (1 + 1e-12))
-
-    coeffs = np.zeros(freqs.size, dtype=complex)
-    nyquist = n % 2 == 0
-    if nyquist and in_band[-1]:
-        # Nyquist bin of a real FFT must be real-valued
-        in_band = in_band.copy()
-        in_band[-1] = False
-        coeffs[-1] = rng.standard_normal() * math.sqrt(spec.psd_level * fs * n / 2.0)
-    m = int(np.count_nonzero(in_band))
-    g = rng.standard_normal((m, 2))
-    coeffs[in_band] = (g[:, 0] + 1j * g[:, 1]) * math.sqrt(spec.psd_level * fs * n / 4.0)
-
-    samples = np.fft.irfft(coeffs, n=n)
-    return Waveform(samples=samples, sample_rate=fs)
+    bins = band_bins(spec)
+    coeffs = band_coefficients(bins, rng.standard_normal(bins.n_normals), bins.scale, bins.nyquist_scale)
+    return Waveform(samples=np.fft.irfft(coeffs, n=spec.n_samples), sample_rate=spec.sample_rate)
 
 
 def periodogram(w: Waveform, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
@@ -123,6 +185,8 @@ def periodogram(w: Waveform, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
             f"waveform length {len(w)} too short for n_bins={n_bins} "
             f"(need >= {2 * n_bins})"
         )
+    from scipy import signal  # deferred: importing it costs more than the rest of kljn
+
     freqs, density = signal.welch(
         w.samples,
         fs=w.sample_rate,

@@ -19,13 +19,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .circuit import LoopState, channel_waveforms, generator_psd
+from .circuit import generator_psd
 from .config import SystemConfig
 from .decision import CombinedOutcome, interpret_arrays
-from .estimator import measure_period
-from .noise import NoiseSpec, rng_for_period, synth_band_limited
+from .estimator import measurement_slice
+from .noise import NoiseSpec, band_bins, band_coefficients, period_streams
 
 ACTUAL_STATES = ("00", "11", "0110")
+# working-array budget of one block of simulated periods
+_BLOCK_BYTES = 4 * 2**20
 _OUTCOMES = tuple(CombinedOutcome)
 _KEEP = _OUTCOMES.index(CombinedOutcome.KEEP_SECURE)
 
@@ -148,6 +150,17 @@ def _draw_bits(rng: np.random.Generator, force_state: Optional[str]) -> tuple[in
     raise ValueError(f"force_state must be one of 00, 11, 0110, got {force_state!r}")
 
 
+def _block_periods(n_samples: int) -> int:
+    """Periods per block: as many as keep the block's working arrays within ``_BLOCK_BYTES``.
+
+    Per period and party a block holds at most ``n_samples`` normals, the
+    complex spectrum and the samples; at least one period runs per block.
+    """
+    n = n_samples
+    per_period = 2 * (8 * n + 16 * (n // 2 + 1) + 8 * n)
+    return max(1, _BLOCK_BYTES // per_period)
+
+
 def _simulate_chunk(
     config: SystemConfig,
     master_seed: int,
@@ -155,35 +168,59 @@ def _simulate_chunk(
     stop: int,
     force_state: Optional[str],
 ) -> dict:
-    """Simulate periods [start, stop); returns per-period arrays."""
+    """Simulate periods [start, stop); returns per-period arrays.
+
+    Each period draws its bits, then Alice's and Bob's normals, from its own
+    stream. Periods run in blocks sized by ``_block_periods``: one inverse FFT,
+    loop solve and windowed mean square per block, all element- or row-wise,
+    so the result does not depend on the block size.
+    """
     consts = config.constants
     resistors = config.resistors
-    fs = config.sample_rate
-    n_samp = config.samples_per_period
+    n = config.samples_per_period
+    r_bit = np.array([resistors.for_bit(bit) for bit in (0, 1)])
+    bins = [
+        band_bins(
+            NoiseSpec(
+                psd_level=generator_psd(r, consts),
+                bandwidth=config.b_kljn,
+                sample_rate=config.sample_rate,
+                n_samples=n,
+            )
+        )
+        for r in r_bit.tolist()
+    ]
+    layout = bins[0]  # the layout depends on n, f_s and B only; the scales on the bit
+    scale = np.array([b.scale for b in bins])
+    nyquist_scale = np.array([b.nyquist_scale for b in bins])
+    window = measurement_slice(n)
+
     count = stop - start
+    block = max(1, min(count, _block_periods(n)))
     bits = np.empty((count, 2), dtype=np.int8)
     msv = np.empty(count)
     msi = np.empty(count)
-    spec_cache = {
-        bit: NoiseSpec(
-            psd_level=generator_psd(resistors.for_bit(bit), consts),
-            bandwidth=config.b_kljn,
-            sample_rate=fs,
-            n_samples=n_samp,
-        )
-        for bit in (0, 1)
-    }
-    for j, index in enumerate(range(start, stop)):
-        rng = rng_for_period(master_seed, index)
-        bit_a, bit_b = _draw_bits(rng, force_state)
-        u_a = synth_band_limited(spec_cache[bit_a], rng)
-        u_b = synth_band_limited(spec_cache[bit_b], rng)
-        state = LoopState.from_bits(bit_a, bit_b, resistors)
-        u_c, i_c = channel_waveforms(u_a, u_b, state)
-        m = measure_period(u_c, i_c)
-        bits[j] = (bit_a, bit_b)
-        msv[j] = m.msv
-        msi[j] = m.msi
+    normals = np.empty((block, 2, layout.n_normals))
+    streams = period_streams(master_seed, range(start, stop))
+    for lo in range(0, count, block):
+        hi = min(lo + block, count)
+        for j in range(lo, hi):
+            rng = next(streams)
+            bits[j] = _draw_bits(rng, force_state)
+            rng.standard_normal(out=normals[j - lo])
+        b = bits[lo:hi]
+        coeffs = band_coefficients(layout, normals[: hi - lo], scale[b], nyquist_scale[b])
+        x = np.fft.irfft(coeffs, n=n, axis=-1)[..., window]
+        del coeffs
+        u_a, u_b = x[:, 0], x[:, 1]
+        r_a, r_b = r_bit[b[:, 0], None], r_bit[b[:, 1], None]
+        r_sum = r_a + r_b
+        i_c = (u_a - u_b) / r_sum
+        u_c = (u_a * r_b + u_b * r_a) / r_sum
+        msv[lo:hi] = np.mean(np.square(u_c), axis=-1)
+        msi[lo:hi] = np.mean(np.square(i_c), axis=-1)
+    if not (np.isfinite(msv).all() and np.isfinite(msi).all()):
+        raise ValueError("non-finite channel mean squares: the noise levels overflow float64")
     return {"bits": bits, "msv": msv, "msi": msi}
 
 

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import kljn
 from kljn.cli import main
 
 FAST_CONFIG = """
@@ -162,3 +166,17 @@ class TestSpectra:
         assert code == 0
         assert out == ""
         assert out_path.read_text().startswith("#")
+
+
+def test_cli_import_defers_scipy_signal():
+    # only periodogram needs scipy.signal, and importing it dominates start-up
+    src = os.path.dirname(os.path.dirname(kljn.__file__))
+    code = "import sys, kljn.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"

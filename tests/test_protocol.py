@@ -1,11 +1,15 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from kljn import protocol
+from kljn.circuit import DegenerateLevelsWarning, LoopState, channel_waveforms, generator_psd
 from kljn.config import SystemConfig, with_overrides
 from kljn.decision import (
     CombinedOutcome,
@@ -14,8 +18,11 @@ from kljn.decision import (
     interpret_current,
     interpret_voltage,
 )
+from kljn.estimator import SmallGammaWarning, measure_period
+from kljn.noise import NoiseSpec, rng_for_period, synth_band_limited
 from kljn.protocol import (
     ACTUAL_STATES,
+    _draw_bits,
     _simulate_chunk,
     extract_key,
     key_to_hex,
@@ -49,6 +56,39 @@ def reference_extract_key(bits, outcome_code):
             alice.append(bit_a)
             bob.append(1 - bit_b)
     return alice, bob
+
+
+def reference_simulate_chunk(config, master_seed, start, stop, force_state):
+    """Per-period loop: one generator, two syntheses, one loop solve and one measurement each."""
+    consts = config.constants
+    resistors = config.resistors
+    fs = config.sample_rate
+    n_samp = config.samples_per_period
+    count = stop - start
+    bits = np.empty((count, 2), dtype=np.int8)
+    msv = np.empty(count)
+    msi = np.empty(count)
+    spec_cache = {
+        bit: NoiseSpec(
+            psd_level=generator_psd(resistors.for_bit(bit), consts),
+            bandwidth=config.b_kljn,
+            sample_rate=fs,
+            n_samples=n_samp,
+        )
+        for bit in (0, 1)
+    }
+    for j, index in enumerate(range(start, stop)):
+        rng = rng_for_period(master_seed, index)
+        bit_a, bit_b = _draw_bits(rng, force_state)
+        u_a = synth_band_limited(spec_cache[bit_a], rng)
+        u_b = synth_band_limited(spec_cache[bit_b], rng)
+        state = LoopState.from_bits(bit_a, bit_b, resistors)
+        u_c, i_c = channel_waveforms(u_a, u_b, state)
+        m = measure_period(u_c, i_c)
+        bits[j] = (bit_a, bit_b)
+        msv[j] = m.msv
+        msi[j] = m.msi
+    return {"bits": bits, "msv": msv, "msi": msi}
 
 
 class TestSimulatePeriod:
@@ -143,6 +183,17 @@ class TestRunSession:
             assert np.array_equal(period["bits"][0], report.bits[j])
             assert read_periods(cfg, period["msv"], period["msi"])[0] == report.outcome_code[j]
 
+    def test_top_bit_seeds_distinct_and_warning_free(self):
+        cfg = small_config(n_periods=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = [
+                run_session(with_overrides(cfg, master_seed=seed))
+                for seed in (2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1)
+            ]
+        assert reports[0].moment_sums != reports[1].moment_sums
+        assert reports[2].moment_sums != reports[3].moment_sums
+
     def test_parallel_identical_to_serial(self):
         cfg = small_config(n_periods=300, master_seed=19)
         serial = run_session(cfg)
@@ -167,10 +218,73 @@ class TestRunSession:
         with pytest.raises(ValueError):
             run_session(small_config(n_periods=0, master_seed=1))
 
+    def test_overflowing_noise_levels_rejected(self):
+        # the bands are finite, but 4kT * R1 * f_s * n overflows float64 in the synthesis
+        cfg = small_config(t_eff=3.6e305, r=1e20, alpha=1000.0, n_periods=3, master_seed=2)
+        cfg.bands()
+        with pytest.raises(ValueError, match="non-finite"), np.errstate(all="ignore"):
+            run_session(cfg)
+
     def test_msq_correlation_diagnostic(self):
         report = run_session(small_config(n_periods=2000, master_seed=29), force_state="11")
         corr = report.msq_correlation("11")
         assert abs(corr) < 4 / math.sqrt(2000)
+
+
+class TestBlockKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        gamma=st.floats(3.0, 200.0),
+        alpha=st.floats(1.5, 1000.0),
+        oversample=st.sampled_from([2, 3, 4, 5]),
+        force_state=st.sampled_from([None, "00", "11", "0110"]),
+        master_seed=st.integers(0, 2**64 - 1),
+        start=st.integers(0, 2**40),
+        length=st.integers(1, 12),
+        block_bytes=st.integers(1, 2**16),
+    )
+    def test_matches_per_period_loop(
+        self, gamma, alpha, oversample, force_state, master_seed, start, length, block_bytes
+    ):
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+            warnings.simplefilter("ignore", SmallGammaWarning)
+            warnings.simplefilter("ignore", DegenerateLevelsWarning)
+            cfg = SystemConfig(gamma=gamma, alpha=alpha, oversample=oversample, master_seed=master_seed)
+            expected = reference_simulate_chunk(cfg, master_seed, start, start + length, force_state)
+            # a budget this small puts block boundaries inside the chunk
+            mp.setattr(protocol, "_BLOCK_BYTES", block_bytes)
+            got = _simulate_chunk(cfg, master_seed, start, start + length, force_state)
+        for name in ("bits", "msv", "msi"):
+            assert np.array_equal(got[name], expected[name]), name
+
+    def test_gamma_1000_block_bounded_by_budget(self):
+        cfg = small_config(gamma=1000.0)
+        n = cfg.samples_per_period
+        block = protocol._block_periods(n)
+        # the block's samples alone (two parties, float64) fit the budget
+        assert 1 < block * 2 * n * 8 <= protocol._BLOCK_BYTES
+        peaks = []
+        for count in (100, 400):
+            tracemalloc.start()
+            try:
+                _simulate_chunk(cfg, cfg.master_seed, 0, count, None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # holding 400 periods at once would take 400 * 2 * 4000 * 8 B = 25.6 MB of samples
+        assert peaks[1] < 2 * protocol._BLOCK_BYTES
+        assert peaks[1] - peaks[0] < 0.05 * protocol._BLOCK_BYTES
+
+    def test_report_independent_of_block_size(self, monkeypatch):
+        cfg = small_config(n_periods=1000, master_seed=37)
+        assert protocol._block_periods(cfg.samples_per_period) < cfg.n_periods
+        default = run_session(cfg)
+        monkeypatch.setattr(protocol, "_BLOCK_BYTES", 1)  # one period per block
+        assert protocol._block_periods(cfg.samples_per_period) == 1
+        single = run_session(cfg)
+        assert single.to_dict() == default.to_dict()
+        assert np.array_equal(single.bits, default.bits)
+        assert np.array_equal(single.outcome_code, default.outcome_code)
 
 
 class TestKeyExtraction:
