@@ -32,13 +32,12 @@ from .decision import (
 )
 from .estimator import (
     AveragingWindow,
-    Measurement,
     averaged_fluctuation_rms,
     finite_mean_square,
     measure_period,
     squared_noise_psd_theory,
 )
-from .noise import NoiseSpec, Waveform, periodogram, rng_for_period, synth_band_limited
+from .noise import NoiseSpec, periodogram, rng_for_period, synth_band_limited
 from .protocol import (
     RateEstimate,
     SessionReport,

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import Waveform
-
 BOLTZMANN = 1.380649e-23  # J/K, CODATA exact
 
 
@@ -124,25 +122,22 @@ def generator_psd(r: float, consts: PhysicsConstants) -> float:
 
 
 def channel_waveforms(
-    u_a: Waveform, u_b: Waveform, state: LoopState
-) -> tuple[Waveform, Waveform]:
+    u_a: np.ndarray, u_b: np.ndarray, r_alice, r_bob
+) -> tuple[np.ndarray, np.ndarray]:
     """Channel voltage and current from the two generator voltages.
 
-    Single-loop Kirchhoff solution:
+    Single-loop Kirchhoff solution, element-wise:
         i_c = (u_a - u_b) / (R_A + R_B)
         u_c = (u_a * R_B + u_b * R_A) / (R_A + R_B)
+    The resistances are scalars or arrays that broadcast against the samples
+    (one per row of a block of periods, for example). Returns (u_c, i_c).
     """
-    if len(u_a) != len(u_b):
-        raise ValueError(f"length mismatch: {len(u_a)} vs {len(u_b)}")
-    if u_a.sample_rate != u_b.sample_rate:
-        raise ValueError("sample-rate mismatch between generator waveforms")
-    r_sum = state.r_loop
-    i_c = (u_a.samples - u_b.samples) / r_sum
-    u_c = (u_a.samples * state.r_bob + u_b.samples * state.r_alice) / r_sum
-    return (
-        Waveform(samples=u_c, sample_rate=u_a.sample_rate),
-        Waveform(samples=i_c, sample_rate=u_a.sample_rate),
-    )
+    if u_a.shape != u_b.shape:
+        raise ValueError(f"shape mismatch: {u_a.shape} vs {u_b.shape}")
+    r_sum = r_alice + r_bob
+    i_c = (u_a - u_b) / r_sum
+    u_c = (u_a * r_bob + u_b * r_alice) / r_sum
+    return u_c, i_c
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,11 @@ import sys
 import numpy as np
 
 from . import analytic
-from .circuit import LoopState, channel_waveforms, generator_psd
+from .circuit import LoopState, channel_waveforms
 from .config import ConfigError, SystemConfig, load_config, with_overrides
 from .decision import EmptySecureBandError
 from .estimator import finite_mean_square, squared_noise_psd_theory
-from .noise import NoiseSpec, Waveform, periodogram, rng_for_period, synth_band_limited
+from .noise import periodogram, rng_for_period, synth_band_limited
 from .protocol import extract_key, key_to_hex, run_session
 
 _MODE_SHORT = {"voltage_only": "voltage", "current_only": "current", "combined": "combined"}
@@ -41,6 +41,12 @@ def _emit(text: str, out_path):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_finite(values) -> None:
+    """Refuse to print overflowed numbers: a non-finite output value is a runtime error."""
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite output values: the noise levels overflow float64")
 
 
 def _load(args) -> SystemConfig:
@@ -62,26 +68,23 @@ def cmd_levels(args) -> int:
         f"would be {_fmt(levels.i_11_alt_convention)} (we use R_loop = R_A + R_B)"
     )
     lines.append("state  theory_v       empirical_v    rel_err_v  theory_i       empirical_i    rel_err_i")
+    printed = [consts.k, consts.t_eff, consts.four_kt, levels.i_11_alt_convention]
     for state, bits in (("00", (0, 0)), ("0110", (0, 1)), ("11", (1, 1))):
         loop = LoopState.from_bits(*bits, config.resistors)
-        emp = {}
-        for label, r in (("a", loop.r_alice), ("b", loop.r_bob)):
-            spec = NoiseSpec(
-                psd_level=generator_psd(r, consts),
-                bandwidth=config.b_kljn,
-                sample_rate=config.sample_rate,
-                n_samples=n_cal,
-            )
-            emp[label] = synth_band_limited(spec, rng)
-        u_c, i_c = channel_waveforms(emp["a"], emp["b"], loop)
+        u_a = synth_band_limited(config.noise_spec(loop.r_alice, n_cal), rng)
+        u_b = synth_band_limited(config.noise_spec(loop.r_bob, n_cal), rng)
+        u_c, i_c = channel_waveforms(u_a, u_b, loop.r_alice, loop.r_bob)
         emp_v = finite_mean_square(u_c)
         emp_i = finite_mean_square(i_c)
         th_v = levels.voltage_for(state)
         th_i = levels.current_for(state)
+        rel_v, rel_i = emp_v / th_v - 1, emp_i / th_i - 1
+        printed += [th_v, emp_v, rel_v, th_i, emp_i, rel_i]
         lines.append(
-            f"{state:<6} {_fmt(th_v):<14} {_fmt(emp_v):<14} {emp_v / th_v - 1:<+10.2e} "
-            f"{_fmt(th_i):<14} {_fmt(emp_i):<14} {emp_i / th_i - 1:<+10.2e}"
+            f"{state:<6} {_fmt(th_v):<14} {_fmt(emp_v):<14} {rel_v:<+10.2e} "
+            f"{_fmt(th_i):<14} {_fmt(emp_i):<14} {rel_i:<+10.2e}"
         )
+    _check_finite(printed)
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -136,22 +139,17 @@ def cmd_session(args) -> int:
 def cmd_spectra(args) -> int:
     config = _load(args)
     loop = LoopState.from_bits(1, 1, config.resistors)
-    psd = generator_psd(loop.r_alice, config.constants)
-    spec = NoiseSpec(
-        psd_level=psd,
-        bandwidth=config.b_kljn,
-        sample_rate=config.sample_rate,
-        n_samples=args.samples,
-    )
+    spec = config.noise_spec(loop.r_alice, args.samples)
     rng = rng_for_period(config.master_seed, 0)
     u_a = synth_band_limited(spec, rng)
     u_b = synth_band_limited(spec, rng)
-    _, i_c = channel_waveforms(u_a, u_b, loop)
-    squared = np.square(i_c.samples)
+    _, i_c = channel_waveforms(u_a, u_b, loop.r_alice, loop.r_bob)
+    squared = np.square(i_c)
     squared -= squared.mean()  # theory describes only the AC part
-    freqs, emp = periodogram(Waveform(squared, config.sample_rate), args.bins)
+    freqs, emp = periodogram(squared, config.sample_rate, args.bins)
     s_level = config.constants.four_kt / loop.r_loop
     theory = squared_noise_psd_theory(freqs, s_level, config.b_kljn)
+    _check_finite([freqs, emp, theory])
     buf = io.StringIO()
     buf.write(f"# config_hash={config.config_hash()} state=11 samples={args.samples}\n")
     buf.write("f,empirical_psd,theory_psd\n")

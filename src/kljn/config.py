@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 from .analytic import ThresholdFractions
-from .circuit import PhysicsConstants, ResistorSet, LevelTable, theoretical_levels
+from .circuit import PhysicsConstants, ResistorSet, LevelTable, generator_psd, theoretical_levels
 from .decision import DecisionBands, make_bands
 from .estimator import AveragingWindow
+from .noise import NoiseSpec
 
 MODES = ("voltage_only", "current_only", "combined")
 
@@ -46,7 +48,8 @@ class SystemConfig:
             raise ConfigError(f"n_periods must be >= 0, got {self.n_periods}")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must fit in 64 bits")
-        # delegate the physics invariants so the error names the constraint
+        # delegate the physics invariants so the error names the constraint; the
+        # derived objects are built (and warn) once here, then cached on the instance
         try:
             self.constants
             self.resistors
@@ -59,7 +62,7 @@ class SystemConfig:
     def normalized(self) -> bool:
         return isinstance(self.t_eff, str)
 
-    @property
+    @cached_property
     def constants(self) -> PhysicsConstants:
         if self.normalized:
             if self.t_eff != "normalized":
@@ -67,15 +70,15 @@ class SystemConfig:
             return PhysicsConstants.normalized()
         return PhysicsConstants.si(self.t_eff)
 
-    @property
+    @cached_property
     def resistors(self) -> ResistorSet:
         return ResistorSet(r_low=self.r, alpha=self.alpha)
 
-    @property
+    @cached_property
     def fractions(self) -> ThresholdFractions:
         return ThresholdFractions(beta=self.beta, delta=self.delta, lam=self.lam, rho=self.rho)
 
-    @property
+    @cached_property
     def window(self) -> AveragingWindow:
         return AveragingWindow(gamma=self.gamma, bandwidth=self.b_kljn)
 
@@ -88,6 +91,15 @@ class SystemConfig:
         # even count so the trailing-half measurement window is exact
         n = int(round(self.sample_rate * self.window.tau))
         return n + (n % 2)
+
+    def noise_spec(self, r: float, n_samples: int) -> NoiseSpec:
+        """Johnson-noise generator of resistor ``r`` over ``n_samples`` samples."""
+        return NoiseSpec(
+            psd_level=generator_psd(r, self.constants),
+            bandwidth=self.b_kljn,
+            sample_rate=self.sample_rate,
+            n_samples=n_samples,
+        )
 
     def levels(self) -> LevelTable:
         return theoretical_levels(self.resistors, self.constants, self.b_kljn)

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import Waveform
-
 
 class SmallGammaWarning(UserWarning):
     """gamma below the regime where the flat-spectrum/Gaussian approximations hold."""
@@ -49,23 +47,11 @@ class AveragingWindow:
         return self.bandwidth / self.gamma
 
 
-@dataclass(frozen=True)
-class Measurement:
-    """Finite-time mean-square voltage and current for one period."""
-
-    msv: float
-    msi: float
-
-    def __post_init__(self):
-        if self.msv < 0 or self.msi < 0:
-            raise ValueError("mean-square values cannot be negative")
-
-
-def finite_mean_square(w: Waveform) -> float:
-    """Arithmetic mean of the squared samples."""
-    if len(w) == 0:
-        raise ValueError("empty waveform")
-    return float(np.mean(np.square(w.samples)))
+def finite_mean_square(x: np.ndarray):
+    """Arithmetic mean of the squared samples along the last axis."""
+    if x.shape[-1] == 0:
+        raise ValueError("no samples to average")
+    return np.mean(np.square(x), axis=-1)
 
 
 def measurement_slice(n_samples: int) -> slice:
@@ -81,15 +67,12 @@ def measurement_slice(n_samples: int) -> slice:
     return slice(n_samples // 2, n_samples)
 
 
-def measure_period(u_c: Waveform, i_c: Waveform) -> Measurement:
-    """Finite-time mean-square measurement of one period's channel waveforms."""
+def measure_period(u_c: np.ndarray, i_c: np.ndarray) -> tuple[float, float]:
+    """Mean squares (msv, msi) of one period's channel voltage and current over its trailing half."""
     if len(u_c) != len(i_c):
         raise ValueError(f"length mismatch: {len(u_c)} vs {len(i_c)}")
     sl = measurement_slice(len(u_c))
-    return Measurement(
-        msv=float(np.mean(np.square(u_c.samples[sl]))),
-        msi=float(np.mean(np.square(i_c.samples[sl]))),
-    )
+    return float(finite_mean_square(u_c[sl])), float(finite_mean_square(i_c[sl]))
 
 
 def squared_noise_psd_theory(f, s_level: float, bandwidth: float, q: float = 1.0):

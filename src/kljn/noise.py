@@ -49,24 +49,6 @@ class NoiseSpec:
             raise ValueError(f"n_samples must be >= 2, got {self.n_samples}")
 
 
-@dataclass
-class Waveform:
-    """A sampled real-valued signal (voltage or current)."""
-
-    samples: np.ndarray
-    sample_rate: float
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
-        if self.samples.size == 0:
-            raise ValueError("waveform must contain at least one sample")
-        if not np.all(np.isfinite(self.samples)):
-            raise ValueError("waveform contains non-finite samples")
-
-    def __len__(self):
-        return self.samples.size
-
-
 def _period_key(master_seed: int, period_index: int) -> np.ndarray:
     # an explicit uint64 array: a plain list would pass seeds >= 2**63 through float64
     return np.array([master_seed, period_index], dtype=np.uint64)
@@ -155,21 +137,25 @@ def band_coefficients(bins: BandBins, normals: np.ndarray, scale, nyquist_scale)
     return coeffs
 
 
-def synth_band_limited(spec: NoiseSpec, rng: np.random.Generator) -> Waveform:
+def synth_band_limited(spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
     """Synthesize zero-mean Gaussian noise with a flat one-sided PSD on [0, B].
 
     Each in-band FFT bin gets an independent complex Gaussian coefficient
     scaled so that the expected one-sided density equals ``spec.psd_level``;
     out-of-band bins (and DC) are exactly zero. The sample variance converges
-    to psd_level * bandwidth.
+    to psd_level * bandwidth. Returns the ``spec.n_samples`` samples as a
+    float64 array; raises ValueError when the noise level overflows float64.
     """
     bins = band_bins(spec)
     coeffs = band_coefficients(bins, rng.standard_normal(bins.n_normals), bins.scale, bins.nyquist_scale)
-    return Waveform(samples=np.fft.irfft(coeffs, n=spec.n_samples), sample_rate=spec.sample_rate)
+    samples = np.fft.irfft(coeffs, n=spec.n_samples)
+    if not np.isfinite(samples).all():
+        raise ValueError("non-finite noise samples: the noise level overflows float64")
+    return samples
 
 
-def periodogram(w: Waveform, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """Averaged one-sided power-density estimate of a waveform.
+def periodogram(samples: np.ndarray, sample_rate: float, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Averaged one-sided power-density estimate of a sampled signal.
 
     Welch-style estimate with non-overlapping rectangular segments of length
     2*n_bins (no detrending, so the DC bin carries the signal mean). The
@@ -180,16 +166,16 @@ def periodogram(w: Waveform, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if n_bins < 2:
         raise ValueError(f"n_bins must be >= 2, got {n_bins}")
-    if len(w) < 2 * n_bins:
+    if len(samples) < 2 * n_bins:
         raise ValueError(
-            f"waveform length {len(w)} too short for n_bins={n_bins} "
+            f"signal length {len(samples)} too short for n_bins={n_bins} "
             f"(need >= {2 * n_bins})"
         )
     from scipy import signal  # deferred: importing it costs more than the rest of kljn
 
     freqs, density = signal.welch(
-        w.samples,
-        fs=w.sample_rate,
+        samples,
+        fs=sample_rate,
         window="boxcar",
         nperseg=2 * n_bins,
         noverlap=0,

@@ -34,7 +34,7 @@ from kljn.estimator import (
     measurement_slice,
     squared_noise_psd_theory,
 )
-from kljn.noise import NoiseSpec, Waveform, periodogram, rng_for_period, synth_band_limited
+from kljn.noise import NoiseSpec, periodogram, rng_for_period, synth_band_limited
 from kljn.protocol import extract_key, run_session
 
 NORM = PhysicsConstants.normalized()
@@ -87,9 +87,9 @@ def test_criterion_03_level_reproduction():
         u_b = synth_band_limited(
             NoiseSpec(generator_psd(state.r_bob, NORM), 1.0, 4.0, n), rng
         )
-        u_c, i_c = channel_waveforms(u_a, u_b, state)
-        assert np.mean(u_c.samples**2) == pytest.approx(v_th, rel=0.01)
-        assert np.mean(i_c.samples**2) == pytest.approx(i_th, rel=0.01)
+        u_c, i_c = channel_waveforms(u_a, u_b, state.r_alice, state.r_bob)
+        assert np.mean(u_c**2) == pytest.approx(v_th, rel=0.01)
+        assert np.mean(i_c**2) == pytest.approx(i_th, rel=0.01)
         del u_a, u_b, u_c, i_c
     announce(3, "empirical channel mean squares match theory within 1% for all bit states")
 
@@ -103,10 +103,10 @@ def test_criterion_04_squared_noise_spectrum():
     spec = NoiseSpec(generator_psd(state.r_alice, NORM), 1.0, 4.0, n)
     u_a = synth_band_limited(spec, rng)
     u_b = synth_band_limited(spec, rng)
-    _, i_c = channel_waveforms(u_a, u_b, state)
-    squared = np.square(i_c.samples)
+    _, i_c = channel_waveforms(u_a, u_b, state.r_alice, state.r_bob)
+    squared = np.square(i_c)
     squared -= squared.mean()
-    freqs, emp = periodogram(Waveform(squared, 4.0), 256)
+    freqs, emp = periodogram(squared, 4.0, 256)
     theory = squared_noise_psd_theory(freqs, s_level, 1.0)
     sel = (freqs > 0) & (freqs <= 1.5)
     assert np.all(np.abs(emp[sel] / theory[sel] - 1.0) < 0.10)
@@ -126,7 +126,7 @@ def test_criterion_05_fluctuation_rms(gamma):
     values = np.empty(n_periods)
     for k in range(n_periods):
         w = synth_band_limited(spec, rng_for_period(1000 + gamma, k))
-        values[k] = np.mean(w.samples[sl] ** 2)
+        values[k] = np.mean(w[sl] ** 2)
     win = AveragingWindow(gamma=gamma, bandwidth=bw)
     predicted = averaged_fluctuation_rms(psd, win)
     assert values.std(ddof=1) == pytest.approx(predicted, rel=0.10)

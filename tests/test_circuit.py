@@ -11,13 +11,13 @@ from kljn.circuit import (
     generator_psd,
     theoretical_levels,
 )
-from kljn.noise import NoiseSpec, Waveform, synth_band_limited
+from kljn.noise import NoiseSpec, synth_band_limited
 
 NORM = PhysicsConstants.normalized()
 
 
-def const_wave(value, n=8, fs=4.0):
-    return Waveform(samples=np.full(n, float(value)), sample_rate=fs)
+def const_wave(value, n=8):
+    return np.full(n, float(value))
 
 
 class TestGeneratorPsd:
@@ -36,40 +36,45 @@ class TestGeneratorPsd:
 
 class TestChannelWaveforms:
     def test_voltage_divider(self):
-        st = LoopState(bit_alice=0, bit_bob=0, r_alice=1.0, r_bob=1.0)
-        u_c, i_c = channel_waveforms(const_wave(1.0), const_wave(0.0), st)
-        assert np.allclose(i_c.samples, 0.5)
-        assert np.allclose(u_c.samples, 0.5)
+        u_c, i_c = channel_waveforms(const_wave(1.0), const_wave(0.0), 1.0, 1.0)
+        assert np.allclose(i_c, 0.5)
+        assert np.allclose(u_c, 0.5)
 
     def test_equal_generators_zero_current(self):
-        st = LoopState(bit_alice=0, bit_bob=1, r_alice=1.0, r_bob=3.0)
-        u_c, i_c = channel_waveforms(const_wave(2.0), const_wave(2.0), st)
-        assert np.allclose(i_c.samples, 0.0)
-        assert np.allclose(u_c.samples, 2.0)
+        u_c, i_c = channel_waveforms(const_wave(2.0), const_wave(2.0), 1.0, 3.0)
+        assert np.allclose(i_c, 0.0)
+        assert np.allclose(u_c, 2.0)
 
     def test_asymmetric_loop_by_hand(self):
-        st = LoopState(bit_alice=0, bit_bob=0, r_alice=3.0, r_bob=1.0)
-        u_c, i_c = channel_waveforms(const_wave(0.0), const_wave(1.0), st)
-        assert np.allclose(i_c.samples, -0.25)
-        assert np.allclose(u_c.samples, 0.75)
+        u_c, i_c = channel_waveforms(const_wave(0.0), const_wave(1.0), 3.0, 1.0)
+        assert np.allclose(i_c, -0.25)
+        assert np.allclose(u_c, 0.75)
 
     def test_length_mismatch_rejected(self):
-        st = LoopState(bit_alice=0, bit_bob=0, r_alice=1.0, r_bob=1.0)
         with pytest.raises(ValueError, match="mismatch"):
-            channel_waveforms(const_wave(1.0, n=8), const_wave(1.0, n=9), st)
+            channel_waveforms(const_wave(1.0, n=8), const_wave(1.0, n=9), 1.0, 1.0)
 
     def test_linearity_in_generator_voltages(self):
         rng = np.random.default_rng(0)
-        st = LoopState(bit_alice=0, bit_bob=1, r_alice=1.0, r_bob=10.0)
         a1, a2 = rng.standard_normal((2, 64))
         b1, b2 = rng.standard_normal((2, 64))
-        u_sum, i_sum = channel_waveforms(
-            Waveform(a1 + a2, 4.0), Waveform(b1 + b2, 4.0), st
-        )
-        u1, i1 = channel_waveforms(Waveform(a1, 4.0), Waveform(b1, 4.0), st)
-        u2, i2 = channel_waveforms(Waveform(a2, 4.0), Waveform(b2, 4.0), st)
-        assert np.allclose(u_sum.samples, u1.samples + u2.samples)
-        assert np.allclose(i_sum.samples, i1.samples + i2.samples)
+        u_sum, i_sum = channel_waveforms(a1 + a2, b1 + b2, 1.0, 10.0)
+        u1, i1 = channel_waveforms(a1, b1, 1.0, 10.0)
+        u2, i2 = channel_waveforms(a2, b2, 1.0, 10.0)
+        assert np.allclose(u_sum, u1 + u2)
+        assert np.allclose(i_sum, i1 + i2)
+
+    def test_rows_broadcast_against_per_row_resistances(self):
+        # a block of periods: one resistance pair per row, each row solved as on its own
+        rng = np.random.default_rng(1)
+        u_a, u_b = rng.standard_normal((2, 3, 16))
+        r_a = np.array([[1.0], [10.0], [1.0]])
+        r_b = np.array([[1.0], [1.0], [10.0]])
+        u_c, i_c = channel_waveforms(u_a, u_b, r_a, r_b)
+        for row in range(3):
+            u_row, i_row = channel_waveforms(u_a[row], u_b[row], float(r_a[row, 0]), float(r_b[row, 0]))
+            assert np.array_equal(u_c[row], u_row)
+            assert np.array_equal(i_c[row], i_row)
 
 
 class TestResistorSet:
@@ -121,8 +126,8 @@ class TestEmpiricalPhysics:
         for r in (st.r_alice, st.r_bob):
             spec = NoiseSpec(generator_psd(r, NORM), 1.0, 4.0, n)
             waves.append(synth_band_limited(spec, rng))
-        u_c, i_c = channel_waveforms(*waves, st)
-        prod = u_c.samples * i_c.samples
+        u_c, i_c = channel_waveforms(*waves, st.r_alice, st.r_bob)
+        prod = u_c * i_c
         batches = prod.reshape(64, -1).mean(axis=1)
         se = batches.std(ddof=1) / np.sqrt(64)
         assert abs(prod.mean()) < 4 * se
@@ -140,6 +145,6 @@ class TestEmpiricalPhysics:
             st = LoopState.from_bits(*bits, rs)
             u_a = synth_band_limited(NoiseSpec(generator_psd(st.r_alice, NORM), 1.0, 4.0, n), rng)
             u_b = synth_band_limited(NoiseSpec(generator_psd(st.r_bob, NORM), 1.0, 4.0, n), rng)
-            u_c, i_c = channel_waveforms(u_a, u_b, st)
-            assert np.mean(u_c.samples**2) == pytest.approx(v_th, rel=0.02)
-            assert np.mean(i_c.samples**2) == pytest.approx(i_th, rel=0.02)
+            u_c, i_c = channel_waveforms(u_a, u_b, st.r_alice, st.r_bob)
+            assert np.mean(u_c**2) == pytest.approx(v_th, rel=0.02)
+            assert np.mean(i_c**2) == pytest.approx(i_th, rel=0.02)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import kljn
@@ -166,6 +167,42 @@ class TestSpectra:
         assert code == 0
         assert out == ""
         assert out_path.read_text().startswith("#")
+
+
+# finite configs whose noise levels overflow float64: in the squared-current
+# periodogram only, or already in the generator synthesis
+PERIODOGRAM_OVERFLOW = "t_eff = 1e290\nr = 1\nalpha = 1000\n"
+SYNTHESIS_OVERFLOW = "t_eff = 3.6e305\nr = 1e20\nalpha = 1000\n"
+
+
+class TestNonFiniteOutput:
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["spectra", "--samples", "8192", "--bins", "64"], PERIODOGRAM_OVERFLOW),
+            (["spectra", "--samples", "8192", "--bins", "64"], SYNTHESIS_OVERFLOW),
+            (["levels", "--samples", "8192"], SYNTHESIS_OVERFLOW),
+        ],
+        ids=["spectra-periodogram", "spectra-synthesis", "levels-synthesis"],
+    )
+    def test_overflow_is_runtime_error(self, capsys, tmp_path, argv, text):
+        path = tmp_path / "overflow.cfg"
+        path.write_text(text)
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli(capsys, argv + ["--config", str(path)])
+        assert code == 3
+        assert out == ""
+        assert "non-finite" in err
+
+    def test_levels_finite_where_only_the_periodogram_overflows(self, capsys, tmp_path):
+        # the mean squares themselves (about 1e270) are finite, so levels reports them
+        path = tmp_path / "large.cfg"
+        path.write_text(PERIODOGRAM_OVERFLOW)
+        code, out, _ = run_cli(capsys, ["levels", "--samples", "8192", "--config", str(path)])
+        assert code == 0
+        rows = [line.split() for line in out.splitlines()[4:]]
+        assert [row[0] for row in rows] == ["00", "0110", "11"]
+        assert np.isfinite([float(x) for row in rows for x in row[1:]]).all()
 
 
 def test_cli_import_defers_scipy_signal():

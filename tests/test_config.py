@@ -1,7 +1,10 @@
+import pickle
+
 import pytest
 
 from kljn.circuit import PhysicsConstants
 from kljn.config import ConfigError, SystemConfig, parse_config, with_overrides
+from kljn.noise import NoiseSpec
 
 GOOD = """
 # reference setup
@@ -82,6 +85,20 @@ class TestSystemConfig:
         assert with_overrides(cfg, master_seed=None).master_seed == cfg.master_seed
         with pytest.raises(ConfigError):
             with_overrides(cfg, beta=2.0)
+
+    def test_derived_objects_built_once(self):
+        cfg = SystemConfig(gamma=50.0)
+        for name in ("constants", "resistors", "fractions", "window"):
+            assert getattr(cfg, name) is getattr(cfg, name), name
+        clone = pickle.loads(pickle.dumps(cfg))  # as sent to pool workers
+        assert clone == cfg and clone.window == cfg.window
+        assert with_overrides(cfg, gamma=80.0).window.tau == pytest.approx(80.0)
+
+    def test_noise_spec(self):
+        cfg = SystemConfig(r=2.0, b_kljn=1.5, oversample=3)
+        assert cfg.noise_spec(40.0, 64) == NoiseSpec(
+            psd_level=40.0, bandwidth=1.5, sample_rate=4.5, n_samples=64
+        )
 
     def test_resolved_dict_echoes_derived(self):
         d = SystemConfig(gamma=50.0).resolved_dict()

@@ -6,7 +6,6 @@ from scipy import stats
 
 from kljn.estimator import (
     AveragingWindow,
-    Measurement,
     SmallGammaWarning,
     averaged_fluctuation_rms,
     finite_mean_square,
@@ -14,7 +13,7 @@ from kljn.estimator import (
     measurement_slice,
     squared_noise_psd_theory,
 )
-from kljn.noise import NoiseSpec, Waveform, rng_for_period, synth_band_limited
+from kljn.noise import NoiseSpec, rng_for_period, synth_band_limited
 
 
 def period_mean_squares(gamma, n_periods, seed=0, psd=1.0, bw=1.0, fs=4.0):
@@ -26,7 +25,7 @@ def period_mean_squares(gamma, n_periods, seed=0, psd=1.0, bw=1.0, fs=4.0):
     out = np.empty(n_periods)
     for k in range(n_periods):
         w = synth_band_limited(spec, rng_for_period(seed, k))
-        out[k] = np.mean(w.samples[sl] ** 2)
+        out[k] = np.mean(w[sl] ** 2)
     return out
 
 
@@ -44,11 +43,20 @@ class TestAveragingWindow:
 
 class TestFiniteMeanSquare:
     def test_constant(self):
-        assert finite_mean_square(Waveform(np.full(10, 3.0), 1.0)) == pytest.approx(9.0)
+        assert finite_mean_square(np.full(10, 3.0)) == pytest.approx(9.0)
 
     def test_alternating(self):
         x = np.tile([1.0, -1.0], 8)
-        assert finite_mean_square(Waveform(x, 1.0)) == pytest.approx(1.0)
+        assert finite_mean_square(x) == pytest.approx(1.0)
+
+    def test_rows_along_last_axis(self):
+        x = np.array([[1.0, -1.0, 1.0, -1.0], [0.0, 2.0, 0.0, 2.0]])
+        assert np.array_equal(finite_mean_square(x), [1.0, 2.0])
+        assert finite_mean_square(x[1]) == finite_mean_square(x)[1]
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            finite_mean_square(np.array([]))
 
     def test_single_period_close_to_level(self):
         ms = period_mean_squares(gamma=100, n_periods=1, seed=4)[0]
@@ -60,12 +68,11 @@ class TestMeasurePeriod:
         n = 8
         u = np.zeros(n)
         u[n // 2 :] = 2.0  # leading half must not enter the measurement
-        m = measure_period(Waveform(u, 1.0), Waveform(np.ones(n), 1.0))
-        assert m == Measurement(msv=4.0, msi=1.0)
+        assert measure_period(u, np.ones(n)) == (4.0, 1.0)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            measure_period(Waveform(np.ones(8), 1.0), Waveform(np.ones(6), 1.0))
+            measure_period(np.ones(8), np.ones(6))
 
 
 class TestSquaredNoisePsdTheory:

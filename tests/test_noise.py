@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kljn.noise import NoiseSpec, Waveform, periodogram, rng_for_period, synth_band_limited
+from kljn.noise import NoiseSpec, periodogram, rng_for_period, synth_band_limited
 
 
 def make(psd=1.0, bw=1.0, fs=4.0, n=2**16, seed=0):
@@ -28,13 +28,13 @@ class TestNoiseSpec:
 class TestSynth:
     def test_zero_psd_gives_zero_waveform(self):
         w = make(psd=0.0)
-        assert np.all(w.samples == 0.0)
+        assert np.all(w == 0.0)
 
     def test_variance_matches_psd_times_bandwidth(self):
         # <x^2> -> S * B; standard error estimated by batching
         spec = NoiseSpec(psd_level=4.0, bandwidth=0.5, sample_rate=2.0, n_samples=2**20)
         w = synth_band_limited(spec, np.random.default_rng(7))
-        batches = w.samples.reshape(64, -1)
+        batches = w.reshape(64, -1)
         means = (batches**2).mean(axis=1)
         var = means.mean()
         se = means.std(ddof=1) / np.sqrt(64)
@@ -42,7 +42,7 @@ class TestSynth:
 
     def test_spectrum_flat_in_band_and_clean_above(self):
         w = make(psd=1.0, bw=1.0, fs=4.0, n=2**20, seed=3)
-        freqs, psd = periodogram(w, 64)
+        freqs, psd = periodogram(w, 4.0, 64)
         df = freqs[1] - freqs[0]
         in_band = (freqs > 0) & (freqs < 1.0 - df)
         assert np.all(np.abs(psd[in_band] - 1.0) < 0.10)
@@ -54,17 +54,17 @@ class TestSynth:
         spec = NoiseSpec(psd_level=1, bandwidth=1, sample_rate=4, n_samples=4096)
         a = synth_band_limited(spec, rng_for_period(99, 5))
         b = synth_band_limited(spec, rng_for_period(99, 5))
-        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a, b)
 
     def test_substreams_differ_across_periods(self):
         spec = NoiseSpec(psd_level=1, bandwidth=1, sample_rate=4, n_samples=4096)
         a = synth_band_limited(spec, rng_for_period(99, 5))
         b = synth_band_limited(spec, rng_for_period(99, 6))
-        assert not np.array_equal(a.samples, b.samples)
+        assert not np.array_equal(a, b)
 
     def test_gaussianity_excess_kurtosis(self):
         w = make(n=2**20, seed=11)
-        x = w.samples
+        x = w
         m2 = np.mean(x**2)
         m4 = np.mean(x**4)
         excess = m4 / m2**2 - 3.0
@@ -73,25 +73,35 @@ class TestSynth:
 
     def test_stationarity_between_halves(self):
         w = make(n=2**20, seed=13)
-        half = w.samples.size // 2
-        a, b = w.samples[:half], w.samples[half:]
+        half = w.size // 2
+        a, b = w[:half], w[half:]
         va, vb = a.var(), b.var()
         # variance-of-variance for a correlated Gaussian sequence, batched
         sa = (a.reshape(32, -1) ** 2).mean(axis=1).std(ddof=1) / np.sqrt(32)
         sb = (b.reshape(32, -1) ** 2).mean(axis=1).std(ddof=1) / np.sqrt(32)
         assert abs(va - vb) < 3 * np.hypot(sa, sb)
 
+    def test_returns_float64_array(self):
+        w = make(n=4096)
+        assert isinstance(w, np.ndarray)
+        assert w.dtype == np.float64 and w.shape == (4096,)
+
+    def test_rejects_nonfinite_samples(self):
+        # finite spec, but the coefficient scale sqrt(S * fs * n / 4) overflows float64
+        spec = NoiseSpec(psd_level=1e308, bandwidth=1, sample_rate=4, n_samples=16)
+        with pytest.raises(ValueError, match="non-finite"), np.errstate(all="ignore"):
+            synth_band_limited(spec, np.random.default_rng(0))
+
     def test_nyquist_rate_synthesis_variance(self):
         # fs = 2B puts the band edge on the Nyquist bin
         spec = NoiseSpec(psd_level=1.0, bandwidth=1.0, sample_rate=2.0, n_samples=2**18)
         w = synth_band_limited(spec, np.random.default_rng(2))
-        assert abs(np.mean(w.samples**2) - 1.0) < 0.03
+        assert abs(np.mean(w**2) - 1.0) < 0.03
 
 
 class TestPeriodogram:
     def test_dc_waveform_power_in_lowest_bin(self):
-        w = Waveform(samples=np.full(4096, 3.0), sample_rate=4.0)
-        freqs, psd = periodogram(w, 16)
+        freqs, psd = periodogram(np.full(4096, 3.0), 4.0, 16)
         df = freqs[1] - freqs[0]
         assert psd[0] * df == pytest.approx(9.0, rel=1e-9)
         assert np.all(psd[1:] < 1e-12)
@@ -100,8 +110,7 @@ class TestPeriodogram:
         fs, n = 8.0, 4096
         t = np.arange(n) / fs
         f0 = 1.0  # bin-centered for nperseg=64
-        w = Waveform(samples=2.0 * np.sin(2 * np.pi * f0 * t), sample_rate=fs)
-        freqs, psd = periodogram(w, 32)
+        freqs, psd = periodogram(2.0 * np.sin(2 * np.pi * f0 * t), fs, 32)
         df = freqs[1] - freqs[0]
         k = np.argmax(psd)
         assert freqs[k] == pytest.approx(f0)
@@ -110,22 +119,15 @@ class TestPeriodogram:
 
     def test_parseval_consistency_with_mean_square(self):
         w = make(n=2**18, seed=5)
-        freqs, psd = periodogram(w, 128)
+        freqs, psd = periodogram(w, 4.0, 128)
         df = freqs[1] - freqs[0]
-        ms = np.mean(w.samples**2)
+        ms = np.mean(w**2)
         assert psd.sum() * df == pytest.approx(ms, rel=0.02)
 
     def test_rejects_short_waveform(self):
-        w = Waveform(samples=np.ones(16), sample_rate=1.0)
+        w = np.ones(16)
         with pytest.raises(ValueError):
-            periodogram(w, 16)
+            periodogram(w, 1.0, 16)
         with pytest.raises(ValueError):
-            periodogram(w, 1)
+            periodogram(w, 1.0, 1)
 
-
-class TestWaveform:
-    def test_rejects_empty_and_nonfinite(self):
-        with pytest.raises(ValueError):
-            Waveform(samples=np.array([]), sample_rate=1.0)
-        with pytest.raises(ValueError):
-            Waveform(samples=np.array([1.0, np.nan]), sample_rate=1.0)

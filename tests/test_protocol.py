@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -58,6 +59,12 @@ def reference_extract_key(bits, outcome_code):
     return alice, bob
 
 
+def reference_draw_bits(rng):
+    """Random bits as ``_draw_bits`` used to draw them: one vector draw of two integers."""
+    b = rng.integers(0, 2, size=2)
+    return int(b[0]), int(b[1])
+
+
 def reference_simulate_chunk(config, master_seed, start, stop, force_state):
     """Per-period loop: one generator, two syntheses, one loop solve and one measurement each."""
     consts = config.constants
@@ -83,11 +90,9 @@ def reference_simulate_chunk(config, master_seed, start, stop, force_state):
         u_a = synth_band_limited(spec_cache[bit_a], rng)
         u_b = synth_band_limited(spec_cache[bit_b], rng)
         state = LoopState.from_bits(bit_a, bit_b, resistors)
-        u_c, i_c = channel_waveforms(u_a, u_b, state)
-        m = measure_period(u_c, i_c)
+        u_c, i_c = channel_waveforms(u_a, u_b, state.r_alice, state.r_bob)
         bits[j] = (bit_a, bit_b)
-        msv[j] = m.msv
-        msi[j] = m.msi
+        msv[j], msi[j] = measure_period(u_c, i_c)
     return {"bits": bits, "msv": msv, "msi": msi}
 
 
@@ -225,6 +230,19 @@ class TestRunSession:
         with pytest.raises(ValueError, match="non-finite"), np.errstate(all="ignore"):
             run_session(cfg)
 
+    def test_config_warnings_not_repeated(self):
+        # gamma < 10 and alpha < 10 each warn once, when the config is built
+        with warnings.catch_warnings(record=True) as built:
+            warnings.simplefilter("always")
+            cfg = small_config(gamma=5.0, alpha=5.0, n_periods=50)
+        assert sorted(w.category.__name__ for w in built) == [
+            "DegenerateLevelsWarning",
+            "SmallGammaWarning",
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_session(cfg)
+
     def test_msq_correlation_diagnostic(self):
         report = run_session(small_config(n_periods=2000, master_seed=29), force_state="11")
         corr = report.msq_correlation("11")
@@ -246,11 +264,13 @@ class TestBlockKernel:
     def test_matches_per_period_loop(
         self, gamma, alpha, oversample, force_state, master_seed, start, length, block_bytes
     ):
-        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+        with warnings.catch_warnings():
             warnings.simplefilter("ignore", SmallGammaWarning)
             warnings.simplefilter("ignore", DegenerateLevelsWarning)
             cfg = SystemConfig(gamma=gamma, alpha=alpha, oversample=oversample, master_seed=master_seed)
-            expected = reference_simulate_chunk(cfg, master_seed, start, start + length, force_state)
+        expected = reference_simulate_chunk(cfg, master_seed, start, start + length, force_state)
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+            warnings.simplefilter("error")  # the config warned when built; the kernel must not
             # a budget this small puts block boundaries inside the chunk
             mp.setattr(protocol, "_BLOCK_BYTES", block_bytes)
             got = _simulate_chunk(cfg, master_seed, start, start + length, force_state)
@@ -285,6 +305,65 @@ class TestBlockKernel:
         assert single.to_dict() == default.to_dict()
         assert np.array_equal(single.bits, default.bits)
         assert np.array_equal(single.outcome_code, default.outcome_code)
+
+
+class TestDrawBits:
+    @given(
+        master_seed=st.integers(0, 2**64 - 1),
+        index=st.integers(0, 2**64 - 1),
+        n_normals=st.integers(0, 9),
+    )
+    def test_scalar_draws_match_vector_draw(self, master_seed, index, n_normals):
+        got = rng_for_period(master_seed, index)
+        ref = rng_for_period(master_seed, index)
+        assert _draw_bits(got, None) == reference_draw_bits(ref)
+        # the streams stay in step for the normals drawn after the bits
+        assert np.array_equal(got.standard_normal(n_normals), ref.standard_normal(n_normals))
+
+
+class TestSeedExactOutput:
+    """Per-period bits, outcome codes and counts pinned across commits.
+
+    The digests and counts were recorded before the kernel called the
+    library's loop solve and mean square, and before ``_draw_bits`` drew its
+    two bits as scalars; any change of the simulated stream moves them.
+    """
+
+    CONFIG = SystemConfig(gamma=30, alpha=100, lam=0.2, n_periods=2000, master_seed=41)
+
+    @pytest.mark.parametrize(
+        "force_state, bits_sha256, outcome_sha256, counts",
+        [
+            (
+                None,
+                "b599c2249ccdcabed9af1d046451cdcd9e9542bc70dae112c0913414ddf10fdb",
+                "983ac9ddb4c1275c3ee5047e814199014a28c429c36ca06d495bb4891069d6ac",
+                {
+                    "00": (0, 524, 0, 0),
+                    "11": (0, 0, 515, 0),
+                    "0110": (786, 141, 27, 7),
+                },
+            ),
+            (
+                "0110",
+                "b2741801315a5239d22cfeb7b6bfa5f2a48c48f291ccc3891751f3d9174cc85f",
+                "3d18bf79cb26c0b48b376cf22809c3080f7d62236548a6e36f595838b9fb9448",
+                {
+                    "00": (0, 0, 0, 0),
+                    "11": (0, 0, 0, 0),
+                    "0110": (1641, 283, 64, 12),
+                },
+            ),
+        ],
+    )
+    def test_golden(self, force_state, bits_sha256, outcome_sha256, counts):
+        report = run_session(self.CONFIG, force_state=force_state)
+        assert hashlib.sha256(report.bits.tobytes()).hexdigest() == bits_sha256
+        assert hashlib.sha256(report.outcome_code.tobytes()).hexdigest() == outcome_sha256
+        # counts per actual state in tuple(CombinedOutcome) order
+        assert report.combined_counts == {
+            state: {o.value: c for o, c in zip(OUTCOMES, row)} for state, row in counts.items()
+        }
 
 
 class TestKeyExtraction:
