@@ -130,13 +130,17 @@ def channel_waveforms(
         i_c = (u_a - u_b) / (R_A + R_B)
         u_c = (u_a * R_B + u_b * R_A) / (R_A + R_B)
     The resistances are scalars or arrays that broadcast against the samples
-    (one per row of a block of periods, for example). Returns (u_c, i_c).
+    without adding dimensions (one per row of a block of periods, for
+    example). Returns (u_c, i_c), each of the samples' shape.
     """
     if u_a.shape != u_b.shape:
         raise ValueError(f"shape mismatch: {u_a.shape} vs {u_b.shape}")
     r_sum = r_alice + r_bob
-    i_c = (u_a - u_b) / r_sum
-    u_c = (u_a * r_bob + u_b * r_alice) / r_sum
+    i_c = np.subtract(u_a, u_b)
+    i_c /= r_sum
+    u_c = u_a * r_bob
+    u_c += u_b * r_alice
+    u_c /= r_sum
     return u_c, i_c
 
 

@@ -130,10 +130,13 @@ def band_coefficients(bins: BandBins, normals: np.ndarray, scale, nyquist_scale)
     ``nyquist_scale`` are scalars or arrays of shape ``normals.shape[:-1]``.
     """
     coeffs = np.zeros(normals.shape[:-1] + (bins.n_samples // 2 + 1,), dtype=complex)
+    # float64 view of interleaved (real, imaginary) parts: bins 1..n_band take the
+    # in-band normals in their drawn order, so no complex temporary is built
+    parts = coeffs.view(np.float64)
     if bins.nyquist:
-        coeffs[..., -1] = normals[..., 0] * nyquist_scale
-    g = normals[..., int(bins.nyquist) :]
-    coeffs[..., 1 : bins.n_band + 1] = (g[..., 0::2] + 1j * g[..., 1::2]) * np.asarray(scale)[..., None]
+        np.multiply(normals[..., 0], nyquist_scale, out=parts[..., -2])
+    in_band = normals[..., int(bins.nyquist) :]
+    np.multiply(in_band, np.asarray(scale)[..., None], out=parts[..., 2 : 2 + 2 * bins.n_band])
     return coeffs
 
 

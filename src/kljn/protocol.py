@@ -136,17 +136,28 @@ class SessionReport:
         }
 
 
-def _draw_bits(rng: np.random.Generator, force_state: Optional[str]) -> tuple[int, int]:
-    if force_state is None:
-        return int(rng.integers(0, 2)), int(rng.integers(0, 2))
-    if force_state == "00":
-        return 0, 0
-    if force_state == "11":
-        return 1, 1
-    if force_state == "0110":
-        a = int(rng.integers(0, 2))
-        return a, 1 - a
-    raise ValueError(f"force_state must be one of 00, 11, 0110, got {force_state!r}")
+def _check_force_state(force_state: Optional[str]) -> None:
+    if force_state is not None and force_state not in ACTUAL_STATES:
+        raise ValueError(f"force_state must be one of 00, 11, 0110, got {force_state!r}")
+
+
+def _bits_from_words(words: np.ndarray, force_state: Optional[str]) -> np.ndarray:
+    """(Alice, Bob) bits, int8 of shape ``(len(words), 2)``, from each period's first raw word.
+
+    A range-2 ``Generator.integers`` draw is the top bit of one
+    ``next_uint32``, and Philox's ``next_uint32`` returns the low half of a
+    64-bit word, then its high half. So two scalar draws give bit 31
+    (Alice) and bit 63 (Bob) of the period's first word; ``0110`` draws
+    Alice's bit alone and Bob takes the other. Forced ``00``/``11`` periods
+    draw no word, and ``words`` is not read.
+    """
+    bits = np.empty((len(words), 2), dtype=np.int8)
+    if force_state in ("00", "11"):
+        bits[:] = int(force_state[0])
+        return bits
+    bits[:, 0] = (words >> 31) & 1
+    bits[:, 1] = words >> 63 if force_state is None else 1 - bits[:, 0]
+    return bits
 
 
 def _block_periods(n_samples: int) -> int:
@@ -169,11 +180,13 @@ def _simulate_chunk(
 ) -> dict:
     """Simulate periods [start, stop); returns per-period arrays.
 
-    Each period draws its bits, then Alice's and Bob's normals, from its own
-    stream. Periods run in blocks sized by ``_block_periods``: one inverse FFT,
-    loop solve and windowed mean square per block, all element- or row-wise,
-    so the result does not depend on the block size.
+    Each period draws its bits (one raw word, read by ``_bits_from_words``),
+    then Alice's and Bob's normals, from its own stream. Periods run in
+    blocks sized by ``_block_periods``: one inverse FFT, loop solve and
+    windowed mean square per block, all element- or row-wise, so the result
+    does not depend on the block size.
     """
+    _check_force_state(force_state)
     n = config.samples_per_period
     r_bit = np.array([config.resistors.r0, config.resistors.r1])
     bins = [band_bins(config.noise_spec(r, n)) for r in r_bit.tolist()]
@@ -187,14 +200,19 @@ def _simulate_chunk(
     bits = np.empty((count, 2), dtype=np.int8)
     msv = np.empty(count)
     msi = np.empty(count)
+    draw_word = force_state in (None, "0110")
+    words = np.zeros(block, dtype=np.uint64)
     normals = np.empty((block, 2, layout.n_normals))
+    rows = list(normals)
     streams = period_streams(master_seed, range(start, stop))
     for lo in range(0, count, block):
         hi = min(lo + block, count)
-        for j in range(lo, hi):
-            rng = next(streams)
-            bits[j] = _draw_bits(rng, force_state)
-            rng.standard_normal(out=normals[j - lo])
+        # range first: zip must not take a stream past the block's last period
+        for j, rng in zip(range(hi - lo), streams):
+            if draw_word:
+                words[j] = rng.bit_generator.random_raw()
+            rng.standard_normal(out=rows[j])
+        bits[lo:hi] = _bits_from_words(words[: hi - lo], force_state)
         b = bits[lo:hi]
         coeffs = band_coefficients(layout, normals[: hi - lo], scale[b], nyquist_scale[b])
         # slice before solving: the solve then touches only the measured half
@@ -226,6 +244,7 @@ def run_session(
     master_seed = config.master_seed
     if n_periods < 1:
         raise ValueError(f"n_periods must be >= 1, got {n_periods}")
+    _check_force_state(force_state)  # before any worker starts
     bands = config.bands()  # fail fast on an empty secure band
 
     if workers <= 1 or n_periods < 2 * workers:
@@ -320,11 +339,6 @@ def extract_key(bits: np.ndarray, outcome_code: np.ndarray) -> tuple[list[int], 
 
 def key_to_hex(bits: Sequence[int]) -> str:
     """Pack key bits MSB-first into hex; the bit count disambiguates padding."""
-    if not bits:
+    if len(bits) == 0:
         return ""
-    nbytes = (len(bits) + 7) // 8
-    val = 0
-    for b in bits:
-        val = (val << 1) | (b & 1)
-    val <<= nbytes * 8 - len(bits)
-    return val.to_bytes(nbytes, "big").hex()
+    return np.packbits(np.asarray(bits) & 1).tobytes().hex()

@@ -1,12 +1,32 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from kljn.noise import NoiseSpec, periodogram, rng_for_period, synth_band_limited
+from kljn.noise import (
+    NoiseSpec,
+    band_bins,
+    band_coefficients,
+    periodogram,
+    rng_for_period,
+    synth_band_limited,
+)
 
 
 def make(psd=1.0, bw=1.0, fs=4.0, n=2**16, seed=0):
     spec = NoiseSpec(psd_level=psd, bandwidth=bw, sample_rate=fs, n_samples=n)
     return synth_band_limited(spec, np.random.default_rng(seed))
+
+
+def reference_band_coefficients(bins, normals, scale, nyquist_scale):
+    """Coefficients as ``band_coefficients`` used to build them, through complex temporaries."""
+    coeffs = np.zeros(normals.shape[:-1] + (bins.n_samples // 2 + 1,), dtype=complex)
+    if bins.nyquist:
+        coeffs[..., -1] = normals[..., 0] * nyquist_scale
+    g = normals[..., int(bins.nyquist) :]
+    coeffs[..., 1 : bins.n_band + 1] = (g[..., 0::2] + 1j * g[..., 1::2]) * np.asarray(scale)[..., None]
+    return coeffs
 
 
 class TestNoiseSpec:
@@ -97,6 +117,33 @@ class TestSynth:
         spec = NoiseSpec(psd_level=1.0, bandwidth=1.0, sample_rate=2.0, n_samples=2**18)
         w = synth_band_limited(spec, np.random.default_rng(2))
         assert abs(np.mean(w**2) - 1.0) < 0.03
+
+
+class TestBandCoefficients:
+    @pytest.mark.parametrize("sample_rate", [2.0, 3.0])  # Nyquist bin in band (even n), not in band
+    @settings(deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(2, 64),
+        rows=st.sampled_from([(), (3,), (2, 2)]),
+        per_row=st.booleans(),
+    )
+    def test_matches_complex_expression(self, sample_rate, data, n, rows, per_row):
+        """Writing ``normals * scale`` into the interleaved parts matches the complex expression.
+
+        Both compute each real and imaginary part as one normal times its
+        scale; the sign of an exactly zero coefficient is the only possible
+        difference, and ``array_equal`` counts -0.0 equal to 0.0.
+        """
+        bins = band_bins(NoiseSpec(psd_level=1.0, bandwidth=1.0, sample_rate=sample_rate, n_samples=n))
+        assert bins.nyquist == (sample_rate == 2.0 and n % 2 == 0)
+        normals = data.draw(arrays(np.float64, rows + (bins.n_normals,), elements=st.floats(-1e6, 1e6)))
+        scales = arrays(np.float64, rows, elements=st.floats(0.0, 1e6)) if per_row else st.floats(0.0, 1e6)
+        scale, nyquist_scale = data.draw(scales), data.draw(scales)
+        got = band_coefficients(bins, normals, scale, nyquist_scale)
+        expected = reference_band_coefficients(bins, normals, scale, nyquist_scale)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert np.array_equal(got, expected)
 
 
 class TestPeriodogram:

@@ -23,7 +23,7 @@ from kljn.estimator import SmallGammaWarning, measure_period
 from kljn.noise import NoiseSpec, rng_for_period, synth_band_limited
 from kljn.protocol import (
     ACTUAL_STATES,
-    _draw_bits,
+    _bits_from_words,
     _simulate_chunk,
     extract_key,
     key_to_hex,
@@ -60,9 +60,31 @@ def reference_extract_key(bits, outcome_code):
 
 
 def reference_draw_bits(rng):
-    """Random bits as ``_draw_bits`` used to draw them: one vector draw of two integers."""
+    """Random bits as the kernel first drew them: one vector draw of two integers."""
     b = rng.integers(0, 2, size=2)
     return int(b[0]), int(b[1])
+
+
+def reference_period_bits(rng, force_state):
+    """One period's bits drawn from its generator as the per-period loop drew them."""
+    if force_state is None:
+        return reference_draw_bits(rng)
+    if force_state == "0110":
+        a = int(rng.integers(0, 2))
+        return a, 1 - a
+    return {"00": (0, 0), "11": (1, 1)}[force_state]
+
+
+def reference_key_to_hex(bits):
+    """Key bits packed MSB-first through one Python int, as ``key_to_hex`` used to pack them."""
+    if not bits:
+        return ""
+    nbytes = (len(bits) + 7) // 8
+    val = 0
+    for b in bits:
+        val = (val << 1) | (b & 1)
+    val <<= nbytes * 8 - len(bits)
+    return val.to_bytes(nbytes, "big").hex()
 
 
 def reference_simulate_chunk(config, master_seed, start, stop, force_state):
@@ -86,7 +108,7 @@ def reference_simulate_chunk(config, master_seed, start, stop, force_state):
     }
     for j, index in enumerate(range(start, stop)):
         rng = rng_for_period(master_seed, index)
-        bit_a, bit_b = _draw_bits(rng, force_state)
+        bit_a, bit_b = reference_period_bits(rng, force_state)
         u_a = synth_band_limited(spec_cache[bit_a], rng)
         u_b = synth_band_limited(spec_cache[bit_b], rng)
         state = LoopState.from_bits(bit_a, bit_b, resistors)
@@ -243,6 +265,15 @@ class TestRunSession:
             warnings.simplefilter("error")
             run_session(cfg)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rejects_unknown_force_state(self, workers, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was built before force_state was checked")
+
+        monkeypatch.setattr(protocol, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match="force_state"):
+            run_session(small_config(n_periods=20), force_state="01", workers=workers)
+
     def test_msq_correlation_diagnostic(self):
         report = run_session(small_config(n_periods=2000, master_seed=29), force_state="11")
         corr = report.msq_correlation("11")
@@ -311,14 +342,39 @@ class TestDrawBits:
     @given(
         master_seed=st.integers(0, 2**64 - 1),
         index=st.integers(0, 2**64 - 1),
+        force_state=st.sampled_from([None, "0110"]),
         n_normals=st.integers(0, 9),
     )
-    def test_scalar_draws_match_vector_draw(self, master_seed, index, n_normals):
+    def test_raw_word_matches_integer_draws(self, master_seed, index, force_state, n_normals):
         got = rng_for_period(master_seed, index)
-        ref = rng_for_period(master_seed, index)
-        assert _draw_bits(got, None) == reference_draw_bits(ref)
+        vector = rng_for_period(master_seed, index)
+        scalar = rng_for_period(master_seed, index)
+        word = np.array([got.bit_generator.random_raw()], dtype=np.uint64)
+        bits = tuple(_bits_from_words(word, force_state)[0].tolist())
+        alice, bob = reference_draw_bits(vector)
+        a = int(scalar.integers(0, 2))
+        if force_state is None:
+            assert bits == (alice, bob) == (a, int(scalar.integers(0, 2)))
+        else:
+            assert bits == (alice, 1 - alice) == (a, 1 - a)
         # the streams stay in step for the normals drawn after the bits
-        assert np.array_equal(got.standard_normal(n_normals), ref.standard_normal(n_normals))
+        normals = got.standard_normal(n_normals)
+        assert np.array_equal(normals, vector.standard_normal(n_normals))
+        assert np.array_equal(normals, scalar.standard_normal(n_normals))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        master_seed=st.integers(0, 2**64 - 1),
+        index=st.integers(0, 2**64 - 2),
+        force_state=st.sampled_from(["00", "11"]),
+    )
+    def test_forced_periods_draw_normals_from_word_0(self, master_seed, index, force_state):
+        cfg = small_config(master_seed=master_seed)
+        expected = reference_simulate_chunk(cfg, master_seed, index, index + 1, force_state)
+        got = _simulate_chunk(cfg, master_seed, index, index + 1, force_state)
+        assert got["bits"].tolist() == [[int(force_state[0])] * 2]
+        for name in ("msv", "msi"):
+            assert np.array_equal(got[name], expected[name]), name
 
 
 class TestSeedExactOutput:
@@ -408,6 +464,10 @@ class TestKeyExtraction:
         )
         assert len(alice) == len(bob)
         assert mismatches == dangerous
+
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=70))
+    def test_key_to_hex_matches_big_int_loop(self, bits):
+        assert key_to_hex(bits) == reference_key_to_hex(bits)
 
     def test_key_to_hex(self):
         assert key_to_hex([]) == ""
