@@ -27,6 +27,7 @@ from .noise import periodogram, rng_for_period, synth_band_limited
 from .protocol import extract_key, key_to_hex, run_session
 
 _MODE_SHORT = {"voltage_only": "voltage", "current_only": "current", "combined": "combined"}
+_RATE_PREFIX = {"voltage": "v", "current": "i", "combined": "combined"}
 
 
 def _fmt(x) -> str:
@@ -103,14 +104,7 @@ def cmd_sweep(args) -> int:
         cfg = with_overrides(config, gamma=gamma)
         eps_th = analytic.epsilon_analytic(mode, force_state, cfg.fractions, gamma)
         report = run_session(cfg, force_state=force_state, workers=args.workers)
-        est = {
-            ("voltage", "00"): report.eps_hat_v_00,
-            ("voltage", "11"): report.eps_hat_v_11,
-            ("current", "00"): report.eps_hat_i_00,
-            ("current", "11"): report.eps_hat_i_11,
-            ("combined", "00"): report.eps_hat_combined_00,
-            ("combined", "11"): report.eps_hat_combined_11,
-        }[(mode, force_state)]
+        est = report.rates[f"eps_hat_{_RATE_PREFIX[mode]}_{force_state}"]
         buf.write(
             ",".join(
                 _fmt(x)

@@ -7,6 +7,7 @@ a silently ignored typo in a physics parameter is the main operator hazard.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
@@ -40,6 +41,10 @@ class SystemConfig:
     mode: str = "combined"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.oversample < 2:
             raise ConfigError(f"oversample must be >= 2, got {self.oversample}")
         if self.mode not in MODES:

@@ -77,30 +77,27 @@ def make_bands(levels: LevelTable, fracs: ThresholdFractions) -> DecisionBands:
     )
 
 
-def interpret_current(msi: float, bands: DecisionBands) -> Interpretation:
-    """Read a mean-square current: 11 is the lowest level, 00 the highest.
+def _read(x, low_cut: float, high_cut: float, below: int, above: int) -> np.ndarray:
+    """Interpretation codes of mean squares ``x`` against one two-cut band.
 
-    Values exactly on a cut read as secure (the insecure readings use strict
-    inequalities).
+    ``below`` under the low cut, ``above`` over the high cut, 2 (secure)
+    between; values exactly on a cut read as secure.
     """
+    return np.where(x < low_cut, below, np.where(x > high_cut, above, 2)).astype(np.int8)
+
+
+def interpret_current(msi: float, bands: DecisionBands) -> Interpretation:
+    """Read a mean-square current: 11 is the lowest level, 00 the highest."""
     if msi < 0:
         raise ValueError(f"mean-square current must be >= 0, got {msi}")
-    if msi < bands.i_low_cut:
-        return Interpretation.B11
-    if msi > bands.i_high_cut:
-        return Interpretation.B00
-    return Interpretation.SECURE_0110
+    return tuple(Interpretation)[_read(msi, bands.i_low_cut, bands.i_high_cut, 1, 0)]
 
 
 def interpret_voltage(msv: float, bands: DecisionBands) -> Interpretation:
     """Read a mean-square voltage: 00 is the lowest level, 11 the highest."""
     if msv < 0:
         raise ValueError(f"mean-square voltage must be >= 0, got {msv}")
-    if msv < bands.v_low_cut:
-        return Interpretation.B00
-    if msv > bands.v_high_cut:
-        return Interpretation.B11
-    return Interpretation.SECURE_0110
+    return tuple(Interpretation)[_read(msv, bands.v_low_cut, bands.v_high_cut, 0, 1)]
 
 
 _COMBINE_TABLE = {
@@ -139,13 +136,8 @@ def interpret_arrays(
 
     Returns int8 arrays (v_code, i_code, outcome_code). Interpretation codes
     index ``tuple(Interpretation)`` (0 reads 00, 1 reads 11, 2 reads secure);
-    outcome codes index ``tuple(CombinedOutcome)``. Values exactly on a cut
-    read as secure, as in the scalar readers.
+    outcome codes index ``tuple(CombinedOutcome)``.
     """
-    v_code = np.full(msv.shape, 2, dtype=np.int8)
-    v_code[msv < bands.v_low_cut] = 0
-    v_code[msv > bands.v_high_cut] = 1
-    i_code = np.full(msi.shape, 2, dtype=np.int8)
-    i_code[msi < bands.i_low_cut] = 1
-    i_code[msi > bands.i_high_cut] = 0
+    v_code = _read(msv, bands.v_low_cut, bands.v_high_cut, 0, 1)
+    i_code = _read(msi, bands.i_low_cut, bands.i_high_cut, 1, 0)
     return v_code, i_code, _OUTCOME_CODE[v_code, i_code]

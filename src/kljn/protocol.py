@@ -81,12 +81,9 @@ class SessionReport:
     confusion_i: list
     # combined_counts[actual][outcome name] = count
     combined_counts: dict
-    eps_hat_v_00: RateEstimate
-    eps_hat_v_11: RateEstimate
-    eps_hat_i_00: RateEstimate
-    eps_hat_i_11: RateEstimate
-    eps_hat_combined_00: RateEstimate
-    eps_hat_combined_11: RateEstimate
+    # dangerous-error rates keyed eps_hat_{v,i,combined}_{00,11}: the actual
+    # 00/11 periods that read secure by voltage, by current, and by both
+    rates: dict
     fidelity: Optional[float]
     discard_rate: float
     # per-actual-state first and second moments of (msv, msi) for
@@ -110,17 +107,6 @@ class SessionReport:
         return cov / math.sqrt(var_v * var_i)
 
     def to_dict(self) -> dict:
-        rates = {
-            name: getattr(self, name).to_dict()
-            for name in (
-                "eps_hat_v_00",
-                "eps_hat_v_11",
-                "eps_hat_i_00",
-                "eps_hat_i_11",
-                "eps_hat_combined_00",
-                "eps_hat_combined_11",
-            )
-        }
         return {
             "n_periods": self.n_periods,
             "master_seed": self.master_seed,
@@ -129,7 +115,7 @@ class SessionReport:
             "confusion_v": self.confusion_v,
             "confusion_i": self.confusion_i,
             "combined_counts": self.combined_counts,
-            "rates": rates,
+            "rates": {name: rate.to_dict() for name, rate in self.rates.items()},
             "fidelity": self.fidelity,
             "discard_rate": self.discard_rate,
             "moment_sums": self.moment_sums,
@@ -264,25 +250,28 @@ def run_session(
     msi = np.concatenate([c["msi"] for c in chunks])
     v_code, i_code, outcome_code = interpret_arrays(msv, msi, bands)
 
-    same = bits[:, 0] == bits[:, 1]
-    actual_code = np.where(same, bits[:, 0], 2).astype(np.int8)  # 0->00, 1->11, 2->secure
-
-    confusion_v = [[0] * 3 for _ in range(3)]
-    confusion_i = [[0] * 3 for _ in range(3)]
-    combined_counts = {s: {o.value: 0 for o in _OUTCOMES} for s in ACTUAL_STATES}
+    actual = np.where(bits[:, 0] == bits[:, 1], bits[:, 0], 2)  # 0->00, 1->11, 2->secure
+    # counts[actual, voltage reading, current reading]; reading code 2 is secure
+    counts = np.bincount((actual * 3 + v_code) * 3 + i_code, minlength=27).reshape(3, 3, 3)
+    n_state = counts.sum((1, 2)).tolist()
+    n_out = len(_OUTCOMES)
+    outcome_counts = np.bincount(actual * n_out + outcome_code, minlength=3 * n_out).reshape(3, n_out)
+    combined_counts = {
+        state: {o.value: c for o, c in zip(_OUTCOMES, row)}
+        for state, row in zip(ACTUAL_STATES, outcome_counts.tolist())
+    }
+    secure = {"v": counts[:2, 2].sum(1), "i": counts[:2, :, 2].sum(1), "combined": counts[:2, 2, 2]}
+    rates = {
+        f"eps_hat_{name}_{state}": RateEstimate.from_counts(int(k[a]), n_state[a])
+        for name, k in secure.items()
+        for a, state in enumerate(ACTUAL_STATES[:2])
+    }
     moment_sums = {}
-    for a_code, a_name in enumerate(ACTUAL_STATES):
-        sel = actual_code == a_code
-        vc = np.bincount(v_code[sel], minlength=3)
-        ic = np.bincount(i_code[sel], minlength=3)
-        oc = np.bincount(outcome_code[sel], minlength=len(_OUTCOMES))
-        confusion_v[a_code] = [int(x) for x in vc]
-        confusion_i[a_code] = [int(x) for x in ic]
-        for o, cnt in zip(_OUTCOMES, oc):
-            combined_counts[a_name][o.value] = int(cnt)
+    for a, state in enumerate(ACTUAL_STATES):
+        sel = actual == a
         sv, si_ = msv[sel], msi[sel]
-        moment_sums[a_name] = [
-            int(sel.sum()),
+        moment_sums[state] = [
+            n_state[a],
             float(sv.sum()),
             float(si_.sum()),
             float(np.square(sv).sum()),
@@ -290,35 +279,17 @@ def run_session(
             float((sv * si_).sum()),
         ]
 
-    n00 = moment_sums["00"][0]
-    n11 = moment_sums["11"][0]
-    n_kept = sum(combined_counts[s][CombinedOutcome.KEEP_SECURE.value] for s in ACTUAL_STATES)
-    n_secure = moment_sums["0110"][0]
-
     return SessionReport(
         n_periods=n_periods,
         master_seed=master_seed,
         config_hash=config.config_hash(),
         force_state=force_state,
-        confusion_v=confusion_v,
-        confusion_i=confusion_i,
+        confusion_v=counts.sum(2).tolist(),
+        confusion_i=counts.sum(1).tolist(),
         combined_counts=combined_counts,
-        eps_hat_v_00=RateEstimate.from_counts(confusion_v[0][2], n00),
-        eps_hat_v_11=RateEstimate.from_counts(confusion_v[1][2], n11),
-        eps_hat_i_00=RateEstimate.from_counts(confusion_i[0][2], n00),
-        eps_hat_i_11=RateEstimate.from_counts(confusion_i[1][2], n11),
-        eps_hat_combined_00=RateEstimate.from_counts(
-            combined_counts["00"][CombinedOutcome.KEEP_SECURE.value], n00
-        ),
-        eps_hat_combined_11=RateEstimate.from_counts(
-            combined_counts["11"][CombinedOutcome.KEEP_SECURE.value], n11
-        ),
-        fidelity=(
-            combined_counts["0110"][CombinedOutcome.KEEP_SECURE.value] / n_secure
-            if n_secure
-            else None
-        ),
-        discard_rate=1.0 - n_kept / n_periods,
+        rates=rates,
+        fidelity=int(counts[2, 2, 2]) / n_state[2] if n_state[2] else None,
+        discard_rate=1.0 - int(counts[:, 2, 2].sum()) / n_periods,
         moment_sums=moment_sums,
         bits=bits,
         outcome_code=outcome_code,

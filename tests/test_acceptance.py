@@ -136,7 +136,7 @@ def test_criterion_05_fluctuation_rms(gamma):
 def test_criterion_06_monte_carlo_vs_analytic():
     cfg = SystemConfig(alpha=100.0, gamma=50.0, n_periods=10**5, master_seed=11)
     report = run_session(cfg, force_state="11")
-    est = report.eps_hat_i_11
+    est = report.rates["eps_hat_i_11"]
     analytic = epsilon_current_11(0.5, 50.0)
     assert analytic == pytest.approx(2.53e-2, rel=5e-3)
     assert analytic / 3 <= est.p <= analytic * 3
@@ -152,8 +152,8 @@ def test_criterion_07_exponential_decay_slope():
     for gamma in gammas:
         cfg = SystemConfig(alpha=100.0, gamma=gamma, n_periods=n, master_seed=13)
         report = run_session(cfg, force_state="11")
-        counts.append(report.eps_hat_i_11.k)
-        trials.append(report.eps_hat_i_11.n)
+        counts.append(report.rates["eps_hat_i_11"].k)
+        trials.append(report.rates["eps_hat_i_11"].n)
     eps = np.array(counts) / np.array(trials)
     # weighted LS on ln(eps); binomial weights: var(ln p_hat) ~ 1/k
     w = np.array(counts, dtype=float)
@@ -171,9 +171,9 @@ def test_criterion_08_independence_and_product_law():
     report = run_session(cfg, force_state="11")
     corr = report.msq_correlation("11")
     assert abs(corr) < 4.0 / math.sqrt(n)
-    p_v = report.eps_hat_v_11.p
-    p_i = report.eps_hat_i_11.p
-    p_comb = report.eps_hat_combined_11.p
+    p_v = report.rates["eps_hat_v_11"].p
+    p_i = report.rates["eps_hat_i_11"].p
+    p_comb = report.rates["eps_hat_combined_11"].p
     assert p_v > 0 and p_i > 0 and p_comb > 0
     product = p_v * p_i
     assert product / 3 <= p_comb <= product * 3

@@ -48,6 +48,19 @@ class TestLevels:
         assert code == 0
         assert "1.380649e-23" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["levels"], ["session"], ["sweep", "--gammas", "30"]],
+        ids=["levels", "session", "sweep"],
+    )
+    def test_infinite_gamma_is_config_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "inf.cfg"
+        path.write_text("gamma = inf\n")
+        code, out, err = run_cli(capsys, argv + ["--config", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "config error" in err and "gamma" in err
+
     def test_invalid_alpha_names_constraint(self, capsys, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("alpha = 0.5\n")
@@ -84,6 +97,12 @@ class TestSweep:
         code, _, err = run_cli(capsys, ["sweep", "--config", fast_config, "--gammas", " "])
         assert code == 2
         assert "gammas" in err
+
+    def test_infinite_gamma_in_list_is_config_error(self, capsys, fast_config):
+        code, out, err = run_cli(capsys, ["sweep", "--config", fast_config, "--gammas", "30,inf"])
+        assert code == 2
+        assert out == ""
+        assert "config error" in err and "gamma" in err
 
     def test_descending_gammas_rejected(self, capsys, fast_config):
         code, _, _ = run_cli(capsys, ["sweep", "--config", fast_config, "--gammas", "100,50"])

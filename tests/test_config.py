@@ -1,3 +1,4 @@
+import math
 import pickle
 
 import pytest
@@ -69,6 +70,14 @@ class TestSystemConfig:
     def test_mode_validated(self):
         with pytest.raises(ConfigError):
             SystemConfig(mode="telepathy")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["r", "alpha", "t_eff", "b_kljn", "gamma"])
+    def test_non_finite_physics_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            SystemConfig(**{name: value})
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            parse_config(f"{name} = {value}\n")
 
     def test_oversample_minimum(self):
         with pytest.raises(ConfigError):

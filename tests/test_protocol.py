@@ -14,6 +14,7 @@ from kljn.circuit import DegenerateLevelsWarning, LoopState, channel_waveforms, 
 from kljn.config import SystemConfig, with_overrides
 from kljn.decision import (
     CombinedOutcome,
+    Interpretation,
     combine,
     interpret_arrays,
     interpret_current,
@@ -23,6 +24,7 @@ from kljn.estimator import SmallGammaWarning, measure_period
 from kljn.noise import NoiseSpec, rng_for_period, synth_band_limited
 from kljn.protocol import (
     ACTUAL_STATES,
+    RateEstimate,
     _bits_from_words,
     _simulate_chunk,
     extract_key,
@@ -57,6 +59,39 @@ def reference_extract_key(bits, outcome_code):
             alice.append(bit_a)
             bob.append(1 - bit_b)
     return alice, bob
+
+
+def reference_accounting(cfg, periods):
+    """Per-period loop: confusion matrices, outcome counts, rates, fidelity and discard rate."""
+    bands = cfg.bands()
+    readings = tuple(Interpretation)
+    confusion_v = [[0] * 3 for _ in ACTUAL_STATES]
+    confusion_i = [[0] * 3 for _ in ACTUAL_STATES]
+    combined = {state: {o.value: 0 for o in OUTCOMES} for state in ACTUAL_STATES}
+    for (bit_a, bit_b), msv, msi in zip(
+        periods["bits"].tolist(), periods["msv"].tolist(), periods["msi"].tolist()
+    ):
+        state = f"{bit_a}{bit_b}" if bit_a == bit_b else "0110"
+        v = interpret_voltage(msv, bands)
+        i = interpret_current(msi, bands)
+        confusion_v[ACTUAL_STATES.index(state)][readings.index(v)] += 1
+        confusion_i[ACTUAL_STATES.index(state)][readings.index(i)] += 1
+        combined[state][combine(v, i).value] += 1
+    n = {state: sum(row) for state, row in zip(ACTUAL_STATES, confusion_v)}
+    kept = {state: combined[state][CombinedOutcome.KEEP_SECURE.value] for state in ACTUAL_STATES}
+    rates = {}
+    for a, state in enumerate(("00", "11")):
+        rates[f"eps_hat_v_{state}"] = RateEstimate.from_counts(confusion_v[a][2], n[state])
+        rates[f"eps_hat_i_{state}"] = RateEstimate.from_counts(confusion_i[a][2], n[state])
+        rates[f"eps_hat_combined_{state}"] = RateEstimate.from_counts(kept[state], n[state])
+    return {
+        "confusion_v": confusion_v,
+        "confusion_i": confusion_i,
+        "combined_counts": combined,
+        "rates": rates,
+        "fidelity": kept["0110"] / n["0110"] if n["0110"] else None,
+        "discard_rate": 1.0 - sum(kept.values()) / len(periods["bits"]),
+    }
 
 
 def reference_draw_bits(rng):
@@ -195,6 +230,28 @@ class TestRunSession:
             for a_code, a_name in enumerate(ACTUAL_STATES):
                 assert sum(mat[a_code]) == report.moment_sums[a_name][0]
 
+    @pytest.mark.parametrize("force_state", [None, "11", "0110"])
+    def test_accounting_matches_per_period_reference(self, force_state):
+        # low gamma and alpha: dangerous keeps, discards and alarms all occur
+        cfg = small_config(gamma=12.0, alpha=10.0, n_periods=400, master_seed=7)
+        report = run_session(cfg, force_state=force_state)
+        periods = _simulate_chunk(cfg, cfg.master_seed, 0, cfg.n_periods, force_state)
+        expected = reference_accounting(cfg, periods)
+        for name, value in expected.items():
+            assert getattr(report, name) == value, name
+        # Python numbers, as the JSON report serialises them
+        assert all(type(c) is int for row in report.confusion_v + report.confusion_i for c in row)
+        assert type(report.discard_rate) is float
+        if force_state == "11":
+            assert report.fidelity is None and report.rates["eps_hat_v_00"].p is None
+        else:
+            assert type(report.fidelity) is float
+        counts = report.combined_counts
+        alarms = sum(counts[s][CombinedOutcome.ALARM_CONFLICT.value] for s in ACTUAL_STATES)
+        kept_00_11 = [counts[s][CombinedOutcome.KEEP_SECURE.value] for s in ("00", "11")]
+        assert alarms > 0 or force_state == "11"
+        assert min(kept_00_11) > 0 or force_state is not None
+
     def test_secure_fraction_near_half(self):
         n = 4000
         report = run_session(small_config(n_periods=n, master_seed=13))
@@ -233,12 +290,12 @@ class TestRunSession:
         report = run_session(small_config(n_periods=500, master_seed=23), force_state="11")
         assert report.moment_sums["11"][0] == 500
         assert report.moment_sums["00"][0] == 0
-        assert report.eps_hat_i_00.p is None  # undefined, not zero
-        assert report.eps_hat_i_11.p is not None
+        assert report.rates["eps_hat_i_00"].p is None  # undefined, not zero
+        assert report.rates["eps_hat_i_11"].p is not None
 
     def test_undefined_rates_at_tiny_n(self):
         report = run_session(small_config(n_periods=1, master_seed=2), force_state="0110")
-        assert report.eps_hat_i_11.p is None
+        assert report.rates["eps_hat_i_11"].p is None
         assert report.fidelity is not None
 
     def test_rejects_empty_session(self):
@@ -420,6 +477,36 @@ class TestSeedExactOutput:
         assert report.combined_counts == {
             state: {o.value: c for o, c in zip(OUTCOMES, row)} for state, row in counts.items()
         }
+
+    @pytest.mark.parametrize(
+        "force_state, confusion_v, confusion_i, rates, fidelity, discard_rate",
+        [
+            (
+                None,
+                [[509, 0, 15], [0, 511, 4], [148, 0, 813]],
+                [[517, 0, 7], [0, 422, 93], [0, 34, 927]],
+                {"v_00": (15, 524), "v_11": (4, 515), "i_00": (7, 524), "i_11": (93, 515),
+                 "combined_00": (0, 524), "combined_11": (0, 515)},
+                0.81789802289282,
+                0.607,
+            ),
+            (
+                "0110",
+                [[0, 0, 0], [0, 0, 0], [295, 0, 1705]],
+                [[0, 0, 0], [0, 0, 0], [0, 76, 1924]],
+                {name: (0, 0) for name in ("v_00", "v_11", "i_00", "i_11", "combined_00", "combined_11")},
+                0.8205,
+                0.1795,
+            ),
+        ],
+    )
+    def test_golden_accounting(self, force_state, confusion_v, confusion_i, rates, fidelity, discard_rate):
+        report = run_session(self.CONFIG, force_state=force_state)
+        assert report.confusion_v == confusion_v
+        assert report.confusion_i == confusion_i
+        assert {name[len("eps_hat_"):]: (r.k, r.n) for name, r in report.rates.items()} == rates
+        assert report.fidelity == fidelity
+        assert report.discard_rate == discard_rate
 
 
 class TestKeyExtraction:
