@@ -15,6 +15,7 @@ from .circuit import (
     LoopState,
     PhysicsConstants,
     ResistorSet,
+    channel_current,
     channel_waveforms,
     generator_psd,
     theoretical_levels,

@@ -121,26 +121,35 @@ def generator_psd(r: float, consts: PhysicsConstants) -> float:
     return consts.four_kt * r
 
 
+def channel_current(u_a: np.ndarray, u_b: np.ndarray, r_alice, r_bob) -> np.ndarray:
+    """Loop current i_c = (u_a - u_b) / (R_A + R_B), element-wise.
+
+    The resistances are scalars or arrays that broadcast against the samples
+    without adding dimensions. Returns a new array of the samples' shape.
+    """
+    if u_a.shape != u_b.shape:
+        raise ValueError(f"shape mismatch: {u_a.shape} vs {u_b.shape}")
+    i_c = np.subtract(u_a, u_b)
+    i_c /= r_alice + r_bob
+    return i_c
+
+
 def channel_waveforms(
     u_a: np.ndarray, u_b: np.ndarray, r_alice, r_bob
 ) -> tuple[np.ndarray, np.ndarray]:
     """Channel voltage and current from the two generator voltages.
 
     Single-loop Kirchhoff solution, element-wise:
-        i_c = (u_a - u_b) / (R_A + R_B)
+        i_c = (u_a - u_b) / (R_A + R_B)     (``channel_current``)
         u_c = (u_a * R_B + u_b * R_A) / (R_A + R_B)
     The resistances are scalars or arrays that broadcast against the samples
     without adding dimensions (one per row of a block of periods, for
     example). Returns (u_c, i_c), each of the samples' shape.
     """
-    if u_a.shape != u_b.shape:
-        raise ValueError(f"shape mismatch: {u_a.shape} vs {u_b.shape}")
-    r_sum = r_alice + r_bob
-    i_c = np.subtract(u_a, u_b)
-    i_c /= r_sum
+    i_c = channel_current(u_a, u_b, r_alice, r_bob)
     u_c = u_a * r_bob
     u_c += u_b * r_alice
-    u_c /= r_sum
+    u_c /= r_alice + r_bob
     return u_c, i_c
 
 

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import analytic
-from .circuit import LoopState, channel_waveforms
+from .circuit import LoopState, channel_current, channel_waveforms
 from .config import ConfigError, SystemConfig, load_config, with_overrides
 from .decision import EmptySecureBandError
 from .estimator import finite_mean_square, squared_noise_psd_theory
@@ -57,6 +57,8 @@ def _load(args) -> SystemConfig:
 
 def cmd_levels(args) -> int:
     config = _load(args)
+    if args.samples < 2:
+        raise ConfigError(f"levels requires --samples >= 2, got {args.samples}")
     consts = config.constants
     levels = config.levels()
     n_cal = args.samples
@@ -132,13 +134,16 @@ def cmd_session(args) -> int:
 
 def cmd_spectra(args) -> int:
     config = _load(args)
+    if args.bins < 2:
+        raise ConfigError(f"spectra requires --bins >= 2, got {args.bins}")
+    if args.samples < 2 * args.bins:
+        raise ConfigError(f"spectra requires --samples >= 2 * --bins = {2 * args.bins}, got {args.samples}")
     loop = LoopState.from_bits(1, 1, config.resistors)
     spec = config.noise_spec(loop.r_alice, args.samples)
     rng = rng_for_period(config.master_seed, 0)
     u_a = synth_band_limited(spec, rng)
-    u_b = synth_band_limited(spec, rng)
-    _, i_c = channel_waveforms(u_a, u_b, loop.r_alice, loop.r_bob)
-    squared = np.square(i_c)
+    i_c = channel_current(u_a, synth_band_limited(spec, rng), loop.r_alice, loop.r_bob)
+    squared = np.square(i_c, out=i_c)
     squared -= squared.mean()  # theory describes only the AC part
     freqs, emp = periodogram(squared, config.sample_rate, args.bins)
     s_level = config.constants.four_kt / loop.r_loop

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kljn.circuit import (
     BOLTZMANN,
@@ -7,6 +10,7 @@ from kljn.circuit import (
     LoopState,
     PhysicsConstants,
     ResistorSet,
+    channel_current,
     channel_waveforms,
     generator_psd,
     theoretical_levels,
@@ -75,6 +79,30 @@ class TestChannelWaveforms:
             u_row, i_row = channel_waveforms(u_a[row], u_b[row], float(r_a[row, 0]), float(r_b[row, 0]))
             assert np.array_equal(u_c[row], u_row)
             assert np.array_equal(i_c[row], i_row)
+
+
+class TestChannelCurrent:
+    @settings(deadline=None)
+    @given(data=st.data(), rows=st.sampled_from([(), (1,), (3,), (2, 2)]), n=st.integers(1, 32), per_row=st.booleans())
+    def test_matches_channel_waveforms(self, data, rows, n, per_row):
+        """The current-only solve is the full solve's current and (u_a - u_b) / (R_A + R_B), bit for bit."""
+        samples = arrays(np.float64, rows + (n,), elements=st.floats(-1e6, 1e6))
+        u_a, u_b = data.draw(samples), data.draw(samples)
+        if per_row:
+            resistances = arrays(np.float64, rows + (1,), elements=st.floats(1e-3, 1e6))
+        else:
+            resistances = st.floats(1e-3, 1e6)
+        r_a, r_b = data.draw(resistances), data.draw(resistances)
+        before = u_a.copy(), u_b.copy()
+        i_c = channel_current(u_a, u_b, r_a, r_b)
+        assert i_c.shape == u_a.shape and i_c.dtype == np.float64
+        assert np.array_equal(i_c, channel_waveforms(u_a, u_b, r_a, r_b)[1])
+        assert np.array_equal(i_c, (u_a - u_b) / (r_a + r_b))
+        assert np.array_equal(u_a, before[0]) and np.array_equal(u_b, before[1])
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            channel_current(const_wave(1.0, n=8), const_wave(1.0, n=9), 1.0, 1.0)
 
 
 class TestResistorSet:

@@ -2,12 +2,17 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import kljn
+from kljn import cli
+from kljn.circuit import LoopState, channel_waveforms
 from kljn.cli import main
+from kljn.config import load_config
+from kljn.noise import rng_for_period, synth_band_limited
 
 FAST_CONFIG = """
 r = 1.0
@@ -26,6 +31,10 @@ def fast_config(tmp_path):
     path = tmp_path / "fast.cfg"
     path.write_text(FAST_CONFIG)
     return str(path)
+
+
+def _no_synthesis(*args):
+    raise AssertionError("a bad size must be refused before any synthesis")
 
 
 def run_cli(capsys, argv):
@@ -60,6 +69,13 @@ class TestLevels:
         assert code == 2
         assert out == ""
         assert "config error" in err and "gamma" in err
+
+    def test_too_few_samples_is_config_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "synth_band_limited", _no_synthesis)
+        code, out, err = run_cli(capsys, ["levels", "--samples", "1"])
+        assert code == 2
+        assert out == ""
+        assert "config error" in err and "--samples" in err
 
     def test_invalid_alpha_names_constraint(self, capsys, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -187,6 +203,85 @@ class TestSpectra:
         assert out == ""
         assert out_path.read_text().startswith("#")
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [(["--bins", "1"], "--bins"), (["--samples", "127", "--bins", "64"], "--samples")],
+        ids=["one-bin", "shorter-than-a-segment"],
+    )
+    def test_bad_size_is_config_error(self, capsys, monkeypatch, argv, flag):
+        monkeypatch.setattr(cli, "synth_band_limited", _no_synthesis)
+        code, out, err = run_cli(capsys, ["spectra"] + argv)
+        assert code == 2
+        assert out == ""
+        assert "config error" in err and flag in err
+
+    def test_values_match_scipy_welch_pipeline(self, capsys, monkeypatch, fast_config):
+        """The printed spectrum is the old solve, square and ``scipy.signal.welch`` pipeline's.
+
+        Values are printed at full precision for the comparison; the tolerance
+        also holds where scipy's welch sums in another order (scipy 1.8).
+        """
+        from scipy import signal
+
+        n, n_bins = 65536, 64
+        monkeypatch.setattr(cli, "_fmt", repr)
+        code, out, _ = run_cli(
+            capsys, ["spectra", "--config", fast_config, "--samples", str(n), "--bins", str(n_bins)]
+        )
+        assert code == 0
+        rows = np.array([[float(x) for x in line.split(",")] for line in out.splitlines()[2:]])
+
+        config = load_config(fast_config)
+        loop = LoopState.from_bits(1, 1, config.resistors)
+        spec = config.noise_spec(loop.r_alice, n)
+        rng = rng_for_period(config.master_seed, 0)
+        u_a = synth_band_limited(spec, rng)
+        u_b = synth_band_limited(spec, rng)
+        _, i_c = channel_waveforms(u_a, u_b, loop.r_alice, loop.r_bob)
+        squared = np.square(i_c)
+        squared -= squared.mean()
+        freqs, density = signal.welch(
+            squared, fs=config.sample_rate, window="boxcar", nperseg=2 * n_bins, noverlap=0, detrend=False
+        )
+        assert rows.shape == (n_bins + 1, 3)
+        np.testing.assert_allclose(rows[:, 0], freqs, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(rows[:, 1], density, rtol=1e-12, atol=0)
+
+    def test_peak_memory_bounded_by_signal_size(self, capsys, tmp_path):
+        # u_a, u_b and the current are alive together only while the current is solved;
+        # the squared signal and the periodogram's power table stay near two signals
+        n = 2**20
+        argv = ["spectra", "--samples", str(n), "--bins", "256", "--out", str(tmp_path / "s.csv")]
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            baseline = tracemalloc.get_traced_memory()[0]
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1] - baseline
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak <= 4 * 8 * n, f"peak {peak / (8 * n):.2f}x the signal's bytes"
+
+    def test_run_never_imports_scipy_signal(self, tmp_path):
+        code = (
+            "import sys; from kljn.cli import main; "
+            f"main(['spectra', '--samples', '4096', '--bins', '16', '--out', {str(tmp_path / 's.csv')!r}]); "
+            "print('scipy.signal' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": _src_dir()},
+        )
+        assert out.stdout.strip() == "False"
+        assert (tmp_path / "s.csv").read_text().startswith("#")
+
 
 # finite configs whose noise levels overflow float64: in the squared-current
 # periodogram only, or already in the generator synthesis
@@ -224,15 +319,18 @@ class TestNonFiniteOutput:
         assert np.isfinite([float(x) for row in rows for x in row[1:]]).all()
 
 
+def _src_dir():
+    return os.path.dirname(os.path.dirname(kljn.__file__))
+
+
 def test_cli_import_defers_scipy_signal():
-    # only periodogram needs scipy.signal, and importing it dominates start-up
-    src = os.path.dirname(os.path.dirname(kljn.__file__))
+    # no kljn module uses scipy.signal, and importing it dominates start-up
     code = "import sys, kljn.cli; print('scipy.signal' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         check=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": _src_dir()},
     )
     assert out.stdout.strip() == "False"

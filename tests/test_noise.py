@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from kljn import noise
 from kljn.noise import (
     NoiseSpec,
     band_bins,
@@ -27,6 +30,20 @@ def reference_band_coefficients(bins, normals, scale, nyquist_scale):
     g = normals[..., int(bins.nyquist) :]
     coeffs[..., 1 : bins.n_band + 1] = (g[..., 0::2] + 1j * g[..., 1::2]) * np.asarray(scale)[..., None]
     return coeffs
+
+
+def reference_periodogram(samples, sample_rate, n_bins):
+    """The periodogram's expression on all whole segments at once, in welch's order of operations.
+
+    The power table is laid out (bins, segments) in C order, so the mean sums
+    each bin's segments along a contiguous axis, as scipy 1.17's welch does.
+    """
+    length = 2 * n_bins
+    segments = samples[: len(samples) // length * length].reshape(-1, length)
+    spectrum = np.fft.rfft(segments * (1 / np.sqrt(length / (1 / sample_rate))), axis=-1)
+    power = np.ascontiguousarray((spectrum.real**2 + spectrum.imag**2).T)
+    power[1:-1] *= 2
+    return np.fft.rfftfreq(length, 1 / sample_rate), power.mean(axis=-1)
 
 
 class TestNoiseSpec:
@@ -178,3 +195,42 @@ class TestPeriodogram:
         with pytest.raises(ValueError):
             periodogram(w, 1.0, 1)
 
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n_bins=st.integers(2, 300),
+        n_seg=st.integers(1, 40),
+        remainder=st.floats(0.0, 1.0, exclude_max=True),
+        sample_rate=st.sampled_from([0.37, 1.0, 3.0, 4.0, 1e3]),
+        chunk_segments=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_unchunked_expression(self, n_bins, n_seg, remainder, sample_rate, chunk_segments, seed):
+        """Chunked segments give the same bits as one transform of every segment.
+
+        Samples past the last whole segment are dropped, as welch drops them.
+        """
+        length = 2 * n_bins
+        rng = np.random.default_rng(seed)
+        samples = rng.standard_normal(n_seg * length + int(remainder * length)) * 3.0 + 0.5
+        with mock.patch.object(noise, "_CHUNK_SAMPLES", chunk_segments * length):
+            freqs, density = periodogram(samples, sample_rate, n_bins)
+        ref_freqs, ref_density = reference_periodogram(samples, sample_rate, n_bins)
+        assert freqs.shape == density.shape == (n_bins + 1,)
+        assert np.array_equal(freqs, ref_freqs)
+        assert np.array_equal(density, ref_density)
+
+    @pytest.mark.parametrize(
+        "n_samples, n_bins, sample_rate",
+        [(2**16, 64, 4.0), (2**16 + 77, 100, 3.0), (2**12 + 3, 2, 1.0), (1000, 7, 0.37), (2**14, 512, 4.0)],
+    )
+    def test_matches_scipy_welch(self, n_samples, n_bins, sample_rate):
+        from scipy import signal
+
+        samples = np.random.default_rng(n_samples).standard_normal(n_samples) ** 2
+        samples -= samples.mean()
+        freqs, density = periodogram(samples, sample_rate, n_bins)
+        welch_freqs, welch_density = signal.welch(
+            samples, fs=sample_rate, window="boxcar", nperseg=2 * n_bins, noverlap=0, detrend=False
+        )
+        np.testing.assert_allclose(freqs, welch_freqs, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(density, welch_density, rtol=1e-12, atol=0)
