@@ -55,6 +55,11 @@ def _load(args) -> SystemConfig:
     return with_overrides(config, master_seed=args.seed)
 
 
+def _check_workers(args) -> None:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+
+
 def cmd_levels(args) -> int:
     config = _load(args)
     if args.samples < 2:
@@ -93,6 +98,7 @@ def cmd_levels(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_workers(args)
     config = _load(args)
     mode = args.mode or _MODE_SHORT[config.mode]
     force_state = args.force_state or "11"
@@ -119,6 +125,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_session(args) -> int:
+    _check_workers(args)
     config = _load(args)
     if config.n_periods < 1:
         raise ConfigError("session requires n_periods >= 1")

@@ -13,6 +13,7 @@ produce a seed-deterministic report.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -215,6 +216,13 @@ def _simulate_chunk(
     return {"bits": bits, "msv": msv, "msi": msi}
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_session(
     config: SystemConfig,
     force_state: Optional[str] = None,
@@ -222,7 +230,8 @@ def run_session(
 ) -> SessionReport:
     """Run ``config.n_periods`` periods from ``config.master_seed`` and aggregate the accounting.
 
-    With ``workers > 1`` the periods are simulated in parallel processes;
+    With ``workers > 1`` the periods are simulated in parallel processes, at
+    most one per usable CPU (a fork pool starts all its processes at once);
     the report is identical to the serial run because every period has its
     own derived random stream and aggregation is order-insensitive counting.
     """
@@ -230,10 +239,13 @@ def run_session(
     master_seed = config.master_seed
     if n_periods < 1:
         raise ValueError(f"n_periods must be >= 1, got {n_periods}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, _usable_cpus())
     _check_force_state(force_state)  # before any worker starts
     bands = config.bands()  # fail fast on an empty secure band
 
-    if workers <= 1 or n_periods < 2 * workers:
+    if workers == 1 or n_periods < 2 * workers:
         chunks = [_simulate_chunk(config, master_seed, 0, n_periods, force_state)]
     else:
         bounds = np.linspace(0, n_periods, workers + 1, dtype=int)

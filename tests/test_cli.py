@@ -175,6 +175,19 @@ class TestSession:
         assert out1 != out2
 
 
+@pytest.mark.parametrize("command", [["session"], ["sweep", "--gammas", "30"]])
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_is_config_error(capsys, monkeypatch, fast_config, command, workers):
+    def no_session(*args, **kwargs):
+        raise AssertionError("an invalid worker count must be refused before any period runs")
+
+    monkeypatch.setattr(cli, "run_session", no_session)
+    code, out, err = run_cli(capsys, command + ["--config", fast_config, "--workers", workers])
+    assert code == 2
+    assert out == ""
+    assert "--workers" in err
+
+
 class TestSpectra:
     def test_theory_column_shape(self, capsys, fast_config):
         code, out, _ = run_cli(

@@ -1,8 +1,9 @@
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -11,6 +12,7 @@ from kljn.noise import (
     NoiseSpec,
     band_bins,
     band_coefficients,
+    period_streams,
     periodogram,
     rng_for_period,
     synth_band_limited,
@@ -30,6 +32,14 @@ def reference_band_coefficients(bins, normals, scale, nyquist_scale):
     g = normals[..., int(bins.nyquist) :]
     coeffs[..., 1 : bins.n_band + 1] = (g[..., 0::2] + 1j * g[..., 1::2]) * np.asarray(scale)[..., None]
     return coeffs
+
+
+def reference_band_bins(spec):
+    """``(n_band, nyquist)`` as ``band_bins`` used to find them, from the whole ``rfftfreq`` array."""
+    freqs = np.fft.rfftfreq(spec.n_samples, d=1.0 / spec.sample_rate)
+    in_band = (freqs > 0) & (freqs <= spec.bandwidth * (1 + 1e-12))
+    nyquist = bool(spec.n_samples % 2 == 0 and in_band[-1])
+    return int(np.count_nonzero(in_band)) - nyquist, nyquist
 
 
 def reference_periodogram(samples, sample_rate, n_bins):
@@ -134,6 +144,67 @@ class TestSynth:
         spec = NoiseSpec(psd_level=1.0, bandwidth=1.0, sample_rate=2.0, n_samples=2**18)
         w = synth_band_limited(spec, np.random.default_rng(2))
         assert abs(np.mean(w**2) - 1.0) < 0.03
+
+
+@st.composite
+def band_specs(draw):
+    """Specs with fs = 2B exactly, other fs/B ratios, and B a few ulps from a bin or its edge."""
+    n = draw(st.one_of(st.integers(2, 3000), st.integers(2, 2**22)))
+    kind = draw(st.sampled_from(["ratio", "bin", "edge"]))
+    if kind == "ratio":
+        bandwidth = draw(st.floats(1e-6, 1e9))
+        ratio = draw(st.one_of(st.sampled_from([2.0, 3.0, 4.0, 4.5]), st.floats(2.0, 1e3)))
+        return NoiseSpec(psd_level=1.0, bandwidth=bandwidth, sample_rate=ratio * bandwidth, n_samples=n)
+    sample_rate = draw(st.one_of(st.sampled_from([1.0, 3.0, 4.0]), st.floats(1e-6, 1e9)))
+    step = 1.0 / (n * (1.0 / sample_rate))
+    freq = draw(st.integers(1, n // 2)) * step
+    # "edge": B whose tolerance edge B * (1 + 1e-12) lands on the bin
+    bandwidth = freq if kind == "bin" else freq / (1 + 1e-12)
+    for _ in range(draw(st.integers(0, 2))):
+        bandwidth = math.nextafter(bandwidth, draw(st.sampled_from([-math.inf, math.inf])))
+    assume(0 < bandwidth <= sample_rate / 2)
+    return NoiseSpec(psd_level=1.0, bandwidth=bandwidth, sample_rate=sample_rate, n_samples=n)
+
+
+class TestBandBins:
+    @settings(max_examples=300, deadline=None)
+    @given(spec=band_specs())
+    def test_matches_rfftfreq_count(self, spec):
+        bins = band_bins(spec)
+        assert (bins.n_band, bins.nyquist) == reference_band_bins(spec)
+        assert type(bins.n_band) is int and type(bins.nyquist) is bool
+
+
+class TestPeriodStreams:
+    @settings(deadline=None)
+    @given(
+        master_seed=st.integers(0, 2**64 - 1),
+        periods=st.lists(
+            st.tuples(
+                st.integers(0, 2**64 - 1),
+                # what the previous stream was left with: nothing, a bit drawn from a half
+                # word (has_uint32 set), or 1-3 more raw words (a partly used buffer)
+                st.one_of(st.just(0), st.just("bit"), st.integers(1, 3)),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    def test_each_stream_is_rng_for_period(self, master_seed, periods):
+        streams = period_streams(master_seed, [index for index, _ in periods])
+        for (index, leftover), rng in zip(periods, streams):
+            fresh = rng_for_period(master_seed, index)
+            got, expected = rng.bit_generator.state, fresh.bit_generator.state
+            for name in ("buffer_pos", "has_uint32", "uinteger"):
+                assert got[name] == expected[name], name
+            for name in ("counter", "key"):
+                assert np.array_equal(got["state"][name], expected["state"][name]), name
+            assert rng.bit_generator.random_raw() == fresh.bit_generator.random_raw()
+            assert np.array_equal(rng.standard_normal(50), fresh.standard_normal(50))
+            if leftover == "bit":
+                rng.integers(0, 2)
+            else:
+                rng.bit_generator.random_raw(leftover)
 
 
 class TestBandCoefficients:

@@ -1,7 +1,9 @@
 import hashlib
 import math
+import os
 import tracemalloc
 import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -278,9 +280,10 @@ class TestRunSession:
         assert reports[0].moment_sums != reports[1].moment_sums
         assert reports[2].moment_sums != reports[3].moment_sums
 
-    def test_parallel_identical_to_serial(self):
+    def test_parallel_identical_to_serial(self, monkeypatch):
         cfg = small_config(n_periods=300, master_seed=19)
         serial = run_session(cfg)
+        monkeypatch.setattr(protocol, "_usable_cpus", lambda: 3)  # split three ways on any machine
         parallel = run_session(cfg, workers=3)
         assert serial.to_dict() == parallel.to_dict()
         assert np.array_equal(serial.bits, parallel.bits)
@@ -330,6 +333,54 @@ class TestRunSession:
         monkeypatch.setattr(protocol, "ProcessPoolExecutor", no_pool)
         with pytest.raises(ValueError, match="force_state"):
             run_session(small_config(n_periods=20), force_state="01", workers=workers)
+
+    @pytest.mark.parametrize("workers, cpus, expected", [(5000, 2, 2), (3, 8, 3), (2, 1, None)])
+    def test_pool_capped_at_usable_cpus(self, workers, cpus, expected, monkeypatch):
+        built = []
+
+        class InlinePool:
+            """Records the pool size and runs each chunk in this process."""
+
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        cfg = small_config(n_periods=40, master_seed=41)
+        serial = run_session(cfg)
+        monkeypatch.setattr(protocol, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(protocol, "_usable_cpus", lambda: cpus)
+        report = run_session(cfg, workers=workers)
+        assert built == ([] if expected is None else [expected])  # one CPU runs serially
+        assert report.to_dict() == serial.to_dict()
+        assert np.array_equal(report.bits, serial.bits)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_workers_below_one(self, workers, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was built for an invalid worker count")
+
+        monkeypatch.setattr(protocol, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match="workers"):
+            run_session(small_config(n_periods=20), workers=workers)
+
+    def test_usable_cpus(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert protocol._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert protocol._usable_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert protocol._usable_cpus() == 1
 
     def test_msq_correlation_diagnostic(self):
         report = run_session(small_config(n_periods=2000, master_seed=29), force_state="11")
