@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
@@ -43,6 +44,13 @@ class SystemConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            kind = _FIELD_TYPES[f.name]
+            if isinstance(value, bool) and kind is not str:
+                raise ConfigError(f"{f.name} must be a number, got {value!r}")
+            if kind in (float, "t_eff") and isinstance(value, numbers.Real):
+                # the hash reads each value's repr: 30 and 30.0 must be one config
+                value = float(value)
+                object.__setattr__(self, f.name, value)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.oversample < 2:

@@ -88,14 +88,14 @@ def _read(x, low_cut: float, high_cut: float, below: int, above: int) -> np.ndar
 
 def interpret_current(msi: float, bands: DecisionBands) -> Interpretation:
     """Read a mean-square current: 11 is the lowest level, 00 the highest."""
-    if msi < 0:
+    if not msi >= 0:  # NaN fails this too
         raise ValueError(f"mean-square current must be >= 0, got {msi}")
     return tuple(Interpretation)[_read(msi, bands.i_low_cut, bands.i_high_cut, 1, 0)]
 
 
 def interpret_voltage(msv: float, bands: DecisionBands) -> Interpretation:
     """Read a mean-square voltage: 00 is the lowest level, 11 the highest."""
-    if msv < 0:
+    if not msv >= 0:  # NaN fails this too
         raise ValueError(f"mean-square voltage must be >= 0, got {msv}")
     return tuple(Interpretation)[_read(msv, bands.v_low_cut, bands.v_high_cut, 0, 1)]
 
@@ -136,8 +136,12 @@ def interpret_arrays(
 
     Returns int8 arrays (v_code, i_code, outcome_code). Interpretation codes
     index ``tuple(Interpretation)`` (0 reads 00, 1 reads 11, 2 reads secure);
-    outcome codes index ``tuple(CombinedOutcome)``.
+    outcome codes index ``tuple(CombinedOutcome)``. Raises ValueError when
+    any mean square is negative or NaN, as the scalar readers do.
     """
+    for name, x in (("voltage", msv), ("current", msi)):
+        if not np.all(np.asarray(x) >= 0):
+            raise ValueError(f"mean-square {name}s must be >= 0 and not NaN")
     v_code = _read(msv, bands.v_low_cut, bands.v_high_cut, 0, 1)
     i_code = _read(msi, bands.i_low_cut, bands.i_high_cut, 1, 0)
     return v_code, i_code, _OUTCOME_CODE[v_code, i_code]

@@ -47,11 +47,15 @@ class AveragingWindow:
         return self.bandwidth / self.gamma
 
 
-def finite_mean_square(x: np.ndarray):
-    """Arithmetic mean of the squared samples along the last axis."""
+def finite_mean_square(x: np.ndarray, out=None):
+    """Arithmetic mean of the squared samples along the last axis.
+
+    The squares go to a new array, or to ``out`` (which may be ``x`` itself,
+    squaring it in place).
+    """
     if x.shape[-1] == 0:
         raise ValueError("no samples to average")
-    return np.mean(np.square(x), axis=-1)
+    return np.mean(np.square(x, out=out), axis=-1)
 
 
 def measurement_slice(n_samples: int) -> slice:

@@ -143,13 +143,18 @@ def band_bins(spec: NoiseSpec) -> BandBins:
     )
 
 
-def band_coefficients(bins: BandBins, normals: np.ndarray, scale, nyquist_scale) -> np.ndarray:
+def band_coefficients(bins: BandBins, normals: np.ndarray, scale, nyquist_scale, out=None) -> np.ndarray:
     """rfft coefficients, shape ``(..., n_samples // 2 + 1)``, from normals laid out as ``bins`` says.
 
     ``normals`` has shape ``(..., bins.n_normals)``; ``scale`` and
     ``nyquist_scale`` are scalars or arrays of shape ``normals.shape[:-1]``.
+    Given ``out`` (complex128 of the result's shape), only its in-band and
+    Nyquist slots are written and it is returned: its other slots must
+    already be zero, as they are in a zeroed buffer or in an earlier result
+    of the same ``bins``.
     """
-    coeffs = np.zeros(normals.shape[:-1] + (bins.n_samples // 2 + 1,), dtype=complex)
+    shape = normals.shape[:-1] + (bins.n_samples // 2 + 1,)
+    coeffs = np.zeros(shape, dtype=complex) if out is None else out
     # float64 view of interleaved (real, imaginary) parts: bins 1..n_band take the
     # in-band normals in their drawn order, so no complex temporary is built
     parts = coeffs.view(np.float64)

@@ -100,6 +100,26 @@ class TestChannelCurrent:
         assert np.array_equal(i_c, (u_a - u_b) / (r_a + r_b))
         assert np.array_equal(u_a, before[0]) and np.array_equal(u_b, before[1])
 
+    @settings(deadline=None)
+    @given(data=st.data(), rows=st.sampled_from([(), (1,), (3,), (2, 2)]), n=st.integers(1, 32), per_row=st.booleans())
+    def test_out_matches_allocating_form(self, data, rows, n, per_row):
+        """Solving into buffers that hold an earlier block's values gives the same bits, in the buffers."""
+        samples = arrays(np.float64, rows + (n,), elements=st.floats(-1e6, 1e6))
+        u_a, u_b = data.draw(samples), data.draw(samples)
+        if per_row:
+            resistances = arrays(np.float64, rows + (1,), elements=st.floats(1e-3, 1e6))
+        else:
+            resistances = st.floats(1e-3, 1e6)
+        r_a, r_b = data.draw(resistances), data.draw(resistances)
+        u_c, i_c = channel_waveforms(u_a, u_b, r_a, r_b)
+        u_out, i_out = data.draw(samples), data.draw(samples)
+        got = channel_waveforms(u_a, u_b, r_a, r_b, out=(u_out, i_out))
+        assert got[0] is u_out and got[1] is i_out
+        assert u_out.tobytes() == u_c.tobytes() and i_out.tobytes() == i_c.tobytes()
+        i_out = data.draw(samples)
+        assert channel_current(u_a, u_b, r_a, r_b, out=i_out) is i_out
+        assert i_out.tobytes() == i_c.tobytes()
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             channel_current(const_wave(1.0, n=8), const_wave(1.0, n=9), 1.0, 1.0)

@@ -114,3 +114,38 @@ class TestSystemConfig:
         assert d["tau"] == pytest.approx(50.0)
         assert d["f_b"] == pytest.approx(0.02)
         assert d["samples_per_period"] == 200
+
+    FLOAT_FIELDS = ("r", "alpha", "t_eff", "b_kljn", "gamma", "beta", "delta", "lam", "rho")
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"gamma": 30},
+            {"alpha": 100, "gamma": 1000},
+            {"r": 2, "b_kljn": 3},
+            {"t_eff": 300},
+        ],
+    )
+    def test_int_and_float_values_hash_alike(self, overrides):
+        floats = {k: float(v) for k, v in overrides.items()}
+        api_int = SystemConfig(**overrides)
+        api_float = SystemConfig(**floats)
+        from_file = parse_config("".join(f"{k} = {v}\n" for k, v in overrides.items()))
+        overridden = with_overrides(SystemConfig(), **overrides)
+        expected = api_float.config_hash()
+        for cfg in (api_int, from_file, overridden):
+            assert cfg == api_float
+            assert cfg.config_hash() == expected
+            for name in self.FLOAT_FIELDS:
+                assert not isinstance(getattr(cfg, name), int), name
+
+    def test_numpy_scalars_hash_like_floats(self):
+        import numpy as np
+
+        cfg = SystemConfig(gamma=np.float64(30.0), alpha=np.int64(100))
+        assert cfg.config_hash() == SystemConfig(gamma=30.0, alpha=100.0).config_hash()
+
+    @pytest.mark.parametrize("name", FLOAT_FIELDS + ("oversample", "n_periods", "master_seed"))
+    def test_bools_rejected(self, name):
+        with pytest.raises(ConfigError, match=f"{name} must be a number"):
+            SystemConfig(**{name: True})

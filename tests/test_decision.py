@@ -100,6 +100,14 @@ class TestInterpret:
         with pytest.raises(ValueError):
             interpret_voltage(-1e-9, bands)
 
+    @pytest.mark.parametrize("reader", [interpret_current, interpret_voltage])
+    def test_nan_rejected(self, bands, reader):
+        # a NaN compares false with both cuts and would otherwise read as secure
+        with pytest.raises(ValueError, match=">= 0"):
+            reader(float("nan"), bands)
+        with pytest.raises(ValueError, match=">= 0"):
+            reader(np.float64("nan"), bands)
+
 
 class TestCombine:
     S, B0, B1 = Interpretation.SECURE_0110, Interpretation.B00, Interpretation.B11
@@ -154,3 +162,21 @@ class TestInterpretArrays:
             assert tuple(Interpretation)[i_code[k]] is i
             assert tuple(CombinedOutcome)[outcome_code[k]] is combine(v, i)
         assert set(outcome_code.tolist()) == set(range(len(CombinedOutcome)))
+
+    @pytest.mark.parametrize("bad", [np.nan, -1e-300, -np.inf])
+    @pytest.mark.parametrize("which", ["msv", "msi", "both"])
+    def test_nan_or_negative_rejected(self, bands, bad, which):
+        levels = reference_levels()
+        msv = np.array([levels.v_0110, levels.v_0110, levels.v_0110])
+        msi = np.array([levels.i_0110, levels.i_0110, levels.i_0110])
+        if which in ("msv", "both"):
+            msv[1] = bad
+        if which in ("msi", "both"):
+            msi[2] = bad
+        with pytest.raises(ValueError, match="not NaN"):
+            interpret_arrays(msv, msi, bands)
+
+    def test_zero_and_infinity_accepted(self, bands):
+        v_code, i_code, _ = interpret_arrays(np.array([0.0, np.inf]), np.array([np.inf, 0.0]), bands)
+        assert v_code.tolist() == [0, 1]  # 00 below the low cut, 11 above the high cut
+        assert i_code.tolist() == [0, 1]  # 00 above the high cut, 11 below the low cut

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from kljn.estimator import (
@@ -57,6 +60,19 @@ class TestFiniteMeanSquare:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             finite_mean_square(np.array([]))
+
+    @settings(deadline=None)
+    @given(data=st.data(), rows=st.sampled_from([(), (1,), (3,), (2, 2)]), n=st.integers(1, 64), in_place=st.booleans())
+    def test_out_matches_allocating_form(self, data, rows, n, in_place):
+        """Squaring into ``x`` itself, or into a buffer holding earlier values, gives the same bits."""
+        samples = arrays(np.float64, rows + (n,), elements=st.floats(-1e6, 1e6))
+        x = data.draw(samples)
+        expected = finite_mean_square(x)
+        squares = np.square(x)
+        out = x if in_place else data.draw(samples)
+        got = finite_mean_square(x, out=out)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+        assert out.tobytes() == squares.tobytes()
 
     def test_single_period_close_to_level(self):
         ms = period_mean_squares(gamma=100, n_periods=1, seed=4)[0]

@@ -233,6 +233,28 @@ class TestBandCoefficients:
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert np.array_equal(got, expected)
 
+    @pytest.mark.parametrize("sample_rate", [2.0, 3.0])
+    @settings(deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(2, 64),
+        rows=st.sampled_from([(), (3,), (2, 2)]),
+        reused=st.booleans(),
+    )
+    def test_out_matches_allocating_form(self, sample_rate, data, n, rows, reused):
+        """Into a zeroed buffer, or into one holding an earlier result of the same bins, bit for bit."""
+        bins = band_bins(NoiseSpec(psd_level=1.0, bandwidth=1.0, sample_rate=sample_rate, n_samples=n))
+        normals = arrays(np.float64, rows + (bins.n_normals,), elements=st.floats(-1e6, 1e6))
+        scales = arrays(np.float64, rows, elements=st.floats(0.0, 1e6))
+        out = np.zeros(rows + (n // 2 + 1,), dtype=complex)
+        if reused:  # the previous block's coefficients
+            band_coefficients(bins, data.draw(normals), data.draw(scales), data.draw(scales), out=out)
+        g, scale, nyquist_scale = data.draw(normals), data.draw(scales), data.draw(scales)
+        expected = band_coefficients(bins, g, scale, nyquist_scale)
+        got = band_coefficients(bins, g, scale, nyquist_scale, out=out)
+        assert got is out
+        assert got.tobytes() == expected.tobytes()
+
 
 class TestPeriodogram:
     def test_dc_waveform_power_in_lowest_bin(self):

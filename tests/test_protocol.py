@@ -530,6 +530,51 @@ class TestSeedExactOutput:
         }
 
     @pytest.mark.parametrize(
+        "overrides, force_state, digests",
+        [
+            (
+                dict(gamma=100.0, n_periods=500, master_seed=43),
+                "11",
+                (
+                    "353c38352a855c80f4ecb0793a76493228541b5fab5ef7af26effac91e77ec46",
+                    "ba27a4f9e5dfba2f40d856ece75d5724b74e975ccca588835cb0e23fb17bd4e9",
+                    "02a6588eab71ebf61a45b87d8bc551dcdf0f51800fb5708185bacbcd25a18346",
+                ),
+            ),
+            (
+                dict(gamma=1000.0, n_periods=53, master_seed=47),
+                "11",
+                (
+                    "4fb5820c88b9bbde14a63d9512f66a0ff12d9dcbc3cd27f4e82cb88dc25020a0",
+                    "dcd1146e517a86a2d7ffe78d3d765e86e9abfd040f13469441a942a7ed12f44c",
+                    "e71490a6d413797bd8ebc159cdac6de1b0be45738843e95a788c1b784518da0e",
+                ),
+            ),
+            (
+                # sample_rate = 2 * b_kljn: the Nyquist bin is in band
+                dict(gamma=37.3, oversample=2, n_periods=2500, master_seed=53),
+                None,
+                (
+                    "0884e270a2cf16b3b724544df4a9c9473375b31dcbe30c7ffde0b2dbd4fa2e6b",
+                    "4270cddfd49edde9818e07169b9837e9e5842b3947093a3d495f0a4a70512a6a",
+                    "a0c903466ee325ba37018e81bed48c125dba106a714068e46863b677da5fe18b",
+                ),
+            ),
+        ],
+    )
+    def test_golden_multi_block_chunks(self, overrides, force_state, digests):
+        """Bits and mean-square bytes of chunks that span several blocks and end in a partial one.
+
+        Recorded with 4 MiB blocks, where these chunks also end in a partial
+        block; the float bytes pin more than the outcome codes do.
+        """
+        cfg = SystemConfig(alpha=100.0, lam=0.3, **overrides)
+        block = protocol._block_periods(cfg.samples_per_period)
+        assert cfg.n_periods > 2 * block and cfg.n_periods % block
+        got = _simulate_chunk(cfg, cfg.master_seed, 0, cfg.n_periods, force_state)
+        assert tuple(hashlib.sha256(got[name].tobytes()).hexdigest() for name in ("bits", "msv", "msi")) == digests
+
+    @pytest.mark.parametrize(
         "force_state, confusion_v, confusion_i, rates, fidelity, discard_rate",
         [
             (
