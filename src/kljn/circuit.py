@@ -87,8 +87,6 @@ class ResistorSet:
 class LoopState:
     """Resistor choices of both parties for one bit-exchange period."""
 
-    bit_alice: int
-    bit_bob: int
     r_alice: float
     r_bob: float
 
@@ -98,12 +96,7 @@ class LoopState:
 
     @classmethod
     def from_bits(cls, bit_alice: int, bit_bob: int, resistors: ResistorSet) -> "LoopState":
-        return cls(
-            bit_alice=bit_alice,
-            bit_bob=bit_bob,
-            r_alice=resistors.for_bit(bit_alice),
-            r_bob=resistors.for_bit(bit_bob),
-        )
+        return cls(r_alice=resistors.for_bit(bit_alice), r_bob=resistors.for_bit(bit_bob))
 
     @property
     def r_parallel(self) -> float:
@@ -121,22 +114,21 @@ def generator_psd(r: float, consts: PhysicsConstants) -> float:
     return consts.four_kt * r
 
 
-def channel_current(u_a: np.ndarray, u_b: np.ndarray, r_alice, r_bob, out=None) -> np.ndarray:
+def channel_current(u_a: np.ndarray, u_b: np.ndarray, r_alice, r_bob) -> np.ndarray:
     """Loop current i_c = (u_a - u_b) / (R_A + R_B), element-wise.
 
     The resistances are scalars or arrays that broadcast against the samples
-    without adding dimensions. Returns a new array of the samples' shape, or
-    ``out`` filled with the current.
+    without adding dimensions. Returns a new array of the samples' shape.
     """
     if u_a.shape != u_b.shape:
         raise ValueError(f"shape mismatch: {u_a.shape} vs {u_b.shape}")
-    i_c = np.subtract(u_a, u_b, out=out)
+    i_c = np.subtract(u_a, u_b)
     i_c /= r_alice + r_bob
     return i_c
 
 
 def channel_waveforms(
-    u_a: np.ndarray, u_b: np.ndarray, r_alice, r_bob, out=None
+    u_a: np.ndarray, u_b: np.ndarray, r_alice, r_bob
 ) -> tuple[np.ndarray, np.ndarray]:
     """Channel voltage and current from the two generator voltages.
 
@@ -145,18 +137,13 @@ def channel_waveforms(
         u_c = (u_a * R_B + u_b * R_A) / (R_A + R_B)
     The resistances are scalars or arrays that broadcast against the samples
     without adding dimensions (one per row of a block of periods, for
-    example). Returns (u_c, i_c), each of the samples' shape: new arrays, or
-    the pair of arrays ``out``, which must not overlap the inputs.
+    example). Returns (u_c, i_c), each of the samples' shape.
     """
-    u_c_out, i_c_out = (None, None) if out is None else out
-    if u_a.shape != u_b.shape:
-        raise ValueError(f"shape mismatch: {u_a.shape} vs {u_b.shape}")
-    u_c = np.multiply(u_a, r_bob, out=u_c_out)
-    # the current's buffer holds u_b * R_A until the current overwrites it
-    scratch = np.multiply(u_b, r_alice, out=i_c_out)
-    u_c += scratch
+    i_c = channel_current(u_a, u_b, r_alice, r_bob)
+    u_c = u_a * r_bob
+    u_c += u_b * r_alice
     u_c /= r_alice + r_bob
-    return u_c, channel_current(u_a, u_b, r_alice, r_bob, out=scratch)
+    return u_c, i_c
 
 
 @dataclass(frozen=True)

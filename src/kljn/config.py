@@ -45,12 +45,14 @@ class SystemConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             kind = _FIELD_TYPES[f.name]
-            if isinstance(value, bool) and kind is not str:
-                raise ConfigError(f"{f.name} must be a number, got {value!r}")
-            if kind in (float, "t_eff") and isinstance(value, numbers.Real):
-                # the hash reads each value's repr: 30 and 30.0 must be one config
-                value = float(value)
-                object.__setattr__(self, f.name, value)
+            if kind is str or (kind == "t_eff" and isinstance(value, str)):
+                continue
+            number, what = (numbers.Integral, "an integer") if kind is int else (numbers.Real, "a number")
+            if isinstance(value, bool) or not isinstance(value, number):
+                raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+            # the hash reads each value's repr: 30 and 30.0, or 10 and numpy's 10, must be one config
+            value = int(value) if kind is int else float(value)
+            object.__setattr__(self, f.name, value)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.oversample < 2:

@@ -37,6 +37,10 @@ def _no_synthesis(*args):
     raise AssertionError("a bad size must be refused before any synthesis")
 
 
+def _no_session(*args, **kwargs):
+    raise AssertionError("a run the kernel cannot do must be refused before any period runs")
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
@@ -178,14 +182,36 @@ class TestSession:
 @pytest.mark.parametrize("command", [["session"], ["sweep", "--gammas", "30"]])
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_workers_below_one_is_config_error(capsys, monkeypatch, fast_config, command, workers):
-    def no_session(*args, **kwargs):
-        raise AssertionError("an invalid worker count must be refused before any period runs")
-
-    monkeypatch.setattr(cli, "run_session", no_session)
+    monkeypatch.setattr(cli, "run_session", _no_session)
     code, out, err = run_cli(capsys, command + ["--config", fast_config, "--workers", workers])
     assert code == 2
     assert out == ""
     assert "--workers" in err
+
+
+@pytest.mark.parametrize(
+    "config_text, command, message",
+    [
+        ("n_periods = 0\n", ["session"], "n_periods must be >= 1"),
+        ("n_periods = 0\n", ["sweep", "--gammas", "30"], "n_periods must be >= 1"),
+        # oversample 4 at gamma 0.1 rounds to 0 samples per period
+        ("gamma = 0.1\n", ["session"], "0 samples per period"),
+        ("", ["sweep", "--gammas", "0.1,30"], "0 samples per period"),
+        ("oversample = 2\n", ["sweep", "--gammas", "0.2,30"], "0 samples per period"),
+    ],
+    ids=["session-zero-periods", "sweep-zero-periods", "session-short-period", "sweep-short-period",
+         "sweep-short-period-nyquist"],
+)
+@pytest.mark.filterwarnings("ignore::kljn.estimator.SmallGammaWarning")
+def test_unrunnable_config_is_config_error(capsys, monkeypatch, tmp_path, config_text, command, message):
+    """session and sweep give the same exit code for a config no period can run."""
+    monkeypatch.setattr(cli, "run_session", _no_session)
+    path = tmp_path / "bad.cfg"
+    path.write_text(config_text)
+    code, out, err = run_cli(capsys, command + ["--config", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and message in err
 
 
 class TestSpectra:

@@ -144,8 +144,32 @@ class TestSystemConfig:
 
         cfg = SystemConfig(gamma=np.float64(30.0), alpha=np.int64(100))
         assert cfg.config_hash() == SystemConfig(gamma=30.0, alpha=100.0).config_hash()
+        # int fields store numpy integers as Python ints
+        numpy_ints = {"n_periods": np.int64(10), "oversample": np.int32(4), "master_seed": np.uint64(2**64 - 1)}
+        plain = {name: int(value) for name, value in numpy_ints.items()}
+        cfg = SystemConfig(**numpy_ints)
+        assert cfg.config_hash() == SystemConfig(**plain).config_hash()
+        assert cfg == with_overrides(SystemConfig(), **numpy_ints)
+        for name in numpy_ints:
+            assert type(getattr(cfg, name)) is int, name
 
-    @pytest.mark.parametrize("name", FLOAT_FIELDS + ("oversample", "n_periods", "master_seed"))
+    INT_FIELDS = ("oversample", "n_periods", "master_seed")
+
+    @pytest.mark.parametrize("name", FLOAT_FIELDS + INT_FIELDS)
     def test_bools_rejected(self, name):
-        with pytest.raises(ConfigError, match=f"{name} must be a number"):
-            SystemConfig(**{name: True})
+        """Bools in every numeric field, non-numbers anywhere and non-integers in the int fields."""
+        bad = [True, False, "30", None, [30.0], 30j]
+        if name in self.INT_FIELDS:
+            bad += [10.0, 4.5, 3.7, float(2**64 - 1)]
+        for value in bad:
+            if name == "t_eff" and isinstance(value, str):
+                continue  # a string t_eff is read as a unit name
+            what = "an integer" if name in self.INT_FIELDS else "a number"
+            with pytest.raises(ConfigError, match=f"{name} must be {what}"):
+                SystemConfig(**{name: value})
+            if value is not None:  # with_overrides reads None as "keep"
+                with pytest.raises(ConfigError, match=f"{name} must be {what}"):
+                    with_overrides(SystemConfig(), **{name: value})
+        if name == "t_eff":
+            with pytest.raises(ConfigError, match="t_eff must be a temperature or 'normalized'"):
+                SystemConfig(t_eff="30")

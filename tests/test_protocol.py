@@ -416,23 +416,31 @@ class TestBlockKernel:
         for name in ("bits", "msv", "msi"):
             assert np.array_equal(got[name], expected[name]), name
 
-    def test_gamma_1000_block_bounded_by_budget(self):
-        cfg = small_config(gamma=1000.0)
+    @pytest.mark.parametrize("gamma", [30.0, 1000.0])
+    def test_block_bounded_by_budget(self, gamma):
+        """Peak memory stays within the budget for blocks of many short periods or of a few long ones."""
+        cfg = small_config(gamma=gamma)
         n = cfg.samples_per_period
         block = protocol._block_periods(n)
         # the block's samples alone (two parties, float64) fit the budget
         assert 1 < block * 2 * n * 8 <= protocol._BLOCK_BYTES
+        counts = (25 * block, 100 * block)
+        # untraced warm-up: one-time allocations of a first call would hide growth in the first peak
+        _simulate_chunk(cfg, cfg.master_seed, 0, block, None)
         peaks = []
-        for count in (100, 400):
+        for count in counts:
             tracemalloc.start()
             try:
                 _simulate_chunk(cfg, cfg.master_seed, 0, count, None)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # holding 400 periods at once would take 400 * 2 * 4000 * 8 B = 25.6 MB of samples
+        # at gamma 1000, holding 400 periods at once would take 400 * 2 * 4000 * 8 B = 25.6 MB of samples
         assert peaks[1] < 2 * protocol._BLOCK_BYTES
-        assert peaks[1] - peaks[0] < 0.05 * protocol._BLOCK_BYTES
+        # beyond the chunk's own results (int8 bits of both parties, float64 msv and msi),
+        # memory does not grow with the number of blocks
+        results = (counts[1] - counts[0]) * (2 + 8 + 8)
+        assert peaks[1] - peaks[0] - results < 0.05 * protocol._BLOCK_BYTES
 
     def test_report_independent_of_block_size(self, monkeypatch):
         cfg = small_config(n_periods=1000, master_seed=37)
