@@ -38,7 +38,7 @@ from .estimator import (
     measure_period,
     squared_noise_psd_theory,
 )
-from .noise import NoiseSpec, periodogram, rng_for_period, synth_band_limited
+from .noise import NoiseSpec, periodogram, rng_for_period, synth_band_limited, synth_band_limited_many
 from .protocol import (
     RateEstimate,
     SessionReport,

@@ -23,7 +23,7 @@ from .circuit import LoopState, channel_current, channel_waveforms
 from .config import ConfigError, SystemConfig, load_config, with_overrides
 from .decision import EmptySecureBandError
 from .estimator import finite_mean_square, squared_noise_psd_theory
-from .noise import periodogram, rng_for_period, synth_band_limited
+from .noise import periodogram, rng_for_period, synth_band_limited_many
 from .protocol import extract_key, key_to_hex, run_session
 
 _MODE_SHORT = {"voltage_only": "voltage", "current_only": "current", "combined": "combined"}
@@ -86,13 +86,14 @@ def cmd_levels(args) -> int:
     )
     lines.append("state  theory_v       empirical_v    rel_err_v  theory_i       empirical_i    rel_err_i")
     printed = [consts.k, consts.t_eff, consts.four_kt, levels.i_11_alt_convention]
-    for state, bits in (("00", (0, 0)), ("0110", (0, 1)), ("11", (1, 1))):
-        loop = LoopState.from_bits(*bits, config.resistors)
-        u_a = synth_band_limited(config.noise_spec(loop.r_alice, n_cal), rng)
-        u_b = synth_band_limited(config.noise_spec(loop.r_bob, n_cal), rng)
-        u_c, i_c = channel_waveforms(u_a, u_b, loop.r_alice, loop.r_bob)
-        emp_v = finite_mean_square(u_c)
-        emp_i = finite_mean_square(i_c)
+    states = ("00", "0110", "11")
+    loops = [LoopState.from_bits(*bits, config.resistors) for bits in ((0, 0), (0, 1), (1, 1))]
+    # (Alice, Bob) per state, drawn in that order from the one stream
+    specs = [config.noise_spec(r, n_cal) for loop in loops for r in (loop.r_alice, loop.r_bob)]
+    waves = synth_band_limited_many(specs, rng)
+    for state, loop, u_a, u_b in zip(states, loops, waves[0::2], waves[1::2]):
+        # no name keeps u_c and i_c, so they are freed before the next state solves
+        emp_v, emp_i = map(finite_mean_square, channel_waveforms(u_a, u_b, loop.r_alice, loop.r_bob))
         th_v = levels.voltage_for(state)
         th_i = levels.current_for(state)
         rel_v, rel_i = emp_v / th_v - 1, emp_i / th_i - 1
@@ -155,8 +156,7 @@ def cmd_spectra(args) -> int:
     loop = LoopState.from_bits(1, 1, config.resistors)
     spec = config.noise_spec(loop.r_alice, args.samples)
     rng = rng_for_period(config.master_seed, 0)
-    u_a = synth_band_limited(spec, rng)
-    i_c = channel_current(u_a, synth_band_limited(spec, rng), loop.r_alice, loop.r_bob)
+    i_c = channel_current(*synth_band_limited_many([spec, spec], rng), loop.r_alice, loop.r_bob)
     squared = np.square(i_c, out=i_c)
     squared -= squared.mean()  # theory describes only the AC part
     freqs, emp = periodogram(squared, config.sample_rate, args.bins)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -169,9 +169,49 @@ def synth_band_limited(spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
     to psd_level * bandwidth. Returns the ``spec.n_samples`` samples as a
     float64 array; raises ValueError when the noise level overflows float64.
     """
+    return synth_band_limited_many([spec], rng)[0]
+
+
+def synth_band_limited_many(specs: Sequence[NoiseSpec], rng: np.random.Generator) -> list[np.ndarray]:
+    """``synth_band_limited`` for each spec in turn, with the inverse FFTs on a helper thread.
+
+    The calling thread draws every spec's normals from ``rng`` and builds its
+    coefficients, in the given order, so the stream and the samples are those
+    of consecutive ``synth_band_limited`` calls. For two or more specs, one
+    helper thread transforms each spectrum as soon as it is built, while the
+    caller draws the next: numpy releases the GIL in both. Only the helper
+    runs FFTs until the batch returns, and it runs them under the caller's
+    ``np.geterr()``, which a new thread does not inherit. Before it draws a
+    spectrum, the caller waits for the transform before last, so at most two
+    spectra wait or are transformed at a time.
+    """
+    if len(specs) < 2:
+        return [_samples(_coefficients(spec, rng), spec.n_samples) for spec in specs]
+    # imported here: concurrent.futures pulls in logging, which a one-spec call never needs
+    from concurrent.futures import ThreadPoolExecutor
+
+    errors = np.geterr()
+
+    def transform(coeffs, n_samples):
+        with np.errstate(**errors):
+            return _samples(coeffs, n_samples)
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        futures = []
+        for spec in specs:
+            if len(futures) > 1:
+                futures[-2].result()
+            futures.append(helper.submit(transform, _coefficients(spec, rng), spec.n_samples))
+        return [future.result() for future in futures]
+
+
+def _coefficients(spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
     bins = band_bins(spec)
-    coeffs = band_coefficients(bins, rng.standard_normal(bins.n_normals), bins.scale, bins.nyquist_scale)
-    samples = np.fft.irfft(coeffs, n=spec.n_samples)
+    return band_coefficients(bins, rng.standard_normal(bins.n_normals), bins.scale, bins.nyquist_scale)
+
+
+def _samples(coeffs: np.ndarray, n_samples: int) -> np.ndarray:
+    samples = np.fft.irfft(coeffs, n=n_samples)
     if not np.isfinite(samples).all():
         raise ValueError("non-finite noise samples: the noise level overflows float64")
     return samples

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -255,6 +254,9 @@ def run_session(
     if workers == 1 or n_periods < 2 * workers:
         chunks = [_simulate_chunk(config, master_seed, 0, n_periods, force_state)]
     else:
+        # imported here: it pulls in multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         bounds = np.linspace(0, n_periods, workers + 1, dtype=int)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [

@@ -14,6 +14,7 @@ import pytest
 from kljn.analytic import (
     SQRT3,
     epsilon_combined,
+    epsilon_current_00,
     epsilon_current_11,
     rice_rate,
     upcrossing_rate_flat,
@@ -143,6 +144,31 @@ def test_criterion_06_monte_carlo_vs_analytic():
     assert est.ci_low > 0.0
     assert est.ci_high < 1.0 / SQRT3
     announce(6, "measured 11->secure current error rate within factor 3 of the closed form")
+
+
+# Exact tail probabilities of the windowed current mean square at alpha = 100,
+# gamma = 30 and threshold fraction 0.5 (Imhof's integral over the window's
+# eigenvalues): 00 reads secure on the lower tail, 11 on the upper tail.
+EXACT_I_00_G30 = 9.135e-3
+EXACT_I_11_G30 = 3.685e-2
+
+
+def test_monte_carlo_vs_exact_rates_gamma_30():
+    """Both current-mode error rates sit within 4 standard errors of the exact rates.
+
+    The paper's closed form gives 8.85e-2 for both states here: its exponent
+    f^2/4 is only the second-order term that the lower tail's (-f - ln(1-f))/2
+    and the upper tail's (f - ln(1+f))/2 share, so it is 9.7x the exact 00 rate.
+    """
+    cfg = SystemConfig(alpha=100.0, gamma=30.0, mode="current_only", n_periods=2 * 10**4, master_seed=1)
+    report = run_session(cfg)
+    for name, exact in (("eps_hat_i_00", EXACT_I_00_G30), ("eps_hat_i_11", EXACT_I_11_G30)):
+        est = report.rates[name]
+        z = (est.k - est.n * exact) / math.sqrt(est.n * exact * (1 - exact))
+        assert abs(z) < 4, f"{name}: {est.k}/{est.n} is {z:+.2f} sd from {exact}"
+    paper = epsilon_current_00(0.5, 30.0)
+    assert paper == pytest.approx(8.85e-2, rel=1e-3)
+    assert paper / EXACT_I_00_G30 == pytest.approx(9.7, abs=0.05)
 
 
 def test_criterion_07_exponential_decay_slope():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -47,7 +48,30 @@ def run_cli(capsys, argv):
     return code, out.out, out.err
 
 
+def traced_peak(argv):
+    """Exit code of ``main(argv)`` and the peak bytes it traced above what was allocated before."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        baseline = tracemalloc.get_traced_memory()[0]
+        code = main(argv)
+        return code, tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 class TestLevels:
+    def test_peak_memory_bounded_by_signal_size(self, tmp_path):
+        # the six generator waves of the three states come from one batch and are held
+        # together while each state's voltage and current are solved
+        n = 2**20
+        code, peak = traced_peak(["levels", "--samples", str(n), "--out", str(tmp_path / "l.txt")])
+        assert code == 0
+        assert peak <= 10 * 8 * n, f"peak {peak / (8 * n):.2f}x the signal's bytes"
+
     def test_reference_levels_in_output(self, capsys, fast_config):
         code, out, _ = run_cli(capsys, ["levels", "--config", fast_config, "--samples", "65536"])
         assert code == 0
@@ -75,7 +99,7 @@ class TestLevels:
         assert "config error" in err and "gamma" in err
 
     def test_too_few_samples_is_config_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "synth_band_limited", _no_synthesis)
+        monkeypatch.setattr(cli, "synth_band_limited_many", _no_synthesis)
         code, out, err = run_cli(capsys, ["levels", "--samples", "1"])
         assert code == 2
         assert out == ""
@@ -248,7 +272,7 @@ class TestSpectra:
         ids=["one-bin", "shorter-than-a-segment"],
     )
     def test_bad_size_is_config_error(self, capsys, monkeypatch, argv, flag):
-        monkeypatch.setattr(cli, "synth_band_limited", _no_synthesis)
+        monkeypatch.setattr(cli, "synth_band_limited_many", _no_synthesis)
         code, out, err = run_cli(capsys, ["spectra"] + argv)
         assert code == 2
         assert out == ""
@@ -286,22 +310,12 @@ class TestSpectra:
         np.testing.assert_allclose(rows[:, 0], freqs, rtol=1e-12, atol=0)
         np.testing.assert_allclose(rows[:, 1], density, rtol=1e-12, atol=0)
 
-    def test_peak_memory_bounded_by_signal_size(self, capsys, tmp_path):
+    def test_peak_memory_bounded_by_signal_size(self, tmp_path):
         # u_a, u_b and the current are alive together only while the current is solved;
         # the squared signal and the periodogram's power table stay near two signals
         n = 2**20
         argv = ["spectra", "--samples", str(n), "--bins", "256", "--out", str(tmp_path / "s.csv")]
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            baseline = tracemalloc.get_traced_memory()[0]
-            code = main(argv)
-            peak = tracemalloc.get_traced_memory()[1] - baseline
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        code, peak = traced_peak(argv)
         assert code == 0
         assert peak <= 4 * 8 * n, f"peak {peak / (8 * n):.2f}x the signal's bytes"
 
@@ -320,6 +334,33 @@ class TestSpectra:
         )
         assert out.stdout.strip() == "False"
         assert (tmp_path / "s.csv").read_text().startswith("#")
+
+
+@pytest.mark.parametrize(
+    "config_text, argv, sha256",
+    [
+        ("", ["spectra", "--samples", "65536", "--bins", "64"],
+         "7cef3c03eb5faf73d83375e8413dbe33ce603e0ae5730cdcb0adb9f1406cccde"),
+        ("", ["levels", "--samples", "65536"],
+         "aecac1f0d23cff2f186c874f535e1f9af67f65c779b082253bd21e81ccc791e8"),
+        ("oversample = 2\n", ["spectra", "--samples", "65536", "--bins", "64"],
+         "3c0c91543696dbb77ede6521b92d9684ea34e337c157e128b02d236b4b295724"),
+        ("oversample = 2\n", ["levels", "--samples", "65536"],
+         "757b1bd74f7287751692c8286e93812aa95824cc266e23be5ec8d8ad40461936"),
+    ],
+    ids=["spectra", "levels", "spectra-nyquist", "levels-nyquist"],
+)
+def test_golden_output(capsys, tmp_path, config_text, argv, sha256):
+    """spectra and levels print the bytes they printed when each synthesis ran alone.
+
+    The digests were recorded from the CLI whose syntheses drew and
+    transformed one wave at a time; ``oversample = 2`` fills the Nyquist bin.
+    """
+    path = tmp_path / "golden.cfg"
+    path.write_text(config_text)
+    code, out, _ = run_cli(capsys, argv + ["--config", str(path)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 # finite configs whose noise levels overflow float64: in the squared-current
@@ -362,9 +403,9 @@ def _src_dir():
     return os.path.dirname(os.path.dirname(kljn.__file__))
 
 
-def test_cli_import_defers_scipy_signal():
-    # no kljn module uses scipy.signal, and importing it dominates start-up
-    code = "import sys, kljn.cli; print('scipy.signal' in sys.modules)"
+def _loaded_by_cli_import(modules):
+    """Which of ``modules`` a fresh interpreter has loaded after ``import kljn.cli``, as printed."""
+    code = f"import sys, kljn.cli; print(sorted(m for m in {tuple(modules)!r} if m in sys.modules))"
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -372,4 +413,14 @@ def test_cli_import_defers_scipy_signal():
         check=True,
         env={**os.environ, "PYTHONPATH": _src_dir()},
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cli_import_defers_scipy_signal():
+    # no kljn module uses scipy.signal, and importing it dominates start-up
+    assert _loaded_by_cli_import(["scipy.signal"]) == "[]"
+
+
+def test_cli_import_defers_process_pool():
+    # only run_session's pool branch needs multiprocessing, and importing it costs start-up
+    assert _loaded_by_cli_import(["concurrent.futures.process", "multiprocessing"]) == "[]"

@@ -1,4 +1,7 @@
 import math
+import threading
+import time
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -16,6 +19,7 @@ from kljn.noise import (
     periodogram,
     rng_for_period,
     synth_band_limited,
+    synth_band_limited_many,
 )
 
 
@@ -144,6 +148,79 @@ class TestSynth:
         spec = NoiseSpec(psd_level=1.0, bandwidth=1.0, sample_rate=2.0, n_samples=2**18)
         w = synth_band_limited(spec, np.random.default_rng(2))
         assert abs(np.mean(w**2) - 1.0) < 0.03
+
+
+class TestSynthMany:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shapes=st.lists(
+            st.tuples(
+                st.one_of(st.integers(2, 300), st.integers(2, 2**16)),
+                st.sampled_from([2.0, 3.0, 4.0]),  # fs / B; 2.0 with an even n fills the Nyquist bin
+                st.floats(0.0, 1e3),
+            ),
+            min_size=0,
+            max_size=5,
+        ),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_equals_consecutive_calls(self, shapes, seed):
+        specs = [NoiseSpec(psd_level=p, bandwidth=1.0, sample_rate=fs, n_samples=n) for n, fs, p in shapes]
+        batch_rng, single_rng = rng_for_period(seed, 0), rng_for_period(seed, 0)
+        got = synth_band_limited_many(specs, batch_rng)
+        expected = [synth_band_limited(spec, single_rng) for spec in specs]
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+        # the batch leaves the stream where the consecutive calls leave it
+        assert batch_rng.bit_generator.random_raw() == single_rng.bit_generator.random_raw()
+
+    def test_transforms_one_at_a_time_off_the_calling_thread(self, monkeypatch):
+        caller = threading.get_ident()
+        running, seen, done, done_at_draw = [], [], [], []
+        irfft, coefficients = np.fft.irfft, noise._coefficients
+
+        def watched_irfft(*args, **kwargs):
+            running.append(None)
+            seen.append((threading.get_ident(), len(running)))
+            try:
+                time.sleep(0.01)  # slower than a draw, so an unbounded caller would run ahead
+                return irfft(*args, **kwargs)
+            finally:
+                running.pop()
+                done.append(None)
+
+        def watched_coefficients(*args):
+            done_at_draw.append(len(done))
+            return coefficients(*args)
+
+        monkeypatch.setattr(np.fft, "irfft", watched_irfft)
+        monkeypatch.setattr(noise, "_coefficients", watched_coefficients)
+        spec = NoiseSpec(psd_level=1.0, bandwidth=1.0, sample_rate=4.0, n_samples=2**14)
+        threads = threading.active_count()
+        synth_band_limited_many([spec] * 5, np.random.default_rng(3))
+        assert len(seen) == 5
+        assert all(ident != caller and concurrent == 1 for ident, concurrent in seen)
+        # spectrum j is drawn only once transform j - 2 is done
+        assert all(n_done >= j - 1 for j, n_done in enumerate(done_at_draw))
+        assert threading.active_count() == threads  # the helper is gone when the batch returns
+        seen.clear()
+        synth_band_limited_many([spec], np.random.default_rng(3))  # one spec: no thread
+        assert seen == [(caller, 1)]
+
+    @pytest.mark.parametrize(
+        "errors, raised",
+        [("raise", FloatingPointError), ("warn", RuntimeWarning), ("ignore", ValueError)],
+    )
+    def test_helper_keeps_the_callers_error_state(self, errors, raised):
+        # the coefficient scale overflows to inf, and the inverse FFT meets inf - inf
+        overflow = NoiseSpec(psd_level=1e308, bandwidth=1, sample_rate=4, n_samples=16)
+        spec = NoiseSpec(psd_level=1.0, bandwidth=1, sample_rate=4, n_samples=16)
+        for specs in ([spec, overflow], [overflow, spec]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(raised), np.errstate(all=errors):
+                    synth_band_limited_many(specs, np.random.default_rng(0))
 
 
 @st.composite

@@ -330,7 +330,7 @@ class TestRunSession:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was built before force_state was checked")
 
-        monkeypatch.setattr(protocol, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         with pytest.raises(ValueError, match="force_state"):
             run_session(small_config(n_periods=20), force_state="01", workers=workers)
 
@@ -357,7 +357,7 @@ class TestRunSession:
 
         cfg = small_config(n_periods=40, master_seed=41)
         serial = run_session(cfg)
-        monkeypatch.setattr(protocol, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(protocol, "_usable_cpus", lambda: cpus)
         report = run_session(cfg, workers=workers)
         assert built == ([] if expected is None else [expected])  # one CPU runs serially
@@ -369,7 +369,7 @@ class TestRunSession:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was built for an invalid worker count")
 
-        monkeypatch.setattr(protocol, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         with pytest.raises(ValueError, match="workers"):
             run_session(small_config(n_periods=20), workers=workers)
 
