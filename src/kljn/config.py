@@ -59,8 +59,8 @@ class SystemConfig:
             raise ConfigError(f"oversample must be >= 2, got {self.oversample}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.n_periods < 0:
-            raise ConfigError(f"n_periods must be >= 0, got {self.n_periods}")
+        if self.n_periods < 1:
+            raise ConfigError(f"n_periods must be >= 1, got {self.n_periods}")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must fit in 64 bits")
         # delegate the physics invariants so the error names the constraint; the
@@ -72,6 +72,11 @@ class SystemConfig:
             self.window
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.samples_per_period < 2:
+            raise ConfigError(
+                f"gamma = {self.gamma} at oversample = {self.oversample} gives "
+                f"{self.samples_per_period} samples per period; at least 2 are needed"
+            )
 
     @property
     def normalized(self) -> bool:
@@ -190,7 +195,4 @@ def load_config(path) -> SystemConfig:
 
 def with_overrides(config: SystemConfig, **kwargs) -> SystemConfig:
     """New config with some fields replaced, revalidated."""
-    try:
-        return replace(config, **{k: v for k, v in kwargs.items() if v is not None})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return replace(config, **{k: v for k, v in kwargs.items() if v is not None})

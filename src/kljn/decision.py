@@ -77,27 +77,27 @@ def make_bands(levels: LevelTable, fracs: ThresholdFractions) -> DecisionBands:
     )
 
 
-def _read(x, low_cut: float, high_cut: float, below: int, above: int) -> np.ndarray:
+def _read(name: str, x, low_cut: float, high_cut: float, below: int, above: int) -> np.ndarray:
     """Interpretation codes of mean squares ``x`` against one two-cut band.
 
     ``below`` under the low cut, ``above`` over the high cut, 2 (secure)
-    between; values exactly on a cut read as secure.
+    between; values exactly on a cut read as secure. Raises ValueError when
+    any value is negative or NaN: a NaN compares false with both cuts and
+    would read as secure.
     """
+    if not np.all(np.asarray(x) >= 0):
+        raise ValueError(f"mean-square {name} must be >= 0 and not NaN, got minimum {np.min(x)}")
     return np.where(x < low_cut, below, np.where(x > high_cut, above, 2)).astype(np.int8)
 
 
 def interpret_current(msi: float, bands: DecisionBands) -> Interpretation:
     """Read a mean-square current: 11 is the lowest level, 00 the highest."""
-    if not msi >= 0:  # NaN fails this too
-        raise ValueError(f"mean-square current must be >= 0, got {msi}")
-    return tuple(Interpretation)[_read(msi, bands.i_low_cut, bands.i_high_cut, 1, 0)]
+    return tuple(Interpretation)[_read("current", msi, bands.i_low_cut, bands.i_high_cut, 1, 0)]
 
 
 def interpret_voltage(msv: float, bands: DecisionBands) -> Interpretation:
     """Read a mean-square voltage: 00 is the lowest level, 11 the highest."""
-    if not msv >= 0:  # NaN fails this too
-        raise ValueError(f"mean-square voltage must be >= 0, got {msv}")
-    return tuple(Interpretation)[_read(msv, bands.v_low_cut, bands.v_high_cut, 0, 1)]
+    return tuple(Interpretation)[_read("voltage", msv, bands.v_low_cut, bands.v_high_cut, 0, 1)]
 
 
 _COMBINE_TABLE = {
@@ -139,9 +139,6 @@ def interpret_arrays(
     outcome codes index ``tuple(CombinedOutcome)``. Raises ValueError when
     any mean square is negative or NaN, as the scalar readers do.
     """
-    for name, x in (("voltage", msv), ("current", msi)):
-        if not np.all(np.asarray(x) >= 0):
-            raise ValueError(f"mean-square {name}s must be >= 0 and not NaN")
-    v_code = _read(msv, bands.v_low_cut, bands.v_high_cut, 0, 1)
-    i_code = _read(msi, bands.i_low_cut, bands.i_high_cut, 1, 0)
+    v_code = _read("voltage", msv, bands.v_low_cut, bands.v_high_cut, 0, 1)
+    i_code = _read("current", msi, bands.i_low_cut, bands.i_high_cut, 1, 0)
     return v_code, i_code, _OUTCOME_CODE[v_code, i_code]

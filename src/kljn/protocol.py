@@ -21,7 +21,7 @@ import numpy as np
 
 from .circuit import channel_waveforms
 from .config import SystemConfig
-from .decision import CombinedOutcome, interpret_arrays
+from .decision import _OUTCOME_CODE, CombinedOutcome, interpret_arrays
 from .estimator import finite_mean_square, measurement_slice
 from .noise import band_bins, band_coefficients, period_streams
 
@@ -243,8 +243,6 @@ def run_session(
     """
     n_periods = config.n_periods
     master_seed = config.master_seed
-    if n_periods < 1:
-        raise ValueError(f"n_periods must be >= 1, got {n_periods}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     workers = min(workers, _usable_cpus())
@@ -262,7 +260,6 @@ def run_session(
             futures = [
                 pool.submit(_simulate_chunk, config, master_seed, int(a), int(b), force_state)
                 for a, b in zip(bounds[:-1], bounds[1:])
-                if b > a
             ]
             chunks = [f.result() for f in futures]
 
@@ -275,8 +272,8 @@ def run_session(
     # counts[actual, voltage reading, current reading]; reading code 2 is secure
     counts = np.bincount((actual * 3 + v_code) * 3 + i_code, minlength=27).reshape(3, 3, 3)
     n_state = counts.sum((1, 2)).tolist()
-    n_out = len(_OUTCOMES)
-    outcome_counts = np.bincount(actual * n_out + outcome_code, minlength=3 * n_out).reshape(3, n_out)
+    # each (voltage, current) reading pair adds its count to its outcome's column
+    outcome_counts = counts.reshape(3, 9) @ np.eye(len(_OUTCOMES), dtype=counts.dtype)[_OUTCOME_CODE.ravel()]
     combined_counts = {
         state: {o.value: c for o, c in zip(_OUTCOMES, row)}
         for state, row in zip(ACTUAL_STATES, outcome_counts.tolist())

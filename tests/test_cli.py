@@ -238,6 +238,38 @@ def test_unrunnable_config_is_config_error(capsys, monkeypatch, tmp_path, config
     assert "config error" in err and message in err
 
 
+@pytest.mark.parametrize(
+    "config_text, message",
+    [("n_periods = 0\n", "n_periods must be >= 1"), ("gamma = 0.1\n", "0 samples per period")],
+    ids=["zero-periods", "short-period"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["levels", "--samples", "4096"], ["spectra", "--samples", "4096", "--bins", "64"]],
+    ids=["levels", "spectra"],
+)
+@pytest.mark.filterwarnings("ignore::kljn.estimator.SmallGammaWarning")
+def test_unrunnable_config_refused_by_every_command(capsys, monkeypatch, tmp_path, config_text, message, argv):
+    """levels and spectra run no period, yet refuse a config no period could run, as session does."""
+    monkeypatch.setattr(cli, "synth_band_limited_many", _no_synthesis)
+    path = tmp_path / "bad.cfg"
+    path.write_text(config_text)
+    code, out, err = run_cli(capsys, argv + ["--config", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and message in err
+
+
+def test_sweep_force_state_0110_is_usage_error(capsys, monkeypatch, fast_config):
+    monkeypatch.setattr(cli, "run_session", _no_session)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", fast_config, "--gammas", "30", "--force-state", "0110"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--force-state" in out.err
+
+
 class TestSpectra:
     def test_theory_column_shape(self, capsys, fast_config):
         code, out, _ = run_cli(
@@ -358,6 +390,37 @@ def test_golden_output(capsys, tmp_path, config_text, argv, sha256):
     """
     path = tmp_path / "golden.cfg"
     path.write_text(config_text)
+    code, out, _ = run_cli(capsys, argv + ["--config", str(path)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+# at alpha 100 and lambda 0.2 some 0110 periods read insecure, so a state's counts span outcomes
+GOLDEN_RUN_CONFIG = "n_periods = 2000\nalpha = 100\nlambda = 0.2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (["session", "--seed", "3"],
+         "0e1d16215c7da558ec85b75d520a1aed7c0f1d72873b24d32113eae3f1321e23"),
+        (["session", "--seed", "3", "--force-state", "0110"],
+         "d2ebb467f48cf69024078dadbb608897f146f0b92b5f1c64d5408d37dad2c2cf"),
+        (["sweep", "--seed", "3", "--gammas", "20,30", "--mode", "current"],
+         "6b4ba3d5157606395f04004faeb9fce2e094c62e4420f3d795c4b821710230f7"),
+        (["sweep", "--seed", "3", "--gammas", "20,30", "--mode", "combined", "--force-state", "00"],
+         "0d744bf7612bf1f84723ac95f036b06126ef016cbcc2b18d5dc0debe9be43d11"),
+    ],
+    ids=["session", "session-0110", "sweep-current-11", "sweep-combined-00"],
+)
+def test_golden_run_output(capsys, tmp_path, argv, sha256):
+    """session and sweep print the bytes they printed before their run rules were each stated once.
+
+    The session digests pin the JSON's confusion tables, combined counts,
+    rates, moment sums and key hex, not only what the acceptance tests read.
+    """
+    path = tmp_path / "golden.cfg"
+    path.write_text(GOLDEN_RUN_CONFIG)
     code, out, _ = run_cli(capsys, argv + ["--config", str(path)])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256

@@ -83,6 +83,23 @@ class TestSystemConfig:
         with pytest.raises(ConfigError):
             SystemConfig(oversample=1)
 
+    def test_zero_periods_rejected(self):
+        with pytest.raises(ConfigError, match="n_periods must be >= 1, got 0"):
+            SystemConfig(n_periods=0)
+        assert SystemConfig(n_periods=1).n_periods == 1
+
+    @pytest.mark.filterwarnings("ignore::kljn.estimator.SmallGammaWarning")
+    @pytest.mark.parametrize("gamma, oversample", [(0.1, 4), (0.125, 4), (0.2, 2)])
+    def test_short_period_rejected(self, gamma, oversample):
+        # oversample * gamma <= 0.5 rounds to no sample per period
+        message = f"gamma = {gamma} at oversample = {oversample} gives 0 samples per period; at least 2 are needed"
+        with pytest.raises(ConfigError, match=message):
+            SystemConfig(gamma=gamma, oversample=oversample)
+
+    @pytest.mark.filterwarnings("ignore::kljn.estimator.SmallGammaWarning")
+    def test_shortest_runnable_period(self):
+        assert SystemConfig(gamma=0.25, oversample=4).samples_per_period == 2
+
     def test_hash_stable_and_sensitive(self):
         a, b = SystemConfig(), SystemConfig()
         assert a.config_hash() == b.config_hash()

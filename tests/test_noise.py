@@ -143,6 +143,15 @@ class TestSynth:
         with pytest.raises(ValueError, match="non-finite"), np.errstate(all="ignore"):
             synth_band_limited(spec, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("where", [0, 3, 8], ids=["dc", "in-band", "nyquist"])
+    def test_samples_reject_non_finite_spectrum(self, bad, where):
+        coeffs = np.zeros(9, dtype=complex)
+        coeffs[1:4] = 1.0
+        coeffs[where] = bad
+        with pytest.raises(ValueError, match="non-finite"), np.errstate(all="ignore"):
+            noise._samples(coeffs, 16)
+
     def test_nyquist_rate_synthesis_variance(self):
         # fs = 2B puts the band edge on the Nyquist bin
         spec = NoiseSpec(psd_level=1.0, bandwidth=1.0, sample_rate=2.0, n_samples=2**18)
