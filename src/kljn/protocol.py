@@ -236,10 +236,14 @@ def run_session(
 ) -> SessionReport:
     """Run ``config.n_periods`` periods from ``config.master_seed`` and aggregate the accounting.
 
-    With ``workers > 1`` the periods are simulated in parallel processes, at
-    most one per usable CPU (a fork pool starts all its processes at once);
-    the report is identical to the serial run because every period has its
-    own derived random stream and aggregation is order-insensitive counting.
+    With ``workers > 1`` the periods are split into ``workers`` shares, run
+    by ``workers`` processes at once, the caller included: a pool of
+    ``workers - 1`` processes takes every share but the first, and the
+    calling process simulates the first while the pool runs. ``workers`` is
+    capped at the usable CPUs (a fork pool starts all its processes at
+    once), and fewer than two periods per share run serially. The report is
+    identical to the serial run because every period has its own derived
+    random stream and the shares are concatenated in period order.
     """
     n_periods = config.n_periods
     master_seed = config.master_seed
@@ -255,13 +259,16 @@ def run_session(
         # imported here: it pulls in multiprocessing, which a serial run never needs
         from concurrent.futures import ProcessPoolExecutor
 
-        bounds = np.linspace(0, n_periods, workers + 1, dtype=int)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        bounds = np.linspace(0, n_periods, workers + 1, dtype=int).tolist()
+        first, *rest = zip(bounds[:-1], bounds[1:])
+        # leaving the block on an error waits for the pool's shares, so no process outlives it
+        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
             futures = [
-                pool.submit(_simulate_chunk, config, master_seed, int(a), int(b), force_state)
-                for a, b in zip(bounds[:-1], bounds[1:])
+                pool.submit(_simulate_chunk, config, master_seed, a, b, force_state)
+                for a, b in rest
             ]
-            chunks = [f.result() for f in futures]
+            chunks = [_simulate_chunk(config, master_seed, *first, force_state)]
+            chunks += [f.result() for f in futures]
 
     bits = np.concatenate([c["bits"] for c in chunks])
     msv = np.concatenate([c["msv"] for c in chunks])

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import kljn
-from kljn import cli
+from kljn import cli, protocol
 from kljn.circuit import LoopState, channel_waveforms
 from kljn.cli import main
 from kljn.config import load_config
@@ -439,17 +440,28 @@ class TestNonFiniteOutput:
             (["spectra", "--samples", "8192", "--bins", "64"], PERIODOGRAM_OVERFLOW),
             (["spectra", "--samples", "8192", "--bins", "64"], SYNTHESIS_OVERFLOW),
             (["levels", "--samples", "8192"], SYNTHESIS_OVERFLOW),
+            # two shares of two periods: the calling process's and the pool's both overflow
+            (["session", "--workers", "2"], SYNTHESIS_OVERFLOW + "n_periods = 4\n"),
+            (["sweep", "--gammas", "30", "--workers", "2"], SYNTHESIS_OVERFLOW + "n_periods = 4\n"),
         ],
-        ids=["spectra-periodogram", "spectra-synthesis", "levels-synthesis"],
+        ids=[
+            "spectra-periodogram",
+            "spectra-synthesis",
+            "levels-synthesis",
+            "session-w2-synthesis",
+            "sweep-w2-synthesis",
+        ],
     )
-    def test_overflow_is_runtime_error(self, capsys, tmp_path, argv, text):
+    def test_overflow_is_runtime_error(self, capsys, tmp_path, argv, text, monkeypatch):
         path = tmp_path / "overflow.cfg"
         path.write_text(text)
+        monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)  # a pool on any machine
         with np.errstate(all="ignore"):
             code, out, err = run_cli(capsys, argv + ["--config", str(path)])
         assert code == 3
         assert out == ""
         assert "non-finite" in err
+        assert multiprocessing.active_children() == []  # no pool process outlives the run
 
     def test_levels_finite_where_only_the_periodogram_overflows(self, capsys, tmp_path):
         # the mean squares themselves (about 1e270) are finite, so levels reports them

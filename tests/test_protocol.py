@@ -1,9 +1,10 @@
 import hashlib
 import math
+import multiprocessing
 import os
 import tracemalloc
 import warnings
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -280,14 +281,28 @@ class TestRunSession:
         assert reports[0].moment_sums != reports[1].moment_sums
         assert reports[2].moment_sums != reports[3].moment_sums
 
-    def test_parallel_identical_to_serial(self, monkeypatch):
-        cfg = small_config(n_periods=300, master_seed=19)
+    # 2w - 1 periods run serially, 2w is the smallest pooled run, 301 splits unevenly
+    @pytest.mark.parametrize(
+        "workers, n_periods", [(w, n) for w in (2, 3, 4) for n in (2 * w - 1, 2 * w, 301)]
+    )
+    def test_parallel_identical_to_serial(self, workers, n_periods, monkeypatch):
+        cfg = small_config(n_periods=n_periods, master_seed=19)
         serial = run_session(cfg)
-        monkeypatch.setattr(protocol, "_usable_cpus", lambda: 3)  # split three ways on any machine
-        parallel = run_session(cfg, workers=3)
+        built = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                built.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(protocol, "_usable_cpus", lambda: workers)  # on any machine
+        parallel = run_session(cfg, workers=workers)
+        assert built == ([workers - 1] if n_periods >= 2 * workers else [])
         assert serial.to_dict() == parallel.to_dict()
         assert np.array_equal(serial.bits, parallel.bits)
         assert np.array_equal(serial.outcome_code, parallel.outcome_code)
+        assert multiprocessing.active_children() == []
 
     def test_forced_state_conditioning(self):
         report = run_session(small_config(n_periods=500, master_seed=23), force_state="11")
@@ -305,12 +320,16 @@ class TestRunSession:
         with pytest.raises(ValueError):
             run_session(small_config(n_periods=0, master_seed=1))
 
-    def test_overflowing_noise_levels_rejected(self):
-        # the bands are finite, but 4kT * R1 * f_s * n overflows float64 in the synthesis
-        cfg = small_config(t_eff=3.6e305, r=1e20, alpha=1000.0, n_periods=3, master_seed=2)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflowing_noise_levels_rejected(self, workers, monkeypatch):
+        # the bands are finite, but 4kT * R1 * f_s * n overflows float64 in the synthesis;
+        # with 2 workers both the caller's share and the pool's share overflow
+        cfg = small_config(t_eff=3.6e305, r=1e20, alpha=1000.0, n_periods=4, master_seed=2)
         cfg.bands()
+        monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)
         with pytest.raises(ValueError, match="non-finite"), np.errstate(all="ignore"):
-            run_session(cfg)
+            run_session(cfg, workers=workers)
+        assert multiprocessing.active_children() == []
 
     def test_config_warnings_not_repeated(self):
         # gamma < 10 and alpha < 10 each warn once, when the config is built
@@ -334,12 +353,20 @@ class TestRunSession:
         with pytest.raises(ValueError, match="force_state"):
             run_session(small_config(n_periods=20), force_state="01", workers=workers)
 
-    @pytest.mark.parametrize("workers, cpus, expected", [(5000, 2, 2), (3, 8, 3), (2, 1, None)])
-    def test_pool_capped_at_usable_cpus(self, workers, cpus, expected, monkeypatch):
-        built = []
+    @pytest.mark.parametrize(
+        "workers, cpus, pools, shares",
+        [
+            (5000, 2, [1], [(20, 40)]),
+            (3, 8, [2], [(13, 26), (26, 40)]),
+            (2, 1, [], []),  # one CPU runs serially
+        ],
+        ids=["5000-2-1", "3-8-2", "2-1-None"],  # workers, usable CPUs, pool size
+    )
+    def test_pool_capped_at_usable_cpus(self, workers, cpus, pools, shares, monkeypatch):
+        built, submitted = [], []
 
         class InlinePool:
-            """Records the pool size and runs each chunk in this process."""
+            """Records the pool size and each share's (start, stop), and runs the share here."""
 
             def __init__(self, max_workers):
                 built.append(max_workers)
@@ -351,6 +378,7 @@ class TestRunSession:
                 return False
 
             def submit(self, fn, *args):
+                submitted.append(args[2:4])
                 future = Future()
                 future.set_result(fn(*args))
                 return future
@@ -360,7 +388,9 @@ class TestRunSession:
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(protocol, "_usable_cpus", lambda: cpus)
         report = run_session(cfg, workers=workers)
-        assert built == ([] if expected is None else [expected])  # one CPU runs serially
+        # the calling process is one of the workers: the pool gets every share but the first
+        assert built == pools
+        assert submitted == shares
         assert report.to_dict() == serial.to_dict()
         assert np.array_equal(report.bits, serial.bits)
 
