@@ -15,6 +15,7 @@ import argparse
 import io
 import json
 import sys
+from contextlib import closing
 
 import numpy as np
 
@@ -82,18 +83,23 @@ def cmd_levels(args) -> int:
     loops = [LoopState.from_bits(*bits, config.resistors) for bits in ((0, 0), (0, 1), (1, 1))]
     # (Alice, Bob) per state, drawn in that order from the one stream
     specs = [config.noise_spec(r, n_cal) for loop in loops for r in (loop.r_alice, loop.r_bob)]
-    waves = synth_band_limited_many(specs, rng)
-    for state, loop, u_a, u_b in zip(states, loops, waves[0::2], waves[1::2]):
-        # no name keeps u_c and i_c, so they are freed before the next state solves
-        emp_v, emp_i = map(finite_mean_square, channel_waveforms(u_a, u_b, loop.r_alice, loop.r_bob))
-        th_v = levels.voltage_for(state)
-        th_i = levels.current_for(state)
-        rel_v, rel_i = emp_v / th_v - 1, emp_i / th_i - 1
-        printed += [th_v, emp_v, rel_v, th_i, emp_i, rel_i]
-        lines.append(
-            f"{state:<6} {_fmt(th_v):<14} {_fmt(emp_v):<14} {rel_v:<+10.2e} "
-            f"{_fmt(th_i):<14} {_fmt(emp_i):<14} {rel_i:<+10.2e}"
-        )
+    # each state is solved while the helper transforms the next state's waves; closing
+    # the iterator ends the helper if a solve raises
+    with closing(synth_band_limited_many(specs, rng)) as waves:
+        for state, loop in zip(states, loops):
+            # Alice's wave, then Bob's: no name keeps them, nor u_c and i_c, so a state's
+            # arrays are freed before the next state's waves arrive
+            emp_v, emp_i = map(
+                finite_mean_square, channel_waveforms(next(waves), next(waves), loop.r_alice, loop.r_bob)
+            )
+            th_v = levels.voltage_for(state)
+            th_i = levels.current_for(state)
+            rel_v, rel_i = emp_v / th_v - 1, emp_i / th_i - 1
+            printed += [th_v, emp_v, rel_v, th_i, emp_i, rel_i]
+            lines.append(
+                f"{state:<6} {_fmt(th_v):<14} {_fmt(emp_v):<14} {rel_v:<+10.2e} "
+                f"{_fmt(th_i):<14} {_fmt(emp_i):<14} {rel_i:<+10.2e}"
+            )
     _check_finite(printed)
     _emit("\n".join(lines) + "\n", args.out)
     return 0

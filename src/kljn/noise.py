@@ -9,7 +9,10 @@ which gives an exactly band-limited spectrum.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -169,40 +172,76 @@ def synth_band_limited(spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
     to psd_level * bandwidth. Returns the ``spec.n_samples`` samples as a
     float64 array; raises ValueError when the noise level overflows float64.
     """
-    return synth_band_limited_many([spec], rng)[0]
+    return _samples(_coefficients(spec, rng), spec.n_samples)
 
 
-def synth_band_limited_many(specs: Sequence[NoiseSpec], rng: np.random.Generator) -> list[np.ndarray]:
-    """``synth_band_limited`` for each spec in turn, with the inverse FFTs on a helper thread.
+def synth_band_limited_many(specs: Sequence[NoiseSpec], rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """``synth_band_limited`` for each spec in turn, lazily, with the inverse FFTs on a helper thread.
 
     The calling thread draws every spec's normals from ``rng`` and builds its
     coefficients, in the given order, so the stream and the samples are those
     of consecutive ``synth_band_limited`` calls. For two or more specs, one
-    helper thread transforms each spectrum as soon as it is built, while the
-    caller draws the next: numpy releases the GIL in both. Only the helper
-    runs FFTs until the batch returns, and it runs them under the caller's
-    ``np.geterr()``, which a new thread does not inherit. Before it draws a
-    spectrum, the caller waits for the transform before last, so at most two
-    spectra wait or are transformed at a time.
+    helper thread (see ``_helper``) transforms each spectrum as soon as it is
+    built, while the caller draws the next or works on the waves already
+    handed out: numpy releases the GIL in both. Only the helper runs these
+    FFTs. Each ``next()`` waits for its wave's transform, then draws every
+    spectrum that is due (spectrum j only once transform j - 2 is done, so at
+    most two spectra wait or are transformed at a time), and only then yields
+    the wave. The helper starts at the first ``next()`` and exits when the
+    iterator is exhausted or closed, or when a transform raises; a caller that
+    may stop early should close it (``contextlib.closing``).
+
+    The caller keeps each spectrum it drew until it next waits for that
+    spectrum's transform: if the transform is done, the spectrum is freed
+    then, and if not, the helper frees it as the transform ends, while the
+    caller waits. So no spectrum is freed while the caller works on a wave
+    it was handed. This is for glibc's malloc, which keeps a freed block
+    resident when it is under the trim threshold: with the spectra freed
+    whenever a transform ended, ``levels`` at 2**20 samples left 8-16 MB
+    more resident in the process from run to run, which a later ``spectra``
+    pass added to its peak.
     """
     if len(specs) < 2:
-        return [_samples(_coefficients(spec, rng), spec.n_samples) for spec in specs]
-    # imported here: concurrent.futures pulls in logging, which a one-spec call never needs
+        for spec in specs:
+            yield _samples(_coefficients(spec, rng), spec.n_samples)
+        return
+    with _helper() as submit:
+        transforms, spectra = deque(), deque()
+
+        def draw(spec):
+            spectra.append(_coefficients(spec, rng))
+            transforms.append(submit(_samples, spectra[-1], spec.n_samples))
+
+        draw(specs[0])
+        draw(specs[1])
+        for j in range(2, len(specs) + 2):
+            del spectra[0]  # spectrum j - 2, freed now or by the helper when transformed
+            transforms[0].result()  # transform j - 2 is done: spectrum j may be drawn
+            if j < len(specs):
+                draw(specs[j])
+            # popped first, so no future and no local keeps a wave once the caller drops it
+            yield transforms.popleft().result()
+
+
+@contextmanager
+def _helper():
+    """One helper thread: ``submit(fn, *args)`` runs ``fn(*args)`` on it under the caller's ``np.geterr()``.
+
+    A new thread does not inherit ``np.errstate``, so without this an overflow
+    that the caller asked to raise would pass silently on the helper. Leaving
+    the block waits for every submitted call, and the thread exits.
+    """
+    # imported here: concurrent.futures pulls in logging, which a single-threaded call never needs
     from concurrent.futures import ThreadPoolExecutor
 
     errors = np.geterr()
 
-    def transform(coeffs, n_samples):
+    def under_callers_errors(fn, *args):
         with np.errstate(**errors):
-            return _samples(coeffs, n_samples)
+            return fn(*args)
 
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        futures = []
-        for spec in specs:
-            if len(futures) > 1:
-                futures[-2].result()
-            futures.append(helper.submit(transform, _coefficients(spec, rng), spec.n_samples))
-        return [future.result() for future in futures]
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        yield functools.partial(pool.submit, under_callers_errors)
 
 
 def _coefficients(spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
@@ -239,7 +278,11 @@ def periodogram(samples: np.ndarray, sample_rate: float, n_bins: int) -> tuple[n
     1..n_bins - 1 of the table are doubled; the density is the table's mean
     along its contiguous segment axis (numpy's pairwise sum: a plain running
     sum over segments moves the last digits). Segments are transformed in
-    chunks of about ``_CHUNK_SAMPLES`` samples, which changes no value.
+    chunks of about ``_CHUNK_SAMPLES`` samples, which changes no value. With
+    two or more chunks, a helper thread (see ``_helper``) transforms the
+    chunks after the middle chunk boundary while the caller transforms those
+    before it; each fills its own columns of the table, and the doubling and
+    the mean stay whole-table calls on the caller, so no value changes either.
 
     Returns (frequencies, density), each of length n_bins + 1.
     """
@@ -255,9 +298,22 @@ def periodogram(samples: np.ndarray, sample_rate: float, n_bins: int) -> tuple[n
     window = 1 / np.sqrt(length / (1 / sample_rate))
     power = np.empty((n_bins + 1, n_seg))
     step = max(1, _CHUNK_SAMPLES // length)
-    for first in range(0, n_seg, step):
-        last = min(first + step, n_seg)
-        spectrum = np.fft.rfft(samples[first * length : last * length].reshape(-1, length) * window, axis=-1)
-        power[:, first:last] = (spectrum.real**2 + spectrum.imag**2).T
+
+    def fill(start, stop):
+        for first in range(start, stop, step):
+            last = min(first + step, stop)
+            segments = samples[first * length : last * length].reshape(-1, length)
+            spectrum = np.fft.rfft(segments * window, axis=-1)
+            power[:, first:last] = (spectrum.real**2 + spectrum.imag**2).T
+
+    n_chunks = -(-n_seg // step)
+    if n_chunks < 2:
+        fill(0, n_seg)
+    else:
+        split = n_chunks // 2 * step
+        with _helper() as submit:
+            second_half = submit(fill, split, n_seg)
+            fill(0, split)
+            second_half.result()
     power[1:-1] *= 2
     return np.fft.rfftfreq(length, 1 / sample_rate), power.mean(axis=-1)

@@ -4,13 +4,14 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import kljn
-from kljn import cli, protocol
+from kljn import cli, noise, protocol
 from kljn.circuit import LoopState, channel_waveforms
 from kljn.cli import main
 from kljn.config import load_config
@@ -98,6 +99,31 @@ class TestLevels:
         assert code == 2
         assert out == ""
         assert "config error" in err and "gamma" in err
+
+    @pytest.mark.parametrize(
+        "module, name, failing_call",
+        # Alice's 11 wave, the fifth synthesis, after states 00 and 0110 were solved; or the
+        # 0110 voltage's mean square, the third, while the helper transforms the 11 waves
+        [(noise, "_samples", 5), (cli, "finite_mean_square", 3)],
+        ids=["fifth-synthesis", "third-mean-square"],
+    )
+    def test_failure_prints_no_partial_table(self, capsys, monkeypatch, tmp_path, module, name, failing_call):
+        original, calls = getattr(module, name), []
+
+        def fails_once(*args):
+            calls.append(None)
+            if len(calls) == failing_call:
+                raise ValueError("non-finite values: the noise level overflows float64")
+            return original(*args)
+
+        monkeypatch.setattr(module, name, fails_once)
+        out_path = tmp_path / "levels.txt"
+        threads = threading.active_count()
+        code, out, err = run_cli(capsys, ["levels", "--samples", "8192", "--out", str(out_path)])
+        assert code == 3
+        assert out == "" and not out_path.exists()
+        assert "non-finite" in err
+        assert threading.active_count() == threads  # the helper is gone
 
     def test_too_few_samples_is_config_error(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "synth_band_limited_many", _no_synthesis)
@@ -380,14 +406,19 @@ class TestSpectra:
          "3c0c91543696dbb77ede6521b92d9684ea34e337c157e128b02d236b4b295724"),
         ("oversample = 2\n", ["levels", "--samples", "65536"],
          "757b1bd74f7287751692c8286e93812aa95824cc266e23be5ec8d8ad40461936"),
+        # 2343 segments and 96 trailing samples: five periodogram chunks, split 2 + 3
+        ("", ["spectra", "--samples", "300000", "--bins", "64"],
+         "53a137a85fefa3f4fdfb43cf90327d11f2a330fec5f066d3618707fd50464170"),
     ],
-    ids=["spectra", "levels", "spectra-nyquist", "levels-nyquist"],
+    ids=["spectra", "levels", "spectra-nyquist", "levels-nyquist", "spectra-periodogram-halves"],
 )
 def test_golden_output(capsys, tmp_path, config_text, argv, sha256):
     """spectra and levels print the bytes they printed when each synthesis ran alone.
 
     The digests were recorded from the CLI whose syntheses drew and
     transformed one wave at a time; ``oversample = 2`` fills the Nyquist bin.
+    The five-chunk periodogram's digest was recorded from the CLI that
+    transformed every chunk on the calling thread.
     """
     path = tmp_path / "golden.cfg"
     path.write_text(config_text)
@@ -497,5 +528,8 @@ def test_cli_import_defers_scipy_signal():
 
 
 def test_cli_import_defers_process_pool():
-    # only run_session's pool branch needs multiprocessing, and importing it costs start-up
-    assert _loaded_by_cli_import(["concurrent.futures.process", "multiprocessing"]) == "[]"
+    # only run_session's pool branch needs multiprocessing, and only the helper threads of
+    # synth_band_limited_many and periodogram need concurrent.futures, which loads logging:
+    # importing them costs every command's start-up
+    modules = ["concurrent.futures", "concurrent.futures.process", "logging", "multiprocessing"]
+    assert _loaded_by_cli_import(modules) == "[]"

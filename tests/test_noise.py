@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import time
 import warnings
@@ -176,12 +177,26 @@ class TestSynthMany:
     def test_equals_consecutive_calls(self, shapes, seed):
         specs = [NoiseSpec(psd_level=p, bandwidth=1.0, sample_rate=fs, n_samples=n) for n, fs, p in shapes]
         batch_rng, single_rng = rng_for_period(seed, 0), rng_for_period(seed, 0)
-        got = synth_band_limited_many(specs, batch_rng)
+        got = list(synth_band_limited_many(specs, batch_rng))
         expected = [synth_band_limited(spec, single_rng) for spec in specs]
         assert len(got) == len(expected)
         for g, e in zip(got, expected):
             assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
         # the batch leaves the stream where the consecutive calls leave it
+        assert batch_rng.bit_generator.random_raw() == single_rng.bit_generator.random_raw()
+
+    @pytest.mark.parametrize("n_specs", [1, 2, 6])
+    def test_waves_equal_consecutive_single_syntheses(self, n_specs):
+        # n = 2**12 at fs = 2B fills the Nyquist bin; the sizes differ so a swapped wave shows
+        specs = [
+            NoiseSpec(psd_level=0.5 + i, bandwidth=1.0, sample_rate=2.0 + i % 3, n_samples=2**12 + 3 * i)
+            for i in range(n_specs)
+        ]
+        batch_rng, single_rng = rng_for_period(11, 0), rng_for_period(11, 0)
+        waves = synth_band_limited_many(specs, batch_rng)
+        for spec in specs:
+            assert next(waves).tobytes() == synth_band_limited(spec, single_rng).tobytes()
+        assert next(waves, None) is None
         assert batch_rng.bit_generator.random_raw() == single_rng.bit_generator.random_raw()
 
     def test_transforms_one_at_a_time_off_the_calling_thread(self, monkeypatch):
@@ -207,15 +222,59 @@ class TestSynthMany:
         monkeypatch.setattr(noise, "_coefficients", watched_coefficients)
         spec = NoiseSpec(psd_level=1.0, bandwidth=1.0, sample_rate=4.0, n_samples=2**14)
         threads = threading.active_count()
-        synth_band_limited_many([spec] * 5, np.random.default_rng(3))
+        list(synth_band_limited_many([spec] * 5, np.random.default_rng(3)))
         assert len(seen) == 5
         assert all(ident != caller and concurrent == 1 for ident, concurrent in seen)
         # spectrum j is drawn only once transform j - 2 is done
         assert all(n_done >= j - 1 for j, n_done in enumerate(done_at_draw))
-        assert threading.active_count() == threads  # the helper is gone when the batch returns
+        assert threading.active_count() == threads  # the helper is gone when the batch is exhausted
         seen.clear()
-        synth_band_limited_many([spec], np.random.default_rng(3))  # one spec: no thread
+        list(synth_band_limited_many([spec], np.random.default_rng(3)))  # one spec: no thread
         assert seen == [(caller, 1)]
+
+    def test_each_wave_handed_out_once_the_due_spectra_are_drawn(self, monkeypatch):
+        drawn, coefficients = [], noise._coefficients
+
+        def counted_coefficients(*args):
+            drawn.append(None)
+            return coefficients(*args)
+
+        monkeypatch.setattr(noise, "_coefficients", counted_coefficients)
+        spec = NoiseSpec(psd_level=1.0, bandwidth=1.0, sample_rate=4.0, n_samples=2**10)
+        waves = synth_band_limited_many([spec] * 6, np.random.default_rng(3))
+        assert drawn == []  # nothing is drawn before the first next()
+        # wave i is yielded after transform i, so spectra up to i + 2 are due, and no more
+        assert [(next(waves), len(drawn))[1] for _ in range(6)] == [3, 4, 5, 6, 6, 6]
+
+    def test_helper_gone_when_exhausted_closed_or_failed(self, monkeypatch):
+        spec = NoiseSpec(psd_level=1.0, bandwidth=1.0, sample_rate=4.0, n_samples=2**12)
+        threads = threading.active_count()
+
+        waves = synth_band_limited_many([spec] * 4, np.random.default_rng(3))
+        assert len(list(waves)) == 4
+        assert threading.active_count() == threads
+
+        waves = synth_band_limited_many([spec] * 4, np.random.default_rng(3))
+        next(waves)
+        assert threading.active_count() == threads + 1  # the helper transforms the next spectra
+        waves.close()
+        assert threading.active_count() == threads
+
+        samples, calls = noise._samples, []
+
+        def third_fails(coeffs, n_samples):
+            calls.append(None)
+            if len(calls) == 3:
+                raise ValueError("non-finite noise samples")
+            return samples(coeffs, n_samples)
+
+        monkeypatch.setattr(noise, "_samples", third_fails)
+        waves = synth_band_limited_many([spec] * 6, np.random.default_rng(3))
+        assert len([next(waves), next(waves)]) == 2
+        with pytest.raises(ValueError, match="non-finite"):
+            next(waves)
+        assert threading.active_count() == threads
+        assert next(waves, None) is None  # a failed iterator is finished
 
     @pytest.mark.parametrize(
         "errors, raised",
@@ -229,7 +288,7 @@ class TestSynthMany:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(raised), np.errstate(all=errors):
-                    synth_band_limited_many(specs, np.random.default_rng(0))
+                    list(synth_band_limited_many(specs, np.random.default_rng(0)))
 
 
 @st.composite
@@ -376,6 +435,74 @@ class TestPeriodogram:
         assert freqs.shape == density.shape == (n_bins + 1,)
         assert np.array_equal(freqs, ref_freqs)
         assert np.array_equal(density, ref_density)
+
+    @pytest.mark.parametrize("n_seg", [1, 3, 4, 8, 9])  # 1, step - 1, step, 2 step, 2 step + 1
+    def test_halves_match_one_transform_of_every_segment(self, monkeypatch, n_seg):
+        n_bins, step = 24, 4
+        length = 2 * n_bins
+        caller, threads, rfft, on = threading.get_ident(), threading.active_count(), np.fft.rfft, []
+
+        def watched_rfft(*args, **kwargs):
+            on.append(threading.get_ident())
+            return rfft(*args, **kwargs)
+
+        samples = np.random.default_rng(n_seg).standard_normal(n_seg * length + 17) * 3.0 + 0.5
+        monkeypatch.setattr(noise, "_CHUNK_SAMPLES", step * length)
+        monkeypatch.setattr(np.fft, "rfft", watched_rfft)
+        freqs, density = periodogram(samples, 3.0, n_bins)
+        monkeypatch.undo()
+        ref_freqs, ref_density = reference_periodogram(samples, 3.0, n_bins)
+        assert freqs.tobytes() == ref_freqs.tobytes() and density.tobytes() == ref_density.tobytes()
+        n_chunks = -(-n_seg // step)
+        assert len(on) == n_chunks
+        # the caller transforms the chunks before the middle boundary, one helper those after it
+        helpers = set(on) - {caller}
+        assert on.count(caller) == (n_chunks // 2 if n_chunks > 1 else 1)
+        assert len(helpers) == (n_chunks > 1)
+        assert threading.active_count() == threads
+
+    def test_halves_exact_under_frequent_thread_switches(self, monkeypatch):
+        # four threads (two callers, each with its helper) on two cores, switching every
+        # microsecond: a lost or misplaced column write would change a density
+        n_bins, step = 24, 4
+        monkeypatch.setattr(noise, "_CHUNK_SAMPLES", step * 2 * n_bins)
+        signals = [np.random.default_rng(seed).standard_normal(9 * 2 * n_bins * step + 5) for seed in (1, 2)]
+        expected = [reference_periodogram(x, 3.0, n_bins)[1].tobytes() for x in signals]
+        mismatches = []
+
+        def repeat(x, want):
+            try:
+                for _ in range(30):
+                    if periodogram(x, 3.0, n_bins)[1].tobytes() != want:
+                        mismatches.append("density differs")
+            except Exception as exc:  # a thread's exception would otherwise only be printed
+                mismatches.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=repeat, args=pair) for pair in zip(signals, expected)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert mismatches == []
+
+    def test_helper_half_keeps_the_callers_error_state(self, monkeypatch):
+        n_bins = 8
+        length = 2 * n_bins
+        monkeypatch.setattr(noise, "_CHUNK_SAMPLES", length)  # one segment per chunk
+        samples = np.ones(4 * length)
+        samples[-1] = 1e300  # the last chunk is the helper's: its power overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError), np.errstate(over="raise"):
+                periodogram(samples, 1.0, n_bins)
+            with np.errstate(over="ignore"):
+                assert np.isinf(periodogram(samples, 1.0, n_bins)[1]).any()
 
     @pytest.mark.parametrize(
         "n_samples, n_bins, sample_rate",
