@@ -64,8 +64,7 @@ def _check_workers(workers: int) -> None:
 
 def cmd_levels(args) -> int:
     config = _load(args)
-    if args.samples < 2:
-        raise ConfigError(f"levels requires --samples >= 2, got {args.samples}")
+    config.check_samples(args.samples, f"levels --samples {args.samples}")
     consts = config.constants
     levels = config.levels()
     n_cal = args.samples
@@ -148,6 +147,7 @@ def cmd_spectra(args) -> int:
         raise ConfigError(f"spectra requires --bins >= 2, got {args.bins}")
     if args.samples < 2 * args.bins:
         raise ConfigError(f"spectra requires --samples >= 2 * --bins = {2 * args.bins}, got {args.samples}")
+    config.check_samples(args.samples, f"spectra --samples {args.samples}")
     loop = LoopState.from_bits(1, 1, config.resistors)
     spec = config.noise_spec(loop.r_alice, args.samples)
     rng = rng_for_period(config.master_seed, 0)

@@ -16,7 +16,7 @@ from .analytic import ThresholdFractions
 from .circuit import PhysicsConstants, ResistorSet, LevelTable, generator_psd, theoretical_levels
 from .decision import DecisionBands, make_bands
 from .estimator import AveragingWindow
-from .noise import NoiseSpec
+from .noise import NoiseSpec, check_in_band
 
 MODES = ("voltage_only", "current_only", "combined")
 
@@ -43,18 +43,8 @@ class SystemConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            kind = _FIELD_TYPES[f.name]
-            if kind is str or (kind == "t_eff" and isinstance(value, str)):
-                continue
-            number, what = (numbers.Integral, "an integer") if kind is int else (numbers.Real, "a number")
-            if isinstance(value, bool) or not isinstance(value, number):
-                raise ConfigError(f"{f.name} must be {what}, got {value!r}")
             # the hash reads each value's repr: 30 and 30.0, or 10 and numpy's 10, must be one config
-            value = int(value) if kind is int else float(value)
-            object.__setattr__(self, f.name, value)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+            object.__setattr__(self, f.name, _checked(f.name, getattr(self, f.name), f.type))
         if self.oversample < 2:
             raise ConfigError(f"oversample must be >= 2, got {self.oversample}")
         if self.mode not in MODES:
@@ -72,11 +62,8 @@ class SystemConfig:
             self.window
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.samples_per_period < 2:
-            raise ConfigError(
-                f"gamma = {self.gamma} at oversample = {self.oversample} gives "
-                f"{self.samples_per_period} samples per period; at least 2 are needed"
-            )
+        n = self.samples_per_period
+        self.check_samples(n, f"gamma = {self.gamma} at oversample = {self.oversample} gives {n} samples per period")
 
     @property
     def normalized(self) -> bool:
@@ -84,11 +71,7 @@ class SystemConfig:
 
     @cached_property
     def constants(self) -> PhysicsConstants:
-        if self.normalized:
-            if self.t_eff != "normalized":
-                raise ConfigError(f"t_eff must be a temperature or 'normalized', got {self.t_eff!r}")
-            return PhysicsConstants.normalized()
-        return PhysicsConstants.si(self.t_eff)
+        return PhysicsConstants.normalized() if self.normalized else PhysicsConstants.si(self.t_eff)
 
     @cached_property
     def resistors(self) -> ResistorSet:
@@ -111,6 +94,13 @@ class SystemConfig:
         # even count so the trailing-half measurement window is exact
         n = int(round(self.sample_rate * self.window.tau))
         return n + (n % 2)
+
+    def check_samples(self, n_samples: int, what: str) -> None:
+        """Refuse ``n_samples`` of noise with no in-band FFT bin, with a ConfigError that names ``what``."""
+        try:
+            check_in_band(n_samples, self.sample_rate, self.b_kljn)
+        except ValueError as exc:
+            raise ConfigError(f"{what}; {exc}") from exc
 
     def noise_spec(self, r: float, n_samples: int) -> NoiseSpec:
         """Johnson-noise generator of resistor ``r`` over ``n_samples`` samples."""
@@ -140,21 +130,25 @@ class SystemConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-_FIELD_TYPES = {
-    "r": float,
-    "alpha": float,
-    "t_eff": "t_eff",
-    "b_kljn": float,
-    "gamma": float,
-    "oversample": int,
-    "beta": float,
-    "delta": float,
-    "lam": float,
-    "rho": float,
-    "n_periods": int,
-    "master_seed": int,
-    "mode": str,
-}
+def _checked(name: str, value, kind: str):
+    """``value`` of a field declared ``kind`` as an int, a finite float or its str, or a ConfigError.
+
+    Bools, non-numbers and non-integral ints are refused. A ``str`` field
+    takes any str; t_eff's ``float | str`` takes the word "normalized".
+    """
+    if kind == "str" or (kind == "float | str" and isinstance(value, str) and value == "normalized"):
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if kind == "int" else numbers.Real):
+        what = {"int": "an integer", "float": "a number"}.get(kind, "a number or 'normalized'")
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    value = int(value) if kind == "int" else float(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+# each key's declared type as its annotation reads: "int", "float", "str" or "float | str"
+_FIELD_TYPES = {f.name: f.type for f in fields(SystemConfig)}
 # accept the symbol name used in the formulas as an alias
 _KEY_ALIASES = {"lambda": "lam"}
 
@@ -174,14 +168,13 @@ def parse_config(text: str, source: str = "<config>") -> SystemConfig:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        typ = _FIELD_TYPES[key]
+        kind = _FIELD_TYPES[key]
         try:
-            if typ == "t_eff":
-                values[key] = val if val == "normalized" else float(val)
-            else:
-                values[key] = typ(val)
+            values[key] = val if kind == "str" else int(val) if kind == "int" else float(val)
         except ValueError as exc:
-            raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
+            if kind != "float | str":
+                raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
+            values[key] = val  # not a number: SystemConfig checks the text
     try:
         return SystemConfig(**values)
     except ValueError as exc:

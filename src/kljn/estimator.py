@@ -75,15 +75,15 @@ def measure_period(u_c: np.ndarray, i_c: np.ndarray) -> tuple[float, float]:
     return float(finite_mean_square(u_c[sl])), float(finite_mean_square(i_c[sl]))
 
 
-def squared_noise_psd_theory(f, s_level: float, bandwidth: float, q: float = 1.0):
+def squared_noise_psd_theory(f, s_level: float, bandwidth: float):
     """One-sided PSD of the AC part of the squared signal.
 
     For a Gaussian signal with flat one-sided PSD ``s_level`` on [0, B], the
     square's AC component has the triangular spectrum
-    2 q^2 B s_level^2 (1 - f / 2B) on [0, 2B] and zero above. Vectorized in f.
+    2 B s_level^2 (1 - f / 2B) on [0, 2B] and zero above. Vectorized in f.
     """
     f = np.asarray(f, dtype=float)
-    peak = 2.0 * q * q * bandwidth * s_level * s_level
+    peak = 2.0 * bandwidth * s_level * s_level
     out = np.where(f <= 2.0 * bandwidth, peak * (1.0 - f / (2.0 * bandwidth)), 0.0)
     out = np.where(f < 0, 0.0, out)
     if out.ndim == 0:
@@ -91,11 +91,11 @@ def squared_noise_psd_theory(f, s_level: float, bandwidth: float, q: float = 1.0
     return out
 
 
-def averaged_fluctuation_rms(s_level: float, window: AveragingWindow, q: float = 1.0) -> float:
+def averaged_fluctuation_rms(s_level: float, window: AveragingWindow) -> float:
     """RMS of the residual fluctuation of the finite-time mean square.
 
     Flat-spectrum approximation: the averaging filter passes the squared
     signal's spectrum up to f_B at its zero-frequency value, giving
-    rms = q * s_level * f_b * sqrt(2 * gamma).
+    rms = s_level * f_b * sqrt(2 * gamma).
     """
-    return q * s_level * window.f_b * math.sqrt(2.0 * window.gamma)
+    return s_level * window.f_b * math.sqrt(2.0 * window.gamma)

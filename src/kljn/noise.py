@@ -48,8 +48,7 @@ class NoiseSpec:
                 f"sample_rate {self.sample_rate} < 2*bandwidth {2 * self.bandwidth}: "
                 "synthesis would alias"
             )
-        if self.n_samples < 2:
-            raise ValueError(f"n_samples must be >= 2, got {self.n_samples}")
+        check_in_band(self.n_samples, self.sample_rate, self.bandwidth)
 
 
 def _period_key(master_seed: int, period_index: int) -> np.ndarray:
@@ -120,23 +119,41 @@ class BandBins:
         return int(self.nyquist) + 2 * self.n_band
 
 
-def band_bins(spec: NoiseSpec) -> BandBins:
-    """Bin layout and coefficient scales giving the expected one-sided PSD ``spec.psd_level``."""
-    n = spec.n_samples
-    fs = spec.sample_rate
+def _top_bin(n_samples: int, sample_rate: float, bandwidth: float) -> int:
+    """The largest in-band rfft bin k of a synthesis: bins 1..k are in band, and 0 means none is."""
     # bin k lies at k * step, rfftfreq's own float arithmetic; a bin is in band when
     # 0 < k * step <= edge, which includes the bin at B itself (the tolerance covers
-    # float grid round-off), and the in-band bins are 1..k for the largest such k
-    step = 1.0 / (n * (1.0 / fs))
-    edge = spec.bandwidth * (1 + 1e-12)
-    half = n // 2
+    # float grid round-off)
+    step = 1.0 / (n_samples * (1.0 / sample_rate))
+    edge = bandwidth * (1 + 1e-12)
+    half = n_samples // 2
     k = half if edge >= half * step else int(edge / step)
     while k < half and 0 < (k + 1) * step <= edge:
         k += 1
     while k > 0 and not 0 < k * step <= edge:
         k -= 1
+    return k
+
+
+def check_in_band(n_samples: int, sample_rate: float, bandwidth: float) -> None:
+    """Refuse a synthesis with no FFT bin in its band (any below 2 samples): its noise would be zero.
+
+    ``NoiseSpec`` applies it; a caller that refuses a size before building a spec calls it too.
+    """
+    if n_samples < 2 or _top_bin(n_samples, sample_rate, bandwidth) == 0:
+        raise ValueError(
+            f"no FFT bin of {n_samples} samples at sample rate {sample_rate:g} lies in the band "
+            f"(0, {bandwidth:g}]: the noise would be all zeros"
+        )
+
+
+def band_bins(spec: NoiseSpec) -> BandBins:
+    """Bin layout and coefficient scales giving the expected one-sided PSD ``spec.psd_level``."""
+    n = spec.n_samples
+    fs = spec.sample_rate
+    k = _top_bin(n, fs, spec.bandwidth)
     # Nyquist bin of a real FFT must be real-valued
-    nyquist = n % 2 == 0 and k == half
+    nyquist = n % 2 == 0 and k == n // 2
     return BandBins(
         n_samples=n,
         n_band=k - nyquist,

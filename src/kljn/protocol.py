@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .circuit import channel_waveforms
-from .config import SystemConfig
+from .config import SystemConfig, _checked
 from .decision import _OUTCOME_CODE, CombinedOutcome, interpret_arrays
 from .estimator import finite_mean_square, measurement_slice
 from .noise import band_bins, band_coefficients, period_streams
@@ -57,10 +57,11 @@ class RateEstimate:
         return {"k": self.k, "n": self.n, "p": self.p, "ci_low": self.ci_low, "ci_high": self.ci_high}
 
 
-def wilson_interval(k: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if not 0 <= k <= n or n <= 0:
         raise ValueError(f"need 0 <= k <= n with n > 0, got k={k}, n={n}")
+    z = 1.959963984540054  # the two-sided 95% normal quantile
     phat = k / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
@@ -94,18 +95,6 @@ class SessionReport:
     bits: np.ndarray = field(repr=False, compare=False)
     outcome_code: np.ndarray = field(repr=False, compare=False)
 
-    def msq_correlation(self, actual: str) -> Optional[float]:
-        """Sample correlation between per-period msv and msi for one actual state."""
-        n, sv, si, svv, sii, svi = self.moment_sums[actual]
-        if n < 2:
-            return None
-        cov = svi / n - (sv / n) * (si / n)
-        var_v = svv / n - (sv / n) ** 2
-        var_i = sii / n - (si / n) ** 2
-        if var_v <= 0 or var_i <= 0:
-            return None
-        return cov / math.sqrt(var_v * var_i)
-
     def to_dict(self) -> dict:
         return {
             "n_periods": self.n_periods,
@@ -120,11 +109,6 @@ class SessionReport:
             "discard_rate": self.discard_rate,
             "moment_sums": self.moment_sums,
         }
-
-
-def _check_force_state(force_state: Optional[str]) -> None:
-    if force_state is not None and force_state not in ACTUAL_STATES:
-        raise ValueError(f"force_state must be one of 00, 11, 0110, got {force_state!r}")
 
 
 def _bits_from_words(words: np.ndarray, force_state: Optional[str]) -> np.ndarray:
@@ -179,7 +163,6 @@ def _simulate_chunk(
     windowed mean square per block, all element- or row-wise, so the result
     does not depend on the block size.
     """
-    _check_force_state(force_state)
     n = config.samples_per_period
     r_bit = np.array([config.resistors.r0, config.resistors.r1])
     bins = [band_bins(config.noise_spec(r, n)) for r in r_bit.tolist()]
@@ -247,10 +230,13 @@ def run_session(
     """
     n_periods = config.n_periods
     master_seed = config.master_seed
+    workers = _checked("workers", workers, "int")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     workers = min(workers, _usable_cpus())
-    _check_force_state(force_state)  # before any worker starts
+    # before any worker starts
+    if force_state is not None and force_state not in ACTUAL_STATES:
+        raise ValueError(f"force_state must be one of 00, 11, 0110, got {force_state!r}")
     bands = config.bands()  # fail fast on an empty secure band
 
     if workers == 1 or n_periods < 2 * workers:

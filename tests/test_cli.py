@@ -132,6 +132,22 @@ class TestLevels:
         assert out == ""
         assert "config error" in err and "--samples" in err
 
+    def test_no_in_band_bin_is_config_error(self, capsys, monkeypatch):
+        # 3 samples at the default oversample 4 put bin 1 at 4/3 of the band edge: every
+        # wave would be zero, and every empirical level 0
+        monkeypatch.setattr(cli, "synth_band_limited_many", _no_synthesis)
+        code, out, err = run_cli(capsys, ["levels", "--samples", "3"])
+        assert code == 2
+        assert out == ""
+        assert "config error" in err and "--samples 3" in err and "no FFT bin" in err
+
+    def test_shortest_synthesis_runs(self, capsys):
+        # 4 samples at oversample 4 put bin 1 at the band edge
+        code, out, _ = run_cli(capsys, ["levels", "--samples", "4"])
+        assert code == 0
+        empirical = [float(line.split()[2]) for line in out.splitlines()[4:]]
+        assert len(empirical) == 3 and all(level > 0 for level in empirical)
+
     def test_invalid_alpha_names_constraint(self, capsys, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("alpha = 0.5\n")
@@ -287,6 +303,34 @@ def test_unrunnable_config_refused_by_every_command(capsys, monkeypatch, tmp_pat
     assert "config error" in err and message in err
 
 
+@pytest.mark.parametrize(
+    "config_text, command",
+    [("gamma = 0.5\n", ["session"]), ("", ["sweep", "--gammas", "0.5,30"])],
+    ids=["session", "sweep"],
+)
+@pytest.mark.filterwarnings("ignore::kljn.estimator.SmallGammaWarning")
+def test_no_in_band_bin_is_config_error(capsys, monkeypatch, tmp_path, config_text, command):
+    """gamma 0.5 at oversample 4 gives 2 samples per period, whose noise would be all zeros."""
+    monkeypatch.setattr(cli, "run_session", _no_session)
+    path = tmp_path / "bad.cfg"
+    path.write_text(config_text)
+    code, out, err = run_cli(capsys, command + ["--config", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and "2 samples per period; no FFT bin" in err
+
+
+@pytest.mark.filterwarnings("ignore::kljn.estimator.SmallGammaWarning")
+def test_nyquist_only_period_runs(capsys, tmp_path):
+    """gamma 0.5 at oversample 2: 2 samples per period, whose one in-band bin is the Nyquist bin."""
+    path = tmp_path / "nyquist.cfg"
+    path.write_text("gamma = 0.5\noversample = 2\nn_periods = 50\n")
+    code, out, _ = run_cli(capsys, ["session", "--config", str(path)])
+    assert code == 0
+    for n, sum_v, sum_i, *_ in json.loads(out)["moment_sums"].values():
+        assert n == 0 or (sum_v > 0 and sum_i > 0)
+
+
 def test_sweep_force_state_0110_is_usage_error(capsys, monkeypatch, fast_config):
     monkeypatch.setattr(cli, "run_session", _no_session)
     with pytest.raises(SystemExit) as exc:
@@ -336,6 +380,16 @@ class TestSpectra:
         assert code == 2
         assert out == ""
         assert "config error" in err and flag in err
+
+    def test_no_in_band_bin_is_config_error(self, capsys, monkeypatch, tmp_path):
+        # 6 samples at oversample 8 put bin 1 at 4/3 of the band edge: the spectrum would be zero
+        path = tmp_path / "oversample8.cfg"
+        path.write_text("oversample = 8\n")
+        monkeypatch.setattr(cli, "synth_band_limited_many", _no_synthesis)
+        code, out, err = run_cli(capsys, ["spectra", "--config", str(path), "--samples", "6", "--bins", "3"])
+        assert code == 2
+        assert out == ""
+        assert "config error" in err and "--samples 6" in err and "no FFT bin" in err
 
     def test_values_match_scipy_welch_pipeline(self, capsys, monkeypatch, fast_config):
         """The printed spectrum is the old solve, square and ``scipy.signal.welch`` pipeline's.

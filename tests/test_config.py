@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 
 import pytest
 
@@ -92,13 +93,27 @@ class TestSystemConfig:
     @pytest.mark.parametrize("gamma, oversample", [(0.1, 4), (0.125, 4), (0.2, 2)])
     def test_short_period_rejected(self, gamma, oversample):
         # oversample * gamma <= 0.5 rounds to no sample per period
-        message = f"gamma = {gamma} at oversample = {oversample} gives 0 samples per period; at least 2 are needed"
+        message = f"gamma = {gamma} at oversample = {oversample} gives 0 samples per period; no FFT bin"
         with pytest.raises(ConfigError, match=message):
             SystemConfig(gamma=gamma, oversample=oversample)
 
     @pytest.mark.filterwarnings("ignore::kljn.estimator.SmallGammaWarning")
+    @pytest.mark.parametrize("gamma, oversample", [(0.25, 4), (0.5, 4), (0.625, 4), (0.25, 8)])
+    def test_no_in_band_bin_rejected(self, gamma, oversample):
+        # oversample * gamma <= 2.5 rounds to 2 samples per period, which put bin 1 at half
+        # the sample rate: above the band edge from oversample 3 on, so the noise would be zero
+        message = (
+            f"gamma = {gamma} at oversample = {oversample} gives 2 samples per period; "
+            f"no FFT bin of 2 samples at sample rate {oversample} lies in the band (0, 1]"
+        )
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            SystemConfig(gamma=gamma, oversample=oversample)
+
+    @pytest.mark.filterwarnings("ignore::kljn.estimator.SmallGammaWarning")
     def test_shortest_runnable_period(self):
-        assert SystemConfig(gamma=0.25, oversample=4).samples_per_period == 2
+        # the Nyquist bin alone at oversample 2; bin 1 at the band edge at oversample 4
+        assert SystemConfig(gamma=0.5, oversample=2).samples_per_period == 2
+        assert SystemConfig(gamma=0.75, oversample=4).samples_per_period == 4
 
     def test_hash_stable_and_sensitive(self):
         a, b = SystemConfig(), SystemConfig()
@@ -188,5 +203,7 @@ class TestSystemConfig:
                 with pytest.raises(ConfigError, match=f"{name} must be {what}"):
                     with_overrides(SystemConfig(), **{name: value})
         if name == "t_eff":
-            with pytest.raises(ConfigError, match="t_eff must be a temperature or 'normalized'"):
+            with pytest.raises(ConfigError, match="t_eff must be a number or 'normalized', got '30'"):
                 SystemConfig(t_eff="30")
+            with pytest.raises(ConfigError, match="t_eff must be a number or 'normalized', got 'hot'"):
+                parse_config("t_eff = hot\n")

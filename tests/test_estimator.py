@@ -77,9 +77,7 @@ class TestMeasurePeriod:
 
 class TestSquaredNoisePsdTheory:
     def test_zero_frequency_peak(self):
-        assert squared_noise_psd_theory(0.0, s_level=3.0, bandwidth=2.0, q=1.5) == (
-            pytest.approx(2 * 1.5**2 * 2.0 * 9.0)
-        )
+        assert squared_noise_psd_theory(0.0, s_level=3.0, bandwidth=2.0) == pytest.approx(2 * 2.0 * 9.0)
 
     def test_support_edge_and_beyond(self):
         assert squared_noise_psd_theory(2.0, 1.0, 1.0) == 0.0
@@ -95,7 +93,7 @@ class TestAveragedFluctuationRms:
     def test_small_gamma_evaluation(self):
         with pytest.warns(SmallGammaWarning):
             win = AveragingWindow(gamma=2.0, bandwidth=2.0)
-        assert averaged_fluctuation_rms(1.0, win, q=1.0) == pytest.approx(2.0)
+        assert averaged_fluctuation_rms(1.0, win) == pytest.approx(2.0)
 
     def test_zero_level(self):
         win = AveragingWindow(gamma=100.0, bandwidth=100.0)

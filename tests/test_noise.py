@@ -39,11 +39,11 @@ def reference_band_coefficients(bins, normals, scale, nyquist_scale):
     return coeffs
 
 
-def reference_band_bins(spec):
+def reference_band_bins(n_samples, sample_rate, bandwidth):
     """``(n_band, nyquist)`` as ``band_bins`` used to find them, from the whole ``rfftfreq`` array."""
-    freqs = np.fft.rfftfreq(spec.n_samples, d=1.0 / spec.sample_rate)
-    in_band = (freqs > 0) & (freqs <= spec.bandwidth * (1 + 1e-12))
-    nyquist = bool(spec.n_samples % 2 == 0 and in_band[-1])
+    freqs = np.fft.rfftfreq(n_samples, d=1.0 / sample_rate)
+    in_band = (freqs > 0) & (freqs <= bandwidth * (1 + 1e-12))
+    nyquist = bool(n_samples % 2 == 0 and in_band[-1])
     return int(np.count_nonzero(in_band)) - nyquist, nyquist
 
 
@@ -75,6 +75,12 @@ class TestNoiseSpec:
             NoiseSpec(psd_level=-1, bandwidth=1, sample_rate=4, n_samples=16)
         with pytest.raises(ValueError):
             NoiseSpec(psd_level=1, bandwidth=1, sample_rate=4, n_samples=1)
+
+    @pytest.mark.parametrize("n_samples, sample_rate", [(2, 4), (3, 4), (5, 8), (2, 3)])
+    def test_rejects_no_in_band_bin(self, n_samples, sample_rate):
+        # bin 1 lies at sample_rate / n_samples, above the band edge: the noise would be all zeros
+        with pytest.raises(ValueError, match=f"no FFT bin of {n_samples} samples"):
+            NoiseSpec(psd_level=1, bandwidth=1, sample_rate=sample_rate, n_samples=n_samples)
 
 
 class TestSynth:
@@ -168,7 +174,7 @@ class TestSynthMany:
                 st.one_of(st.integers(2, 300), st.integers(2, 2**16)),
                 st.sampled_from([2.0, 3.0, 4.0]),  # fs / B; 2.0 with an even n fills the Nyquist bin
                 st.floats(0.0, 1e3),
-            ),
+            ).filter(lambda shape: shape[0] >= shape[1]),  # bin 1, at fs / n, in the band (0, B]
             min_size=0,
             max_size=5,
         ),
@@ -292,14 +298,15 @@ class TestSynthMany:
 
 
 @st.composite
-def band_specs(draw):
-    """Specs with fs = 2B exactly, other fs/B ratios, and B a few ulps from a bin or its edge."""
+def band_grids(draw):
+    """(n_samples, sample_rate, bandwidth) with fs = 2B exactly, other fs/B ratios, and B a few
+    ulps from a bin or its edge; some put no bin in the band."""
     n = draw(st.one_of(st.integers(2, 3000), st.integers(2, 2**22)))
     kind = draw(st.sampled_from(["ratio", "bin", "edge"]))
     if kind == "ratio":
         bandwidth = draw(st.floats(1e-6, 1e9))
         ratio = draw(st.one_of(st.sampled_from([2.0, 3.0, 4.0, 4.5]), st.floats(2.0, 1e3)))
-        return NoiseSpec(psd_level=1.0, bandwidth=bandwidth, sample_rate=ratio * bandwidth, n_samples=n)
+        return n, ratio * bandwidth, bandwidth
     sample_rate = draw(st.one_of(st.sampled_from([1.0, 3.0, 4.0]), st.floats(1e-6, 1e9)))
     step = 1.0 / (n * (1.0 / sample_rate))
     freq = draw(st.integers(1, n // 2)) * step
@@ -308,15 +315,23 @@ def band_specs(draw):
     for _ in range(draw(st.integers(0, 2))):
         bandwidth = math.nextafter(bandwidth, draw(st.sampled_from([-math.inf, math.inf])))
     assume(0 < bandwidth <= sample_rate / 2)
-    return NoiseSpec(psd_level=1.0, bandwidth=bandwidth, sample_rate=sample_rate, n_samples=n)
+    return n, sample_rate, bandwidth
 
 
 class TestBandBins:
     @settings(max_examples=300, deadline=None)
-    @given(spec=band_specs())
-    def test_matches_rfftfreq_count(self, spec):
-        bins = band_bins(spec)
-        assert (bins.n_band, bins.nyquist) == reference_band_bins(spec)
+    @given(grid=band_grids())
+    def test_matches_rfftfreq_count(self, grid):
+        """band_bins counts the bins rfftfreq puts in band; NoiseSpec refuses a grid with none."""
+        n, sample_rate, bandwidth = grid
+        expected = reference_band_bins(n, sample_rate, bandwidth)
+        spec = dict(psd_level=1.0, bandwidth=bandwidth, sample_rate=sample_rate, n_samples=n)
+        if expected == (0, False):
+            with pytest.raises(ValueError, match=f"no FFT bin of {n} samples"):
+                NoiseSpec(**spec)
+            return
+        bins = band_bins(NoiseSpec(**spec))
+        assert (bins.n_band, bins.nyquist) == expected
         assert type(bins.n_band) is int and type(bins.nyquist) is bool
 
 
@@ -368,6 +383,7 @@ class TestBandCoefficients:
         scale; the sign of an exactly zero coefficient is the only possible
         difference, and ``array_equal`` counts -0.0 equal to 0.0.
         """
+        assume(n >= sample_rate)  # bin 1, at sample_rate / n, must be in the band (0, 1]
         bins = band_bins(NoiseSpec(psd_level=1.0, bandwidth=1.0, sample_rate=sample_rate, n_samples=n))
         assert bins.nyquist == (sample_rate == 2.0 and n % 2 == 0)
         normals = data.draw(arrays(np.float64, rows + (bins.n_normals,), elements=st.floats(-1e6, 1e6)))

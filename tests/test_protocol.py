@@ -35,6 +35,7 @@ from kljn.protocol import (
     run_session,
     wilson_interval,
 )
+from moments import msq_correlation
 
 OUTCOMES = tuple(CombinedOutcome)
 
@@ -403,6 +404,19 @@ class TestRunSession:
         with pytest.raises(ValueError, match="workers"):
             run_session(small_config(n_periods=20), workers=workers)
 
+    @pytest.mark.parametrize("workers", [2.0, 1.5, True, False, "2", None])
+    def test_rejects_non_integer_workers(self, workers, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was built for an invalid worker count")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            run_session(small_config(n_periods=20), workers=workers)
+
+    def test_numpy_integer_workers(self):
+        cfg = small_config(n_periods=20)
+        assert run_session(cfg, workers=np.int64(1)).to_dict() == run_session(cfg).to_dict()
+
     def test_usable_cpus(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
             assert protocol._usable_cpus() == len(os.sched_getaffinity(0))
@@ -414,7 +428,7 @@ class TestRunSession:
 
     def test_msq_correlation_diagnostic(self):
         report = run_session(small_config(n_periods=2000, master_seed=29), force_state="11")
-        corr = report.msq_correlation("11")
+        corr = msq_correlation(report.moment_sums["11"])
         assert abs(corr) < 4 / math.sqrt(2000)
 
 
