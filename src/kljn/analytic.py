@@ -10,6 +10,7 @@ factors.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -49,11 +50,15 @@ def _check_gamma(gamma: float):
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     if gamma < 10:
+        # name the nearest caller outside this module, whichever public function it called
+        frame, level = sys._getframe(), 1
+        while frame.f_code.co_filename == __file__:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"gamma = {gamma} < 10: exponential error formulas assume rare "
             "threshold crossings and are not reliable probabilities here",
             SmallGammaWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
 
 

@@ -8,6 +8,7 @@ zero wire impedance.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -66,7 +67,7 @@ class ResistorSet:
                 f"alpha = {self.alpha} < 10: mean-square levels are poorly "
                 "separated; the error analysis assumes alpha >> 1",
                 DegenerateLevelsWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass's generated __init__, to its caller
             )
 
     @property
@@ -186,6 +187,11 @@ def theoretical_levels(
     v00, i00 = pair(0, 0)
     v01, i01 = pair(0, 1)
     v11, i11 = pair(1, 1)
+    if not all(math.isfinite(x) for x in (v00, i00, v01, i01, v11, i11)):
+        raise ValueError(
+            f"non-finite mean-square levels (voltage {v00:g}, {v01:g}, {v11:g}; current "
+            f"{i00:g}, {i01:g}, {i11:g}): the resistances or noise levels overflow float64"
+        )
     return LevelTable(
         v_00=v00,
         v_0110=v01,

@@ -22,7 +22,6 @@ import numpy as np
 from . import analytic
 from .circuit import LoopState, channel_current, channel_waveforms
 from .config import ConfigError, SystemConfig, load_config, with_overrides
-from .decision import EmptySecureBandError
 from .estimator import finite_mean_square, squared_noise_psd_theory
 from .noise import periodogram, rng_for_period, synth_band_limited_many
 from .protocol import extract_key, key_to_hex, run_session
@@ -223,7 +222,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (EmptySecureBandError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
 

@@ -16,7 +16,7 @@ from .analytic import ThresholdFractions
 from .circuit import PhysicsConstants, ResistorSet, LevelTable, generator_psd, theoretical_levels
 from .decision import DecisionBands, make_bands
 from .estimator import AveragingWindow
-from .noise import NoiseSpec, check_in_band
+from .noise import NoiseSpec
 
 MODES = ("voltage_only", "current_only", "combined")
 
@@ -98,7 +98,8 @@ class SystemConfig:
     def check_samples(self, n_samples: int, what: str) -> None:
         """Refuse ``n_samples`` of noise with no in-band FFT bin, with a ConfigError that names ``what``."""
         try:
-            check_in_band(n_samples, self.sample_rate, self.b_kljn)
+            # unit PSD: only the bin layout is checked here, not the noise level
+            NoiseSpec(psd_level=1.0, bandwidth=self.b_kljn, sample_rate=self.sample_rate, n_samples=n_samples)
         except ValueError as exc:
             raise ConfigError(f"{what}; {exc}") from exc
 

@@ -35,7 +35,7 @@ class AveragingWindow:
                 f"gamma = {self.gamma} < 10: error-rate approximations assume "
                 "many noise correlation times per averaging window",
                 SmallGammaWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass's generated __init__, to its caller
             )
 
     @property

@@ -13,7 +13,7 @@ import functools
 import math
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -21,18 +21,29 @@ import numpy as np
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Parameters of a band-limited white Gaussian noise source.
+    """Parameters of a band-limited white Gaussian noise source, and the FFT bins it fills.
 
     psd_level   one-sided power spectral density (V^2/Hz or A^2/Hz)
     bandwidth   hard upper band edge (Hz)
     sample_rate sampling frequency (Hz), must satisfy Nyquist
     n_samples   number of samples to synthesize
+
+    The in-band complex bins are rfft indices 1..n_band; DC and out-of-band
+    bins are exactly zero. When the band reaches the Nyquist frequency of an
+    even-length synthesis (sample_rate = 2*bandwidth), that bin must be real
+    and gets a single coefficient (``nyquist``). A synthesis draws
+    ``n_normals`` standard normals in this order: the Nyquist one (if any),
+    then a real and an imaginary part per in-band bin. A spec with no bin in
+    its band (any below 2 samples) is refused: its noise would be zero.
     """
 
     psd_level: float
     bandwidth: float
     sample_rate: float
     n_samples: int
+    # derived from the four parameters above, so repr, == and hash ignore them
+    n_band: int = field(init=False, repr=False, compare=False)
+    nyquist: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("psd_level", "bandwidth", "sample_rate"):
@@ -48,7 +59,41 @@ class NoiseSpec:
                 f"sample_rate {self.sample_rate} < 2*bandwidth {2 * self.bandwidth}: "
                 "synthesis would alias"
             )
-        check_in_band(self.n_samples, self.sample_rate, self.bandwidth)
+        # the top in-band bin k, found once: bins 1..k are in band, and 0 means none is
+        n, half, k = self.n_samples, self.n_samples // 2, 0
+        if n >= 2:
+            # bin k lies at k * step, rfftfreq's own float arithmetic; a bin is in band when
+            # 0 < k * step <= edge, which includes the bin at B itself (the tolerance covers
+            # float grid round-off)
+            step = 1.0 / (n * (1.0 / self.sample_rate))
+            edge = self.bandwidth * (1 + 1e-12)
+            k = half if edge >= half * step else int(edge / step)
+            while k < half and 0 < (k + 1) * step <= edge:
+                k += 1
+            while k > 0 and not 0 < k * step <= edge:
+                k -= 1
+        if k == 0:
+            raise ValueError(
+                f"no FFT bin of {n} samples at sample rate {self.sample_rate:g} lies in the band "
+                f"(0, {self.bandwidth:g}]: the noise would be all zeros"
+            )
+        # the Nyquist bin of a real FFT must be real-valued
+        nyquist = n % 2 == 0 and k == half
+        object.__setattr__(self, "n_band", k - nyquist)
+        object.__setattr__(self, "nyquist", nyquist)
+
+    @property
+    def n_normals(self) -> int:
+        return int(self.nyquist) + 2 * self.n_band
+
+    @property
+    def scale(self) -> float:
+        """Std of the real and of the imaginary part of an in-band coefficient, for PSD ``psd_level``."""
+        return math.sqrt(self.psd_level * self.sample_rate * self.n_samples / 4.0)
+
+    @property
+    def nyquist_scale(self) -> float:
+        return math.sqrt(self.psd_level * self.sample_rate * self.n_samples / 2.0)
 
 
 def _period_key(master_seed: int, period_index: int) -> np.ndarray:
@@ -96,87 +141,21 @@ def period_streams(master_seed: int, period_indices) -> Iterator[np.random.Gener
         yield rng
 
 
-@dataclass(frozen=True)
-class BandBins:
-    """Which real-FFT bins a band-limited synthesis fills, and their scales.
+def band_coefficients(layout: NoiseSpec, normals: np.ndarray, scale, nyquist_scale) -> np.ndarray:
+    """rfft coefficients, shape ``(..., n_samples // 2 + 1)``, from normals laid out as ``layout``'s bins.
 
-    The in-band complex bins are rfft indices 1..n_band; DC and out-of-band
-    bins are exactly zero. When the band reaches the Nyquist frequency of an
-    even-length synthesis (sample_rate = 2*bandwidth), that bin must be real
-    and gets a single coefficient. A synthesis draws ``n_normals`` standard
-    normals in this order: the Nyquist one (if any), then a real and an
-    imaginary part per in-band bin.
+    ``normals`` has shape ``(..., layout.n_normals)``; ``scale`` and
+    ``nyquist_scale`` are scalars or arrays of shape ``normals.shape[:-1]``,
+    so that rows of one layout may take the scales of different specs.
     """
-
-    n_samples: int
-    n_band: int
-    nyquist: bool
-    scale: float  # std of the real and of the imaginary part of an in-band coefficient
-    nyquist_scale: float
-
-    @property
-    def n_normals(self) -> int:
-        return int(self.nyquist) + 2 * self.n_band
-
-
-def _top_bin(n_samples: int, sample_rate: float, bandwidth: float) -> int:
-    """The largest in-band rfft bin k of a synthesis: bins 1..k are in band, and 0 means none is."""
-    # bin k lies at k * step, rfftfreq's own float arithmetic; a bin is in band when
-    # 0 < k * step <= edge, which includes the bin at B itself (the tolerance covers
-    # float grid round-off)
-    step = 1.0 / (n_samples * (1.0 / sample_rate))
-    edge = bandwidth * (1 + 1e-12)
-    half = n_samples // 2
-    k = half if edge >= half * step else int(edge / step)
-    while k < half and 0 < (k + 1) * step <= edge:
-        k += 1
-    while k > 0 and not 0 < k * step <= edge:
-        k -= 1
-    return k
-
-
-def check_in_band(n_samples: int, sample_rate: float, bandwidth: float) -> None:
-    """Refuse a synthesis with no FFT bin in its band (any below 2 samples): its noise would be zero.
-
-    ``NoiseSpec`` applies it; a caller that refuses a size before building a spec calls it too.
-    """
-    if n_samples < 2 or _top_bin(n_samples, sample_rate, bandwidth) == 0:
-        raise ValueError(
-            f"no FFT bin of {n_samples} samples at sample rate {sample_rate:g} lies in the band "
-            f"(0, {bandwidth:g}]: the noise would be all zeros"
-        )
-
-
-def band_bins(spec: NoiseSpec) -> BandBins:
-    """Bin layout and coefficient scales giving the expected one-sided PSD ``spec.psd_level``."""
-    n = spec.n_samples
-    fs = spec.sample_rate
-    k = _top_bin(n, fs, spec.bandwidth)
-    # Nyquist bin of a real FFT must be real-valued
-    nyquist = n % 2 == 0 and k == n // 2
-    return BandBins(
-        n_samples=n,
-        n_band=k - nyquist,
-        nyquist=nyquist,
-        scale=math.sqrt(spec.psd_level * fs * n / 4.0),
-        nyquist_scale=math.sqrt(spec.psd_level * fs * n / 2.0),
-    )
-
-
-def band_coefficients(bins: BandBins, normals: np.ndarray, scale, nyquist_scale) -> np.ndarray:
-    """rfft coefficients, shape ``(..., n_samples // 2 + 1)``, from normals laid out as ``bins`` says.
-
-    ``normals`` has shape ``(..., bins.n_normals)``; ``scale`` and
-    ``nyquist_scale`` are scalars or arrays of shape ``normals.shape[:-1]``.
-    """
-    coeffs = np.zeros(normals.shape[:-1] + (bins.n_samples // 2 + 1,), dtype=complex)
+    coeffs = np.zeros(normals.shape[:-1] + (layout.n_samples // 2 + 1,), dtype=complex)
     # float64 view of interleaved (real, imaginary) parts: bins 1..n_band take the
     # in-band normals in their drawn order, so no complex temporary is built
     parts = coeffs.view(np.float64)
-    if bins.nyquist:
+    if layout.nyquist:
         np.multiply(normals[..., 0], nyquist_scale, out=parts[..., -2])
-    in_band = normals[..., int(bins.nyquist) :]
-    np.multiply(in_band, np.asarray(scale)[..., None], out=parts[..., 2 : 2 + 2 * bins.n_band])
+    in_band = normals[..., int(layout.nyquist) :]
+    np.multiply(in_band, np.asarray(scale)[..., None], out=parts[..., 2 : 2 + 2 * layout.n_band])
     return coeffs
 
 
@@ -262,8 +241,7 @@ def _helper():
 
 
 def _coefficients(spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
-    bins = band_bins(spec)
-    return band_coefficients(bins, rng.standard_normal(bins.n_normals), bins.scale, bins.nyquist_scale)
+    return band_coefficients(spec, rng.standard_normal(spec.n_normals), spec.scale, spec.nyquist_scale)
 
 
 def _samples(coeffs: np.ndarray, n_samples: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from .circuit import channel_waveforms
 from .config import SystemConfig, _checked
 from .decision import _OUTCOME_CODE, CombinedOutcome, interpret_arrays
 from .estimator import finite_mean_square, measurement_slice
-from .noise import band_bins, band_coefficients, period_streams
+from .noise import band_coefficients, period_streams
 
 ACTUAL_STATES = ("00", "11", "0110")
 # working-array budget of one block of simulated periods
@@ -165,10 +165,10 @@ def _simulate_chunk(
     """
     n = config.samples_per_period
     r_bit = np.array([config.resistors.r0, config.resistors.r1])
-    bins = [band_bins(config.noise_spec(r, n)) for r in r_bit.tolist()]
-    layout = bins[0]  # the layout depends on n, f_s and B only; the scales on the bit
-    scale = np.array([b.scale for b in bins])
-    nyquist_scale = np.array([b.nyquist_scale for b in bins])
+    specs = [config.noise_spec(r, n) for r in r_bit.tolist()]
+    layout = specs[0]  # the layout depends on n, f_s and B only; the scales on the bit
+    scale = np.array([s.scale for s in specs])
+    nyquist_scale = np.array([s.nyquist_scale for s in specs])
     window = measurement_slice(n)
 
     count = stop - start

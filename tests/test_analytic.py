@@ -80,6 +80,20 @@ class TestEpsilonFormulas:
             math.exp(-25.0) / SQRT3, rel=1e-9
         )
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: epsilon_voltage(0.5, 5),
+            lambda: epsilon_combined(0.5, 0.5, 5),
+            lambda: epsilon_analytic("current", "11", ThresholdFractions(0.5, 0.5, 0.5, 0.5), 5),
+        ],
+        ids=["voltage", "combined", "dispatch"],
+    )
+    def test_small_gamma_warning_names_the_caller(self, call):
+        with pytest.warns(SmallGammaWarning) as record:
+            call()
+        assert record and all(w.filename == __file__ for w in record)
+
     def test_gamma_zero_prefactor(self):
         with pytest.warns(SmallGammaWarning):
             assert epsilon_current_11(0.5, 0.0) == pytest.approx(1.0 / SQRT3)

@@ -119,6 +119,11 @@ class TestResistorSet:
         with pytest.warns(DegenerateLevelsWarning):
             ResistorSet(r_low=1.0, alpha=5.0)
 
+    def test_small_alpha_warning_names_the_caller(self):
+        with pytest.warns(DegenerateLevelsWarning) as record:
+            ResistorSet(r_low=1.0, alpha=5.0)
+        assert [w.filename for w in record] == [__file__]
+
 
 class TestTheoreticalLevels:
     def test_reference_current_levels(self):

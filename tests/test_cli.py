@@ -548,6 +548,25 @@ class TestNonFiniteOutput:
         assert "non-finite" in err
         assert multiprocessing.active_children() == []  # no pool process outlives the run
 
+    @pytest.mark.parametrize(
+        "text",
+        # the voltage levels overflow; or R1 = alpha * R overflows, and the levels read nan
+        ["t_eff = 1e308\nr = 1e300\n", "r = 1e300\nalpha = 1e10\n"],
+        ids=["hot", "large-r1"],
+    )
+    @pytest.mark.parametrize("argv", [["session"], ["levels", "--samples", "8192"]], ids=["session", "levels"])
+    def test_overflowing_levels_are_runtime_error(self, capsys, monkeypatch, tmp_path, argv, text):
+        """Levels that overflow float64 are reported as such, not as an empty secure band."""
+        monkeypatch.setattr(cli, "synth_band_limited_many", _no_synthesis)
+        monkeypatch.setattr(protocol, "_simulate_chunk", _no_session)
+        path = tmp_path / "overflow.cfg"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, argv + ["--config", str(path)])
+        assert code == 3
+        assert out == ""
+        assert "non-finite mean-square levels" in err and "overflow" in err
+        assert "empty secure band" not in err
+
     def test_levels_finite_where_only_the_periodogram_overflows(self, capsys, tmp_path):
         # the mean squares themselves (about 1e270) are finite, so levels reports them
         path = tmp_path / "large.cfg"

@@ -40,6 +40,11 @@ class TestAveragingWindow:
         with pytest.warns(SmallGammaWarning):
             AveragingWindow(gamma=5.0, bandwidth=1.0)
 
+    def test_small_gamma_warning_names_the_caller(self):
+        with pytest.warns(SmallGammaWarning) as record:
+            AveragingWindow(gamma=5.0, bandwidth=1.0)
+        assert [w.filename for w in record] == [__file__]
+
 
 class TestFiniteMeanSquare:
     def test_constant(self):

@@ -14,7 +14,6 @@ from hypothesis.extra.numpy import arrays
 from kljn import noise
 from kljn.noise import (
     NoiseSpec,
-    band_bins,
     band_coefficients,
     period_streams,
     periodogram,
@@ -29,18 +28,18 @@ def make(psd=1.0, bw=1.0, fs=4.0, n=2**16, seed=0):
     return synth_band_limited(spec, np.random.default_rng(seed))
 
 
-def reference_band_coefficients(bins, normals, scale, nyquist_scale):
+def reference_band_coefficients(layout, normals, scale, nyquist_scale):
     """Coefficients as ``band_coefficients`` used to build them, through complex temporaries."""
-    coeffs = np.zeros(normals.shape[:-1] + (bins.n_samples // 2 + 1,), dtype=complex)
-    if bins.nyquist:
+    coeffs = np.zeros(normals.shape[:-1] + (layout.n_samples // 2 + 1,), dtype=complex)
+    if layout.nyquist:
         coeffs[..., -1] = normals[..., 0] * nyquist_scale
-    g = normals[..., int(bins.nyquist) :]
-    coeffs[..., 1 : bins.n_band + 1] = (g[..., 0::2] + 1j * g[..., 1::2]) * np.asarray(scale)[..., None]
+    g = normals[..., int(layout.nyquist) :]
+    coeffs[..., 1 : layout.n_band + 1] = (g[..., 0::2] + 1j * g[..., 1::2]) * np.asarray(scale)[..., None]
     return coeffs
 
 
 def reference_band_bins(n_samples, sample_rate, bandwidth):
-    """``(n_band, nyquist)`` as ``band_bins`` used to find them, from the whole ``rfftfreq`` array."""
+    """``(n_band, nyquist)`` as the bin layout was once found, from the whole ``rfftfreq`` array."""
     freqs = np.fft.rfftfreq(n_samples, d=1.0 / sample_rate)
     in_band = (freqs > 0) & (freqs <= bandwidth * (1 + 1e-12))
     nyquist = bool(n_samples % 2 == 0 and in_band[-1])
@@ -322,17 +321,27 @@ class TestBandBins:
     @settings(max_examples=300, deadline=None)
     @given(grid=band_grids())
     def test_matches_rfftfreq_count(self, grid):
-        """band_bins counts the bins rfftfreq puts in band; NoiseSpec refuses a grid with none."""
+        """NoiseSpec counts the bins rfftfreq puts in band, and refuses a grid with none."""
         n, sample_rate, bandwidth = grid
         expected = reference_band_bins(n, sample_rate, bandwidth)
-        spec = dict(psd_level=1.0, bandwidth=bandwidth, sample_rate=sample_rate, n_samples=n)
+        params = dict(psd_level=1.0, bandwidth=bandwidth, sample_rate=sample_rate, n_samples=n)
         if expected == (0, False):
             with pytest.raises(ValueError, match=f"no FFT bin of {n} samples"):
-                NoiseSpec(**spec)
+                NoiseSpec(**params)
             return
-        bins = band_bins(NoiseSpec(**spec))
-        assert (bins.n_band, bins.nyquist) == expected
-        assert type(bins.n_band) is int and type(bins.nyquist) is bool
+        spec = NoiseSpec(**params)
+        assert (spec.n_band, spec.nyquist) == expected
+        assert type(spec.n_band) is int and type(spec.nyquist) is bool
+
+    def test_layout_is_not_a_parameter(self):
+        """repr, == and hash see the four parameters only: the layout follows from them."""
+        spec = NoiseSpec(psd_level=2.0, bandwidth=1.0, sample_rate=2.0, n_samples=8)
+        assert (spec.n_band, spec.nyquist, spec.n_normals) == (3, True, 7)
+        assert repr(spec) == "NoiseSpec(psd_level=2.0, bandwidth=1.0, sample_rate=2.0, n_samples=8)"
+        same = NoiseSpec(psd_level=2.0, bandwidth=1.0, sample_rate=2.0, n_samples=8)
+        assert spec == same and hash(spec) == hash(same)
+        assert hash(spec) == hash((2.0, 1.0, 2.0, 8))
+        assert spec != NoiseSpec(psd_level=1.0, bandwidth=1.0, sample_rate=2.0, n_samples=8)
 
 
 class TestPeriodStreams:
@@ -384,13 +393,13 @@ class TestBandCoefficients:
         difference, and ``array_equal`` counts -0.0 equal to 0.0.
         """
         assume(n >= sample_rate)  # bin 1, at sample_rate / n, must be in the band (0, 1]
-        bins = band_bins(NoiseSpec(psd_level=1.0, bandwidth=1.0, sample_rate=sample_rate, n_samples=n))
-        assert bins.nyquist == (sample_rate == 2.0 and n % 2 == 0)
-        normals = data.draw(arrays(np.float64, rows + (bins.n_normals,), elements=st.floats(-1e6, 1e6)))
+        layout = NoiseSpec(psd_level=1.0, bandwidth=1.0, sample_rate=sample_rate, n_samples=n)
+        assert layout.nyquist == (sample_rate == 2.0 and n % 2 == 0)
+        normals = data.draw(arrays(np.float64, rows + (layout.n_normals,), elements=st.floats(-1e6, 1e6)))
         scales = arrays(np.float64, rows, elements=st.floats(0.0, 1e6)) if per_row else st.floats(0.0, 1e6)
         scale, nyquist_scale = data.draw(scales), data.draw(scales)
-        got = band_coefficients(bins, normals, scale, nyquist_scale)
-        expected = reference_band_coefficients(bins, normals, scale, nyquist_scale)
+        got = band_coefficients(layout, normals, scale, nyquist_scale)
+        expected = reference_band_coefficients(layout, normals, scale, nyquist_scale)
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert np.array_equal(got, expected)
 
