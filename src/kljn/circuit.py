@@ -187,10 +187,11 @@ def theoretical_levels(
     v00, i00 = pair(0, 0)
     v01, i01 = pair(0, 1)
     v11, i11 = pair(1, 1)
-    if not all(math.isfinite(x) for x in (v00, i00, v01, i01, v11, i11)):
+    # a level of inf or nan overflowed; one of 0 underflowed (R_A * R_B of tiny resistors)
+    if not all(0 < x < math.inf for x in (v00, i00, v01, i01, v11, i11)):
         raise ValueError(
-            f"non-finite mean-square levels (voltage {v00:g}, {v01:g}, {v11:g}; current "
-            f"{i00:g}, {i01:g}, {i11:g}): the resistances or noise levels overflow float64"
+            f"mean-square levels not finite and positive (voltage {v00:g}, {v01:g}, {v11:g}; current "
+            f"{i00:g}, {i01:g}, {i11:g}): the resistances or noise levels overflow or underflow float64"
         )
     return LevelTable(
         v_00=v00,

@@ -12,8 +12,8 @@ Exit codes: 0 success, 2 configuration/usage error, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
-import io
 import json
+import math
 import sys
 from contextlib import closing
 
@@ -28,26 +28,16 @@ from .protocol import extract_key, key_to_hex, run_session
 
 _MODE_SHORT = {"voltage_only": "voltage", "current_only": "current", "combined": "combined"}
 _RATE_PREFIX = {"voltage": "v", "current": "i", "combined": "combined"}
+_NON_FINITE = "non-finite output values: the noise levels overflow float64"
 
 
-def _fmt(x) -> str:
+def _fmt(x, spec: str = ".12g") -> str:
+    """``x`` as printed; a non-finite float is a runtime error, so no overflowed number is printed."""
     if isinstance(x, float):
-        return format(x, ".12g")
+        if not math.isfinite(x):
+            raise ValueError(_NON_FINITE)
+        return format(x, spec)
     return str(x)
-
-
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _check_finite(values) -> None:
-    """Refuse to print overflowed numbers: a non-finite output value is a runtime error."""
-    if not np.isfinite(values).all():
-        raise ValueError("non-finite output values: the noise levels overflow float64")
 
 
 def _load(args) -> SystemConfig:
@@ -61,22 +51,20 @@ def _check_workers(workers: int) -> None:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
 
 
-def cmd_levels(args) -> int:
+def cmd_levels(args) -> str:
     config = _load(args)
     config.check_samples(args.samples, f"levels --samples {args.samples}")
     consts = config.constants
     levels = config.levels()
     n_cal = args.samples
     rng = rng_for_period(config.master_seed, 0)
-    lines = []
-    lines.append(f"# config_hash={config.config_hash()}")
-    lines.append(f"k = {_fmt(consts.k)} J/K   T_eff = {_fmt(consts.t_eff)} K   4kT_eff = {_fmt(consts.four_kt)}")
-    lines.append(
+    lines = [
+        f"# config_hash={config.config_hash()}",
+        f"k = {_fmt(consts.k)} J/K   T_eff = {_fmt(consts.t_eff)} K   4kT_eff = {_fmt(consts.four_kt)}",
         f"note: 11 current level under the (1+alpha)R loop-resistance convention "
-        f"would be {_fmt(levels.i_11_alt_convention)} (we use R_loop = R_A + R_B)"
-    )
-    lines.append("state  theory_v       empirical_v    rel_err_v  theory_i       empirical_i    rel_err_i")
-    printed = [consts.k, consts.t_eff, consts.four_kt, levels.i_11_alt_convention]
+        f"would be {_fmt(levels.i_11_alt_convention)} (we use R_loop = R_A + R_B)",
+        "state  theory_v       empirical_v    rel_err_v  theory_i       empirical_i    rel_err_i",
+    ]
     states = ("00", "0110", "11")
     loops = [LoopState.from_bits(*bits, config.resistors) for bits in ((0, 0), (0, 1), (1, 1))]
     # (Alice, Bob) per state, drawn in that order from the one stream
@@ -93,41 +81,32 @@ def cmd_levels(args) -> int:
             th_v = levels.voltage_for(state)
             th_i = levels.current_for(state)
             rel_v, rel_i = emp_v / th_v - 1, emp_i / th_i - 1
-            printed += [th_v, emp_v, rel_v, th_i, emp_i, rel_i]
             lines.append(
-                f"{state:<6} {_fmt(th_v):<14} {_fmt(emp_v):<14} {rel_v:<+10.2e} "
-                f"{_fmt(th_i):<14} {_fmt(emp_i):<14} {rel_i:<+10.2e}"
+                f"{state:<6} {_fmt(th_v):<14} {_fmt(emp_v):<14} {_fmt(rel_v, '+.2e'):<10} "
+                f"{_fmt(th_i):<14} {_fmt(emp_i):<14} {_fmt(rel_i, '+.2e'):<10}"
             )
-    _check_finite(printed)
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> str:
     config = _load(args)
     _check_workers(args.workers)
     mode = args.mode or _MODE_SHORT[config.mode]
     gammas = _parse_gammas(args.gammas)
     configs = [with_overrides(config, gamma=gamma) for gamma in gammas]
-    buf = io.StringIO()
-    buf.write(f"# config_hash={config.config_hash()} mode={mode} force_state={args.force_state}\n")
-    buf.write("gamma,eps_analytic,eps_mc,ci_low,ci_high,n_errors,n_trials\n")
+    lines = [
+        f"# config_hash={config.config_hash()} mode={mode} force_state={args.force_state}",
+        "gamma,eps_analytic,eps_mc,ci_low,ci_high,n_errors,n_trials",
+    ]
     for gamma, cfg in zip(gammas, configs):
         eps_th = analytic.epsilon_analytic(mode, args.force_state, cfg.fractions, gamma)
         report = run_session(cfg, force_state=args.force_state, workers=args.workers)
         est = report.rates[f"eps_hat_{_RATE_PREFIX[mode]}_{args.force_state}"]
-        buf.write(
-            ",".join(
-                _fmt(x)
-                for x in (gamma, eps_th, est.p, est.ci_low, est.ci_high, est.k, est.n)
-            )
-            + "\n"
-        )
-    _emit(buf.getvalue(), args.out)
-    return 0
+        lines.append(",".join(_fmt(x) for x in (gamma, eps_th, est.p, est.ci_low, est.ci_high, est.k, est.n)))
+    return "\n".join(lines) + "\n"
 
 
-def cmd_session(args) -> int:
+def cmd_session(args) -> str:
     config = _load(args)
     _check_workers(args.workers)
     report = run_session(config, force_state=args.force_state, workers=args.workers)
@@ -136,11 +115,13 @@ def cmd_session(args) -> int:
     payload["key_bits"] = len(alice)
     payload["alice_key_hex"] = key_to_hex(alice)
     payload["bob_key_hex"] = key_to_hex(bob)
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    return 0
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:  # JSON has no inf or nan: refused as _fmt refuses them
+        raise ValueError(_NON_FINITE) from exc
 
 
-def cmd_spectra(args) -> int:
+def cmd_spectra(args) -> str:
     config = _load(args)
     if args.bins < 2:
         raise ConfigError(f"spectra requires --bins >= 2, got {args.bins}")
@@ -156,14 +137,10 @@ def cmd_spectra(args) -> int:
     freqs, emp = periodogram(squared, config.sample_rate, args.bins)
     s_level = config.constants.four_kt / loop.r_loop
     theory = squared_noise_psd_theory(freqs, s_level, config.b_kljn)
-    _check_finite([freqs, emp, theory])
-    buf = io.StringIO()
-    buf.write(f"# config_hash={config.config_hash()} state=11 samples={args.samples}\n")
-    buf.write("f,empirical_psd,theory_psd\n")
-    for f, e, t in zip(freqs, emp, theory):
-        buf.write(f"{_fmt(float(f))},{_fmt(float(e))},{_fmt(float(t))}\n")
-    _emit(buf.getvalue(), args.out)
-    return 0
+    lines = [f"# config_hash={config.config_hash()} state=11 samples={args.samples}", "f,empirical_psd,theory_psd"]
+    for row in zip(freqs.tolist(), emp.tolist(), theory.tolist()):
+        lines.append(",".join(map(_fmt, row)))
+    return "\n".join(lines) + "\n"
 
 
 def _parse_gammas(text: str) -> list[float]:
@@ -218,11 +195,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a command returns its whole text, so nothing is written when it fails
+        text = args.func(args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
 

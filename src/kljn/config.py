@@ -62,6 +62,15 @@ class SystemConfig:
             self.window
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        try:
+            samples = self.sample_rate * self.window.tau
+        except OverflowError:  # an int oversample beyond float64
+            samples = math.inf
+        if not math.isfinite(samples):
+            raise ConfigError(
+                f"b_kljn = {self.b_kljn} and gamma = {self.gamma} at oversample = {self.oversample}: "
+                "the sample rate or the samples per period overflow float64"
+            )
         n = self.samples_per_period
         self.check_samples(n, f"gamma = {self.gamma} at oversample = {self.oversample} gives {n} samples per period")
 

@@ -34,7 +34,9 @@ class NoiseSpec:
     and gets a single coefficient (``nyquist``). A synthesis draws
     ``n_normals`` standard normals in this order: the Nyquist one (if any),
     then a real and an imaginary part per in-band bin. A spec with no bin in
-    its band (any below 2 samples) is refused: its noise would be zero.
+    its band (any below 2 samples) is refused: its noise would be zero. So
+    is one of more than 2**53 samples, whose bin frequencies float64 cannot
+    tell apart.
     """
 
     psd_level: float
@@ -61,6 +63,8 @@ class NoiseSpec:
             )
         # the top in-band bin k, found once: bins 1..k are in band, and 0 means none is
         n, half, k = self.n_samples, self.n_samples // 2, 0
+        if n > 2**53:
+            raise ValueError("more than 2**53 samples: float64 can no longer tell FFT bin k from bin k + 1")
         if n >= 2:
             # bin k lies at k * step, rfftfreq's own float arithmetic; a bin is in band when
             # 0 < k * step <= edge, which includes the bin at B itself (the tolerance covers

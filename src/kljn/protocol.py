@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -52,9 +52,6 @@ class RateEstimate:
             return cls(k=0, n=0, p=None, ci_low=None, ci_high=None)
         lo, hi = wilson_interval(k, n)
         return cls(k=k, n=n, p=k / n, ci_low=lo, ci_high=hi)
-
-    def to_dict(self) -> dict:
-        return {"k": self.k, "n": self.n, "p": self.p, "ci_low": self.ci_low, "ci_high": self.ci_high}
 
 
 def wilson_interval(k: int, n: int) -> tuple[float, float]:
@@ -96,19 +93,10 @@ class SessionReport:
     outcome_code: np.ndarray = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "n_periods": self.n_periods,
-            "master_seed": self.master_seed,
-            "config_hash": self.config_hash,
-            "force_state": self.force_state,
-            "confusion_v": self.confusion_v,
-            "confusion_i": self.confusion_i,
-            "combined_counts": self.combined_counts,
-            "rates": {name: rate.to_dict() for name, rate in self.rates.items()},
-            "fidelity": self.fidelity,
-            "discard_rate": self.discard_rate,
-            "moment_sums": self.moment_sums,
-        }
+        """The serialized report: every field but the per-period arrays (those with repr=False)."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
+        out["rates"] = {name: asdict(rate) for name, rate in self.rates.items()}
+        return out
 
 
 def _bits_from_words(words: np.ndarray, force_state: Optional[str]) -> np.ndarray:

@@ -125,6 +125,16 @@ class TestLevels:
         assert "non-finite" in err
         assert threading.active_count() == threads  # the helper is gone
 
+    def test_allocation_failure_is_runtime_error(self, capsys, tmp_path):
+        # 2**50 samples pass every size check, and their first array (4 PiB) is refused at once
+        out_path = tmp_path / "levels.txt"
+        threads = threading.active_count()
+        code, out, err = run_cli(capsys, ["levels", "--samples", str(2**50), "--out", str(out_path)])
+        assert code == 3
+        assert out == "" and not out_path.exists()
+        assert err.startswith("runtime error:") and "Traceback" not in err
+        assert threading.active_count() == threads
+
     def test_too_few_samples_is_config_error(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "synth_band_limited_many", _no_synthesis)
         code, out, err = run_cli(capsys, ["levels", "--samples", "1"])
@@ -265,9 +275,19 @@ def test_workers_below_one_is_config_error(capsys, monkeypatch, fast_config, com
         ("gamma = 0.1\n", ["session"], "0 samples per period"),
         ("", ["sweep", "--gammas", "0.1,30"], "0 samples per period"),
         ("oversample = 2\n", ["sweep", "--gammas", "0.2,30"], "0 samples per period"),
+        # more samples per period than float64 tells FFT bins apart at: 4e300 used to hang
+        # the top-bin search, 4e17 to fail allocating
+        ("gamma = 1e300\n", ["session"], "more than 2**53 samples"),
+        ("gamma = 1e17\n", ["session"], "more than 2**53 samples"),
+        ("", ["sweep", "--gammas", "30,1e17"], "more than 2**53 samples"),
+        # an infinite sample rate, an infinite period, and an oversample no float64 holds
+        ("b_kljn = 1e308\n", ["session"], "samples per period overflow float64"),
+        ("gamma = 1e300\nb_kljn = 1e-300\n", ["session"], "samples per period overflow float64"),
+        (f"oversample = 1{'0' * 400}\n", ["session"], "samples per period overflow float64"),
     ],
     ids=["session-zero-periods", "sweep-zero-periods", "session-short-period", "sweep-short-period",
-         "sweep-short-period-nyquist"],
+         "sweep-short-period-nyquist", "session-huge-period", "session-2e53-period", "sweep-2e53-period",
+         "session-infinite-rate", "session-infinite-tau", "session-huge-oversample"],
 )
 @pytest.mark.filterwarnings("ignore::kljn.estimator.SmallGammaWarning")
 def test_unrunnable_config_is_config_error(capsys, monkeypatch, tmp_path, config_text, command, message):
@@ -516,6 +536,8 @@ def test_golden_run_output(capsys, tmp_path, argv, sha256):
 # periodogram only, or already in the generator synthesis
 PERIODOGRAM_OVERFLOW = "t_eff = 1e290\nr = 1\nalpha = 1000\n"
 SYNTHESIS_OVERFLOW = "t_eff = 3.6e305\nr = 1e20\nalpha = 1000\n"
+# finite levels and samples, but the session report's sums of squared mean squares overflow
+REPORT_OVERFLOW = "t_eff = 1e300\nr = 1e20\ngamma = 30\nn_periods = 50\n"
 
 
 class TestNonFiniteOutput:
@@ -548,15 +570,26 @@ class TestNonFiniteOutput:
         assert "non-finite" in err
         assert multiprocessing.active_children() == []  # no pool process outlives the run
 
+    def test_overflowing_report_value_is_runtime_error(self, capsys, tmp_path):
+        path = tmp_path / "overflow.cfg"
+        path.write_text(REPORT_OVERFLOW)
+        out_path = tmp_path / "session.json"
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli(capsys, ["session", "--config", str(path), "--out", str(out_path)])
+        assert code == 3
+        assert out == "" and not out_path.exists()
+        assert "non-finite output values" in err
+
     @pytest.mark.parametrize(
         "text",
-        # the voltage levels overflow; or R1 = alpha * R overflows, and the levels read nan
-        ["t_eff = 1e308\nr = 1e300\n", "r = 1e300\nalpha = 1e10\n"],
-        ids=["hot", "large-r1"],
+        # the voltage levels overflow; or R1 = alpha * R overflows, and the levels read nan; or
+        # R_A * R_B underflows, and the voltage levels read 0
+        ["t_eff = 1e308\nr = 1e300\n", "r = 1e300\nalpha = 1e10\n", "r = 1e-200\n"],
+        ids=["hot", "large-r1", "tiny-r"],
     )
     @pytest.mark.parametrize("argv", [["session"], ["levels", "--samples", "8192"]], ids=["session", "levels"])
     def test_overflowing_levels_are_runtime_error(self, capsys, monkeypatch, tmp_path, argv, text):
-        """Levels that overflow float64 are reported as such, not as an empty secure band."""
+        """Levels that overflow or underflow float64 are reported as such, not as an empty secure band."""
         monkeypatch.setattr(cli, "synth_band_limited_many", _no_synthesis)
         monkeypatch.setattr(protocol, "_simulate_chunk", _no_session)
         path = tmp_path / "overflow.cfg"
@@ -564,7 +597,7 @@ class TestNonFiniteOutput:
         code, out, err = run_cli(capsys, argv + ["--config", str(path)])
         assert code == 3
         assert out == ""
-        assert "non-finite mean-square levels" in err and "overflow" in err
+        assert "mean-square levels not finite and positive" in err and "overflow or underflow" in err
         assert "empty secure band" not in err
 
     def test_levels_finite_where_only_the_periodogram_overflows(self, capsys, tmp_path):

@@ -81,6 +81,14 @@ class TestNoiseSpec:
         with pytest.raises(ValueError, match=f"no FFT bin of {n_samples} samples"):
             NoiseSpec(psd_level=1, bandwidth=1, sample_rate=sample_rate, n_samples=n_samples)
 
+    def test_rejects_more_samples_than_float64_resolves(self):
+        # up to 2**53 samples the top in-band bin is found at once (the edge's 1e-12 tolerance
+        # admits bins past 2**51); beyond, bins k and k + 1 can share one float64 frequency,
+        # and the search never ended
+        assert NoiseSpec(psd_level=1, bandwidth=1, sample_rate=4, n_samples=2**53).n_band >= 2**51
+        with pytest.raises(ValueError, match=r"more than 2\*\*53 samples"):
+            NoiseSpec(psd_level=1, bandwidth=1, sample_rate=4, n_samples=4 * 10**300)
+
 
 class TestSynth:
     def test_zero_psd_gives_zero_waveform(self):
