@@ -10,11 +10,9 @@ factors.
 from __future__ import annotations
 
 import math
-import sys
-import warnings
 from dataclasses import dataclass
 
-from .estimator import AveragingWindow, SmallGammaWarning
+from .estimator import AveragingWindow, warn_small_gamma
 
 SQRT3 = math.sqrt(3.0)
 
@@ -36,30 +34,12 @@ class ThresholdFractions:
 
     def __post_init__(self):
         for name in ("beta", "delta", "lam", "rho"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must be strictly inside (0, 1), got {v}")
+            _check_fraction(getattr(self, name), name)
 
 
-def _check_fraction(frac: float):
+def _check_fraction(frac: float, name: str = "threshold fraction"):
     if not 0.0 < frac < 1.0:
-        raise ValueError(f"threshold fraction must be in (0, 1), got {frac}")
-
-
-def _check_gamma(gamma: float):
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    if gamma < 10:
-        # name the nearest caller outside this module, whichever public function it called
-        frame, level = sys._getframe(), 1
-        while frame.f_code.co_filename == __file__:
-            frame, level = frame.f_back, level + 1
-        warnings.warn(
-            f"gamma = {gamma} < 10: exponential error formulas assume rare "
-            "threshold crossings and are not reliable probabilities here",
-            SmallGammaWarning,
-            stacklevel=level,
-        )
+        raise ValueError(f"{name} must be strictly inside (0, 1), got {frac}")
 
 
 def rice_rate(threshold: float, rms: float, spectrum_moment: float) -> float:
@@ -88,7 +68,9 @@ def upcrossing_rate_flat(window: AveragingWindow, frac: float) -> float:
 
 def _epsilon(frac: float, gamma: float) -> float:
     _check_fraction(frac)
-    _check_gamma(gamma)
+    if gamma < 0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    warn_small_gamma(gamma, stacklevel=3)  # every public rate calls this directly: name its caller
     return math.exp(-frac * frac * gamma / 4.0) / SQRT3
 
 
@@ -124,9 +106,9 @@ def epsilon_analytic(mode: str, actual: str, fracs: ThresholdFractions, gamma: f
     frac_v = fracs.beta if actual == "00" else fracs.delta
     frac_i = fracs.rho if actual == "00" else fracs.lam
     if mode == "voltage":
-        return epsilon_voltage(frac_v, gamma)
+        return _epsilon(frac_v, gamma)
     if mode == "current":
-        return epsilon_current_00(frac_i, gamma) if actual == "00" else epsilon_current_11(frac_i, gamma)
+        return _epsilon(frac_i, gamma)
     if mode == "combined":
-        return epsilon_combined(frac_v, frac_i, gamma)
+        return _epsilon(frac_v, gamma) * _epsilon(frac_i, gamma)
     raise ValueError(f"unknown mode {mode!r}")

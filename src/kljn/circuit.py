@@ -9,6 +9,7 @@ zero wire impedance.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -187,11 +188,12 @@ def theoretical_levels(
     v00, i00 = pair(0, 0)
     v01, i01 = pair(0, 1)
     v11, i11 = pair(1, 1)
-    # a level of inf or nan overflowed; one of 0 underflowed (R_A * R_B of tiny resistors)
-    if not all(0 < x < math.inf for x in (v00, i00, v01, i01, v11, i11)):
+    # a level of inf or nan overflowed; one of 0 or a subnormal underflowed (R_A * R_B of tiny
+    # resistors, a tiny t_eff), and subnormals have too few bits to keep the levels ordered
+    if not all(sys.float_info.min <= x < math.inf for x in (v00, i00, v01, i01, v11, i11)):
         raise ValueError(
-            f"mean-square levels not finite and positive (voltage {v00:g}, {v01:g}, {v11:g}; current "
-            f"{i00:g}, {i01:g}, {i11:g}): the resistances or noise levels overflow or underflow float64"
+            f"mean-square levels not finite and positive normal floats (voltage {v00:g}, {v01:g}, {v11:g}; "
+            f"current {i00:g}, {i01:g}, {i11:g}): the resistances or noise levels overflow or underflow float64"
         )
     return LevelTable(
         v_00=v00,

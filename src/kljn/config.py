@@ -72,7 +72,8 @@ class SystemConfig:
                 "the sample rate or the samples per period overflow float64"
             )
         n = self.samples_per_period
-        self.check_samples(n, f"gamma = {self.gamma} at oversample = {self.oversample} gives {n} samples per period")
+        shown = n if n <= 2**53 else f"{n:.6g}"  # beyond 2**53 the digits are rounding noise
+        self.check_samples(n, f"gamma = {self.gamma} at oversample = {self.oversample} gives {shown} samples per period")
 
     @property
     def normalized(self) -> bool:
@@ -192,8 +193,12 @@ def parse_config(text: str, source: str = "<config>") -> SystemConfig:
 
 
 def load_config(path) -> SystemConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), source=str(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return parse_config(text, source=str(path))
 
 
 def with_overrides(config: SystemConfig, **kwargs) -> SystemConfig:

@@ -20,6 +20,17 @@ class SmallGammaWarning(UserWarning):
     """gamma below the regime where the flat-spectrum/Gaussian approximations hold."""
 
 
+def warn_small_gamma(gamma: float, stacklevel: int) -> None:
+    """Warn if gamma < 10, outside the error rates' regime; ``stacklevel`` is as for ``warnings.warn``."""
+    if gamma < 10:
+        warnings.warn(
+            f"gamma = {gamma} < 10: the error-rate formulas assume many noise "
+            "correlation times per averaging window, and rare threshold crossings",
+            SmallGammaWarning,
+            stacklevel=stacklevel + 1,
+        )
+
+
 @dataclass(frozen=True)
 class AveragingWindow:
     """Averaging-time bookkeeping: gamma = bandwidth * tau = bandwidth / f_b."""
@@ -30,13 +41,7 @@ class AveragingWindow:
     def __post_init__(self):
         if self.gamma <= 0 or self.bandwidth <= 0:
             raise ValueError("gamma and bandwidth must be positive")
-        if self.gamma < 10:
-            warnings.warn(
-                f"gamma = {self.gamma} < 10: error-rate approximations assume "
-                "many noise correlation times per averaging window",
-                SmallGammaWarning,
-                stacklevel=3,  # past the dataclass's generated __init__, to its caller
-            )
+        warn_small_gamma(self.gamma, stacklevel=3)  # past the dataclass's generated __init__, to its caller
 
     @property
     def tau(self) -> float:

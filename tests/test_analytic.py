@@ -24,7 +24,7 @@ class TestThresholdFractions:
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.5])
     def test_out_of_range(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^beta must be strictly inside \(0, 1\), got {bad}$"):
             ThresholdFractions(beta=bad, delta=0.5, lam=0.5, rho=0.5)
 
 
@@ -86,13 +86,32 @@ class TestEpsilonFormulas:
             lambda: epsilon_voltage(0.5, 5),
             lambda: epsilon_combined(0.5, 0.5, 5),
             lambda: epsilon_analytic("current", "11", ThresholdFractions(0.5, 0.5, 0.5, 0.5), 5),
+            lambda: epsilon_current_00(0.5, 5),
+            lambda: epsilon_current_11(0.5, 5),
+        ]
+        + [
+            # each public rate is one call above the shared formula, in every mode
+            lambda mode=mode, actual=actual: epsilon_analytic(
+                mode, actual, ThresholdFractions(0.5, 0.5, 0.5, 0.5), 5
+            )
+            for mode in ("voltage", "current", "combined")
+            for actual in ("00", "11")
         ],
-        ids=["voltage", "combined", "dispatch"],
+        ids=["voltage", "combined", "dispatch", "current-00", "current-11"]
+        + [f"dispatch-{mode}-{actual}" for mode in ("voltage", "current", "combined") for actual in ("00", "11")],
     )
     def test_small_gamma_warning_names_the_caller(self, call):
         with pytest.warns(SmallGammaWarning) as record:
             call()
         assert record and all(w.filename == __file__ for w in record)
+
+    def test_small_gamma_warning_text_matches_the_window(self):
+        """The closed-form rates and the averaging window state the gamma < 10 rule in one text."""
+        with pytest.warns(SmallGammaWarning) as window:
+            AveragingWindow(gamma=5, bandwidth=1)
+        with pytest.warns(SmallGammaWarning) as rate:
+            epsilon_voltage(0.5, 5)
+        assert [str(w.message) for w in rate] == [str(w.message) for w in window]
 
     def test_gamma_zero_prefactor(self):
         with pytest.warns(SmallGammaWarning):

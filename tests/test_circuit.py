@@ -147,6 +147,12 @@ class TestTheoreticalLevels:
         assert levels.v_00 < levels.v_0110 < levels.v_11
         assert levels.i_11 < levels.i_0110 < levels.i_00
 
+    def test_smallest_normal_levels_still_ordered(self):
+        # t_eff = 1e-280: the smallest level, 11's current, is 2.8e-304, above float64's normal minimum
+        levels = theoretical_levels(ResistorSet(1.0, 10.0), PhysicsConstants.si(1e-280), bandwidth=1.0)
+        assert levels.v_00 < levels.v_0110 < levels.v_11
+        assert levels.i_11 < levels.i_0110 < levels.i_00
+
 
 class TestEmpiricalPhysics:
     def test_voltage_current_uncorrelated_in_secure_state(self):

@@ -277,7 +277,8 @@ def test_workers_below_one_is_config_error(capsys, monkeypatch, fast_config, com
         ("oversample = 2\n", ["sweep", "--gammas", "0.2,30"], "0 samples per period"),
         # more samples per period than float64 tells FFT bins apart at: 4e300 used to hang
         # the top-bin search, 4e17 to fail allocating
-        ("gamma = 1e300\n", ["session"], "more than 2**53 samples"),
+        # counts beyond 2**53 print in 6 significant digits, not in 301
+        ("gamma = 1e300\n", ["session"], "gives 4e+300 samples per period; more than 2**53 samples"),
         ("gamma = 1e17\n", ["session"], "more than 2**53 samples"),
         ("", ["sweep", "--gammas", "30,1e17"], "more than 2**53 samples"),
         # an infinite sample rate, an infinite period, and an oversample no float64 holds
@@ -299,6 +300,25 @@ def test_unrunnable_config_is_config_error(capsys, monkeypatch, tmp_path, config
     assert code == 2
     assert out == ""
     assert "config error" in err and message in err
+    # a refusal line is short, unless it echoes an input that long (the 401-digit oversample)
+    assert len(config_text) > 300 or all(len(line) < 300 for line in err.splitlines())
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+@pytest.mark.parametrize("command", [["session"], ["levels", "--samples", "4096"]], ids=["session", "levels"])
+def test_unreadable_config_is_config_error(capsys, monkeypatch, tmp_path, kind, command):
+    """A config file that cannot be read is a config error that names it, not a runtime failure."""
+    monkeypatch.setattr(cli, "run_session", _no_session)
+    monkeypatch.setattr(cli, "synth_band_limited_many", _no_synthesis)
+    path = tmp_path / f"{kind}.cfg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"\xff\xfegamma = 30\n")
+    code, out, err = run_cli(capsys, command + ["--config", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: ") and str(path) in err
 
 
 @pytest.mark.parametrize(
@@ -583,9 +603,10 @@ class TestNonFiniteOutput:
     @pytest.mark.parametrize(
         "text",
         # the voltage levels overflow; or R1 = alpha * R overflows, and the levels read nan; or
-        # R_A * R_B underflows, and the voltage levels read 0
-        ["t_eff = 1e308\nr = 1e300\n", "r = 1e300\nalpha = 1e10\n", "r = 1e-200\n"],
-        ids=["hot", "large-r1", "tiny-r"],
+        # R_A * R_B underflows, and the voltage levels read 0; or 4kT_eff is subnormal, and the
+        # current levels of 0110 and 11 both read 4.94e-324
+        ["t_eff = 1e308\nr = 1e300\n", "r = 1e300\nalpha = 1e10\n", "r = 1e-200\n", "t_eff = 1e-300\n"],
+        ids=["hot", "large-r1", "tiny-r", "tiny-t"],
     )
     @pytest.mark.parametrize("argv", [["session"], ["levels", "--samples", "8192"]], ids=["session", "levels"])
     def test_overflowing_levels_are_runtime_error(self, capsys, monkeypatch, tmp_path, argv, text):
