@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration/usage error, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -110,6 +111,10 @@ def cmd_session(args) -> str:
     config = _load(args)
     _check_workers(args.workers)
     report = run_session(config, force_state=args.force_state, workers=args.workers)
+    # msv and msi are positive, so the sums of a state that occurred fall below the smallest
+    # normal float only where their squares or products underflowed: refused as _fmt refuses inf
+    if any(sums[0] and min(sums[1:]) < sys.float_info.min for sums in report.moment_sums.values()):
+        raise ValueError("moment sums below the smallest normal float64: the noise levels underflow")
     alice, bob = extract_key(report.bits, report.outcome_code)
     payload = report.to_dict()
     payload["key_bits"] = len(alice)
@@ -155,7 +160,15 @@ def _parse_gammas(text: str) -> list[float]:
     return gammas
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``kljn`` argument parser, built on the first call and shared by every later one.
+
+    Each ``parse_args`` call fills a new namespace, so no parsed value carries over
+    between ``main`` calls. ``set_defaults(func=cmd_*)`` binds the command functions
+    when the parser is first built: replacing a ``cmd_*`` afterwards does not reach
+    ``main``, while the names those functions look up (``run_session``, ...) still do.
+    """
     parser = argparse.ArgumentParser(prog="kljn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -192,8 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # a command returns its whole text, so nothing is written when it fails
         text = args.func(args)

@@ -10,6 +10,7 @@ import hashlib
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
+from decimal import Decimal
 from functools import cached_property
 
 from .analytic import ThresholdFractions
@@ -46,11 +47,11 @@ class SystemConfig:
             # the hash reads each value's repr: 30 and 30.0, or 10 and numpy's 10, must be one config
             object.__setattr__(self, f.name, _checked(f.name, getattr(self, f.name), f.type))
         if self.oversample < 2:
-            raise ConfigError(f"oversample must be >= 2, got {self.oversample}")
+            raise ConfigError(f"oversample must be >= 2, got {_shown(self.oversample)}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.n_periods < 1:
-            raise ConfigError(f"n_periods must be >= 1, got {self.n_periods}")
+            raise ConfigError(f"n_periods must be >= 1, got {_shown(self.n_periods)}")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must fit in 64 bits")
         # delegate the physics invariants so the error names the constraint; the
@@ -66,14 +67,13 @@ class SystemConfig:
             samples = self.sample_rate * self.window.tau
         except OverflowError:  # an int oversample beyond float64
             samples = math.inf
+        at = f"gamma = {self.gamma} at oversample = {_shown(self.oversample)}"
         if not math.isfinite(samples):
             raise ConfigError(
-                f"b_kljn = {self.b_kljn} and gamma = {self.gamma} at oversample = {self.oversample}: "
-                "the sample rate or the samples per period overflow float64"
+                f"b_kljn = {self.b_kljn} and {at}: the sample rate or the samples per period overflow float64"
             )
         n = self.samples_per_period
-        shown = n if n <= 2**53 else f"{n:.6g}"  # beyond 2**53 the digits are rounding noise
-        self.check_samples(n, f"gamma = {self.gamma} at oversample = {self.oversample} gives {shown} samples per period")
+        self.check_samples(n, f"{at} gives {_shown(n)} samples per period")
 
     @property
     def normalized(self) -> bool:
@@ -141,6 +141,19 @@ class SystemConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+def _shown(n: int) -> int | str:
+    """``n`` as a refusal prints it: exact up to 2**53, beyond that in 6 significant digits.
+
+    Beyond 2**53 the digits are rounding noise, and an echoed 400-digit input buries the message.
+    """
+    if abs(n) <= 2**53:
+        return n
+    try:
+        return f"{n:.6g}"
+    except OverflowError:  # beyond float64 too
+        return format(Decimal(n).normalize(), ".6g")
+
+
 def _checked(name: str, value, kind: str):
     """``value`` of a field declared ``kind`` as an int, a finite float or its str, or a ConfigError.
 
@@ -202,5 +215,9 @@ def load_config(path) -> SystemConfig:
 
 
 def with_overrides(config: SystemConfig, **kwargs) -> SystemConfig:
-    """New config with some fields replaced, revalidated."""
-    return replace(config, **{k: v for k, v in kwargs.items() if v is not None})
+    """New config with the fields not ``None`` in ``kwargs`` replaced, revalidated.
+
+    With no such field it is ``config`` itself: a frozen config needs no copy.
+    """
+    changes = {k: v for k, v in kwargs.items() if v is not None}
+    return replace(config, **changes) if changes else config

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import multiprocessing
@@ -14,7 +15,7 @@ import kljn
 from kljn import cli, noise, protocol
 from kljn.circuit import LoopState, channel_waveforms
 from kljn.cli import main
-from kljn.config import load_config
+from kljn.config import ConfigError, load_config
 from kljn.noise import rng_for_period, synth_band_limited
 
 FAST_CONFIG = """
@@ -284,7 +285,7 @@ def test_workers_below_one_is_config_error(capsys, monkeypatch, fast_config, com
         # an infinite sample rate, an infinite period, and an oversample no float64 holds
         ("b_kljn = 1e308\n", ["session"], "samples per period overflow float64"),
         ("gamma = 1e300\nb_kljn = 1e-300\n", ["session"], "samples per period overflow float64"),
-        (f"oversample = 1{'0' * 400}\n", ["session"], "samples per period overflow float64"),
+        (f"oversample = 1{'0' * 400}\n", ["session"], "at oversample = 1e+400: the sample rate or the samples"),
     ],
     ids=["session-zero-periods", "sweep-zero-periods", "session-short-period", "sweep-short-period",
          "sweep-short-period-nyquist", "session-huge-period", "session-2e53-period", "sweep-2e53-period",
@@ -300,8 +301,8 @@ def test_unrunnable_config_is_config_error(capsys, monkeypatch, tmp_path, config
     assert code == 2
     assert out == ""
     assert "config error" in err and message in err
-    # a refusal line is short, unless it echoes an input that long (the 401-digit oversample)
-    assert len(config_text) > 300 or all(len(line) < 300 for line in err.splitlines())
+    # a refusal line is short, also where the input is long: the 401-digit oversample prints as 1e+400
+    assert all(len(line) < 300 for line in err.splitlines())
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
@@ -630,6 +631,80 @@ class TestNonFiniteOutput:
         rows = [line.split() for line in out.splitlines()[4:]]
         assert [row[0] for row in rows] == ["00", "0110", "11"]
         assert np.isfinite([float(x) for row in rows for x in row[1:]]).all()
+
+
+# normal noise levels whose squared mean squares fall below the smallest normal float64
+# (about 1e-340 at t_eff 1e-150) or stay above it (about 1e-244 at t_eff 1e-100)
+UNDERFLOW = "t_eff = 1e-150\ngamma = 30\nn_periods = 50\n"
+NO_UNDERFLOW = "t_eff = 1e-100\ngamma = 30\nn_periods = 50\n"
+
+
+class TestUnderflowedOutput:
+    def test_underflowed_moment_sums_are_runtime_error(self, capsys, tmp_path):
+        path = tmp_path / "underflow.cfg"
+        path.write_text(UNDERFLOW)
+        out_path = tmp_path / "session.json"
+        code, out, err = run_cli(capsys, ["session", "--config", str(path), "--out", str(out_path)])
+        assert code == 3
+        assert out == "" and not out_path.exists()
+        assert err.startswith("runtime error: ") and "underflow" in err
+
+    def test_small_normal_moment_sums_are_printed(self, capsys, tmp_path):
+        path = tmp_path / "small.cfg"
+        path.write_text(NO_UNDERFLOW)
+        code, out, _ = run_cli(capsys, ["session", "--config", str(path)])
+        assert code == 0
+        sums = json.loads(out)["moment_sums"]
+        assert sums and all(n > 0 and min(rest) >= sys.float_info.min for n, *rest in sums.values())
+        assert min(min(rest[2:]) for _, *rest in sums.values()) < 1e-240
+
+    def test_sweep_prints_no_moment_sums(self, capsys, tmp_path):
+        path = tmp_path / "underflow.cfg"
+        path.write_text(UNDERFLOW)
+        code, out, _ = run_cli(capsys, ["sweep", "--gammas", "30", "--config", str(path)])
+        assert code == 0
+        assert out.splitlines()[2].startswith("30,")
+
+
+class TestRepeatedMain:
+    """``main`` runs pass after pass in one process: it builds its parser once and carries nothing over."""
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        argv = ["session", "--workers", "0"]  # refused before any period runs
+        first = run_cli(capsys, argv)
+        n_first = len(built)
+        assert run_cli(capsys, argv) == first and first[0] == 2
+        # the first call builds at most the one tree (kljn and its four commands), the second none
+        assert n_first <= 5 and len(built) == n_first
+
+    def test_no_parsed_value_carries_over(self, capsys, monkeypatch):
+        calls = []
+
+        def recording_session(config, **kwargs):
+            calls.append((config.master_seed, kwargs))
+            raise ConfigError("stopped before any period runs")
+
+        monkeypatch.setattr(cli, "run_session", recording_session)
+        for argv in (
+            ["session", "--workers", "2", "--force-state", "0110", "--seed", "7"],
+            ["sweep", "--gammas", "30", "--workers", "2", "--force-state", "00"],
+            ["session"],
+        ):
+            assert main(argv) == 2
+        capsys.readouterr()
+        assert calls == [
+            (7, {"force_state": "0110", "workers": 2}),
+            (1, {"force_state": "00", "workers": 2}),
+            (1, {"force_state": None, "workers": 1}),
+        ]
 
 
 def _src_dir():

@@ -122,10 +122,18 @@ class TestSystemConfig:
 
     def test_with_overrides_revalidates(self):
         cfg = SystemConfig()
-        assert with_overrides(cfg, gamma=55.0).gamma == 55.0
+        overridden = with_overrides(cfg, gamma=55.0)
+        assert overridden is not cfg and overridden.gamma == 55.0
         assert with_overrides(cfg, master_seed=None).master_seed == cfg.master_seed
         with pytest.raises(ConfigError):
             with_overrides(cfg, beta=2.0)
+
+    def test_with_overrides_without_changes_is_the_config(self):
+        # a frozen config is neither copied nor validated again when no field changes
+        cfg = SystemConfig(gamma=50.0)
+        assert with_overrides(cfg) is cfg
+        assert with_overrides(cfg, master_seed=None) is cfg
+        assert with_overrides(cfg, master_seed=None, gamma=None) is cfg
 
     def test_derived_objects_built_once(self):
         cfg = SystemConfig(gamma=50.0)
