@@ -154,6 +154,13 @@ def _shown(n: int) -> int | str:
         return format(Decimal(n).normalize(), ".6g")
 
 
+def _clipped(text: str) -> str:
+    """``text`` as a refusal echoes it: quoted in full up to 40 characters, else its start and length."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def _checked(name: str, value, kind: str):
     """``value`` of a field declared ``kind`` as an int, a finite float or its str, or a ConfigError.
 
@@ -184,12 +191,12 @@ def parse_config(text: str, source: str = "<config>") -> SystemConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {_clipped(raw)}")
         key, _, val = line.partition("=")
         key = _KEY_ALIASES.get(key.strip(), key.strip())
         val = val.strip()
         if key not in _FIELD_TYPES:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+            raise ConfigError(f"{source}:{lineno}: unknown key {_clipped(key)}")
         if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         kind = _FIELD_TYPES[key]

@@ -35,7 +35,7 @@ from kljn.estimator import (
     measurement_slice,
     squared_noise_psd_theory,
 )
-from kljn.noise import NoiseSpec, periodogram, rng_for_period, synth_band_limited
+from kljn.noise import NoiseSpec, periodogram, rng_for_period, synth_band_limited, synth_band_limited_many
 from kljn.protocol import extract_key, run_session
 from moments import msq_correlation
 
@@ -83,16 +83,13 @@ def test_criterion_03_level_reproduction():
         ((1, 1), levels.v_11, levels.i_11),
     ):
         state = LoopState.from_bits(*bits, resistors)
-        u_a = synth_band_limited(
-            NoiseSpec(generator_psd(state.r_alice, NORM), 1.0, 4.0, n), rng
-        )
-        u_b = synth_band_limited(
-            NoiseSpec(generator_psd(state.r_bob, NORM), 1.0, 4.0, n), rng
-        )
-        u_c, i_c = channel_waveforms(u_a, u_b, state.r_alice, state.r_bob)
+        # Alice's wave, then Bob's, as two synth_band_limited calls give them; Alice's inverse
+        # FFT runs on a helper thread while Bob's normals are drawn
+        specs = [NoiseSpec(generator_psd(r, NORM), 1.0, 4.0, n) for r in (state.r_alice, state.r_bob)]
+        u_c, i_c = channel_waveforms(*synth_band_limited_many(specs, rng), state.r_alice, state.r_bob)
         assert np.mean(u_c**2) == pytest.approx(v_th, rel=0.01)
         assert np.mean(i_c**2) == pytest.approx(i_th, rel=0.01)
-        del u_a, u_b, u_c, i_c
+        del u_c, i_c
     announce(3, "empirical channel mean squares match theory within 1% for all bit states")
 
 
@@ -137,7 +134,7 @@ def test_criterion_05_fluctuation_rms(gamma):
 
 def test_criterion_06_monte_carlo_vs_analytic():
     cfg = SystemConfig(alpha=100.0, gamma=50.0, n_periods=10**5, master_seed=11)
-    report = run_session(cfg, force_state="11")
+    report = run_session(cfg, force_state="11", workers=2)
     est = report.rates["eps_hat_i_11"]
     analytic = epsilon_current_11(0.5, 50.0)
     assert analytic == pytest.approx(2.53e-2, rel=5e-3)
@@ -178,7 +175,7 @@ def test_criterion_07_exponential_decay_slope():
     counts, trials = [], []
     for gamma in gammas:
         cfg = SystemConfig(alpha=100.0, gamma=gamma, n_periods=n, master_seed=13)
-        report = run_session(cfg, force_state="11")
+        report = run_session(cfg, force_state="11", workers=2)
         counts.append(report.rates["eps_hat_i_11"].k)
         trials.append(report.rates["eps_hat_i_11"].n)
     eps = np.array(counts) / np.array(trials)
@@ -195,7 +192,7 @@ def test_criterion_07_exponential_decay_slope():
 def test_criterion_08_independence_and_product_law():
     n = 10**6
     cfg = SystemConfig(alpha=100.0, gamma=30.0, n_periods=n, master_seed=17)
-    report = run_session(cfg, force_state="11")
+    report = run_session(cfg, force_state="11", workers=2)
     corr = msq_correlation(report.moment_sums["11"])
     assert abs(corr) < 4.0 / math.sqrt(n)
     p_v = report.rates["eps_hat_v_11"].p
