@@ -16,6 +16,7 @@ from .circuit import (
     PhysicsConstants,
     ResistorSet,
     channel_current,
+    channel_voltage,
     channel_waveforms,
     generator_psd,
     theoretical_levels,
@@ -42,6 +43,8 @@ from .noise import NoiseSpec, periodogram, rng_for_period, synth_band_limited, s
 from .protocol import (
     RateEstimate,
     SessionReport,
+    WorkerExited,
+    error_rate,
     extract_key,
     run_session,
     wilson_interval,

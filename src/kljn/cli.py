@@ -25,10 +25,9 @@ from .circuit import LoopState, channel_current, channel_waveforms
 from .config import ConfigError, SystemConfig, load_config, with_overrides
 from .estimator import finite_mean_square, squared_noise_psd_theory
 from .noise import periodogram, rng_for_period, synth_band_limited_many
-from .protocol import extract_key, key_to_hex, run_session
+from .protocol import error_rate, extract_key, key_to_hex, run_session
 
 _MODE_SHORT = {"voltage_only": "voltage", "current_only": "current", "combined": "combined"}
-_RATE_PREFIX = {"voltage": "v", "current": "i", "combined": "combined"}
 _NON_FINITE = "non-finite output values: the noise levels overflow float64"
 
 
@@ -101,8 +100,7 @@ def cmd_sweep(args) -> str:
     ]
     for gamma, cfg in zip(gammas, configs):
         eps_th = analytic.epsilon_analytic(mode, args.force_state, cfg.fractions, gamma)
-        report = run_session(cfg, force_state=args.force_state, workers=args.workers)
-        est = report.rates[f"eps_hat_{_RATE_PREFIX[mode]}_{args.force_state}"]
+        est = error_rate(cfg, mode=mode, force_state=args.force_state, workers=args.workers)
         lines.append(",".join(_fmt(x) for x in (gamma, eps_th, est.p, est.ci_low, est.ci_high, est.k, est.n)))
     return "\n".join(lines) + "\n"
 

@@ -49,7 +49,7 @@ class SystemConfig:
         if self.oversample < 2:
             raise ConfigError(f"oversample must be >= 2, got {_shown(self.oversample)}")
         if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ConfigError(f"mode must be one of {MODES}, got {_clipped(self.mode)}")
         if self.n_periods < 1:
             raise ConfigError(f"n_periods must be >= 1, got {_shown(self.n_periods)}")
         if not 0 <= self.master_seed < 2**64:
@@ -161,6 +161,10 @@ def _clipped(text: str) -> str:
     return f"{text[:40]!r}... ({len(text)} characters)"
 
 
+# what a value of each declared field type must be, as a refusal names it
+_KINDS = {"int": "an integer", "float": "a number", "float | str": "a number or 'normalized'"}
+
+
 def _checked(name: str, value, kind: str):
     """``value`` of a field declared ``kind`` as an int, a finite float or its str, or a ConfigError.
 
@@ -170,8 +174,8 @@ def _checked(name: str, value, kind: str):
     if kind == "str" or (kind == "float | str" and isinstance(value, str) and value == "normalized"):
         return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral if kind == "int" else numbers.Real):
-        what = {"int": "an integer", "float": "a number"}.get(kind, "a number or 'normalized'")
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
+        shown = _clipped(value) if isinstance(value, str) else repr(value)
+        raise ConfigError(f"{name} must be {_KINDS[kind]}, got {shown}")
     value = int(value) if kind == "int" else float(value)
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value!r}")
@@ -204,7 +208,9 @@ def parse_config(text: str, source: str = "<config>") -> SystemConfig:
             values[key] = val if kind == "str" else int(val) if kind == "int" else float(val)
         except ValueError as exc:
             if kind != "float | str":
-                raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
+                raise ConfigError(
+                    f"{source}:{lineno}: bad value for {key!r}: expected {_KINDS[kind]}, got {_clipped(val)}"
+                ) from exc
             values[key] = val  # not a number: SystemConfig checks the text
     try:
         return SystemConfig(**values)

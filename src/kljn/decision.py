@@ -4,8 +4,9 @@ Voltage and current mean squares are each read against a two-cut band: the
 middle band is the secure 01/10 reading, the outer regions are the insecure
 00 and 11 readings. The combined rule keeps a bit only when both readings
 are secure, discards single-sided insecure readings, and raises an alarm
-when the two readings name opposite insecure states. ``interpret_arrays``
-applies the same cuts and rule to whole arrays of periods.
+when the two readings name opposite insecure states. ``voltage_codes``,
+``current_codes`` and ``interpret_arrays`` apply the same cuts and rule to
+whole arrays of periods.
 """
 
 from __future__ import annotations
@@ -90,14 +91,24 @@ def _read(name: str, x, low_cut: float, high_cut: float, below: int, above: int)
     return np.where(x < low_cut, below, np.where(x > high_cut, above, 2)).astype(np.int8)
 
 
+def voltage_codes(msv, bands: DecisionBands) -> np.ndarray:
+    """Voltage interpretation codes of mean squares ``msv``: 00 is the lowest level, 11 the highest."""
+    return _read("voltage", msv, bands.v_low_cut, bands.v_high_cut, 0, 1)
+
+
+def current_codes(msi, bands: DecisionBands) -> np.ndarray:
+    """Current interpretation codes of mean squares ``msi``: 11 is the lowest level, 00 the highest."""
+    return _read("current", msi, bands.i_low_cut, bands.i_high_cut, 1, 0)
+
+
 def interpret_current(msi: float, bands: DecisionBands) -> Interpretation:
     """Read a mean-square current: 11 is the lowest level, 00 the highest."""
-    return tuple(Interpretation)[_read("current", msi, bands.i_low_cut, bands.i_high_cut, 1, 0)]
+    return tuple(Interpretation)[current_codes(msi, bands)]
 
 
 def interpret_voltage(msv: float, bands: DecisionBands) -> Interpretation:
     """Read a mean-square voltage: 00 is the lowest level, 11 the highest."""
-    return tuple(Interpretation)[_read("voltage", msv, bands.v_low_cut, bands.v_high_cut, 0, 1)]
+    return tuple(Interpretation)[voltage_codes(msv, bands)]
 
 
 _COMBINE_TABLE = {
@@ -139,6 +150,6 @@ def interpret_arrays(
     outcome codes index ``tuple(CombinedOutcome)``. Raises ValueError when
     any mean square is negative or NaN, as the scalar readers do.
     """
-    v_code = _read("voltage", msv, bands.v_low_cut, bands.v_high_cut, 0, 1)
-    i_code = _read("current", msi, bands.i_low_cut, bands.i_high_cut, 1, 0)
+    v_code = voltage_codes(msv, bands)
+    i_code = current_codes(msi, bands)
     return v_code, i_code, _OUTCOME_CODE[v_code, i_code]

@@ -19,9 +19,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .circuit import channel_waveforms
+from .circuit import channel_current, channel_voltage, channel_waveforms
 from .config import SystemConfig, _checked
-from .decision import _OUTCOME_CODE, CombinedOutcome, interpret_arrays
+from .decision import _OUTCOME_CODE, CombinedOutcome, current_codes, interpret_arrays, voltage_codes
 from .estimator import finite_mean_square, measurement_slice
 from .noise import band_coefficients, period_streams
 
@@ -30,6 +30,9 @@ ACTUAL_STATES = ("00", "11", "0110")
 _BLOCK_BYTES = 2**20
 _OUTCOMES = tuple(CombinedOutcome)
 _KEEP = _OUTCOMES.index(CombinedOutcome.KEEP_SECURE)
+# the mean squares each reading mode needs, in the order _simulate_chunk computes them
+_BOTH = ("msv", "msi")
+_READINGS = {"voltage": ("msv",), "current": ("msi",), "combined": _BOTH}
 
 
 @dataclass(frozen=True)
@@ -142,6 +145,7 @@ def _simulate_chunk(
     start: int,
     stop: int,
     force_state: Optional[str],
+    readings: tuple[str, ...] = _BOTH,
 ) -> dict:
     """Simulate periods [start, stop); returns per-period arrays.
 
@@ -149,7 +153,10 @@ def _simulate_chunk(
     then Alice's and Bob's normals, from its own stream. Periods run in
     blocks sized by ``_block_periods``: one inverse FFT, loop solve and
     windowed mean square per block, all element- or row-wise, so the result
-    does not depend on the block size.
+    does not depend on the block size. ``readings`` names the mean squares
+    computed, ``msv``, ``msi`` or both: a current-only chunk never builds the
+    channel voltage, a voltage-only one never the current. The result holds
+    ``bits`` and those arrays, each the same bytes as in a both-readings chunk.
     """
     n = config.samples_per_period
     r_bit = np.array([config.resistors.r0, config.resistors.r1])
@@ -162,8 +169,7 @@ def _simulate_chunk(
     count = stop - start
     block = max(1, min(count, _block_periods(n)))
     bits = np.empty((count, 2), dtype=np.int8)
-    msv = np.empty(count)
-    msi = np.empty(count)
+    squares = {name: np.empty(count) for name in readings}
     draw_word = force_state in (None, "0110")
     words = np.zeros(block, dtype=np.uint64)
     normals = np.empty((block, 2, layout.n_normals))
@@ -182,15 +188,19 @@ def _simulate_chunk(
         # slice before solving: the solve then touches only the measured half
         x = np.fft.irfft(coeffs, n=n, axis=-1)[..., window]
         del coeffs
-        u_c, i_c = channel_waveforms(x[:, 0], x[:, 1], r_bit[b[:, 0], None], r_bit[b[:, 1], None])
-        msv[lo:hi] = finite_mean_square(u_c)
-        msi[lo:hi] = finite_mean_square(i_c)
+        loop = (x[:, 0], x[:, 1], r_bit[b[:, 0], None], r_bit[b[:, 1], None])
+        if readings == _BOTH:
+            waves = channel_waveforms(*loop)
+        else:
+            waves = (channel_voltage(*loop) if readings == ("msv",) else channel_current(*loop),)
+        for name, wave in zip(readings, waves):
+            squares[name][lo:hi] = finite_mean_square(wave)
         # free the channel arrays before the next block allocates: holding them measured
         # about twice the page faults and 5-10% more time per period at gamma 1000
-        del u_c, i_c
-    if not (np.isfinite(msv).all() and np.isfinite(msi).all()):
+        del waves, wave
+    if not all(np.isfinite(ms).all() for ms in squares.values()):
         raise ValueError("non-finite channel mean squares: the noise levels overflow float64")
-    return {"bits": bits, "msv": msv, "msi": msi}
+    return {"bits": bits, **squares}
 
 
 def _usable_cpus() -> int:
@@ -200,6 +210,131 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+class WorkerExited(OSError):
+    """A worker process exited before sending back its share of the periods."""
+
+
+def _send_share(conn, args: tuple) -> None:
+    """A worker process's body: simulate one share and send it, or the exception it raised, to the caller."""
+    try:
+        reply = (True, _simulate_chunk(*args))
+    except Exception as exc:
+        reply = (False, exc)
+    conn.send(reply)
+
+
+class _Share:
+    """One share of the periods, simulated in a child process that sends it back over a one-way pipe.
+
+    The child starts when the share is built, by the platform's default start
+    method. ``result()`` waits for the share and re-raises the child's
+    exception; ``close()`` stops a child whose share was not received and
+    waits for it to exit.
+    """
+
+    def __init__(self, *args):
+        # imported here: a serial run never needs multiprocessing, and importing it costs start-up
+        import multiprocessing
+
+        self._reader, writer = multiprocessing.Pipe(duplex=False)
+        self._process = multiprocessing.Process(target=_send_share, args=(writer, args))
+        self._received = False
+        try:
+            self._process.start()
+        except BaseException:
+            self._reader.close()
+            raise
+        finally:
+            writer.close()  # the child then holds the only write end: its exit ends the pipe
+
+    def result(self) -> dict:
+        try:
+            ok, value = self._reader.recv()
+        except EOFError:
+            self._process.join()
+            raise WorkerExited(
+                f"a worker process exited with code {self._process.exitcode} before sending its share"
+            ) from None
+        self._received = True
+        if not ok:
+            raise value
+        return value
+
+    def close(self) -> None:
+        # a child blocked writing a share larger than the pipe's buffer would never exit on its own
+        if not self._received:
+            self._process.terminate()
+        self._process.join()
+        self._process.close()
+        self._reader.close()
+
+
+def _run_shares(
+    config: SystemConfig, force_state: Optional[str], workers: int, readings: tuple[str, ...]
+) -> dict:
+    """``_simulate_chunk`` over all ``config.n_periods`` periods, its arrays in period order.
+
+    With ``workers > 1`` the periods are split into ``workers`` shares, run by
+    ``workers`` processes at once, the caller included: ``workers - 1`` child
+    processes each simulate one share but the first, and the calling process
+    simulates the first while they run. ``workers`` is capped at the usable
+    CPUs, and fewer than two periods per share run serially. The arrays are
+    identical to the serial run's because every period has its own derived
+    random stream and the shares are concatenated in period order. No child
+    outlives the call, also when it fails.
+    """
+    n_periods = config.n_periods
+    args = (force_state, readings)
+    workers = min(workers, _usable_cpus())
+    if workers == 1 or n_periods < 2 * workers:
+        return _simulate_chunk(config, config.master_seed, 0, n_periods, *args)
+    bounds = np.linspace(0, n_periods, workers + 1, dtype=int).tolist()
+    first, *rest = zip(bounds[:-1], bounds[1:])
+    children = []
+    try:
+        for a, b in rest:
+            children.append(_Share(config, config.master_seed, a, b, *args))
+        chunks = [_simulate_chunk(config, config.master_seed, *first, *args)]
+        chunks += [child.result() for child in children]
+    finally:
+        for child in children:
+            child.close()
+    return {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
+
+
+def _checked_workers(workers) -> int:
+    """``workers`` as an int of at least 1, or a ValueError before any period runs."""
+    workers = _checked("workers", workers, "int")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return workers
+
+
+def error_rate(config: SystemConfig, mode: str, force_state: str, workers: int = 1) -> RateEstimate:
+    """The rate ``run_session`` reports as ``rates[f"eps_hat_{v|i|combined}_{force_state}"]``.
+
+    ``mode`` is voltage, current or combined; ``force_state`` is 00 or 11,
+    the states whose dangerous errors a sweep counts. The periods, their
+    shares and the decision cuts are the session's, so k, n, p and the
+    interval are too, but only the mean squares ``mode`` reads are computed:
+    a current-mode rate never solves the channel voltage.
+    """
+    workers = _checked_workers(workers)
+    # before any worker starts
+    if force_state not in ("00", "11"):
+        raise ValueError(f"force_state must be one of 00, 11, got {force_state!r}")
+    if mode not in _READINGS:
+        raise ValueError(f"mode must be one of voltage, current, combined, got {mode!r}")
+    bands = config.bands()  # fail fast on an empty secure band
+    periods = _run_shares(config, force_state, workers, _READINGS[mode])
+    secure = np.ones(config.n_periods, dtype=bool)
+    if "msv" in periods:
+        secure &= voltage_codes(periods["msv"], bands) == 2
+    if "msi" in periods:
+        secure &= current_codes(periods["msi"], bands) == 2
+    return RateEstimate.from_counts(int(np.count_nonzero(secure)), config.n_periods)
+
+
 def run_session(
     config: SystemConfig,
     force_state: Optional[str] = None,
@@ -207,46 +342,17 @@ def run_session(
 ) -> SessionReport:
     """Run ``config.n_periods`` periods from ``config.master_seed`` and aggregate the accounting.
 
-    With ``workers > 1`` the periods are split into ``workers`` shares, run
-    by ``workers`` processes at once, the caller included: a pool of
-    ``workers - 1`` processes takes every share but the first, and the
-    calling process simulates the first while the pool runs. ``workers`` is
-    capped at the usable CPUs (a fork pool starts all its processes at
-    once), and fewer than two periods per share run serially. The report is
-    identical to the serial run because every period has its own derived
-    random stream and the shares are concatenated in period order.
+    ``workers`` processes share the periods, the caller included (see
+    ``_run_shares``); the report is identical to the serial run's.
     """
     n_periods = config.n_periods
-    master_seed = config.master_seed
-    workers = _checked("workers", workers, "int")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, _usable_cpus())
+    workers = _checked_workers(workers)
     # before any worker starts
     if force_state is not None and force_state not in ACTUAL_STATES:
         raise ValueError(f"force_state must be one of 00, 11, 0110, got {force_state!r}")
     bands = config.bands()  # fail fast on an empty secure band
-
-    if workers == 1 or n_periods < 2 * workers:
-        chunks = [_simulate_chunk(config, master_seed, 0, n_periods, force_state)]
-    else:
-        # imported here: it pulls in multiprocessing, which a serial run never needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        bounds = np.linspace(0, n_periods, workers + 1, dtype=int).tolist()
-        first, *rest = zip(bounds[:-1], bounds[1:])
-        # leaving the block on an error waits for the pool's shares, so no process outlives it
-        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
-            futures = [
-                pool.submit(_simulate_chunk, config, master_seed, a, b, force_state)
-                for a, b in rest
-            ]
-            chunks = [_simulate_chunk(config, master_seed, *first, force_state)]
-            chunks += [f.result() for f in futures]
-
-    bits = np.concatenate([c["bits"] for c in chunks])
-    msv = np.concatenate([c["msv"] for c in chunks])
-    msi = np.concatenate([c["msi"] for c in chunks])
+    periods = _run_shares(config, force_state, workers, _BOTH)
+    bits, msv, msi = periods["bits"], periods["msv"], periods["msi"]
     v_code, i_code, outcome_code = interpret_arrays(msv, msi, bands)
 
     actual = np.where(bits[:, 0] == bits[:, 1], bits[:, 0], 2)  # 0->00, 1->11, 2->secure
@@ -280,7 +386,7 @@ def run_session(
 
     return SessionReport(
         n_periods=n_periods,
-        master_seed=master_seed,
+        master_seed=config.master_seed,
         config_hash=config.config_hash(),
         force_state=force_state,
         confusion_v=counts.sum(2).tolist(),

@@ -11,6 +11,7 @@ from kljn.circuit import (
     PhysicsConstants,
     ResistorSet,
     channel_current,
+    channel_voltage,
     channel_waveforms,
     generator_psd,
     theoretical_levels,
@@ -103,6 +104,30 @@ class TestChannelCurrent:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             channel_current(const_wave(1.0, n=8), const_wave(1.0, n=9), 1.0, 1.0)
+
+
+class TestChannelVoltage:
+    @settings(deadline=None)
+    @given(data=st.data(), rows=st.sampled_from([(), (1,), (3,), (2, 2)]), n=st.integers(1, 32), per_row=st.booleans())
+    def test_matches_channel_waveforms(self, data, rows, n, per_row):
+        """The voltage-only solve is the full solve's voltage and (u_a R_B + u_b R_A) / (R_A + R_B), bit for bit."""
+        samples = arrays(np.float64, rows + (n,), elements=st.floats(-1e6, 1e6))
+        u_a, u_b = data.draw(samples), data.draw(samples)
+        if per_row:
+            resistances = arrays(np.float64, rows + (1,), elements=st.floats(1e-3, 1e6))
+        else:
+            resistances = st.floats(1e-3, 1e6)
+        r_a, r_b = data.draw(resistances), data.draw(resistances)
+        before = u_a.copy(), u_b.copy()
+        u_c = channel_voltage(u_a, u_b, r_a, r_b)
+        assert u_c.shape == u_a.shape and u_c.dtype == np.float64
+        assert np.array_equal(u_c, channel_waveforms(u_a, u_b, r_a, r_b)[0])
+        assert np.array_equal(u_c, (u_a * r_b + u_b * r_a) / (r_a + r_b))
+        assert np.array_equal(u_a, before[0]) and np.array_equal(u_b, before[1])
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            channel_voltage(const_wave(1.0, n=8), const_wave(1.0, n=9), 1.0, 1.0)
 
 
 class TestResistorSet:

@@ -258,6 +258,7 @@ class TestSession:
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_workers_below_one_is_config_error(capsys, monkeypatch, fast_config, command, workers):
     monkeypatch.setattr(cli, "run_session", _no_session)
+    monkeypatch.setattr(cli, "error_rate", _no_session)
     code, out, err = run_cli(capsys, command + ["--config", fast_config, "--workers", workers])
     assert code == 2
     assert out == ""
@@ -296,6 +297,7 @@ def test_workers_below_one_is_config_error(capsys, monkeypatch, fast_config, com
 def test_unrunnable_config_is_config_error(capsys, monkeypatch, tmp_path, config_text, command, message):
     """session and sweep give the same exit code for a config no period can run."""
     monkeypatch.setattr(cli, "run_session", _no_session)
+    monkeypatch.setattr(cli, "error_rate", _no_session)
     path = tmp_path / "bad.cfg"
     path.write_text(config_text)
     code, out, err = run_cli(capsys, command + ["--config", str(path)])
@@ -355,6 +357,7 @@ def test_unrunnable_config_refused_by_every_command(capsys, monkeypatch, tmp_pat
 def test_no_in_band_bin_is_config_error(capsys, monkeypatch, tmp_path, config_text, command):
     """gamma 0.5 at oversample 4 gives 2 samples per period, whose noise would be all zeros."""
     monkeypatch.setattr(cli, "run_session", _no_session)
+    monkeypatch.setattr(cli, "error_rate", _no_session)
     path = tmp_path / "bad.cfg"
     path.write_text(config_text)
     code, out, err = run_cli(capsys, command + ["--config", str(path)])
@@ -376,6 +379,7 @@ def test_nyquist_only_period_runs(capsys, tmp_path):
 
 def test_sweep_force_state_0110_is_usage_error(capsys, monkeypatch, fast_config):
     monkeypatch.setattr(cli, "run_session", _no_session)
+    monkeypatch.setattr(cli, "error_rate", _no_session)
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--config", fast_config, "--gammas", "30", "--force-state", "0110"])
     assert exc.value.code == 2
@@ -681,6 +685,7 @@ class TestRepeatedMain:
             raise ConfigError("stopped before any period runs")
 
         monkeypatch.setattr(cli, "run_session", recording_session)
+        monkeypatch.setattr(cli, "error_rate", recording_session)
         for argv in (
             ["session", "--workers", "2", "--force-state", "0110", "--seed", "7"],
             ["sweep", "--gammas", "30", "--workers", "2", "--force-state", "00"],
@@ -690,7 +695,7 @@ class TestRepeatedMain:
         capsys.readouterr()
         assert calls == [
             (7, {"force_state": "0110", "workers": 2}),
-            (1, {"force_state": "00", "workers": 2}),
+            (1, {"mode": "combined", "force_state": "00", "workers": 2}),
             (1, {"force_state": None, "workers": 1}),
         ]
 

@@ -4,7 +4,6 @@ import multiprocessing
 import os
 import tracemalloc
 import warnings
-from concurrent.futures import Future, ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from kljn import protocol
 from kljn.circuit import DegenerateLevelsWarning, LoopState, channel_waveforms, generator_psd
+from kljn.cli import main
 from kljn.config import SystemConfig, with_overrides
 from kljn.decision import (
     CombinedOutcome,
@@ -28,8 +28,10 @@ from kljn.noise import NoiseSpec, rng_for_period, synth_band_limited
 from kljn.protocol import (
     ACTUAL_STATES,
     RateEstimate,
+    WorkerExited,
     _bits_from_words,
     _simulate_chunk,
+    error_rate,
     extract_key,
     key_to_hex,
     run_session,
@@ -291,15 +293,16 @@ class TestRunSession:
         serial = run_session(cfg)
         built = []
 
-        class CountingPool(ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                built.append(max_workers)
-                super().__init__(max_workers)
+        class CountingShare(protocol._Share):
+            def __init__(self, *args):
+                built.append(args[2:4])
+                super().__init__(*args)
 
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(protocol, "_Share", CountingShare)
         monkeypatch.setattr(protocol, "_usable_cpus", lambda: workers)  # on any machine
         parallel = run_session(cfg, workers=workers)
-        assert built == ([workers - 1] if n_periods >= 2 * workers else [])
+        # one child process per share but the caller's first
+        assert len(built) == (workers - 1 if n_periods >= 2 * workers else 0)
         assert serial.to_dict() == parallel.to_dict()
         assert np.array_equal(serial.bits, parallel.bits)
         assert np.array_equal(serial.outcome_code, parallel.outcome_code)
@@ -324,7 +327,7 @@ class TestRunSession:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_overflowing_noise_levels_rejected(self, workers, monkeypatch):
         # the bands are finite, but 4kT * R1 * f_s * n overflows float64 in the synthesis;
-        # with 2 workers both the caller's share and the pool's share overflow
+        # with 2 workers both the caller's share and the child process's share overflow
         cfg = small_config(t_eff=3.6e305, r=1e20, alpha=1000.0, n_periods=4, master_seed=2)
         cfg.bands()
         monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)
@@ -347,69 +350,65 @@ class TestRunSession:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_rejects_unknown_force_state(self, workers, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was built before force_state was checked")
+        def no_process(*args, **kwargs):
+            raise AssertionError("a worker process was started before force_state was checked")
 
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(protocol, "_Share", no_process)
+        monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)
         with pytest.raises(ValueError, match="force_state"):
             run_session(small_config(n_periods=20), force_state="01", workers=workers)
 
     @pytest.mark.parametrize(
-        "workers, cpus, pools, shares",
+        "workers, cpus, processes, shares",
         [
-            (5000, 2, [1], [(20, 40)]),
-            (3, 8, [2], [(13, 26), (26, 40)]),
-            (2, 1, [], []),  # one CPU runs serially
+            (5000, 2, 1, [(20, 40)]),
+            (3, 8, 2, [(13, 26), (26, 40)]),
+            (2, 1, 0, []),  # one CPU runs serially
         ],
-        ids=["5000-2-1", "3-8-2", "2-1-None"],  # workers, usable CPUs, pool size
+        ids=["5000-2-1", "3-8-2", "2-1-None"],  # workers, usable CPUs, child processes
     )
-    def test_pool_capped_at_usable_cpus(self, workers, cpus, pools, shares, monkeypatch):
-        built, submitted = [], []
+    def test_pool_capped_at_usable_cpus(self, workers, cpus, processes, shares, monkeypatch):
+        submitted = []
 
-        class InlinePool:
-            """Records the pool size and each share's (start, stop), and runs the share here."""
+        class InlineShare:
+            """Records each share's (start, stop) in place of a child process, and runs the share here."""
 
-            def __init__(self, max_workers):
-                built.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
+            def __init__(self, *args):
                 submitted.append(args[2:4])
-                future = Future()
-                future.set_result(fn(*args))
-                return future
+                self._chunk = _simulate_chunk(*args)
+
+            def result(self):
+                return self._chunk
+
+            def close(self):
+                pass
 
         cfg = small_config(n_periods=40, master_seed=41)
         serial = run_session(cfg)
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(protocol, "_Share", InlineShare)
         monkeypatch.setattr(protocol, "_usable_cpus", lambda: cpus)
         report = run_session(cfg, workers=workers)
-        # the calling process is one of the workers: the pool gets every share but the first
-        assert built == pools
+        # the calling process is one of the workers: the children get every share but the first
+        assert len(submitted) == processes
         assert submitted == shares
         assert report.to_dict() == serial.to_dict()
         assert np.array_equal(report.bits, serial.bits)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_workers_below_one(self, workers, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was built for an invalid worker count")
+        def no_process(*args, **kwargs):
+            raise AssertionError("a worker process was started for an invalid worker count")
 
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(protocol, "_Share", no_process)
         with pytest.raises(ValueError, match="workers"):
             run_session(small_config(n_periods=20), workers=workers)
 
     @pytest.mark.parametrize("workers", [2.0, 1.5, True, False, "2", None])
     def test_rejects_non_integer_workers(self, workers, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was built for an invalid worker count")
+        def no_process(*args, **kwargs):
+            raise AssertionError("a worker process was started for an invalid worker count")
 
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(protocol, "_Share", no_process)
         with pytest.raises(ValueError, match="workers must be an integer"):
             run_session(small_config(n_periods=20), workers=workers)
 
@@ -430,6 +429,113 @@ class TestRunSession:
         report = run_session(small_config(n_periods=2000, master_seed=29), force_state="11")
         corr = msq_correlation(report.moment_sums["11"])
         assert abs(corr) < 4 / math.sqrt(2000)
+
+
+def fork_children(monkeypatch):
+    """Start the share runner's children by fork, so that they inherit this process's patches."""
+    monkeypatch.setattr(multiprocessing, "Process", multiprocessing.get_context("fork").Process)
+    monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)
+
+
+class TestShareRunner:
+    """Child processes that fail: the call raises, and no process outlives it."""
+
+    @staticmethod
+    def exit_mid_share(monkeypatch):
+        chunk = _simulate_chunk
+
+        def exits_in_child(config, master_seed, start, stop, *rest):
+            if start == 0:  # the caller's share
+                return chunk(config, master_seed, start, stop, *rest)
+            chunk(config, master_seed, start, start + 1, *rest)
+            os._exit(7)
+
+        fork_children(monkeypatch)
+        monkeypatch.setattr(protocol, "_simulate_chunk", exits_in_child)
+
+    def test_child_exit_raises(self, monkeypatch):
+        self.exit_mid_share(monkeypatch)
+        with pytest.raises(WorkerExited, match="exited with code 7 before sending its share"):
+            run_session(small_config(n_periods=20), workers=2)
+        assert multiprocessing.active_children() == []
+        assert issubclass(WorkerExited, OSError)  # so the CLI reads it as a runtime failure
+
+    def test_child_exit_is_cli_runtime_error(self, monkeypatch, capsys, tmp_path):
+        self.exit_mid_share(monkeypatch)
+        path = tmp_path / "run.cfg"
+        path.write_text("n_periods = 20\n")
+        code = main(["sweep", "--gammas", "30", "--workers", "2", "--config", str(path)])
+        out = capsys.readouterr()
+        assert code == 3
+        assert out.out == "" and out.err.startswith("runtime error: a worker process exited with code 7")
+        assert multiprocessing.active_children() == []
+
+    def test_child_exception_reraised(self, monkeypatch):
+        def fails(config, master_seed, start, *rest):
+            if start:
+                raise MemoryError(f"share from {start} failed")
+            return _simulate_chunk(config, master_seed, start, *rest)
+
+        fork_children(monkeypatch)
+        monkeypatch.setattr(protocol, "_simulate_chunk", fails)
+        with pytest.raises(MemoryError, match="share from 10 failed"):
+            error_rate(small_config(n_periods=20), "current", "11", workers=2)
+        assert multiprocessing.active_children() == []
+
+
+class TestErrorRate:
+    # low gamma and alpha: every mode reads some forced 00 and 11 periods as secure
+    CONFIG = small_config(gamma=12.0, alpha=10.0, n_periods=301, master_seed=7)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("force_state", ["00", "11"])
+    @pytest.mark.parametrize("mode, prefix", [("voltage", "v"), ("current", "i"), ("combined", "combined")])
+    def test_equals_session_rate(self, mode, prefix, force_state, workers, monkeypatch):
+        monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)  # a child process on any machine
+        expected = run_session(self.CONFIG, force_state=force_state, workers=workers)
+        got = error_rate(self.CONFIG, mode, force_state, workers=workers)
+        assert got == expected.rates[f"eps_hat_{prefix}_{force_state}"]
+        assert 0 < got.k < got.n == self.CONFIG.n_periods
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("force_state", [None, "0110", "01", 11])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rejects_force_state_a_sweep_cannot_count(self, force_state, workers, monkeypatch):
+        def no_process(*args, **kwargs):
+            raise AssertionError("a worker process was started before force_state was checked")
+
+        monkeypatch.setattr(protocol, "_Share", no_process)
+        monkeypatch.setattr(protocol, "_simulate_chunk", no_process)
+        monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)
+        with pytest.raises(ValueError, match="force_state must be one of 00, 11, got"):
+            error_rate(self.CONFIG, "current", force_state, workers=workers)
+
+    @pytest.mark.parametrize(
+        "mode, force_state, workers, message",
+        [
+            ("current_only", "11", 1, "mode must be one of voltage, current, combined"),
+            ("current", "11", 0, "workers must be >= 1"),
+            ("current", "11", 2.0, "workers must be an integer"),
+        ],
+    )
+    def test_rejects_before_any_period_runs(self, mode, force_state, workers, message, monkeypatch):
+        def no_process(*args, **kwargs):
+            raise AssertionError("a period ran for a call that must be refused")
+
+        monkeypatch.setattr(protocol, "_Share", no_process)
+        monkeypatch.setattr(protocol, "_simulate_chunk", no_process)
+        with pytest.raises(ValueError, match=message):
+            error_rate(self.CONFIG, mode, force_state, workers=workers)
+
+    def test_empty_secure_band_refused(self):
+        with pytest.raises(ValueError, match="empty secure band"):
+            error_rate(small_config(lam=0.99, rho=0.99), "current", "11")
+
+    @pytest.mark.parametrize("mode", ["voltage", "current", "combined"])
+    def test_overflowing_noise_levels_rejected(self, mode):
+        cfg = small_config(t_eff=3.6e305, r=1e20, alpha=1000.0, n_periods=4, master_seed=2)
+        with pytest.raises(ValueError, match="non-finite"), np.errstate(all="ignore"):
+            error_rate(cfg, mode, "11")
 
 
 class TestBlockKernel:
@@ -485,6 +591,25 @@ class TestBlockKernel:
         # memory does not grow with the number of blocks
         results = (counts[1] - counts[0]) * (2 + 8 + 8)
         assert peaks[1] - peaks[0] - results < 0.05 * protocol._BLOCK_BYTES
+
+    @pytest.mark.parametrize(
+        "overrides",
+        # several blocks with a partial last one; and sample_rate = 2 * b_kljn, the Nyquist path
+        [dict(gamma=50.0, n_periods=500), dict(gamma=37.3, oversample=2, n_periods=700)],
+        ids=["multi-block", "nyquist"],
+    )
+    @pytest.mark.parametrize("force_state", [None, "11"])
+    @pytest.mark.parametrize("readings", [("msv",), ("msi",)], ids=["msv", "msi"])
+    def test_reading_subset_matches_both(self, overrides, force_state, readings):
+        cfg = small_config(**overrides)
+        block = protocol._block_periods(cfg.samples_per_period)
+        assert cfg.n_periods > 2 * block and cfg.n_periods % block
+        both = _simulate_chunk(cfg, cfg.master_seed, 0, cfg.n_periods, force_state)
+        some = _simulate_chunk(cfg, cfg.master_seed, 0, cfg.n_periods, force_state, readings)
+        assert sorted(some) == sorted(("bits",) + readings)
+        for name in some:
+            assert some[name].dtype == both[name].dtype
+            assert some[name].tobytes() == both[name].tobytes(), name
 
     def test_report_independent_of_block_size(self, monkeypatch):
         cfg = small_config(n_periods=1000, master_seed=37)
