@@ -134,7 +134,10 @@ def cmd_spectra(args) -> str:
     loop = LoopState.from_bits(1, 1, config.resistors)
     spec = config.noise_spec(loop.r_alice, args.samples)
     rng = rng_for_period(config.master_seed, 0)
-    i_c = channel_current(*synth_band_limited_many([spec, spec], rng), loop.r_alice, loop.r_bob)
+    u_a, u_b = synth_band_limited_many([spec, spec], rng)
+    # solved into Alice's wave, not a third signal-sized array; Bob's is freed before the periodogram
+    i_c = channel_current(u_a, u_b, loop.r_alice, loop.r_bob, out=u_a)
+    del u_b
     squared = np.square(i_c, out=i_c)
     squared -= squared.mean()  # theory describes only the AC part
     freqs, emp = periodogram(squared, config.sample_rate, args.bins)

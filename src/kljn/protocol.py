@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .circuit import channel_current, channel_voltage, channel_waveforms
+from .circuit import channel_current, channel_voltage
 from .config import SystemConfig, _checked
 from .decision import _OUTCOME_CODE, CombinedOutcome, current_codes, interpret_arrays, voltage_codes
 from .estimator import finite_mean_square, measurement_slice
@@ -28,11 +28,14 @@ from .noise import band_coefficients, period_streams
 ACTUAL_STATES = ("00", "11", "0110")
 # working-array budget of one block of simulated periods
 _BLOCK_BYTES = 2**20
+# periods per block for long periods, where the budget alone would give fewer (see _block_periods)
+_MIN_BLOCK_PERIODS = 8
 _OUTCOMES = tuple(CombinedOutcome)
 _KEEP = _OUTCOMES.index(CombinedOutcome.KEEP_SECURE)
 # the mean squares each reading mode needs, in the order _simulate_chunk computes them
 _BOTH = ("msv", "msi")
 _READINGS = {"voltage": ("msv",), "current": ("msi",), "combined": _BOTH}
+_SOLVES = {"msv": channel_voltage, "msi": channel_current}
 
 
 @dataclass(frozen=True)
@@ -126,17 +129,29 @@ def _block_periods(n_samples: int) -> int:
 
     Per period and party a block holds at most ``n_samples`` normals (fewer
     unless oversample is 2), the complex spectrum and the inverse-FFT
-    samples; per period it also holds the half-window voltage and current.
-    At least one period runs per block.
+    samples; per period it also holds the half-window voltage or current
+    and its square. At least one period runs per block.
 
     The budget is 1 MiB so that a block's working set stays in one core's
     L2 (2 MiB per core on the 2-core Xeon it was measured on) while every
     stage of the kernel passes over it: at 4 MiB each stage streamed from
     L3, and a session at gamma = 30 ran about 13% fewer periods per second.
+
+    Long periods get a floor of ``_MIN_BLOCK_PERIODS`` periods, as far as
+    the block's samples stay within half the budget (so a budget of 1 byte
+    still gives one period). The budget alone gives 4 periods at gamma =
+    1000 (4000 samples), and each ``irfft`` call builds its plan anew, which
+    costs about one more row at that length (33 us for one row against 16 us
+    per row in a batch of 8 or more). With 8 periods a block's traced peak
+    was 1.69 MB; 10 periods peaked at 2.07 MB, and 16 at 3.24 MB, over twice
+    the budget, while running no faster than 8. At oversample 4 the budget
+    gives 8 or more periods below about gamma = 585, where the floor does
+    not bind.
     """
     n = n_samples
     per_period = 2 * (8 * n + 16 * (n // 2 + 1) + 8 * n) + 2 * 8 * (n - n // 2)
-    return max(1, _BLOCK_BYTES // per_period)
+    floor = min(_MIN_BLOCK_PERIODS, _BLOCK_BYTES // (2 * 2 * 8 * n))
+    return max(1, floor, _BLOCK_BYTES // per_period)
 
 
 def _simulate_chunk(
@@ -147,13 +162,15 @@ def _simulate_chunk(
     force_state: Optional[str],
     readings: tuple[str, ...] = _BOTH,
 ) -> dict:
-    """Simulate periods [start, stop); returns per-period arrays.
+    """Simulate periods [start, stop), with start < stop; returns per-period arrays.
 
     Each period draws its bits (one raw word, read by ``_bits_from_words``),
     then Alice's and Bob's normals, from its own stream. Periods run in
     blocks sized by ``_block_periods``: one inverse FFT, loop solve and
     windowed mean square per block, all element- or row-wise, so the result
-    does not depend on the block size. ``readings`` names the mean squares
+    does not depend on the block size. The normals, the spectrum and the
+    channel wave live in buffers allocated once per chunk; a partial last
+    block uses their leading rows. ``readings`` names the mean squares
     computed, ``msv``, ``msi`` or both: a current-only chunk never builds the
     channel voltage, a voltage-only one never the current. The result holds
     ``bits`` and those arrays, each the same bytes as in a both-readings chunk.
@@ -171,33 +188,37 @@ def _simulate_chunk(
     bits = np.empty((count, 2), dtype=np.int8)
     squares = {name: np.empty(count) for name in readings}
     draw_word = force_state in (None, "0110")
-    words = np.zeros(block, dtype=np.uint64)
     normals = np.empty((block, 2, layout.n_normals))
     rows = list(normals)
+    # every block writes the same in-band and Nyquist slots; DC and the bins above the band stay zero
+    spectrum = np.zeros((block, 2, n // 2 + 1), dtype=complex)
+    wave = np.empty((block, n - n // 2))
+    # period_streams re-keys and yields one generator for every period, so its draws are bound
+    # once, from the stream of period start (a chunk is never empty)
     streams = period_streams(master_seed, range(start, stop))
+    rng = next(streams)
+    random_raw, standard_normal = rng.bit_generator.random_raw, rng.standard_normal
     for lo in range(0, count, block):
-        hi = min(lo + block, count)
-        # range first: zip must not take a stream past the block's last period
-        for j, rng in zip(range(hi - lo), streams):
+        k = min(block, count - lo)
+        words = []
+        for row in rows[:k]:
             if draw_word:
-                words[j] = rng.bit_generator.random_raw()
-            rng.standard_normal(out=rows[j])
-        bits[lo:hi] = _bits_from_words(words[: hi - lo], force_state)
-        b = bits[lo:hi]
-        coeffs = band_coefficients(layout, normals[: hi - lo], scale[b], nyquist_scale[b])
+                words.append(random_raw())
+            standard_normal(out=row)
+            next(streams, None)  # the next period's stream; none after the chunk's last
+        # forced 00/11 periods draw no word: _bits_from_words then reads only the count of words
+        words = np.array(words if draw_word else [0] * k, dtype=np.uint64)
+        bits[lo : lo + k] = _bits_from_words(words, force_state)
+        b = bits[lo : lo + k]
+        coeffs = band_coefficients(layout, normals[:k], scale[b], nyquist_scale[b], out=spectrum[:k])
         # slice before solving: the solve then touches only the measured half
         x = np.fft.irfft(coeffs, n=n, axis=-1)[..., window]
-        del coeffs
         loop = (x[:, 0], x[:, 1], r_bit[b[:, 0], None], r_bit[b[:, 1], None])
-        if readings == _BOTH:
-            waves = channel_waveforms(*loop)
-        else:
-            waves = (channel_voltage(*loop) if readings == ("msv",) else channel_current(*loop),)
-        for name, wave in zip(readings, waves):
-            squares[name][lo:hi] = finite_mean_square(wave)
-        # free the channel arrays before the next block allocates: holding them measured
-        # about twice the page faults and 5-10% more time per period at gamma 1000
-        del waves, wave
+        for name in readings:
+            squares[name][lo : lo + k] = finite_mean_square(_SOLVES[name](*loop, out=wave[:k]))
+        # freed before the next block's transform allocates its samples: holding both read a
+        # traced peak of 1.93 MB at gamma 1000, against 1.69 MB
+        del x, loop
     if not all(np.isfinite(ms).all() for ms in squares.values()):
         raise ValueError("non-finite channel mean squares: the noise levels overflow float64")
     return {"bits": bits, **squares}

@@ -383,6 +383,12 @@ class TestPeriodStreams:
             else:
                 rng.bit_generator.random_raw(leftover)
 
+    def test_yields_one_generator(self):
+        """The kernel binds its draws once per chunk, so every period's stream must be the same object."""
+        streams = period_streams(7, range(5))
+        first = next(streams)
+        assert all(rng is first for rng in streams)
+
 
 class TestBandCoefficients:
     @pytest.mark.parametrize("sample_rate", [2.0, 3.0])  # Nyquist bin in band (even n), not in band
@@ -410,6 +416,11 @@ class TestBandCoefficients:
         expected = reference_band_coefficients(layout, normals, scale, nyquist_scale)
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert np.array_equal(got, expected)
+        # a zeroed buffer reused for the layout, as a block kernel reuses it, after another draw
+        buffer = np.zeros_like(expected)
+        band_coefficients(layout, np.full_like(normals, 7.0), 1.0, 1.0, out=buffer)
+        assert band_coefficients(layout, normals, scale, nyquist_scale, out=buffer) is buffer
+        assert np.array_equal(buffer, expected)
 
 
 

@@ -566,7 +566,27 @@ class TestBlockKernel:
         for name in ("bits", "msv", "msi"):
             assert np.array_equal(got[name], expected[name]), name
 
-    @pytest.mark.parametrize("gamma", [30.0, 1000.0])
+    @pytest.mark.parametrize(
+        "gamma, oversample",
+        # 2800 and 4000 samples per period, and 3000 with the Nyquist bin in band
+        [(700.0, 4), (1000.0, 4), (1500.0, 2)],
+    )
+    @pytest.mark.parametrize("force_state", [None, "0110", "00", "11"])
+    def test_matches_per_period_loop_where_floor_binds(self, gamma, oversample, force_state):
+        cfg = SystemConfig(gamma=gamma, alpha=100.0, oversample=oversample, master_seed=2**64 - 59)
+        n = cfg.samples_per_period
+        block = protocol._block_periods(n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(protocol, "_MIN_BLOCK_PERIODS", 1)
+            assert protocol._block_periods(n) < block  # the budget alone gives smaller blocks
+        # two floor-sized blocks and a partial one
+        start, stop = 2**40 + 11, 2**40 + 11 + 2 * block + 3
+        expected = reference_simulate_chunk(cfg, cfg.master_seed, start, stop, force_state)
+        got = _simulate_chunk(cfg, cfg.master_seed, start, stop, force_state)
+        for name in ("bits", "msv", "msi"):
+            assert np.array_equal(got[name], expected[name]), name
+
+    @pytest.mark.parametrize("gamma", [30.0, 1000.0, 2048.0])
     def test_block_bounded_by_budget(self, gamma):
         """Peak memory stays within the budget for blocks of many short periods or of a few long ones."""
         cfg = small_config(gamma=gamma)
@@ -611,16 +631,19 @@ class TestBlockKernel:
             assert some[name].dtype == both[name].dtype
             assert some[name].tobytes() == both[name].tobytes(), name
 
-    def test_report_independent_of_block_size(self, monkeypatch):
-        cfg = small_config(n_periods=1000, master_seed=37)
-        assert protocol._block_periods(cfg.samples_per_period) < cfg.n_periods
-        default = run_session(cfg)
-        monkeypatch.setattr(protocol, "_BLOCK_BYTES", 1)  # one period per block
-        assert protocol._block_periods(cfg.samples_per_period) == 1
-        single = run_session(cfg)
-        assert single.to_dict() == default.to_dict()
-        assert np.array_equal(single.bits, default.bits)
-        assert np.array_equal(single.outcome_code, default.outcome_code)
+    def test_report_independent_of_block_size(self):
+        # at gamma 1000 the long-period floor sets the default block size
+        for gamma in (50.0, 1000.0):
+            cfg = small_config(gamma=gamma, n_periods=1000, master_seed=37)
+            assert protocol._block_periods(cfg.samples_per_period) < cfg.n_periods
+            default = run_session(cfg)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(protocol, "_BLOCK_BYTES", 1)  # one period per block
+                assert protocol._block_periods(cfg.samples_per_period) == 1
+                single = run_session(cfg)
+            assert single.to_dict() == default.to_dict()
+            assert np.array_equal(single.bits, default.bits)
+            assert np.array_equal(single.outcome_code, default.outcome_code)
 
 
 class TestDrawBits:
