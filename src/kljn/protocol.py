@@ -32,10 +32,16 @@ _BLOCK_BYTES = 2**20
 _MIN_BLOCK_PERIODS = 8
 _OUTCOMES = tuple(CombinedOutcome)
 _KEEP = _OUTCOMES.index(CombinedOutcome.KEEP_SECURE)
-# the mean squares each reading mode needs, in the order _simulate_chunk computes them
+# the mean squares _simulate_chunk computes for a session, in its order
 _BOTH = ("msv", "msi")
-_READINGS = {"voltage": ("msv",), "current": ("msi",), "combined": _BOTH}
 _SOLVES = {"msv": channel_voltage, "msi": channel_current}
+# a one-reading error_rate mode's mean square, its reader, and its cuts' names in DecisionBands
+_ONE_READING = {
+    "voltage": ("msv", voltage_codes, ("v_low_cut", "v_high_cut")),
+    "current": ("msi", current_codes, ("i_low_cut", "i_high_cut")),
+}
+# relative distance from a cut within which error_rate re-solves a one-reading period (see there)
+_RESOLVE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -154,6 +160,45 @@ def _block_periods(n_samples: int) -> int:
     return max(1, floor, _BLOCK_BYTES // per_period)
 
 
+def _draw_blocks(
+    master_seed: int, start: int, stop: int, force_state: Optional[str], normals: np.ndarray
+):
+    """Draw periods [start, stop), with start < stop, a block at a time into the leading rows of ``normals``.
+
+    ``normals`` has shape ``(block, 2, n_normals)``. Each period draws its
+    bits (one raw word, read by ``_bits_from_words``), then Alice's and
+    Bob's normals, from its own stream. For each block of up to ``block``
+    periods, the generator fills ``normals[:k]`` and yields ``(lo, bits)``:
+    the block's first period is ``start + lo`` and ``bits`` is its int8
+    ``(k, 2)`` array. The rows are overwritten by the next block, so the
+    caller must be done with them before it resumes the generator.
+    """
+    count = stop - start
+    rows = list(normals)
+    draw_word = force_state in (None, "0110")
+    # period_streams re-keys and yields one generator for every period, so its draws are bound
+    # once, from the stream of period start
+    streams = period_streams(master_seed, range(start, stop))
+    rng = next(streams)
+    random_raw, standard_normal = rng.bit_generator.random_raw, rng.standard_normal
+    for lo in range(0, count, len(rows)):
+        k = min(len(rows), count - lo)
+        words = []
+        for row in rows[:k]:
+            if draw_word:
+                words.append(random_raw())
+            standard_normal(out=row)
+            next(streams, None)  # the next period's stream; none after the chunk's last
+        # forced 00/11 periods draw no word: _bits_from_words then reads only the count of words
+        yield lo, _bits_from_words(np.array(words if draw_word else [0] * k, dtype=np.uint64), force_state)
+
+
+def _check_finite(squares) -> None:
+    """The kernels' ValueError unless every array of mean squares in ``squares`` is finite."""
+    if not all(np.isfinite(ms).all() for ms in squares):
+        raise ValueError("non-finite channel mean squares: the noise levels overflow float64")
+
+
 def _simulate_chunk(
     config: SystemConfig,
     master_seed: int,
@@ -164,13 +209,12 @@ def _simulate_chunk(
 ) -> dict:
     """Simulate periods [start, stop), with start < stop; returns per-period arrays.
 
-    Each period draws its bits (one raw word, read by ``_bits_from_words``),
-    then Alice's and Bob's normals, from its own stream. Periods run in
-    blocks sized by ``_block_periods``: one inverse FFT, loop solve and
-    windowed mean square per block, all element- or row-wise, so the result
-    does not depend on the block size. The normals, the spectrum and the
-    channel wave live in buffers allocated once per chunk; a partial last
-    block uses their leading rows. ``readings`` names the mean squares
+    The periods are drawn by ``_draw_blocks``, in blocks sized by
+    ``_block_periods``: one inverse FFT of both parties' spectra, loop solve
+    and windowed mean square per block, all element- or row-wise, so the
+    result does not depend on the block size. The normals, the spectrum and
+    the channel wave live in buffers allocated once per chunk; a partial
+    last block uses their leading rows. ``readings`` names the mean squares
     computed, ``msv``, ``msi`` or both: a current-only chunk never builds the
     channel voltage, a voltage-only one never the current. The result holds
     ``bits`` and those arrays, each the same bytes as in a both-readings chunk.
@@ -187,29 +231,13 @@ def _simulate_chunk(
     block = max(1, min(count, _block_periods(n)))
     bits = np.empty((count, 2), dtype=np.int8)
     squares = {name: np.empty(count) for name in readings}
-    draw_word = force_state in (None, "0110")
     normals = np.empty((block, 2, layout.n_normals))
-    rows = list(normals)
     # every block writes the same in-band and Nyquist slots; DC and the bins above the band stay zero
     spectrum = np.zeros((block, 2, n // 2 + 1), dtype=complex)
     wave = np.empty((block, n - n // 2))
-    # period_streams re-keys and yields one generator for every period, so its draws are bound
-    # once, from the stream of period start (a chunk is never empty)
-    streams = period_streams(master_seed, range(start, stop))
-    rng = next(streams)
-    random_raw, standard_normal = rng.bit_generator.random_raw, rng.standard_normal
-    for lo in range(0, count, block):
-        k = min(block, count - lo)
-        words = []
-        for row in rows[:k]:
-            if draw_word:
-                words.append(random_raw())
-            standard_normal(out=row)
-            next(streams, None)  # the next period's stream; none after the chunk's last
-        # forced 00/11 periods draw no word: _bits_from_words then reads only the count of words
-        words = np.array(words if draw_word else [0] * k, dtype=np.uint64)
-        bits[lo : lo + k] = _bits_from_words(words, force_state)
-        b = bits[lo : lo + k]
+    for lo, b in _draw_blocks(master_seed, start, stop, force_state, normals):
+        k = len(b)
+        bits[lo : lo + k] = b
         coeffs = band_coefficients(layout, normals[:k], scale[b], nyquist_scale[b], out=spectrum[:k])
         # slice before solving: the solve then touches only the measured half
         x = np.fft.irfft(coeffs, n=n, axis=-1)[..., window]
@@ -219,9 +247,42 @@ def _simulate_chunk(
         # freed before the next block's transform allocates its samples: holding both read a
         # traced peak of 1.93 MB at gamma 1000, against 1.69 MB
         del x, loop
-    if not all(np.isfinite(ms).all() for ms in squares.values()):
-        raise ValueError("non-finite channel mean squares: the noise levels overflow float64")
+    _check_finite(squares.values())
     return {"bits": bits, **squares}
+
+
+def _simulate_reading(
+    config: SystemConfig, master_seed: int, start: int, stop: int, force_state: str, reading: str
+) -> dict:
+    """One reading's mean squares of forced 00 or 11 periods [start, stop), one inverse FFT per period.
+
+    ``reading`` is ``msv`` or ``msi``; the result maps it to the array.
+    Both generators of a forced period have the same resistor, so the same
+    coefficient scale, and the loop law and the inverse FFT are both linear:
+    the channel's spectrum is the loop law applied to the two parties'
+    normals, scaled once. The periods and their streams are
+    ``_simulate_chunk``'s (``_draw_blocks``, in the same blocks), and its
+    mean squares agree with ``_simulate_chunk``'s up to rounding, not byte
+    for byte (see ``error_rate``).
+    """
+    n = config.samples_per_period
+    r = config.resistors.for_bit(int(force_state[0]))
+    spec = config.noise_spec(r, n)
+    window = measurement_slice(n)
+
+    count = stop - start
+    block = max(1, min(count, _block_periods(n)))
+    squares = np.empty(count)
+    normals = np.empty((block, 2, spec.n_normals))
+    spectrum = np.zeros((block, n // 2 + 1), dtype=complex)
+    for lo, b in _draw_blocks(master_seed, start, stop, force_state, normals):
+        k = len(b)
+        # solved in place of Alice's normals
+        z = _SOLVES[reading](normals[:k, 0], normals[:k, 1], r, r, out=normals[:k, 0])
+        coeffs = band_coefficients(spec, z, spec.scale, spec.nyquist_scale, out=spectrum[:k])
+        squares[lo : lo + k] = finite_mean_square(np.fft.irfft(coeffs, n=n, axis=-1)[:, window])
+    _check_finite([squares])
+    return {reading: squares}
 
 
 def _usable_cpus() -> int:
@@ -235,17 +296,17 @@ class WorkerExited(OSError):
     """A worker process exited before sending back its share of the periods."""
 
 
-def _send_share(conn, args: tuple) -> None:
-    """A worker process's body: simulate one share and send it, or the exception it raised, to the caller."""
+def _send_share(conn, kernel, args: tuple) -> None:
+    """A worker process's body: run ``kernel(*args)``, and send the share or its exception to the caller."""
     try:
-        reply = (True, _simulate_chunk(*args))
+        reply = (True, kernel(*args))
     except Exception as exc:
         reply = (False, exc)
     conn.send(reply)
 
 
 class _Share:
-    """One share of the periods, simulated in a child process that sends it back over a one-way pipe.
+    """One share of the periods, ``kernel(*args)`` in a child process that sends it back over a one-way pipe.
 
     The child starts when the share is built, by the platform's default start
     method. ``result()`` waits for the share and re-raises the child's
@@ -253,12 +314,12 @@ class _Share:
     waits for it to exit.
     """
 
-    def __init__(self, *args):
+    def __init__(self, kernel, *args):
         # imported here: a serial run never needs multiprocessing, and importing it costs start-up
         import multiprocessing
 
         self._reader, writer = multiprocessing.Pipe(duplex=False)
-        self._process = multiprocessing.Process(target=_send_share, args=(writer, args))
+        self._process = multiprocessing.Process(target=_send_share, args=(writer, kernel, args))
         self._received = False
         try:
             self._process.start()
@@ -290,10 +351,10 @@ class _Share:
         self._reader.close()
 
 
-def _run_shares(
-    config: SystemConfig, force_state: Optional[str], workers: int, readings: tuple[str, ...]
-) -> dict:
-    """``_simulate_chunk`` over all ``config.n_periods`` periods, its arrays in period order.
+def _run_shares(kernel, config: SystemConfig, force_state: Optional[str], workers: int, readings) -> dict:
+    """``kernel`` (``_simulate_chunk`` or ``_simulate_reading``) over all ``config.n_periods`` periods.
+
+    Returns the kernel's arrays in period order; ``readings`` is its last argument.
 
     With ``workers > 1`` the periods are split into ``workers`` shares, run by
     ``workers`` processes at once, the caller included: ``workers - 1`` child
@@ -308,14 +369,14 @@ def _run_shares(
     args = (force_state, readings)
     workers = min(workers, _usable_cpus())
     if workers == 1 or n_periods < 2 * workers:
-        return _simulate_chunk(config, config.master_seed, 0, n_periods, *args)
+        return kernel(config, config.master_seed, 0, n_periods, *args)
     bounds = np.linspace(0, n_periods, workers + 1, dtype=int).tolist()
     first, *rest = zip(bounds[:-1], bounds[1:])
     children = []
     try:
         for a, b in rest:
-            children.append(_Share(config, config.master_seed, a, b, *args))
-        chunks = [_simulate_chunk(config, config.master_seed, *first, *args)]
+            children.append(_Share(kernel, config, config.master_seed, a, b, *args))
+        chunks = [kernel(config, config.master_seed, *first, *args)]
         chunks += [child.result() for child in children]
     finally:
         for child in children:
@@ -336,23 +397,39 @@ def error_rate(config: SystemConfig, mode: str, force_state: str, workers: int =
 
     ``mode`` is voltage, current or combined; ``force_state`` is 00 or 11,
     the states whose dangerous errors a sweep counts. The periods, their
-    shares and the decision cuts are the session's, so k, n, p and the
-    interval are too, but only the mean squares ``mode`` reads are computed:
-    a current-mode rate never solves the channel voltage.
+    shares and the decision cuts are the session's, and so are k, n, p and
+    the interval.
+
+    A combined-mode rate reads both mean squares of the session's kernel,
+    ``_simulate_chunk``. A voltage- or current-mode rate computes only its
+    reading, by ``_simulate_reading``: one inverse FFT per period instead of
+    two. Those mean squares agree with the session's up to rounding, at most
+    9.1e-16 relative (measured at gamma 12 to 1000, oversample 2 to 4, both
+    readings and states), so only a period on or next to a cut could read
+    otherwise. Every period whose mean square lies within a relative
+    ``_RESOLVE_MARGIN`` (1e-9) of either cut of its reading is therefore
+    re-solved alone by ``_simulate_chunk``, which gives the session's bytes
+    because each period has its own stream, and read from those.
     """
     workers = _checked_workers(workers)
     # before any worker starts
     if force_state not in ("00", "11"):
         raise ValueError(f"force_state must be one of 00, 11, got {force_state!r}")
-    if mode not in _READINGS:
+    if mode not in ("voltage", "current", "combined"):
         raise ValueError(f"mode must be one of voltage, current, combined, got {mode!r}")
     bands = config.bands()  # fail fast on an empty secure band
-    periods = _run_shares(config, force_state, workers, _READINGS[mode])
-    secure = np.ones(config.n_periods, dtype=bool)
-    if "msv" in periods:
-        secure &= voltage_codes(periods["msv"], bands) == 2
-    if "msi" in periods:
-        secure &= current_codes(periods["msi"], bands) == 2
+    if mode == "combined":
+        periods = _run_shares(_simulate_chunk, config, force_state, workers, _BOTH)
+        secure = (voltage_codes(periods["msv"], bands) == 2) & (current_codes(periods["msi"], bands) == 2)
+    else:
+        reading, codes, cuts = _ONE_READING[mode]
+        ms = _run_shares(_simulate_reading, config, force_state, workers, reading)[reading]
+        near = np.zeros(len(ms), dtype=bool)
+        for cut in (getattr(bands, name) for name in cuts):
+            near |= np.abs(ms - cut) <= _RESOLVE_MARGIN * cut
+        for p in np.flatnonzero(near).tolist():
+            ms[p] = _simulate_chunk(config, config.master_seed, p, p + 1, force_state, (reading,))[reading][0]
+        secure = codes(ms, bands) == 2
     return RateEstimate.from_counts(int(np.count_nonzero(secure)), config.n_periods)
 
 
@@ -372,7 +449,7 @@ def run_session(
     if force_state is not None and force_state not in ACTUAL_STATES:
         raise ValueError(f"force_state must be one of 00, 11, 0110, got {force_state!r}")
     bands = config.bands()  # fail fast on an empty secure band
-    periods = _run_shares(config, force_state, workers, _BOTH)
+    periods = _run_shares(_simulate_chunk, config, force_state, workers, _BOTH)
     bits, msv, msi = periods["bits"], periods["msv"], periods["msi"]
     v_code, i_code, outcome_code = interpret_arrays(msv, msi, bands)
 

@@ -527,8 +527,12 @@ GOLDEN_RUN_CONFIG = "n_periods = 2000\nalpha = 100\nlambda = 0.2\n"
          "6b4ba3d5157606395f04004faeb9fce2e094c62e4420f3d795c4b821710230f7"),
         (["sweep", "--seed", "3", "--gammas", "20,30", "--mode", "combined", "--force-state", "00"],
          "0d744bf7612bf1f84723ac95f036b06126ef016cbcc2b18d5dc0debe9be43d11"),
+        (["sweep", "--seed", "3", "--gammas", "20,30", "--mode", "voltage", "--force-state", "00"],
+         "50fa59b2d6c8b6c2c7c93e27e4a19953588f36a07e43cd1790ba44d817f67b23"),
+        (["sweep", "--seed", "3", "--gammas", "20,30", "--mode", "current", "--force-state", "00"],
+         "72b5bf684c1fa4e05490bd89f2f48cf790f0efdb86a49c684ccb889338391828"),
     ],
-    ids=["session", "session-0110", "sweep-current-11", "sweep-combined-00"],
+    ids=["session", "session-0110", "sweep-current-11", "sweep-combined-00", "sweep-voltage-00", "sweep-current-00"],
 )
 def test_golden_run_output(capsys, tmp_path, argv, sha256):
     """session and sweep print the bytes they printed before their run rules were each stated once.

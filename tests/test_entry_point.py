@@ -65,6 +65,8 @@ def run(*programs):
 
 SESSION = ("session", "--seed", "3")
 SWEEP = ("sweep", "--seed", "3", "--gammas", "30,100")
+# a current-mode sweep reads one mean square per period, with its own kernel
+SWEEP_CURRENT = SWEEP + ("--mode", "current")
 SPECTRA = ("spectra", "--samples", "300000", "--bins", "64")
 LEVELS = ("levels", "--samples", "65536")
 
@@ -77,6 +79,11 @@ LEVELS = ("levels", "--samples", "65536")
         [kljn_cli(*SWEEP, "--workers", "1"), kljn_cli(*SWEEP, "--workers", "2")],
         [kljn_cli(*SESSION, "--workers", "1"), kljn_cli(*SESSION, "--workers", "2", forkserver=True)],
         [kljn_cli(*SWEEP, "--workers", "1"), kljn_cli(*SWEEP, "--workers", "2", forkserver=True)],
+        [
+            kljn_cli(*SWEEP_CURRENT, "--workers", "1"),
+            kljn_cli(*SWEEP_CURRENT, "--workers", "2"),
+            kljn_cli(*SWEEP_CURRENT, "--workers", "2", forkserver=True),
+        ],
         # the inverse FFTs and half of the periodogram segments run on a helper thread, which
         # interleaves differently from run to run, and again on one CPU; numpy 1.22 keeps its
         # floating-point error state per thread, not in a contextvar: the helper must still see
@@ -89,6 +96,7 @@ LEVELS = ("levels", "--samples", "65536")
         "sweep-workers",
         "session-forkserver",
         "sweep-forkserver",
+        "sweep-current-workers",
         "spectra-threads",
         "levels-threads",
     ],

@@ -31,6 +31,7 @@ from kljn.protocol import (
     WorkerExited,
     _bits_from_words,
     _simulate_chunk,
+    _simulate_reading,
     error_rate,
     extract_key,
     key_to_hex,
@@ -294,9 +295,9 @@ class TestRunSession:
         built = []
 
         class CountingShare(protocol._Share):
-            def __init__(self, *args):
+            def __init__(self, kernel, *args):
                 built.append(args[2:4])
-                super().__init__(*args)
+                super().__init__(kernel, *args)
 
         monkeypatch.setattr(protocol, "_Share", CountingShare)
         monkeypatch.setattr(protocol, "_usable_cpus", lambda: workers)  # on any machine
@@ -373,9 +374,9 @@ class TestRunSession:
         class InlineShare:
             """Records each share's (start, stop) in place of a child process, and runs the share here."""
 
-            def __init__(self, *args):
+            def __init__(self, kernel, *args):
                 submitted.append(args[2:4])
-                self._chunk = _simulate_chunk(*args)
+                self._chunk = kernel(*args)
 
             def result(self):
                 return self._chunk
@@ -471,13 +472,14 @@ class TestShareRunner:
         assert multiprocessing.active_children() == []
 
     def test_child_exception_reraised(self, monkeypatch):
+        # a current-mode rate runs the one-reading kernel
         def fails(config, master_seed, start, *rest):
             if start:
                 raise MemoryError(f"share from {start} failed")
-            return _simulate_chunk(config, master_seed, start, *rest)
+            return _simulate_reading(config, master_seed, start, *rest)
 
         fork_children(monkeypatch)
-        monkeypatch.setattr(protocol, "_simulate_chunk", fails)
+        monkeypatch.setattr(protocol, "_simulate_reading", fails)
         with pytest.raises(MemoryError, match="share from 10 failed"):
             error_rate(small_config(n_periods=20), "current", "11", workers=2)
         assert multiprocessing.active_children() == []
@@ -506,6 +508,7 @@ class TestErrorRate:
 
         monkeypatch.setattr(protocol, "_Share", no_process)
         monkeypatch.setattr(protocol, "_simulate_chunk", no_process)
+        monkeypatch.setattr(protocol, "_simulate_reading", no_process)
         monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)
         with pytest.raises(ValueError, match="force_state must be one of 00, 11, got"):
             error_rate(self.CONFIG, "current", force_state, workers=workers)
@@ -524,8 +527,41 @@ class TestErrorRate:
 
         monkeypatch.setattr(protocol, "_Share", no_process)
         monkeypatch.setattr(protocol, "_simulate_chunk", no_process)
+        monkeypatch.setattr(protocol, "_simulate_reading", no_process)
         with pytest.raises(ValueError, match=message):
             error_rate(self.CONFIG, mode, force_state, workers=workers)
+
+    # a state-11 period's two-wave mean square, which the cut is set on
+    @pytest.mark.parametrize(
+        "mode, period, ms", [("current", 1, 0.0834868544904201), ("voltage", 4, 3.0552052491324804)]
+    )
+    def test_period_on_a_cut_resolved(self, mode, period, ms, monkeypatch):
+        """A period exactly on a cut reads secure, as the session reads it, though one transform misses the cut."""
+        levels = self.CONFIG.levels()
+        # the current low cut i_11 * (1 + lam), or the voltage high cut v_11 * (1 - delta)
+        if mode == "current":
+            reading, interpret = "msi", interpret_current
+            cfg = with_overrides(self.CONFIG, lam=ms / levels.i_11 - 1)
+            assert cfg.bands().i_low_cut == ms
+        else:
+            reading, interpret = "msv", interpret_voltage
+            cfg = with_overrides(self.CONFIG, delta=1 - ms / levels.v_11)
+            assert cfg.bands().v_high_cut == ms
+        assert _simulate_chunk(cfg, cfg.master_seed, 0, cfg.n_periods, "11")[reading][period] == ms
+        one = _simulate_reading(cfg, cfg.master_seed, 0, cfg.n_periods, "11", reading)[reading]
+        assert interpret(ms, cfg.bands()) is Interpretation.SECURE_0110
+        assert interpret(one[period], cfg.bands()) is Interpretation.B11  # a few ulp past the cut
+        resolved = []
+
+        def spy(config, master_seed, start, stop, *rest):
+            resolved.append((start, stop))
+            return _simulate_chunk(config, master_seed, start, stop, *rest)
+
+        monkeypatch.setattr(protocol, "_simulate_chunk", spy)
+        got = error_rate(cfg, mode, "11")
+        monkeypatch.undo()
+        assert resolved == [(period, period + 1)]
+        assert got == run_session(cfg, force_state="11").rates[f"eps_hat_{reading[2]}_11"]
 
     def test_empty_secure_band_refused(self):
         with pytest.raises(ValueError, match="empty secure band"):
@@ -536,6 +572,23 @@ class TestErrorRate:
         cfg = small_config(t_eff=3.6e305, r=1e20, alpha=1000.0, n_periods=4, master_seed=2)
         with pytest.raises(ValueError, match="non-finite"), np.errstate(all="ignore"):
             error_rate(cfg, mode, "11")
+
+
+def chunk_peaks(kernel, cfg, *args):
+    """Counts of 25 and 100 blocks of periods, and the traced peak memory of ``kernel`` over each."""
+    block = protocol._block_periods(cfg.samples_per_period)
+    counts = (25 * block, 100 * block)
+    # untraced warm-up: one-time allocations of a first call would hide growth in the first peak
+    kernel(cfg, cfg.master_seed, 0, block, *args)
+    peaks = []
+    for count in counts:
+        tracemalloc.start()
+        try:
+            kernel(cfg, cfg.master_seed, 0, count, *args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return counts, peaks
 
 
 class TestBlockKernel:
@@ -594,17 +647,7 @@ class TestBlockKernel:
         block = protocol._block_periods(n)
         # the block's samples alone (two parties, float64) fit the budget
         assert 1 < block * 2 * n * 8 <= protocol._BLOCK_BYTES
-        counts = (25 * block, 100 * block)
-        # untraced warm-up: one-time allocations of a first call would hide growth in the first peak
-        _simulate_chunk(cfg, cfg.master_seed, 0, block, None)
-        peaks = []
-        for count in counts:
-            tracemalloc.start()
-            try:
-                _simulate_chunk(cfg, cfg.master_seed, 0, count, None)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        counts, peaks = chunk_peaks(_simulate_chunk, cfg, None)
         # at gamma 1000, holding 400 periods at once would take 400 * 2 * 4000 * 8 B = 25.6 MB of samples
         assert peaks[1] < 2 * protocol._BLOCK_BYTES
         # beyond the chunk's own results (int8 bits of both parties, float64 msv and msi),
@@ -644,6 +687,36 @@ class TestBlockKernel:
             assert single.to_dict() == default.to_dict()
             assert np.array_equal(single.bits, default.bits)
             assert np.array_equal(single.outcome_code, default.outcome_code)
+
+
+class TestOneReadingKernel:
+    @pytest.mark.parametrize("gamma", [12.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("oversample", [2, 4])
+    @pytest.mark.parametrize("force_state", ["00", "11"])
+    @pytest.mark.parametrize("reading", ["msv", "msi"])
+    def test_agrees_with_two_wave_kernel(self, gamma, oversample, force_state, reading):
+        """One transform of the solved normals gives the two-wave mean squares up to rounding.
+
+        The bound is 10**4 times inside error_rate's re-solve margin.
+        """
+        cfg = small_config(gamma=gamma, alpha=10.0, oversample=oversample, master_seed=2**64 - 59)
+        block = protocol._block_periods(cfg.samples_per_period)
+        start, stop = 2**40 + 11, 2**40 + 11 + 2 * block + 3  # two blocks and a partial one
+        two_wave = _simulate_chunk(cfg, cfg.master_seed, start, stop, force_state, (reading,))[reading]
+        one = _simulate_reading(cfg, cfg.master_seed, start, stop, force_state, reading)
+        assert sorted(one) == [reading]
+        assert one[reading].shape == two_wave.shape
+        assert np.max(np.abs(one[reading] - two_wave) / two_wave) <= 1e-13
+        assert protocol._RESOLVE_MARGIN >= 1e4 * 1e-13
+
+    @pytest.mark.parametrize("gamma", [30.0, 1000.0])
+    @pytest.mark.parametrize("reading", ["msv", "msi"])
+    def test_block_bounded_by_budget(self, gamma, reading):
+        """The two-wave kernel's memory bounds hold for the one-reading kernel, in the same blocks."""
+        counts, peaks = chunk_peaks(_simulate_reading, small_config(gamma=gamma), "11", reading)
+        assert peaks[1] < 2 * protocol._BLOCK_BYTES
+        # beyond the chunk's own float64 mean squares, memory does not grow with the number of blocks
+        assert peaks[1] - peaks[0] - (counts[1] - counts[0]) * 8 < 0.05 * protocol._BLOCK_BYTES
 
 
 class TestDrawBits:
