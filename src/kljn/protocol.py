@@ -32,7 +32,7 @@ _BLOCK_BYTES = 2**20
 _MIN_BLOCK_PERIODS = 8
 _OUTCOMES = tuple(CombinedOutcome)
 _KEEP = _OUTCOMES.index(CombinedOutcome.KEEP_SECURE)
-# the mean squares _simulate_chunk computes for a session, in its order
+# the mean squares of _simulate_chunk's two-wave stage, in its order
 _BOTH = ("msv", "msi")
 _SOLVES = {"msv": channel_voltage, "msi": channel_current}
 # a one-reading error_rate mode's mean square, its reader, and its cuts' names in DecisionBands
@@ -136,7 +136,9 @@ def _block_periods(n_samples: int) -> int:
     Per period and party a block holds at most ``n_samples`` normals (fewer
     unless oversample is 2), the complex spectrum and the inverse-FFT
     samples; per period it also holds the half-window voltage or current
-    and its square. At least one period runs per block.
+    and its square. That is the two-wave stage of ``_simulate_chunk``; its
+    one-reading stage holds less in the same blocks. At least one period
+    runs per block.
 
     The budget is 1 MiB so that a block's working set stays in one core's
     L2 (2 MiB per core on the 2-core Xeon it was measured on) while every
@@ -193,31 +195,32 @@ def _draw_blocks(
         yield lo, _bits_from_words(np.array(words if draw_word else [0] * k, dtype=np.uint64), force_state)
 
 
-def _check_finite(squares) -> None:
-    """The kernels' ValueError unless every array of mean squares in ``squares`` is finite."""
-    if not all(np.isfinite(ms).all() for ms in squares):
-        raise ValueError("non-finite channel mean squares: the noise levels overflow float64")
-
-
 def _simulate_chunk(
     config: SystemConfig,
     master_seed: int,
     start: int,
     stop: int,
     force_state: Optional[str],
-    readings: tuple[str, ...] = _BOTH,
+    reading: Optional[str] = None,
 ) -> dict:
     """Simulate periods [start, stop), with start < stop; returns per-period arrays.
 
     The periods are drawn by ``_draw_blocks``, in blocks sized by
-    ``_block_periods``: one inverse FFT of both parties' spectra, loop solve
-    and windowed mean square per block, all element- or row-wise, so the
-    result does not depend on the block size. The normals, the spectrum and
-    the channel wave live in buffers allocated once per chunk; a partial
-    last block uses their leading rows. ``readings`` names the mean squares
-    computed, ``msv``, ``msi`` or both: a current-only chunk never builds the
-    channel voltage, a voltage-only one never the current. The result holds
-    ``bits`` and those arrays, each the same bytes as in a both-readings chunk.
+    ``_block_periods``, and each block runs one of two stages, all element-
+    or row-wise, so the result does not depend on the block size. The
+    normals and the spectrum live in buffers allocated once per chunk; a
+    partial last block uses their leading rows.
+
+    - Two-wave stage (``reading`` None): one inverse FFT of both parties'
+      spectra, loop solve and windowed mean squares. Returns ``bits``,
+      ``msv`` and ``msi``.
+    - One-reading stage (``reading`` is ``msv`` or ``msi``; ``force_state``
+      must be 00 or 11): both generators then have the state's resistor, so
+      the same coefficient scale, and the loop law and the inverse FFT are
+      both linear. The loop is solved on the normals, the result scaled once
+      into one spectrum row, and one inverse FFT runs per period. Returns
+      ``bits`` and that reading, whose mean squares agree with the two-wave
+      stage's up to rounding, not byte for byte (see ``error_rate``).
     """
     n = config.samples_per_period
     r_bit = np.array([config.resistors.r0, config.resistors.r1])
@@ -230,59 +233,36 @@ def _simulate_chunk(
     count = stop - start
     block = max(1, min(count, _block_periods(n)))
     bits = np.empty((count, 2), dtype=np.int8)
-    squares = {name: np.empty(count) for name in readings}
+    squares = {name: np.empty(count) for name in (_BOTH if reading is None else (reading,))}
     normals = np.empty((block, 2, layout.n_normals))
     # every block writes the same in-band and Nyquist slots; DC and the bins above the band stay zero
-    spectrum = np.zeros((block, 2, n // 2 + 1), dtype=complex)
-    wave = np.empty((block, n - n // 2))
+    if reading is None:
+        spectrum = np.zeros((block, 2, n // 2 + 1), dtype=complex)
+        wave = np.empty((block, n - n // 2))
+    else:
+        bit = int(force_state[0])  # both parties' bit in a forced 00 or 11 state
+        spectrum = np.zeros((block, n // 2 + 1), dtype=complex)
     for lo, b in _draw_blocks(master_seed, start, stop, force_state, normals):
         k = len(b)
         bits[lo : lo + k] = b
-        coeffs = band_coefficients(layout, normals[:k], scale[b], nyquist_scale[b], out=spectrum[:k])
-        # slice before solving: the solve then touches only the measured half
-        x = np.fft.irfft(coeffs, n=n, axis=-1)[..., window]
-        loop = (x[:, 0], x[:, 1], r_bit[b[:, 0], None], r_bit[b[:, 1], None])
-        for name in readings:
-            squares[name][lo : lo + k] = finite_mean_square(_SOLVES[name](*loop, out=wave[:k]))
-        # freed before the next block's transform allocates its samples: holding both read a
-        # traced peak of 1.93 MB at gamma 1000, against 1.69 MB
-        del x, loop
-    _check_finite(squares.values())
+        if reading is None:
+            coeffs = band_coefficients(layout, normals[:k], scale[b], nyquist_scale[b], out=spectrum[:k])
+            # slice before solving: the solve then touches only the measured half
+            x = np.fft.irfft(coeffs, n=n, axis=-1)[..., window]
+            loop = (x[:, 0], x[:, 1], r_bit[b[:, 0], None], r_bit[b[:, 1], None])
+            for name in _BOTH:
+                squares[name][lo : lo + k] = finite_mean_square(_SOLVES[name](*loop, out=wave[:k]))
+            # freed before the next block's transform allocates its samples: holding both read a
+            # traced peak of 1.93 MB at gamma 1000, against 1.69 MB
+            del x, loop
+        else:
+            # solved in place of Alice's normals
+            z = _SOLVES[reading](normals[:k, 0], normals[:k, 1], r_bit[bit], r_bit[bit], out=normals[:k, 0])
+            coeffs = band_coefficients(layout, z, scale[bit], nyquist_scale[bit], out=spectrum[:k])
+            squares[reading][lo : lo + k] = finite_mean_square(np.fft.irfft(coeffs, n=n, axis=-1)[:, window])
+    if not all(np.isfinite(ms).all() for ms in squares.values()):
+        raise ValueError("non-finite channel mean squares: the noise levels overflow float64")
     return {"bits": bits, **squares}
-
-
-def _simulate_reading(
-    config: SystemConfig, master_seed: int, start: int, stop: int, force_state: str, reading: str
-) -> dict:
-    """One reading's mean squares of forced 00 or 11 periods [start, stop), one inverse FFT per period.
-
-    ``reading`` is ``msv`` or ``msi``; the result maps it to the array.
-    Both generators of a forced period have the same resistor, so the same
-    coefficient scale, and the loop law and the inverse FFT are both linear:
-    the channel's spectrum is the loop law applied to the two parties'
-    normals, scaled once. The periods and their streams are
-    ``_simulate_chunk``'s (``_draw_blocks``, in the same blocks), and its
-    mean squares agree with ``_simulate_chunk``'s up to rounding, not byte
-    for byte (see ``error_rate``).
-    """
-    n = config.samples_per_period
-    r = config.resistors.for_bit(int(force_state[0]))
-    spec = config.noise_spec(r, n)
-    window = measurement_slice(n)
-
-    count = stop - start
-    block = max(1, min(count, _block_periods(n)))
-    squares = np.empty(count)
-    normals = np.empty((block, 2, spec.n_normals))
-    spectrum = np.zeros((block, n // 2 + 1), dtype=complex)
-    for lo, b in _draw_blocks(master_seed, start, stop, force_state, normals):
-        k = len(b)
-        # solved in place of Alice's normals
-        z = _SOLVES[reading](normals[:k, 0], normals[:k, 1], r, r, out=normals[:k, 0])
-        coeffs = band_coefficients(spec, z, spec.scale, spec.nyquist_scale, out=spectrum[:k])
-        squares[lo : lo + k] = finite_mean_square(np.fft.irfft(coeffs, n=n, axis=-1)[:, window])
-    _check_finite([squares])
-    return {reading: squares}
 
 
 def _usable_cpus() -> int:
@@ -296,17 +276,17 @@ class WorkerExited(OSError):
     """A worker process exited before sending back its share of the periods."""
 
 
-def _send_share(conn, kernel, args: tuple) -> None:
-    """A worker process's body: run ``kernel(*args)``, and send the share or its exception to the caller."""
+def _send_share(conn, args: tuple) -> None:
+    """A worker process's body: simulate one share and send it, or the exception it raised, to the caller."""
     try:
-        reply = (True, kernel(*args))
+        reply = (True, _simulate_chunk(*args))
     except Exception as exc:
         reply = (False, exc)
     conn.send(reply)
 
 
 class _Share:
-    """One share of the periods, ``kernel(*args)`` in a child process that sends it back over a one-way pipe.
+    """One share of the periods, simulated in a child process that sends it back over a one-way pipe.
 
     The child starts when the share is built, by the platform's default start
     method. ``result()`` waits for the share and re-raises the child's
@@ -314,12 +294,12 @@ class _Share:
     waits for it to exit.
     """
 
-    def __init__(self, kernel, *args):
+    def __init__(self, *args):
         # imported here: a serial run never needs multiprocessing, and importing it costs start-up
         import multiprocessing
 
         self._reader, writer = multiprocessing.Pipe(duplex=False)
-        self._process = multiprocessing.Process(target=_send_share, args=(writer, kernel, args))
+        self._process = multiprocessing.Process(target=_send_share, args=(writer, args))
         self._received = False
         try:
             self._process.start()
@@ -351,10 +331,12 @@ class _Share:
         self._reader.close()
 
 
-def _run_shares(kernel, config: SystemConfig, force_state: Optional[str], workers: int, readings) -> dict:
-    """``kernel`` (``_simulate_chunk`` or ``_simulate_reading``) over all ``config.n_periods`` periods.
+def _run_shares(
+    config: SystemConfig, force_state: Optional[str], workers: int, reading: Optional[str] = None
+) -> dict:
+    """``_simulate_chunk`` over all ``config.n_periods`` periods, its arrays in period order.
 
-    Returns the kernel's arrays in period order; ``readings`` is its last argument.
+    ``reading`` selects the chunks' stage, as in ``_simulate_chunk``.
 
     With ``workers > 1`` the periods are split into ``workers`` shares, run by
     ``workers`` processes at once, the caller included: ``workers - 1`` child
@@ -366,17 +348,17 @@ def _run_shares(kernel, config: SystemConfig, force_state: Optional[str], worker
     outlives the call, also when it fails.
     """
     n_periods = config.n_periods
-    args = (force_state, readings)
+    args = (force_state, reading)
     workers = min(workers, _usable_cpus())
     if workers == 1 or n_periods < 2 * workers:
-        return kernel(config, config.master_seed, 0, n_periods, *args)
+        return _simulate_chunk(config, config.master_seed, 0, n_periods, *args)
     bounds = np.linspace(0, n_periods, workers + 1, dtype=int).tolist()
     first, *rest = zip(bounds[:-1], bounds[1:])
     children = []
     try:
         for a, b in rest:
-            children.append(_Share(kernel, config, config.master_seed, a, b, *args))
-        chunks = [kernel(config, config.master_seed, *first, *args)]
+            children.append(_Share(config, config.master_seed, a, b, *args))
+        chunks = [_simulate_chunk(config, config.master_seed, *first, *args)]
         chunks += [child.result() for child in children]
     finally:
         for child in children:
@@ -400,16 +382,17 @@ def error_rate(config: SystemConfig, mode: str, force_state: str, workers: int =
     shares and the decision cuts are the session's, and so are k, n, p and
     the interval.
 
-    A combined-mode rate reads both mean squares of the session's kernel,
-    ``_simulate_chunk``. A voltage- or current-mode rate computes only its
-    reading, by ``_simulate_reading``: one inverse FFT per period instead of
-    two. Those mean squares agree with the session's up to rounding, at most
-    9.1e-16 relative (measured at gamma 12 to 1000, oversample 2 to 4, both
-    readings and states), so only a period on or next to a cut could read
-    otherwise. Every period whose mean square lies within a relative
-    ``_RESOLVE_MARGIN`` (1e-9) of either cut of its reading is therefore
-    re-solved alone by ``_simulate_chunk``, which gives the session's bytes
-    because each period has its own stream, and read from those.
+    A combined-mode rate reads both mean squares of ``_simulate_chunk``'s
+    two-wave stage, as the session does. A voltage- or current-mode rate
+    computes only its reading, by the one-reading stage: one inverse FFT per
+    period instead of two. Those mean squares agree with the session's up to
+    rounding, at most 9.1e-16 relative (measured at gamma 12 to 1000,
+    oversample 2 to 4, both readings and states), so only a period on or
+    next to a cut could read otherwise. Every period whose mean square lies
+    within a relative ``_RESOLVE_MARGIN`` (1e-9) of either cut of its
+    reading is therefore re-solved alone by the two-wave stage, which gives
+    the session's bytes because each period has its own stream, and read
+    from those.
     """
     workers = _checked_workers(workers)
     # before any worker starts
@@ -419,16 +402,16 @@ def error_rate(config: SystemConfig, mode: str, force_state: str, workers: int =
         raise ValueError(f"mode must be one of voltage, current, combined, got {mode!r}")
     bands = config.bands()  # fail fast on an empty secure band
     if mode == "combined":
-        periods = _run_shares(_simulate_chunk, config, force_state, workers, _BOTH)
+        periods = _run_shares(config, force_state, workers)
         secure = (voltage_codes(periods["msv"], bands) == 2) & (current_codes(periods["msi"], bands) == 2)
     else:
         reading, codes, cuts = _ONE_READING[mode]
-        ms = _run_shares(_simulate_reading, config, force_state, workers, reading)[reading]
+        ms = _run_shares(config, force_state, workers, reading)[reading]
         near = np.zeros(len(ms), dtype=bool)
         for cut in (getattr(bands, name) for name in cuts):
             near |= np.abs(ms - cut) <= _RESOLVE_MARGIN * cut
         for p in np.flatnonzero(near).tolist():
-            ms[p] = _simulate_chunk(config, config.master_seed, p, p + 1, force_state, (reading,))[reading][0]
+            ms[p] = _simulate_chunk(config, config.master_seed, p, p + 1, force_state)[reading][0]
         secure = codes(ms, bands) == 2
     return RateEstimate.from_counts(int(np.count_nonzero(secure)), config.n_periods)
 
@@ -449,7 +432,7 @@ def run_session(
     if force_state is not None and force_state not in ACTUAL_STATES:
         raise ValueError(f"force_state must be one of 00, 11, 0110, got {force_state!r}")
     bands = config.bands()  # fail fast on an empty secure band
-    periods = _run_shares(_simulate_chunk, config, force_state, workers, _BOTH)
+    periods = _run_shares(config, force_state, workers)
     bits, msv, msi = periods["bits"], periods["msv"], periods["msi"]
     v_code, i_code, outcome_code = interpret_arrays(msv, msi, bands)
 

@@ -23,15 +23,14 @@ from kljn.decision import (
     interpret_current,
     interpret_voltage,
 )
-from kljn.estimator import SmallGammaWarning, measure_period
-from kljn.noise import NoiseSpec, rng_for_period, synth_band_limited
+from kljn.estimator import SmallGammaWarning, measure_period, measurement_slice
+from kljn.noise import NoiseSpec, band_coefficients, rng_for_period, synth_band_limited
 from kljn.protocol import (
     ACTUAL_STATES,
     RateEstimate,
     WorkerExited,
     _bits_from_words,
     _simulate_chunk,
-    _simulate_reading,
     error_rate,
     extract_key,
     key_to_hex,
@@ -295,9 +294,9 @@ class TestRunSession:
         built = []
 
         class CountingShare(protocol._Share):
-            def __init__(self, kernel, *args):
+            def __init__(self, *args):
                 built.append(args[2:4])
-                super().__init__(kernel, *args)
+                super().__init__(*args)
 
         monkeypatch.setattr(protocol, "_Share", CountingShare)
         monkeypatch.setattr(protocol, "_usable_cpus", lambda: workers)  # on any machine
@@ -374,9 +373,9 @@ class TestRunSession:
         class InlineShare:
             """Records each share's (start, stop) in place of a child process, and runs the share here."""
 
-            def __init__(self, kernel, *args):
+            def __init__(self, *args):
                 submitted.append(args[2:4])
-                self._chunk = kernel(*args)
+                self._chunk = _simulate_chunk(*args)
 
             def result(self):
                 return self._chunk
@@ -472,14 +471,15 @@ class TestShareRunner:
         assert multiprocessing.active_children() == []
 
     def test_child_exception_reraised(self, monkeypatch):
-        # a current-mode rate runs the one-reading kernel
-        def fails(config, master_seed, start, *rest):
+        # a current-mode rate runs the kernel's one-reading stage in every share
+        def fails(config, master_seed, start, stop, force_state, reading=None):
+            assert reading == "msi"
             if start:
                 raise MemoryError(f"share from {start} failed")
-            return _simulate_reading(config, master_seed, start, *rest)
+            return _simulate_chunk(config, master_seed, start, stop, force_state, reading)
 
         fork_children(monkeypatch)
-        monkeypatch.setattr(protocol, "_simulate_reading", fails)
+        monkeypatch.setattr(protocol, "_simulate_chunk", fails)
         with pytest.raises(MemoryError, match="share from 10 failed"):
             error_rate(small_config(n_periods=20), "current", "11", workers=2)
         assert multiprocessing.active_children() == []
@@ -508,7 +508,6 @@ class TestErrorRate:
 
         monkeypatch.setattr(protocol, "_Share", no_process)
         monkeypatch.setattr(protocol, "_simulate_chunk", no_process)
-        monkeypatch.setattr(protocol, "_simulate_reading", no_process)
         monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)
         with pytest.raises(ValueError, match="force_state must be one of 00, 11, got"):
             error_rate(self.CONFIG, "current", force_state, workers=workers)
@@ -527,7 +526,6 @@ class TestErrorRate:
 
         monkeypatch.setattr(protocol, "_Share", no_process)
         monkeypatch.setattr(protocol, "_simulate_chunk", no_process)
-        monkeypatch.setattr(protocol, "_simulate_reading", no_process)
         with pytest.raises(ValueError, match=message):
             error_rate(self.CONFIG, mode, force_state, workers=workers)
 
@@ -548,14 +546,15 @@ class TestErrorRate:
             cfg = with_overrides(self.CONFIG, delta=1 - ms / levels.v_11)
             assert cfg.bands().v_high_cut == ms
         assert _simulate_chunk(cfg, cfg.master_seed, 0, cfg.n_periods, "11")[reading][period] == ms
-        one = _simulate_reading(cfg, cfg.master_seed, 0, cfg.n_periods, "11", reading)[reading]
+        one = _simulate_chunk(cfg, cfg.master_seed, 0, cfg.n_periods, "11", reading)[reading]
         assert interpret(ms, cfg.bands()) is Interpretation.SECURE_0110
         assert interpret(one[period], cfg.bands()) is Interpretation.B11  # a few ulp past the cut
         resolved = []
 
-        def spy(config, master_seed, start, stop, *rest):
-            resolved.append((start, stop))
-            return _simulate_chunk(config, master_seed, start, stop, *rest)
+        def spy(config, master_seed, start, stop, force_state, reading=None):
+            if reading is None:  # a two-wave re-solve, not the one-reading run of all periods
+                resolved.append((start, stop))
+            return _simulate_chunk(config, master_seed, start, stop, force_state, reading)
 
         monkeypatch.setattr(protocol, "_simulate_chunk", spy)
         got = error_rate(cfg, mode, "11")
@@ -574,17 +573,17 @@ class TestErrorRate:
             error_rate(cfg, mode, "11")
 
 
-def chunk_peaks(kernel, cfg, *args):
-    """Counts of 25 and 100 blocks of periods, and the traced peak memory of ``kernel`` over each."""
+def chunk_peaks(cfg, *args):
+    """Counts of 25 and 100 blocks of periods, and the traced peak memory of ``_simulate_chunk`` over each."""
     block = protocol._block_periods(cfg.samples_per_period)
     counts = (25 * block, 100 * block)
     # untraced warm-up: one-time allocations of a first call would hide growth in the first peak
-    kernel(cfg, cfg.master_seed, 0, block, *args)
+    _simulate_chunk(cfg, cfg.master_seed, 0, block, *args)
     peaks = []
     for count in counts:
         tracemalloc.start()
         try:
-            kernel(cfg, cfg.master_seed, 0, count, *args)
+            _simulate_chunk(cfg, cfg.master_seed, 0, count, *args)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -647,32 +646,13 @@ class TestBlockKernel:
         block = protocol._block_periods(n)
         # the block's samples alone (two parties, float64) fit the budget
         assert 1 < block * 2 * n * 8 <= protocol._BLOCK_BYTES
-        counts, peaks = chunk_peaks(_simulate_chunk, cfg, None)
+        counts, peaks = chunk_peaks(cfg, None)
         # at gamma 1000, holding 400 periods at once would take 400 * 2 * 4000 * 8 B = 25.6 MB of samples
         assert peaks[1] < 2 * protocol._BLOCK_BYTES
         # beyond the chunk's own results (int8 bits of both parties, float64 msv and msi),
         # memory does not grow with the number of blocks
         results = (counts[1] - counts[0]) * (2 + 8 + 8)
         assert peaks[1] - peaks[0] - results < 0.05 * protocol._BLOCK_BYTES
-
-    @pytest.mark.parametrize(
-        "overrides",
-        # several blocks with a partial last one; and sample_rate = 2 * b_kljn, the Nyquist path
-        [dict(gamma=50.0, n_periods=500), dict(gamma=37.3, oversample=2, n_periods=700)],
-        ids=["multi-block", "nyquist"],
-    )
-    @pytest.mark.parametrize("force_state", [None, "11"])
-    @pytest.mark.parametrize("readings", [("msv",), ("msi",)], ids=["msv", "msi"])
-    def test_reading_subset_matches_both(self, overrides, force_state, readings):
-        cfg = small_config(**overrides)
-        block = protocol._block_periods(cfg.samples_per_period)
-        assert cfg.n_periods > 2 * block and cfg.n_periods % block
-        both = _simulate_chunk(cfg, cfg.master_seed, 0, cfg.n_periods, force_state)
-        some = _simulate_chunk(cfg, cfg.master_seed, 0, cfg.n_periods, force_state, readings)
-        assert sorted(some) == sorted(("bits",) + readings)
-        for name in some:
-            assert some[name].dtype == both[name].dtype
-            assert some[name].tobytes() == both[name].tobytes(), name
 
     def test_report_independent_of_block_size(self):
         # at gamma 1000 the long-period floor sets the default block size
@@ -702,21 +682,94 @@ class TestOneReadingKernel:
         cfg = small_config(gamma=gamma, alpha=10.0, oversample=oversample, master_seed=2**64 - 59)
         block = protocol._block_periods(cfg.samples_per_period)
         start, stop = 2**40 + 11, 2**40 + 11 + 2 * block + 3  # two blocks and a partial one
-        two_wave = _simulate_chunk(cfg, cfg.master_seed, start, stop, force_state, (reading,))[reading]
-        one = _simulate_reading(cfg, cfg.master_seed, start, stop, force_state, reading)
-        assert sorted(one) == [reading]
-        assert one[reading].shape == two_wave.shape
-        assert np.max(np.abs(one[reading] - two_wave) / two_wave) <= 1e-13
+        two_wave = _simulate_chunk(cfg, cfg.master_seed, start, stop, force_state)
+        one = _simulate_chunk(cfg, cfg.master_seed, start, stop, force_state, reading)
+        assert sorted(one) == sorted(["bits", reading])
+        assert one["bits"].tobytes() == two_wave["bits"].tobytes()
+        assert one[reading].shape == two_wave[reading].shape
+        assert np.max(np.abs(one[reading] - two_wave[reading]) / two_wave[reading]) <= 1e-13
         assert protocol._RESOLVE_MARGIN >= 1e4 * 1e-13
 
     @pytest.mark.parametrize("gamma", [30.0, 1000.0])
     @pytest.mark.parametrize("reading", ["msv", "msi"])
     def test_block_bounded_by_budget(self, gamma, reading):
-        """The two-wave kernel's memory bounds hold for the one-reading kernel, in the same blocks."""
-        counts, peaks = chunk_peaks(_simulate_reading, small_config(gamma=gamma), "11", reading)
+        """The two-wave stage's memory bounds hold for the one-reading stage, in the same blocks."""
+        counts, peaks = chunk_peaks(small_config(gamma=gamma), "11", reading)
         assert peaks[1] < 2 * protocol._BLOCK_BYTES
-        # beyond the chunk's own float64 mean squares, memory does not grow with the number of blocks
-        assert peaks[1] - peaks[0] - (counts[1] - counts[0]) * 8 < 0.05 * protocol._BLOCK_BYTES
+        # beyond the chunk's own results (int8 bits of both parties, float64 mean squares of the
+        # reading), memory does not grow with the number of blocks
+        results = (counts[1] - counts[0]) * (2 + 8)
+        assert peaks[1] - peaks[0] - results < 0.05 * protocol._BLOCK_BYTES
+
+    @pytest.mark.parametrize("force_state", ["00", "11"])
+    @pytest.mark.parametrize("reading", ["msv", "msi"])
+    def test_independent_of_block_size(self, force_state, reading):
+        """The floor's blocks, one period per block and the budget's blocks give the same bytes."""
+        cfg = small_config(gamma=1000.0, master_seed=37)
+        n = cfg.samples_per_period
+        start, stop = 2**40 + 11, 2**40 + 11 + 2 * protocol._block_periods(n) + 3
+        results, sizes = [], []
+        for name, value in [(None, None), ("_BLOCK_BYTES", 1), ("_MIN_BLOCK_PERIODS", 1)]:
+            with pytest.MonkeyPatch.context() as mp:
+                if name:
+                    mp.setattr(protocol, name, value)
+                sizes.append(protocol._block_periods(n))
+                results.append(_simulate_chunk(cfg, cfg.master_seed, start, stop, force_state, reading))
+        # at gamma 1000 the long-period floor sets the default block size
+        assert sizes[0] > sizes[2] > sizes[1] == 1
+        for got in results[1:]:
+            assert got["bits"].tobytes() == results[0]["bits"].tobytes()
+            assert got[reading].tobytes() == results[0][reading].tobytes()
+
+
+def window_gram(cfg):
+    """G = S·Sᵀ / N_w, where row j of S is the measured half-period of unit-scale normal j alone.
+
+    S is the identity pushed through ``band_coefficients`` (unit scale,
+    Nyquist scale √2, the ratio of every spec's two scales), ``irfft`` and
+    ``measurement_slice``; N_w is the window's length. A period's windowed
+    mean square of the normals z at scale s is then s²·zᵀGz.
+    """
+    n = cfg.samples_per_period
+    layout = cfg.noise_spec(cfg.resistors.r0, n)
+    unit = band_coefficients(layout, np.eye(layout.n_normals), 1.0, math.sqrt(2.0))
+    synthesis = np.fft.irfft(unit, n=n, axis=-1)[:, measurement_slice(n)]
+    return synthesis @ synthesis.T / synthesis.shape[1]
+
+
+class TestQuadraticFormOracle:
+    """Both stages' mean squares against quadratic forms of each period's normals, with no FFT of their own."""
+
+    @pytest.mark.parametrize("gamma", [12.0, 50.0])
+    @pytest.mark.parametrize("oversample", [2, 4])  # oversample 2 puts the Nyquist bin in band
+    @pytest.mark.parametrize(
+        "force_state, reading",
+        [(None, None), ("0110", None), ("00", None), ("11", None)]
+        + [(state, reading) for state in ("00", "11") for reading in ("msv", "msi")],
+    )
+    def test_mean_squares_are_quadratic_forms(self, gamma, oversample, force_state, reading):
+        cfg = small_config(gamma=gamma, oversample=oversample, n_periods=40, master_seed=2**64 - 59)
+        n = cfg.samples_per_period
+        gram = window_gram(cfg)
+        r_bit = (cfg.resistors.r0, cfg.resistors.r1)
+        scale = [cfg.noise_spec(r, n).scale for r in r_bit]
+        start = 2**40 + 11
+        got = _simulate_chunk(cfg, cfg.master_seed, start, start + cfg.n_periods, force_state, reading)
+        for j in range(cfg.n_periods):
+            # the period's bits and normals, drawn as the per-period loop draws them
+            rng = rng_for_period(cfg.master_seed, start + j)
+            bits = reference_period_bits(rng, force_state)
+            assert tuple(got["bits"][j].tolist()) == bits
+            (s_a, s_b), (r_a, r_b) = ([v[bit] for bit in bits] for v in (scale, r_bit))
+            # Alice's normals, then Bob's, each at its coefficient scale: S_xy = s_x * s_y * z_x' G z_y
+            z_a, z_b = (s * rng.standard_normal(len(gram)) for s in (s_a, s_b))
+            s_aa, s_ab, s_bb = z_a @ gram @ z_a, z_a @ gram @ z_b, z_b @ gram @ z_b
+            expected = {
+                "msv": (r_b**2 * s_aa + 2 * r_a * r_b * s_ab + r_a**2 * s_bb) / (r_a + r_b) ** 2,
+                "msi": (s_aa - 2 * s_ab + s_bb) / (r_a + r_b) ** 2,
+            }
+            for name in ("msv", "msi") if reading is None else (reading,):
+                assert got[name][j] == pytest.approx(expected[name], rel=1e-12, abs=0), (j, name)
 
 
 class TestDrawBits:
