@@ -40,6 +40,10 @@ _ONE_READING = {
     "voltage": ("msv", voltage_codes, ("v_low_cut", "v_high_cut")),
     "current": ("msi", current_codes, ("i_low_cut", "i_high_cut")),
 }
+# the loop law of a forced 00 or 11 period, whose two generators both have resistor r: the channel
+# voltage is (u_a + u_b) / 2 and the loop current (u_a - u_b) / (2r); per reading, the ufunc that
+# combines the generators and the gain g(r) that multiplies the result
+_EQUAL_LOOP = {"msv": (np.add, lambda r: 0.5), "msi": (np.subtract, lambda r: 0.5 / r)}
 # relative distance from a cut within which error_rate re-solves a one-reading period (see there)
 _RESOLVE_MARGIN = 1e-9
 
@@ -215,13 +219,24 @@ def _simulate_chunk(
       spectra, loop solve and windowed mean squares. Returns ``bits``,
       ``msv`` and ``msi``.
     - One-reading stage (``reading`` is ``msv`` or ``msi``; ``force_state``
-      must be 00 or 11): both generators then have the state's resistor, so
-      the same coefficient scale, and the loop law and the inverse FFT are
-      both linear. The loop is solved on the normals, the result scaled once
-      into one spectrum row, and one inverse FFT runs per period. Returns
-      ``bits`` and that reading, whose mean squares agree with the two-wave
-      stage's up to rounding, not byte for byte (see ``error_rate``).
+      must be 00 or 11, or a ValueError is raised): both generators then
+      have the state's resistor r, so the same coefficient scale s, and the
+      loop law (``_EQUAL_LOOP``: gain g = 1/2 or 1/(2r)) and the inverse FFT
+      are both linear. The unit-scale normals are combined in one pass
+      straight into the spectrum's in-band slots (the Nyquist slot takes
+      the ratio of its scale to s), one unscaled ``irfft`` row runs per
+      period and one fused reduction sums its windowed squares. After the
+      last block the chunk's sums take the one factor (s·g/n)², so they are
+      the physical windowed sums of squares, and are divided by the window's
+      length. Returns ``bits`` and that reading, whose mean squares agree
+      with the two-wave stage's up to rounding, not byte for byte (see
+      ``error_rate``).
+
+    Either stage raises ValueError when a mean square is not finite, as it
+    is when the noise levels or a windowed sum of squares overflow float64.
     """
+    if reading is not None and force_state not in ("00", "11"):
+        raise ValueError(f"a one-reading chunk needs force_state 00 or 11, got {force_state!r}")
     n = config.samples_per_period
     r_bit = np.array([config.resistors.r0, config.resistors.r1])
     specs = [config.noise_spec(r, n) for r in r_bit.tolist()]
@@ -241,7 +256,14 @@ def _simulate_chunk(
         wave = np.empty((block, n - n // 2))
     else:
         bit = int(force_state[0])  # both parties' bit in a forced 00 or 11 state
+        spec = specs[bit]
+        combine, gain = _EQUAL_LOOP[reading]
         spectrum = np.zeros((block, n // 2 + 1), dtype=complex)
+        # float64 view of the interleaved (real, imaginary) parts, filled as band_coefficients fills
+        # it: the Nyquist normal (if any) into the last real slot, the rest into bins 1..n_band
+        parts = spectrum.view(np.float64)
+        nyq = int(layout.nyquist)
+        in_band = parts[:, 2 : 2 + 2 * layout.n_band]
     for lo, b in _draw_blocks(master_seed, start, stop, force_state, normals):
         k = len(b)
         bits[lo : lo + k] = b
@@ -256,10 +278,18 @@ def _simulate_chunk(
             # traced peak of 1.93 MB at gamma 1000, against 1.69 MB
             del x, loop
         else:
-            # solved in place of Alice's normals
-            z = _SOLVES[reading](normals[:k, 0], normals[:k, 1], r_bit[bit], r_bit[bit], out=normals[:k, 0])
-            coeffs = band_coefficients(layout, z, scale[bit], nyquist_scale[bit], out=spectrum[:k])
-            squares[reading][lo : lo + k] = finite_mean_square(np.fft.irfft(coeffs, n=n, axis=-1)[:, window])
+            # the scale, the gain and irfft's 1/n are applied to the chunk's sums below
+            combine(normals[:k, 0, nyq:], normals[:k, 1, nyq:], out=in_band[:k])
+            if nyq:
+                combine(normals[:k, 0, 0], normals[:k, 1, 0], out=parts[:k, -2])
+                parts[:k, -2] *= spec.nyquist_scale / spec.scale
+            x = np.fft.irfft(spectrum[:k], n=n, axis=-1, norm="forward")[:, window]
+            squares[reading][lo : lo + k] = np.einsum("ij,ij->i", x, x)
+            del x  # as in the two-wave stage, freed before the next block's transform
+    if reading is not None:
+        # the physical windowed sums of squares, then their means: a sum that overflowed stays infinite
+        squares[reading] *= (spec.scale * gain(r_bit[bit]) / n) ** 2
+        squares[reading] /= n - n // 2
     if not all(np.isfinite(ms).all() for ms in squares.values()):
         raise ValueError("non-finite channel mean squares: the noise levels overflow float64")
     return {"bits": bits, **squares}
@@ -384,9 +414,11 @@ def error_rate(config: SystemConfig, mode: str, force_state: str, workers: int =
 
     A combined-mode rate reads both mean squares of ``_simulate_chunk``'s
     two-wave stage, as the session does. A voltage- or current-mode rate
-    computes only its reading, by the one-reading stage: one inverse FFT per
-    period instead of two. Those mean squares agree with the session's up to
-    rounding, at most 9.1e-16 relative (measured at gamma 12 to 1000,
+    computes only its reading, by the one-reading stage: the two parties'
+    unit-scale normals combined into one spectrum row, one unscaled inverse
+    FFT and one fused sum of squares per period, and one scale factor per
+    chunk. Those mean squares agree with the session's up to rounding, at
+    most 2.3e-15 relative (measured at gamma 12, 30, 37.3, 100 and 1000,
     oversample 2 to 4, both readings and states), so only a period on or
     next to a cut could read otherwise. Every period whose mean square lies
     within a relative ``_RESOLVE_MARGIN`` (1e-9) of either cut of its

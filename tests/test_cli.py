@@ -517,31 +517,49 @@ GOLDEN_RUN_CONFIG = "n_periods = 2000\nalpha = 100\nlambda = 0.2\n"
 
 
 @pytest.mark.parametrize(
-    "argv, sha256",
+    "config_text, argv, sha256",
     [
-        (["session", "--seed", "3"],
+        (GOLDEN_RUN_CONFIG,
+         ["session", "--seed", "3"],
          "0e1d16215c7da558ec85b75d520a1aed7c0f1d72873b24d32113eae3f1321e23"),
-        (["session", "--seed", "3", "--force-state", "0110"],
+        (GOLDEN_RUN_CONFIG,
+         ["session", "--seed", "3", "--force-state", "0110"],
          "d2ebb467f48cf69024078dadbb608897f146f0b92b5f1c64d5408d37dad2c2cf"),
-        (["sweep", "--seed", "3", "--gammas", "20,30", "--mode", "current"],
+        (GOLDEN_RUN_CONFIG,
+         ["sweep", "--seed", "3", "--gammas", "20,30", "--mode", "current"],
          "6b4ba3d5157606395f04004faeb9fce2e094c62e4420f3d795c4b821710230f7"),
-        (["sweep", "--seed", "3", "--gammas", "20,30", "--mode", "combined", "--force-state", "00"],
+        (GOLDEN_RUN_CONFIG,
+         ["sweep", "--seed", "3", "--gammas", "20,30", "--mode", "combined", "--force-state", "00"],
          "0d744bf7612bf1f84723ac95f036b06126ef016cbcc2b18d5dc0debe9be43d11"),
-        (["sweep", "--seed", "3", "--gammas", "20,30", "--mode", "voltage", "--force-state", "00"],
+        (GOLDEN_RUN_CONFIG,
+         ["sweep", "--seed", "3", "--gammas", "20,30", "--mode", "voltage", "--force-state", "00"],
          "50fa59b2d6c8b6c2c7c93e27e4a19953588f36a07e43cd1790ba44d817f67b23"),
-        (["sweep", "--seed", "3", "--gammas", "20,30", "--mode", "current", "--force-state", "00"],
+        (GOLDEN_RUN_CONFIG,
+         ["sweep", "--seed", "3", "--gammas", "20,30", "--mode", "current", "--force-state", "00"],
          "72b5bf684c1fa4e05490bd89f2f48cf790f0efdb86a49c684ccb889338391828"),
+        # oversample 2 puts the Nyquist bin in band, which the one-reading stage fills on its own
+        (GOLDEN_RUN_CONFIG + "oversample = 2\n",
+         ["sweep", "--seed", "3", "--gammas", "20,30", "--mode", "current"],
+         "96a58df5e1482dad92fd69e6f7613f0f9dd9abe5d927779441de9061c60d543c"),
+        (GOLDEN_RUN_CONFIG + "oversample = 2\n",
+         ["sweep", "--seed", "3", "--gammas", "20,30", "--mode", "voltage", "--force-state", "00"],
+         "bd250f58483c243d2265a2fdfbae9ce3135b8beb97a9c8f405952bdf446ead49"),
     ],
-    ids=["session", "session-0110", "sweep-current-11", "sweep-combined-00", "sweep-voltage-00", "sweep-current-00"],
+    ids=[
+        "session", "session-0110", "sweep-current-11", "sweep-combined-00", "sweep-voltage-00", "sweep-current-00",
+        "sweep-current-11-nyquist", "sweep-voltage-00-nyquist",
+    ],
 )
-def test_golden_run_output(capsys, tmp_path, argv, sha256):
+def test_golden_run_output(capsys, tmp_path, config_text, argv, sha256):
     """session and sweep print the bytes they printed before their run rules were each stated once.
 
     The session digests pin the JSON's confusion tables, combined counts,
     rates, moment sums and key hex, not only what the acceptance tests read.
+    The two Nyquist sweeps' digests were recorded from the one-reading stage
+    that solved the loop on the normals and scaled them into the spectrum.
     """
     path = tmp_path / "golden.cfg"
-    path.write_text(GOLDEN_RUN_CONFIG)
+    path.write_text(config_text)
     code, out, _ = run_cli(capsys, argv + ["--config", str(path)])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
