@@ -45,12 +45,6 @@ def _load(args) -> SystemConfig:
     return with_overrides(config, master_seed=args.seed)
 
 
-def _check_workers(workers: int) -> None:
-    """Refuse, before any period runs, a worker count the kernel cannot run."""
-    if workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {workers}")
-
-
 def cmd_levels(args) -> str:
     config = _load(args)
     config.check_samples(args.samples, f"levels --samples {args.samples}")
@@ -90,7 +84,6 @@ def cmd_levels(args) -> str:
 
 def cmd_sweep(args) -> str:
     config = _load(args)
-    _check_workers(args.workers)
     mode = args.mode or _MODE_SHORT[config.mode]
     gammas = _parse_gammas(args.gammas)
     configs = [with_overrides(config, gamma=gamma) for gamma in gammas]
@@ -107,7 +100,6 @@ def cmd_sweep(args) -> str:
 
 def cmd_session(args) -> str:
     config = _load(args)
-    _check_workers(args.workers)
     report = run_session(config, force_state=args.force_state, workers=args.workers)
     # msv and msi are positive, so the sums of a state that occurred fall below the smallest
     # normal float only where their squares or products underflowed: refused as _fmt refuses inf

@@ -99,6 +99,17 @@ class NoiseSpec:
     def nyquist_scale(self) -> float:
         return math.sqrt(self.psd_level * self.sample_rate * self.n_samples / 2.0)
 
+    def slots(self, coeffs: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+        """Float64 views ``(nyquist, in_band)`` of the slots that a synthesis fills in complex ``coeffs``.
+
+        ``coeffs`` is C-contiguous. ``nyquist`` is the Nyquist bin's real part,
+        or None when the band has none; ``in_band`` is the interleaved (real,
+        imaginary) parts of bins 1..n_band, which take the in-band normals in
+        their drawn order, so no complex temporary is built.
+        """
+        parts = coeffs.view(np.float64)
+        return (parts[..., -2] if self.nyquist else None), parts[..., 2 : 2 + 2 * self.n_band]
+
 
 def _period_key(master_seed: int, period_index: int) -> np.ndarray:
     # an explicit uint64 array: a plain list would pass seeds >= 2**63 through float64
@@ -158,13 +169,10 @@ def band_coefficients(layout: NoiseSpec, normals: np.ndarray, scale, nyquist_sca
     """
     shape = normals.shape[:-1] + (layout.n_samples // 2 + 1,)
     coeffs = np.zeros(shape, dtype=complex) if out is None else out
-    # float64 view of interleaved (real, imaginary) parts: bins 1..n_band take the
-    # in-band normals in their drawn order, so no complex temporary is built
-    parts = coeffs.view(np.float64)
-    if layout.nyquist:
-        np.multiply(normals[..., 0], nyquist_scale, out=parts[..., -2])
-    in_band = normals[..., int(layout.nyquist) :]
-    np.multiply(in_band, np.asarray(scale)[..., None], out=parts[..., 2 : 2 + 2 * layout.n_band])
+    nyquist, in_band = layout.slots(coeffs)
+    if nyquist is not None:
+        np.multiply(normals[..., 0], nyquist_scale, out=nyquist)
+    np.multiply(normals[..., int(layout.nyquist) :], np.asarray(scale)[..., None], out=in_band)
     return coeffs
 
 

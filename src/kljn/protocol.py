@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .circuit import channel_current, channel_voltage
-from .config import SystemConfig, _checked
+from .config import ConfigError, SystemConfig, _checked
 from .decision import _OUTCOME_CODE, CombinedOutcome, current_codes, interpret_arrays, voltage_codes
 from .estimator import finite_mean_square, measurement_slice
 from .noise import band_coefficients, period_streams
@@ -123,12 +123,9 @@ def _bits_from_words(words: np.ndarray, force_state: Optional[str]) -> np.ndarra
     64-bit word, then its high half. So two scalar draws give bit 31
     (Alice) and bit 63 (Bob) of the period's first word; ``0110`` draws
     Alice's bit alone and Bob takes the other. Forced ``00``/``11`` periods
-    draw no word, and ``words`` is not read.
+    draw no word (their bits are set by ``_simulate_chunk``).
     """
     bits = np.empty((len(words), 2), dtype=np.int8)
-    if force_state in ("00", "11"):
-        bits[:] = int(force_state[0])
-        return bits
     bits[:, 0] = (words >> 31) & 1
     bits[:, 1] = words >> 63 if force_state is None else 1 - bits[:, 0]
     return bits
@@ -161,23 +158,26 @@ def _block_periods(n_samples: int) -> int:
     not bind.
     """
     n = n_samples
-    per_period = 2 * (8 * n + 16 * (n // 2 + 1) + 8 * n) + 2 * 8 * (n - n // 2)
+    measured = len(range(n)[measurement_slice(n)])
+    per_period = 2 * (8 * n + 16 * (n // 2 + 1) + 8 * n) + 2 * 8 * measured
     floor = min(_MIN_BLOCK_PERIODS, _BLOCK_BYTES // (2 * 2 * 8 * n))
     return max(1, floor, _BLOCK_BYTES // per_period)
 
 
 def _draw_blocks(
-    master_seed: int, start: int, stop: int, force_state: Optional[str], normals: np.ndarray
+    master_seed: int, start: int, stop: int, force_state: Optional[str], normals: np.ndarray, bits: np.ndarray
 ):
     """Draw periods [start, stop), with start < stop, a block at a time into the leading rows of ``normals``.
 
-    ``normals`` has shape ``(block, 2, n_normals)``. Each period draws its
-    bits (one raw word, read by ``_bits_from_words``), then Alice's and
-    Bob's normals, from its own stream. For each block of up to ``block``
-    periods, the generator fills ``normals[:k]`` and yields ``(lo, bits)``:
-    the block's first period is ``start + lo`` and ``bits`` is its int8
-    ``(k, 2)`` array. The rows are overwritten by the next block, so the
-    caller must be done with them before it resumes the generator.
+    ``normals`` has shape ``(block, 2, n_normals)`` and ``bits``, int8,
+    ``(stop - start, 2)``. Each period draws its bits (one raw word, read by
+    ``_bits_from_words`` into its row of ``bits``; a forced 00/11 period
+    draws none, and its row is not written), then Alice's and Bob's normals,
+    from its own stream. For each block of up to ``block`` periods, the
+    generator fills ``normals[:k]`` and ``bits[lo : lo + k]`` and yields
+    ``(lo, k)``: the block's first period is ``start + lo``. The rows of
+    ``normals`` are overwritten by the next block, so the caller must be
+    done with them before it resumes the generator.
     """
     count = stop - start
     rows = list(normals)
@@ -195,8 +195,9 @@ def _draw_blocks(
                 words.append(random_raw())
             standard_normal(out=row)
             next(streams, None)  # the next period's stream; none after the chunk's last
-        # forced 00/11 periods draw no word: _bits_from_words then reads only the count of words
-        yield lo, _bits_from_words(np.array(words if draw_word else [0] * k, dtype=np.uint64), force_state)
+        if draw_word:
+            bits[lo : lo + k] = _bits_from_words(np.array(words, dtype=np.uint64), force_state)
+        yield lo, k
 
 
 def _simulate_chunk(
@@ -244,30 +245,29 @@ def _simulate_chunk(
     scale = np.array([s.scale for s in specs])
     nyquist_scale = np.array([s.nyquist_scale for s in specs])
     window = measurement_slice(n)
+    measured = len(range(n)[window])
 
     count = stop - start
     block = max(1, min(count, _block_periods(n)))
     bits = np.empty((count, 2), dtype=np.int8)
+    if force_state in ("00", "11"):
+        bits[:] = int(force_state[0])  # no period draws them (see _draw_blocks)
     squares = {name: np.empty(count) for name in (_BOTH if reading is None else (reading,))}
     normals = np.empty((block, 2, layout.n_normals))
     # every block writes the same in-band and Nyquist slots; DC and the bins above the band stay zero
     if reading is None:
         spectrum = np.zeros((block, 2, n // 2 + 1), dtype=complex)
-        wave = np.empty((block, n - n // 2))
+        wave = np.empty((block, measured))
     else:
-        bit = int(force_state[0])  # both parties' bit in a forced 00 or 11 state
+        bit = int(bits[0, 0])  # both parties' bit in a forced 00 or 11 state
         spec = specs[bit]
         combine, gain = _EQUAL_LOOP[reading]
         spectrum = np.zeros((block, n // 2 + 1), dtype=complex)
-        # float64 view of the interleaved (real, imaginary) parts, filled as band_coefficients fills
-        # it: the Nyquist normal (if any) into the last real slot, the rest into bins 1..n_band
-        parts = spectrum.view(np.float64)
+        nyquist, in_band = layout.slots(spectrum)
         nyq = int(layout.nyquist)
-        in_band = parts[:, 2 : 2 + 2 * layout.n_band]
-    for lo, b in _draw_blocks(master_seed, start, stop, force_state, normals):
-        k = len(b)
-        bits[lo : lo + k] = b
+    for lo, k in _draw_blocks(master_seed, start, stop, force_state, normals, bits):
         if reading is None:
+            b = bits[lo : lo + k]
             coeffs = band_coefficients(layout, normals[:k], scale[b], nyquist_scale[b], out=spectrum[:k])
             # slice before solving: the solve then touches only the measured half
             x = np.fft.irfft(coeffs, n=n, axis=-1)[..., window]
@@ -280,16 +280,16 @@ def _simulate_chunk(
         else:
             # the scale, the gain and irfft's 1/n are applied to the chunk's sums below
             combine(normals[:k, 0, nyq:], normals[:k, 1, nyq:], out=in_band[:k])
-            if nyq:
-                combine(normals[:k, 0, 0], normals[:k, 1, 0], out=parts[:k, -2])
-                parts[:k, -2] *= spec.nyquist_scale / spec.scale
+            if nyquist is not None:
+                combine(normals[:k, 0, 0], normals[:k, 1, 0], out=nyquist[:k])
+                nyquist[:k] *= spec.nyquist_scale / spec.scale
             x = np.fft.irfft(spectrum[:k], n=n, axis=-1, norm="forward")[:, window]
             squares[reading][lo : lo + k] = np.einsum("ij,ij->i", x, x)
             del x  # as in the two-wave stage, freed before the next block's transform
     if reading is not None:
         # the physical windowed sums of squares, then their means: a sum that overflowed stays infinite
         squares[reading] *= (spec.scale * gain(r_bit[bit]) / n) ** 2
-        squares[reading] /= n - n // 2
+        squares[reading] /= measured
     if not all(np.isfinite(ms).all() for ms in squares.values()):
         raise ValueError("non-finite channel mean squares: the noise levels overflow float64")
     return {"bits": bits, **squares}
@@ -397,10 +397,10 @@ def _run_shares(
 
 
 def _checked_workers(workers) -> int:
-    """``workers`` as an int of at least 1, or a ValueError before any period runs."""
+    """``workers`` as an int of at least 1, or a ConfigError before any period runs."""
     workers = _checked("workers", workers, "int")
     if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     return workers
 
 
@@ -412,12 +412,12 @@ def error_rate(config: SystemConfig, mode: str, force_state: str, workers: int =
     shares and the decision cuts are the session's, and so are k, n, p and
     the interval.
 
-    A combined-mode rate reads both mean squares of ``_simulate_chunk``'s
-    two-wave stage, as the session does. A voltage- or current-mode rate
-    computes only its reading, by the one-reading stage: the two parties'
-    unit-scale normals combined into one spectrum row, one unscaled inverse
-    FFT and one fused sum of squares per period, and one scale factor per
-    chunk. Those mean squares agree with the session's up to rounding, at
+    A combined-mode rate is the session's own: ``run_session``'s count
+    table alone says which periods are dangerous in combined mode. A
+    voltage- or current-mode rate computes only its reading, by the
+    one-reading stage: the two parties' unit-scale normals combined into one
+    spectrum row, one unscaled inverse FFT and one fused sum of squares per
+    period, and one scale factor per chunk. Those mean squares agree with the session's up to rounding, at
     most 2.3e-15 relative (measured at gamma 12, 30, 37.3, 100 and 1000,
     oversample 2 to 4, both readings and states), so only a period on or
     next to a cut could read otherwise. Every period whose mean square lies
@@ -432,19 +432,17 @@ def error_rate(config: SystemConfig, mode: str, force_state: str, workers: int =
         raise ValueError(f"force_state must be one of 00, 11, got {force_state!r}")
     if mode not in ("voltage", "current", "combined"):
         raise ValueError(f"mode must be one of voltage, current, combined, got {mode!r}")
-    bands = config.bands()  # fail fast on an empty secure band
     if mode == "combined":
-        periods = _run_shares(config, force_state, workers)
-        secure = (voltage_codes(periods["msv"], bands) == 2) & (current_codes(periods["msi"], bands) == 2)
-    else:
-        reading, codes, cuts = _ONE_READING[mode]
-        ms = _run_shares(config, force_state, workers, reading)[reading]
-        near = np.zeros(len(ms), dtype=bool)
-        for cut in (getattr(bands, name) for name in cuts):
-            near |= np.abs(ms - cut) <= _RESOLVE_MARGIN * cut
-        for p in np.flatnonzero(near).tolist():
-            ms[p] = _simulate_chunk(config, config.master_seed, p, p + 1, force_state)[reading][0]
-        secure = codes(ms, bands) == 2
+        return run_session(config, force_state, workers).rates[f"eps_hat_combined_{force_state}"]
+    bands = config.bands()  # fail fast on an empty secure band
+    reading, codes, cuts = _ONE_READING[mode]
+    ms = _run_shares(config, force_state, workers, reading)[reading]
+    near = np.zeros(len(ms), dtype=bool)
+    for cut in (getattr(bands, name) for name in cuts):
+        near |= np.abs(ms - cut) <= _RESOLVE_MARGIN * cut
+    for p in np.flatnonzero(near).tolist():
+        ms[p] = _simulate_chunk(config, config.master_seed, p, p + 1, force_state)[reading][0]
+    secure = codes(ms, bands) == 2
     return RateEstimate.from_counts(int(np.count_nonzero(secure)), config.n_periods)
 
 

@@ -257,12 +257,13 @@ class TestSession:
 @pytest.mark.parametrize("command", [["session"], ["sweep", "--gammas", "30"]])
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_workers_below_one_is_config_error(capsys, monkeypatch, fast_config, command, workers):
-    monkeypatch.setattr(cli, "run_session", _no_session)
-    monkeypatch.setattr(cli, "error_rate", _no_session)
+    # refused by the protocol's own check, before any period runs
+    monkeypatch.setattr(protocol, "_Share", _no_session)
+    monkeypatch.setattr(protocol, "_simulate_chunk", _no_session)
     code, out, err = run_cli(capsys, command + ["--config", fast_config, "--workers", workers])
     assert code == 2
     assert out == ""
-    assert "--workers" in err
+    assert err == f"config error: workers must be >= 1, got {workers}\n"
 
 
 @pytest.mark.parametrize(

@@ -422,6 +422,27 @@ class TestBandCoefficients:
         assert band_coefficients(layout, normals, scale, nyquist_scale, out=buffer) is buffer
         assert np.array_equal(buffer, expected)
 
+    @pytest.mark.parametrize(
+        "sample_rate, n, nyquist",
+        [(2.0, 16, True), (3.0, 16, False), (2.0, 15, False)],
+        ids=["even-nyquist", "even-no-nyquist", "odd"],
+    )
+    def test_slots_are_the_filled_bins(self, sample_rate, n, nyquist):
+        """Normals written through ``slots`` land in exactly the bins, and the order, of the reference."""
+        layout = NoiseSpec(psd_level=1.0, bandwidth=1.0, sample_rate=sample_rate, n_samples=n)
+        assert layout.nyquist == nyquist
+        coeffs = np.zeros((3, n // 2 + 1), dtype=complex)
+        nyquist_slot, in_band = layout.slots(coeffs)
+        assert (nyquist_slot is None) == (not nyquist)
+        assert in_band.shape == (3, 2 * layout.n_band) and np.shares_memory(in_band, coeffs)
+        # distinct nonzero normals, so a slot out of place or out of order shows
+        normals = np.arange(1.0, 1.0 + 3 * layout.n_normals).reshape(3, layout.n_normals)
+        if nyquist:
+            assert nyquist_slot.shape == (3,) and np.shares_memory(nyquist_slot, coeffs)
+            nyquist_slot[...] = normals[:, 0]
+        in_band[...] = normals[:, int(nyquist) :]
+        assert np.array_equal(coeffs, reference_band_coefficients(layout, normals, 1.0, 1.0))
+
 
 
 class TestPeriodogram:
