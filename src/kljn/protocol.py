@@ -35,16 +35,18 @@ _KEEP = _OUTCOMES.index(CombinedOutcome.KEEP_SECURE)
 # the mean squares of _simulate_chunk's two-wave stage, in its order
 _BOTH = ("msv", "msi")
 _SOLVES = {"msv": channel_voltage, "msi": channel_current}
-# a one-reading error_rate mode's mean square, its reader, and its cuts' names in DecisionBands
-_ONE_READING = {
-    "voltage": ("msv", voltage_codes, ("v_low_cut", "v_high_cut")),
-    "current": ("msi", current_codes, ("i_low_cut", "i_high_cut")),
-}
+# a one-reading error_rate mode's mean square and its reader
+_ONE_READING = {"voltage": ("msv", voltage_codes), "current": ("msi", current_codes)}
 # the loop law of a forced 00 or 11 period, whose two generators both have resistor r: the channel
 # voltage is (u_a + u_b) / 2 and the loop current (u_a - u_b) / (2r); per reading, the ufunc that
 # combines the generators and the gain g(r) that multiplies the result
 _EQUAL_LOOP = {"msv": (np.add, lambda r: 0.5), "msi": (np.subtract, lambda r: 0.5 / r)}
-# relative distance from a cut within which error_rate re-solves a one-reading period (see there)
+# error_rate re-solves a one-reading period whose mean square ms reads differently at ms * (1 - m) and
+# ms * (1 + m), for m this margin. The one-reading stage's mean squares agree with the two-wave stage's
+# up to rounding, at most 2.3e-15 relative (measured at gamma 12, 30, 37.3, 100 and 1000, oversample 2
+# to 4, both readings and states), so a cut between a period's two roundings lies strictly inside that
+# interval and the period is re-solved. 1e-9 is over 10^5 times that bound, and an interval that
+# narrow holds a cut for next to no period, so the re-solves cost next to nothing.
 _RESOLVE_MARGIN = 1e-9
 
 
@@ -201,14 +203,9 @@ def _draw_blocks(
 
 
 def _simulate_chunk(
-    config: SystemConfig,
-    master_seed: int,
-    start: int,
-    stop: int,
-    force_state: Optional[str],
-    reading: Optional[str] = None,
+    config: SystemConfig, start: int, stop: int, force_state: Optional[str], reading: Optional[str] = None
 ) -> dict:
-    """Simulate periods [start, stop), with start < stop; returns per-period arrays.
+    """Simulate periods [start, stop) of ``config.master_seed``, with start < stop; returns per-period arrays.
 
     The periods are drawn by ``_draw_blocks``, in blocks sized by
     ``_block_periods``, and each block runs one of two stages, all element-
@@ -231,7 +228,7 @@ def _simulate_chunk(
       the physical windowed sums of squares, and are divided by the window's
       length. Returns ``bits`` and that reading, whose mean squares agree
       with the two-wave stage's up to rounding, not byte for byte (see
-      ``error_rate``).
+      ``_RESOLVE_MARGIN``).
 
     Either stage raises ValueError when a mean square is not finite, as it
     is when the noise levels or a windowed sum of squares overflow float64.
@@ -265,7 +262,7 @@ def _simulate_chunk(
         spectrum = np.zeros((block, n // 2 + 1), dtype=complex)
         nyquist, in_band = layout.slots(spectrum)
         nyq = int(layout.nyquist)
-    for lo, k in _draw_blocks(master_seed, start, stop, force_state, normals, bits):
+    for lo, k in _draw_blocks(config.master_seed, start, stop, force_state, normals, bits):
         if reading is None:
             b = bits[lo : lo + k]
             coeffs = band_coefficients(layout, normals[:k], scale[b], nyquist_scale[b], out=spectrum[:k])
@@ -381,14 +378,14 @@ def _run_shares(
     args = (force_state, reading)
     workers = min(workers, _usable_cpus())
     if workers == 1 or n_periods < 2 * workers:
-        return _simulate_chunk(config, config.master_seed, 0, n_periods, *args)
+        return _simulate_chunk(config, 0, n_periods, *args)
     bounds = np.linspace(0, n_periods, workers + 1, dtype=int).tolist()
     first, *rest = zip(bounds[:-1], bounds[1:])
     children = []
     try:
         for a, b in rest:
-            children.append(_Share(config, config.master_seed, a, b, *args))
-        chunks = [_simulate_chunk(config, config.master_seed, *first, *args)]
+            children.append(_Share(config, a, b, *args))
+        chunks = [_simulate_chunk(config, *first, *args)]
         chunks += [child.result() for child in children]
     finally:
         for child in children:
@@ -417,14 +414,13 @@ def error_rate(config: SystemConfig, mode: str, force_state: str, workers: int =
     voltage- or current-mode rate computes only its reading, by the
     one-reading stage: the two parties' unit-scale normals combined into one
     spectrum row, one unscaled inverse FFT and one fused sum of squares per
-    period, and one scale factor per chunk. Those mean squares agree with the session's up to rounding, at
-    most 2.3e-15 relative (measured at gamma 12, 30, 37.3, 100 and 1000,
-    oversample 2 to 4, both readings and states), so only a period on or
-    next to a cut could read otherwise. Every period whose mean square lies
-    within a relative ``_RESOLVE_MARGIN`` (1e-9) of either cut of its
-    reading is therefore re-solved alone by the two-wave stage, which gives
-    the session's bytes because each period has its own stream, and read
-    from those.
+    period, and one scale factor per chunk. Those mean squares agree with
+    the session's up to rounding, so only a period next to a cut could read
+    otherwise. Every period that its reader reads differently at the two
+    ends of its mean square's ``_RESOLVE_MARGIN`` interval (see there) is
+    therefore re-solved alone by the two-wave stage, which gives the
+    session's bytes because each period has its own stream, and read from
+    those.
     """
     workers = _checked_workers(workers)
     # before any worker starts
@@ -435,13 +431,11 @@ def error_rate(config: SystemConfig, mode: str, force_state: str, workers: int =
     if mode == "combined":
         return run_session(config, force_state, workers).rates[f"eps_hat_combined_{force_state}"]
     bands = config.bands()  # fail fast on an empty secure band
-    reading, codes, cuts = _ONE_READING[mode]
+    reading, codes = _ONE_READING[mode]
     ms = _run_shares(config, force_state, workers, reading)[reading]
-    near = np.zeros(len(ms), dtype=bool)
-    for cut in (getattr(bands, name) for name in cuts):
-        near |= np.abs(ms - cut) <= _RESOLVE_MARGIN * cut
+    near = codes(ms * (1 - _RESOLVE_MARGIN), bands) != codes(ms * (1 + _RESOLVE_MARGIN), bands)
     for p in np.flatnonzero(near).tolist():
-        ms[p] = _simulate_chunk(config, config.master_seed, p, p + 1, force_state)[reading][0]
+        ms[p] = _simulate_chunk(config, p, p + 1, force_state)[reading][0]
     secure = codes(ms, bands) == 2
     return RateEstimate.from_counts(int(np.count_nonzero(secure)), config.n_periods)
 

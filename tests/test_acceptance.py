@@ -5,6 +5,7 @@ error probabilities are themselves rare-crossing approximations; the tests
 document the exact tolerance next to each assertion.
 """
 
+import dataclasses
 import json
 import math
 
@@ -36,7 +37,7 @@ from kljn.estimator import (
     squared_noise_psd_theory,
 )
 from kljn.noise import NoiseSpec, periodogram, rng_for_period, synth_band_limited, synth_band_limited_many
-from kljn.protocol import extract_key, run_session
+from kljn.protocol import error_rate, extract_key, run_session
 from moments import msq_correlation
 
 NORM = PhysicsConstants.normalized()
@@ -167,6 +168,53 @@ def test_monte_carlo_vs_exact_rates_gamma_30():
     paper = epsilon_current_00(0.5, 30.0)
     assert paper == pytest.approx(8.85e-2, rel=1e-3)
     assert paper / EXACT_I_00_G30 == pytest.approx(9.7, abs=0.05)
+
+
+# 2e5 periods: enough that a 10% error in the averaging period or the noise band moves the 00 rate
+# about 13 standard errors (test_exact_rate_gate_catches_10pct_mutants)
+EXACT_GATE_CONFIG = SystemConfig(alpha=100.0, gamma=30.0, n_periods=2 * 10**5, master_seed=1)
+# a true rate fails |z| < 4.5 with two-sided probability 6.8e-6 (normal approximation)
+Z_GATE = 4.5
+
+
+def current_rate_z(state, workers):
+    """The z-score of ``error_rate``'s current-mode rate of ``EXACT_GATE_CONFIG`` against the exact rate."""
+    exact = {"00": EXACT_I_00_G30, "11": EXACT_I_11_G30}[state]
+    est = error_rate(EXACT_GATE_CONFIG, "current", state, workers=workers)
+    return (est.k - est.n * exact) / math.sqrt(est.n * exact * (1 - exact))
+
+
+@pytest.mark.parametrize("state", ["00", "11"])
+def test_error_rate_vs_exact_rates_gamma_30(state):
+    """The sweep's current-mode rate sits within 4.5 standard errors of the exact rate (false alarm 6.8e-6)."""
+    z = current_rate_z(state, workers=2)
+    assert abs(z) < Z_GATE, f"state {state}: {z:+.2f} sd from the exact rate"
+
+
+def _period_10pct_long(monkeypatch):
+    n = SystemConfig.samples_per_period.fget
+    monkeypatch.setattr(SystemConfig, "samples_per_period", property(lambda self: n(self) * 11 // 10))
+    assert EXACT_GATE_CONFIG.samples_per_period == 132
+
+
+def _band_10pct_wide(monkeypatch):
+    """The band edge x 1.1 and the PSD / 1.1, so each generator's power is unchanged."""
+    spec = SystemConfig.noise_spec
+
+    def wide(self, r, n_samples):
+        s = spec(self, r, n_samples)
+        return dataclasses.replace(s, psd_level=s.psd_level / 1.1, bandwidth=s.bandwidth * 1.1)
+
+    monkeypatch.setattr(SystemConfig, "noise_spec", wide)
+    assert EXACT_GATE_CONFIG.noise_spec(1.0, 120).bandwidth == EXACT_GATE_CONFIG.b_kljn * 1.1
+
+
+@pytest.mark.parametrize("mutate", [_period_10pct_long, _band_10pct_wide], ids=["period", "band"])
+def test_exact_rate_gate_catches_10pct_mutants(mutate, monkeypatch):
+    """The state-00 gate above fails on a kernel with either 10% fault, patched in this process (1 worker)."""
+    mutate(monkeypatch)
+    z = current_rate_z("00", workers=1)
+    assert abs(z) >= Z_GATE, f"{z:+.2f} sd from the exact rate"
 
 
 def test_criterion_07_exponential_decay_slope():

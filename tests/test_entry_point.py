@@ -162,8 +162,8 @@ from kljn.config import SystemConfig
 chunk = protocol._simulate_chunk
 
 
-def caller_fails(config, master_seed, start, *rest):
-    result = chunk(config, master_seed, start, *rest)
+def caller_fails(config, start, *rest):
+    result = chunk(config, start, *rest)
     if start:
         return result
     time.sleep(1.0)

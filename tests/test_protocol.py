@@ -202,7 +202,7 @@ class TestSimulatePeriod:
     def test_outcome_consistent_with_interps(self):
         cfg = small_config(n_periods=20, master_seed=9)
         report = run_session(cfg)
-        periods = _simulate_chunk(cfg, cfg.master_seed, 0, cfg.n_periods, None)
+        periods = _simulate_chunk(cfg, 0, cfg.n_periods, None)
         assert np.array_equal(periods["bits"], report.bits)
         bands = cfg.bands()
         for msv, msi, code in zip(periods["msv"], periods["msi"], report.outcome_code):
@@ -241,7 +241,7 @@ class TestRunSession:
         # low gamma and alpha: dangerous keeps, discards and alarms all occur
         cfg = small_config(gamma=12.0, alpha=10.0, n_periods=400, master_seed=7)
         report = run_session(cfg, force_state=force_state)
-        periods = _simulate_chunk(cfg, cfg.master_seed, 0, cfg.n_periods, force_state)
+        periods = _simulate_chunk(cfg, 0, cfg.n_periods, force_state)
         expected = reference_accounting(cfg, periods)
         for name, value in expected.items():
             assert getattr(report, name) == value, name
@@ -269,7 +269,7 @@ class TestRunSession:
         cfg = small_config(n_periods=25, master_seed=17)
         report = run_session(cfg)
         for j in range(cfg.n_periods):
-            period = _simulate_chunk(cfg, cfg.master_seed, j, j + 1, None)
+            period = _simulate_chunk(cfg, j, j + 1, None)
             assert np.array_equal(period["bits"][0], report.bits[j])
             assert read_periods(cfg, period["msv"], period["msi"])[0] == report.outcome_code[j]
 
@@ -295,7 +295,7 @@ class TestRunSession:
 
         class CountingShare(protocol._Share):
             def __init__(self, *args):
-                built.append(args[2:4])
+                built.append(args[1:3])
                 super().__init__(*args)
 
         monkeypatch.setattr(protocol, "_Share", CountingShare)
@@ -374,7 +374,7 @@ class TestRunSession:
             """Records each share's (start, stop) in place of a child process, and runs the share here."""
 
             def __init__(self, *args):
-                submitted.append(args[2:4])
+                submitted.append(args[1:3])
                 self._chunk = _simulate_chunk(*args)
 
             def result(self):
@@ -444,10 +444,10 @@ class TestShareRunner:
     def exit_mid_share(monkeypatch):
         chunk = _simulate_chunk
 
-        def exits_in_child(config, master_seed, start, stop, *rest):
+        def exits_in_child(config, start, stop, *rest):
             if start == 0:  # the caller's share
-                return chunk(config, master_seed, start, stop, *rest)
-            chunk(config, master_seed, start, start + 1, *rest)
+                return chunk(config, start, stop, *rest)
+            chunk(config, start, start + 1, *rest)
             os._exit(7)
 
         fork_children(monkeypatch)
@@ -472,11 +472,11 @@ class TestShareRunner:
 
     def test_child_exception_reraised(self, monkeypatch):
         # a current-mode rate runs the kernel's one-reading stage in every share
-        def fails(config, master_seed, start, stop, force_state, reading=None):
+        def fails(config, start, stop, force_state, reading=None):
             assert reading == "msi"
             if start:
                 raise MemoryError(f"share from {start} failed")
-            return _simulate_chunk(config, master_seed, start, stop, force_state, reading)
+            return _simulate_chunk(config, start, stop, force_state, reading)
 
         fork_children(monkeypatch)
         monkeypatch.setattr(protocol, "_simulate_chunk", fails)
@@ -529,57 +529,57 @@ class TestErrorRate:
         with pytest.raises(ValueError, match=message):
             error_rate(self.CONFIG, mode, force_state, workers=workers)
 
-    @pytest.mark.parametrize("mode", ["current", "voltage"])
-    def test_period_on_a_cut_resolved(self, mode, monkeypatch):
+    # per (mode, state): the reading, its reader, the cut between the state's level and the secure
+    # band, that cut's fraction, the level, and the cut's side (+1: level * (1 + f), read insecure below;
+    # -1: level * (1 - f), read insecure above)
+    CUTS = {
+        ("current", "11"): ("msi", interpret_current, "i_low_cut", "lam", "i_11", 1),
+        ("voltage", "11"): ("msv", interpret_voltage, "v_high_cut", "delta", "v_11", -1),
+        ("current", "00"): ("msi", interpret_current, "i_high_cut", "rho", "i_00", -1),
+        ("voltage", "00"): ("msv", interpret_voltage, "v_low_cut", "beta", "v_00", 1),
+    }
+
+    @pytest.mark.parametrize("mode, state", list(CUTS), ids=[f"{m}-{s}" for m, s in CUTS])
+    def test_period_on_a_cut_resolved(self, mode, state, monkeypatch):
         """A period exactly on a cut reads secure, as the session reads it, though one transform misses the cut.
 
-        The period is the first state-11 period whose one-transform mean
-        square lies past a cut set exactly at its two-wave mean square:
-        below the current low cut, or above the voltage high cut. Which
-        period that is depends on the rounding of both stages.
+        The period is the first period of the forced state whose
+        one-transform mean square lies past a cut set exactly at its two-wave
+        mean square, on the side where the cut reads the state. Which period
+        that is depends on the rounding of both stages.
         """
-        reading, interpret, cut_name = {
-            "current": ("msi", interpret_current, "i_low_cut"),
-            "voltage": ("msv", interpret_voltage, "v_high_cut"),
-        }[mode]
+        reading, interpret, cut_name, fraction, level_name, side = self.CUTS[mode, state]
         cfg = self.CONFIG
-        two_wave = _simulate_chunk(cfg, cfg.master_seed, 0, cfg.n_periods, "11")[reading]
-        one = _simulate_chunk(cfg, cfg.master_seed, 0, cfg.n_periods, "11", reading)[reading]
-        levels = cfg.levels()
-        # a cut lies between the state-11 level and the secure band: lam and delta are positive
-        if mode == "current":
-            past = (one < two_wave) & (two_wave > levels.i_11)
-        else:
-            past = (one > two_wave) & (two_wave < levels.v_11)
+        two_wave = _simulate_chunk(cfg, 0, cfg.n_periods, state)[reading]
+        one = _simulate_chunk(cfg, 0, cfg.n_periods, state, reading)[reading]
+        level = getattr(cfg.levels(), level_name)
+        # the cut lies between the level and the secure band: every fraction is positive
+        past = (side * (one - two_wave) < 0) & (side * (two_wave - level) > 0)
         for period in np.flatnonzero(past).tolist():
             ms = float(two_wave[period])
-            # the current low cut i_11 * (1 + lam), or the voltage high cut v_11 * (1 - delta), at ms
-            if mode == "current":
-                cfg = with_overrides(self.CONFIG, lam=ms / levels.i_11 - 1)
-            else:
-                cfg = with_overrides(self.CONFIG, delta=1 - ms / levels.v_11)
+            cfg = with_overrides(self.CONFIG, **{fraction: side * (ms / level - 1)})
             if getattr(cfg.bands(), cut_name) == ms:
                 break
         else:
             pytest.fail("no period's one-transform mean square lies past a cut set at its two-wave one")
         # the cuts move no mean square: the streams do not depend on them
-        assert _simulate_chunk(cfg, cfg.master_seed, 0, cfg.n_periods, "11")[reading][period] == ms
-        again = _simulate_chunk(cfg, cfg.master_seed, 0, cfg.n_periods, "11", reading)[reading]
+        assert _simulate_chunk(cfg, 0, cfg.n_periods, state)[reading][period] == ms
+        again = _simulate_chunk(cfg, 0, cfg.n_periods, state, reading)[reading]
         assert again[period] == one[period]
         assert interpret(ms, cfg.bands()) is Interpretation.SECURE_0110
-        assert interpret(one[period], cfg.bands()) is Interpretation.B11  # a few ulp past the cut
+        assert interpret(one[period], cfg.bands()) is Interpretation(state)  # a few ulp past the cut
         resolved = []
 
-        def spy(config, master_seed, start, stop, force_state, reading=None):
+        def spy(config, start, stop, force_state, reading=None):
             if reading is None:  # a two-wave re-solve, not the one-reading run of all periods
                 resolved.append((start, stop))
-            return _simulate_chunk(config, master_seed, start, stop, force_state, reading)
+            return _simulate_chunk(config, start, stop, force_state, reading)
 
         monkeypatch.setattr(protocol, "_simulate_chunk", spy)
-        got = error_rate(cfg, mode, "11")
+        got = error_rate(cfg, mode, state)
         monkeypatch.undo()
         assert resolved == [(period, period + 1)]
-        assert got == run_session(cfg, force_state="11").rates[f"eps_hat_{reading[2]}_11"]
+        assert got == run_session(cfg, force_state=state).rates[f"eps_hat_{reading[2]}_{state}"]
 
     def test_empty_secure_band_refused(self):
         with pytest.raises(ValueError, match="empty secure band"):
@@ -597,12 +597,12 @@ def chunk_peaks(cfg, *args):
     block = protocol._block_periods(cfg.samples_per_period)
     counts = (25 * block, 100 * block)
     # untraced warm-up: one-time allocations of a first call would hide growth in the first peak
-    _simulate_chunk(cfg, cfg.master_seed, 0, block, *args)
+    _simulate_chunk(cfg, 0, block, *args)
     peaks = []
     for count in counts:
         tracemalloc.start()
         try:
-            _simulate_chunk(cfg, cfg.master_seed, 0, count, *args)
+            _simulate_chunk(cfg, 0, count, *args)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -633,7 +633,7 @@ class TestBlockKernel:
             warnings.simplefilter("error")  # the config warned when built; the kernel must not
             # a budget this small puts block boundaries inside the chunk
             mp.setattr(protocol, "_BLOCK_BYTES", block_bytes)
-            got = _simulate_chunk(cfg, master_seed, start, start + length, force_state)
+            got = _simulate_chunk(cfg, start, start + length, force_state)
         for name in ("bits", "msv", "msi"):
             assert np.array_equal(got[name], expected[name]), name
 
@@ -653,7 +653,7 @@ class TestBlockKernel:
         # two floor-sized blocks and a partial one
         start, stop = 2**40 + 11, 2**40 + 11 + 2 * block + 3
         expected = reference_simulate_chunk(cfg, cfg.master_seed, start, stop, force_state)
-        got = _simulate_chunk(cfg, cfg.master_seed, start, stop, force_state)
+        got = _simulate_chunk(cfg, start, stop, force_state)
         for name in ("bits", "msv", "msi"):
             assert np.array_equal(got[name], expected[name]), name
 
@@ -702,8 +702,8 @@ class TestOneReadingKernel:
         cfg = small_config(gamma=gamma, alpha=10.0, oversample=oversample, master_seed=2**64 - 59)
         block = protocol._block_periods(cfg.samples_per_period)
         start, stop = 2**40 + 11, 2**40 + 11 + 2 * block + 3  # two blocks and a partial one
-        two_wave = _simulate_chunk(cfg, cfg.master_seed, start, stop, force_state)
-        one = _simulate_chunk(cfg, cfg.master_seed, start, stop, force_state, reading)
+        two_wave = _simulate_chunk(cfg, start, stop, force_state)
+        one = _simulate_chunk(cfg, start, stop, force_state, reading)
         assert sorted(one) == sorted(["bits", reading])
         assert one["bits"].tobytes() == two_wave["bits"].tobytes()
         assert one[reading].shape == two_wave[reading].shape
@@ -734,7 +734,7 @@ class TestOneReadingKernel:
                 if name:
                     mp.setattr(protocol, name, value)
                 sizes.append(protocol._block_periods(n))
-                results.append(_simulate_chunk(cfg, cfg.master_seed, start, stop, force_state, reading))
+                results.append(_simulate_chunk(cfg, start, stop, force_state, reading))
         # at gamma 1000 the long-period floor sets the default block size
         assert sizes[0] > sizes[2] > sizes[1] == 1
         for got in results[1:]:
@@ -747,7 +747,7 @@ class TestOneReadingKernel:
         """Only a forced 00 or 11 period has one resistor on both sides; any other state is refused."""
         cfg = small_config(n_periods=4)
         with pytest.raises(ValueError, match="force_state 00 or 11, got"):
-            _simulate_chunk(cfg, cfg.master_seed, 0, cfg.n_periods, force_state, reading)
+            _simulate_chunk(cfg, 0, cfg.n_periods, force_state, reading)
 
     # resistors that bring the reading's mean squares near the top of float64 at an SI t_eff below it
     @pytest.mark.parametrize(
@@ -766,7 +766,7 @@ class TestOneReadingKernel:
         """
         base = small_config(r=r, t_eff=1.0, n_periods=20, master_seed=5)
         n = base.samples_per_period
-        sums = _simulate_chunk(base, base.master_seed, 0, base.n_periods, "00")[reading] * (n - n // 2)
+        sums = _simulate_chunk(base, 0, base.n_periods, "00")[reading] * (n - n // 2)
         # the mean squares, and so the windowed sums, are proportional to t_eff
         top = np.finfo(float).max / sums.max()
         got = []
@@ -776,7 +776,7 @@ class TestOneReadingKernel:
             for stage in (None, reading):
                 try:
                     with np.errstate(all="ignore"):
-                        periods = _simulate_chunk(cfg, cfg.master_seed, 0, cfg.n_periods, "00", stage)
+                        periods = _simulate_chunk(cfg, 0, cfg.n_periods, "00", stage)
                     outcomes.append(periods[reading])
                 except ValueError as exc:
                     assert "non-finite" in str(exc)
@@ -821,7 +821,7 @@ class TestQuadraticFormOracle:
         r_bit = (cfg.resistors.r0, cfg.resistors.r1)
         scale = [cfg.noise_spec(r, n).scale for r in r_bit]
         start = 2**40 + 11
-        got = _simulate_chunk(cfg, cfg.master_seed, start, start + cfg.n_periods, force_state, reading)
+        got = _simulate_chunk(cfg, start, start + cfg.n_periods, force_state, reading)
         for j in range(cfg.n_periods):
             # the period's bits and normals, drawn as the per-period loop draws them
             rng = rng_for_period(cfg.master_seed, start + j)
@@ -872,7 +872,7 @@ class TestDrawBits:
     def test_forced_periods_draw_normals_from_word_0(self, master_seed, index, force_state):
         cfg = small_config(master_seed=master_seed)
         expected = reference_simulate_chunk(cfg, master_seed, index, index + 1, force_state)
-        got = _simulate_chunk(cfg, master_seed, index, index + 1, force_state)
+        got = _simulate_chunk(cfg, index, index + 1, force_state)
         assert got["bits"].tolist() == [[int(force_state[0])] * 2]
         for name in ("msv", "msi"):
             assert np.array_equal(got[name], expected[name]), name
@@ -964,7 +964,7 @@ class TestSeedExactOutput:
         cfg = SystemConfig(alpha=100.0, lam=0.3, **overrides)
         block = protocol._block_periods(cfg.samples_per_period)
         assert cfg.n_periods > 2 * block and cfg.n_periods % block
-        got = _simulate_chunk(cfg, cfg.master_seed, 0, cfg.n_periods, force_state)
+        got = _simulate_chunk(cfg, 0, cfg.n_periods, force_state)
         assert tuple(hashlib.sha256(got[name].tobytes()).hexdigest() for name in ("bits", "msv", "msi")) == digests
 
     @pytest.mark.parametrize(

@@ -9,6 +9,8 @@ scaled exactly and every comparison with a cut reads the same.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kljn import cli
 from kljn.config import SystemConfig, with_overrides
@@ -67,6 +69,21 @@ def test_session_counts_unchanged_and_moments_exactly_scaled(base_session, name,
     factors = moment_factors(name, factor)
     for state, sums in base.moment_sums.items():
         assert report.moment_sums[state] == [s * f for s, f in zip(sums, factors)], state
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["t_eff", "r", "b_kljn"]), factor=st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
+def test_session_counts_unchanged_at_any_factor(base_session, name, factor):
+    """Any factor in [1e-3, 1e3], not only a power of two: counts equal, moment sums scaled up to rounding."""
+    base, report = base_session, run_session(scaled(name, factor))
+    for field in ("confusion_v", "confusion_i", "combined_counts", "rates", "fidelity", "discard_rate"):
+        assert getattr(report, field) == getattr(base, field), field
+    assert np.array_equal(report.bits, base.bits)
+    assert np.array_equal(report.outcome_code, base.outcome_code)
+    factors = moment_factors(name, factor)
+    for state, sums in base.moment_sums.items():
+        expected = [s * f for s, f in zip(sums, factors)]
+        assert report.moment_sums[state] == pytest.approx(expected, rel=1e-14, abs=0), state
 
 
 @pytest.mark.parametrize("name, factor", SCALINGS, ids=IDS)
