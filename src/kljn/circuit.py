@@ -131,20 +131,15 @@ def channel_current(u_a: np.ndarray, u_b: np.ndarray, r_alice, r_bob, out=None) 
     return i_c
 
 
-def channel_voltage(u_a: np.ndarray, u_b: np.ndarray, r_alice, r_bob, out=None) -> np.ndarray:
+def channel_voltage(u_a: np.ndarray, u_b: np.ndarray, r_alice, r_bob) -> np.ndarray:
     """Channel voltage u_c = (u_a * R_B + u_b * R_A) / (R_A + R_B), element-wise.
 
     The resistances broadcast as in ``channel_current``. Returns a new array
-    of the samples' shape, or ``out`` filled with the same values: a float64
-    array of that shape, which may be ``u_a`` itself but not ``u_b``, since
-    the first product is written to ``out`` before ``u_b`` is read.
+    of the samples' shape.
     """
     if u_a.shape != u_b.shape:
         raise ValueError(f"shape mismatch: {u_a.shape} vs {u_b.shape}")
-    u_c = np.multiply(u_a, r_bob, out=out)
-    u_c += u_b * r_alice
-    u_c /= r_alice + r_bob
-    return u_c
+    return (u_a * r_bob + u_b * r_alice) / (r_alice + r_bob)
 
 
 def channel_waveforms(

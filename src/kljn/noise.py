@@ -156,19 +156,14 @@ def period_streams(master_seed: int, period_indices) -> Iterator[np.random.Gener
         yield rng
 
 
-def band_coefficients(layout: NoiseSpec, normals: np.ndarray, scale, nyquist_scale, out=None) -> np.ndarray:
+def band_coefficients(layout: NoiseSpec, normals: np.ndarray, scale, nyquist_scale) -> np.ndarray:
     """rfft coefficients, shape ``(..., n_samples // 2 + 1)``, from normals laid out as ``layout``'s bins.
 
     ``normals`` has shape ``(..., layout.n_normals)``; ``scale`` and
     ``nyquist_scale`` are scalars or arrays of shape ``normals.shape[:-1]``,
     so that rows of one layout may take the scales of different specs.
-    ``out``, a C-contiguous complex array of the result's shape, receives
-    the coefficients in place of a new zeroed array: only its in-band and
-    Nyquist slots are written, so its DC and out-of-band slots must be zero
-    already, as a buffer reused for one layout keeps them.
     """
-    shape = normals.shape[:-1] + (layout.n_samples // 2 + 1,)
-    coeffs = np.zeros(shape, dtype=complex) if out is None else out
+    coeffs = np.zeros(normals.shape[:-1] + (layout.n_samples // 2 + 1,), dtype=complex)
     nyquist, in_band = layout.slots(coeffs)
     if nyquist is not None:
         np.multiply(normals[..., 0], nyquist_scale, out=nyquist)

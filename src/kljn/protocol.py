@@ -19,11 +19,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .circuit import channel_current, channel_voltage
 from .config import ConfigError, SystemConfig, _checked
 from .decision import _OUTCOME_CODE, CombinedOutcome, current_codes, interpret_arrays, voltage_codes
-from .estimator import finite_mean_square, measurement_slice
-from .noise import band_coefficients, period_streams
+from .estimator import measurement_slice
+from .noise import period_streams
 
 ACTUAL_STATES = ("00", "11", "0110")
 # working-array budget of one block of simulated periods
@@ -32,22 +31,11 @@ _BLOCK_BYTES = 2**20
 _MIN_BLOCK_PERIODS = 8
 _OUTCOMES = tuple(CombinedOutcome)
 _KEEP = _OUTCOMES.index(CombinedOutcome.KEEP_SECURE)
-# the mean squares of _simulate_chunk's two-wave stage, in its order
-_BOTH = ("msv", "msi")
-_SOLVES = {"msv": channel_voltage, "msi": channel_current}
 # a one-reading error_rate mode's mean square and its reader
 _ONE_READING = {"voltage": ("msv", voltage_codes), "current": ("msi", current_codes)}
-# the loop law of a forced 00 or 11 period, whose two generators both have resistor r: the channel
-# voltage is (u_a + u_b) / 2 and the loop current (u_a - u_b) / (2r); per reading, the ufunc that
-# combines the generators and the gain g(r) that multiplies the result
-_EQUAL_LOOP = {"msv": (np.add, lambda r: 0.5), "msi": (np.subtract, lambda r: 0.5 / r)}
-# error_rate re-solves a one-reading period whose mean square ms reads differently at ms * (1 - m) and
-# ms * (1 + m), for m this margin. The one-reading stage's mean squares agree with the two-wave stage's
-# up to rounding, at most 2.3e-15 relative (measured at gamma 12, 30, 37.3, 100 and 1000, oversample 2
-# to 4, both readings and states), so a cut between a period's two roundings lies strictly inside that
-# interval and the period is re-solved. 1e-9 is over 10^5 times that bound, and an interval that
-# narrow holds a cut for next to no period, so the re-solves cost next to nothing.
-_RESOLVE_MARGIN = 1e-9
+# per mean square, z_a + z_b or z_a - z_b in one pass: z_a + rho * z_b where rho is exactly +1 or -1, as
+# it is when both generators have one resistor (see _reading_tables)
+_EQUAL_RESISTORS = {"msv": np.add, "msi": np.subtract}
 
 
 @dataclass(frozen=True)
@@ -136,12 +124,12 @@ def _bits_from_words(words: np.ndarray, force_state: Optional[str]) -> np.ndarra
 def _block_periods(n_samples: int) -> int:
     """Periods per block: as many as keep the block's working arrays within ``_BLOCK_BYTES``.
 
-    Per period and party a block holds at most ``n_samples`` normals (fewer
-    unless oversample is 2), the complex spectrum and the inverse-FFT
-    samples; per period it also holds the half-window voltage or current
-    and its square. That is the two-wave stage of ``_simulate_chunk``; its
-    one-reading stage holds less in the same blocks. At least one period
-    runs per block.
+    The budget counts per period and party at most ``n_samples`` normals
+    (fewer unless oversample is 2), a spectrum row and its inverse-FFT
+    samples, and per period a half-window wave and its square: the count
+    the block sizes below were measured with. ``_simulate_chunk`` holds
+    less, one spectrum row and one reading's samples per period at a time
+    and no wave. At least one period runs per block.
 
     The budget is 1 MiB so that a block's working set stays in one core's
     L2 (2 MiB per core on the 2-core Xeon it was measured on) while every
@@ -202,94 +190,98 @@ def _draw_blocks(
         yield lo, k
 
 
+def _reading_tables(config: SystemConfig, n_samples: int) -> tuple[np.ndarray, dict]:
+    """``(q, tables)`` of a period of ``n_samples``, each table indexed ``[bit_a, bit_b]`` (q by bit).
+
+    ``tables[name]`` is ``(amp, rho, rho_nyquist)`` for ``msv`` and ``msi``.
+    The loop law's gains of Alice's and Bob's generators are
+    g_a = R_B/(R_A+R_B) and g_b = R_A/(R_A+R_B) for the channel voltage,
+    g_a = 1/(R_A+R_B) and g_b = -g_a for the loop current (as in
+    ``circuit.channel_voltage`` and ``channel_current``). With s a bit's
+    in-band scale and q its Nyquist scale over s, amp = g_a·s_a,
+    rho = g_b·s_b/amp and rho_nyquist = rho·(q_b/q_a).
+    """
+    r = np.array([config.resistors.r0, config.resistors.r1])
+    specs = [config.noise_spec(x, n_samples) for x in r.tolist()]
+    s = np.array([spec.scale for spec in specs])
+    r_a, r_b = r[:, None], r[None, :]
+    loop = r_a + r_b
+    tables = {}
+    # quietly nan for a bit whose scale overflowed to inf: _simulate_chunk refuses its periods as non-finite
+    with np.errstate(invalid="ignore"):
+        q = np.array([spec.nyquist_scale for spec in specs]) / s
+        for name, (g_a, g_b) in {"msv": (r_b / loop, r_a / loop), "msi": (1 / loop, -1 / loop)}.items():
+            amp = g_a * s[:, None]
+            rho = g_b * s / amp
+            tables[name] = (amp, rho, rho * (q / q[:, None]))
+    return q, tables
+
+
 def _simulate_chunk(
     config: SystemConfig, start: int, stop: int, force_state: Optional[str], reading: Optional[str] = None
 ) -> dict:
     """Simulate periods [start, stop) of ``config.master_seed``, with start < stop; returns per-period arrays.
 
-    The periods are drawn by ``_draw_blocks``, in blocks sized by
-    ``_block_periods``, and each block runs one of two stages, all element-
-    or row-wise, so the result does not depend on the block size. The
-    normals and the spectrum live in buffers allocated once per chunk; a
-    partial last block uses their leading rows.
+    Returns ``bits`` and both mean squares, ``msv`` and ``msi``, or only
+    ``reading``'s. The periods are drawn by ``_draw_blocks`` in blocks sized
+    by ``_block_periods``, into buffers allocated once per chunk (a partial
+    last block uses their leading rows), and every step is element- or
+    row-wise, so the result does not depend on the block size.
 
-    - Two-wave stage (``reading`` None): one inverse FFT of both parties'
-      spectra, loop solve and windowed mean squares. Returns ``bits``,
-      ``msv`` and ``msi``.
-    - One-reading stage (``reading`` is ``msv`` or ``msi``; ``force_state``
-      must be 00 or 11, or a ValueError is raised): both generators then
-      have the state's resistor r, so the same coefficient scale s, and the
-      loop law (``_EQUAL_LOOP``: gain g = 1/2 or 1/(2r)) and the inverse FFT
-      are both linear. The unit-scale normals are combined in one pass
-      straight into the spectrum's in-band slots (the Nyquist slot takes
-      the ratio of its scale to s), one unscaled ``irfft`` row runs per
-      period and one fused reduction sums its windowed squares. After the
-      last block the chunk's sums take the one factor (s·g/n)², so they are
-      the physical windowed sums of squares, and are divided by the window's
-      length. Returns ``bits`` and that reading, whose mean squares agree
-      with the two-wave stage's up to rounding, not byte for byte (see
-      ``_RESOLVE_MARGIN``).
+    The loop law and the inverse FFT are linear, so a reading is
+    amp·(z_a + rho·z_b) pushed through the synthesis, for Alice's and Bob's
+    unit-scale normals z (``_reading_tables``). Per block and reading,
+    z_a + rho·z_b goes straight into the spectrum's slots, one unscaled
+    ``irfft`` row runs per period and one fused reduction sums its windowed
+    squares. After the last block each sum takes its period's (amp/n)²,
+    which makes it the physical windowed sum of squares, and is divided by
+    the window's length.
 
-    Either stage raises ValueError when a mean square is not finite, as it
-    is when the noise levels or a windowed sum of squares overflow float64.
+    Raises ValueError when a mean square is not finite, as it is when the
+    noise levels or a windowed sum of squares overflow float64.
     """
-    if reading is not None and force_state not in ("00", "11"):
-        raise ValueError(f"a one-reading chunk needs force_state 00 or 11, got {force_state!r}")
     n = config.samples_per_period
-    r_bit = np.array([config.resistors.r0, config.resistors.r1])
-    specs = [config.noise_spec(r, n) for r in r_bit.tolist()]
-    layout = specs[0]  # the layout depends on n, f_s and B only; the scales on the bit
-    scale = np.array([s.scale for s in specs])
-    nyquist_scale = np.array([s.nyquist_scale for s in specs])
+    layout = config.noise_spec(config.resistors.r0, n)  # the layout depends on n, f_s and B only
+    q, tables = _reading_tables(config, n)
     window = measurement_slice(n)
-    measured = len(range(n)[window])
 
     count = stop - start
     block = max(1, min(count, _block_periods(n)))
     bits = np.empty((count, 2), dtype=np.int8)
-    if force_state in ("00", "11"):
+    forced = force_state in ("00", "11")
+    if forced:
         bits[:] = int(force_state[0])  # no period draws them (see _draw_blocks)
-    squares = {name: np.empty(count) for name in (_BOTH if reading is None else (reading,))}
+    sums = {name: np.empty(count) for name in (tables if reading is None else (reading,))}
     normals = np.empty((block, 2, layout.n_normals))
     # every block writes the same in-band and Nyquist slots; DC and the bins above the band stay zero
-    if reading is None:
-        spectrum = np.zeros((block, 2, n // 2 + 1), dtype=complex)
-        wave = np.empty((block, measured))
-    else:
-        bit = int(bits[0, 0])  # both parties' bit in a forced 00 or 11 state
-        spec = specs[bit]
-        combine, gain = _EQUAL_LOOP[reading]
-        spectrum = np.zeros((block, n // 2 + 1), dtype=complex)
-        nyquist, in_band = layout.slots(spectrum)
-        nyq = int(layout.nyquist)
+    spectrum = np.zeros((block, n // 2 + 1), dtype=complex)
+    nyquist, in_band = layout.slots(spectrum)
+    nyq = int(layout.nyquist)
+    bits_a, bits_b = bits.T  # views: _draw_blocks fills bits as it goes
     for lo, k in _draw_blocks(config.master_seed, start, stop, force_state, normals, bits):
-        if reading is None:
-            b = bits[lo : lo + k]
-            coeffs = band_coefficients(layout, normals[:k], scale[b], nyquist_scale[b], out=spectrum[:k])
-            # slice before solving: the solve then touches only the measured half
-            x = np.fft.irfft(coeffs, n=n, axis=-1)[..., window]
-            loop = (x[:, 0], x[:, 1], r_bit[b[:, 0], None], r_bit[b[:, 1], None])
-            for name in _BOTH:
-                squares[name][lo : lo + k] = finite_mean_square(_SOLVES[name](*loop, out=wave[:k]))
-            # freed before the next block's transform allocates its samples: holding both read a
-            # traced peak of 1.93 MB at gamma 1000, against 1.69 MB
-            del x, loop
-        else:
-            # the scale, the gain and irfft's 1/n are applied to the chunk's sums below
-            combine(normals[:k, 0, nyq:], normals[:k, 1, nyq:], out=in_band[:k])
+        a, b = bits_a[lo : lo + k], bits_b[lo : lo + k]
+        for name in sums:
+            _, rho, rho_nyquist = tables[name]
+            # the scales, the gains and irfft's 1/n are applied to the chunk's sums below
+            if forced:
+                _EQUAL_RESISTORS[name](normals[:k, 0, nyq:], normals[:k, 1, nyq:], out=in_band[:k])
+            else:
+                np.multiply(normals[:k, 1, nyq:], rho[a, b, None], out=in_band[:k])
+                in_band[:k] += normals[:k, 0, nyq:]
             if nyquist is not None:
-                combine(normals[:k, 0, 0], normals[:k, 1, 0], out=nyquist[:k])
-                nyquist[:k] *= spec.nyquist_scale / spec.scale
+                nyquist[:k] = (normals[:k, 0, 0] + rho_nyquist[a, b] * normals[:k, 1, 0]) * q[a]
             x = np.fft.irfft(spectrum[:k], n=n, axis=-1, norm="forward")[:, window]
-            squares[reading][lo : lo + k] = np.einsum("ij,ij->i", x, x)
-            del x  # as in the two-wave stage, freed before the next block's transform
-    if reading is not None:
+            sums[name][lo : lo + k] = np.einsum("ij,ij->i", x, x)
+            # freed before the next transform allocates its samples: keeping it until then read a
+            # traced peak of 1.04 MB over 25 blocks at gamma 1000, against 0.78 MB
+            del x
+    for name, ms in sums.items():
         # the physical windowed sums of squares, then their means: a sum that overflowed stays infinite
-        squares[reading] *= (spec.scale * gain(r_bit[bit]) / n) ** 2
-        squares[reading] /= measured
-    if not all(np.isfinite(ms).all() for ms in squares.values()):
+        ms *= np.square(tables[name][0] / n)[bits_a, bits_b]
+        ms /= len(range(n)[window])
+    if not all(np.isfinite(ms).all() for ms in sums.values()):
         raise ValueError("non-finite channel mean squares: the noise levels overflow float64")
-    return {"bits": bits, **squares}
+    return {"bits": bits, **sums}
 
 
 def _usable_cpus() -> int:
@@ -363,7 +355,7 @@ def _run_shares(
 ) -> dict:
     """``_simulate_chunk`` over all ``config.n_periods`` periods, its arrays in period order.
 
-    ``reading`` selects the chunks' stage, as in ``_simulate_chunk``.
+    ``reading`` selects the chunks' mean squares, as in ``_simulate_chunk``.
 
     With ``workers > 1`` the periods are split into ``workers`` shares, run by
     ``workers`` processes at once, the caller included: ``workers - 1`` child
@@ -411,16 +403,8 @@ def error_rate(config: SystemConfig, mode: str, force_state: str, workers: int =
 
     A combined-mode rate is the session's own: ``run_session``'s count
     table alone says which periods are dangerous in combined mode. A
-    voltage- or current-mode rate computes only its reading, by the
-    one-reading stage: the two parties' unit-scale normals combined into one
-    spectrum row, one unscaled inverse FFT and one fused sum of squares per
-    period, and one scale factor per chunk. Those mean squares agree with
-    the session's up to rounding, so only a period next to a cut could read
-    otherwise. Every period that its reader reads differently at the two
-    ends of its mean square's ``_RESOLVE_MARGIN`` interval (see there) is
-    therefore re-solved alone by the two-wave stage, which gives the
-    session's bytes because each period has its own stream, and read from
-    those.
+    voltage- or current-mode rate computes only its reading, whose bytes are
+    the session's because ``_simulate_chunk`` computes each reading alone.
     """
     workers = _checked_workers(workers)
     # before any worker starts
@@ -432,11 +416,7 @@ def error_rate(config: SystemConfig, mode: str, force_state: str, workers: int =
         return run_session(config, force_state, workers).rates[f"eps_hat_combined_{force_state}"]
     bands = config.bands()  # fail fast on an empty secure band
     reading, codes = _ONE_READING[mode]
-    ms = _run_shares(config, force_state, workers, reading)[reading]
-    near = codes(ms * (1 - _RESOLVE_MARGIN), bands) != codes(ms * (1 + _RESOLVE_MARGIN), bands)
-    for p in np.flatnonzero(near).tolist():
-        ms[p] = _simulate_chunk(config, p, p + 1, force_state)[reading][0]
-    secure = codes(ms, bands) == 2
+    secure = codes(_run_shares(config, force_state, workers, reading)[reading], bands) == 2
     return RateEstimate.from_counts(int(np.count_nonzero(secure)), config.n_periods)
 
 

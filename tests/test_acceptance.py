@@ -177,18 +177,30 @@ EXACT_GATE_CONFIG = SystemConfig(alpha=100.0, gamma=30.0, n_periods=2 * 10**5, m
 Z_GATE = 4.5
 
 
-def current_rate_z(state, workers):
-    """The z-score of ``error_rate``'s current-mode rate of ``EXACT_GATE_CONFIG`` against the exact rate."""
-    exact = {"00": EXACT_I_00_G30, "11": EXACT_I_11_G30}[state]
-    est = error_rate(EXACT_GATE_CONFIG, "current", state, workers=workers)
+# At equal fractions every reading over its level has one distribution, so a reading's rate is the
+# exact current rate of its tail: voltage 00 reads secure on the upper tail, like current 11, and
+# voltage 11 on the lower tail, like current 00.
+EXACT_G30 = {
+    ("current", "00"): EXACT_I_00_G30,
+    ("current", "11"): EXACT_I_11_G30,
+    ("voltage", "00"): EXACT_I_11_G30,
+    ("voltage", "11"): EXACT_I_00_G30,
+}
+
+
+def rate_z(mode, state, workers):
+    """The z-score of ``error_rate``'s rate of ``EXACT_GATE_CONFIG`` in ``mode`` against the exact rate."""
+    exact = EXACT_G30[mode, state]
+    est = error_rate(EXACT_GATE_CONFIG, mode, state, workers=workers)
     return (est.k - est.n * exact) / math.sqrt(est.n * exact * (1 - exact))
 
 
-@pytest.mark.parametrize("state", ["00", "11"])
-def test_error_rate_vs_exact_rates_gamma_30(state):
-    """The sweep's current-mode rate sits within 4.5 standard errors of the exact rate (false alarm 6.8e-6)."""
-    z = current_rate_z(state, workers=2)
-    assert abs(z) < Z_GATE, f"state {state}: {z:+.2f} sd from the exact rate"
+# the current-mode cases keep the ids they had before the voltage-mode cases joined them
+@pytest.mark.parametrize("mode, state", list(EXACT_G30), ids=["00", "11", "voltage-00", "voltage-11"])
+def test_error_rate_vs_exact_rates_gamma_30(mode, state):
+    """The sweep's rate sits within 4.5 standard errors of the exact rate (false alarm 6.8e-6)."""
+    z = rate_z(mode, state, workers=2)
+    assert abs(z) < Z_GATE, f"{mode} {state}: {z:+.2f} sd from the exact rate"
 
 
 def _period_10pct_long(monkeypatch):
@@ -213,7 +225,7 @@ def _band_10pct_wide(monkeypatch):
 def test_exact_rate_gate_catches_10pct_mutants(mutate, monkeypatch):
     """The state-00 gate above fails on a kernel with either 10% fault, patched in this process (1 worker)."""
     mutate(monkeypatch)
-    z = current_rate_z("00", workers=1)
+    z = rate_z("current", "00", workers=1)
     assert abs(z) >= Z_GATE, f"{z:+.2f} sd from the exact rate"
 
 

@@ -107,15 +107,15 @@ class TestChannelCurrent:
 
 
 class TestSolveInto:
-    @pytest.mark.parametrize("solve", [channel_voltage, channel_current])
+    @pytest.mark.parametrize("solve", [channel_current])
     @pytest.mark.parametrize("target", ["buffer", "u_a"])
     @settings(deadline=None)
     @given(data=st.data(), rows=st.sampled_from([(), (3,), (2, 2)]), n=st.integers(1, 32), per_row=st.booleans())
     def test_out_holds_the_bytes_of_a_new_array(self, solve, target, data, rows, n, per_row):
         """``out``, a separate buffer or ``u_a`` itself, receives the bytes the call returns without it.
 
-        The waves are the two parties' rows of one array, strided views as a
-        block of periods passes them.
+        The waves are the two parties' rows of one array, so both are strided
+        views.
         """
         u_a, u_b = np.moveaxis(data.draw(arrays(np.float64, rows + (n, 2), elements=st.floats(-1e6, 1e6))), -1, 0)
         if per_row:

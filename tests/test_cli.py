@@ -518,51 +518,68 @@ GOLDEN_RUN_CONFIG = "n_periods = 2000\nalpha = 100\nlambda = 0.2\n"
 
 
 @pytest.mark.parametrize(
-    "config_text, argv, sha256",
+    "config_text, argv, sha256, counts_sha256",
     [
         (GOLDEN_RUN_CONFIG,
          ["session", "--seed", "3"],
-         "0e1d16215c7da558ec85b75d520a1aed7c0f1d72873b24d32113eae3f1321e23"),
+         "a2a24f75349a924cc12c76070f34b182f8dd024db013962c3b8fb4d1f0316583",
+         "baafa6f39df9d37f0a45850ae4633017c7382993b77a3fbb4ffaf6369e2c5c69"),
         (GOLDEN_RUN_CONFIG,
          ["session", "--seed", "3", "--force-state", "0110"],
-         "d2ebb467f48cf69024078dadbb608897f146f0b92b5f1c64d5408d37dad2c2cf"),
+         "543115fa20b3e4c3070193deb713f6a2bda85d613c0b509ff83f037631f2b530",
+         "87f5b182e6b8470034fe25465502c91001d2c9607503f2b68c72305821f39d8d"),
+        # oversample 2 puts the Nyquist bin in band, which a 01/10 period's row fills from both parties
+        (GOLDEN_RUN_CONFIG + "oversample = 2\n",
+         ["session", "--seed", "3"],
+         "22800edbfbe56f0bd63a8039787bf2ffa83b0085d27b6498ef24a83b634c9907",
+         "59f235c0c0b2992e92edda3238d543bb6ed74cc505765169cbdf08dcb1fcf0e9"),
         (GOLDEN_RUN_CONFIG,
          ["sweep", "--seed", "3", "--gammas", "20,30", "--mode", "current"],
-         "6b4ba3d5157606395f04004faeb9fce2e094c62e4420f3d795c4b821710230f7"),
+         "6b4ba3d5157606395f04004faeb9fce2e094c62e4420f3d795c4b821710230f7", None),
         (GOLDEN_RUN_CONFIG,
          ["sweep", "--seed", "3", "--gammas", "20,30", "--mode", "combined", "--force-state", "00"],
-         "0d744bf7612bf1f84723ac95f036b06126ef016cbcc2b18d5dc0debe9be43d11"),
+         "0d744bf7612bf1f84723ac95f036b06126ef016cbcc2b18d5dc0debe9be43d11", None),
         (GOLDEN_RUN_CONFIG,
          ["sweep", "--seed", "3", "--gammas", "20,30", "--mode", "voltage", "--force-state", "00"],
-         "50fa59b2d6c8b6c2c7c93e27e4a19953588f36a07e43cd1790ba44d817f67b23"),
+         "50fa59b2d6c8b6c2c7c93e27e4a19953588f36a07e43cd1790ba44d817f67b23", None),
         (GOLDEN_RUN_CONFIG,
          ["sweep", "--seed", "3", "--gammas", "20,30", "--mode", "current", "--force-state", "00"],
-         "72b5bf684c1fa4e05490bd89f2f48cf790f0efdb86a49c684ccb889338391828"),
-        # oversample 2 puts the Nyquist bin in band, which the one-reading stage fills on its own
+         "72b5bf684c1fa4e05490bd89f2f48cf790f0efdb86a49c684ccb889338391828", None),
+        # oversample 2 puts the Nyquist bin in band, which the stage fills on its own
         (GOLDEN_RUN_CONFIG + "oversample = 2\n",
          ["sweep", "--seed", "3", "--gammas", "20,30", "--mode", "current"],
-         "96a58df5e1482dad92fd69e6f7613f0f9dd9abe5d927779441de9061c60d543c"),
+         "96a58df5e1482dad92fd69e6f7613f0f9dd9abe5d927779441de9061c60d543c", None),
         (GOLDEN_RUN_CONFIG + "oversample = 2\n",
          ["sweep", "--seed", "3", "--gammas", "20,30", "--mode", "voltage", "--force-state", "00"],
-         "bd250f58483c243d2265a2fdfbae9ce3135b8beb97a9c8f405952bdf446ead49"),
+         "bd250f58483c243d2265a2fdfbae9ce3135b8beb97a9c8f405952bdf446ead49", None),
     ],
     ids=[
-        "session", "session-0110", "sweep-current-11", "sweep-combined-00", "sweep-voltage-00", "sweep-current-00",
-        "sweep-current-11-nyquist", "sweep-voltage-00-nyquist",
+        "session", "session-0110", "session-nyquist", "sweep-current-11", "sweep-combined-00", "sweep-voltage-00",
+        "sweep-current-00", "sweep-current-11-nyquist", "sweep-voltage-00-nyquist",
     ],
 )
-def test_golden_run_output(capsys, tmp_path, config_text, argv, sha256):
+def test_golden_run_output(capsys, tmp_path, config_text, argv, sha256, counts_sha256):
     """session and sweep print the bytes they printed before their run rules were each stated once.
 
     The session digests pin the JSON's confusion tables, combined counts,
     rates, moment sums and key hex, not only what the acceptance tests read.
-    The two Nyquist sweeps' digests were recorded from the one-reading stage
-    that solved the loop on the normals and scaled them into the spectrum.
+    They were re-recorded when sessions came to solve the loop on the
+    normals, which moved the moment sums' last bits and nothing else:
+    ``counts_sha256``, the digest of the session JSON without its moment
+    sums, re-serialized as ``session`` serializes it, was recorded before
+    that change and held through it. The sweep digests held through it too;
+    the two Nyquist sweeps' digests were recorded from the one-reading
+    kernel that first solved the loop on the normals.
     """
     path = tmp_path / "golden.cfg"
     path.write_text(config_text)
     code, out, _ = run_cli(capsys, argv + ["--config", str(path)])
     assert code == 0
+    if counts_sha256 is not None:
+        payload = json.loads(out)
+        del payload["moment_sums"]
+        counts = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        assert hashlib.sha256(counts.encode()).hexdigest() == counts_sha256
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 

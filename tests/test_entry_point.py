@@ -65,7 +65,7 @@ def run(*programs):
 
 SESSION = ("session", "--seed", "3")
 SWEEP = ("sweep", "--seed", "3", "--gammas", "30,100")
-# a current-mode sweep reads one mean square per period, by the kernel's one-reading stage
+# a current-mode sweep reads one mean square per period, by the kernel's one-reading chunks
 SWEEP_CURRENT = SWEEP + ("--mode", "current")
 SPECTRA = ("spectra", "--samples", "300000", "--bins", "64")
 LEVELS = ("levels", "--samples", "65536")

@@ -12,16 +12,25 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kljn import protocol
-from kljn.circuit import DegenerateLevelsWarning, LoopState, channel_waveforms, generator_psd
+from kljn.circuit import (
+    DegenerateLevelsWarning,
+    LoopState,
+    channel_current,
+    channel_voltage,
+    channel_waveforms,
+    generator_psd,
+)
 from kljn.cli import main
 from kljn.config import SystemConfig, with_overrides
 from kljn.decision import (
     CombinedOutcome,
     Interpretation,
     combine,
+    current_codes,
     interpret_arrays,
     interpret_current,
     interpret_voltage,
+    voltage_codes,
 )
 from kljn.estimator import SmallGammaWarning, measure_period, measurement_slice
 from kljn.noise import NoiseSpec, band_coefficients, rng_for_period, synth_band_limited
@@ -157,6 +166,25 @@ def reference_simulate_chunk(config, master_seed, start, stop, force_state):
         bits[j] = (bit_a, bit_b)
         msv[j], msi[j] = measure_period(u_c, i_c)
     return {"bits": bits, "msv": msv, "msi": msi}
+
+
+def assert_matches_reference(cfg, start, stop, force_state, got):
+    """``got``, the chunk of periods [start, stop), against ``reference_simulate_chunk`` and per-period chunks.
+
+    The bits are the reference's, and so are the voltage and current codes
+    at ``cfg.bands()``. The mean squares are the bytes of one
+    ``_simulate_chunk`` call per period, and lie within 1e-14 relative of
+    the reference's, which synthesizes each wave alone and solves the loop
+    on the samples, so it rounds otherwise.
+    """
+    expected = reference_simulate_chunk(cfg, cfg.master_seed, start, stop, force_state)
+    per_period = [_simulate_chunk(cfg, p, p + 1, force_state) for p in range(start, stop)]
+    assert np.array_equal(got["bits"], expected["bits"])
+    bands = cfg.bands()
+    for name, codes in (("msv", voltage_codes), ("msi", current_codes)):
+        assert got[name].tobytes() == np.concatenate([c[name] for c in per_period]).tobytes(), name
+        assert np.max(np.abs(got[name] - expected[name]) / expected[name]) <= 1e-14, name
+        assert np.array_equal(codes(got[name], bands), codes(expected[name], bands)), name
 
 
 class TestSimulatePeriod:
@@ -471,7 +499,7 @@ class TestShareRunner:
         assert multiprocessing.active_children() == []
 
     def test_child_exception_reraised(self, monkeypatch):
-        # a current-mode rate runs the kernel's one-reading stage in every share
+        # a current-mode rate runs one-reading chunks in every share
         def fails(config, start, stop, force_state, reading=None):
             assert reading == "msi"
             if start:
@@ -540,46 +568,32 @@ class TestErrorRate:
     }
 
     @pytest.mark.parametrize("mode, state", list(CUTS), ids=[f"{m}-{s}" for m, s in CUTS])
-    def test_period_on_a_cut_resolved(self, mode, state, monkeypatch):
-        """A period exactly on a cut reads secure, as the session reads it, though one transform misses the cut.
+    def test_period_on_a_cut_resolved(self, mode, state):
+        """A period exactly on a cut reads secure, and the sweep's rate counts it as the session does.
 
-        The period is the first period of the forced state whose
-        one-transform mean square lies past a cut set exactly at its two-wave
-        mean square, on the side where the cut reads the state. Which period
-        that is depends on the rounding of both stages.
+        The period is the first period of the forced state that lies past
+        the state's level on the cut's side and whose mean square a cut can
+        be set at exactly.
         """
         reading, interpret, cut_name, fraction, level_name, side = self.CUTS[mode, state]
         cfg = self.CONFIG
-        two_wave = _simulate_chunk(cfg, 0, cfg.n_periods, state)[reading]
-        one = _simulate_chunk(cfg, 0, cfg.n_periods, state, reading)[reading]
+        ms_all = _simulate_chunk(cfg, 0, cfg.n_periods, state, reading)[reading]
         level = getattr(cfg.levels(), level_name)
         # the cut lies between the level and the secure band: every fraction is positive
-        past = (side * (one - two_wave) < 0) & (side * (two_wave - level) > 0)
-        for period in np.flatnonzero(past).tolist():
-            ms = float(two_wave[period])
+        for period in np.flatnonzero(side * (ms_all - level) > 0).tolist():
+            ms = float(ms_all[period])
             cfg = with_overrides(self.CONFIG, **{fraction: side * (ms / level - 1)})
             if getattr(cfg.bands(), cut_name) == ms:
                 break
         else:
-            pytest.fail("no period's one-transform mean square lies past a cut set at its two-wave one")
+            pytest.fail("no period's mean square lies past the level where a cut can be set at it")
         # the cuts move no mean square: the streams do not depend on them
         assert _simulate_chunk(cfg, 0, cfg.n_periods, state)[reading][period] == ms
-        again = _simulate_chunk(cfg, 0, cfg.n_periods, state, reading)[reading]
-        assert again[period] == one[period]
         assert interpret(ms, cfg.bands()) is Interpretation.SECURE_0110
-        assert interpret(one[period], cfg.bands()) is Interpretation(state)  # a few ulp past the cut
-        resolved = []
-
-        def spy(config, start, stop, force_state, reading=None):
-            if reading is None:  # a two-wave re-solve, not the one-reading run of all periods
-                resolved.append((start, stop))
-            return _simulate_chunk(config, start, stop, force_state, reading)
-
-        monkeypatch.setattr(protocol, "_simulate_chunk", spy)
         got = error_rate(cfg, mode, state)
-        monkeypatch.undo()
-        assert resolved == [(period, period + 1)]
         assert got == run_session(cfg, force_state=state).rates[f"eps_hat_{reading[2]}_{state}"]
+        secure = [interpret(x, cfg.bands()) is Interpretation.SECURE_0110 for x in ms_all.tolist()]
+        assert got.k == sum(secure)
 
     def test_empty_secure_band_refused(self):
         with pytest.raises(ValueError, match="empty secure band"):
@@ -589,6 +603,18 @@ class TestErrorRate:
     def test_overflowing_noise_levels_rejected(self, mode):
         cfg = small_config(t_eff=3.6e305, r=1e20, alpha=1000.0, n_periods=4, master_seed=2)
         with pytest.raises(ValueError, match="non-finite"), np.errstate(all="ignore"):
+            error_rate(cfg, mode, "11")
+
+    @pytest.mark.parametrize("mode", ["voltage", "current"])
+    def test_overflowing_scale_refused_without_float_warnings(self, mode):
+        """A one-reading run whose coefficient scale is inf refuses with no numpy warning.
+
+        Under the suite's ``error::RuntimeWarning`` filter a warning would
+        raise in place of the ValueError.
+        """
+        cfg = small_config(t_eff=3.6e305, r=1e20, alpha=1000.0, n_periods=4, master_seed=2)
+        assert cfg.noise_spec(cfg.resistors.r1, cfg.samples_per_period).scale == math.inf
+        with pytest.raises(ValueError, match="non-finite"):
             error_rate(cfg, mode, "11")
 
 
@@ -627,15 +653,15 @@ class TestBlockKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SmallGammaWarning)
             warnings.simplefilter("ignore", DegenerateLevelsWarning)
-            cfg = SystemConfig(gamma=gamma, alpha=alpha, oversample=oversample, master_seed=master_seed)
-        expected = reference_simulate_chunk(cfg, master_seed, start, start + length, force_state)
+            # fractions of 0.1 leave a secure band down to alpha 1.5; they move no mean square
+            fractions = dict(beta=0.1, delta=0.1, lam=0.1, rho=0.1)
+            cfg = SystemConfig(gamma=gamma, alpha=alpha, oversample=oversample, master_seed=master_seed, **fractions)
         with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
             warnings.simplefilter("error")  # the config warned when built; the kernel must not
             # a budget this small puts block boundaries inside the chunk
             mp.setattr(protocol, "_BLOCK_BYTES", block_bytes)
             got = _simulate_chunk(cfg, start, start + length, force_state)
-        for name in ("bits", "msv", "msi"):
-            assert np.array_equal(got[name], expected[name]), name
+        assert_matches_reference(cfg, start, start + length, force_state, got)
 
     @pytest.mark.parametrize(
         "gamma, oversample",
@@ -652,10 +678,7 @@ class TestBlockKernel:
             assert protocol._block_periods(n) < block  # the budget alone gives smaller blocks
         # two floor-sized blocks and a partial one
         start, stop = 2**40 + 11, 2**40 + 11 + 2 * block + 3
-        expected = reference_simulate_chunk(cfg, cfg.master_seed, start, stop, force_state)
-        got = _simulate_chunk(cfg, start, stop, force_state)
-        for name in ("bits", "msv", "msi"):
-            assert np.array_equal(got[name], expected[name]), name
+        assert_matches_reference(cfg, start, stop, force_state, _simulate_chunk(cfg, start, stop, force_state))
 
     @pytest.mark.parametrize("gamma", [30.0, 1000.0, 2048.0])
     def test_block_bounded_by_budget(self, gamma):
@@ -694,26 +717,20 @@ class TestOneReadingKernel:
     @pytest.mark.parametrize("force_state", ["00", "11"])
     @pytest.mark.parametrize("reading", ["msv", "msi"])
     def test_agrees_with_two_wave_kernel(self, gamma, oversample, force_state, reading):
-        """One transform of the combined normals gives the two-wave mean squares up to rounding.
-
-        The bound is 10**4 times inside error_rate's re-solve margin; the
-        largest difference measured over these cases is 2.3e-15.
-        """
+        """A one-reading chunk gives that reading of the two-reading chunk, byte for byte."""
         cfg = small_config(gamma=gamma, alpha=10.0, oversample=oversample, master_seed=2**64 - 59)
         block = protocol._block_periods(cfg.samples_per_period)
         start, stop = 2**40 + 11, 2**40 + 11 + 2 * block + 3  # two blocks and a partial one
-        two_wave = _simulate_chunk(cfg, start, stop, force_state)
+        both = _simulate_chunk(cfg, start, stop, force_state)
         one = _simulate_chunk(cfg, start, stop, force_state, reading)
         assert sorted(one) == sorted(["bits", reading])
-        assert one["bits"].tobytes() == two_wave["bits"].tobytes()
-        assert one[reading].shape == two_wave[reading].shape
-        assert np.max(np.abs(one[reading] - two_wave[reading]) / two_wave[reading]) <= 1e-14
-        assert protocol._RESOLVE_MARGIN >= 1e4 * 1e-14
+        assert one["bits"].tobytes() == both["bits"].tobytes()
+        assert one[reading].tobytes() == both[reading].tobytes()
 
     @pytest.mark.parametrize("gamma", [30.0, 1000.0])
     @pytest.mark.parametrize("reading", ["msv", "msi"])
     def test_block_bounded_by_budget(self, gamma, reading):
-        """The two-wave stage's memory bounds hold for the one-reading stage, in the same blocks."""
+        """The two-reading chunk's memory bounds hold for a one-reading chunk, in the same blocks."""
         counts, peaks = chunk_peaks(small_config(gamma=gamma), "11", reading)
         assert peaks[1] < 2 * protocol._BLOCK_BYTES
         # beyond the chunk's own results (int8 bits of both parties, float64 mean squares of the
@@ -741,13 +758,21 @@ class TestOneReadingKernel:
             assert got["bits"].tobytes() == results[0]["bits"].tobytes()
             assert got[reading].tobytes() == results[0][reading].tobytes()
 
-    @pytest.mark.parametrize("force_state", ["0110", None])
+    @pytest.mark.parametrize("force_state", ["0110", None, "00", "11"])
     @pytest.mark.parametrize("reading", ["msv", "msi"])
-    def test_rejects_states_with_unequal_resistors(self, force_state, reading):
-        """Only a forced 00 or 11 period has one resistor on both sides; any other state is refused."""
-        cfg = small_config(n_periods=4)
-        with pytest.raises(ValueError, match="force_state 00 or 11, got"):
-            _simulate_chunk(cfg, 0, cfg.n_periods, force_state, reading)
+    def test_equals_that_reading_of_both(self, force_state, reading):
+        """In every state a one-reading chunk gives that reading of the two-reading chunk, byte for byte.
+
+        Random and 0110 periods have unequal resistors, whose rho is not
+        +1 or -1; oversample 2 puts the Nyquist bin in band.
+        """
+        for oversample in (2, 4):
+            cfg = small_config(oversample=oversample, n_periods=300, master_seed=2**64 - 59)
+            both = _simulate_chunk(cfg, 0, cfg.n_periods, force_state)
+            one = _simulate_chunk(cfg, 0, cfg.n_periods, force_state, reading)
+            assert sorted(one) == sorted(["bits", reading])
+            assert one["bits"].tobytes() == both["bits"].tobytes()
+            assert one[reading].tobytes() == both[reading].tobytes()
 
     # resistors that bring the reading's mean squares near the top of float64 at an SI t_eff below it
     @pytest.mark.parametrize(
@@ -756,12 +781,12 @@ class TestOneReadingKernel:
         ids=["msv", "msi"],
     )
     def test_refuses_where_the_two_wave_stage_does(self, reading, r, refused):
-        """Windowed sums of squares 64x and 4x below float64's largest, and 4x above it: both stages refuse alike.
+        """Windowed sums of squares 64x and 4x below float64's largest, and 4x above it: both chunks refuse alike.
 
         A voltage's windowed sum of squares is about 1 / (4 * oversample) of
         psd * f_s * n, the product under its coefficient scale's square root,
         so 4x below the largest float that product already overflows and both
-        stages refuse. A current's sums also grow with 1 / r**2, and its
+        chunks refuse. A current's sums also grow with 1 / r**2, and its
         scale does not bind.
         """
         base = small_config(r=r, t_eff=1.0, n_periods=20, master_seed=5)
@@ -773,20 +798,57 @@ class TestOneReadingKernel:
         for t_eff in (top / 64, top / 4, top * 4):
             cfg = with_overrides(base, t_eff=t_eff)
             outcomes = []
-            for stage in (None, reading):
+            for chunk_reading in (None, reading):
                 try:
                     with np.errstate(all="ignore"):
-                        periods = _simulate_chunk(cfg, 0, cfg.n_periods, "00", stage)
+                        periods = _simulate_chunk(cfg, 0, cfg.n_periods, "00", chunk_reading)
                     outcomes.append(periods[reading])
                 except ValueError as exc:
                     assert "non-finite" in str(exc)
                     outcomes.append(None)
-            two_wave, one = outcomes
-            assert (one is None) is (two_wave is None), t_eff
+            both, one = outcomes
+            assert (one is None) is (both is None), t_eff
             if one is not None:
-                assert np.max(np.abs(one - two_wave) / two_wave) <= 1e-14
+                assert one.tobytes() == both.tobytes()
             got.append(one is None)
         assert got == refused
+
+
+class TestReadingTables:
+    @settings(derandomize=True, deadline=None)
+    @given(
+        r=st.floats(1e-12, 1e12),
+        alpha=st.floats(1.5, 1e6),
+        t_eff=st.one_of(st.just("normalized"), st.floats(1e-3, 1e20)),
+        gamma=st.floats(12.0, 200.0),
+        oversample=st.sampled_from([2, 3, 4]),
+    )
+    def test_equal_resistors_give_rho_plus_or_minus_one(self, r, alpha, t_eff, gamma, oversample):
+        """rho[b, b] is exactly +1 for msv and -1 for msi, and the gains are the circuit's loop law at unit inputs.
+
+        So in a forced 00 or 11 chunk the one-pass ``np.add`` or
+        ``np.subtract`` of the normals writes the bytes of the general
+        ``z_a + rho * z_b``, and the Nyquist slot's rho_nyquist is +1 or -1
+        too.
+        """
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateLevelsWarning)
+            cfg = SystemConfig(r=r, alpha=alpha, t_eff=t_eff, gamma=gamma, oversample=oversample)
+        n = cfg.samples_per_period
+        q, tables = protocol._reading_tables(cfg, n)
+        r_bit = (cfg.resistors.r0, cfg.resistors.r1)
+        scale = [cfg.noise_spec(x, n).scale for x in r_bit]
+        one, zero = np.ones(1), np.zeros(1)
+        for name, solve, sign in (("msv", channel_voltage, 1.0), ("msi", channel_current, -1.0)):
+            amp, rho, rho_nyquist = tables[name]
+            for b in (0, 1):
+                assert rho[b, b] == rho_nyquist[b, b] == sign, (name, b)
+            for a in (0, 1):
+                for b in (0, 1):
+                    g_a, g_b = solve(one, zero, r_bit[a], r_bit[b])[0], solve(zero, one, r_bit[a], r_bit[b])[0]
+                    assert amp[a, b] == g_a * scale[a], (name, a, b)
+                    assert rho[a, b] == g_b * scale[b] / amp[a, b], (name, a, b)
+        assert np.array_equal(q, [cfg.noise_spec(x, n).nyquist_scale / cfg.noise_spec(x, n).scale for x in r_bit])
 
 
 def window_gram(cfg):
@@ -805,7 +867,7 @@ def window_gram(cfg):
 
 
 class TestQuadraticFormOracle:
-    """Both stages' mean squares against quadratic forms of each period's normals, with no FFT of their own."""
+    """Every chunk's mean squares against quadratic forms of each period's normals, with no FFT of their own."""
 
     @pytest.mark.parametrize("gamma", [12.0, 50.0])
     @pytest.mark.parametrize("oversample", [2, 4])  # oversample 2 puts the Nyquist bin in band
@@ -871,11 +933,9 @@ class TestDrawBits:
     )
     def test_forced_periods_draw_normals_from_word_0(self, master_seed, index, force_state):
         cfg = small_config(master_seed=master_seed)
-        expected = reference_simulate_chunk(cfg, master_seed, index, index + 1, force_state)
         got = _simulate_chunk(cfg, index, index + 1, force_state)
         assert got["bits"].tolist() == [[int(force_state[0])] * 2]
-        for name in ("msv", "msi"):
-            assert np.array_equal(got[name], expected[name]), name
+        assert_matches_reference(cfg, index, index + 1, force_state, got)
 
 
 class TestSeedExactOutput:
@@ -930,8 +990,8 @@ class TestSeedExactOutput:
                 "11",
                 (
                     "353c38352a855c80f4ecb0793a76493228541b5fab5ef7af26effac91e77ec46",
-                    "ba27a4f9e5dfba2f40d856ece75d5724b74e975ccca588835cb0e23fb17bd4e9",
-                    "02a6588eab71ebf61a45b87d8bc551dcdf0f51800fb5708185bacbcd25a18346",
+                    "491375f7cae641b3dbd2eab9d1efc6841f6343a96dfa56e926dff73fd0c6b377",
+                    "bccbe99b61ca42861b33d5b4400ecd53f60f441265d6c902c2a1b19672f210ba",
                 ),
             ),
             (
@@ -939,8 +999,8 @@ class TestSeedExactOutput:
                 "11",
                 (
                     "4fb5820c88b9bbde14a63d9512f66a0ff12d9dcbc3cd27f4e82cb88dc25020a0",
-                    "dcd1146e517a86a2d7ffe78d3d765e86e9abfd040f13469441a942a7ed12f44c",
-                    "e71490a6d413797bd8ebc159cdac6de1b0be45738843e95a788c1b784518da0e",
+                    "b41010020e5d8e026f63057046ffc2a59335c6a635377e777a1bb19b665132d7",
+                    "6623cb18bdf1da464ec445edd5b5ae0d40fb66ed39cd4744ba222383825ac25d",
                 ),
             ),
             (
@@ -949,8 +1009,8 @@ class TestSeedExactOutput:
                 None,
                 (
                     "0884e270a2cf16b3b724544df4a9c9473375b31dcbe30c7ffde0b2dbd4fa2e6b",
-                    "4270cddfd49edde9818e07169b9837e9e5842b3947093a3d495f0a4a70512a6a",
-                    "a0c903466ee325ba37018e81bed48c125dba106a714068e46863b677da5fe18b",
+                    "396d3edca2e6a80075c7f341bacbefb962498e9bde33bdfd0554b33fd55b6180",
+                    "ea856bf691ff5731a8f24bab26088a9e4208d7b66e9a2ab75a911e85e084c0d3",
                 ),
             ),
         ],
@@ -958,8 +1018,11 @@ class TestSeedExactOutput:
     def test_golden_multi_block_chunks(self, overrides, force_state, digests):
         """Bits and mean-square bytes of chunks that span several blocks and end in a partial one.
 
-        Recorded with 4 MiB blocks, where these chunks also end in a partial
-        block; the float bytes pin more than the outcome codes do.
+        The bits were recorded with 4 MiB blocks, where these chunks also end
+        in a partial block; the mean squares were re-recorded when every
+        reading came to be solved on the normals and transformed alone (the
+        forced chunks' digests are those the one-reading chunks had before).
+        The float bytes pin more than the outcome codes do.
         """
         cfg = SystemConfig(alpha=100.0, lam=0.3, **overrides)
         block = protocol._block_periods(cfg.samples_per_period)

@@ -88,7 +88,7 @@ def test_session_counts_unchanged_at_any_factor(base_session, name, factor):
 
 @pytest.mark.parametrize("name, factor", SCALINGS, ids=IDS)
 def test_error_rate_unchanged_in_every_mode(base_rates, name, factor):
-    """Both stages of the kernel: the two-wave stage (combined) and the one-reading stage."""
+    """Both kinds of chunk: two readings per period (combined) and one (voltage, current)."""
     config = scaled(name, factor)
     assert all(rate.k for rate in base_rates.values())  # errors in every mode and state
     for (mode, state), rate in base_rates.items():
