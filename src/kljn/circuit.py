@@ -116,17 +116,15 @@ def generator_psd(r: float, consts: PhysicsConstants) -> float:
     return consts.four_kt * r
 
 
-def channel_current(u_a: np.ndarray, u_b: np.ndarray, r_alice, r_bob, out=None) -> np.ndarray:
+def channel_current(u_a: np.ndarray, u_b: np.ndarray, r_alice, r_bob) -> np.ndarray:
     """Loop current i_c = (u_a - u_b) / (R_A + R_B), element-wise.
 
     The resistances are scalars or arrays that broadcast against the samples
-    without adding dimensions. Returns a new array of the samples' shape,
-    or ``out`` filled with the same values: a float64 array of that shape,
-    which may be ``u_a`` itself but not ``u_b``.
+    without adding dimensions. Returns a new array of the samples' shape.
     """
     if u_a.shape != u_b.shape:
         raise ValueError(f"shape mismatch: {u_a.shape} vs {u_b.shape}")
-    i_c = np.subtract(u_a, u_b, out=out)
+    i_c = np.subtract(u_a, u_b)
     i_c /= r_alice + r_bob
     return i_c
 

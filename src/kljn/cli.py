@@ -16,16 +16,15 @@ import functools
 import json
 import math
 import sys
-from contextlib import closing
 
 import numpy as np
 
 from . import analytic
-from .circuit import LoopState, channel_current, channel_waveforms
+from .circuit import LoopState
 from .config import ConfigError, SystemConfig, load_config, with_overrides
-from .estimator import finite_mean_square, squared_noise_psd_theory
-from .noise import periodogram, rng_for_period, synth_band_limited_many
-from .protocol import error_rate, extract_key, key_to_hex, run_session
+from .estimator import squared_noise_psd_theory
+from .noise import periodogram, rng_for_period
+from .protocol import _reading_tables, error_rate, extract_key, key_to_hex, run_session
 
 _MODE_SHORT = {"voltage_only": "voltage", "current_only": "current", "combined": "combined"}
 _NON_FINITE = "non-finite output values: the noise levels overflow float64"
@@ -45,12 +44,37 @@ def _load(args) -> SystemConfig:
     return with_overrides(config, master_seed=args.seed)
 
 
+def _whole_mean_square(z: np.ndarray, q: np.ndarray, table, bits: tuple, n_samples: int) -> float:
+    """Mean square over all ``n_samples`` of one reading of the state ``bits``, by Parseval: no transform runs.
+
+    ``z`` holds the state's unit normals, Alice's row then Bob's, each laid
+    out as ``NoiseSpec`` lays out a synthesis's normals (an odd count leads
+    with the Nyquist one). ``q`` and ``table`` are a reading's gains from
+    ``protocol._reading_tables``, as the period kernel takes them: the
+    reading's spectrum is amp·w, with w = z_a + rho·z_b in band and w_nyq =
+    (z_a0 + rho_nyquist·z_b0)·q_a at the Nyquist bin. The two-sided spectrum
+    holds an in-band bin's power twice and the Nyquist bin's once, the
+    inverse FFT's sum of squares is 1/n of that power (Parseval), and the
+    mean another 1/n: so the mean square is (2·Σ w² + w_nyq²)·(amp/n)².
+    """
+    amp, rho, rho_nyquist = (x[bits] for x in table)
+    nyq = z.shape[1] % 2
+    w = z[1, nyq:] * rho
+    w += z[0, nyq:]
+    total = 2 * np.square(w, out=w).sum()
+    if nyq:
+        total += ((z[0, 0] + rho_nyquist * z[1, 0]) * q[bits[0]]) ** 2
+    return float(total * (amp / n_samples) ** 2)
+
+
 def cmd_levels(args) -> str:
     config = _load(args)
     config.check_samples(args.samples, f"levels --samples {args.samples}")
     consts = config.constants
     levels = config.levels()
     n_cal = args.samples
+    n_normals = config.noise_spec(config.resistors.r0, n_cal).n_normals
+    q, tables = _reading_tables(config, n_cal)
     rng = rng_for_period(config.master_seed, 0)
     lines = [
         f"# config_hash={config.config_hash()}",
@@ -59,26 +83,18 @@ def cmd_levels(args) -> str:
         f"would be {_fmt(levels.i_11_alt_convention)} (we use R_loop = R_A + R_B)",
         "state  theory_v       empirical_v    rel_err_v  theory_i       empirical_i    rel_err_i",
     ]
-    states = ("00", "0110", "11")
-    loops = [LoopState.from_bits(*bits, config.resistors) for bits in ((0, 0), (0, 1), (1, 1))]
-    # (Alice, Bob) per state, drawn in that order from the one stream
-    specs = [config.noise_spec(r, n_cal) for loop in loops for r in (loop.r_alice, loop.r_bob)]
-    # each state is solved while the helper transforms the next state's waves; closing
-    # the iterator ends the helper if a solve raises
-    with closing(synth_band_limited_many(specs, rng)) as waves:
-        for state, loop in zip(states, loops):
-            # Alice's wave, then Bob's: no name keeps them, nor u_c and i_c, so a state's
-            # arrays are freed before the next state's waves arrive
-            emp_v, emp_i = map(
-                finite_mean_square, channel_waveforms(next(waves), next(waves), loop.r_alice, loop.r_bob)
-            )
-            th_v = levels.voltage_for(state)
-            th_i = levels.current_for(state)
-            rel_v, rel_i = emp_v / th_v - 1, emp_i / th_i - 1
-            lines.append(
-                f"{state:<6} {_fmt(th_v):<14} {_fmt(emp_v):<14} {_fmt(rel_v, '+.2e'):<10} "
-                f"{_fmt(th_i):<14} {_fmt(emp_i):<14} {_fmt(rel_i, '+.2e'):<10}"
-            )
+    for state, bits in (("00", (0, 0)), ("0110", (0, 1)), ("11", (1, 1))):
+        # Alice's normals, then Bob's, drawn state by state in that order from the one stream
+        z = rng.standard_normal((2, n_normals))
+        emp_v, emp_i = [_whole_mean_square(z, q, tables[name], bits, n_cal) for name in ("msv", "msi")]
+        del z  # freed before the next state's normals are drawn
+        th_v = levels.voltage_for(state)
+        th_i = levels.current_for(state)
+        rel_v, rel_i = emp_v / th_v - 1, emp_i / th_i - 1
+        lines.append(
+            f"{state:<6} {_fmt(th_v):<14} {_fmt(emp_v):<14} {_fmt(rel_v, '+.2e'):<10} "
+            f"{_fmt(th_i):<14} {_fmt(emp_i):<14} {_fmt(rel_i, '+.2e'):<10}"
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -123,17 +139,32 @@ def cmd_spectra(args) -> str:
     if args.samples < 2 * args.bins:
         raise ConfigError(f"spectra requires --samples >= 2 * --bins = {2 * args.bins}, got {args.samples}")
     config.check_samples(args.samples, f"spectra --samples {args.samples}")
-    loop = LoopState.from_bits(1, 1, config.resistors)
-    spec = config.noise_spec(loop.r_alice, args.samples)
+    n = args.samples
+    layout = config.noise_spec(config.resistors.r1, n)
+    q, tables = _reading_tables(config, n)
+    amp, rho, rho_nyquist = (x[1, 1] for x in tables["msi"])
     rng = rng_for_period(config.master_seed, 0)
-    u_a, u_b = synth_band_limited_many([spec, spec], rng)
-    # solved into Alice's wave, not a third signal-sized array; Bob's is freed before the periodogram
-    i_c = channel_current(u_a, u_b, loop.r_alice, loop.r_bob, out=u_a)
-    del u_b
+    # Alice's normals, then Bob's, into one spectrum of the 11 loop current in units of amp
+    z = rng.standard_normal((2, layout.n_normals))
+    coeffs = np.zeros(n // 2 + 1, dtype=complex)
+    nyquist, in_band = layout.slots(coeffs)
+    nyq = int(layout.nyquist)
+    np.multiply(z[1, nyq:], rho, out=in_band)
+    in_band += z[0, nyq:]
+    if nyquist is not None:
+        nyquist[...] = (z[0, 0] + rho_nyquist * z[1, 0]) * q[1]
+    del z, nyquist, in_band  # the views too, or they would keep the spectrum after the transform
+    i_c = np.fft.irfft(coeffs, n=n, norm="forward")
+    del coeffs
+    i_c *= amp / n
     squared = np.square(i_c, out=i_c)
-    squared -= squared.mean()  # theory describes only the AC part
+    mean = squared.mean()
+    # a sum of squares is finite only where every square is
+    if not np.isfinite(mean):
+        raise ValueError("non-finite channel current: the noise levels overflow float64")
+    squared -= mean  # theory describes only the AC part
     freqs, emp = periodogram(squared, config.sample_rate, args.bins)
-    s_level = config.constants.four_kt / loop.r_loop
+    s_level = config.constants.four_kt / LoopState.from_bits(1, 1, config.resistors).r_loop
     theory = squared_noise_psd_theory(freqs, s_level, config.b_kljn)
     lines = [f"# config_hash={config.config_hash()} state=11 samples={args.samples}", "f,empirical_psd,theory_psd"]
     for row in zip(freqs.tolist(), emp.tolist(), theory.tolist()):

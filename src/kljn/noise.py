@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -183,61 +182,14 @@ def synth_band_limited(spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
     return _samples(_coefficients(spec, rng), spec.n_samples)
 
 
-def synth_band_limited_many(specs: Sequence[NoiseSpec], rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """``synth_band_limited`` for each spec in turn, lazily, with the inverse FFTs on a helper thread.
-
-    The calling thread draws every spec's normals from ``rng`` and builds its
-    coefficients, in the given order, so the stream and the samples are those
-    of consecutive ``synth_band_limited`` calls. For two or more specs, one
-    helper thread (see ``_helper``) transforms each spectrum as soon as it is
-    built, while the caller draws the next or works on the waves already
-    handed out: numpy releases the GIL in both. Only the helper runs these
-    FFTs. Each ``next()`` waits for its wave's transform, then draws every
-    spectrum that is due (spectrum j only once transform j - 2 is done, so at
-    most two spectra wait or are transformed at a time), and only then yields
-    the wave. The helper starts at the first ``next()`` and exits when the
-    iterator is exhausted or closed, or when a transform raises; a caller that
-    may stop early should close it (``contextlib.closing``).
-
-    The caller keeps each spectrum it drew until it next waits for that
-    spectrum's transform: if the transform is done, the spectrum is freed
-    then, and if not, the helper frees it as the transform ends, while the
-    caller waits. So no spectrum is freed while the caller works on a wave
-    it was handed. This is for glibc's malloc, which keeps a freed block
-    resident when it is under the trim threshold: with the spectra freed
-    whenever a transform ended, ``levels`` at 2**20 samples left 8-16 MB
-    more resident in the process from run to run, which a later ``spectra``
-    pass added to its peak.
-    """
-    if len(specs) < 2:
-        for spec in specs:
-            yield _samples(_coefficients(spec, rng), spec.n_samples)
-        return
-    with _helper() as submit:
-        transforms, spectra = deque(), deque()
-
-        def draw(spec):
-            spectra.append(_coefficients(spec, rng))
-            transforms.append(submit(_samples, spectra[-1], spec.n_samples))
-
-        draw(specs[0])
-        draw(specs[1])
-        for j in range(2, len(specs) + 2):
-            del spectra[0]  # spectrum j - 2, freed now or by the helper when transformed
-            transforms[0].result()  # transform j - 2 is done: spectrum j may be drawn
-            if j < len(specs):
-                draw(specs[j])
-            # popped first, so no future and no local keeps a wave once the caller drops it
-            yield transforms.popleft().result()
-
-
 @contextmanager
 def _helper():
     """One helper thread: ``submit(fn, *args)`` runs ``fn(*args)`` on it under the caller's ``np.geterr()``.
 
-    A new thread does not inherit ``np.errstate``, so without this an overflow
-    that the caller asked to raise would pass silently on the helper. Leaving
-    the block waits for every submitted call, and the thread exits.
+    ``periodogram`` transforms half of its segments on it. A new thread does
+    not inherit ``np.errstate``, so without this an overflow that the caller
+    asked to raise would pass silently on the helper. Leaving the block
+    waits for every submitted call, and the thread exits.
     """
     # imported here: concurrent.futures pulls in logging, which a single-threaded call never needs
     from concurrent.futures import ThreadPoolExecutor

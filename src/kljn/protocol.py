@@ -200,6 +200,10 @@ def _reading_tables(config: SystemConfig, n_samples: int) -> tuple[np.ndarray, d
     ``circuit.channel_voltage`` and ``channel_current``). With s a bit's
     in-band scale and q its Nyquist scale over s, amp = g_a·s_a,
     rho = g_b·s_b/amp and rho_nyquist = rho·(q_b/q_a).
+
+    These tables are the one loop law of every reading the program makes:
+    the period kernel's (``_simulate_chunk``), ``kljn levels``' whole-wave
+    mean squares and ``kljn spectra``'s 11-state loop current.
     """
     r = np.array([config.resistors.r0, config.resistors.r1])
     specs = [config.noise_spec(x, n_samples) for x in r.tolist()]

@@ -36,7 +36,7 @@ from kljn.estimator import (
     measurement_slice,
     squared_noise_psd_theory,
 )
-from kljn.noise import NoiseSpec, periodogram, rng_for_period, synth_band_limited, synth_band_limited_many
+from kljn.noise import NoiseSpec, periodogram, rng_for_period, synth_band_limited
 from kljn.protocol import error_rate, extract_key, run_session
 from moments import msq_correlation
 
@@ -84,10 +84,11 @@ def test_criterion_03_level_reproduction():
         ((1, 1), levels.v_11, levels.i_11),
     ):
         state = LoopState.from_bits(*bits, resistors)
-        # Alice's wave, then Bob's, as two synth_band_limited calls give them; Alice's inverse
-        # FFT runs on a helper thread while Bob's normals are drawn
+        # Alice's wave, then Bob's, from the one stream
         specs = [NoiseSpec(generator_psd(r, NORM), 1.0, 4.0, n) for r in (state.r_alice, state.r_bob)]
-        u_c, i_c = channel_waveforms(*synth_band_limited_many(specs, rng), state.r_alice, state.r_bob)
+        u_a, u_b = (synth_band_limited(spec, rng) for spec in specs)
+        u_c, i_c = channel_waveforms(u_a, u_b, state.r_alice, state.r_bob)
+        del u_a, u_b
         assert np.mean(u_c**2) == pytest.approx(v_th, rel=0.01)
         assert np.mean(i_c**2) == pytest.approx(i_th, rel=0.01)
         del u_c, i_c
@@ -227,6 +228,91 @@ def test_exact_rate_gate_catches_10pct_mutants(mutate, monkeypatch):
     mutate(monkeypatch)
     z = rate_z("current", "00", workers=1)
     assert abs(z) >= Z_GATE, f"{z:+.2f} sd from the exact rate"
+
+
+# 2e4 forced periods per state: a 10% error in the averaging period or the noise band moves each reading's
+# variance 6 to 9 standard errors (test_moment_gate_catches_10pct_mutants)
+MOMENT_GATE_PERIODS = 2 * 10**4
+# forced 00 and 11 periods of one seed draw the same normals, so each state has its own seed
+MOMENT_GATE_SEEDS = {"00": 1, "11": 2}
+
+
+def window_cumulants(gamma, oversample):
+    """Cumulants κ2 = Var Q = 2Σλ̂² and κ4 = 48Σλ̂⁴ of Q, a period's windowed mean square over its level.
+
+    λ̂ are the eigenvalues of the window's covariance over N_w·c(0), for a
+    period of n = oversample·γ samples whose band fills bins 1..n/oversample
+    (no Nyquist bin) and a window of its trailing N_w = n/2 samples. The
+    band's periodic autocorrelation is c(d) = Σ_k cos(2πkd/n), so Σλ̂² is the
+    lag sum Σ_{|d|<N_w} (N_w - |d|)·c(d)² / (N_w·c(0))², and Σλ̂⁴ the squared
+    Frobenius norm of the square of the window's normalized Toeplitz matrix.
+    The period comes from γ and oversample, not from the config, so a kernel
+    whose period or band is off does not move the prediction with it.
+    """
+    n = round(oversample * gamma)
+    assert n % 2 == 0 and n % oversample == 0 and oversample > 2
+    n_w = n // 2
+    lags = np.arange(n_w)
+    c = np.cos(2 * np.pi * np.outer(lags, np.arange(1, n // oversample + 1)) / n).sum(axis=1)
+    sum_lam2 = (c[0] ** 2 * n_w + 2 * ((n_w - lags[1:]) * c[1:] ** 2).sum()) / (n_w * c[0]) ** 2
+    toeplitz = c[np.abs(lags[:, None] - lags[None, :])] / (n_w * c[0])
+    assert (toeplitz**2).sum() == pytest.approx(sum_lam2, rel=1e-12)
+    return 2 * sum_lam2, 48 * ((toeplitz @ toeplitz) ** 2).sum()
+
+
+def moment_z(state):
+    """z-scores ``{(reading, "mean" | "var"): z}`` of a forced state's readings over their levels against Q's moments.
+
+    The mean of Q = reading/level is gated against E[Q] = 1 and its sample
+    variance against κ2, with the standard errors sqrt(κ2/N) and
+    sqrt(κ4/N + 2κ2²/(N - 1)) of independent periods. ``run_session``'s
+    ``moment_sums`` give both.
+    """
+    cfg = SystemConfig(alpha=100.0, gamma=30.0, n_periods=MOMENT_GATE_PERIODS, master_seed=MOMENT_GATE_SEEDS[state])
+    k2, k4 = window_cumulants(cfg.gamma, cfg.oversample)
+    n, sum_v, sum_i, sum_vv, sum_ii, _ = run_session(cfg, force_state=state).moment_sums[state]
+    levels = cfg.levels()
+    z = {}
+    for reading, total, squares, level in (
+        ("msv", sum_v, sum_vv, levels.voltage_for(state)),
+        ("msi", sum_i, sum_ii, levels.current_for(state)),
+    ):
+        mean = total / (n * level)
+        var = (squares / level**2 - n * mean**2) / (n - 1)
+        z[reading, "mean"] = (mean - 1) / math.sqrt(k2 / n)
+        z[reading, "var"] = (var - k2) / math.sqrt(k4 / n + 2 * k2**2 / (n - 1))
+    return z
+
+
+def test_window_cumulants_gamma_30():
+    # Var Q at gamma 30 is about 2/30.87: Q spreads as a chi-square of 30.87 degrees of freedom over its mean
+    k2, k4 = window_cumulants(30.0, 4)
+    assert k2 == pytest.approx(0.06479, abs=1e-5)
+    assert 2 / k2 == pytest.approx(30.87, abs=0.01)
+    # Σλ̂ = 1, so Σλ̂⁴ >= (Σλ̂²)³ (power means), with equality for a chi-square's equal eigenvalues
+    assert 6 * k2**3 <= k4 <= 1.1 * 6 * k2**3
+
+
+@pytest.mark.parametrize("state", list(MOMENT_GATE_SEEDS))
+def test_forced_reading_moments_gamma_30(state):
+    """Each forced reading's mean and variance over its level sit within 4.5 standard errors of E[Q] and Var Q.
+
+    Four z-scores per state, each of two-sided false-alarm probability
+    6.8e-6 (normal approximation): at most 2.7e-5 per state, by the union
+    bound. In a state of equal resistors, the voltage reads z_a + z_b and
+    the current z_a - z_b, which are independent.
+    """
+    for (reading, moment), z in moment_z(state).items():
+        assert abs(z) < Z_GATE, f"{state} {reading} {moment}: {z:+.2f} sd from Q's"
+
+
+@pytest.mark.parametrize("mutate", [_period_10pct_long, _band_10pct_wide], ids=["period", "band"])
+def test_moment_gate_catches_10pct_mutants(mutate, monkeypatch):
+    """Both state-00 variance gates above fail on a kernel with either 10% fault; the means, whose power
+    is unchanged, need not."""
+    mutate(monkeypatch)
+    z = moment_z("00")
+    assert z["msv", "var"] <= -Z_GATE and z["msi", "var"] <= -Z_GATE, z
 
 
 def test_criterion_07_exponential_decay_slope():

@@ -106,31 +106,6 @@ class TestChannelCurrent:
             channel_current(const_wave(1.0, n=8), const_wave(1.0, n=9), 1.0, 1.0)
 
 
-class TestSolveInto:
-    @pytest.mark.parametrize("solve", [channel_current])
-    @pytest.mark.parametrize("target", ["buffer", "u_a"])
-    @settings(deadline=None)
-    @given(data=st.data(), rows=st.sampled_from([(), (3,), (2, 2)]), n=st.integers(1, 32), per_row=st.booleans())
-    def test_out_holds_the_bytes_of_a_new_array(self, solve, target, data, rows, n, per_row):
-        """``out``, a separate buffer or ``u_a`` itself, receives the bytes the call returns without it.
-
-        The waves are the two parties' rows of one array, so both are strided
-        views.
-        """
-        u_a, u_b = np.moveaxis(data.draw(arrays(np.float64, rows + (n, 2), elements=st.floats(-1e6, 1e6))), -1, 0)
-        if per_row:
-            resistances = arrays(np.float64, rows + (1,), elements=st.floats(1e-3, 1e6))
-        else:
-            resistances = st.floats(1e-3, 1e6)
-        r_a, r_b = data.draw(resistances), data.draw(resistances)
-        expected = solve(u_a, u_b, r_a, r_b)
-        before_b = u_b.copy()
-        out = np.full(u_a.shape, np.nan) if target == "buffer" else u_a
-        assert solve(u_a, u_b, r_a, r_b, out=out) is out
-        assert out.tobytes() == expected.tobytes()
-        assert np.array_equal(u_b, before_b)
-
-
 class TestChannelVoltage:
     @settings(deadline=None)
     @given(data=st.data(), rows=st.sampled_from([(), (1,), (3,), (2, 2)]), n=st.integers(1, 32), per_row=st.booleans())

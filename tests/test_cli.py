@@ -9,10 +9,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kljn import cli, noise, protocol
+from kljn import cli, protocol
 from kljn.circuit import LoopState, channel_waveforms
 from kljn.cli import main
 from kljn.config import ConfigError, load_config
+from kljn.estimator import finite_mean_square
 from kljn.noise import rng_for_period, synth_band_limited
 
 FAST_CONFIG = """
@@ -34,8 +35,8 @@ def fast_config(tmp_path):
     return str(path)
 
 
-def _no_synthesis(*args):
-    raise AssertionError("a bad size must be refused before any synthesis")
+def _no_draw(*args):
+    raise AssertionError("a bad size must be refused before any noise is drawn")
 
 
 def _no_session(*args, **kwargs):
@@ -65,12 +66,39 @@ def traced_peak(argv):
 
 class TestLevels:
     def test_peak_memory_bounded_by_signal_size(self, tmp_path):
-        # the six generator waves of the three states come from one batch and are held
-        # together while each state's voltage and current are solved
+        # one state's normals (half a signal each at oversample 4) and one reading's in-band sums at a
+        # time, and no wave: 1.61 signal sizes measured
         n = 2**20
         code, peak = traced_peak(["levels", "--samples", str(n), "--out", str(tmp_path / "l.txt")])
         assert code == 0
-        assert peak <= 10 * 8 * n, f"peak {peak / (8 * n):.2f}x the signal's bytes"
+        assert peak <= 3 * 8 * n, f"peak {peak / (8 * n):.2f}x the signal's bytes"
+
+    @pytest.mark.parametrize("n", [4, 4097, 65536], ids=["shortest", "odd", "even"])
+    @pytest.mark.parametrize("config_text", ["", "oversample = 2\nt_eff = 1e18\n"], ids=["oversample-4", "nyquist-si"])
+    def test_values_match_waveform_pipeline(self, capsys, monkeypatch, tmp_path, config_text, n):
+        """Each printed level is the whole-wave mean square of the loop solved on six syntheses.
+
+        Values are printed at full precision for the comparison. The
+        reference synthesizes Alice's then Bob's wave per state from the one
+        stream, solves the loop on the samples and averages the squares;
+        ``oversample = 2`` with an even ``n`` fills the Nyquist bin.
+        """
+        path = tmp_path / "levels.cfg"
+        path.write_text(config_text)
+        monkeypatch.setattr(cli, "_fmt", lambda x, spec=None: repr(x))
+        code, out, _ = run_cli(capsys, ["levels", "--config", str(path), "--samples", str(n)])
+        assert code == 0
+        rows = [line.split() for line in out.splitlines()[4:]]
+        assert [row[0] for row in rows] == ["00", "0110", "11"]
+
+        config = load_config(str(path))
+        rng = rng_for_period(config.master_seed, 0)
+        for row, bits in zip(rows, ((0, 0), (0, 1), (1, 1))):
+            loop = LoopState.from_bits(*bits, config.resistors)
+            u_a = synth_band_limited(config.noise_spec(loop.r_alice, n), rng)
+            u_b = synth_band_limited(config.noise_spec(loop.r_bob, n), rng)
+            expected = [finite_mean_square(w) for w in channel_waveforms(u_a, u_b, loop.r_alice, loop.r_bob)]
+            np.testing.assert_allclose([float(row[2]), float(row[5])], expected, rtol=1e-14, atol=0)
 
     def test_reference_levels_in_output(self, capsys, fast_config):
         code, out, _ = run_cli(capsys, ["levels", "--config", fast_config, "--samples", "65536"])
@@ -99,14 +127,13 @@ class TestLevels:
         assert "config error" in err and "gamma" in err
 
     @pytest.mark.parametrize(
-        "module, name, failing_call",
-        # Alice's 11 wave, the fifth synthesis, after states 00 and 0110 were solved; or the
-        # 0110 voltage's mean square, the third, while the helper transforms the 11 waves
-        [(noise, "_samples", 5), (cli, "finite_mean_square", 3)],
-        ids=["fifth-synthesis", "third-mean-square"],
+        "failing_call",
+        # the 0110 voltage's mean square, after the 00 row; or the 11 voltage's, after the 0110 row
+        [3, 5],
+        ids=["third-mean-square", "fifth-mean-square"],
     )
-    def test_failure_prints_no_partial_table(self, capsys, monkeypatch, tmp_path, module, name, failing_call):
-        original, calls = getattr(module, name), []
+    def test_failure_prints_no_partial_table(self, capsys, monkeypatch, tmp_path, failing_call):
+        original, calls = cli._whole_mean_square, []
 
         def fails_once(*args):
             calls.append(None)
@@ -114,17 +141,17 @@ class TestLevels:
                 raise ValueError("non-finite values: the noise level overflows float64")
             return original(*args)
 
-        monkeypatch.setattr(module, name, fails_once)
+        monkeypatch.setattr(cli, "_whole_mean_square", fails_once)
         out_path = tmp_path / "levels.txt"
         threads = threading.active_count()
         code, out, err = run_cli(capsys, ["levels", "--samples", "8192", "--out", str(out_path)])
         assert code == 3
         assert out == "" and not out_path.exists()
         assert "non-finite" in err
-        assert threading.active_count() == threads  # the helper is gone
+        assert threading.active_count() == threads  # no thread outlives the command
 
     def test_allocation_failure_is_runtime_error(self, capsys, tmp_path):
-        # 2**50 samples pass every size check, and their first array (4 PiB) is refused at once
+        # 2**50 samples pass every size check, and their first array (8 PiB of normals) is refused at once
         out_path = tmp_path / "levels.txt"
         threads = threading.active_count()
         code, out, err = run_cli(capsys, ["levels", "--samples", str(2**50), "--out", str(out_path)])
@@ -134,7 +161,7 @@ class TestLevels:
         assert threading.active_count() == threads
 
     def test_too_few_samples_is_config_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "synth_band_limited_many", _no_synthesis)
+        monkeypatch.setattr(cli, "rng_for_period", _no_draw)
         code, out, err = run_cli(capsys, ["levels", "--samples", "1"])
         assert code == 2
         assert out == ""
@@ -143,7 +170,7 @@ class TestLevels:
     def test_no_in_band_bin_is_config_error(self, capsys, monkeypatch):
         # 3 samples at the default oversample 4 put bin 1 at 4/3 of the band edge: every
         # wave would be zero, and every empirical level 0
-        monkeypatch.setattr(cli, "synth_band_limited_many", _no_synthesis)
+        monkeypatch.setattr(cli, "rng_for_period", _no_draw)
         code, out, err = run_cli(capsys, ["levels", "--samples", "3"])
         assert code == 2
         assert out == ""
@@ -315,7 +342,7 @@ def test_unrunnable_config_is_config_error(capsys, monkeypatch, tmp_path, config
 def test_unreadable_config_is_config_error(capsys, monkeypatch, tmp_path, kind, command):
     """A config file that cannot be read is a config error that names it, not a runtime failure."""
     monkeypatch.setattr(cli, "run_session", _no_session)
-    monkeypatch.setattr(cli, "synth_band_limited_many", _no_synthesis)
+    monkeypatch.setattr(cli, "rng_for_period", _no_draw)
     path = tmp_path / f"{kind}.cfg"
     if kind == "directory":
         path.mkdir()
@@ -340,7 +367,7 @@ def test_unreadable_config_is_config_error(capsys, monkeypatch, tmp_path, kind, 
 @pytest.mark.filterwarnings("ignore::kljn.estimator.SmallGammaWarning")
 def test_unrunnable_config_refused_by_every_command(capsys, monkeypatch, tmp_path, config_text, message, argv):
     """levels and spectra run no period, yet refuse a config no period could run, as session does."""
-    monkeypatch.setattr(cli, "synth_band_limited_many", _no_synthesis)
+    monkeypatch.setattr(cli, "rng_for_period", _no_draw)
     path = tmp_path / "bad.cfg"
     path.write_text(config_text)
     code, out, err = run_cli(capsys, argv + ["--config", str(path)])
@@ -423,7 +450,7 @@ class TestSpectra:
         ids=["one-bin", "shorter-than-a-segment"],
     )
     def test_bad_size_is_config_error(self, capsys, monkeypatch, argv, flag):
-        monkeypatch.setattr(cli, "synth_band_limited_many", _no_synthesis)
+        monkeypatch.setattr(cli, "rng_for_period", _no_draw)
         code, out, err = run_cli(capsys, ["spectra"] + argv)
         assert code == 2
         assert out == ""
@@ -433,7 +460,7 @@ class TestSpectra:
         # 6 samples at oversample 8 put bin 1 at 4/3 of the band edge: the spectrum would be zero
         path = tmp_path / "oversample8.cfg"
         path.write_text("oversample = 8\n")
-        monkeypatch.setattr(cli, "synth_band_limited_many", _no_synthesis)
+        monkeypatch.setattr(cli, "rng_for_period", _no_draw)
         code, out, err = run_cli(capsys, ["spectra", "--config", str(path), "--samples", "6", "--bins", "3"])
         assert code == 2
         assert out == ""
@@ -472,13 +499,13 @@ class TestSpectra:
         np.testing.assert_allclose(rows[:, 1], density, rtol=1e-12, atol=0)
 
     def test_peak_memory_bounded_by_signal_size(self, tmp_path):
-        # u_a, u_b and the current are alive together only while the current is solved;
-        # the squared signal and the periodogram's power table stay near two signals
+        # the normals and the spectrum, then the spectrum and the current during the one inverse FFT;
+        # the squared current and the periodogram's power table stay below two signals: 2.02 measured
         n = 2**20
         argv = ["spectra", "--samples", str(n), "--bins", "256", "--out", str(tmp_path / "s.csv")]
         code, peak = traced_peak(argv)
         assert code == 0
-        assert peak <= 4 * 8 * n, f"peak {peak / (8 * n):.2f}x the signal's bytes"
+        assert peak <= 3 * 8 * n, f"peak {peak / (8 * n):.2f}x the signal's bytes"
 
 
 @pytest.mark.parametrize(
@@ -504,7 +531,9 @@ def test_golden_output(capsys, tmp_path, config_text, argv, sha256):
     The digests were recorded from the CLI whose syntheses drew and
     transformed one wave at a time; ``oversample = 2`` fills the Nyquist bin.
     The five-chunk periodogram's digest was recorded from the CLI that
-    transformed every chunk on the calling thread.
+    transformed every chunk on the calling thread. All five held when both
+    commands came to compute their readings from the normals, which moves
+    the values only in their last bits.
     """
     path = tmp_path / "golden.cfg"
     path.write_text(config_text)
@@ -642,7 +671,7 @@ class TestNonFiniteOutput:
     @pytest.mark.parametrize("argv", [["session"], ["levels", "--samples", "8192"]], ids=["session", "levels"])
     def test_overflowing_levels_are_runtime_error(self, capsys, monkeypatch, tmp_path, argv, text):
         """Levels that overflow or underflow float64 are reported as such, not as an empty secure band."""
-        monkeypatch.setattr(cli, "synth_band_limited_many", _no_synthesis)
+        monkeypatch.setattr(cli, "rng_for_period", _no_draw)
         monkeypatch.setattr(protocol, "_simulate_chunk", _no_session)
         path = tmp_path / "overflow.cfg"
         path.write_text(text)

@@ -84,11 +84,12 @@ LEVELS = ("levels", "--samples", "65536")
             kljn_cli(*SWEEP_CURRENT, "--workers", "2"),
             kljn_cli(*SWEEP_CURRENT, "--workers", "2", forkserver=True),
         ],
-        # the inverse FFTs and half of the periodogram segments run on a helper thread, which
-        # interleaves differently from run to run, and again on one CPU; numpy 1.22 keeps its
-        # floating-point error state per thread, not in a contextvar: the helper must still see
-        # the caller's
+        # half of the periodogram segments run on a helper thread, which interleaves differently
+        # from run to run, and again on one CPU; numpy 1.22 keeps its floating-point error state
+        # per thread, not in a contextvar: the helper must still see the caller's
         [kljn_cli(*SPECTRA), kljn_cli(*SPECTRA), kljn_cli(*SPECTRA, one_cpu=True)],
+        # levels runs no thread and no inverse FFT (its mean squares come from the normals by
+        # Parseval); the row, under its old id, still checks its bytes across fresh processes
         [kljn_cli(*LEVELS), kljn_cli(*LEVELS), kljn_cli(*LEVELS, one_cpu=True)],
     ],
     ids=[
@@ -200,9 +201,8 @@ def test_cli_import_defers_scipy_signal():
 
 
 def test_cli_import_defers_process_pool():
-    # only the worker processes of run_session and error_rate need multiprocessing, and only the helper threads of
-    # synth_band_limited_many and periodogram need concurrent.futures, which loads logging:
-    # importing them costs every command's start-up
+    # only the worker processes of run_session and error_rate need multiprocessing, and only the helper thread of
+    # periodogram needs concurrent.futures, which loads logging: importing them costs every command's start-up
     modules = ["concurrent.futures", "concurrent.futures.process", "logging", "multiprocessing"]
     assert _loaded_after("import kljn.cli", modules) == "[]"
 
