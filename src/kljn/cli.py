@@ -24,7 +24,7 @@ from .circuit import LoopState
 from .config import ConfigError, SystemConfig, load_config, with_overrides
 from .estimator import squared_noise_psd_theory
 from .noise import periodogram, rng_for_period
-from .protocol import _reading_tables, error_rate, extract_key, key_to_hex, run_session
+from .protocol import _fill, _reading_tables, error_rate, extract_key, key_to_hex, run_session
 
 _MODE_SHORT = {"voltage_only": "voltage", "current_only": "current", "combined": "combined"}
 _NON_FINITE = "non-finite output values: the noise levels overflow float64"
@@ -44,27 +44,23 @@ def _load(args) -> SystemConfig:
     return with_overrides(config, master_seed=args.seed)
 
 
-def _whole_mean_square(z: np.ndarray, q: np.ndarray, table, bits: tuple, n_samples: int) -> float:
-    """Mean square over all ``n_samples`` of one reading of the state ``bits``, by Parseval: no transform runs.
+def _whole_mean_square(spectrum: np.ndarray, z: np.ndarray, bits: tuple, rule: tuple, name: str) -> float:
+    """Mean square over the whole wave of reading ``name`` of the state ``bits``, by Parseval: no transform runs.
 
-    ``z`` holds the state's unit normals, Alice's row then Bob's, each laid
-    out as ``NoiseSpec`` lays out a synthesis's normals (an odd count leads
-    with the Nyquist one). ``q`` and ``table`` are a reading's gains from
-    ``protocol._reading_tables``, as the period kernel takes them: the
-    reading's spectrum is amp·w, with w = z_a + rho·z_b in band and w_nyq =
-    (z_a0 + rho_nyquist·z_b0)·q_a at the Nyquist bin. The two-sided spectrum
-    holds an in-band bin's power twice and the Nyquist bin's once, the
-    inverse FFT's sum of squares is 1/n of that power (Parseval), and the
-    mean another 1/n: so the mean square is (2·Σ w² + w_nyq²)·(amp/n)².
+    ``protocol._fill`` writes the reading's spectrum, in units of its amp,
+    into the slots of the zeroed ``spectrum`` (``z`` and ``rule`` as it takes
+    them). The two-sided spectrum holds an in-band bin's power twice and the
+    Nyquist bin's once, the inverse FFT's sum of squares is 1/n of that power
+    (Parseval), and the mean another 1/n: so the mean square is
+    (2·Σ in_band² + nyquist²)·(amp/n)².
     """
-    amp, rho, rho_nyquist = (x[bits] for x in table)
-    nyq = z.shape[1] % 2
-    w = z[1, nyq:] * rho
-    w += z[0, nyq:]
-    total = 2 * np.square(w, out=w).sum()
-    if nyq:
-        total += ((z[0, 0] + rho_nyquist * z[1, 0]) * q[bits[0]]) ** 2
-    return float(total * (amp / n_samples) ** 2)
+    layout, _, tables = rule
+    _fill(spectrum, z, *bits, rule, name)
+    nyquist, in_band = layout.slots(spectrum)
+    total = 2 * np.square(in_band).sum()
+    if nyquist is not None:
+        total += nyquist**2
+    return float(total * (tables[name][0][bits] / layout.n_samples) ** 2)
 
 
 def cmd_levels(args) -> str:
@@ -73,9 +69,11 @@ def cmd_levels(args) -> str:
     consts = config.constants
     levels = config.levels()
     n_cal = args.samples
-    n_normals = config.noise_spec(config.resistors.r0, n_cal).n_normals
-    q, tables = _reading_tables(config, n_cal)
+    rule = _reading_tables(config, n_cal)
+    n_normals = rule[0].n_normals
     rng = rng_for_period(config.master_seed, 0)
+    # one spectrum for every reading: each fill writes the same slots, and the other bins stay zero
+    spectrum = np.zeros(n_cal // 2 + 1, dtype=complex)
     lines = [
         f"# config_hash={config.config_hash()}",
         f"k = {_fmt(consts.k)} J/K   T_eff = {_fmt(consts.t_eff)} K   4kT_eff = {_fmt(consts.four_kt)}",
@@ -86,7 +84,7 @@ def cmd_levels(args) -> str:
     for state, bits in (("00", (0, 0)), ("0110", (0, 1)), ("11", (1, 1))):
         # Alice's normals, then Bob's, drawn state by state in that order from the one stream
         z = rng.standard_normal((2, n_normals))
-        emp_v, emp_i = [_whole_mean_square(z, q, tables[name], bits, n_cal) for name in ("msv", "msi")]
+        emp_v, emp_i = [_whole_mean_square(spectrum, z, bits, rule, name) for name in ("msv", "msi")]
         del z  # freed before the next state's normals are drawn
         th_v = levels.voltage_for(state)
         th_i = levels.current_for(state)
@@ -140,20 +138,15 @@ def cmd_spectra(args) -> str:
         raise ConfigError(f"spectra requires --samples >= 2 * --bins = {2 * args.bins}, got {args.samples}")
     config.check_samples(args.samples, f"spectra --samples {args.samples}")
     n = args.samples
-    layout = config.noise_spec(config.resistors.r1, n)
-    q, tables = _reading_tables(config, n)
-    amp, rho, rho_nyquist = (x[1, 1] for x in tables["msi"])
+    rule = _reading_tables(config, n)
+    layout, _, tables = rule
+    amp = tables["msi"][0][1, 1]
     rng = rng_for_period(config.master_seed, 0)
     # Alice's normals, then Bob's, into one spectrum of the 11 loop current in units of amp
     z = rng.standard_normal((2, layout.n_normals))
     coeffs = np.zeros(n // 2 + 1, dtype=complex)
-    nyquist, in_band = layout.slots(coeffs)
-    nyq = int(layout.nyquist)
-    np.multiply(z[1, nyq:], rho, out=in_band)
-    in_band += z[0, nyq:]
-    if nyquist is not None:
-        nyquist[...] = (z[0, 0] + rho_nyquist * z[1, 0]) * q[1]
-    del z, nyquist, in_band  # the views too, or they would keep the spectrum after the transform
+    _fill(coeffs, z, 1, 1, rule, "msi")
+    del z  # freed before the transform allocates its samples
     i_c = np.fft.irfft(coeffs, n=n, norm="forward")
     del coeffs
     i_c *= amp / n

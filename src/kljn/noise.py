@@ -9,9 +9,7 @@ which gives an exactly band-limited spectrum.
 
 from __future__ import annotations
 
-import functools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -182,28 +180,6 @@ def synth_band_limited(spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
     return _samples(_coefficients(spec, rng), spec.n_samples)
 
 
-@contextmanager
-def _helper():
-    """One helper thread: ``submit(fn, *args)`` runs ``fn(*args)`` on it under the caller's ``np.geterr()``.
-
-    ``periodogram`` transforms half of its segments on it. A new thread does
-    not inherit ``np.errstate``, so without this an overflow that the caller
-    asked to raise would pass silently on the helper. Leaving the block
-    waits for every submitted call, and the thread exits.
-    """
-    # imported here: concurrent.futures pulls in logging, which a single-threaded call never needs
-    from concurrent.futures import ThreadPoolExecutor
-
-    errors = np.geterr()
-
-    def under_callers_errors(fn, *args):
-        with np.errstate(**errors):
-            return fn(*args)
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        yield functools.partial(pool.submit, under_callers_errors)
-
-
 def _coefficients(spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
     return band_coefficients(spec, rng.standard_normal(spec.n_normals), spec.scale, spec.nyquist_scale)
 
@@ -238,10 +214,11 @@ def periodogram(samples: np.ndarray, sample_rate: float, n_bins: int) -> tuple[n
     along its contiguous segment axis (numpy's pairwise sum: a plain running
     sum over segments moves the last digits). Segments are transformed in
     chunks of about ``_CHUNK_SAMPLES`` samples, which changes no value. With
-    two or more chunks, a helper thread (see ``_helper``) transforms the
-    chunks after the middle chunk boundary while the caller transforms those
-    before it; each fills its own columns of the table, and the doubling and
-    the mean stay whole-table calls on the caller, so no value changes either.
+    two or more chunks, a helper thread transforms the chunks after the
+    middle chunk boundary, under the caller's ``np.geterr()``, while the
+    caller transforms those before it; each fills its own columns of the
+    table, and the doubling and the mean stay whole-table calls on the
+    caller, so no value changes either.
 
     Returns (frequencies, density), each of length n_bins + 1.
     """
@@ -257,21 +234,28 @@ def periodogram(samples: np.ndarray, sample_rate: float, n_bins: int) -> tuple[n
     window = 1 / np.sqrt(length / (1 / sample_rate))
     power = np.empty((n_bins + 1, n_seg))
     step = max(1, _CHUNK_SAMPLES // length)
+    # a new thread does not inherit np.errstate: without this, an overflow that the caller asked to
+    # raise would pass silently on the helper
+    errors = np.geterr()
 
     def fill(start, stop):
-        for first in range(start, stop, step):
-            last = min(first + step, stop)
-            segments = samples[first * length : last * length].reshape(-1, length)
-            spectrum = np.fft.rfft(segments * window, axis=-1)
-            power[:, first:last] = (spectrum.real**2 + spectrum.imag**2).T
+        with np.errstate(**errors):
+            for first in range(start, stop, step):
+                last = min(first + step, stop)
+                segments = samples[first * length : last * length].reshape(-1, length)
+                spectrum = np.fft.rfft(segments * window, axis=-1)
+                power[:, first:last] = (spectrum.real**2 + spectrum.imag**2).T
 
     n_chunks = -(-n_seg // step)
     if n_chunks < 2:
         fill(0, n_seg)
     else:
+        # imported here: concurrent.futures pulls in logging, which a single-threaded call never needs
+        from concurrent.futures import ThreadPoolExecutor
+
         split = n_chunks // 2 * step
-        with _helper() as submit:
-            second_half = submit(fill, split, n_seg)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            second_half = pool.submit(fill, split, n_seg)
             fill(0, split)
             second_half.result()
     power[1:-1] *= 2

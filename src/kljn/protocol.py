@@ -22,7 +22,7 @@ import numpy as np
 from .config import ConfigError, SystemConfig, _checked
 from .decision import _OUTCOME_CODE, CombinedOutcome, current_codes, interpret_arrays, voltage_codes
 from .estimator import measurement_slice
-from .noise import period_streams
+from .noise import NoiseSpec, period_streams
 
 ACTUAL_STATES = ("00", "11", "0110")
 # working-array budget of one block of simulated periods
@@ -34,7 +34,7 @@ _KEEP = _OUTCOMES.index(CombinedOutcome.KEEP_SECURE)
 # a one-reading error_rate mode's mean square and its reader
 _ONE_READING = {"voltage": ("msv", voltage_codes), "current": ("msi", current_codes)}
 # per mean square, z_a + z_b or z_a - z_b in one pass: z_a + rho * z_b where rho is exactly +1 or -1, as
-# it is when both generators have one resistor (see _reading_tables)
+# it is when both generators have one resistor (see _reading_tables and _fill)
 _EQUAL_RESISTORS = {"msv": np.add, "msi": np.subtract}
 
 
@@ -161,17 +161,20 @@ def _draw_blocks(
 
     ``normals`` has shape ``(block, 2, n_normals)`` and ``bits``, int8,
     ``(stop - start, 2)``. Each period draws its bits (one raw word, read by
-    ``_bits_from_words`` into its row of ``bits``; a forced 00/11 period
-    draws none, and its row is not written), then Alice's and Bob's normals,
-    from its own stream. For each block of up to ``block`` periods, the
-    generator fills ``normals[:k]`` and ``bits[lo : lo + k]`` and yields
-    ``(lo, k)``: the block's first period is ``start + lo``. The rows of
-    ``normals`` are overwritten by the next block, so the caller must be
-    done with them before it resumes the generator.
+    ``_bits_from_words`` into its row of ``bits``; a forced 00/11 chunk's
+    rows are set once, and its periods draw none), then Alice's and Bob's
+    normals, from its own stream. For each block of up to ``block`` periods,
+    the generator fills ``normals[:k]`` and ``bits[lo : lo + k]`` and yields
+    ``(lo, k, a, b)``: the block's first period is ``start + lo``, and a and
+    b are its bits as ``_fill`` takes them (a forced chunk's one int bit).
+    The rows of ``normals`` are overwritten by the next block, so the caller
+    must be done with them before it resumes the generator.
     """
     count = stop - start
     rows = list(normals)
     draw_word = force_state in (None, "0110")
+    if not draw_word:
+        bits[:] = int(force_state[0])
     # period_streams re-keys and yields one generator for every period, so its draws are bound
     # once, from the stream of period start
     streams = period_streams(master_seed, range(start, stop))
@@ -186,12 +189,15 @@ def _draw_blocks(
             standard_normal(out=row)
             next(streams, None)  # the next period's stream; none after the chunk's last
         if draw_word:
-            bits[lo : lo + k] = _bits_from_words(np.array(words, dtype=np.uint64), force_state)
-        yield lo, k
+            block = bits[lo : lo + k]
+            block[:] = _bits_from_words(np.array(words, dtype=np.uint64), force_state)
+            yield lo, k, *block.T
+        else:
+            yield lo, k, int(force_state[0]), int(force_state[0])
 
 
-def _reading_tables(config: SystemConfig, n_samples: int) -> tuple[np.ndarray, dict]:
-    """``(q, tables)`` of a period of ``n_samples``, each table indexed ``[bit_a, bit_b]`` (q by bit).
+def _reading_tables(config: SystemConfig, n_samples: int) -> tuple[NoiseSpec, np.ndarray, dict]:
+    """``(layout, q, tables)`` of a period of ``n_samples``: bin layout, q by bit, tables by ``[bit_a, bit_b]``.
 
     ``tables[name]`` is ``(amp, rho, rho_nyquist)`` for ``msv`` and ``msi``.
     The loop law's gains of Alice's and Bob's generators are
@@ -201,9 +207,9 @@ def _reading_tables(config: SystemConfig, n_samples: int) -> tuple[np.ndarray, d
     in-band scale and q its Nyquist scale over s, amp = g_a·s_a,
     rho = g_b·s_b/amp and rho_nyquist = rho·(q_b/q_a).
 
-    These tables are the one loop law of every reading the program makes:
-    the period kernel's (``_simulate_chunk``), ``kljn levels``' whole-wave
-    mean squares and ``kljn spectra``'s 11-state loop current.
+    These tables are the one loop law of every reading the program makes
+    (``_fill``): the period kernel's, ``kljn levels``' and ``kljn spectra``'s.
+    Each call builds them anew: nothing caches them.
     """
     r = np.array([config.resistors.r0, config.resistors.r1])
     specs = [config.noise_spec(x, n_samples) for x in r.tolist()]
@@ -218,7 +224,42 @@ def _reading_tables(config: SystemConfig, n_samples: int) -> tuple[np.ndarray, d
             amp = g_a * s[:, None]
             rho = g_b * s / amp
             tables[name] = (amp, rho, rho * (q / q[:, None]))
-    return q, tables
+    return specs[0], q, tables
+
+
+def _fill(spectrum: np.ndarray, z: np.ndarray, a, b, rule: tuple, name: str) -> None:
+    """Write reading ``name``'s z_a + rho·z_b, in units of its amp, into the slots of ``spectrum``.
+
+    ``rule`` is ``_reading_tables``' result, ``z`` the unit normals, shape
+    ``(..., 2, n_normals)``, and ``spectrum`` C-contiguous complex, shape
+    ``(..., n // 2 + 1)``. The bits are arrays of shape ``z.shape[:-2]`` or
+    one int per party; one int shared by both takes the one-pass sum, keyed
+    by the reading, not by rho's sign (nan where a scale overflowed). The
+    Nyquist slot, if any, takes (z_a0 + rho_nyquist·z_b0)·q_a.
+    """
+    layout, q, tables = rule
+    _, rho, rho_nyquist = tables[name]
+    nyquist, in_band = layout.slots(spectrum)
+    nyq = int(layout.nyquist)
+    z_a, z_b = z[..., 0, nyq:], z[..., 1, nyq:]
+    if isinstance(a, int) and a == b:
+        _EQUAL_RESISTORS[name](z_a, z_b, out=in_band)
+    else:
+        np.multiply(z_b, rho[a, b, None], out=in_band)
+        in_band += z_a
+    if nyquist is not None:
+        nyquist[...] = (z[..., 0, 0] + rho_nyquist[a, b] * z[..., 1, 0]) * q[a]
+
+
+def _stage(spectrum: np.ndarray, z: np.ndarray, a, b, rule: tuple, name: str, out: np.ndarray) -> None:
+    """One block's reading ``name``: ``_fill``, one ``irfft`` row with no 1/n, and its windowed sum of squares.
+
+    The arguments are as in ``_fill``, with one row of ``spectrum`` and of ``out``, the sums, per period.
+    """
+    _fill(spectrum, z, a, b, rule, name)
+    n = rule[0].n_samples
+    x = np.fft.irfft(spectrum, n=n, axis=-1, norm="forward")[..., measurement_slice(n)]
+    np.einsum("ij,ij->i", x, x, out=out)
 
 
 def _simulate_chunk(
@@ -234,55 +275,34 @@ def _simulate_chunk(
 
     The loop law and the inverse FFT are linear, so a reading is
     amp·(z_a + rho·z_b) pushed through the synthesis, for Alice's and Bob's
-    unit-scale normals z (``_reading_tables``). Per block and reading,
-    z_a + rho·z_b goes straight into the spectrum's slots, one unscaled
-    ``irfft`` row runs per period and one fused reduction sums its windowed
-    squares. After the last block each sum takes its period's (amp/n)²,
-    which makes it the physical windowed sum of squares, and is divided by
-    the window's length.
+    unit-scale normals z. ``_stage`` sums each block's windowed squares of
+    the unscaled samples; after the last block each sum takes its period's
+    (amp/n)², the physical windowed sum of squares, and is divided by the
+    window's length.
 
     Raises ValueError when a mean square is not finite, as it is when the
     noise levels or a windowed sum of squares overflow float64.
     """
     n = config.samples_per_period
-    layout = config.noise_spec(config.resistors.r0, n)  # the layout depends on n, f_s and B only
-    q, tables = _reading_tables(config, n)
-    window = measurement_slice(n)
-
+    rule = _reading_tables(config, n)
+    layout, _, tables = rule
     count = stop - start
     block = max(1, min(count, _block_periods(n)))
     bits = np.empty((count, 2), dtype=np.int8)
-    forced = force_state in ("00", "11")
-    if forced:
-        bits[:] = int(force_state[0])  # no period draws them (see _draw_blocks)
     sums = {name: np.empty(count) for name in (tables if reading is None else (reading,))}
     normals = np.empty((block, 2, layout.n_normals))
     # every block writes the same in-band and Nyquist slots; DC and the bins above the band stay zero
     spectrum = np.zeros((block, n // 2 + 1), dtype=complex)
-    nyquist, in_band = layout.slots(spectrum)
-    nyq = int(layout.nyquist)
-    bits_a, bits_b = bits.T  # views: _draw_blocks fills bits as it goes
-    for lo, k in _draw_blocks(config.master_seed, start, stop, force_state, normals, bits):
-        a, b = bits_a[lo : lo + k], bits_b[lo : lo + k]
-        for name in sums:
-            _, rho, rho_nyquist = tables[name]
-            # the scales, the gains and irfft's 1/n are applied to the chunk's sums below
-            if forced:
-                _EQUAL_RESISTORS[name](normals[:k, 0, nyq:], normals[:k, 1, nyq:], out=in_band[:k])
-            else:
-                np.multiply(normals[:k, 1, nyq:], rho[a, b, None], out=in_band[:k])
-                in_band[:k] += normals[:k, 0, nyq:]
-            if nyquist is not None:
-                nyquist[:k] = (normals[:k, 0, 0] + rho_nyquist[a, b] * normals[:k, 1, 0]) * q[a]
-            x = np.fft.irfft(spectrum[:k], n=n, axis=-1, norm="forward")[:, window]
-            sums[name][lo : lo + k] = np.einsum("ij,ij->i", x, x)
-            # freed before the next transform allocates its samples: keeping it until then read a
-            # traced peak of 1.04 MB over 25 blocks at gamma 1000, against 0.78 MB
-            del x
+    # a scale that overflowed puts nan or inf into a spectrum, and irfft would warn of it: the finiteness
+    # check below refuses those periods
+    with np.errstate(invalid="ignore"):
+        for lo, k, a, b in _draw_blocks(config.master_seed, start, stop, force_state, normals, bits):
+            for name, ms in sums.items():
+                _stage(spectrum[:k], normals[:k], a, b, rule, name, ms[lo : lo + k])
     for name, ms in sums.items():
         # the physical windowed sums of squares, then their means: a sum that overflowed stays infinite
-        ms *= np.square(tables[name][0] / n)[bits_a, bits_b]
-        ms /= len(range(n)[window])
+        ms *= np.square(tables[name][0] / n)[bits[:, 0], bits[:, 1]]
+        ms /= len(range(n)[measurement_slice(n)])
     if not all(np.isfinite(ms).all() for ms in sums.values()):
         raise ValueError("non-finite channel mean squares: the noise levels overflow float64")
     return {"bits": bits, **sums}

@@ -66,8 +66,8 @@ def traced_peak(argv):
 
 class TestLevels:
     def test_peak_memory_bounded_by_signal_size(self, tmp_path):
-        # one state's normals (half a signal each at oversample 4) and one reading's in-band sums at a
-        # time, and no wave: 1.61 signal sizes measured
+        # one state's normals (half a signal each at oversample 4), the one spectrum the readings are
+        # filled into and one reading's squared in-band slots, and no wave: 2.50 signal sizes measured
         n = 2**20
         code, peak = traced_peak(["levels", "--samples", str(n), "--out", str(tmp_path / "l.txt")])
         assert code == 0

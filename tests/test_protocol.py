@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import multiprocessing
@@ -605,17 +606,29 @@ class TestErrorRate:
         with pytest.raises(ValueError, match="non-finite"), np.errstate(all="ignore"):
             error_rate(cfg, mode, "11")
 
-    @pytest.mark.parametrize("mode", ["voltage", "current"])
-    def test_overflowing_scale_refused_without_float_warnings(self, mode):
-        """A one-reading run whose coefficient scale is inf refuses with no numpy warning.
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda cfg: error_rate(cfg, "voltage", "11"),
+            lambda cfg: error_rate(cfg, "current", "11"),
+            lambda cfg: run_session(cfg),
+            lambda cfg: run_session(cfg, force_state="0110"),
+            lambda cfg: run_session(cfg, force_state="11"),
+        ],
+        ids=["voltage", "current", "session", "session-0110", "session-11"],
+    )
+    def test_overflowing_scale_refused_without_float_warnings(self, run):
+        """A run whose coefficient scale is inf refuses with no numpy warning.
 
         Under the suite's ``error::RuntimeWarning`` filter a warning would
-        raise in place of the ValueError.
+        raise in place of the ValueError. With random or 0110 bits rho is
+        inf or nan for the unequal-resistor periods, whose ``irfft`` would
+        warn of an invalid value.
         """
         cfg = small_config(t_eff=3.6e305, r=1e20, alpha=1000.0, n_periods=4, master_seed=2)
         assert cfg.noise_spec(cfg.resistors.r1, cfg.samples_per_period).scale == math.inf
         with pytest.raises(ValueError, match="non-finite"):
-            error_rate(cfg, mode, "11")
+            run(cfg)
 
 
 def chunk_peaks(cfg, *args):
@@ -835,8 +848,9 @@ class TestReadingTables:
             warnings.simplefilter("ignore", DegenerateLevelsWarning)
             cfg = SystemConfig(r=r, alpha=alpha, t_eff=t_eff, gamma=gamma, oversample=oversample)
         n = cfg.samples_per_period
-        q, tables = protocol._reading_tables(cfg, n)
+        layout, q, tables = protocol._reading_tables(cfg, n)
         r_bit = (cfg.resistors.r0, cfg.resistors.r1)
+        assert layout == cfg.noise_spec(r_bit[0], n)
         scale = [cfg.noise_spec(x, n).scale for x in r_bit]
         one, zero = np.ones(1), np.zeros(1)
         for name, solve, sign in (("msv", channel_voltage, 1.0), ("msi", channel_current, -1.0)):
@@ -849,6 +863,28 @@ class TestReadingTables:
                     assert amp[a, b] == g_a * scale[a], (name, a, b)
                     assert rho[a, b] == g_b * scale[b] / amp[a, b], (name, a, b)
         assert np.array_equal(q, [cfg.noise_spec(x, n).nyquist_scale / cfg.noise_spec(x, n).scale for x in r_bit])
+
+    @pytest.mark.parametrize("force_state", [None, "00"])
+    def test_tables_follow_a_patched_noise_spec(self, monkeypatch, force_state):
+        """A run after ``noise_spec`` is patched reads the patched spec, whatever ran before it in the process.
+
+        Each call builds its tables anew: four times the PSD doubles every
+        scale exactly, so every mean square is exactly four times the one the
+        unpatched run gave.
+        """
+        cfg = small_config(n_periods=20)
+        before = _simulate_chunk(cfg, 0, cfg.n_periods, force_state)
+        spec = SystemConfig.noise_spec
+
+        def hotter(self, r, n_samples):
+            s = spec(self, r, n_samples)
+            return dataclasses.replace(s, psd_level=4 * s.psd_level)
+
+        monkeypatch.setattr(SystemConfig, "noise_spec", hotter)
+        after = _simulate_chunk(cfg, 0, cfg.n_periods, force_state)
+        assert np.array_equal(after["bits"], before["bits"])
+        for name in ("msv", "msi"):
+            assert np.array_equal(after[name], 4 * before[name]), name
 
 
 def window_gram(cfg):
@@ -899,6 +935,66 @@ class TestQuadraticFormOracle:
             }
             for name in ("msv", "msi") if reading is None else (reading,):
                 assert got[name][j] == pytest.approx(expected[name], rel=1e-12, abs=0), (j, name)
+
+
+class TestStage:
+    """``_stage`` alone, fed normals and bits with no draw loop, against quadratic forms zᵀGz."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        oversample=st.sampled_from([2, 4]),  # oversample 2 puts the Nyquist bin in band
+        name=st.sampled_from(["msv", "msi"]),
+        k=st.integers(1, 4),
+    )
+    def test_windowed_sums_are_quadratic_forms(self, data, oversample, name, k):
+        cfg = small_config(gamma=12.0, oversample=oversample)
+        n = cfg.samples_per_period
+        rule = protocol._reading_tables(cfg, n)
+        layout, q, tables = rule
+        assert layout.nyquist is (oversample == 2)
+        normal = st.floats(-8.0, 8.0, width=64)
+        z = data.draw(arrays(np.float64, (k, 2, layout.n_normals), elements=normal))
+        bits = data.draw(arrays(np.int8, (k, 2), elements=st.integers(0, 1)))
+        out = np.empty(k)
+        protocol._stage(np.zeros((k, n // 2 + 1), dtype=complex), z, *bits.T, rule, name, out)
+
+        gram = window_gram(cfg)
+        width = len(range(n)[measurement_slice(n)])
+        top = np.linalg.eigvalsh(gram).max()
+        _, rho, rho_nyquist = tables[name]
+        for j, (a, b) in enumerate(bits.tolist()):
+            # w: the reading's combination of each normal, in units of amp. The gram scales the Nyquist
+            # normal by √2 where the stage scales it by q_a, and its irfft takes the 1/n that the stage
+            # leaves to its caller
+            gain = np.full(layout.n_normals, rho[a, b])
+            weight = np.ones(layout.n_normals)
+            if layout.nyquist:
+                gain[0], weight[0] = rho_nyquist[a, b], q[a] / math.sqrt(2.0)
+            w = (z[j, 0] + gain * z[j, 1]) * weight
+            expected = n**2 * width * (w @ gram @ w)
+            assert out[j] == pytest.approx(expected, rel=1e-12, abs=1e-12 * n**2 * width * top * (w @ w)), j
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        oversample=st.sampled_from([2, 3, 4]),
+        name=st.sampled_from(["msv", "msi"]),
+        bit=st.integers(0, 1),
+        k=st.integers(1, 4),
+    )
+    def test_shared_int_bit_matches_the_array_path(self, seed, oversample, name, bit, k):
+        """One int bit for both parties (the one-pass sum) writes the bytes of per-period bit arrays."""
+        cfg = small_config(gamma=12.0, oversample=oversample)
+        n = cfg.samples_per_period
+        rule = protocol._reading_tables(cfg, n)
+        z = np.random.default_rng(seed).standard_normal((k, 2, rule[0].n_normals))
+        got = []
+        for a in (bit, np.full(k, bit, dtype=np.int8)):
+            out = np.empty(k)
+            protocol._stage(np.zeros((k, n // 2 + 1), dtype=complex), z, a, a, rule, name, out)
+            got.append(out.tobytes())
+        assert got[0] == got[1]
 
 
 class TestDrawBits:
