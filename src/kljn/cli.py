@@ -70,10 +70,10 @@ def cmd_levels(args) -> str:
     levels = config.levels()
     n_cal = args.samples
     rule = _reading_tables(config, n_cal)
-    n_normals = rule[0].n_normals
+    layout = rule[0]
     rng = rng_for_period(config.master_seed, 0)
-    # one spectrum for every reading: each fill writes the same slots, and the other bins stay zero
-    spectrum = np.zeros(n_cal // 2 + 1, dtype=complex)
+    # one spectrum for every reading, up to the band's top bin: each fill writes the same slots, and DC stays zero
+    spectrum = np.zeros(layout.n_band + 1 + layout.nyquist, dtype=complex)
     lines = [
         f"# config_hash={config.config_hash()}",
         f"k = {_fmt(consts.k)} J/K   T_eff = {_fmt(consts.t_eff)} K   4kT_eff = {_fmt(consts.four_kt)}",
@@ -83,7 +83,7 @@ def cmd_levels(args) -> str:
     ]
     for state, bits in (("00", (0, 0)), ("0110", (0, 1)), ("11", (1, 1))):
         # Alice's normals, then Bob's, drawn state by state in that order from the one stream
-        z = rng.standard_normal((2, n_normals))
+        z = rng.standard_normal((2, layout.n_normals))
         emp_v, emp_i = [_whole_mean_square(spectrum, z, bits, rule, name) for name in ("msv", "msi")]
         del z  # freed before the next state's normals are drawn
         th_v = levels.voltage_for(state)

@@ -10,7 +10,6 @@ import hashlib
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
-from decimal import Decimal
 from functools import cached_property
 
 from .analytic import ThresholdFractions
@@ -151,6 +150,7 @@ def _shown(n: int) -> int | str:
     try:
         return f"{n:.6g}"
     except OverflowError:  # beyond float64 too
+        from decimal import Decimal  # imported here: no other config needs it, and it costs start-up
         return format(Decimal(n).normalize(), ".6g")
 
 

@@ -1,4 +1,4 @@
-"""Band-limited Gaussian noise synthesis and spectrum estimation.
+"""Band-limited Gaussian noise: per-period random streams, synthesis and spectrum estimation.
 
 The noise generators emulate enhanced Johnson noise: zero-mean Gaussian,
 flat one-sided power spectral density up to a hard bandwidth limit, and
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -99,7 +99,8 @@ class NoiseSpec:
     def slots(self, coeffs: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
         """Float64 views ``(nyquist, in_band)`` of the slots that a synthesis fills in complex ``coeffs``.
 
-        ``coeffs`` is C-contiguous. ``nyquist`` is the Nyquist bin's real part,
+        ``coeffs`` is C-contiguous and reaches at least the band's top bin,
+        with the Nyquist bin, if any, last. ``nyquist`` is that bin's real part,
         or None when the band has none; ``in_band`` is the interleaved (real,
         imaginary) parts of bins 1..n_band, which take the in-band normals in
         their drawn order, so no complex temporary is built.
@@ -123,22 +124,38 @@ def rng_for_period(master_seed: int, period_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_period_key(master_seed, period_index)))
 
 
-def period_streams(master_seed: int, period_indices) -> Iterator[np.random.Generator]:
-    """The streams of ``rng_for_period`` for each index in turn, from one generator.
+def draw_periods(
+    master_seed: int, start: int, stop: int, force_state: Optional[str], normals: np.ndarray, bits: np.ndarray
+) -> Iterator[tuple]:
+    """Draw periods [start, stop), with start < stop, from their ``rng_for_period`` streams a block at a time.
 
-    One Philox is re-keyed per period (fresh counter and empty buffers), which
-    is several times cheaper than constructing one. The same generator object
-    is yielded every time, so each stream must be drawn from before the next
-    is requested.
+    ``normals`` has shape ``(block, 2, n_normals)`` and ``bits``, int8,
+    ``(stop - start, 2)``. Each period draws its bits, then Alice's and
+    Bob's normals as one row of ``normals``. Random or ``0110`` bits come
+    from one raw word: a range-2 ``Generator.integers`` draw is the top bit
+    of one ``next_uint32``, and Philox's ``next_uint32`` returns the low half
+    of a 64-bit word, then its high half, so two such draws give bit 31
+    (Alice) and bit 63 (Bob); ``0110`` draws Alice's bit alone and Bob takes
+    the other. Forced ``00``/``11`` periods draw no word, and every row of
+    ``bits`` is set once.
 
-    The re-key state holds plain Python ints, not the uint64 arrays that the
-    ``state`` getter returns: the setter converts each of its ten values to a
-    C integer, and reading them from ints is 2-3x faster than indexing
-    arrays, while it sets the same state.
+    For each block of up to ``block`` periods, the generator fills
+    ``normals[:k]`` and ``bits[lo : lo + k]`` and yields ``(lo, k, a, b)``:
+    the block's first period is ``start + lo``, and a and b are its bits,
+    arrays of ``k`` or, in a forced chunk, one int. The rows of ``normals``
+    are overwritten by the next block, so the caller must be done with them
+    before it resumes the generator.
+
+    One Philox is re-keyed per period (fresh counter and empty buffers),
+    which is several times cheaper than constructing one. The re-key state
+    holds plain Python ints: the setter converts each of its ten values to a
+    C integer, and reading them from ints is 2-3x faster than indexing the
+    uint64 arrays that the ``state`` getter returns, while it sets the same
+    state.
     """
-    bit_generator = np.random.Philox(key=_period_key(master_seed, 0))
-    rng = np.random.Generator(bit_generator)
-    key = [int(master_seed), 0]
+    bit_generator = np.random.Philox(key=_period_key(master_seed, start))
+    random_raw, standard_normal = bit_generator.random_raw, np.random.Generator(bit_generator).standard_normal
+    key = [int(master_seed), start]
     state = {
         "bit_generator": "Philox",
         "state": {"counter": [0, 0, 0, 0], "key": key},
@@ -147,10 +164,27 @@ def period_streams(master_seed: int, period_indices) -> Iterator[np.random.Gener
         "has_uint32": 0,
         "uinteger": 0,
     }
-    for index in period_indices:
-        key[1] = index
-        bit_generator.state = state
-        yield rng
+    rows = list(normals)
+    draw_word = force_state in (None, "0110")
+    if not draw_word:
+        bits[:] = int(force_state[0])
+    for lo in range(0, stop - start, len(rows)):
+        k = min(len(rows), stop - start - lo)
+        words = []
+        for period, row in enumerate(rows[:k], start + lo):
+            key[1] = period
+            bit_generator.state = state
+            if draw_word:
+                words.append(random_raw())
+            standard_normal(out=row)
+        if draw_word:
+            words = np.array(words, dtype=np.uint64)
+            block = bits[lo : lo + k]
+            block[:, 0] = (words >> 31) & 1
+            block[:, 1] = words >> 63 if force_state is None else 1 - block[:, 0]
+            yield lo, k, *block.T
+        else:
+            yield lo, k, int(force_state[0]), int(force_state[0])
 
 
 def band_coefficients(layout: NoiseSpec, normals: np.ndarray, scale, nyquist_scale) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 from .config import ConfigError, SystemConfig, _checked
 from .decision import _OUTCOME_CODE, CombinedOutcome, current_codes, interpret_arrays, voltage_codes
 from .estimator import measurement_slice
-from .noise import NoiseSpec, period_streams
+from .noise import NoiseSpec, draw_periods
 
 ACTUAL_STATES = ("00", "11", "0110")
 # working-array budget of one block of simulated periods
@@ -105,22 +105,6 @@ class SessionReport:
         return out
 
 
-def _bits_from_words(words: np.ndarray, force_state: Optional[str]) -> np.ndarray:
-    """(Alice, Bob) bits, int8 of shape ``(len(words), 2)``, from each period's first raw word.
-
-    A range-2 ``Generator.integers`` draw is the top bit of one
-    ``next_uint32``, and Philox's ``next_uint32`` returns the low half of a
-    64-bit word, then its high half. So two scalar draws give bit 31
-    (Alice) and bit 63 (Bob) of the period's first word; ``0110`` draws
-    Alice's bit alone and Bob takes the other. Forced ``00``/``11`` periods
-    draw no word (their bits are set by ``_simulate_chunk``).
-    """
-    bits = np.empty((len(words), 2), dtype=np.int8)
-    bits[:, 0] = (words >> 31) & 1
-    bits[:, 1] = words >> 63 if force_state is None else 1 - bits[:, 0]
-    return bits
-
-
 def _block_periods(n_samples: int) -> int:
     """Periods per block: as many as keep the block's working arrays within ``_BLOCK_BYTES``.
 
@@ -152,48 +136,6 @@ def _block_periods(n_samples: int) -> int:
     per_period = 2 * (8 * n + 16 * (n // 2 + 1) + 8 * n) + 2 * 8 * measured
     floor = min(_MIN_BLOCK_PERIODS, _BLOCK_BYTES // (2 * 2 * 8 * n))
     return max(1, floor, _BLOCK_BYTES // per_period)
-
-
-def _draw_blocks(
-    master_seed: int, start: int, stop: int, force_state: Optional[str], normals: np.ndarray, bits: np.ndarray
-):
-    """Draw periods [start, stop), with start < stop, a block at a time into the leading rows of ``normals``.
-
-    ``normals`` has shape ``(block, 2, n_normals)`` and ``bits``, int8,
-    ``(stop - start, 2)``. Each period draws its bits (one raw word, read by
-    ``_bits_from_words`` into its row of ``bits``; a forced 00/11 chunk's
-    rows are set once, and its periods draw none), then Alice's and Bob's
-    normals, from its own stream. For each block of up to ``block`` periods,
-    the generator fills ``normals[:k]`` and ``bits[lo : lo + k]`` and yields
-    ``(lo, k, a, b)``: the block's first period is ``start + lo``, and a and
-    b are its bits as ``_fill`` takes them (a forced chunk's one int bit).
-    The rows of ``normals`` are overwritten by the next block, so the caller
-    must be done with them before it resumes the generator.
-    """
-    count = stop - start
-    rows = list(normals)
-    draw_word = force_state in (None, "0110")
-    if not draw_word:
-        bits[:] = int(force_state[0])
-    # period_streams re-keys and yields one generator for every period, so its draws are bound
-    # once, from the stream of period start
-    streams = period_streams(master_seed, range(start, stop))
-    rng = next(streams)
-    random_raw, standard_normal = rng.bit_generator.random_raw, rng.standard_normal
-    for lo in range(0, count, len(rows)):
-        k = min(len(rows), count - lo)
-        words = []
-        for row in rows[:k]:
-            if draw_word:
-                words.append(random_raw())
-            standard_normal(out=row)
-            next(streams, None)  # the next period's stream; none after the chunk's last
-        if draw_word:
-            block = bits[lo : lo + k]
-            block[:] = _bits_from_words(np.array(words, dtype=np.uint64), force_state)
-            yield lo, k, *block.T
-        else:
-            yield lo, k, int(force_state[0]), int(force_state[0])
 
 
 def _reading_tables(config: SystemConfig, n_samples: int) -> tuple[NoiseSpec, np.ndarray, dict]:
@@ -231,11 +173,13 @@ def _fill(spectrum: np.ndarray, z: np.ndarray, a, b, rule: tuple, name: str) -> 
     """Write reading ``name``'s z_a + rho·z_b, in units of its amp, into the slots of ``spectrum``.
 
     ``rule`` is ``_reading_tables``' result, ``z`` the unit normals, shape
-    ``(..., 2, n_normals)``, and ``spectrum`` C-contiguous complex, shape
-    ``(..., n // 2 + 1)``. The bits are arrays of shape ``z.shape[:-2]`` or
-    one int per party; one int shared by both takes the one-pass sum, keyed
-    by the reading, not by rho's sign (nan where a scale overflowed). The
-    Nyquist slot, if any, takes (z_a0 + rho_nyquist·z_b0)·q_a.
+    ``(..., 2, n_normals)``, and ``spectrum`` C-contiguous complex, whose
+    bins reach at least the band's top one, with the Nyquist bin, if any,
+    last (``n // 2 + 1`` bins for an ``irfft``). The bits are arrays of
+    shape ``z.shape[:-2]`` or one int per party; one int shared by both
+    takes the one-pass sum, keyed by the reading, not by rho's sign (nan
+    where a scale overflowed). The Nyquist slot, if any, takes
+    (z_a0 + rho_nyquist·z_b0)·q_a.
     """
     layout, q, tables = rule
     _, rho, rho_nyquist = tables[name]
@@ -268,7 +212,7 @@ def _simulate_chunk(
     """Simulate periods [start, stop) of ``config.master_seed``, with start < stop; returns per-period arrays.
 
     Returns ``bits`` and both mean squares, ``msv`` and ``msi``, or only
-    ``reading``'s. The periods are drawn by ``_draw_blocks`` in blocks sized
+    ``reading``'s. The periods are drawn by ``noise.draw_periods`` in blocks sized
     by ``_block_periods``, into buffers allocated once per chunk (a partial
     last block uses their leading rows), and every step is element- or
     row-wise, so the result does not depend on the block size.
@@ -296,7 +240,7 @@ def _simulate_chunk(
     # a scale that overflowed puts nan or inf into a spectrum, and irfft would warn of it: the finiteness
     # check below refuses those periods
     with np.errstate(invalid="ignore"):
-        for lo, k, a, b in _draw_blocks(config.master_seed, start, stop, force_state, normals, bits):
+        for lo, k, a, b in draw_periods(config.master_seed, start, stop, force_state, normals, bits):
             for name, ms in sums.items():
                 _stage(spectrum[:k], normals[:k], a, b, rule, name, ms[lo : lo + k])
     for name, ms in sums.items():

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -12,7 +13,7 @@ import pytest
 from kljn import cli, protocol
 from kljn.circuit import LoopState, channel_waveforms
 from kljn.cli import main
-from kljn.config import ConfigError, load_config
+from kljn.config import ConfigError, SystemConfig, load_config
 from kljn.estimator import finite_mean_square
 from kljn.noise import rng_for_period, synth_band_limited
 
@@ -64,14 +65,41 @@ def traced_peak(argv):
             tracemalloc.stop()
 
 
+# a true level fails |z| < 4.5 with two-sided probability at most 9.2e-6 (test_levels_follow_exact_chi2_law)
+Z_GATE = 4.5
+
+
+def levels_z(capsys, tmp_path, oversample, n, seed):
+    """The z-scores of the six levels ``kljn levels`` prints, each over its theory column, against their exact law.
+
+    The law is ``test_levels_follow_exact_chi2_law``'s; values in state and
+    then voltage, current order.
+    """
+    path = tmp_path / "os.cfg"
+    path.write_text(f"oversample = {oversample}\n")
+    code, out, _ = run_cli(capsys, ["levels", "--config", str(path), "--samples", str(n), "--seed", str(seed)])
+    assert code == 0
+    config = load_config(str(path))
+    fs, band = config.sample_rate, config.b_kljn
+    freqs = np.fft.rfftfreq(n, 1 / fs)
+    in_band = (freqs > 0) & (freqs <= band * (1 + 1e-9))
+    nyq = int(n % 2 == 0 and in_band[-1])
+    dof = 2 * (int(in_band.sum()) - nyq) + nyq
+    mean = fs * dof / (2 * n * band)
+    rows = [line.split() for line in out.splitlines()[4:]]
+    ratios = np.array([[float(row[2]) / float(row[1]), float(row[5]) / float(row[4])] for row in rows])
+    return (ratios.ravel() / mean - 1) / np.sqrt(2 / dof)
+
+
 class TestLevels:
     def test_peak_memory_bounded_by_signal_size(self, tmp_path):
         # one state's normals (half a signal each at oversample 4), the one spectrum the readings are
-        # filled into and one reading's squared in-band slots, and no wave: 2.50 signal sizes measured
+        # filled into, cut after the band's top bin, and one reading's squared in-band slots (half a
+        # signal each), and no wave: 2.00 signal sizes measured
         n = 2**20
         code, peak = traced_peak(["levels", "--samples", str(n), "--out", str(tmp_path / "l.txt")])
         assert code == 0
-        assert peak <= 3 * 8 * n, f"peak {peak / (8 * n):.2f}x the signal's bytes"
+        assert peak <= 2.25 * 8 * n, f"peak {peak / (8 * n):.2f}x the signal's bytes"
 
     @pytest.mark.parametrize("n", [4, 4097, 65536], ids=["shortest", "odd", "even"])
     @pytest.mark.parametrize("config_text", ["", "oversample = 2\nt_eff = 1e18\n"], ids=["oversample-4", "nyquist-si"])
@@ -99,6 +127,47 @@ class TestLevels:
             u_b = synth_band_limited(config.noise_spec(loop.r_bob, n), rng)
             expected = [finite_mean_square(w) for w in channel_waveforms(u_a, u_b, loop.r_alice, loop.r_bob)]
             np.testing.assert_allclose([float(row[2]), float(row[5])], expected, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("n", [4097, 65536, 262143, 2**20])
+    @pytest.mark.parametrize("oversample", [2, 3, 4])
+    def test_levels_follow_exact_chi2_law(self, capsys, tmp_path, oversample, n):
+        """Every printed level over its theory column lies within 4.5 SD of its exact law, at seeds 1-4.
+
+        A state's wave has independent Gaussian parts of equal variance in its
+        K in-band bins (two each) and its in-band Nyquist bin (one, nyq = 1),
+        so its mean square over its theory level is a scaled chi-square
+        on 2K + nyq degrees of freedom: mean fs·(2K + nyq)/(2·n·B), relative
+        SD sqrt(2/(2K + nyq)). K and nyq are counted from ``np.fft.rfftfreq``.
+        With at least 2048 degrees of freedom here, a true value fails the
+        gate with two-sided probability at most 9.2e-6 (chi-square tails), so
+        the 24 values of one case at most 2.2e-4 and all 288 at most 2.7e-3,
+        by the union bound.
+        """
+        for seed in range(1, 5):
+            z = levels_z(capsys, tmp_path, oversample, n, seed)
+            assert np.abs(z).max() < Z_GATE, f"seed {seed}: z = {np.round(z, 2).tolist()}"
+
+    @pytest.mark.parametrize("mutant", ["level", "band"])
+    def test_exact_level_gate_catches_2pct_mutants(self, capsys, monkeypatch, tmp_path, mutant):
+        """At 2**20 samples (oversample 4, SD 0.2%), one level 2% high, or a band 2% wide at the same PSD,
+        moves a printed level more than 8 SD."""
+        if mutant == "level":
+            original, calls = cli._whole_mean_square, []
+
+            def high(*args):  # the 0110 voltage
+                calls.append(None)
+                return original(*args) * (1.02 if len(calls) == 3 else 1.0)
+
+            monkeypatch.setattr(cli, "_whole_mean_square", high)
+        else:
+            spec = SystemConfig.noise_spec
+            monkeypatch.setattr(
+                SystemConfig,
+                "noise_spec",
+                lambda self, r, n: dataclasses.replace(spec(self, r, n), bandwidth=self.b_kljn * 1.02),
+            )
+        z = levels_z(capsys, tmp_path, 4, 2**20, 1)
+        assert np.abs(z).max() > 8, np.round(z, 2).tolist()
 
     def test_reference_levels_in_output(self, capsys, fast_config):
         code, out, _ = run_cli(capsys, ["levels", "--config", fast_config, "--samples", "65536"])

@@ -202,9 +202,11 @@ def test_cli_import_defers_scipy_signal():
 
 def test_cli_import_defers_process_pool():
     # only the worker processes of run_session and error_rate need multiprocessing, and only the helper thread of
-    # periodogram needs concurrent.futures, which loads logging: importing them costs every command's start-up
-    modules = ["concurrent.futures", "concurrent.futures.process", "logging", "multiprocessing"]
-    assert _loaded_after("import kljn.cli", modules) == "[]"
+    # periodogram needs concurrent.futures, which loads logging; only a refusal of a number beyond float64 needs
+    # decimal: importing them costs every command's start-up
+    modules = ["concurrent.futures", "concurrent.futures.process", "decimal", "logging", "multiprocessing"]
+    code = "import kljn.cli; from kljn.config import parse_config; parse_config('gamma = 30\\nn_periods = 10\\n')"
+    assert _loaded_after(code, modules) == "[]"
 
 
 def test_run_never_imports_scipy_signal(tmp_path):

@@ -14,11 +14,11 @@ from kljn import noise
 from kljn.noise import (
     NoiseSpec,
     band_coefficients,
-    period_streams,
     periodogram,
     rng_for_period,
     synth_band_limited,
 )
+from streams import drawn_periods
 
 
 def make(psd=1.0, bw=1.0, fs=4.0, n=2**16, seed=0):
@@ -222,39 +222,22 @@ class TestBandBins:
 class TestPeriodStreams:
     @settings(deadline=None)
     @given(
+        data=st.data(),
         master_seed=st.integers(0, 2**64 - 1),
-        periods=st.lists(
-            st.tuples(
-                st.integers(0, 2**64 - 1),
-                # what the previous stream was left with: nothing, a bit drawn from a half
-                # word (has_uint32 set), or 1-3 more raw words (a partly used buffer)
-                st.one_of(st.just(0), st.just("bit"), st.integers(1, 3)),
-            ),
-            min_size=1,
-            max_size=5,
-        ),
+        start=st.integers(0, 2**64 - 1),
+        block=st.integers(1, 4),
+        force_state=st.sampled_from([None, "00", "11", "0110"]),
+        n_normals=st.integers(0, 9),
     )
-    def test_each_stream_is_rng_for_period(self, master_seed, periods):
-        streams = period_streams(master_seed, [index for index, _ in periods])
-        for (index, leftover), rng in zip(periods, streams):
-            fresh = rng_for_period(master_seed, index)
-            got, expected = rng.bit_generator.state, fresh.bit_generator.state
-            for name in ("buffer_pos", "has_uint32", "uinteger"):
-                assert got[name] == expected[name], name
-            for name in ("counter", "key"):
-                assert np.array_equal(got["state"][name], expected["state"][name]), name
-            assert rng.bit_generator.random_raw() == fresh.bit_generator.random_raw()
-            assert np.array_equal(rng.standard_normal(50), fresh.standard_normal(50))
-            if leftover == "bit":
-                rng.integers(0, 2)
-            else:
-                rng.bit_generator.random_raw(leftover)
-
-    def test_yields_one_generator(self):
-        """The kernel binds its draws once per chunk, so every period's stream must be the same object."""
-        streams = period_streams(7, range(5))
-        first = next(streams)
-        assert all(rng is first for rng in streams)
+    def test_each_stream_is_rng_for_period(self, data, master_seed, start, block, force_state, n_normals):
+        """Each period's word (none when forced 00/11), then Alice's and Bob's normals, come from its own stream."""
+        stop = data.draw(st.integers(start + 1, min(start + 6, 2**64)), label="stop")
+        periods = drawn_periods(master_seed, start, stop, force_state, block, n_normals)
+        for period, (_, normals) in enumerate(periods, start):
+            fresh = rng_for_period(master_seed, period)
+            if force_state not in ("00", "11"):
+                fresh.bit_generator.random_raw()  # the word the bits are read from
+            assert np.array_equal(normals, fresh.standard_normal((2, n_normals)))
 
 
 class TestBandCoefficients:

@@ -39,7 +39,6 @@ from kljn.protocol import (
     ACTUAL_STATES,
     RateEstimate,
     WorkerExited,
-    _bits_from_words,
     _simulate_chunk,
     error_rate,
     extract_key,
@@ -48,6 +47,7 @@ from kljn.protocol import (
     wilson_interval,
 )
 from moments import msq_correlation
+from streams import drawn_periods
 
 OUTCOMES = tuple(CombinedOutcome)
 
@@ -998,28 +998,33 @@ class TestStage:
 
 
 class TestDrawBits:
+    @settings(deadline=None)
     @given(
+        data=st.data(),
         master_seed=st.integers(0, 2**64 - 1),
-        index=st.integers(0, 2**64 - 1),
-        force_state=st.sampled_from([None, "0110"]),
+        start=st.integers(0, 2**64 - 1),
+        block=st.integers(1, 4),
+        force_state=st.sampled_from([None, "00", "11", "0110"]),
         n_normals=st.integers(0, 9),
     )
-    def test_raw_word_matches_integer_draws(self, master_seed, index, force_state, n_normals):
-        got = rng_for_period(master_seed, index)
-        vector = rng_for_period(master_seed, index)
-        scalar = rng_for_period(master_seed, index)
-        word = np.array([got.bit_generator.random_raw()], dtype=np.uint64)
-        bits = tuple(_bits_from_words(word, force_state)[0].tolist())
-        alice, bob = reference_draw_bits(vector)
-        a = int(scalar.integers(0, 2))
-        if force_state is None:
-            assert bits == (alice, bob) == (a, int(scalar.integers(0, 2)))
-        else:
-            assert bits == (alice, 1 - alice) == (a, 1 - a)
-        # the streams stay in step for the normals drawn after the bits
-        normals = got.standard_normal(n_normals)
-        assert np.array_equal(normals, vector.standard_normal(n_normals))
-        assert np.array_equal(normals, scalar.standard_normal(n_normals))
+    def test_raw_word_matches_integer_draws(self, data, master_seed, start, block, force_state, n_normals):
+        """Each period's bits are two ``integers(0, 2)`` draws of its stream, or Alice's and its complement for
+        0110, and its normals that stream's next draws."""
+        stop = data.draw(st.integers(start + 1, min(start + 6, 2**64)), label="stop")
+        periods = drawn_periods(master_seed, start, stop, force_state, block, n_normals)
+        for period, (bits, normals) in enumerate(periods, start):
+            vector, scalar = rng_for_period(master_seed, period), rng_for_period(master_seed, period)
+            if force_state is None:
+                expected = (int(scalar.integers(0, 2)), int(scalar.integers(0, 2)))
+            elif force_state == "0110":
+                a = int(scalar.integers(0, 2))
+                expected = (a, 1 - a)
+            else:
+                expected = (int(force_state[0]),) * 2
+            assert bits == expected == reference_period_bits(vector, force_state)
+            # the streams stay in step for the normals drawn after the bits
+            for rng in (scalar, vector):
+                assert np.array_equal(normals, rng.standard_normal((2, n_normals)))
 
     @settings(max_examples=30, deadline=None)
     @given(
