@@ -247,12 +247,7 @@ def periodogram(samples: np.ndarray, sample_rate: float, n_bins: int) -> tuple[n
     1..n_bins - 1 of the table are doubled; the density is the table's mean
     along its contiguous segment axis (numpy's pairwise sum: a plain running
     sum over segments moves the last digits). Segments are transformed in
-    chunks of about ``_CHUNK_SAMPLES`` samples, which changes no value. With
-    two or more chunks, a helper thread transforms the chunks after the
-    middle chunk boundary, under the caller's ``np.geterr()``, while the
-    caller transforms those before it; each fills its own columns of the
-    table, and the doubling and the mean stay whole-table calls on the
-    caller, so no value changes either.
+    chunks of about ``_CHUNK_SAMPLES`` samples, which changes no value.
 
     Returns (frequencies, density), each of length n_bins + 1.
     """
@@ -268,29 +263,10 @@ def periodogram(samples: np.ndarray, sample_rate: float, n_bins: int) -> tuple[n
     window = 1 / np.sqrt(length / (1 / sample_rate))
     power = np.empty((n_bins + 1, n_seg))
     step = max(1, _CHUNK_SAMPLES // length)
-    # a new thread does not inherit np.errstate: without this, an overflow that the caller asked to
-    # raise would pass silently on the helper
-    errors = np.geterr()
-
-    def fill(start, stop):
-        with np.errstate(**errors):
-            for first in range(start, stop, step):
-                last = min(first + step, stop)
-                segments = samples[first * length : last * length].reshape(-1, length)
-                spectrum = np.fft.rfft(segments * window, axis=-1)
-                power[:, first:last] = (spectrum.real**2 + spectrum.imag**2).T
-
-    n_chunks = -(-n_seg // step)
-    if n_chunks < 2:
-        fill(0, n_seg)
-    else:
-        # imported here: concurrent.futures pulls in logging, which a single-threaded call never needs
-        from concurrent.futures import ThreadPoolExecutor
-
-        split = n_chunks // 2 * step
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            second_half = pool.submit(fill, split, n_seg)
-            fill(0, split)
-            second_half.result()
+    for first in range(0, n_seg, step):
+        last = min(first + step, n_seg)
+        segments = samples[first * length : last * length].reshape(-1, length)
+        spectrum = np.fft.rfft(segments * window, axis=-1)
+        power[:, first:last] = (spectrum.real**2 + spectrum.imag**2).T
     power[1:-1] *= 2
     return np.fft.rfftfreq(length, 1 / sample_rate), power.mean(axis=-1)

@@ -11,7 +11,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency, power_divergence
 
+from kljn import protocol
 from kljn.analytic import (
     SQRT3,
     epsilon_combined,
@@ -37,7 +39,7 @@ from kljn.estimator import (
     squared_noise_psd_theory,
 )
 from kljn.noise import NoiseSpec, periodogram, rng_for_period, synth_band_limited
-from kljn.protocol import error_rate, extract_key, run_session
+from kljn.protocol import ACTUAL_STATES, error_rate, extract_key, run_session
 from moments import msq_correlation
 
 NORM = PhysicsConstants.normalized()
@@ -352,6 +354,83 @@ def test_criterion_08_independence_and_product_law():
         f"msv/msi correlation {corr:+.1e} ~ 0 and combined rate {p_comb:.2e} "
         f"matches single-mode product {product:.2e}",
     )
+
+
+# forced 00 and 11 periods of one seed draw the same normals, so each state has its own seed
+INDEPENDENCE_GATE_SEEDS = {"00": 11, "11": 12, "0110": 13}
+# a table whose law holds fails with probability 1e-5 (chi-square approximation of the statistic): at most
+# 3e-5 over the three tables, by the union bound
+P_GATE = 1e-5
+
+
+def secure_table(state, workers=2):
+    """Counts [[both secure, voltage only], [current only, neither]] of forced ``state`` periods.
+
+    The physics is ``EXACT_GATE_CONFIG``'s, at the state's own seed. A
+    reading that is not secure is pooled into one row or column: in forced
+    00 and 11 a reading never reads the other equal state, and in 0110 the
+    voltage reads only 00 and the current only 11. Both readings are secure
+    in exactly the periods kept as secure.
+    """
+    cfg = dataclasses.replace(EXACT_GATE_CONFIG, master_seed=INDEPENDENCE_GATE_SEEDS[state])
+    report = run_session(cfg, force_state=state, workers=workers)
+    a = ACTUAL_STATES.index(state)
+    v, i = report.confusion_v[a], report.confusion_i[a]
+    if state == "0110":
+        assert v[1] == i[0] == 0
+    else:
+        assert v[1 - a] == i[1 - a] == 0
+    n, k_v, k_i = sum(v), v[2], i[2]
+    k_vi = report.combined_counts[state][CombinedOutcome.KEEP_SECURE.value]
+    return np.array([[k_vi, k_v - k_vi], [k_i - k_vi, n - k_v - k_i + k_vi]])
+
+
+def product_divergence(state, workers=2):
+    """The table of ``secure_table`` and its Cressie-Read statistic and p-value against the exact product law.
+
+    The expected table is n·p_v·p_i with each reading's exact rate (3
+    degrees of freedom: no parameter is estimated).
+    """
+    table = secure_table(state, workers)
+    p_v, p_i = EXACT_G30["voltage", state], EXACT_G30["current", state]
+    expected = table.sum() * np.outer([p_v, 1 - p_v], [p_i, 1 - p_i])
+    stat, p = power_divergence(table.ravel(), expected.ravel(), lambda_="cressie-read")
+    return table, stat, p
+
+
+@pytest.mark.parametrize("state", ["00", "11"])
+def test_criterion_08_secure_table_is_exact_product(state):
+    """A forced state's 2x2 table of (voltage secure, current secure) is the exact product multinomial.
+
+    In a state of equal resistors the voltage reads z_a + z_b and the
+    current z_a - z_b, which are independent, so the joint law is the
+    product of the exact single-reading rates. Power-divergence statistic
+    with λ = 2/3 (Read & Cressie 1988); the gate refuses at p < 1e-5.
+    """
+    table, stat, p = product_divergence(state)
+    assert p >= P_GATE, f"{state}: {table.tolist()} reads {stat:.2f} (p = {p:.1e}) against the exact product"
+    announce(8, f"forced {state} reading table matches the exact product law (p = {p:.2f})")
+
+
+def test_independence_gate_catches_sign_mutant(monkeypatch):
+    """Both gates above fail on a kernel that builds the current from z_a + z_b, patched in this process.
+
+    The mutant's marginals stay exact, but its two readings are one Q: the
+    secure tails are opposite, so no period reads both secure, where about
+    67 are expected.
+    """
+    monkeypatch.setitem(protocol._EQUAL_RESISTORS, "msi", np.add)
+    for state in ("00", "11"):
+        table, stat, p = product_divergence(state, workers=1)
+        assert table[0, 0] == 0 and p < P_GATE, f"{state}: {table.tolist()} reads {stat:.2f} (p = {p:.1e})"
+
+
+def test_0110_secure_table_is_independent():
+    """In 0110 the two readings are independent too; their marginals have no exact rate here, so they are
+    estimated (1 degree of freedom), with the same statistic and gate."""
+    table = secure_table("0110")
+    stat, p, _, _ = chi2_contingency(table, correction=False, lambda_="cressie-read")
+    assert p >= P_GATE, f"0110: {table.tolist()} reads {stat:.2f} (p = {p:.1e}) against independence"
 
 
 def test_criterion_09_table_2_logic():

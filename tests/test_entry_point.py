@@ -1,7 +1,7 @@
 """The ``kljn`` console script's target, ``kljn.cli:main``, run in fresh interpreters.
 
 These are the checks an in-process ``main()`` call cannot make: output bytes where a worker
-process or a helper thread really runs, warnings as a whole process prints them, refusals
+process really runs, warnings as a whole process prints them, refusals
 bounded by a timeout, and what importing the CLI loads. No installed ``kljn`` is needed:
 the child finds the package on ``PYTHONPATH``.
 """
@@ -20,7 +20,7 @@ import kljn
 SRC = str(Path(kljn.__file__).resolve().parents[1])
 TIMEOUT = 30  # s: a hang fails its row instead of the suite; every row takes under 1 s on 2 cores
 MAIN = "import sys; from kljn.cli import main; sys.exit(main())"
-# the child pins itself before main starts a helper thread or worker process, so these inherit it
+# the child pins itself before main starts a worker process, so these inherit it
 ONE_CPU = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
 # worker processes started as Python 3.14 starts them on Linux: from a server process, which
 # imports kljn afresh and receives each share's arguments pickled, as spawn (macOS) does too
@@ -84,9 +84,9 @@ LEVELS = ("levels", "--samples", "65536")
             kljn_cli(*SWEEP_CURRENT, "--workers", "2"),
             kljn_cli(*SWEEP_CURRENT, "--workers", "2", forkserver=True),
         ],
-        # half of the periodogram segments run on a helper thread, which interleaves differently
-        # from run to run, and again on one CPU; numpy 1.22 keeps its floating-point error state
-        # per thread, not in a contextvar: the helper must still see the caller's
+        # spectra's periodogram transforms its five chunks on the calling thread and starts no
+        # other; the row, under its old id, still checks its bytes across fresh processes and on
+        # one CPU
         [kljn_cli(*SPECTRA), kljn_cli(*SPECTRA), kljn_cli(*SPECTRA, one_cpu=True)],
         # levels runs no thread and no inverse FFT (its mean squares come from the normals by
         # Parseval); the row, under its old id, still checks its bytes across fresh processes
@@ -201,9 +201,9 @@ def test_cli_import_defers_scipy_signal():
 
 
 def test_cli_import_defers_process_pool():
-    # only the worker processes of run_session and error_rate need multiprocessing, and only the helper thread of
-    # periodogram needs concurrent.futures, which loads logging; only a refusal of a number beyond float64 needs
-    # decimal: importing them costs every command's start-up
+    # only the worker processes of run_session and error_rate need multiprocessing, no kljn module needs
+    # concurrent.futures (which loads logging), and only a refusal of a number beyond float64 needs decimal:
+    # importing them costs every command's start-up
     modules = ["concurrent.futures", "concurrent.futures.process", "decimal", "logging", "multiprocessing"]
     code = "import kljn.cli; from kljn.config import parse_config; parse_config('gamma = 30\\nn_periods = 10\\n')"
     assert _loaded_after(code, modules) == "[]"
@@ -215,3 +215,12 @@ def test_run_never_imports_scipy_signal(tmp_path):
     code = f"from kljn.cli import main; assert main({argv!r}) == 0"
     assert _loaded_after(code, ["scipy.signal"]) == "[]"
     assert path.read_text().startswith("#")
+
+
+def test_spectra_and_levels_start_no_thread_pool(tmp_path):
+    # a periodogram of five chunks, then levels, load neither a thread pool nor the logging it pulls in
+    spectra, levels = tmp_path / "s.csv", tmp_path / "l.txt"
+    runs = [[*SPECTRA, "--out", str(spectra)], [*LEVELS, "--out", str(levels)]]
+    code = "from kljn.cli import main; " + "; ".join(f"assert main({argv!r}) == 0" for argv in runs)
+    assert _loaded_after(code, ["concurrent.futures", "logging"]) == "[]"
+    assert spectra.read_text().startswith("#") and levels.read_text()

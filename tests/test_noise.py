@@ -363,17 +363,13 @@ class TestPeriodogram:
         monkeypatch.undo()
         ref_freqs, ref_density = reference_periodogram(samples, 3.0, n_bins)
         assert freqs.tobytes() == ref_freqs.tobytes() and density.tobytes() == ref_density.tobytes()
-        n_chunks = -(-n_seg // step)
-        assert len(on) == n_chunks
-        # the caller transforms the chunks before the middle boundary, one helper those after it
-        helpers = set(on) - {caller}
-        assert on.count(caller) == (n_chunks // 2 if n_chunks > 1 else 1)
-        assert len(helpers) == (n_chunks > 1)
+        # one transform per chunk, every one on the calling thread, and no thread started
+        assert on == [caller] * -(-n_seg // step)
         assert threading.active_count() == threads
 
     def test_halves_exact_under_frequent_thread_switches(self, monkeypatch):
-        # four threads (two callers, each with its helper) on two cores, switching every
-        # microsecond: a lost or misplaced column write would change a density
+        # two concurrent callers on two cores, switching every microsecond: a power table
+        # shared between calls, or a lost or misplaced column write, would change a density
         n_bins, step = 24, 4
         monkeypatch.setattr(noise, "_CHUNK_SAMPLES", step * 2 * n_bins)
         signals = [np.random.default_rng(seed).standard_normal(9 * 2 * n_bins * step + 5) for seed in (1, 2)]
@@ -402,11 +398,12 @@ class TestPeriodogram:
         assert mismatches == []
 
     def test_helper_half_keeps_the_callers_error_state(self, monkeypatch):
+        """An overflow in the last chunk raises or passes as the caller's ``np.errstate`` asks."""
         n_bins = 8
         length = 2 * n_bins
         monkeypatch.setattr(noise, "_CHUNK_SAMPLES", length)  # one segment per chunk
         samples = np.ones(4 * length)
-        samples[-1] = 1e300  # the last chunk is the helper's: its power overflows
+        samples[-1] = 1e300  # only the last chunk's power overflows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FloatingPointError), np.errstate(over="raise"):

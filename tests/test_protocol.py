@@ -466,8 +466,38 @@ def fork_children(monkeypatch):
     monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)
 
 
+def record_shares(monkeypatch):
+    """Keep every ``_Share`` the runner builds, so that a pipe it leaves open stays open to be seen.
+
+    Without this reference the last ``Connection`` to an unclosed reader is freed, and closed, as the
+    runner returns; a count of open file descriptors afterwards cannot tell the two apart.
+    """
+    shares = []
+
+    class Recorded(protocol._Share):
+        def __init__(self, *args):
+            super().__init__(*args)
+            shares.append(self)
+
+    monkeypatch.setattr(protocol, "_Share", Recorded)
+    return shares
+
+
+def assert_pipes_closed(shares):
+    assert shares and [share._reader.closed for share in shares] == [True] * len(shares)
+
+
 class TestShareRunner:
-    """Child processes that fail: the call raises, and no process outlives it."""
+    """Child processes that succeed or fail: the call returns or raises, and no process or pipe outlives it."""
+
+    def test_every_share_closes_its_pipe(self, monkeypatch):
+        shares = record_shares(monkeypatch)
+        monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)
+        config = small_config(n_periods=20)
+        run_session(config, workers=2)
+        error_rate(config, "current", "11", workers=2)
+        assert len(shares) == 2
+        assert_pipes_closed(shares)
 
     @staticmethod
     def exit_mid_share(monkeypatch):
@@ -483,13 +513,16 @@ class TestShareRunner:
         monkeypatch.setattr(protocol, "_simulate_chunk", exits_in_child)
 
     def test_child_exit_raises(self, monkeypatch):
+        shares = record_shares(monkeypatch)
         self.exit_mid_share(monkeypatch)
         with pytest.raises(WorkerExited, match="exited with code 7 before sending its share"):
             run_session(small_config(n_periods=20), workers=2)
         assert multiprocessing.active_children() == []
+        assert_pipes_closed(shares)
         assert issubclass(WorkerExited, OSError)  # so the CLI reads it as a runtime failure
 
     def test_child_exit_is_cli_runtime_error(self, monkeypatch, capsys, tmp_path):
+        shares = record_shares(monkeypatch)
         self.exit_mid_share(monkeypatch)
         path = tmp_path / "run.cfg"
         path.write_text("n_periods = 20\n")
@@ -498,6 +531,7 @@ class TestShareRunner:
         assert code == 3
         assert out.out == "" and out.err.startswith("runtime error: a worker process exited with code 7")
         assert multiprocessing.active_children() == []
+        assert_pipes_closed(shares)
 
     def test_child_exception_reraised(self, monkeypatch):
         # a current-mode rate runs one-reading chunks in every share
@@ -507,11 +541,13 @@ class TestShareRunner:
                 raise MemoryError(f"share from {start} failed")
             return _simulate_chunk(config, start, stop, force_state, reading)
 
+        shares = record_shares(monkeypatch)
         fork_children(monkeypatch)
         monkeypatch.setattr(protocol, "_simulate_chunk", fails)
         with pytest.raises(MemoryError, match="share from 10 failed"):
             error_rate(small_config(n_periods=20), "current", "11", workers=2)
         assert multiprocessing.active_children() == []
+        assert_pipes_closed(shares)
 
 
 class TestErrorRate:
