@@ -15,9 +15,6 @@ from .circuit import (
     LoopState,
     PhysicsConstants,
     ResistorSet,
-    channel_current,
-    channel_voltage,
-    channel_waveforms,
     generator_psd,
     theoretical_levels,
 )
@@ -28,18 +25,14 @@ from .decision import (
     EmptySecureBandError,
     Interpretation,
     combine,
-    interpret_current,
-    interpret_voltage,
     make_bands,
 )
 from .estimator import (
     AveragingWindow,
     averaged_fluctuation_rms,
-    finite_mean_square,
-    measure_period,
     squared_noise_psd_theory,
 )
-from .noise import NoiseSpec, periodogram, rng_for_period, synth_band_limited
+from .noise import NoiseSpec, periodogram, rng_for_period
 from .protocol import (
     RateEstimate,
     SessionReport,

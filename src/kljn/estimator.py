@@ -52,13 +52,6 @@ class AveragingWindow:
         return self.bandwidth / self.gamma
 
 
-def finite_mean_square(x: np.ndarray):
-    """Arithmetic mean of the squared samples along the last axis."""
-    if x.shape[-1] == 0:
-        raise ValueError("no samples to average")
-    return np.mean(np.square(x), axis=-1)
-
-
 def measurement_slice(n_samples: int) -> slice:
     """Index range of the samples entering the per-period measurement.
 
@@ -76,8 +69,10 @@ def measure_period(u_c: np.ndarray, i_c: np.ndarray) -> tuple[float, float]:
     """Mean squares (msv, msi) of one period's channel voltage and current over its trailing half."""
     if len(u_c) != len(i_c):
         raise ValueError(f"length mismatch: {len(u_c)} vs {len(i_c)}")
+    if not len(u_c):
+        raise ValueError("no samples to average")
     sl = measurement_slice(len(u_c))
-    return float(finite_mean_square(u_c[sl])), float(finite_mean_square(i_c[sl]))
+    return float(np.mean(np.square(u_c[sl]), axis=-1)), float(np.mean(np.square(i_c[sl]), axis=-1))
 
 
 def squared_noise_psd_theory(f, s_level: float, bandwidth: float):

@@ -187,18 +187,18 @@ def draw_periods(
             yield lo, k, int(force_state[0]), int(force_state[0])
 
 
-def band_coefficients(layout: NoiseSpec, normals: np.ndarray, scale, nyquist_scale) -> np.ndarray:
+def band_coefficients(layout: NoiseSpec, normals: np.ndarray, scale: float, nyquist_scale: float) -> np.ndarray:
     """rfft coefficients, shape ``(..., n_samples // 2 + 1)``, from normals laid out as ``layout``'s bins.
 
-    ``normals`` has shape ``(..., layout.n_normals)``; ``scale`` and
-    ``nyquist_scale`` are scalars or arrays of shape ``normals.shape[:-1]``,
-    so that rows of one layout may take the scales of different specs.
+    ``normals`` has shape ``(..., layout.n_normals)``; every in-band part is
+    one normal times ``scale``, and the Nyquist coefficient, if any, its
+    normal times ``nyquist_scale``.
     """
     coeffs = np.zeros(normals.shape[:-1] + (layout.n_samples // 2 + 1,), dtype=complex)
     nyquist, in_band = layout.slots(coeffs)
     if nyquist is not None:
         np.multiply(normals[..., 0], nyquist_scale, out=nyquist)
-    np.multiply(normals[..., int(layout.nyquist) :], np.asarray(scale)[..., None], out=in_band)
+    np.multiply(normals[..., int(layout.nyquist) :], scale, out=in_band)
     return coeffs
 
 
@@ -211,15 +211,8 @@ def synth_band_limited(spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
     to psd_level * bandwidth. Returns the ``spec.n_samples`` samples as a
     float64 array; raises ValueError when the noise level overflows float64.
     """
-    return _samples(_coefficients(spec, rng), spec.n_samples)
-
-
-def _coefficients(spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
-    return band_coefficients(spec, rng.standard_normal(spec.n_normals), spec.scale, spec.nyquist_scale)
-
-
-def _samples(coeffs: np.ndarray, n_samples: int) -> np.ndarray:
-    samples = np.fft.irfft(coeffs, n=n_samples)
+    coeffs = band_coefficients(spec, rng.standard_normal(spec.n_normals), spec.scale, spec.nyquist_scale)
+    samples = np.fft.irfft(coeffs, n=spec.n_samples)
     # min and max carry a NaN through and show an infinity, without an n-byte mask
     if not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
         raise ValueError("non-finite noise samples: the noise level overflows float64")

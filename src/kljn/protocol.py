@@ -110,10 +110,16 @@ def _block_periods(n_samples: int) -> int:
 
     The budget counts per period and party at most ``n_samples`` normals
     (fewer unless oversample is 2), a spectrum row and its inverse-FFT
-    samples, and per period a half-window wave and its square: the count
-    the block sizes below were measured with. ``_simulate_chunk`` holds
-    less, one spectrum row and one reading's samples per period at a time
-    and no wave. At least one period runs per block.
+    samples, and per period a half-window wave and its square: 6752, 22432
+    and 224032 bytes per period at gamma = 30, 100 and 1000 (oversample 4),
+    the count the block sizes below were measured with. ``_simulate_chunk``
+    holds less: per period both parties' normals, one spectrum row and one
+    reading's inverse-FFT samples, 16*n_normals + 16*(n/2 + 1) + 8*n bytes
+    (2896, 9616 and 96016), and no wave. So its blocks of 155, 46 and 8
+    periods hold about 449, 442 and 768 kB, not 1 MiB. Counting only what
+    the chunk holds (blocks of 362, 109 and 10 periods) ran no faster and
+    raised a two-worker sweep's peak RSS at gamma = 1000, so the count stays.
+    At least one period runs per block.
 
     The budget is 1 MiB so that a block's working set stays in one core's
     L2 (2 MiB per core on the 2-core Xeon it was measured on) while every
@@ -145,7 +151,7 @@ def _reading_tables(config: SystemConfig, n_samples: int) -> tuple[NoiseSpec, np
     The loop law's gains of Alice's and Bob's generators are
     g_a = R_B/(R_A+R_B) and g_b = R_A/(R_A+R_B) for the channel voltage,
     g_a = 1/(R_A+R_B) and g_b = -g_a for the loop current (as in
-    ``circuit.channel_voltage`` and ``channel_current``). With s a bit's
+    ``circuit.channel_waveforms``). With s a bit's
     in-band scale and q its Nyquist scale over s, amp = g_a·s_a,
     rho = g_b·s_b/amp and rho_nyquist = rho·(q_b/q_a).
 

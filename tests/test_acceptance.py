@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.stats import chi2_contingency, power_divergence
 
 from kljn import protocol
@@ -150,7 +151,8 @@ def test_criterion_06_monte_carlo_vs_analytic():
 
 # Exact tail probabilities of the windowed current mean square at alpha = 100,
 # gamma = 30 and threshold fraction 0.5 (Imhof's integral over the window's
-# eigenvalues): 00 reads secure on the lower tail, 11 on the upper tail.
+# eigenvalues, test_exact_rates_from_the_window_eigenvalues): 00 reads secure
+# on the lower tail, 11 on the upper tail.
 EXACT_I_00_G30 = 9.135e-3
 EXACT_I_11_G30 = 3.685e-2
 
@@ -239,25 +241,34 @@ MOMENT_GATE_PERIODS = 2 * 10**4
 MOMENT_GATE_SEEDS = {"00": 1, "11": 2}
 
 
-def window_cumulants(gamma, oversample):
-    """Cumulants κ2 = Var Q = 2Σλ̂² and κ4 = 48Σλ̂⁴ of Q, a period's windowed mean square over its level.
+def window_toeplitz(gamma, oversample):
+    """The window's covariance over N_w·c(0), whose eigenvalues are the λ̂ of Q = Σλ̂_k χ²₁.
 
-    λ̂ are the eigenvalues of the window's covariance over N_w·c(0), for a
-    period of n = oversample·γ samples whose band fills bins 1..n/oversample
-    (no Nyquist bin) and a window of its trailing N_w = n/2 samples. The
-    band's periodic autocorrelation is c(d) = Σ_k cos(2πkd/n), so Σλ̂² is the
-    lag sum Σ_{|d|<N_w} (N_w - |d|)·c(d)² / (N_w·c(0))², and Σλ̂⁴ the squared
-    Frobenius norm of the square of the window's normalized Toeplitz matrix.
-    The period comes from γ and oversample, not from the config, so a kernel
-    whose period or band is off does not move the prediction with it.
+    Q is a period's windowed mean square over its level, for a period of
+    n = oversample·γ samples whose band fills bins 1..n/oversample (no
+    Nyquist bin) and a window of its trailing N_w = n/2 samples. The band's
+    periodic autocorrelation is c(d) = Σ_k cos(2πkd/n), so the matrix is
+    c(|i - j|) / (N_w·c(0)), of trace Σλ̂ = 1. The period comes from γ and
+    oversample, not from the config, so a kernel whose period or band is off
+    does not move the prediction with it.
     """
     n = round(oversample * gamma)
     assert n % 2 == 0 and n % oversample == 0 and oversample > 2
     n_w = n // 2
     lags = np.arange(n_w)
     c = np.cos(2 * np.pi * np.outer(lags, np.arange(1, n // oversample + 1)) / n).sum(axis=1)
-    sum_lam2 = (c[0] ** 2 * n_w + 2 * ((n_w - lags[1:]) * c[1:] ** 2).sum()) / (n_w * c[0]) ** 2
-    toeplitz = c[np.abs(lags[:, None] - lags[None, :])] / (n_w * c[0])
+    return c[np.abs(lags[:, None] - lags[None, :])] / (n_w * c[0])
+
+
+def window_cumulants(gamma, oversample):
+    """Cumulants κ2 = Var Q = 2Σλ̂² and κ4 = 48Σλ̂⁴ of Q, with λ̂ the eigenvalues of ``window_toeplitz``.
+
+    Σλ̂² is the lag sum Σ_{|d|<N_w} (N_w - |d|)·t(d)² of the matrix's first
+    row t, and Σλ̂⁴ the squared Frobenius norm of the matrix's square.
+    """
+    toeplitz = window_toeplitz(gamma, oversample)
+    t, n_w = toeplitz[0], len(toeplitz)
+    sum_lam2 = n_w * t[0] ** 2 + 2 * ((n_w - np.arange(1, n_w)) * t[1:] ** 2).sum()
     assert (toeplitz**2).sum() == pytest.approx(sum_lam2, rel=1e-12)
     return 2 * sum_lam2, 48 * ((toeplitz @ toeplitz) ** 2).sum()
 
@@ -293,6 +304,44 @@ def test_window_cumulants_gamma_30():
     assert 2 / k2 == pytest.approx(30.87, abs=0.01)
     # Σλ̂ = 1, so Σλ̂⁴ >= (Σλ̂²)³ (power means), with equality for a chi-square's equal eigenvalues
     assert 6 * k2**3 <= k4 <= 1.1 * 6 * k2**3
+
+
+def imhof_upper_tail(lam, x):
+    """P(Q > x) for Q = Σλ_k χ²₁ by Imhof's (1961) integral, with ``quad``'s error estimate of it.
+
+    P(Q > x) = 1/2 + (1/π)∫₀^∞ sin θ(u) / (u·ρ(u)) du, where
+    θ(u) = (1/2)Σ arctan(λ_k u) - xu/2 and ρ(u) = Π (1 + λ_k²u²)^(1/4).
+    """
+
+    def integrand(u):
+        theta = 0.5 * np.arctan(lam * u).sum() - 0.5 * x * u
+        rho = math.exp(0.25 * np.log1p((lam * u) ** 2).sum())
+        return math.sin(theta) / (u * rho)
+
+    value, error = quad(integrand, 0, math.inf, epsabs=1e-13, epsrel=1e-10, limit=200)
+    return 0.5 + value / math.pi, error / math.pi
+
+
+@pytest.mark.parametrize(
+    "gamma, upper_11, lower_00",
+    [(30.0, f"{EXACT_I_11_G30:.3e}", f"{EXACT_I_00_G30:.3e}"), (100.0, "8.645e-04", "6.156e-06")],
+    ids=["gamma-30", "gamma-100"],
+)
+def test_exact_rates_from_the_window_eigenvalues(gamma, upper_11, lower_00):
+    """The pinned exact current-mode rates at f = 0.5 follow from the window's eigenvalues and Imhof's integral.
+
+    In state 11 the current reads secure on Q's upper tail, Q > 1.5; in
+    state 00 on its lower tail, Q < 0.5. The eigenvalues come from
+    ``eigvalsh`` of ``window_toeplitz``, whose trace and squared sum are
+    checked against 1 and ``window_cumulants``' κ2.
+    """
+    lam = np.linalg.eigvalsh(window_toeplitz(gamma, 4))
+    assert lam.sum() == pytest.approx(1.0, rel=1e-12)
+    assert 2 * (lam**2).sum() == pytest.approx(window_cumulants(gamma, 4)[0], rel=1e-10)
+    upper, upper_error = imhof_upper_tail(lam, 1.5)
+    lower_complement, lower_error = imhof_upper_tail(lam, 0.5)
+    assert max(upper_error, lower_error) < 1e-10
+    assert (f"{upper:.3e}", f"{1 - lower_complement:.3e}") == (upper_11, lower_00)
 
 
 @pytest.mark.parametrize("state", list(MOMENT_GATE_SEEDS))

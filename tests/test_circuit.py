@@ -10,8 +10,6 @@ from kljn.circuit import (
     LoopState,
     PhysicsConstants,
     ResistorSet,
-    channel_current,
-    channel_voltage,
     channel_waveforms,
     generator_psd,
     theoretical_levels,
@@ -82,52 +80,48 @@ class TestChannelWaveforms:
             assert np.array_equal(i_c[row], i_row)
 
 
+def draw_solve_inputs(data, rows, n, per_row):
+    """Two generator waves of shape ``rows + (n,)`` and two resistances, scalars or one per row."""
+    samples = arrays(np.float64, rows + (n,), elements=st.floats(-1e6, 1e6))
+    if per_row:
+        resistances = arrays(np.float64, rows + (1,), elements=st.floats(1e-3, 1e6))
+    else:
+        resistances = st.floats(1e-3, 1e6)
+    return data.draw(samples), data.draw(samples), data.draw(resistances), data.draw(resistances)
+
+
 class TestChannelCurrent:
     @settings(deadline=None)
     @given(data=st.data(), rows=st.sampled_from([(), (1,), (3,), (2, 2)]), n=st.integers(1, 32), per_row=st.booleans())
     def test_matches_channel_waveforms(self, data, rows, n, per_row):
-        """The current-only solve is the full solve's current and (u_a - u_b) / (R_A + R_B), bit for bit."""
-        samples = arrays(np.float64, rows + (n,), elements=st.floats(-1e6, 1e6))
-        u_a, u_b = data.draw(samples), data.draw(samples)
-        if per_row:
-            resistances = arrays(np.float64, rows + (1,), elements=st.floats(1e-3, 1e6))
-        else:
-            resistances = st.floats(1e-3, 1e6)
-        r_a, r_b = data.draw(resistances), data.draw(resistances)
+        """The solve's current is (u_a - u_b) / (R_A + R_B), bit for bit, and leaves its inputs unchanged."""
+        u_a, u_b, r_a, r_b = draw_solve_inputs(data, rows, n, per_row)
         before = u_a.copy(), u_b.copy()
-        i_c = channel_current(u_a, u_b, r_a, r_b)
+        i_c = channel_waveforms(u_a, u_b, r_a, r_b)[1]
         assert i_c.shape == u_a.shape and i_c.dtype == np.float64
-        assert np.array_equal(i_c, channel_waveforms(u_a, u_b, r_a, r_b)[1])
         assert np.array_equal(i_c, (u_a - u_b) / (r_a + r_b))
         assert np.array_equal(u_a, before[0]) and np.array_equal(u_b, before[1])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
-            channel_current(const_wave(1.0, n=8), const_wave(1.0, n=9), 1.0, 1.0)
+            channel_waveforms(const_wave(1.0, n=8), const_wave(1.0, n=9), 1.0, 1.0)
 
 
 class TestChannelVoltage:
     @settings(deadline=None)
     @given(data=st.data(), rows=st.sampled_from([(), (1,), (3,), (2, 2)]), n=st.integers(1, 32), per_row=st.booleans())
     def test_matches_channel_waveforms(self, data, rows, n, per_row):
-        """The voltage-only solve is the full solve's voltage and (u_a R_B + u_b R_A) / (R_A + R_B), bit for bit."""
-        samples = arrays(np.float64, rows + (n,), elements=st.floats(-1e6, 1e6))
-        u_a, u_b = data.draw(samples), data.draw(samples)
-        if per_row:
-            resistances = arrays(np.float64, rows + (1,), elements=st.floats(1e-3, 1e6))
-        else:
-            resistances = st.floats(1e-3, 1e6)
-        r_a, r_b = data.draw(resistances), data.draw(resistances)
+        """The solve's voltage is (u_a R_B + u_b R_A) / (R_A + R_B), bit for bit, and leaves its inputs unchanged."""
+        u_a, u_b, r_a, r_b = draw_solve_inputs(data, rows, n, per_row)
         before = u_a.copy(), u_b.copy()
-        u_c = channel_voltage(u_a, u_b, r_a, r_b)
+        u_c = channel_waveforms(u_a, u_b, r_a, r_b)[0]
         assert u_c.shape == u_a.shape and u_c.dtype == np.float64
-        assert np.array_equal(u_c, channel_waveforms(u_a, u_b, r_a, r_b)[0])
         assert np.array_equal(u_c, (u_a * r_b + u_b * r_a) / (r_a + r_b))
         assert np.array_equal(u_a, before[0]) and np.array_equal(u_b, before[1])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
-            channel_voltage(const_wave(1.0, n=8), const_wave(1.0, n=9), 1.0, 1.0)
+            channel_waveforms(const_wave(1.0, n=8), const_wave(1.0, n=9), 1.0, 1.0)
 
 
 class TestResistorSet:

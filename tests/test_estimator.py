@@ -8,7 +8,6 @@ from kljn.estimator import (
     AveragingWindow,
     SmallGammaWarning,
     averaged_fluctuation_rms,
-    finite_mean_square,
     measure_period,
     measurement_slice,
     squared_noise_psd_theory,
@@ -47,21 +46,18 @@ class TestAveragingWindow:
 
 
 class TestFiniteMeanSquare:
+    """``measure_period``'s mean of squares, on waves whose leading and trailing halves are alike."""
+
     def test_constant(self):
-        assert finite_mean_square(np.full(10, 3.0)) == pytest.approx(9.0)
+        assert measure_period(np.full(10, 3.0), np.full(10, -2.0)) == pytest.approx((9.0, 4.0))
 
     def test_alternating(self):
         x = np.tile([1.0, -1.0], 8)
-        assert finite_mean_square(x) == pytest.approx(1.0)
-
-    def test_rows_along_last_axis(self):
-        x = np.array([[1.0, -1.0, 1.0, -1.0], [0.0, 2.0, 0.0, 2.0]])
-        assert np.array_equal(finite_mean_square(x), [1.0, 2.0])
-        assert finite_mean_square(x[1]) == finite_mean_square(x)[1]
+        assert measure_period(x, 2 * x) == pytest.approx((1.0, 4.0))
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            finite_mean_square(np.array([]))
+        with pytest.raises(ValueError, match="no samples"):
+            measure_period(np.array([]), np.array([]))
 
     def test_single_period_close_to_level(self):
         ms = period_mean_squares(gamma=100, n_periods=1, seed=4)[0]

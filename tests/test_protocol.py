@@ -16,8 +16,6 @@ from kljn import protocol
 from kljn.circuit import (
     DegenerateLevelsWarning,
     LoopState,
-    channel_current,
-    channel_voltage,
     channel_waveforms,
     generator_psd,
 )
@@ -889,13 +887,14 @@ class TestReadingTables:
         assert layout == cfg.noise_spec(r_bit[0], n)
         scale = [cfg.noise_spec(x, n).scale for x in r_bit]
         one, zero = np.ones(1), np.zeros(1)
-        for name, solve, sign in (("msv", channel_voltage, 1.0), ("msi", channel_current, -1.0)):
+        for name, wave, sign in (("msv", 0, 1.0), ("msi", 1, -1.0)):
             amp, rho, rho_nyquist = tables[name]
             for b in (0, 1):
                 assert rho[b, b] == rho_nyquist[b, b] == sign, (name, b)
             for a in (0, 1):
                 for b in (0, 1):
-                    g_a, g_b = solve(one, zero, r_bit[a], r_bit[b])[0], solve(zero, one, r_bit[a], r_bit[b])[0]
+                    g_a = channel_waveforms(one, zero, r_bit[a], r_bit[b])[wave][0]
+                    g_b = channel_waveforms(zero, one, r_bit[a], r_bit[b])[wave][0]
                     assert amp[a, b] == g_a * scale[a], (name, a, b)
                     assert rho[a, b] == g_b * scale[b] / amp[a, b], (name, a, b)
         assert np.array_equal(q, [cfg.noise_spec(x, n).nyquist_scale / cfg.noise_spec(x, n).scale for x in r_bit])
