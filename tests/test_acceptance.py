@@ -1,8 +1,12 @@
 """Acceptance suite: one test per release criterion, with a pass line each.
 
-The Monte Carlo criteria use factor-of-x tolerances because the closed-form
-error probabilities are themselves rare-crossing approximations; the tests
-document the exact tolerance next to each assertion.
+Criteria 3, 4 and 5 read the program: the levels that ``kljn levels``
+prints, the spectrum that ``kljn spectra`` prints, and the kernel's forced
+readings in ``run_session``'s moment sums. The Monte Carlo criteria keep
+factor-of-x tolerances against the paper's closed forms, which are
+rare-crossing approximations. Criteria 3 and 5 to 8 also carry exact gates
+at |z| < 4.5: against the chi-square level law, the window's cumulants, and
+the exact rates from Imhof's integral over the window's eigenvalues.
 """
 
 import dataclasses
@@ -23,27 +27,17 @@ from kljn.analytic import (
     rice_rate,
     upcrossing_rate_flat,
 )
-from kljn.circuit import (
-    LoopState,
-    PhysicsConstants,
-    ResistorSet,
-    channel_waveforms,
-    generator_psd,
-    theoretical_levels,
-)
+from kljn.circuit import LoopState, PhysicsConstants, ResistorSet, theoretical_levels
+from kljn.cli import main
 from kljn.config import SystemConfig
 from kljn.decision import CombinedOutcome, Interpretation, combine, interpret_arrays
-from kljn.estimator import (
-    AveragingWindow,
-    averaged_fluctuation_rms,
-    measurement_slice,
-    squared_noise_psd_theory,
-)
-from kljn.noise import NoiseSpec, periodogram, rng_for_period, synth_band_limited
+from kljn.estimator import AveragingWindow, averaged_fluctuation_rms, squared_noise_psd_theory
 from kljn.protocol import ACTUAL_STATES, error_rate, extract_key, run_session
-from moments import msq_correlation
+from moments import level_law, msq_correlation, q_moment_z, q_sample_moments
 
 NORM = PhysicsConstants.normalized()
+# a true value fails |z| < 4.5 with two-sided probability 6.8e-6 (normal approximation)
+Z_GATE = 4.5
 
 
 def announce(num, description):
@@ -76,64 +70,65 @@ def test_criterion_02_rice_consistency():
     announce(2, "closed-form upcrossing rate equals the composed Rice formula to 1e-12")
 
 
-def test_criterion_03_level_reproduction():
+def test_criterion_03_level_reproduction(tmp_path):
+    """``kljn levels`` prints all six levels within 1% of theory and within 4.5 SD of their chi-square law."""
     n = 10**7
-    resistors = ResistorSet(1.0, 10.0)
-    levels = theoretical_levels(resistors, NORM, bandwidth=1.0)
-    rng = np.random.default_rng(42)
-    for bits, v_th, i_th in (
-        ((0, 0), levels.v_00, levels.i_00),
-        ((0, 1), levels.v_0110, levels.i_0110),
-        ((1, 1), levels.v_11, levels.i_11),
-    ):
-        state = LoopState.from_bits(*bits, resistors)
-        # Alice's wave, then Bob's, from the one stream
-        specs = [NoiseSpec(generator_psd(r, NORM), 1.0, 4.0, n) for r in (state.r_alice, state.r_bob)]
-        u_a, u_b = (synth_band_limited(spec, rng) for spec in specs)
-        u_c, i_c = channel_waveforms(u_a, u_b, state.r_alice, state.r_bob)
-        del u_a, u_b
-        assert np.mean(u_c**2) == pytest.approx(v_th, rel=0.01)
-        assert np.mean(i_c**2) == pytest.approx(i_th, rel=0.01)
-        del u_c, i_c
+    levels = theoretical_levels(ResistorSet(1.0, 10.0), NORM, bandwidth=1.0)
+    out = tmp_path / "levels.txt"
+    assert main(["levels", "--samples", str(n), "--seed", "42", "--out", str(out)]) == 0
+    rows = [line.split() for line in out.read_text().splitlines()[4:]]
+    mean, rel_sd = level_law(n, 4.0, 1.0)
+    for row, state in zip(rows, ("00", "0110", "11"), strict=True):
+        assert row[0] == state
+        for printed, empirical, theory in (
+            (row[1], row[2], levels.voltage_for(state)),
+            (row[4], row[5], levels.current_for(state)),
+        ):
+            assert float(printed) == pytest.approx(theory, rel=1e-11)
+            assert float(empirical) == pytest.approx(theory, rel=0.01)
+            z = (float(empirical) / theory / mean - 1) / rel_sd
+            assert abs(z) < Z_GATE, f"{state}: {empirical} is {z:+.2f} sd from its law"
     announce(3, "empirical channel mean squares match theory within 1% for all bit states")
 
 
-def test_criterion_04_squared_noise_spectrum():
-    n = 2**22
-    resistors = ResistorSet(1.0, 10.0)
-    state = LoopState.from_bits(1, 1, resistors)
-    s_level = NORM.four_kt / state.r_loop
-    rng = np.random.default_rng(7)
-    spec = NoiseSpec(generator_psd(state.r_alice, NORM), 1.0, 4.0, n)
-    u_a = synth_band_limited(spec, rng)
-    u_b = synth_band_limited(spec, rng)
-    _, i_c = channel_waveforms(u_a, u_b, state.r_alice, state.r_bob)
-    squared = np.square(i_c)
-    squared -= squared.mean()
-    freqs, emp = periodogram(squared, 4.0, 256)
+def test_criterion_04_squared_noise_spectrum(tmp_path):
+    """``kljn spectra`` prints the triangular law within 10% per bin up to 1.5 B, and under 2% of the power
+    above its support, 2 B."""
+    # oversample 8 puts the periodogram's top bin at 4 B, so 128 of its bins lie above the support
+    cfg_path = tmp_path / "oversample8.cfg"
+    cfg_path.write_text("oversample = 8\n")
+    out = tmp_path / "spectra.csv"
+    argv = ["spectra", "--config", str(cfg_path), "--samples", str(2**22), "--bins", "256", "--seed", "7"]
+    assert main([*argv, "--out", str(out)]) == 0
+    freqs, emp, printed = np.loadtxt(out, delimiter=",", skiprows=2, unpack=True)
+    s_level = NORM.four_kt / LoopState.from_bits(1, 1, ResistorSet(1.0, 10.0)).r_loop
     theory = squared_noise_psd_theory(freqs, s_level, 1.0)
+    np.testing.assert_allclose(printed, theory, rtol=1e-11, atol=0)
     sel = (freqs > 0) & (freqs <= 1.5)
     assert np.all(np.abs(emp[sel] / theory[sel] - 1.0) < 0.10)
     df = freqs[1] - freqs[0]
-    out_of_support = emp[freqs > 2.0].sum() * df
+    above = freqs > 2.0
+    assert above.sum() == 128
+    out_of_support = emp[above].sum() * df
     assert out_of_support < 0.02 * (emp.sum() * df)
     announce(4, "squared-current spectrum follows the triangular law within 10% per bin")
 
 
 @pytest.mark.parametrize("gamma", [50, 100])
 def test_criterion_05_fluctuation_rms(gamma):
-    n_periods = 10**4
-    fs, bw, psd = 4.0, 1.0, 1.0
-    n = int(round(fs * gamma / bw))
-    spec = NoiseSpec(psd, bw, fs, n)
-    sl = measurement_slice(n)
-    values = np.empty(n_periods)
-    for k in range(n_periods):
-        w = synth_band_limited(spec, rng_for_period(1000 + gamma, k))
-        values[k] = np.mean(w[sl] ** 2)
-    win = AveragingWindow(gamma=gamma, bandwidth=bw)
-    predicted = averaged_fluctuation_rms(psd, win)
-    assert values.std(ddof=1) == pytest.approx(predicted, rel=0.10)
+    """The kernel's forced 11 readings spread as f_B·sqrt(2γ) over their levels, within 10%, and their
+    variances lie within 4.5 SD of the window's Var Q."""
+    cfg = SystemConfig(gamma=gamma, n_periods=10**4, master_seed=1000 + gamma)
+    n, sum_v, sum_i, sum_vv, sum_ii, _ = run_session(cfg, force_state="11").moment_sums["11"]
+    levels = theoretical_levels(ResistorSet(1.0, 10.0), NORM, bandwidth=1.0)
+    # a flat band of unit mean square has S = 1/B = 1, so its fluctuation RMS is the relative spread
+    predicted = averaged_fluctuation_rms(1.0, AveragingWindow(gamma=gamma, bandwidth=1.0))
+    k2, k4 = window_cumulants(gamma, 4)
+    for reading, total, squares, level in (("msv", sum_v, sum_vv, levels.v_11), ("msi", sum_i, sum_ii, levels.i_11)):
+        mean, var = q_sample_moments(n, total, squares, level)
+        assert math.sqrt(var) == pytest.approx(predicted, rel=0.10), reading
+        z = q_moment_z(n, mean, var, k2, k4)[1]
+        assert abs(z) < Z_GATE, f"{reading} variance: {z:+.2f} sd from Var Q"
     announce(5, f"finite-time average spread matches sqrt(2*gamma)*S*f_B at gamma={gamma}")
 
 
@@ -146,6 +141,10 @@ def test_criterion_06_monte_carlo_vs_analytic():
     assert analytic / 3 <= est.p <= analytic * 3
     assert est.ci_low > 0.0
     assert est.ci_high < 1.0 / SQRT3
+    exact = exact_rate_11(50.0)
+    assert exact == pytest.approx(1.2043e-2, rel=1e-4)
+    z = binomial_z(est, exact)
+    assert abs(z) < Z_GATE, f"{est.k}/{est.n} is {z:+.2f} sd from the exact rate {exact:.4e}"
     announce(6, "measured 11->secure current error rate within factor 3 of the closed form")
 
 
@@ -155,6 +154,11 @@ def test_criterion_06_monte_carlo_vs_analytic():
 # on the lower tail, 11 on the upper tail.
 EXACT_I_00_G30 = 9.135e-3
 EXACT_I_11_G30 = 3.685e-2
+
+
+def binomial_z(est, exact):
+    """The z-score of a ``RateEstimate``'s count against ``exact``, its rate's true value."""
+    return (est.k - est.n * exact) / math.sqrt(est.n * exact * (1 - exact))
 
 
 def test_monte_carlo_vs_exact_rates_gamma_30():
@@ -168,7 +172,7 @@ def test_monte_carlo_vs_exact_rates_gamma_30():
     report = run_session(cfg)
     for name, exact in (("eps_hat_i_00", EXACT_I_00_G30), ("eps_hat_i_11", EXACT_I_11_G30)):
         est = report.rates[name]
-        z = (est.k - est.n * exact) / math.sqrt(est.n * exact * (1 - exact))
+        z = binomial_z(est, exact)
         assert abs(z) < 4, f"{name}: {est.k}/{est.n} is {z:+.2f} sd from {exact}"
     paper = epsilon_current_00(0.5, 30.0)
     assert paper == pytest.approx(8.85e-2, rel=1e-3)
@@ -177,9 +181,9 @@ def test_monte_carlo_vs_exact_rates_gamma_30():
 
 # 2e5 periods: enough that a 10% error in the averaging period or the noise band moves the 00 rate
 # about 13 standard errors (test_exact_rate_gate_catches_10pct_mutants)
-EXACT_GATE_CONFIG = SystemConfig(alpha=100.0, gamma=30.0, n_periods=2 * 10**5, master_seed=1)
-# a true rate fails |z| < 4.5 with two-sided probability 6.8e-6 (normal approximation)
-Z_GATE = 4.5
+EXACT_GATE_CONFIG = SystemConfig(alpha=100.0, gamma=30.0, n_periods=2 * 10**5)
+# forced 00 and 11 periods of one seed draw the same normals, so each state has its own seed
+STATE_SEEDS = {"00": 1, "11": 2}
 
 
 # At equal fractions every reading over its level has one distribution, so a reading's rate is the
@@ -194,10 +198,10 @@ EXACT_G30 = {
 
 
 def rate_z(mode, state, workers):
-    """The z-score of ``error_rate``'s rate of ``EXACT_GATE_CONFIG`` in ``mode`` against the exact rate."""
-    exact = EXACT_G30[mode, state]
-    est = error_rate(EXACT_GATE_CONFIG, mode, state, workers=workers)
-    return (est.k - est.n * exact) / math.sqrt(est.n * exact * (1 - exact))
+    """The z-score of ``error_rate``'s rate of ``EXACT_GATE_CONFIG`` at the state's seed in ``mode``
+    against the exact rate."""
+    cfg = dataclasses.replace(EXACT_GATE_CONFIG, master_seed=STATE_SEEDS[state])
+    return binomial_z(error_rate(cfg, mode, state, workers=workers), EXACT_G30[mode, state])
 
 
 # the current-mode cases keep the ids they had before the voltage-mode cases joined them
@@ -237,8 +241,6 @@ def test_exact_rate_gate_catches_10pct_mutants(mutate, monkeypatch):
 # 2e4 forced periods per state: a 10% error in the averaging period or the noise band moves each reading's
 # variance 6 to 9 standard errors (test_moment_gate_catches_10pct_mutants)
 MOMENT_GATE_PERIODS = 2 * 10**4
-# forced 00 and 11 periods of one seed draw the same normals, so each state has its own seed
-MOMENT_GATE_SEEDS = {"00": 1, "11": 2}
 
 
 def window_toeplitz(gamma, oversample):
@@ -277,11 +279,10 @@ def moment_z(state):
     """z-scores ``{(reading, "mean" | "var"): z}`` of a forced state's readings over their levels against Q's moments.
 
     The mean of Q = reading/level is gated against E[Q] = 1 and its sample
-    variance against κ2, with the standard errors sqrt(κ2/N) and
-    sqrt(κ4/N + 2κ2²/(N - 1)) of independent periods. ``run_session``'s
+    variance against κ2 (``moments.q_moment_z``). ``run_session``'s
     ``moment_sums`` give both.
     """
-    cfg = SystemConfig(alpha=100.0, gamma=30.0, n_periods=MOMENT_GATE_PERIODS, master_seed=MOMENT_GATE_SEEDS[state])
+    cfg = SystemConfig(alpha=100.0, gamma=30.0, n_periods=MOMENT_GATE_PERIODS, master_seed=STATE_SEEDS[state])
     k2, k4 = window_cumulants(cfg.gamma, cfg.oversample)
     n, sum_v, sum_i, sum_vv, sum_ii, _ = run_session(cfg, force_state=state).moment_sums[state]
     levels = cfg.levels()
@@ -290,10 +291,7 @@ def moment_z(state):
         ("msv", sum_v, sum_vv, levels.voltage_for(state)),
         ("msi", sum_i, sum_ii, levels.current_for(state)),
     ):
-        mean = total / (n * level)
-        var = (squares / level**2 - n * mean**2) / (n - 1)
-        z[reading, "mean"] = (mean - 1) / math.sqrt(k2 / n)
-        z[reading, "var"] = (var - k2) / math.sqrt(k4 / n + 2 * k2**2 / (n - 1))
+        z[reading, "mean"], z[reading, "var"] = q_moment_z(n, *q_sample_moments(n, total, squares, level), k2, k4)
     return z
 
 
@@ -322,6 +320,11 @@ def imhof_upper_tail(lam, x):
     return 0.5 + value / math.pi, error / math.pi
 
 
+def exact_rate_11(gamma):
+    """The exact forced-11 current rate at f = 0.5 and oversample 4: P(Q > 1.5) by Imhof's integral."""
+    return imhof_upper_tail(np.linalg.eigvalsh(window_toeplitz(gamma, 4)), 1.5)[0]
+
+
 @pytest.mark.parametrize(
     "gamma, upper_11, lower_00",
     [(30.0, f"{EXACT_I_11_G30:.3e}", f"{EXACT_I_00_G30:.3e}"), (100.0, "8.645e-04", "6.156e-06")],
@@ -344,7 +347,7 @@ def test_exact_rates_from_the_window_eigenvalues(gamma, upper_11, lower_00):
     assert (f"{upper:.3e}", f"{1 - lower_complement:.3e}") == (upper_11, lower_00)
 
 
-@pytest.mark.parametrize("state", list(MOMENT_GATE_SEEDS))
+@pytest.mark.parametrize("state", list(STATE_SEEDS))
 def test_forced_reading_moments_gamma_30(state):
     """Each forced reading's mean and variance over its level sit within 4.5 standard errors of E[Q] and Var Q.
 
@@ -376,13 +379,19 @@ def test_criterion_07_exponential_decay_slope():
         counts.append(report.rates["eps_hat_i_11"].k)
         trials.append(report.rates["eps_hat_i_11"].n)
     eps = np.array(counts) / np.array(trials)
-    # weighted LS on ln(eps); binomial weights: var(ln p_hat) ~ 1/k
+    exact = np.array([exact_rate_11(gamma) for gamma in gammas])
+    # weighted LS on ln(eps), and with the same weights on ln(exact); binomial weights: var(ln p_hat) ~ 1/k
     w = np.array(counts, dtype=float)
     design = np.vstack([np.ones_like(gammas), gammas]).T
-    wls = np.linalg.lstsq(design * np.sqrt(w)[:, None], np.log(eps) * np.sqrt(w), rcond=None)
-    slope = wls[0][1]
+    y = np.column_stack([np.log(eps), np.log(exact)])
+    wls = np.linalg.lstsq(design * np.sqrt(w)[:, None], y * np.sqrt(w)[:, None], rcond=None)
+    slope, exact_slope = wls[0][1]
     target = -(0.5**2) / 4.0
     assert abs(slope - target) <= 0.30 * abs(target)
+    # the fit's covariance (DᵀWD)⁻¹, with W the inverse variances
+    se = math.sqrt(np.linalg.inv(design.T @ (w[:, None] * design))[1, 1])
+    z = (slope - exact_slope) / se
+    assert abs(z) < Z_GATE, f"slope {slope:.5f} is {z:+.2f} sd from the exact rates' {exact_slope:.5f}"
     announce(7, f"ln(error rate) decays in gamma with slope {slope:.4f} ~ -lambda^2/4")
 
 
@@ -398,6 +407,10 @@ def test_criterion_08_independence_and_product_law():
     assert p_v > 0 and p_i > 0 and p_comb > 0
     product = p_v * p_i
     assert product / 3 <= p_comb <= product * 3
+    exact_v, exact_i = EXACT_G30["voltage", "11"], EXACT_G30["current", "11"]
+    for name, exact in (("v", exact_v), ("i", exact_i), ("combined", exact_v * exact_i)):
+        z = binomial_z(report.rates[f"eps_hat_{name}_11"], exact)
+        assert abs(z) < Z_GATE, f"eps_hat_{name}_11: {z:+.2f} sd from the exact rate {exact:.4e}"
     announce(
         8,
         f"msv/msi correlation {corr:+.1e} ~ 0 and combined rate {p_comb:.2e} "
@@ -535,8 +548,6 @@ def test_criterion_11_determinism(tmp_path):
     parallel = run_session(cfg, workers=2)
     dumps = [json.dumps(r.to_dict(), sort_keys=True) for r in (serial_1, serial_2, parallel)]
     assert dumps[0] == dumps[1] == dumps[2]
-
-    from kljn.cli import main
 
     cfg_path = tmp_path / "d.cfg"
     cfg_path.write_text("gamma = 40\nn_periods = 300\nmaster_seed = 23\n")

@@ -7,14 +7,14 @@ from hypothesis.extra.numpy import arrays
 from kljn.circuit import (
     BOLTZMANN,
     DegenerateLevelsWarning,
-    LoopState,
     PhysicsConstants,
     ResistorSet,
     channel_waveforms,
     generator_psd,
     theoretical_levels,
 )
-from kljn.noise import NoiseSpec, synth_band_limited
+from kljn.config import SystemConfig
+from reference import reference_waves
 
 NORM = PhysicsConstants.normalized()
 
@@ -176,33 +176,22 @@ class TestTheoreticalLevels:
 class TestEmpiricalPhysics:
     def test_voltage_current_uncorrelated_in_secure_state(self):
         # <u_c * i_c> is statistically zero in the 01 state
-        rs = ResistorSet(1.0, 10.0)
-        st = LoopState.from_bits(0, 1, rs)
-        n = 2**20
-        rng = np.random.default_rng(21)
-        waves = []
-        for r in (st.r_alice, st.r_bob):
-            spec = NoiseSpec(generator_psd(r, NORM), 1.0, 4.0, n)
-            waves.append(synth_band_limited(spec, rng))
-        u_c, i_c = channel_waveforms(*waves, st.r_alice, st.r_bob)
+        u_c, i_c = reference_waves(SystemConfig(), (0, 1), 2**20, np.random.default_rng(21))
         prod = u_c * i_c
         batches = prod.reshape(64, -1).mean(axis=1)
         se = batches.std(ddof=1) / np.sqrt(64)
         assert abs(prod.mean()) < 4 * se
 
     def test_mean_squares_match_levels(self):
-        rs = ResistorSet(1.0, 10.0)
-        levels = theoretical_levels(rs, NORM, bandwidth=1.0)
-        n = 2**21
+        levels = theoretical_levels(ResistorSet(1.0, 10.0), NORM, bandwidth=1.0)
+        # the default config: R = 1, alpha = 10, 4kT = 1, B = 1 and f_s = 4
+        config = SystemConfig()
         rng = np.random.default_rng(8)
         for bits, v_th, i_th in (
             ((0, 0), levels.v_00, levels.i_00),
             ((0, 1), levels.v_0110, levels.i_0110),
             ((1, 1), levels.v_11, levels.i_11),
         ):
-            st = LoopState.from_bits(*bits, rs)
-            u_a = synth_band_limited(NoiseSpec(generator_psd(st.r_alice, NORM), 1.0, 4.0, n), rng)
-            u_b = synth_band_limited(NoiseSpec(generator_psd(st.r_bob, NORM), 1.0, 4.0, n), rng)
-            u_c, i_c = channel_waveforms(u_a, u_b, st.r_alice, st.r_bob)
+            u_c, i_c = reference_waves(config, bits, 2**21, rng)
             assert np.mean(u_c**2) == pytest.approx(v_th, rel=0.02)
             assert np.mean(i_c**2) == pytest.approx(i_th, rel=0.02)

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from kljn import cli, protocol
-from kljn.circuit import LoopState, channel_waveforms
 from kljn.cli import main
 from kljn.config import ConfigError, SystemConfig, load_config
-from kljn.noise import rng_for_period, synth_band_limited
+from kljn.noise import rng_for_period
+from moments import level_law
+from reference import reference_waves
 
 FAST_CONFIG = """
 r = 1.0
@@ -72,23 +73,18 @@ Z_GATE = 4.5
 def levels_z(capsys, tmp_path, oversample, n, seed):
     """The z-scores of the six levels ``kljn levels`` prints, each over its theory column, against their exact law.
 
-    The law is ``test_levels_follow_exact_chi2_law``'s; values in state and
-    then voltage, current order.
+    The law is ``moments.level_law`` at the config's sample rate and band;
+    values in state and then voltage, current order.
     """
     path = tmp_path / "os.cfg"
     path.write_text(f"oversample = {oversample}\n")
     code, out, _ = run_cli(capsys, ["levels", "--config", str(path), "--samples", str(n), "--seed", str(seed)])
     assert code == 0
     config = load_config(str(path))
-    fs, band = config.sample_rate, config.b_kljn
-    freqs = np.fft.rfftfreq(n, 1 / fs)
-    in_band = (freqs > 0) & (freqs <= band * (1 + 1e-9))
-    nyq = int(n % 2 == 0 and in_band[-1])
-    dof = 2 * (int(in_band.sum()) - nyq) + nyq
-    mean = fs * dof / (2 * n * band)
+    mean, rel_sd = level_law(n, config.sample_rate, config.b_kljn)
     rows = [line.split() for line in out.splitlines()[4:]]
     ratios = np.array([[float(row[2]) / float(row[1]), float(row[5]) / float(row[4])] for row in rows])
-    return (ratios.ravel() / mean - 1) / np.sqrt(2 / dof)
+    return (ratios.ravel() / mean - 1) / rel_sd
 
 
 class TestLevels:
@@ -122,10 +118,7 @@ class TestLevels:
         config = load_config(str(path))
         rng = rng_for_period(config.master_seed, 0)
         for row, bits in zip(rows, ((0, 0), (0, 1), (1, 1))):
-            loop = LoopState.from_bits(*bits, config.resistors)
-            u_a = synth_band_limited(config.noise_spec(loop.r_alice, n), rng)
-            u_b = synth_band_limited(config.noise_spec(loop.r_bob, n), rng)
-            expected = [np.mean(np.square(w)) for w in channel_waveforms(u_a, u_b, loop.r_alice, loop.r_bob)]
+            expected = [np.mean(np.square(w)) for w in reference_waves(config, bits, n, rng)]
             np.testing.assert_allclose([float(row[2]), float(row[5])], expected, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("n", [4097, 65536, 262143, 2**20])
@@ -133,11 +126,8 @@ class TestLevels:
     def test_levels_follow_exact_chi2_law(self, capsys, tmp_path, oversample, n):
         """Every printed level over its theory column lies within 4.5 SD of its exact law, at seeds 1-4.
 
-        A state's wave has independent Gaussian parts of equal variance in its
-        K in-band bins (two each) and its in-band Nyquist bin (one, nyq = 1),
-        so its mean square over its theory level is a scaled chi-square
-        on 2K + nyq degrees of freedom: mean fs·(2K + nyq)/(2·n·B), relative
-        SD sqrt(2/(2K + nyq)). K and nyq are counted from ``np.fft.rfftfreq``.
+        The law is a scaled chi-square on 2K + nyq degrees of freedom, for K
+        in-band bins and nyq in-band Nyquist bins (``moments.level_law``).
         With at least 2048 degrees of freedom here, a true value fails the
         gate with two-sided probability at most 9.2e-6 (chi-square tails), so
         the 24 values of one case at most 2.2e-4 and all 288 at most 2.7e-3,
@@ -552,12 +542,7 @@ class TestSpectra:
         rows = np.array([[float(x) for x in line.split(",")] for line in out.splitlines()[2:]])
 
         config = load_config(fast_config)
-        loop = LoopState.from_bits(1, 1, config.resistors)
-        spec = config.noise_spec(loop.r_alice, n)
-        rng = rng_for_period(config.master_seed, 0)
-        u_a = synth_band_limited(spec, rng)
-        u_b = synth_band_limited(spec, rng)
-        _, i_c = channel_waveforms(u_a, u_b, loop.r_alice, loop.r_bob)
+        _, i_c = reference_waves(config, (1, 1), n, rng_for_period(config.master_seed, 0))
         squared = np.square(i_c)
         squared -= squared.mean()
         freqs, density = signal.welch(

@@ -13,12 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kljn import protocol
-from kljn.circuit import (
-    DegenerateLevelsWarning,
-    LoopState,
-    channel_waveforms,
-    generator_psd,
-)
+from kljn.circuit import DegenerateLevelsWarning, channel_waveforms
 from kljn.cli import main
 from kljn.config import SystemConfig, with_overrides
 from kljn.decision import (
@@ -32,7 +27,7 @@ from kljn.decision import (
     voltage_codes,
 )
 from kljn.estimator import SmallGammaWarning, measure_period, measurement_slice
-from kljn.noise import NoiseSpec, band_coefficients, rng_for_period, synth_band_limited
+from kljn.noise import band_coefficients, rng_for_period
 from kljn.protocol import (
     ACTUAL_STATES,
     RateEstimate,
@@ -45,6 +40,7 @@ from kljn.protocol import (
     wilson_interval,
 )
 from moments import msq_correlation
+from reference import reference_waves
 from streams import drawn_periods
 
 OUTCOMES = tuple(CombinedOutcome)
@@ -138,32 +134,14 @@ def reference_key_to_hex(bits):
 
 def reference_simulate_chunk(config, master_seed, start, stop, force_state):
     """Per-period loop: one generator, two syntheses, one loop solve and one measurement each."""
-    consts = config.constants
-    resistors = config.resistors
-    fs = config.sample_rate
-    n_samp = config.samples_per_period
     count = stop - start
     bits = np.empty((count, 2), dtype=np.int8)
     msv = np.empty(count)
     msi = np.empty(count)
-    spec_cache = {
-        bit: NoiseSpec(
-            psd_level=generator_psd(resistors.for_bit(bit), consts),
-            bandwidth=config.b_kljn,
-            sample_rate=fs,
-            n_samples=n_samp,
-        )
-        for bit in (0, 1)
-    }
     for j, index in enumerate(range(start, stop)):
         rng = rng_for_period(master_seed, index)
-        bit_a, bit_b = reference_period_bits(rng, force_state)
-        u_a = synth_band_limited(spec_cache[bit_a], rng)
-        u_b = synth_band_limited(spec_cache[bit_b], rng)
-        state = LoopState.from_bits(bit_a, bit_b, resistors)
-        u_c, i_c = channel_waveforms(u_a, u_b, state.r_alice, state.r_bob)
-        bits[j] = (bit_a, bit_b)
-        msv[j], msi[j] = measure_period(u_c, i_c)
+        bits[j] = state = reference_period_bits(rng, force_state)
+        msv[j], msi[j] = measure_period(*reference_waves(config, state, config.samples_per_period, rng))
     return {"bits": bits, "msv": msv, "msi": msi}
 
 
