@@ -17,14 +17,11 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import analytic
 from .circuit import LoopState
 from .config import ConfigError, SystemConfig, load_config, with_overrides
 from .estimator import squared_noise_psd_theory
-from .noise import periodogram, rng_for_period
-from .protocol import _fill, _reading_tables, error_rate, extract_key, key_to_hex, run_session
+from .protocol import error_rate, extract_key, key_to_hex, level_readings, run_session, squared_current_spectrum
 
 _MODE_SHORT = {"voltage_only": "voltage", "current_only": "current", "combined": "combined"}
 _NON_FINITE = "non-finite output values: the noise levels overflow float64"
@@ -44,36 +41,11 @@ def _load(args) -> SystemConfig:
     return with_overrides(config, master_seed=args.seed)
 
 
-def _whole_mean_square(spectrum: np.ndarray, z: np.ndarray, bits: tuple, rule: tuple, name: str) -> float:
-    """Mean square over the whole wave of reading ``name`` of the state ``bits``, by Parseval: no transform runs.
-
-    ``protocol._fill`` writes the reading's spectrum, in units of its amp,
-    into the slots of the zeroed ``spectrum`` (``z`` and ``rule`` as it takes
-    them). The two-sided spectrum holds an in-band bin's power twice and the
-    Nyquist bin's once, the inverse FFT's sum of squares is 1/n of that power
-    (Parseval), and the mean another 1/n: so the mean square is
-    (2·Σ in_band² + nyquist²)·(amp/n)².
-    """
-    layout, _, tables = rule
-    _fill(spectrum, z, *bits, rule, name)
-    nyquist, in_band = layout.slots(spectrum)
-    total = 2 * np.square(in_band).sum()
-    if nyquist is not None:
-        total += nyquist**2
-    return float(total * (tables[name][0][bits] / layout.n_samples) ** 2)
-
-
 def cmd_levels(args) -> str:
     config = _load(args)
     config.check_samples(args.samples, f"levels --samples {args.samples}")
     consts = config.constants
     levels = config.levels()
-    n_cal = args.samples
-    rule = _reading_tables(config, n_cal)
-    layout = rule[0]
-    rng = rng_for_period(config.master_seed, 0)
-    # one spectrum for every reading, up to the band's top bin: each fill writes the same slots, and DC stays zero
-    spectrum = np.zeros(layout.n_band + 1 + layout.nyquist, dtype=complex)
     lines = [
         f"# config_hash={config.config_hash()}",
         f"k = {_fmt(consts.k)} J/K   T_eff = {_fmt(consts.t_eff)} K   4kT_eff = {_fmt(consts.four_kt)}",
@@ -81,11 +53,7 @@ def cmd_levels(args) -> str:
         f"would be {_fmt(levels.i_11_alt_convention)} (we use R_loop = R_A + R_B)",
         "state  theory_v       empirical_v    rel_err_v  theory_i       empirical_i    rel_err_i",
     ]
-    for state, bits in (("00", (0, 0)), ("0110", (0, 1)), ("11", (1, 1))):
-        # Alice's normals, then Bob's, drawn state by state in that order from the one stream
-        z = rng.standard_normal((2, layout.n_normals))
-        emp_v, emp_i = [_whole_mean_square(spectrum, z, bits, rule, name) for name in ("msv", "msi")]
-        del z  # freed before the next state's normals are drawn
+    for state, (emp_v, emp_i) in level_readings(config, args.samples).items():
         th_v = levels.voltage_for(state)
         th_i = levels.current_for(state)
         rel_v, rel_i = emp_v / th_v - 1, emp_i / th_i - 1
@@ -137,26 +105,7 @@ def cmd_spectra(args) -> str:
     if args.samples < 2 * args.bins:
         raise ConfigError(f"spectra requires --samples >= 2 * --bins = {2 * args.bins}, got {args.samples}")
     config.check_samples(args.samples, f"spectra --samples {args.samples}")
-    n = args.samples
-    rule = _reading_tables(config, n)
-    layout, _, tables = rule
-    amp = tables["msi"][0][1, 1]
-    rng = rng_for_period(config.master_seed, 0)
-    # Alice's normals, then Bob's, into one spectrum of the 11 loop current in units of amp
-    z = rng.standard_normal((2, layout.n_normals))
-    coeffs = np.zeros(n // 2 + 1, dtype=complex)
-    _fill(coeffs, z, 1, 1, rule, "msi")
-    del z  # freed before the transform allocates its samples
-    i_c = np.fft.irfft(coeffs, n=n, norm="forward")
-    del coeffs
-    i_c *= amp / n
-    squared = np.square(i_c, out=i_c)
-    mean = squared.mean()
-    # a sum of squares is finite only where every square is
-    if not np.isfinite(mean):
-        raise ValueError("non-finite channel current: the noise levels overflow float64")
-    squared -= mean  # theory describes only the AC part
-    freqs, emp = periodogram(squared, config.sample_rate, args.bins)
+    freqs, emp = squared_current_spectrum(config, args.samples, args.bins)
     s_level = config.constants.four_kt / LoopState.from_bits(1, 1, config.resistors).r_loop
     theory = squared_noise_psd_theory(freqs, s_level, config.b_kljn)
     lines = [f"# config_hash={config.config_hash()} state=11 samples={args.samples}", "f,empirical_psd,theory_psd"]

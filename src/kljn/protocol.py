@@ -1,4 +1,4 @@
-"""Full key-exchange sessions: per-period simulation, decision, and accounting.
+"""Full key-exchange sessions: per-period simulation, decision, and accounting; every reading's rule.
 
 Each period draws fresh resistor bits for both parties, synthesizes fresh
 generator noise, solves the loop, measures the finite-time mean squares, and
@@ -8,6 +8,9 @@ rate estimates with binomial intervals, fidelity, and the discard rate; the
 key comes from the same arrays. Periods are independent given their derived
 random sub-streams, so a session may be executed in parallel and still
 produce a seed-deterministic report.
+
+The same reading rule gives what ``kljn levels`` and ``kljn spectra`` print:
+``level_readings`` and ``squared_current_spectrum``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from .config import ConfigError, SystemConfig, _checked
 from .decision import _OUTCOME_CODE, CombinedOutcome, current_codes, interpret_arrays, voltage_codes
 from .estimator import measurement_slice
-from .noise import NoiseSpec, draw_periods
+from .noise import NoiseSpec, draw_periods, periodogram, rng_for_period
 
 ACTUAL_STATES = ("00", "11", "0110")
 # working-array budget of one block of simulated periods
@@ -108,34 +111,12 @@ class SessionReport:
 def _block_periods(n_samples: int) -> int:
     """Periods per block: as many as keep the block's working arrays within ``_BLOCK_BYTES``.
 
-    The budget counts per period and party at most ``n_samples`` normals
-    (fewer unless oversample is 2), a spectrum row and its inverse-FFT
-    samples, and per period a half-window wave and its square: 6752, 22432
-    and 224032 bytes per period at gamma = 30, 100 and 1000 (oversample 4),
-    the count the block sizes below were measured with. ``_simulate_chunk``
-    holds less: per period both parties' normals, one spectrum row and one
-    reading's inverse-FFT samples, 16*n_normals + 16*(n/2 + 1) + 8*n bytes
-    (2896, 9616 and 96016), and no wave. So its blocks of 155, 46 and 8
-    periods hold about 449, 442 and 768 kB, not 1 MiB. Counting only what
-    the chunk holds (blocks of 362, 109 and 10 periods) ran no faster and
-    raised a two-worker sweep's peak RSS at gamma = 1000, so the count stays.
-    At least one period runs per block.
-
-    The budget is 1 MiB so that a block's working set stays in one core's
-    L2 (2 MiB per core on the 2-core Xeon it was measured on) while every
-    stage of the kernel passes over it: at 4 MiB each stage streamed from
-    L3, and a session at gamma = 30 ran about 13% fewer periods per second.
-
-    Long periods get a floor of ``_MIN_BLOCK_PERIODS`` periods, as far as
-    the block's samples stay within half the budget (so a budget of 1 byte
-    still gives one period). The budget alone gives 4 periods at gamma =
-    1000 (4000 samples), and each ``irfft`` call builds its plan anew, which
-    costs about one more row at that length (33 us for one row against 16 us
-    per row in a batch of 8 or more). With 8 periods a block's traced peak
-    was 1.69 MB; 10 periods peaked at 2.07 MB, and 16 at 3.24 MB, over twice
-    the budget, while running no faster than 8. At oversample 4 the budget
-    gives 8 or more periods below about gamma = 585, where the floor does
-    not bind.
+    The budget counts per period and party at most ``n_samples`` normals, a
+    spectrum row and its inverse-FFT samples, and per period a half-window
+    wave and its square: more than ``_simulate_chunk`` holds. Long periods
+    get a floor of ``_MIN_BLOCK_PERIODS`` periods, as far as the block's
+    samples stay within half the budget, and at least one period runs per
+    block. README's Conventions give the sizes and timings behind each rule.
     """
     n = n_samples
     measured = len(range(n)[measurement_slice(n)])
@@ -147,17 +128,20 @@ def _block_periods(n_samples: int) -> int:
 def _reading_tables(config: SystemConfig, n_samples: int) -> tuple[NoiseSpec, np.ndarray, dict]:
     """``(layout, q, tables)`` of a period of ``n_samples``: bin layout, q by bit, tables by ``[bit_a, bit_b]``.
 
-    ``tables[name]`` is ``(amp, rho, rho_nyquist)`` for ``msv`` and ``msi``.
-    The loop law's gains of Alice's and Bob's generators are
+    ``tables[name]`` is ``(amp / n, rho, rho_nyquist)`` for ``msv`` and
+    ``msi``. The loop law's gains of Alice's and Bob's generators are
     g_a = R_B/(R_A+R_B) and g_b = R_A/(R_A+R_B) for the channel voltage,
     g_a = 1/(R_A+R_B) and g_b = -g_a for the loop current (as in
     ``circuit.channel_waveforms``). With s a bit's
     in-band scale and q its Nyquist scale over s, amp = g_a·s_a,
-    rho = g_b·s_b/amp and rho_nyquist = rho·(q_b/q_a).
+    rho = g_b·s_b/amp and rho_nyquist = rho·(q_b/q_a). The factor is stored
+    as amp/n, which scales the samples of an ``irfft`` with no 1/n to the
+    reading's, so no reader divides by n.
 
     These tables are the one loop law of every reading the program makes
-    (``_fill``): the period kernel's, ``kljn levels``' and ``kljn spectra``'s.
-    Each call builds them anew: nothing caches them.
+    (``_fill``): the period kernel's, ``level_readings``' and
+    ``squared_current_spectrum``'s. Each call builds them anew: nothing
+    caches them.
     """
     r = np.array([config.resistors.r0, config.resistors.r1])
     specs = [config.noise_spec(x, n_samples) for x in r.tolist()]
@@ -171,7 +155,7 @@ def _reading_tables(config: SystemConfig, n_samples: int) -> tuple[NoiseSpec, np
         for name, (g_a, g_b) in {"msv": (r_b / loop, r_a / loop), "msi": (1 / loop, -1 / loop)}.items():
             amp = g_a * s[:, None]
             rho = g_b * s / amp
-            tables[name] = (amp, rho, rho * (q / q[:, None]))
+            tables[name] = (amp / n_samples, rho, rho * (q / q[:, None]))
     return specs[0], q, tables
 
 
@@ -210,6 +194,66 @@ def _stage(spectrum: np.ndarray, z: np.ndarray, a, b, rule: tuple, name: str, ou
     n = rule[0].n_samples
     x = np.fft.irfft(spectrum, n=n, axis=-1, norm="forward")[..., measurement_slice(n)]
     np.einsum("ij,ij->i", x, x, out=out)
+
+
+def _whole_mean_square(spectrum: np.ndarray, z: np.ndarray, bits: tuple, rule: tuple, name: str) -> float:
+    """Mean square over the whole wave of reading ``name`` of the state ``bits``, by Parseval: no transform runs.
+
+    ``_fill`` writes the reading into ``spectrum``'s slots (arguments as it
+    takes them). An in-band bin's power counts twice, the Nyquist bin's once,
+    so the mean square is (2·Σ in_band² + nyquist²)·(amp/n)².
+    """
+    layout, _, tables = rule
+    _fill(spectrum, z, *bits, rule, name)
+    nyquist, in_band = layout.slots(spectrum)
+    total = 2 * np.square(in_band).sum()
+    if nyquist is not None:
+        total += nyquist**2
+    return float(total * tables[name][0][bits] ** 2)
+
+
+def level_readings(config: SystemConfig, n_samples: int) -> dict[str, tuple[float, float]]:
+    """Whole-wave mean squares ``(msv, msi)`` of one wave of ``n_samples`` per state, keyed 00, 0110 and 11.
+
+    The normals come from the stream of period 0 of ``config.master_seed``,
+    Alice's then Bob's, state by state in the order 00, 0110, 11. Every
+    reading refills the slots of one spectrum cut after the band's top bin.
+    """
+    rule = _reading_tables(config, n_samples)
+    layout = rule[0]
+    rng = rng_for_period(config.master_seed, 0)
+    spectrum = np.zeros(layout.n_band + 1 + layout.nyquist, dtype=complex)
+    readings = {}
+    for state, bits in (("00", (0, 0)), ("0110", (0, 1)), ("11", (1, 1))):
+        z = rng.standard_normal((2, layout.n_normals))
+        readings[state] = tuple(_whole_mean_square(spectrum, z, bits, rule, name) for name in ("msv", "msi"))
+        del z  # freed before the next state's normals are drawn
+    return readings
+
+
+def squared_current_spectrum(config: SystemConfig, n_samples: int, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(freqs, psd)``: ``noise.periodogram`` of the 11 loop current's square less its mean, over ``n_samples``.
+
+    The normals come from the stream of period 0 of ``config.master_seed``,
+    Alice's then Bob's. Raises ValueError where the square's mean is not finite.
+    """
+    n = n_samples
+    rule = _reading_tables(config, n)
+    layout, _, tables = rule
+    z = rng_for_period(config.master_seed, 0).standard_normal((2, layout.n_normals))
+    coeffs = np.zeros(n // 2 + 1, dtype=complex)
+    _fill(coeffs, z, 1, 1, rule, "msi")
+    del z  # freed before the transform allocates its samples
+    i_c = np.fft.irfft(coeffs, n=n, norm="forward")
+    del coeffs
+    i_c *= tables["msi"][0][1, 1]
+    squared = np.square(i_c, out=i_c)
+    mean = squared.mean()
+    # a sum of squares is finite only where every square is
+    if not np.isfinite(mean):
+        raise ValueError("non-finite channel current: the noise levels overflow float64")
+    squared -= mean  # theory describes only the AC part
+    return periodogram(squared, config.sample_rate, n_bins)
 
 
 def _simulate_chunk(
@@ -251,7 +295,7 @@ def _simulate_chunk(
                 _stage(spectrum[:k], normals[:k], a, b, rule, name, ms[lo : lo + k])
     for name, ms in sums.items():
         # the physical windowed sums of squares, then their means: a sum that overflowed stays infinite
-        ms *= np.square(tables[name][0] / n)[bits[:, 0], bits[:, 1]]
+        ms *= np.square(tables[name][0])[bits[:, 0], bits[:, 1]]
         ms /= len(range(n)[measurement_slice(n)])
     if not all(np.isfinite(ms).all() for ms in sums.values()):
         raise ValueError("non-finite channel mean squares: the noise levels overflow float64")

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import hashlib
 import importlib
@@ -7,6 +8,7 @@ import multiprocessing
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,13 +144,13 @@ class TestLevels:
         """At 2**20 samples (oversample 4, SD 0.2%), one level 2% high, or a band 2% wide at the same PSD,
         moves a printed level more than 8 SD."""
         if mutant == "level":
-            original, calls = cli._whole_mean_square, []
+            original, calls = protocol._whole_mean_square, []
 
             def high(*args):  # the 0110 voltage
                 calls.append(None)
                 return original(*args) * (1.02 if len(calls) == 3 else 1.0)
 
-            monkeypatch.setattr(cli, "_whole_mean_square", high)
+            monkeypatch.setattr(protocol, "_whole_mean_square", high)
         else:
             spec = SystemConfig.noise_spec
             monkeypatch.setattr(
@@ -192,7 +194,7 @@ class TestLevels:
         ids=["third-mean-square", "fifth-mean-square"],
     )
     def test_failure_prints_no_partial_table(self, capsys, monkeypatch, tmp_path, failing_call):
-        original, calls = cli._whole_mean_square, []
+        original, calls = protocol._whole_mean_square, []
 
         def fails_once(*args):
             calls.append(None)
@@ -200,7 +202,7 @@ class TestLevels:
                 raise ValueError("non-finite values: the noise level overflows float64")
             return original(*args)
 
-        monkeypatch.setattr(cli, "_whole_mean_square", fails_once)
+        monkeypatch.setattr(protocol, "_whole_mean_square", fails_once)
         out_path = tmp_path / "levels.txt"
         threads = threading.active_count()
         code, out, err = run_cli(capsys, ["levels", "--samples", "8192", "--out", str(out_path)])
@@ -220,7 +222,7 @@ class TestLevels:
         assert threading.active_count() == threads
 
     def test_too_few_samples_is_config_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "rng_for_period", _no_draw)
+        monkeypatch.setattr(protocol, "rng_for_period", _no_draw)
         code, out, err = run_cli(capsys, ["levels", "--samples", "1"])
         assert code == 2
         assert out == ""
@@ -229,7 +231,7 @@ class TestLevels:
     def test_no_in_band_bin_is_config_error(self, capsys, monkeypatch):
         # 3 samples at the default oversample 4 put bin 1 at 4/3 of the band edge: every
         # wave would be zero, and every empirical level 0
-        monkeypatch.setattr(cli, "rng_for_period", _no_draw)
+        monkeypatch.setattr(protocol, "rng_for_period", _no_draw)
         code, out, err = run_cli(capsys, ["levels", "--samples", "3"])
         assert code == 2
         assert out == ""
@@ -401,7 +403,7 @@ def test_unrunnable_config_is_config_error(capsys, monkeypatch, tmp_path, config
 def test_unreadable_config_is_config_error(capsys, monkeypatch, tmp_path, kind, command):
     """A config file that cannot be read is a config error that names it, not a runtime failure."""
     monkeypatch.setattr(cli, "run_session", _no_session)
-    monkeypatch.setattr(cli, "rng_for_period", _no_draw)
+    monkeypatch.setattr(protocol, "rng_for_period", _no_draw)
     path = tmp_path / f"{kind}.cfg"
     if kind == "directory":
         path.mkdir()
@@ -426,7 +428,7 @@ def test_unreadable_config_is_config_error(capsys, monkeypatch, tmp_path, kind, 
 @pytest.mark.filterwarnings("ignore::kljn.estimator.SmallGammaWarning")
 def test_unrunnable_config_refused_by_every_command(capsys, monkeypatch, tmp_path, config_text, message, argv):
     """levels and spectra run no period, yet refuse a config no period could run, as session does."""
-    monkeypatch.setattr(cli, "rng_for_period", _no_draw)
+    monkeypatch.setattr(protocol, "rng_for_period", _no_draw)
     path = tmp_path / "bad.cfg"
     path.write_text(config_text)
     code, out, err = run_cli(capsys, argv + ["--config", str(path)])
@@ -509,7 +511,7 @@ class TestSpectra:
         ids=["one-bin", "shorter-than-a-segment"],
     )
     def test_bad_size_is_config_error(self, capsys, monkeypatch, argv, flag):
-        monkeypatch.setattr(cli, "rng_for_period", _no_draw)
+        monkeypatch.setattr(protocol, "rng_for_period", _no_draw)
         code, out, err = run_cli(capsys, ["spectra"] + argv)
         assert code == 2
         assert out == ""
@@ -519,7 +521,7 @@ class TestSpectra:
         # 6 samples at oversample 8 put bin 1 at 4/3 of the band edge: the spectrum would be zero
         path = tmp_path / "oversample8.cfg"
         path.write_text("oversample = 8\n")
-        monkeypatch.setattr(cli, "rng_for_period", _no_draw)
+        monkeypatch.setattr(protocol, "rng_for_period", _no_draw)
         code, out, err = run_cli(capsys, ["spectra", "--config", str(path), "--samples", "6", "--bins", "3"])
         assert code == 2
         assert out == ""
@@ -791,7 +793,7 @@ class TestNonFiniteOutput:
     @pytest.mark.parametrize("argv", [["session"], ["levels", "--samples", "8192"]], ids=["session", "levels"])
     def test_overflowing_levels_are_runtime_error(self, capsys, monkeypatch, tmp_path, argv, text):
         """Levels that overflow or underflow float64 are reported as such, not as an empty secure band."""
-        monkeypatch.setattr(cli, "rng_for_period", _no_draw)
+        monkeypatch.setattr(protocol, "rng_for_period", _no_draw)
         monkeypatch.setattr(protocol, "_simulate_chunk", _no_session)
         path = tmp_path / "overflow.cfg"
         path.write_text(text)
@@ -888,3 +890,22 @@ class TestRepeatedMain:
             (1, {"force_state": None, "workers": 1}),
         ]
 
+
+def test_cli_imports_no_private_kljn_name_and_no_numpy():
+    """``cli`` only parses and prints: it imports no numpy and no ``_``-prefixed name of a kljn module.
+
+    ``levels`` and ``spectra`` take their readings from ``protocol``'s public
+    functions, so the reading rule has one owner.
+    """
+    found = []
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "numpy"]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.split(".")[0] == "numpy":
+                found.append(module)
+            elif node.level or module.split(".")[0] == "kljn":
+                names = module.split(".") + [alias.name for alias in node.names]
+                found += [f"{module}.{name}" for name in names if name.startswith("_")]
+    assert found == []

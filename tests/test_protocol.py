@@ -854,7 +854,8 @@ class TestReadingTables:
         So in a forced 00 or 11 chunk the one-pass ``np.add`` or
         ``np.subtract`` of the normals writes the bytes of the general
         ``z_a + rho * z_b``, and the Nyquist slot's rho_nyquist is +1 or -1
-        too.
+        too. The stored factor is amp/n, with amp = g_a·s_a, and
+        rho = g_b·s_b/(g_a·s_a).
         """
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateLevelsWarning)
@@ -866,15 +867,15 @@ class TestReadingTables:
         scale = [cfg.noise_spec(x, n).scale for x in r_bit]
         one, zero = np.ones(1), np.zeros(1)
         for name, wave, sign in (("msv", 0, 1.0), ("msi", 1, -1.0)):
-            amp, rho, rho_nyquist = tables[name]
+            factor, rho, rho_nyquist = tables[name]
             for b in (0, 1):
                 assert rho[b, b] == rho_nyquist[b, b] == sign, (name, b)
             for a in (0, 1):
                 for b in (0, 1):
                     g_a = channel_waveforms(one, zero, r_bit[a], r_bit[b])[wave][0]
                     g_b = channel_waveforms(zero, one, r_bit[a], r_bit[b])[wave][0]
-                    assert amp[a, b] == g_a * scale[a], (name, a, b)
-                    assert rho[a, b] == g_b * scale[b] / amp[a, b], (name, a, b)
+                    assert factor[a, b] == g_a * scale[a] / n, (name, a, b)
+                    assert rho[a, b] == g_b * scale[b] / (g_a * scale[a]), (name, a, b)
         assert np.array_equal(q, [cfg.noise_spec(x, n).nyquist_scale / cfg.noise_spec(x, n).scale for x in r_bit])
 
     @pytest.mark.parametrize("force_state", [None, "00"])

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kljn import cli
+from kljn import cli, protocol
 from kljn.config import SystemConfig, with_overrides
 from kljn.protocol import error_rate, run_session
 
@@ -128,7 +128,7 @@ def test_spectra_ratios_unchanged(tmp_path, monkeypatch, name):
 
         return wrapper
 
-    monkeypatch.setattr(cli, "periodogram", recording(cli.periodogram))
+    monkeypatch.setattr(protocol, "periodogram", recording(protocol.periodogram))
     monkeypatch.setattr(cli, "squared_noise_psd_theory", recording(cli.squared_noise_psd_theory))
     command = ["spectra", "--samples", "4096", "--bins", "64"]
     _run(tmp_path, command, BASE, "base")
