@@ -1,9 +1,9 @@
 """The ``kljn`` console script's target, ``kljn.cli:main``, run in fresh interpreters.
 
 These are the checks an in-process ``main()`` call cannot make: output bytes where a worker
-process really runs, warnings as a whole process prints them, refusals
-bounded by a timeout, and what importing the CLI loads. No installed ``kljn`` is needed:
-the child finds the package on ``PYTHONPATH``.
+process really runs, warnings as a whole process prints them, refusals bounded by a timeout,
+and which modules a command loads (never scipy). No installed ``kljn`` is needed: the child
+finds the package on ``PYTHONPATH``.
 """
 
 import contextlib
@@ -188,39 +188,44 @@ def test_caller_failure_stops_child_blocked_on_its_result():
 
 
 def _loaded_after(code, modules):
-    """Which of ``modules`` a fresh interpreter has loaded after running ``code``, as printed."""
-    code += f"; import sys; print(sorted(m for m in {tuple(modules)!r} if m in sys.modules))"
+    """Which modules of ``modules``, or inside one of them, a fresh interpreter has loaded after running ``code``, as printed."""
+    inside = "any(m == n or m.startswith(n + '.') for n in names)"
+    code += f"; import sys; names = {tuple(modules)!r}; print(sorted(m for m in sys.modules if {inside}))"
     [(exit_code, out, err)] = run((code, ()))
     assert exit_code == 0, err
     return out.decode().strip()
 
 
-def test_cli_import_defers_scipy_signal():
-    # no kljn module uses scipy.signal, and importing it dominates start-up
-    assert _loaded_after("import kljn.cli", ["scipy.signal"]) == "[]"
+# every row starts as a command does: the CLI imported and a config parsed
+START = "from kljn.cli import main; from kljn.config import parse_config; parse_config('gamma = 30\\nn_periods = 10\\n')"
+# only the worker processes of run_session and error_rate need multiprocessing, no kljn module needs
+# concurrent.futures (which loads logging), and only a refusal of a number beyond float64 needs decimal:
+# importing them costs every command's start-up
+POOL = ("concurrent.futures", "logging")
+UNNEEDED = (*POOL, "decimal")
 
 
-def test_cli_import_defers_process_pool():
-    # only the worker processes of run_session and error_rate need multiprocessing, no kljn module needs
-    # concurrent.futures (which loads logging), and only a refusal of a number beyond float64 needs decimal:
-    # importing them costs every command's start-up
-    modules = ["concurrent.futures", "concurrent.futures.process", "decimal", "logging", "multiprocessing"]
-    code = "import kljn.cli; from kljn.config import parse_config; parse_config('gamma = 30\\nn_periods = 10\\n')"
-    assert _loaded_after(code, modules) == "[]"
+@pytest.mark.parametrize(
+    "runs, forbidden",
+    [
+        ([], [*UNNEEDED, "multiprocessing"]),
+        ([(("spectra", "--samples", "4096", "--bins", "16"), b"#")], []),
+        # a periodogram of five chunks, then levels, load neither a thread pool nor the logging it pulls in
+        ([(SPECTRA, b"#"), (LEVELS, b"#")], POOL),
+        ([(SESSION, b"{")], [*UNNEEDED, "multiprocessing"]),
+        # a worker process loads multiprocessing, but where one CPU caps --workers to 1 none does
+        ([(SESSION + ("--workers", "2"), b"{")], UNNEEDED),
+        ([(SWEEP_CURRENT + ("--workers", "2"), b"#")], UNNEEDED),
+    ],
+    ids=["cli-import", "spectra", "spectra-levels", "session", "session-workers", "sweep-current-workers"],
+)
+def test_import_budget(tmp_path, runs, forbidden):
+    """``START``, then ``kljn *argv`` for each ``(argv, prefix)`` of ``runs``, loads no scipy and no module of ``forbidden``.
 
-
-def test_run_never_imports_scipy_signal(tmp_path):
-    path = tmp_path / "s.csv"
-    argv = ["spectra", "--samples", "4096", "--bins", "16", "--out", str(path)]
-    code = f"from kljn.cli import main; assert main({argv!r}) == 0"
-    assert _loaded_after(code, ["scipy.signal"]) == "[]"
-    assert path.read_text().startswith("#")
-
-
-def test_spectra_and_levels_start_no_thread_pool(tmp_path):
-    # a periodogram of five chunks, then levels, load neither a thread pool nor the logging it pulls in
-    spectra, levels = tmp_path / "s.csv", tmp_path / "l.txt"
-    runs = [[*SPECTRA, "--out", str(spectra)], [*LEVELS, "--out", str(levels)]]
-    code = "from kljn.cli import main; " + "; ".join(f"assert main({argv!r}) == 0" for argv in runs)
-    assert _loaded_after(code, ["concurrent.futures", "logging"]) == "[]"
-    assert spectra.read_text().startswith("#") and levels.read_text()
+    No kljn module imports scipy. Each run's output starts with its prefix.
+    """
+    outs = [tmp_path / f"{i}.out" for i in range(len(runs))]
+    calls = [f"assert main({[*argv, '--out', str(out)]!r}) == 0" for (argv, _), out in zip(runs, outs)]
+    assert _loaded_after("; ".join([START, *calls]), ["scipy", *forbidden]) == "[]"
+    for (_, prefix), path in zip(runs, outs):
+        assert path.read_bytes().startswith(prefix)
