@@ -196,7 +196,7 @@ def _loaded_after(code, modules):
     return out.decode().strip()
 
 
-# every row starts as a command does: the CLI imported and a config parsed
+# every check starts as a command does: the CLI imported and a config parsed
 START = "from kljn.cli import main; from kljn.config import parse_config; parse_config('gamma = 30\\nn_periods = 10\\n')"
 # only the worker processes of run_session and error_rate need multiprocessing, no kljn module needs
 # concurrent.futures (which loads logging), and only a refusal of a number beyond float64 needs decimal:
@@ -205,10 +205,18 @@ POOL = ("concurrent.futures", "logging")
 UNNEEDED = (*POOL, "decimal")
 
 
+def test_cli_import_defers_scipy_signal():
+    # no kljn module imports scipy, and importing it dominates start-up
+    assert _loaded_after(START, ["scipy"]) == "[]"
+
+
+def test_cli_import_defers_process_pool():
+    assert _loaded_after(START, [*UNNEEDED, "multiprocessing"]) == "[]"
+
+
 @pytest.mark.parametrize(
     "runs, forbidden",
     [
-        ([], [*UNNEEDED, "multiprocessing"]),
         ([(("spectra", "--samples", "4096", "--bins", "16"), b"#")], []),
         # a periodogram of five chunks, then levels, load neither a thread pool nor the logging it pulls in
         ([(SPECTRA, b"#"), (LEVELS, b"#")], POOL),
@@ -217,7 +225,7 @@ UNNEEDED = (*POOL, "decimal")
         ([(SESSION + ("--workers", "2"), b"{")], UNNEEDED),
         ([(SWEEP_CURRENT + ("--workers", "2"), b"#")], UNNEEDED),
     ],
-    ids=["cli-import", "spectra", "spectra-levels", "session", "session-workers", "sweep-current-workers"],
+    ids=["spectra", "spectra-levels", "session", "session-workers", "sweep-current-workers"],
 )
 def test_import_budget(tmp_path, runs, forbidden):
     """``START``, then ``kljn *argv`` for each ``(argv, prefix)`` of ``runs``, loads no scipy and no module of ``forbidden``.

@@ -986,8 +986,15 @@ class TestStage:
             if layout.nyquist:
                 gain[0], weight[0] = rho_nyquist[a, b], q[a] / math.sqrt(2.0)
             w = (z[j, 0] + gain * z[j, 1]) * weight
-            expected = n**2 * width * (w @ gram @ w)
-            assert out[j] == pytest.approx(expected, rel=1e-12, abs=1e-12 * n**2 * width * top * (w @ w)), j
+            # the form of w·2^e, whose largest entry is below 1, keeps all 53 bits where that of tiny normals
+            # would underflow; scaling back by 4^-e rounds once
+            e = -np.frexp(np.abs(w).max())[1]
+            u = np.ldexp(w, e)
+            expected = np.ldexp(n**2 * width * (u @ gram @ u), -2 * e)
+            # the absolute term is float64's error model: one relative to the inputs' energy, and one for
+            # underflow, where each of the stage's width squares may round by half the smallest subnormal
+            tol = 1e-12 * n**2 * width * top * np.ldexp(u @ u, -2 * e) + width * math.ulp(0.0)
+            assert out[j] == pytest.approx(expected, rel=1e-12, abs=tol), j
 
     @settings(max_examples=40, deadline=None)
     @given(
