@@ -84,7 +84,9 @@ def squared_noise_psd_theory(f, s_level: float, bandwidth: float):
     """
     f = np.asarray(f, dtype=float)
     peak = 2.0 * bandwidth * s_level * s_level
-    out = np.where(f <= 2.0 * bandwidth, peak * (1.0 - f / (2.0 * bandwidth)), 0.0)
+    # a peak past float64 is inf, and nan at f = 2B, with no warning: the caller refuses what it prints
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.where(f <= 2.0 * bandwidth, peak * (1.0 - f / (2.0 * bandwidth)), 0.0)
     out = np.where(f < 0, 0.0, out)
     if out.ndim == 0:
         return float(out)

@@ -90,11 +90,11 @@ class NoiseSpec:
     @property
     def scale(self) -> float:
         """Std of the real and of the imaginary part of an in-band coefficient, for PSD ``psd_level``."""
-        return math.sqrt(self.psd_level * self.sample_rate * self.n_samples / 4.0)
+        return _root(self.psd_level, self.sample_rate, self.n_samples, 4.0)
 
     @property
     def nyquist_scale(self) -> float:
-        return math.sqrt(self.psd_level * self.sample_rate * self.n_samples / 2.0)
+        return _root(self.psd_level, self.sample_rate, self.n_samples, 2.0)
 
     def slots(self, coeffs: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
         """Float64 views ``(nyquist, in_band)`` of the slots that a synthesis fills in complex ``coeffs``.
@@ -107,6 +107,17 @@ class NoiseSpec:
         """
         parts = coeffs.view(np.float64)
         return (parts[..., -2] if self.nyquist else None), parts[..., 2 : 2 + 2 * self.n_band]
+
+
+def _root(psd_level: float, sample_rate: float, n_samples: int, d: float) -> float:
+    """sqrt(psd_level * sample_rate * n_samples / d) with that expression's roundings, inf only where the root is.
+
+    Where the product would pass 2**1021, psd_level gives up a power of four,
+    4**k, and the root takes 2**k back, both exactly (the frexp exponents sum
+    to E with the product in [2**(E - 3), 2**E)), so no product overflows.
+    """
+    k = max(0, (math.frexp(psd_level)[1] + math.frexp(sample_rate)[1] + math.frexp(n_samples)[1] - 1020) // 2)
+    return math.sqrt(math.ldexp(psd_level, -2 * k) * sample_rate * n_samples / d) * 2.0**k
 
 
 def _period_key(master_seed: int, period_index: int) -> np.ndarray:

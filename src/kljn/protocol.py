@@ -149,7 +149,7 @@ def _reading_tables(config: SystemConfig, n_samples: int) -> tuple[NoiseSpec, np
     r_a, r_b = r[:, None], r[None, :]
     loop = r_a + r_b
     tables = {}
-    # quietly nan for a bit whose scale overflowed to inf: _simulate_chunk refuses its periods as non-finite
+    # quietly nan for a bit whose scale overflowed to inf: _run_shares refuses its periods as non-finite
     with np.errstate(invalid="ignore"):
         q = np.array([spec.nyquist_scale for spec in specs]) / s
         for name, (g_a, g_b) in {"msv": (r_b / loop, r_a / loop), "msi": (1 / loop, -1 / loop)}.items():
@@ -246,14 +246,16 @@ def squared_current_spectrum(config: SystemConfig, n_samples: int, n_bins: int) 
     del z  # freed before the transform allocates its samples
     i_c = np.fft.irfft(coeffs, n=n, norm="forward")
     del coeffs
-    i_c *= tables["msi"][0][1, 1]
-    squared = np.square(i_c, out=i_c)
-    mean = squared.mean()
-    # a sum of squares is finite only where every square is
-    if not np.isfinite(mean):
-        raise ValueError("non-finite channel current: the noise levels overflow float64")
-    squared -= mean  # theory describes only the AC part
-    return periodogram(squared, config.sample_rate, n_bins)
+    # a value past float64 is inf or nan, with no warning: the mean is refused here, the density where printed
+    with np.errstate(over="ignore", invalid="ignore"):
+        i_c *= tables["msi"][0][1, 1]
+        squared = np.square(i_c, out=i_c)
+        mean = squared.mean()
+        # a sum of squares is finite only where every square is
+        if not np.isfinite(mean):
+            raise ValueError("non-finite channel current: the noise levels overflow float64")
+        squared -= mean  # theory describes only the AC part
+        return periodogram(squared, config.sample_rate, n_bins)
 
 
 def _simulate_chunk(
@@ -274,8 +276,8 @@ def _simulate_chunk(
     (amp/n)², the physical windowed sum of squares, and is divided by the
     window's length.
 
-    Raises ValueError when a mean square is not finite, as it is when the
-    noise levels or a windowed sum of squares overflow float64.
+    A mean square whose scale or windowed sum of squares overflows float64
+    is returned as it is, inf or nan: ``_run_shares`` refuses the run.
     """
     n = config.samples_per_period
     rule = _reading_tables(config, n)
@@ -287,18 +289,16 @@ def _simulate_chunk(
     normals = np.empty((block, 2, layout.n_normals))
     # every block writes the same in-band and Nyquist slots; DC and the bins above the band stay zero
     spectrum = np.zeros((block, n // 2 + 1), dtype=complex)
-    # a scale that overflowed puts nan or inf into a spectrum, and irfft would warn of it: the finiteness
-    # check below refuses those periods
-    with np.errstate(invalid="ignore"):
+    # a scale that overflowed puts nan or inf into a spectrum, and a sum of squares may pass float64: both
+    # are formed with no warning, and _run_shares refuses those periods
+    with np.errstate(over="ignore", invalid="ignore"):
         for lo, k, a, b in draw_periods(config.master_seed, start, stop, force_state, normals, bits):
             for name, ms in sums.items():
                 _stage(spectrum[:k], normals[:k], a, b, rule, name, ms[lo : lo + k])
-    for name, ms in sums.items():
-        # the physical windowed sums of squares, then their means: a sum that overflowed stays infinite
-        ms *= np.square(tables[name][0])[bits[:, 0], bits[:, 1]]
-        ms /= len(range(n)[measurement_slice(n)])
-    if not all(np.isfinite(ms).all() for ms in sums.values()):
-        raise ValueError("non-finite channel mean squares: the noise levels overflow float64")
+        for name, ms in sums.items():
+            # the physical windowed sums of squares, then their means: a sum that overflowed stays infinite
+            ms *= np.square(tables[name][0])[bits[:, 0], bits[:, 1]]
+            ms /= len(range(n)[measurement_slice(n)])
     return {"bits": bits, **sums}
 
 
@@ -383,24 +383,31 @@ def _run_shares(
     identical to the serial run's because every period has its own derived
     random stream and the shares are concatenated in period order. No child
     outlives the call, also when it fails.
+
+    The run's one finiteness check: a ValueError where a mean square is not
+    finite, as where the noise levels or a windowed sum overflow float64.
     """
     n_periods = config.n_periods
     args = (force_state, reading)
     workers = min(workers, _usable_cpus())
     if workers == 1 or n_periods < 2 * workers:
-        return _simulate_chunk(config, 0, n_periods, *args)
-    bounds = np.linspace(0, n_periods, workers + 1, dtype=int).tolist()
-    first, *rest = zip(bounds[:-1], bounds[1:])
-    children = []
-    try:
-        for a, b in rest:
-            children.append(_Share(config, a, b, *args))
-        chunks = [_simulate_chunk(config, *first, *args)]
-        chunks += [child.result() for child in children]
-    finally:
-        for child in children:
-            child.close()
-    return {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
+        periods = _simulate_chunk(config, 0, n_periods, *args)
+    else:
+        bounds = np.linspace(0, n_periods, workers + 1, dtype=int).tolist()
+        first, *rest = zip(bounds[:-1], bounds[1:])
+        children = []
+        try:
+            for a, b in rest:
+                children.append(_Share(config, a, b, *args))
+            chunks = [_simulate_chunk(config, *first, *args)]
+            chunks += [child.result() for child in children]
+        finally:
+            for child in children:
+                child.close()
+        periods = {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
+    if not all(np.isfinite(ms).all() for name, ms in periods.items() if name != "bits"):
+        raise ValueError("non-finite channel mean squares: the noise levels overflow float64")
+    return periods
 
 
 def _checked_workers(workers) -> int:
@@ -478,14 +485,16 @@ def run_session(
     for a, state in enumerate(ACTUAL_STATES):
         sel = actual == a
         sv, si_ = msv[sel], msi[sel]
-        moment_sums[state] = [
-            n_state[a],
-            float(sv.sum()),
-            float(si_.sum()),
-            float(np.square(sv).sum()),
-            float(np.square(si_).sum()),
-            float((sv * si_).sum()),
-        ]
+        # a sum past float64 reads inf, with no warning: a report that holds one is refused where it is written
+        with np.errstate(over="ignore", invalid="ignore"):
+            moment_sums[state] = [
+                n_state[a],
+                float(sv.sum()),
+                float(si_.sum()),
+                float(np.square(sv).sum()),
+                float(np.square(si_).sum()),
+                float((sv * si_).sum()),
+            ]
 
     return SessionReport(
         n_periods=n_periods,

@@ -734,24 +734,28 @@ def test_package_root_exports_no_waveform_reference():
     assert [name for name in reference if hasattr(kljn, name)] == []
 
 
-# finite configs whose noise levels overflow float64: in the squared-current
-# periodogram only, or already in the generator synthesis
+# finite configs whose noise levels overflow float64 in the squared-current periodogram only, or
+# whose products under the coefficient scales' roots overflow too, while the scales, the levels and
+# the mean squares (up to about 1e306) fit
 PERIODOGRAM_OVERFLOW = "t_eff = 1e290\nr = 1\nalpha = 1000\n"
 SYNTHESIS_OVERFLOW = "t_eff = 3.6e305\nr = 1e20\nalpha = 1000\n"
 # finite levels and samples, but the session report's sums of squared mean squares overflow
 REPORT_OVERFLOW = "t_eff = 1e300\nr = 1e20\ngamma = 30\nn_periods = 50\n"
+_OUTPUT = "runtime error: non-finite output values: the noise levels overflow float64\n"
 
 
 class TestNonFiniteOutput:
     @pytest.mark.parametrize(
-        "argv, text",
+        "argv, text, err_wanted",
         [
-            (["spectra", "--samples", "8192", "--bins", "64"], PERIODOGRAM_OVERFLOW),
-            (["spectra", "--samples", "8192", "--bins", "64"], SYNTHESIS_OVERFLOW),
-            (["levels", "--samples", "8192"], SYNTHESIS_OVERFLOW),
-            # two shares of two periods: the calling process's and the pool's both overflow
-            (["session", "--workers", "2"], SYNTHESIS_OVERFLOW + "n_periods = 4\n"),
-            (["sweep", "--gammas", "30", "--workers", "2"], SYNTHESIS_OVERFLOW + "n_periods = 4\n"),
+            (["spectra", "--samples", "8192", "--bins", "64"], PERIODOGRAM_OVERFLOW, _OUTPUT),
+            # the squared current's density, printed by _fmt, overflows
+            (["spectra", "--samples", "8192", "--bins", "64"], SYNTHESIS_OVERFLOW, _OUTPUT),
+            (["levels", "--samples", "8192"], SYNTHESIS_OVERFLOW, ""),
+            # two shares of two periods, the calling process's and the pool's: the JSON guard refuses
+            # the report's overflowed second moments
+            (["session", "--workers", "2"], SYNTHESIS_OVERFLOW + "n_periods = 4\n", _OUTPUT),
+            (["sweep", "--gammas", "30", "--workers", "2"], SYNTHESIS_OVERFLOW + "n_periods = 4\n", ""),
         ],
         ids=[
             "spectra-periodogram",
@@ -761,23 +765,37 @@ class TestNonFiniteOutput:
             "sweep-w2-synthesis",
         ],
     )
-    def test_overflow_is_runtime_error(self, capsys, tmp_path, argv, text, monkeypatch):
+    def test_overflow_is_runtime_error(self, capsys, tmp_path, argv, text, err_wanted, monkeypatch):
+        """A command near float64's top exits 3 only where a number it prints overflows, else 0 with finite numbers.
+
+        Under the suite's ``error::RuntimeWarning`` filter a numpy warning,
+        in this process or a worker's, would fail the run: ``err_wanted`` is
+        all of stderr.
+        """
         path = tmp_path / "overflow.cfg"
         path.write_text(text)
         monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)  # a pool on any machine
-        with np.errstate(all="ignore"):
-            code, out, err = run_cli(capsys, argv + ["--config", str(path)])
-        assert code == 3
-        assert out == ""
-        assert "non-finite" in err
+        code, out, err = run_cli(capsys, argv + ["--config", str(path)])
+        assert err == err_wanted
         assert multiprocessing.active_children() == []  # no pool process outlives the run
+        if err_wanted:
+            assert (code, out) == (3, "")
+            return
+        assert code == 0
+        numbers = []
+        for token in out.replace(",", " ").split():
+            try:
+                numbers.append(float(token))
+            except ValueError:
+                pass
+        # levels' 18 readings, theories and relative errors, or the sweep row's 7 values
+        assert len(numbers) >= 7 and np.isfinite(numbers).all()
 
     def test_overflowing_report_value_is_runtime_error(self, capsys, tmp_path):
         path = tmp_path / "overflow.cfg"
         path.write_text(REPORT_OVERFLOW)
         out_path = tmp_path / "session.json"
-        with np.errstate(all="ignore"):
-            code, out, err = run_cli(capsys, ["session", "--config", str(path), "--out", str(out_path)])
+        code, out, err = run_cli(capsys, ["session", "--config", str(path), "--out", str(out_path)])
         assert code == 3
         assert out == "" and not out_path.exists()
         assert "non-finite output values" in err

@@ -1,12 +1,14 @@
+import decimal
 import math
 import sys
 import threading
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -58,7 +60,69 @@ def reference_periodogram(samples, sample_rate, n_bins):
     return np.fft.rfftfreq(length, 1 / sample_rate), power.mean(axis=-1)
 
 
+def binary53(x: Fraction) -> Fraction:
+    """Positive ``x`` rounded to 53 significant bits, ties to even: float64's rounding with no exponent limit."""
+    e = x.numerator.bit_length() - x.denominator.bit_length() - 53
+    while x >= 2 ** (e + 53):
+        e += 1
+    while x < 2 ** (e + 52):
+        e -= 1
+    unit = Fraction(2) ** e
+    return round(x / unit) * unit
+
+
+def reference_root(psd, fs, n, d):
+    """sqrt(psd * fs * n / d) with each step rounded as float64 rounds it but with no exponent limit; inf past float64.
+
+    The products are exact fractions and the root a 50-digit decimal, each
+    rounded to 53 bits, so the reference shares the expression's roundings
+    but not its overflow.
+    """
+    product = binary53(binary53(Fraction(psd) * Fraction(fs)) * n) / d
+    with decimal.localcontext(prec=50):
+        root = binary53(Fraction((decimal.Decimal(product.numerator) / product.denominator).sqrt()))
+    return float(root) if root <= sys.float_info.max else math.inf
+
+
+# a float of mantissa in [0.5, 1) and binary exponent in [-60, 1024]: products beyond float64 and within it
+BINADES = st.builds(math.ldexp, st.floats(0.5, 1, exclude_max=True), st.integers(-60, 1024))
+
+
 class TestNoiseSpec:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(psd=BINADES, fs=BINADES, n=st.integers(2, 2**53))
+    # the root itself passes float64 (about 6.3e308)
+    @example(psd=1e308, fs=1e308, n=16)
+    def test_scales_are_exact(self, psd, fs, n):
+        """Each scale is the unchanged expression where its product is finite, and its exact value elsewhere.
+
+        Where psd * fs * n fits float64 the scale is bit-equal to
+        ``math.sqrt(psd * fs * n / d)``; where only that product overflows
+        it equals the reference, which rounds as float64 does with no
+        exponent limit; and it is inf only where that reference passes
+        float64's largest value. Both scales are checked: d = 4 in band, 2
+        at the Nyquist bin.
+        """
+        spec = NoiseSpec(psd_level=psd, bandwidth=fs / 2, sample_rate=fs, n_samples=n)
+        for d, scale in ((4, spec.scale), (2, spec.nyquist_scale)):
+            want = reference_root(psd, fs, n, d)
+            if math.isfinite(psd * fs * n):
+                assert scale == math.sqrt(psd * fs * n / d) == want
+            else:
+                assert scale == want
+            if math.isfinite(want):
+                # the roundings leave the scale within 2 ulp of the exact root
+                with decimal.localcontext(prec=50):
+                    exact = (decimal.Decimal(psd) * decimal.Decimal(fs) * n / d).sqrt()
+                assert abs(decimal.Decimal(scale) - exact) <= 2 * decimal.Decimal(math.ulp(scale))
+
+    def test_scale_of_an_overflowing_product(self):
+        """psd * fs * n overflows float64, the scale sqrt(1e308 * 4 * 16 / 4) = 4e154 does not, nor its noise."""
+        spec = NoiseSpec(psd_level=1e308, bandwidth=1, sample_rate=4, n_samples=16)
+        assert spec.psd_level * spec.sample_rate * spec.n_samples == math.inf
+        assert spec.scale == 4e154
+        assert np.isfinite(synth_band_limited(spec, np.random.default_rng(0))).all()
+
     def test_rejects_aliasing_rate(self):
         with pytest.raises(ValueError, match="alias"):
             NoiseSpec(psd_level=1, bandwidth=1, sample_rate=1.9, n_samples=16)
@@ -150,8 +214,9 @@ class TestSynth:
         assert w.dtype == np.float64 and w.shape == (4096,)
 
     def test_rejects_nonfinite_samples(self):
-        # finite spec, but the coefficient scale sqrt(S * fs * n / 4) overflows float64
-        spec = NoiseSpec(psd_level=1e308, bandwidth=1, sample_rate=4, n_samples=16)
+        # finite spec, but the coefficient scale sqrt(S * fs * n / 4), about 6.3e308, overflows float64
+        spec = NoiseSpec(psd_level=1e308, bandwidth=1e307, sample_rate=1e308, n_samples=16)
+        assert spec.scale == math.inf
         with pytest.raises(ValueError, match="non-finite"), np.errstate(all="ignore"):
             synth_band_limited(spec, np.random.default_rng(0))
 

@@ -52,6 +52,25 @@ def small_config(**kw):
     return SystemConfig(**defaults)
 
 
+# the product under R1's coefficient scale overflows float64, but the scale, the levels and every
+# mean square fit: only the sums of squared mean squares overflow
+NEAR_TOP = dict(t_eff=3.6e305, r=1e20, alpha=1000.0, n_periods=4, master_seed=2)
+# R1's coefficient scale itself, about sqrt(5e307 * 4e307 * 120 / 4), is past float64; so are the levels
+INF_SCALE = dict(r=5e304, alpha=1000.0, b_kljn=1e307, gamma=30.0, n_periods=4, master_seed=2)
+
+
+def overflowing(cfg, reading, state):
+    """``cfg`` at the t_eff that puts ``reading``'s ``state`` level at an eighth of float64's largest.
+
+    Every level stays finite where ``state`` has the reading's largest
+    level, but each period's windowed sum of at least 100 squares is past
+    float64's largest.
+    """
+    levels = cfg.levels()
+    level = (levels.voltage_for if reading == "msv" else levels.current_for)(state)
+    return with_overrides(cfg, t_eff=cfg.t_eff * (np.finfo(float).max / 8 / level))
+
+
 def codes(*outcomes):
     return np.array([OUTCOMES.index(o) for o in outcomes], dtype=np.int8)
 
@@ -331,13 +350,24 @@ class TestRunSession:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_overflowing_noise_levels_rejected(self, workers, monkeypatch):
-        # the bands are finite, but 4kT * R1 * f_s * n overflows float64 in the synthesis;
-        # with 2 workers both the caller's share and the child process's share overflow
-        cfg = small_config(t_eff=3.6e305, r=1e20, alpha=1000.0, n_periods=4, master_seed=2)
-        cfg.bands()
+        """A session is refused where its mean squares pass float64's largest, and only there.
+
+        At ``NEAR_TOP`` 4kT * R1 * f_s * n overflows, but the scale is its
+        exact root: every mean square is finite, and only the second moment
+        sums overflow, quietly. With 2 workers the caller's share and the
+        child process's share both overflow at the hotter t_eff, and the
+        caller refuses the joined readings.
+        """
         monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)
-        with pytest.raises(ValueError, match="non-finite"), np.errstate(all="ignore"):
-            run_session(cfg, workers=workers)
+        cfg = small_config(**NEAR_TOP)
+        spec = cfg.noise_spec(cfg.resistors.r1, cfg.samples_per_period)
+        assert spec.psd_level * spec.sample_rate * spec.n_samples == math.inf and math.isfinite(spec.scale)
+        report = run_session(cfg, workers=workers)
+        assert report == run_session(cfg)
+        sums = [state_sums for state_sums in report.moment_sums.values() if state_sums[0]]
+        assert np.isfinite([x[1:3] for x in sums]).all() and not np.isfinite([x[3:] for x in sums]).any()
+        with pytest.raises(ValueError, match="non-finite channel mean squares"):
+            run_session(overflowing(cfg, "msv", "11"), workers=workers)
         assert multiprocessing.active_children() == []
 
     def test_config_warnings_not_repeated(self):
@@ -612,35 +642,48 @@ class TestErrorRate:
         with pytest.raises(ValueError, match="empty secure band"):
             error_rate(small_config(lam=0.99, rho=0.99), "current", "11")
 
-    @pytest.mark.parametrize("mode", ["voltage", "current", "combined"])
-    def test_overflowing_noise_levels_rejected(self, mode):
-        cfg = small_config(t_eff=3.6e305, r=1e20, alpha=1000.0, n_periods=4, master_seed=2)
-        with pytest.raises(ValueError, match="non-finite"), np.errstate(all="ignore"):
-            error_rate(cfg, mode, "11")
+    @pytest.mark.parametrize(
+        "mode, reading, r, state",
+        [("voltage", "msv", 1e20, "11"), ("current", "msi", 1e-23, "00"), ("combined", "msv", 1e20, "11")],
+        ids=["voltage", "current", "combined"],
+    )
+    def test_overflowing_noise_levels_rejected(self, mode, reading, r, state):
+        """A rate is refused where the mean squares it reads pass float64's largest, and only there.
+
+        At ``NEAR_TOP`` only the product under a scale's root overflows: the
+        rate is the session's, and its reading's bytes are the two-reading
+        stage's. At the hotter t_eff the reading's windowed sums overflow,
+        in the state with the reading's largest level (the current's is 00).
+        """
+        cfg = small_config(**NEAR_TOP)
+        key = {"voltage": "v", "current": "i", "combined": "combined"}[mode]
+        assert error_rate(cfg, mode, "11") == run_session(cfg, force_state="11").rates[f"eps_hat_{key}_11"]
+        one, both = (protocol._run_shares(cfg, "11", 1, name)[reading] for name in (reading, None))
+        assert np.isfinite(one).all() and one.tobytes() == both.tobytes()
+        with pytest.raises(ValueError, match="non-finite channel mean squares"):
+            error_rate(overflowing(with_overrides(cfg, r=r), reading, state), mode, state)
 
     @pytest.mark.parametrize(
-        "run",
-        [
-            lambda cfg: error_rate(cfg, "voltage", "11"),
-            lambda cfg: error_rate(cfg, "current", "11"),
-            lambda cfg: run_session(cfg),
-            lambda cfg: run_session(cfg, force_state="0110"),
-            lambda cfg: run_session(cfg, force_state="11"),
-        ],
+        "force_state, reading",
+        [("11", "msv"), ("11", "msi"), (None, None), ("0110", None), ("11", None)],
         ids=["voltage", "current", "session", "session-0110", "session-11"],
     )
-    def test_overflowing_scale_refused_without_float_warnings(self, run):
-        """A run whose coefficient scale is inf refuses with no numpy warning.
+    def test_overflowing_scale_refused_without_float_warnings(self, force_state, reading):
+        """A run whose coefficient scale is inf is refused at its one finiteness check, with no numpy warning.
 
-        Under the suite's ``error::RuntimeWarning`` filter a warning would
-        raise in place of the ValueError. With random or 0110 bits rho is
-        inf or nan for the unequal-resistor periods, whose ``irfft`` would
-        warn of an invalid value.
+        Such a scale needs levels past float64 too, which a session or a rate
+        refuses before any period runs, so the runs are ``_run_shares``' as
+        they call it. Under the suite's ``error::RuntimeWarning`` filter a
+        warning would raise in place of the ValueError. With random or 0110
+        bits rho is inf or nan for the unequal-resistor periods, whose
+        ``irfft`` would warn of an invalid value.
         """
-        cfg = small_config(t_eff=3.6e305, r=1e20, alpha=1000.0, n_periods=4, master_seed=2)
+        cfg = small_config(**INF_SCALE)
         assert cfg.noise_spec(cfg.resistors.r1, cfg.samples_per_period).scale == math.inf
-        with pytest.raises(ValueError, match="non-finite"):
-            run(cfg)
+        with pytest.raises(ValueError, match="mean-square levels not finite"):
+            cfg.bands()
+        with pytest.raises(ValueError, match="non-finite channel mean squares"):
+            protocol._run_shares(cfg, force_state, 1, reading)
 
 
 def chunk_peaks(cfg, *args):
@@ -802,17 +845,18 @@ class TestOneReadingKernel:
     # resistors that bring the reading's mean squares near the top of float64 at an SI t_eff below it
     @pytest.mark.parametrize(
         "reading, r, refused",
-        [("msv", 1e25, [False, True, True]), ("msi", 1e-25, [False, False, True])],
+        [("msv", 1e25, [False, False, True]), ("msi", 1e-25, [False, False, True])],
         ids=["msv", "msi"],
     )
     def test_refuses_where_the_two_wave_stage_does(self, reading, r, refused):
-        """Windowed sums of squares 64x and 4x below float64's largest, and 4x above it: both chunks refuse alike.
+        """Windowed sums of squares 64x and 4x below float64's largest, and 4x above it: both stages' runs refuse alike.
 
-        A voltage's windowed sum of squares is about 1 / (4 * oversample) of
-        psd * f_s * n, the product under its coefficient scale's square root,
-        so 4x below the largest float that product already overflows and both
-        chunks refuse. A current's sums also grow with 1 / r**2, and its
-        scale does not bind.
+        The runs are ``_run_shares``', whose one finiteness check reads the
+        chunks' returned readings. A voltage's windowed sum of squares is
+        about 1 / (4 * oversample) of psd * f_s * n, the product under its
+        coefficient scale's square root: 4x below the largest float that
+        product overflows, but the scale is its exact root, so only the sums
+        past float64 are refused. A current's sums also grow with 1 / r**2.
         """
         base = small_config(r=r, t_eff=1.0, n_periods=20, master_seed=5)
         n = base.samples_per_period
@@ -825,11 +869,10 @@ class TestOneReadingKernel:
             outcomes = []
             for chunk_reading in (None, reading):
                 try:
-                    with np.errstate(all="ignore"):
-                        periods = _simulate_chunk(cfg, 0, cfg.n_periods, "00", chunk_reading)
+                    periods = protocol._run_shares(cfg, "00", 1, chunk_reading)
                     outcomes.append(periods[reading])
                 except ValueError as exc:
-                    assert "non-finite" in str(exc)
+                    assert "non-finite channel mean squares" in str(exc)
                     outcomes.append(None)
             both, one = outcomes
             assert (one is None) is (both is None), t_eff
