@@ -235,26 +235,25 @@ def squared_current_spectrum(config: SystemConfig, n_samples: int, n_bins: int) 
     """``(freqs, psd)``: ``noise.periodogram`` of the 11 loop current's square less its mean, over ``n_samples``.
 
     The normals come from the stream of period 0 of ``config.master_seed``,
-    Alice's then Bob's. Raises ValueError where the square's mean is not finite.
+    Alice's then Bob's, into one spectrum cut after the band's top bin, as in
+    ``level_readings``. Levels that float64 cannot hold are refused before
+    any draw, as ``run_session`` refuses them before any period.
     """
+    config.levels()  # fail fast on levels float64 cannot hold
     n = n_samples
     rule = _reading_tables(config, n)
     layout, _, tables = rule
     z = rng_for_period(config.master_seed, 0).standard_normal((2, layout.n_normals))
-    coeffs = np.zeros(n // 2 + 1, dtype=complex)
+    coeffs = np.zeros(layout.n_band + 1 + layout.nyquist, dtype=complex)
     _fill(coeffs, z, 1, 1, rule, "msi")
     del z  # freed before the transform allocates its samples
     i_c = np.fft.irfft(coeffs, n=n, norm="forward")
     del coeffs
-    # a value past float64 is inf or nan, with no warning: the mean is refused here, the density where printed
+    # a square or their mean past float64 reads inf, with no warning; no density is then finite: refused where printed
     with np.errstate(over="ignore", invalid="ignore"):
         i_c *= tables["msi"][0][1, 1]
         squared = np.square(i_c, out=i_c)
-        mean = squared.mean()
-        # a sum of squares is finite only where every square is
-        if not np.isfinite(mean):
-            raise ValueError("non-finite channel current: the noise levels overflow float64")
-        squared -= mean  # theory describes only the AC part
+        squared -= squared.mean()  # theory describes only the AC part
         return periodogram(squared, config.sample_rate, n_bins)
 
 

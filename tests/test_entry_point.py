@@ -143,6 +143,11 @@ def test_same_stdout(programs):
             "t_eff = 3.6e305\nr = 1e20\nalpha = 1000\nn_periods = 4\n",
             ["sweep", "--gammas", "30", "--workers", "2"], 0, b"", b"RuntimeWarning",
         ),
+        # an 11 loop resistance past float64 is refused by the level table before spectra draws
+        (
+            "r = 1e305\nalpha = 1000\nt_eff = 1e-10\n",
+            ["spectra", "--samples", "8192", "--bins", "64"], 3, b"mean-square levels not finite", b"RuntimeWarning",
+        ),
     ],
     ids=[
         "session-small-gamma",
@@ -157,6 +162,7 @@ def test_same_stdout(programs):
         "report-overflow",
         "periodogram-overflow",
         "near-top-sweep",
+        "huge-loop-spectra",
     ],
 )
 def test_one_run(tmp_path, config_text, argv, exit_code, shown, not_shown):
