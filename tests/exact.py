@@ -1,0 +1,141 @@
+"""The exact law that the tests hold the simulator to, built from one window operator.
+
+A period's windowed mean square over its level is Q = Σλ̂_k χ²₁, with λ̂
+the eigenvalues of ``window_gram`` over its trace. Imhof's integral over
+them gives Q's tails, the exact error rates; their sums give Q's
+cumulants, which the moment gates read. A whole wave's mean square has the
+chi-square law of ``level_law``. The rest turns a run's counts and moment
+sums into z-scores against these laws.
+
+The operator is built from γ and oversample alone. It reads no
+``SystemConfig``, ``NoiseSpec`` or ``band_coefficients``, so a kernel whose
+period or band is off does not move the prediction with it.
+"""
+
+import math
+
+import numpy as np
+from scipy.integrate import quad
+
+
+def window_gram(gamma, oversample):
+    """G = S·Sᵀ / N_w, where row j of S is the measured half-period of unit-scale normal j alone.
+
+    A period has n = oversample·γ samples, and its band fills bins
+    1..n/oversample. S is the identity pushed through the kernel's normal
+    layout: the Nyquist normal first (oversample 2 puts that bin in band), at
+    scale √2, the ratio of every spec's two scales; then a real and an
+    imaginary part for each other in-band bin. Then ``irfft`` and the
+    trailing half-window of N_w = n/2 samples. A period's windowed mean
+    square of the normals z at scale s is s²·zᵀGz.
+    """
+    n = round(oversample * gamma)
+    assert n % 2 == 0 and n % oversample == 0 and oversample >= 2, (gamma, oversample)
+    nyquist = int(oversample == 2)
+    n_band = n // oversample - nyquist
+    unit = np.zeros((nyquist + 2 * n_band, n // 2 + 1), dtype=complex)
+    parts = unit.view(np.float64)
+    if nyquist:
+        parts[0, -2] = math.sqrt(2.0)
+    parts[nyquist:, 2 : 2 + 2 * n_band] = np.eye(2 * n_band)
+    synthesis = np.fft.irfft(unit, n=n, axis=-1)[:, n // 2 :]
+    return synthesis @ synthesis.T / synthesis.shape[1]
+
+
+def window_eigenvalues(gamma, oversample):
+    """The λ̂ of Q = Σλ̂_k χ²₁: the eigenvalues of ``window_gram`` over its trace, so Σλ̂ = 1."""
+    gram = window_gram(gamma, oversample)
+    return np.linalg.eigvalsh(gram) / np.trace(gram)
+
+
+def window_cumulants(gamma, oversample):
+    """Cumulants κ2 = Var Q = 2Σλ̂² and κ4 = 48Σλ̂⁴ of Q, with λ̂ from ``window_eigenvalues``."""
+    lam = window_eigenvalues(gamma, oversample)
+    return 2 * (lam**2).sum(), 48 * (lam**4).sum()
+
+
+def imhof_upper_tail(lam, x):
+    """P(Q > x) for Q = Σλ_k χ²₁ by Imhof's (1961) integral, with ``quad``'s error estimate of it.
+
+    P(Q > x) = 1/2 + (1/π)∫₀^∞ sin θ(u) / (u·ρ(u)) du, where
+    θ(u) = (1/2)Σ arctan(λ_k u) - xu/2 and ρ(u) = Π (1 + λ_k²u²)^(1/4).
+    1/ρ is formed as exp(-(1/4)Σ log1p(λ_k²u²)), which underflows to 0 at
+    large u where ρ itself would overflow float64 (from γ = 300).
+    """
+
+    def integrand(u):
+        theta = 0.5 * np.arctan(lam * u).sum() - 0.5 * x * u
+        inv_rho = math.exp(-0.25 * np.log1p((lam * u) ** 2).sum())
+        return math.sin(theta) * inv_rho / u
+
+    value, error = quad(integrand, 0, math.inf, epsabs=1e-13, epsrel=1e-10, limit=200)
+    return 0.5 + value / math.pi, error / math.pi
+
+
+def exact_rate_11(gamma):
+    """The exact forced-11 current rate at f = 0.5 and oversample 4: P(Q > 1.5) by Imhof's integral."""
+    return imhof_upper_tail(window_eigenvalues(gamma, 4), 1.5)[0]
+
+
+# Exact tail probabilities of the windowed current mean square at alpha = 100,
+# gamma = 30 and threshold fraction 0.5 (Imhof's integral over the window's
+# eigenvalues, test_exact_rates_from_the_window_eigenvalues): 00 reads secure
+# on the lower tail, 11 on the upper tail.
+EXACT_I_00_G30 = 9.135e-3
+EXACT_I_11_G30 = 3.685e-2
+
+# At equal fractions every reading over its level has one distribution, so a reading's rate is the
+# exact current rate of its tail: voltage 00 reads secure on the upper tail, like current 11, and
+# voltage 11 on the lower tail, like current 00.
+EXACT_G30 = {
+    ("current", "00"): EXACT_I_00_G30,
+    ("current", "11"): EXACT_I_11_G30,
+    ("voltage", "00"): EXACT_I_11_G30,
+    ("voltage", "11"): EXACT_I_00_G30,
+}
+
+
+def binomial_z(est, exact):
+    """The z-score of a ``RateEstimate``'s count against ``exact``, its rate's true value."""
+    return (est.k - est.n * exact) / math.sqrt(est.n * exact * (1 - exact))
+
+
+def level_law(n, sample_rate, bandwidth):
+    """Mean and relative SD of the exact law of a whole wave's mean square over its theory level.
+
+    A wave of ``n`` samples has independent Gaussian parts of equal variance
+    in its K in-band bins (two each) and its in-band Nyquist bin (one,
+    nyq = 1), so its mean square over its theory level is a scaled
+    chi-square on dof = 2K + nyq degrees of freedom: mean fs·dof/(2·n·B),
+    relative SD sqrt(2/dof). K and nyq are counted from ``np.fft.rfftfreq``.
+    """
+    freqs = np.fft.rfftfreq(n, 1 / sample_rate)
+    in_band = (freqs > 0) & (freqs <= bandwidth * (1 + 1e-9))
+    nyq = int(n % 2 == 0 and in_band[-1])
+    dof = 2 * (int(in_band.sum()) - nyq) + nyq
+    return sample_rate * dof / (2 * n * bandwidth), math.sqrt(2 / dof)
+
+
+def q_sample_moments(n, total, squares, level):
+    """Sample mean and variance of Q = reading / level from ``n`` periods' Σ reading and Σ reading²."""
+    mean = total / (n * level)
+    return mean, (squares / level**2 - n * mean**2) / (n - 1)
+
+
+def q_moment_z(n, mean, var, k2, k4):
+    """z-scores of Q's sample mean against E Q = 1 and of its sample variance against Var Q = κ2.
+
+    The standard errors are sqrt(κ2/N) and sqrt(κ4/N + 2κ2²/(N - 1)) for N
+    independent periods, with κ4 Q's fourth cumulant.
+    """
+    return (mean - 1) / math.sqrt(k2 / n), (var - k2) / math.sqrt(k4 / n + 2 * k2**2 / (n - 1))
+
+
+def msq_correlation(sums) -> float:
+    """Sample correlation of per-period msv and msi from one state's ``[n, Σv, Σi, Σv², Σi², Σvi]``."""
+    n, sv, si, svv, sii, svi = sums
+    assert n >= 2, f"a correlation needs 2 periods, got {n}"
+    cov = svi / n - (sv / n) * (si / n)
+    var_v = svv / n - (sv / n) ** 2
+    var_i = sii / n - (si / n) ** 2
+    return cov / math.sqrt(var_v * var_i)

@@ -6,7 +6,10 @@ readings in ``run_session``'s moment sums. The Monte Carlo criteria keep
 factor-of-x tolerances against the paper's closed forms, which are
 rare-crossing approximations. Criteria 3 and 5 to 8 also carry exact gates
 at |z| < 4.5: against the chi-square level law, the window's cumulants, and
-the exact rates from Imhof's integral over the window's eigenvalues.
+the exact rates from Imhof's integral over the window's eigenvalues. Those
+laws live in ``tests/exact.py``, built from one window operator; the tests
+here also check that operator against the window's cosine Toeplitz form,
+and Imhof's integral at γ = 300.
 """
 
 import dataclasses
@@ -15,7 +18,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.stats import chi2_contingency, power_divergence
 
 from kljn import protocol
@@ -33,7 +35,21 @@ from kljn.config import SystemConfig
 from kljn.decision import CombinedOutcome, Interpretation, combine, interpret_arrays
 from kljn.estimator import AveragingWindow, averaged_fluctuation_rms, squared_noise_psd_theory
 from kljn.protocol import ACTUAL_STATES, error_rate, extract_key, run_session
-from moments import level_law, msq_correlation, q_moment_z, q_sample_moments
+from exact import (
+    EXACT_G30,
+    EXACT_I_00_G30,
+    EXACT_I_11_G30,
+    binomial_z,
+    exact_rate_11,
+    imhof_upper_tail,
+    level_law,
+    msq_correlation,
+    q_moment_z,
+    q_sample_moments,
+    window_cumulants,
+    window_eigenvalues,
+    window_gram,
+)
 
 NORM = PhysicsConstants.normalized()
 # a true value fails |z| < 4.5 with two-sided probability 6.8e-6 (normal approximation)
@@ -148,19 +164,6 @@ def test_criterion_06_monte_carlo_vs_analytic():
     announce(6, "measured 11->secure current error rate within factor 3 of the closed form")
 
 
-# Exact tail probabilities of the windowed current mean square at alpha = 100,
-# gamma = 30 and threshold fraction 0.5 (Imhof's integral over the window's
-# eigenvalues, test_exact_rates_from_the_window_eigenvalues): 00 reads secure
-# on the lower tail, 11 on the upper tail.
-EXACT_I_00_G30 = 9.135e-3
-EXACT_I_11_G30 = 3.685e-2
-
-
-def binomial_z(est, exact):
-    """The z-score of a ``RateEstimate``'s count against ``exact``, its rate's true value."""
-    return (est.k - est.n * exact) / math.sqrt(est.n * exact * (1 - exact))
-
-
 def test_monte_carlo_vs_exact_rates_gamma_30():
     """Both current-mode error rates sit within 4 standard errors of the exact rates.
 
@@ -184,17 +187,6 @@ def test_monte_carlo_vs_exact_rates_gamma_30():
 EXACT_GATE_CONFIG = SystemConfig(alpha=100.0, gamma=30.0, n_periods=2 * 10**5)
 # forced 00 and 11 periods of one seed draw the same normals, so each state has its own seed
 STATE_SEEDS = {"00": 1, "11": 2}
-
-
-# At equal fractions every reading over its level has one distribution, so a reading's rate is the
-# exact current rate of its tail: voltage 00 reads secure on the upper tail, like current 11, and
-# voltage 11 on the lower tail, like current 00.
-EXACT_G30 = {
-    ("current", "00"): EXACT_I_00_G30,
-    ("current", "11"): EXACT_I_11_G30,
-    ("voltage", "00"): EXACT_I_11_G30,
-    ("voltage", "11"): EXACT_I_00_G30,
-}
 
 
 def rate_z(mode, state, workers):
@@ -243,43 +235,11 @@ def test_exact_rate_gate_catches_10pct_mutants(mutate, monkeypatch):
 MOMENT_GATE_PERIODS = 2 * 10**4
 
 
-def window_toeplitz(gamma, oversample):
-    """The window's covariance over N_w·c(0), whose eigenvalues are the λ̂ of Q = Σλ̂_k χ²₁.
-
-    Q is a period's windowed mean square over its level, for a period of
-    n = oversample·γ samples whose band fills bins 1..n/oversample (no
-    Nyquist bin) and a window of its trailing N_w = n/2 samples. The band's
-    periodic autocorrelation is c(d) = Σ_k cos(2πkd/n), so the matrix is
-    c(|i - j|) / (N_w·c(0)), of trace Σλ̂ = 1. The period comes from γ and
-    oversample, not from the config, so a kernel whose period or band is off
-    does not move the prediction with it.
-    """
-    n = round(oversample * gamma)
-    assert n % 2 == 0 and n % oversample == 0 and oversample > 2
-    n_w = n // 2
-    lags = np.arange(n_w)
-    c = np.cos(2 * np.pi * np.outer(lags, np.arange(1, n // oversample + 1)) / n).sum(axis=1)
-    return c[np.abs(lags[:, None] - lags[None, :])] / (n_w * c[0])
-
-
-def window_cumulants(gamma, oversample):
-    """Cumulants κ2 = Var Q = 2Σλ̂² and κ4 = 48Σλ̂⁴ of Q, with λ̂ the eigenvalues of ``window_toeplitz``.
-
-    Σλ̂² is the lag sum Σ_{|d|<N_w} (N_w - |d|)·t(d)² of the matrix's first
-    row t, and Σλ̂⁴ the squared Frobenius norm of the matrix's square.
-    """
-    toeplitz = window_toeplitz(gamma, oversample)
-    t, n_w = toeplitz[0], len(toeplitz)
-    sum_lam2 = n_w * t[0] ** 2 + 2 * ((n_w - np.arange(1, n_w)) * t[1:] ** 2).sum()
-    assert (toeplitz**2).sum() == pytest.approx(sum_lam2, rel=1e-12)
-    return 2 * sum_lam2, 48 * ((toeplitz @ toeplitz) ** 2).sum()
-
-
 def moment_z(state):
     """z-scores ``{(reading, "mean" | "var"): z}`` of a forced state's readings over their levels against Q's moments.
 
     The mean of Q = reading/level is gated against E[Q] = 1 and its sample
-    variance against κ2 (``moments.q_moment_z``). ``run_session``'s
+    variance against κ2 (``exact.q_moment_z``). ``run_session``'s
     ``moment_sums`` give both.
     """
     cfg = SystemConfig(alpha=100.0, gamma=30.0, n_periods=MOMENT_GATE_PERIODS, master_seed=STATE_SEEDS[state])
@@ -304,27 +264,6 @@ def test_window_cumulants_gamma_30():
     assert 6 * k2**3 <= k4 <= 1.1 * 6 * k2**3
 
 
-def imhof_upper_tail(lam, x):
-    """P(Q > x) for Q = Σλ_k χ²₁ by Imhof's (1961) integral, with ``quad``'s error estimate of it.
-
-    P(Q > x) = 1/2 + (1/π)∫₀^∞ sin θ(u) / (u·ρ(u)) du, where
-    θ(u) = (1/2)Σ arctan(λ_k u) - xu/2 and ρ(u) = Π (1 + λ_k²u²)^(1/4).
-    """
-
-    def integrand(u):
-        theta = 0.5 * np.arctan(lam * u).sum() - 0.5 * x * u
-        rho = math.exp(0.25 * np.log1p((lam * u) ** 2).sum())
-        return math.sin(theta) / (u * rho)
-
-    value, error = quad(integrand, 0, math.inf, epsabs=1e-13, epsrel=1e-10, limit=200)
-    return 0.5 + value / math.pi, error / math.pi
-
-
-def exact_rate_11(gamma):
-    """The exact forced-11 current rate at f = 0.5 and oversample 4: P(Q > 1.5) by Imhof's integral."""
-    return imhof_upper_tail(np.linalg.eigvalsh(window_toeplitz(gamma, 4)), 1.5)[0]
-
-
 @pytest.mark.parametrize(
     "gamma, upper_11, lower_00",
     [(30.0, f"{EXACT_I_11_G30:.3e}", f"{EXACT_I_00_G30:.3e}"), (100.0, "8.645e-04", "6.156e-06")],
@@ -335,16 +274,58 @@ def test_exact_rates_from_the_window_eigenvalues(gamma, upper_11, lower_00):
 
     In state 11 the current reads secure on Q's upper tail, Q > 1.5; in
     state 00 on its lower tail, Q < 0.5. The eigenvalues come from
-    ``eigvalsh`` of ``window_toeplitz``, whose trace and squared sum are
-    checked against 1 and ``window_cumulants``' κ2.
+    ``eigvalsh`` of ``window_gram``; their sum and squared sum are checked
+    against 1 and the operator's squared Frobenius norm over its squared
+    trace, which needs no eigen-solve.
     """
-    lam = np.linalg.eigvalsh(window_toeplitz(gamma, 4))
+    gram = window_gram(gamma, 4)
+    lam = window_eigenvalues(gamma, 4)
     assert lam.sum() == pytest.approx(1.0, rel=1e-12)
-    assert 2 * (lam**2).sum() == pytest.approx(window_cumulants(gamma, 4)[0], rel=1e-10)
+    assert 2 * (lam**2).sum() == pytest.approx(2 * (gram**2).sum() / np.trace(gram) ** 2, rel=1e-10)
     upper, upper_error = imhof_upper_tail(lam, 1.5)
     lower_complement, lower_error = imhof_upper_tail(lam, 0.5)
     assert max(upper_error, lower_error) < 1e-10
     assert (f"{upper:.3e}", f"{1 - lower_complement:.3e}") == (upper_11, lower_00)
+
+
+def test_imhof_tails_at_gamma_300():
+    """Imhof's integral stays finite at gamma 300, where ρ(u) itself would pass float64 at ``quad``'s large u.
+
+    The upper tail is pinned with ``quad``'s error estimate below 1e-3 of it.
+    The lower tail, about 1.5e-14, lies below ``quad``'s absolute tolerance
+    and cancels in 1 - P(Q > 0.5), so only its call is made.
+    """
+    lam = window_eigenvalues(300.0, 4)
+    upper, error = imhof_upper_tail(lam, 1.5)
+    assert f"{upper:.3e}" == "4.160e-08"
+    assert error < 1e-3 * upper
+    imhof_upper_tail(lam, 0.5)
+
+
+@pytest.mark.parametrize("oversample", [3, 4])
+@pytest.mark.parametrize("gamma", [12.0, 30.0, 100.0])
+def test_window_gram_matches_the_cosine_toeplitz_form(gamma, oversample):
+    """The operator's λ̂ are the eigenvalues of the window's cosine Toeplitz form, and Σλ̂² is its lag sum.
+
+    A period of n = oversample·γ samples whose band fills bins
+    1..n/oversample (no Nyquist bin) has the periodic autocorrelation
+    c(d) = Σ_k cos(2πkd/n). Over N_w·c(0), the covariance of its trailing
+    N_w = n/2 samples is the Toeplitz matrix of t(d) = c(d)/(N_w·c(0)), of
+    trace 1. It is a multiple of Sᵀ·S, so it shares its nonzero eigenvalues
+    with G = S·Sᵀ/N_w over its trace; G has 2n/oversample - N_w more, all
+    zero. Σλ̂² is the lag sum Σ_{|d|<N_w} (N_w - |d|)·t(d)².
+    """
+    n = round(oversample * gamma)
+    n_w = n // 2
+    lags = np.arange(n_w)
+    c = np.cos(2 * np.pi * np.outer(lags, np.arange(1, n // oversample + 1)) / n).sum(axis=1)
+    t = c / (n_w * c[0])
+    toeplitz_lam = np.linalg.eigvalsh(t[np.abs(lags[:, None] - lags[None, :])])[::-1]
+    lam = window_eigenvalues(gamma, oversample)[::-1]
+    assert len(lam) == 2 * n // oversample
+    np.testing.assert_allclose(lam, np.pad(toeplitz_lam, (0, len(lam) - n_w)), rtol=0, atol=1e-12)
+    lag_sum = n_w * t[0] ** 2 + 2 * ((n_w - lags[1:]) * t[1:] ** 2).sum()
+    assert (lam**2).sum() == pytest.approx(lag_sum, rel=1e-12)
 
 
 @pytest.mark.parametrize("state", list(STATE_SEEDS))
