@@ -175,12 +175,15 @@ def theoretical_levels(
     v00, i00 = pair(0, 0)
     v01, i01 = pair(0, 1)
     v11, i11 = pair(1, 1)
+    # the larger generator's PSD, which every noise scale reads, can overflow while the levels fit
+    psd_r1 = generator_psd(resistors.r1, consts)
     # a level of inf or nan overflowed; one of 0 or a subnormal underflowed (R_A * R_B of tiny
     # resistors, a tiny t_eff), and subnormals have too few bits to keep the levels ordered
-    if not all(sys.float_info.min <= x < math.inf for x in (v00, i00, v01, i01, v11, i11)):
+    if not (all(sys.float_info.min <= x < math.inf for x in (v00, i00, v01, i01, v11, i11)) and psd_r1 < math.inf):
         raise ValueError(
-            f"mean-square levels not finite and positive normal floats (voltage {v00:g}, {v01:g}, {v11:g}; "
-            f"current {i00:g}, {i01:g}, {i11:g}): the resistances or noise levels overflow or underflow float64"
+            f"mean-square levels not finite and positive normal floats, or generator PSD 4kT*R1 not finite "
+            f"(voltage {v00:g}, {v01:g}, {v11:g}; current {i00:g}, {i01:g}, {i11:g}; 4kT*R1 {psd_r1:g}): "
+            "the resistances or noise levels overflow or underflow float64"
         )
     return LevelTable(
         v_00=v00,

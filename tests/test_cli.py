@@ -766,6 +766,21 @@ SQUARE_OVERFLOW = "r = 1e-10\nb_kljn = 3.4e298\n"
 _OUTPUT = "runtime error: non-finite output values: the noise levels overflow float64\n"
 
 
+# configs whose level table float64 cannot hold, by test id: the voltage levels overflow; or R1 = alpha * R
+# overflows, and the levels read nan; or R_A * R_B underflows, and the voltage levels read 0; or 4kT_eff is
+# subnormal, and the current levels of 0110 and 11 both read 4.94e-324; or R_A * R_B and the 11 loop's
+# R_A + R_B overflow, and a cold t_eff makes every current level 0; or every level fits, but the larger
+# generator's PSD 4kT * R1 overflows
+LEVEL_OVERFLOWS = {
+    "hot": "t_eff = 1e308\nr = 1e300\n",
+    "large-r1": "r = 1e300\nalpha = 1e10\n",
+    "tiny-r": "r = 1e-200\n",
+    "tiny-t": "t_eff = 1e-300\n",
+    "huge-loop": "r = 1e305\nalpha = 1000\nt_eff = 1e-10\n",
+    "huge-psd": "t_eff = 1e300\nr = 1e30\nalpha = 1000\nb_kljn = 1e-10\n",
+}
+
+
 class TestNonFiniteOutput:
     @pytest.mark.parametrize(
         "argv, text, err_wanted",
@@ -826,21 +841,7 @@ class TestNonFiniteOutput:
         assert out == "" and not out_path.exists()
         assert "non-finite output values" in err
 
-    @pytest.mark.parametrize(
-        "text",
-        # the voltage levels overflow; or R1 = alpha * R overflows, and the levels read nan; or
-        # R_A * R_B underflows, and the voltage levels read 0; or 4kT_eff is subnormal, and the
-        # current levels of 0110 and 11 both read 4.94e-324; or R_A * R_B and the 11 loop's R_A + R_B
-        # overflow, and a cold t_eff makes every current level 0
-        [
-            "t_eff = 1e308\nr = 1e300\n",
-            "r = 1e300\nalpha = 1e10\n",
-            "r = 1e-200\n",
-            "t_eff = 1e-300\n",
-            "r = 1e305\nalpha = 1000\nt_eff = 1e-10\n",
-        ],
-        ids=["hot", "large-r1", "tiny-r", "tiny-t", "huge-loop"],
-    )
+    @pytest.mark.parametrize("text", list(LEVEL_OVERFLOWS.values()), ids=list(LEVEL_OVERFLOWS))
     @pytest.mark.parametrize(
         "argv",
         [
