@@ -1,15 +1,12 @@
-"""The exact law that the tests hold the simulator to, built from one window operator.
+"""The exact law that the tests hold the simulator to, built from the library's one window operator.
 
-A period's windowed mean square over its level is Q = Σλ̂_k χ²₁, with λ̂
-the eigenvalues of ``window_gram`` over its trace. Imhof's integral over
-them gives Q's tails, the exact error rates; their sums give Q's
+A period's windowed mean square over its level is Q = Σλ_k χ²₁, with λ
+the eigenvalues of ``kljn.exact.window_gram`` scaled to the level
+(``kljn.exact.window_eigenvalues``). Imhof's integral over them gives Q's
+tails, the reference for ``kljn.exact.tail``; their sums give Q's
 cumulants, which the moment gates read. A whole wave's mean square has the
 chi-square law of ``level_law``. The rest turns a run's counts and moment
 sums into z-scores against these laws.
-
-The operator is built from γ and oversample alone. It reads no
-``SystemConfig``, ``NoiseSpec`` or ``band_coefficients``, so a kernel whose
-period or band is off does not move the prediction with it.
 """
 
 import math
@@ -17,39 +14,12 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-
-def window_gram(gamma, oversample):
-    """G = S·Sᵀ / N_w, where row j of S is the measured half-period of unit-scale normal j alone.
-
-    A period has n = oversample·γ samples, and its band fills bins
-    1..n/oversample. S is the identity pushed through the kernel's normal
-    layout: the Nyquist normal first (oversample 2 puts that bin in band), at
-    scale √2, the ratio of every spec's two scales; then a real and an
-    imaginary part for each other in-band bin. Then ``irfft`` and the
-    trailing half-window of N_w = n/2 samples. A period's windowed mean
-    square of the normals z at scale s is s²·zᵀGz.
-    """
-    n = round(oversample * gamma)
-    assert n % 2 == 0 and n % oversample == 0 and oversample >= 2, (gamma, oversample)
-    nyquist = int(oversample == 2)
-    n_band = n // oversample - nyquist
-    unit = np.zeros((nyquist + 2 * n_band, n // 2 + 1), dtype=complex)
-    parts = unit.view(np.float64)
-    if nyquist:
-        parts[0, -2] = math.sqrt(2.0)
-    parts[nyquist:, 2 : 2 + 2 * n_band] = np.eye(2 * n_band)
-    synthesis = np.fft.irfft(unit, n=n, axis=-1)[:, n // 2 :]
-    return synthesis @ synthesis.T / synthesis.shape[1]
-
-
-def window_eigenvalues(gamma, oversample):
-    """The λ̂ of Q = Σλ̂_k χ²₁: the eigenvalues of ``window_gram`` over its trace, so Σλ̂ = 1."""
-    gram = window_gram(gamma, oversample)
-    return np.linalg.eigvalsh(gram) / np.trace(gram)
+# window_gram is not used here: the tests that build quadratic forms import the operator from this module
+from kljn.exact import window_eigenvalues, window_gram
 
 
 def window_cumulants(gamma, oversample):
-    """Cumulants κ2 = Var Q = 2Σλ̂² and κ4 = 48Σλ̂⁴ of Q, with λ̂ from ``window_eigenvalues``."""
+    """Cumulants κ2 = Var Q = 2Σλ² and κ4 = 48Σλ⁴ of Q, with λ from ``kljn.exact.window_eigenvalues``."""
     lam = window_eigenvalues(gamma, oversample)
     return 2 * (lam**2).sum(), 48 * (lam**4).sum()
 

@@ -7,9 +7,11 @@ factor-of-x tolerances against the paper's closed forms, which are
 rare-crossing approximations. Criteria 3 and 5 to 8 also carry exact gates
 at |z| < 4.5: against the chi-square level law, the window's cumulants, and
 the exact rates from Imhof's integral over the window's eigenvalues. Those
-laws live in ``tests/exact.py``, built from one window operator; the tests
-here also check that operator against the window's cosine Toeplitz form,
-and Imhof's integral at γ = 300.
+laws live in ``tests/exact.py``, built from the library's one window
+operator, ``kljn.exact.window_gram``; the tests here also check that
+operator against the window's cosine Toeplitz form, Imhof's integral at
+γ = 300, and ``kljn.exact.rate``'s saddlepoint tails against Imhof's and the
+simulator, at oversample 2 too.
 """
 
 import dataclasses
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency, power_divergence
 
+import kljn.exact
 from kljn import protocol
 from kljn.analytic import (
     SQRT3,
@@ -34,6 +37,7 @@ from kljn.cli import main
 from kljn.config import SystemConfig
 from kljn.decision import CombinedOutcome, Interpretation, combine, interpret_arrays
 from kljn.estimator import AveragingWindow, averaged_fluctuation_rms, squared_noise_psd_theory
+from kljn.exact import rate, tail
 from kljn.protocol import ACTUAL_STATES, error_rate, extract_key, run_session
 from exact import (
     EXACT_G30,
@@ -300,6 +304,120 @@ def test_imhof_tails_at_gamma_300():
     assert f"{upper:.3e}" == "4.160e-08"
     assert error < 1e-3 * upper
     imhof_upper_tail(lam, 0.5)
+
+
+# (γ, oversample, f, upper tail?) wherever quad's error estimate of Imhof's tail is below 1e-3 of it: at γ = 100,
+# f = 0.7 the lower tail's estimate is 52 times the tail, so that point gates its upper tail alone
+SADDLEPOINT_POINTS = [
+    (gamma, oversample, f, upper)
+    for gamma, oversample, f in [(g, o, f) for g, o in ((30.0, 4), (100.0, 4), (30.0, 2), (50.0, 2)) for f in (0.5, 0.7)]
+    for upper in (True, False)
+    if (gamma, f, upper) != (100.0, 0.7, False)
+]
+
+
+@pytest.mark.parametrize(
+    "gamma, oversample, f, upper",
+    SADDLEPOINT_POINTS,
+    ids=[f"g{g:g}-os{o}-f{f}-{'upper' if u else 'lower'}" for g, o, f, u in SADDLEPOINT_POINTS],
+)
+def test_saddlepoint_tails_match_imhof(gamma, oversample, f, upper):
+    """``kljn.exact.tail``, Lugannani & Rice's saddlepoint, lies within 1e-3 of Imhof's integral over one λ.
+
+    The upper tail is read at Q > 1 + f, the lower at Q < 1 - f, as the
+    11 and 00 current readings are at these fractions.
+    """
+    lam = window_eigenvalues(gamma, oversample)
+    x = 1 + f if upper else 1 - f
+    above, error = imhof_upper_tail(lam, x)
+    reference = above if upper else 1 - above
+    assert error < 1e-3 * reference
+    assert tail(lam, x, upper) == pytest.approx(reference, rel=1e-3)
+
+
+def test_saddlepoint_tails_near_the_mean():
+    """Both tails match Imhof's near Q's mean, where u = ŝ·sqrt(K''(ŝ)) falls below 1e-4 and ``tail`` takes the
+    limit of 1/u - 1/w, and on either side of that switch; the two tails sum to 1."""
+    lam = window_eigenvalues(30.0, 4)
+    for x in (1.0, 1 + 1e-5, 1 - 1e-5, 1 + 1e-3):
+        above = imhof_upper_tail(lam, x)[0]
+        assert tail(lam, x, True) == pytest.approx(above, rel=1e-3), x
+        assert tail(lam, x, False) == pytest.approx(1 - above, rel=1e-3), x
+        assert tail(lam, x, True) + tail(lam, x, False) == pytest.approx(1.0, rel=1e-14), x
+
+
+def test_exact_rate_at_a_far_cut():
+    """At α = 1e100 each reading's far cut lies 5e99 levels up or 1.5e-100 of a level down: the rates are the
+    α = 100 ones, whose far cuts add under 1e-290, with no floating-point overflow or division by zero.
+
+    The upper tail there is read as 0 from a Chernoff bound, because its
+    saddlepoint lies nearer the pole than float64 resolves.
+    """
+    far = dataclasses.replace(EXACT_GATE_CONFIG, alpha=1e100)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for mode, state in EXACT_G30:
+            assert rate(far, state, mode) == pytest.approx(rate(EXACT_GATE_CONFIG, state, mode), rel=1e-12)
+
+
+@pytest.mark.parametrize("mode, state", list(EXACT_G30), ids=["00", "11", "voltage-00", "voltage-11"])
+def test_exact_rate_matches_the_pinned_rates(mode, state):
+    """``kljn.exact.rate`` gives each pinned γ = 30 rate within 1e-3, and their product in combined mode."""
+    assert rate(EXACT_GATE_CONFIG, state, mode) == pytest.approx(EXACT_G30[mode, state], rel=1e-3)
+    product = rate(EXACT_GATE_CONFIG, state, "voltage") * rate(EXACT_GATE_CONFIG, state, "current")
+    assert rate(EXACT_GATE_CONFIG, state, "combined") == pytest.approx(product, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "config, state, mode, match",
+    [
+        (SystemConfig(gamma=30.5), "11", "current", "gamma = 30.5 at oversample = 4"),
+        (SystemConfig(), "0110", "current", "state must be one of 00, 11, got '0110'"),
+        (SystemConfig(), "11", "both", "mode must be one of voltage, current, combined, got 'both'"),
+    ],
+    ids=["gamma", "state", "mode"],
+)
+def test_exact_rate_refuses(config, state, mode, match):
+    """A config whose period is not an even multiple of oversample samples, a 0110 state and an unknown mode."""
+    with pytest.raises(ValueError, match=match):
+        rate(config, state, mode)
+
+
+# oversample 2 puts the Nyquist bin in band, which carries half a bin's power: Σλ = (n - 1)/n, not 1
+NYQUIST_GATE_CONFIG = dataclasses.replace(EXACT_GATE_CONFIG, oversample=2)
+NYQUIST_GATE_SEEDS = {"00": 31, "11": 32}
+
+
+@pytest.fixture(scope="module")
+def nyquist_rates():
+    """``error_rate``'s current-mode rate of forced 00 and 11 ``NYQUIST_GATE_CONFIG`` periods, each at its seed."""
+    return {
+        state: error_rate(dataclasses.replace(NYQUIST_GATE_CONFIG, master_seed=seed), "current", state, workers=2)
+        for state, seed in NYQUIST_GATE_SEEDS.items()
+    }
+
+
+def nyquist_z(nyquist_rates):
+    """``{state: z}`` of each forced state's current rate against ``kljn.exact.rate``."""
+    return {state: binomial_z(est, rate(NYQUIST_GATE_CONFIG, state, "current")) for state, est in nyquist_rates.items()}
+
+
+def test_error_rate_vs_exact_rates_at_oversample_2(nyquist_rates):
+    """At oversample 2 both current-mode rates sit within 4.5 standard errors of ``kljn.exact.rate``."""
+    for state, z in nyquist_z(nyquist_rates).items():
+        assert abs(z) < Z_GATE, f"{state}: {z:+.2f} sd from the exact rate"
+
+
+def test_oversample_2_gate_catches_trace_scaling(nyquist_rates, monkeypatch):
+    """The gate above fails on eigenvalues scaled to their trace, Σλ = 1, which drop the Nyquist bin's half bin."""
+    level_scaled = kljn.exact.window_eigenvalues
+
+    def trace_scaled(gamma, oversample):
+        lam = level_scaled(gamma, oversample)
+        return lam / lam.sum()
+
+    monkeypatch.setattr(kljn.exact, "window_eigenvalues", trace_scaled)
+    z = nyquist_z(nyquist_rates)
+    assert max(abs(v) for v in z.values()) >= Z_GATE, z
 
 
 @pytest.mark.parametrize("oversample", [3, 4])

@@ -28,7 +28,8 @@ REFERENCE = "waveform reference the tests compare the program against"
 CLOSED_FORM = "public closed form of the paper"
 IMPORT = "runs only at import"
 WORKER = "runs only in a worker process"
-REASONS = (TRACED, REFERENCE, CLOSED_FORM, IMPORT, WORKER)
+EXACT = "exact law the tests gate the program against; no command prints it yet"
+REASONS = (TRACED, REFERENCE, CLOSED_FORM, IMPORT, WORKER, EXACT)
 
 # every src/kljn function that no command run reaches, with why it stays; a PR that removes one deletes its entry
 ALLOWED = {
@@ -47,6 +48,11 @@ ALLOWED = {
     "estimator.averaged_fluctuation_rms": CLOSED_FORM,
     "decision.combine": IMPORT,  # builds decision._OUTCOME_CODE
     "protocol._send_share": WORKER,
+    "exact.window_gram": EXACT,
+    "exact.window_eigenvalues": EXACT,
+    "exact.tail": EXACT,
+    "exact._within": EXACT,
+    "exact.rate": EXACT,
 }
 
 BASE = "gamma = 30\nn_periods = 40\nmaster_seed = 5\n"
