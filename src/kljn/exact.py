@@ -8,9 +8,10 @@ that probability from Q's tails, and ``tail`` gives each tail by the
 Lugannani & Rice (1980) saddlepoint approximation.
 
 The operator is built from γ and oversample alone. It reads no
-``SystemConfig``, ``NoiseSpec`` or ``band_coefficients``, so a kernel whose
-period or band is off does not move the law with it. No command imports
-this module.
+``SystemConfig``, ``NoiseSpec`` or ``band_coefficients``, and it forms the
+rows of its synthesis matrix S from the band's cosines and sines, with no
+FFT. So a kernel whose period, band or transform is off does not move the
+law with it. No command imports this module.
 """
 
 import math
@@ -25,12 +26,15 @@ def window_gram(gamma, oversample):
     """G = S·Sᵀ / N_w, where row j of S is the measured half-period of unit-scale normal j alone.
 
     A period has n = oversample·γ samples, and its band fills bins
-    1..n/oversample. S is the identity pushed through the kernel's normal
-    layout: the Nyquist normal first (oversample 2 puts that bin in band), at
-    scale √2, the ratio of every spec's two scales; then a real and an
-    imaginary part for each other in-band bin. Then ``irfft`` and the
-    trailing half-window of N_w = n/2 samples. A period's windowed mean
-    square of the normals z at scale s is s²·zᵀGz.
+    1..n/oversample. The rows of S follow the kernel's normal layout: the
+    Nyquist normal first (oversample 2 puts that bin in band), at scale √2,
+    the ratio of every spec's two scales, so its row is (√2/n)·(−1)^t; then
+    for each other in-band bin m a real part, (2/n)·cos(2πmt/n), and an
+    imaginary part, −(2/n)·sin(2πmt/n). Each row is the inverse real DFT of
+    its one coefficient, formed directly over the trailing half-window
+    t = n/2..n − 1 of N_w = n/2 samples. No FFT builds it, so a fault in the kernel's transform does not move G
+    with the kernel. A period's windowed mean square of the normals z at
+    scale s is s²·zᵀGz.
 
     Raises ValueError unless n is an even multiple of oversample >= 2.
     """
@@ -42,13 +46,15 @@ def window_gram(gamma, oversample):
         )
     nyquist = int(oversample == 2)
     n_band = n // oversample - nyquist
-    unit = np.zeros((nyquist + 2 * n_band, n // 2 + 1), dtype=complex)
-    parts = unit.view(np.float64)
+    t = np.arange(n // 2, n)
+    # m·t mod n in integers, so every angle lies in [0, 2π) however large m·t is
+    angle = np.outer(np.arange(1, n_band + 1), t) % n * (2 * math.pi / n)
+    synthesis = np.empty((nyquist + 2 * n_band, t.size))
     if nyquist:
-        parts[0, -2] = math.sqrt(2.0)
-    parts[nyquist:, 2 : 2 + 2 * n_band] = np.eye(2 * n_band)
-    synthesis = np.fft.irfft(unit, n=n, axis=-1)[:, n // 2 :]
-    return synthesis @ synthesis.T / synthesis.shape[1]
+        synthesis[0] = math.sqrt(2.0) / n * (1 - 2 * (t % 2))
+    synthesis[nyquist::2] = np.cos(angle) * (2 / n)
+    synthesis[nyquist + 1 :: 2] = np.sin(angle) * (-2 / n)
+    return synthesis @ synthesis.T / t.size
 
 
 def window_eigenvalues(gamma, oversample):

@@ -1,12 +1,13 @@
-"""The exact law that the tests hold the simulator to, built from the library's one window operator.
+"""The references that check ``kljn.exact``, and the z-scores that hold the simulator to its law.
 
 A period's windowed mean square over its level is Q = Σλ_k χ²₁, with λ
 the eigenvalues of ``kljn.exact.window_gram`` scaled to the level
-(``kljn.exact.window_eigenvalues``). Imhof's integral over them gives Q's
-tails, the reference for ``kljn.exact.tail``; their sums give Q's
-cumulants, which the moment gates read. A whole wave's mean square has the
-chi-square law of ``level_law``. The rest turns a run's counts and moment
-sums into z-scores against these laws.
+(``kljn.exact.window_eigenvalues``). The rate gates read
+``kljn.exact.rate``; Imhof's integral over λ gives Q's tails, the
+reference for ``kljn.exact.tail``, and λ's sums give Q's cumulants, which
+the moment gates read. A whole wave's mean square has the chi-square law
+of ``level_law``. The rest turns a run's counts and moment sums into
+z-scores against these laws.
 """
 
 import math
@@ -14,8 +15,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-# window_gram is not used here: the tests that build quadratic forms import the operator from this module
-from kljn.exact import window_eigenvalues, window_gram
+from kljn.exact import window_eigenvalues
 
 
 def window_cumulants(gamma, oversample):
@@ -40,29 +40,6 @@ def imhof_upper_tail(lam, x):
 
     value, error = quad(integrand, 0, math.inf, epsabs=1e-13, epsrel=1e-10, limit=200)
     return 0.5 + value / math.pi, error / math.pi
-
-
-def exact_rate_11(gamma):
-    """The exact forced-11 current rate at f = 0.5 and oversample 4: P(Q > 1.5) by Imhof's integral."""
-    return imhof_upper_tail(window_eigenvalues(gamma, 4), 1.5)[0]
-
-
-# Exact tail probabilities of the windowed current mean square at alpha = 100,
-# gamma = 30 and threshold fraction 0.5 (Imhof's integral over the window's
-# eigenvalues, test_exact_rates_from_the_window_eigenvalues): 00 reads secure
-# on the lower tail, 11 on the upper tail.
-EXACT_I_00_G30 = 9.135e-3
-EXACT_I_11_G30 = 3.685e-2
-
-# At equal fractions every reading over its level has one distribution, so a reading's rate is the
-# exact current rate of its tail: voltage 00 reads secure on the upper tail, like current 11, and
-# voltage 11 on the lower tail, like current 00.
-EXACT_G30 = {
-    ("current", "00"): EXACT_I_00_G30,
-    ("current", "11"): EXACT_I_11_G30,
-    ("voltage", "00"): EXACT_I_11_G30,
-    ("voltage", "11"): EXACT_I_00_G30,
-}
 
 
 def binomial_z(est, exact):

@@ -6,17 +6,18 @@ readings in ``run_session``'s moment sums. The Monte Carlo criteria keep
 factor-of-x tolerances against the paper's closed forms, which are
 rare-crossing approximations. Criteria 3 and 5 to 8 also carry exact gates
 at |z| < 4.5: against the chi-square level law, the window's cumulants, and
-the exact rates from Imhof's integral over the window's eigenvalues. Those
-laws live in ``tests/exact.py``, built from the library's one window
-operator, ``kljn.exact.window_gram``; the tests here also check that
-operator against the window's cosine Toeplitz form, Imhof's integral at
-γ = 300, and ``kljn.exact.rate``'s saddlepoint tails against Imhof's and the
-simulator, at oversample 2 too.
+the exact rates of ``kljn.exact.rate``, each read at its gate's own config.
+The rates and cumulants come from the library's one window operator,
+``kljn.exact.window_gram``; the tests here also check that operator against
+the window's cosine Toeplitz form, Imhof's integral (``tests/exact.py``) at
+γ = 300, and ``rate``'s saddlepoint tails against Imhof's at every point a
+gate reads and against the two pinned γ = 30 rates.
 """
 
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,22 +38,16 @@ from kljn.cli import main
 from kljn.config import SystemConfig
 from kljn.decision import CombinedOutcome, Interpretation, combine, interpret_arrays
 from kljn.estimator import AveragingWindow, averaged_fluctuation_rms, squared_noise_psd_theory
-from kljn.exact import rate, tail
+from kljn.exact import rate, tail, window_eigenvalues, window_gram
 from kljn.protocol import ACTUAL_STATES, error_rate, extract_key, run_session
 from exact import (
-    EXACT_G30,
-    EXACT_I_00_G30,
-    EXACT_I_11_G30,
     binomial_z,
-    exact_rate_11,
     imhof_upper_tail,
     level_law,
     msq_correlation,
     q_moment_z,
     q_sample_moments,
     window_cumulants,
-    window_eigenvalues,
-    window_gram,
 )
 
 NORM = PhysicsConstants.normalized()
@@ -161,7 +156,7 @@ def test_criterion_06_monte_carlo_vs_analytic():
     assert analytic / 3 <= est.p <= analytic * 3
     assert est.ci_low > 0.0
     assert est.ci_high < 1.0 / SQRT3
-    exact = exact_rate_11(50.0)
+    exact = rate(cfg, "11", "current")
     assert exact == pytest.approx(1.2043e-2, rel=1e-4)
     z = binomial_z(est, exact)
     assert abs(z) < Z_GATE, f"{est.k}/{est.n} is {z:+.2f} sd from the exact rate {exact:.4e}"
@@ -177,13 +172,13 @@ def test_monte_carlo_vs_exact_rates_gamma_30():
     """
     cfg = SystemConfig(alpha=100.0, gamma=30.0, mode="current_only", n_periods=2 * 10**4, master_seed=1)
     report = run_session(cfg)
-    for name, exact in (("eps_hat_i_00", EXACT_I_00_G30), ("eps_hat_i_11", EXACT_I_11_G30)):
-        est = report.rates[name]
+    for state in ("00", "11"):
+        est, exact = report.rates[f"eps_hat_i_{state}"], rate(cfg, state, "current")
         z = binomial_z(est, exact)
-        assert abs(z) < 4, f"{name}: {est.k}/{est.n} is {z:+.2f} sd from {exact}"
+        assert abs(z) < 4, f"eps_hat_i_{state}: {est.k}/{est.n} is {z:+.2f} sd from {exact}"
     paper = epsilon_current_00(0.5, 30.0)
     assert paper == pytest.approx(8.85e-2, rel=1e-3)
-    assert paper / EXACT_I_00_G30 == pytest.approx(9.7, abs=0.05)
+    assert paper / rate(cfg, "00", "current") == pytest.approx(9.7, abs=0.05)
 
 
 # 2e5 periods: enough that a 10% error in the averaging period or the noise band moves the 00 rate
@@ -191,17 +186,20 @@ def test_monte_carlo_vs_exact_rates_gamma_30():
 EXACT_GATE_CONFIG = SystemConfig(alpha=100.0, gamma=30.0, n_periods=2 * 10**5)
 # forced 00 and 11 periods of one seed draw the same normals, so each state has its own seed
 STATE_SEEDS = {"00": 1, "11": 2}
+# the (mode, state) cells of the γ = 30 rate gates; the current-mode cases keep the ids they had before the
+# voltage-mode cases joined them
+GATE_CELLS = [("current", "00"), ("current", "11"), ("voltage", "00"), ("voltage", "11")]
+GATE_CELL_IDS = ["00", "11", "voltage-00", "voltage-11"]
 
 
 def rate_z(mode, state, workers):
     """The z-score of ``error_rate``'s rate of ``EXACT_GATE_CONFIG`` at the state's seed in ``mode``
-    against the exact rate."""
+    against ``kljn.exact.rate``, which reads neither the period's sample count nor the noise spec."""
     cfg = dataclasses.replace(EXACT_GATE_CONFIG, master_seed=STATE_SEEDS[state])
-    return binomial_z(error_rate(cfg, mode, state, workers=workers), EXACT_G30[mode, state])
+    return binomial_z(error_rate(cfg, mode, state, workers=workers), rate(cfg, state, mode))
 
 
-# the current-mode cases keep the ids they had before the voltage-mode cases joined them
-@pytest.mark.parametrize("mode, state", list(EXACT_G30), ids=["00", "11", "voltage-00", "voltage-11"])
+@pytest.mark.parametrize("mode, state", GATE_CELLS, ids=GATE_CELL_IDS)
 def test_error_rate_vs_exact_rates_gamma_30(mode, state):
     """The sweep's rate sits within 4.5 standard errors of the exact rate (false alarm 6.8e-6)."""
     z = rate_z(mode, state, workers=2)
@@ -270,7 +268,7 @@ def test_window_cumulants_gamma_30():
 
 @pytest.mark.parametrize(
     "gamma, upper_11, lower_00",
-    [(30.0, f"{EXACT_I_11_G30:.3e}", f"{EXACT_I_00_G30:.3e}"), (100.0, "8.645e-04", "6.156e-06")],
+    [(30.0, "3.685e-02", "9.135e-03"), (100.0, "8.645e-04", "6.156e-06")],
     ids=["gamma-30", "gamma-100"],
 )
 def test_exact_rates_from_the_window_eigenvalues(gamma, upper_11, lower_00):
@@ -307,13 +305,14 @@ def test_imhof_tails_at_gamma_300():
 
 
 # (γ, oversample, f, upper tail?) wherever quad's error estimate of Imhof's tail is below 1e-3 of it: at γ = 100,
-# f = 0.7 the lower tail's estimate is 52 times the tail, so that point gates its upper tail alone
+# f = 0.7 the lower tail's estimate is 52 times the tail, so that point gates its upper tail alone. The last
+# three are the other upper tails that criteria 6 and 7 read.
 SADDLEPOINT_POINTS = [
     (gamma, oversample, f, upper)
     for gamma, oversample, f in [(g, o, f) for g, o in ((30.0, 4), (100.0, 4), (30.0, 2), (50.0, 2)) for f in (0.5, 0.7)]
     for upper in (True, False)
     if (gamma, f, upper) != (100.0, 0.7, False)
-]
+] + [(gamma, 4, 0.5, True) for gamma in (20.0, 40.0, 50.0)]
 
 
 @pytest.mark.parametrize(
@@ -355,14 +354,25 @@ def test_exact_rate_at_a_far_cut():
     """
     far = dataclasses.replace(EXACT_GATE_CONFIG, alpha=1e100)
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        for mode, state in EXACT_G30:
+        for mode, state in GATE_CELLS:
             assert rate(far, state, mode) == pytest.approx(rate(EXACT_GATE_CONFIG, state, mode), rel=1e-12)
 
 
-@pytest.mark.parametrize("mode, state", list(EXACT_G30), ids=["00", "11", "voltage-00", "voltage-11"])
+@pytest.mark.parametrize("mode, state", GATE_CELLS, ids=GATE_CELL_IDS)
 def test_exact_rate_matches_the_pinned_rates(mode, state):
-    """``kljn.exact.rate`` gives each pinned γ = 30 rate within 1e-3, and their product in combined mode."""
-    assert rate(EXACT_GATE_CONFIG, state, mode) == pytest.approx(EXACT_G30[mode, state], rel=1e-3)
+    """``kljn.exact.rate`` gives each pinned γ = 30 rate within 1e-3, and their product in combined mode.
+
+    The pins are Imhof's current-mode rates (``test_exact_rates_from_the_window_eigenvalues``): 00 reads
+    secure on Q's lower tail, 11 on its upper tail. At equal fractions every reading over its level has one
+    law, so a voltage rate is the current rate of the other state, whose secure tail is the same.
+    """
+    other = {"00": "11", "11": "00"}[state]
+    current_state = state if mode == "current" else other
+    pinned = {"00": 9.135e-3, "11": 3.685e-2}[current_state]
+    assert rate(EXACT_GATE_CONFIG, state, mode) == pytest.approx(pinned, rel=1e-3)
+    if mode == "voltage":
+        mirror = rate(EXACT_GATE_CONFIG, other, "current")
+        assert rate(EXACT_GATE_CONFIG, state, mode) == pytest.approx(mirror, rel=1e-12)
     product = rate(EXACT_GATE_CONFIG, state, "voltage") * rate(EXACT_GATE_CONFIG, state, "current")
     assert rate(EXACT_GATE_CONFIG, state, "combined") == pytest.approx(product, rel=1e-12)
 
@@ -380,6 +390,25 @@ def test_exact_rate_refuses(config, state, mode, match):
     """A config whose period is not an even multiple of oversample samples, a 0110 state and an unknown mode."""
     with pytest.raises(ValueError, match=match):
         rate(config, state, mode)
+
+
+def test_exact_rate_peak_memory_at_gamma_500():
+    """A γ = 500 rate traces at most three times G's 8 MB at its peak, and gives the rate that G built by
+    ``irfft`` gave, within 1e-10.
+
+    G is (2n/oversample)² float64s, 1000² here. Building S from the band's
+    cosines holds S, its angles and one product at a time; the FFT-built
+    operator also held a complex identity of S's size and its transform.
+    """
+    config = SystemConfig(gamma=500.0, alpha=100.0)
+    tracemalloc.start()
+    try:
+        p = rate(config, "11", "current")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 1000**2 * 8, f"{peak / 1e6:.1f} MB"
+    assert p == pytest.approx(2.559532711727668e-12, rel=1e-10)
 
 
 # oversample 2 puts the Nyquist bin in band, which carries half a bin's power: Σλ = (n - 1)/n, not 1
@@ -471,14 +500,14 @@ def test_moment_gate_catches_10pct_mutants(mutate, monkeypatch):
 def test_criterion_07_exponential_decay_slope():
     gammas = np.array([20.0, 30.0, 40.0, 50.0])
     n = 50_000
-    counts, trials = [], []
+    counts, trials, exact = [], [], []
     for gamma in gammas:
         cfg = SystemConfig(alpha=100.0, gamma=gamma, n_periods=n, master_seed=13)
         report = run_session(cfg, force_state="11", workers=2)
         counts.append(report.rates["eps_hat_i_11"].k)
         trials.append(report.rates["eps_hat_i_11"].n)
+        exact.append(rate(cfg, "11", "current"))
     eps = np.array(counts) / np.array(trials)
-    exact = np.array([exact_rate_11(gamma) for gamma in gammas])
     # weighted LS on ln(eps), and with the same weights on ln(exact); binomial weights: var(ln p_hat) ~ 1/k
     w = np.array(counts, dtype=float)
     design = np.vstack([np.ones_like(gammas), gammas]).T
@@ -506,8 +535,8 @@ def test_criterion_08_independence_and_product_law():
     assert p_v > 0 and p_i > 0 and p_comb > 0
     product = p_v * p_i
     assert product / 3 <= p_comb <= product * 3
-    exact_v, exact_i = EXACT_G30["voltage", "11"], EXACT_G30["current", "11"]
-    for name, exact in (("v", exact_v), ("i", exact_i), ("combined", exact_v * exact_i)):
+    for name, mode in (("v", "voltage"), ("i", "current"), ("combined", "combined")):
+        exact = rate(cfg, "11", mode)
         z = binomial_z(report.rates[f"eps_hat_{name}_11"], exact)
         assert abs(z) < Z_GATE, f"eps_hat_{name}_11: {z:+.2f} sd from the exact rate {exact:.4e}"
     announce(
@@ -553,7 +582,7 @@ def product_divergence(state, workers=2):
     degrees of freedom: no parameter is estimated).
     """
     table = secure_table(state, workers)
-    p_v, p_i = EXACT_G30["voltage", state], EXACT_G30["current", state]
+    p_v, p_i = rate(EXACT_GATE_CONFIG, state, "voltage"), rate(EXACT_GATE_CONFIG, state, "current")
     expected = table.sum() * np.outer([p_v, 1 - p_v], [p_i, 1 - p_i])
     stat, p = power_divergence(table.ravel(), expected.ravel(), lambda_="cressie-read")
     return table, stat, p

@@ -27,6 +27,7 @@ from kljn.decision import (
     voltage_codes,
 )
 from kljn.estimator import SmallGammaWarning, measure_period, measurement_slice
+from kljn.exact import window_gram
 from kljn.noise import rng_for_period
 from kljn.protocol import (
     ACTUAL_STATES,
@@ -39,7 +40,7 @@ from kljn.protocol import (
     run_session,
     wilson_interval,
 )
-from exact import msq_correlation, window_gram
+from exact import msq_correlation
 from reference import reference_waves
 from streams import drawn_periods
 from test_cli import GOLDEN_OUTPUT, GOLDEN_RUN_OUTPUT, counts_digest, digest, golden_stdout
