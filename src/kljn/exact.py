@@ -8,9 +8,8 @@ that probability from Q's tails, and ``tail`` gives each tail by the
 Lugannani & Rice (1980) saddlepoint approximation.
 
 The operator is built from γ and oversample alone. It reads no
-``SystemConfig``, ``NoiseSpec`` or ``band_coefficients``, and it forms the
-rows of its synthesis matrix S from the band's cosines and sines, with no
-FFT. So a kernel whose period, band or transform is off does not move the
+``SystemConfig`` or ``NoiseSpec``, and it forms the rows of its synthesis
+matrix S from the band's cosines and sines, with no FFT. So a kernel whose period, band or transform is off does not move the
 law with it. No command imports this module.
 """
 

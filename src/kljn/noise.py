@@ -198,31 +198,23 @@ def draw_periods(
             yield lo, k, int(force_state[0]), int(force_state[0])
 
 
-def band_coefficients(layout: NoiseSpec, normals: np.ndarray, scale: float, nyquist_scale: float) -> np.ndarray:
-    """rfft coefficients, shape ``(..., n_samples // 2 + 1)``, from normals laid out as ``layout``'s bins.
-
-    ``normals`` has shape ``(..., layout.n_normals)``; every in-band part is
-    one normal times ``scale``, and the Nyquist coefficient, if any, its
-    normal times ``nyquist_scale``.
-    """
-    coeffs = np.zeros(normals.shape[:-1] + (layout.n_samples // 2 + 1,), dtype=complex)
-    nyquist, in_band = layout.slots(coeffs)
-    if nyquist is not None:
-        np.multiply(normals[..., 0], nyquist_scale, out=nyquist)
-    np.multiply(normals[..., int(layout.nyquist) :], scale, out=in_band)
-    return coeffs
-
-
 def synth_band_limited(spec: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
     """Synthesize zero-mean Gaussian noise with a flat one-sided PSD on [0, B].
 
     Each in-band FFT bin gets an independent complex Gaussian coefficient
     scaled so that the expected one-sided density equals ``spec.psd_level``;
-    out-of-band bins (and DC) are exactly zero. The sample variance converges
-    to psd_level * bandwidth. Returns the ``spec.n_samples`` samples as a
-    float64 array; raises ValueError when the noise level overflows float64.
+    out-of-band bins (and DC) are exactly zero. The ``spec.n_normals``
+    normals fill the bins in ``NoiseSpec.slots`` order, each times its scale.
+    The sample variance converges to psd_level * bandwidth. Returns the
+    ``spec.n_samples`` samples as a float64 array; raises ValueError when the
+    noise level overflows float64.
     """
-    coeffs = band_coefficients(spec, rng.standard_normal(spec.n_normals), spec.scale, spec.nyquist_scale)
+    normals = rng.standard_normal(spec.n_normals)
+    coeffs = np.zeros(spec.n_samples // 2 + 1, dtype=complex)
+    nyquist, in_band = spec.slots(coeffs)
+    if nyquist is not None:
+        np.multiply(normals[0], spec.nyquist_scale, out=nyquist)
+    np.multiply(normals[int(spec.nyquist) :], spec.scale, out=in_band)
     samples = np.fft.irfft(coeffs, n=spec.n_samples)
     # min and max carry a NaN through and show an infinity, without an n-byte mask
     if not (np.isfinite(samples.min()) and np.isfinite(samples.max())):

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -8,6 +9,7 @@ import sys
 import threading
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from kljn.config import ConfigError, SystemConfig, load_config
 from kljn.noise import rng_for_period
 from exact import level_law
 from reference import reference_waves
+from refusals import DRAWN, READ, REFUSALS, run, write_config
 
 FAST_CONFIG = """
 r = 1.0
@@ -38,12 +41,46 @@ def fast_config(tmp_path):
     return str(path)
 
 
-def _no_draw(*args):
-    raise AssertionError("a bad size must be refused before any noise is drawn")
+@pytest.fixture
+def refuse(capsys, monkeypatch, tmp_path):
+    """``refuse(key)`` runs the ``REFUSALS`` row ``key`` in process, with ``--out``, and checks the refusal.
+
+    The run exits with the row's code, prints no stdout, writes no ``--out``
+    file and leaves no child process. Its stderr starts as its code's
+    refusals do (argparse's with its usage), holds the row's text, and has
+    no line of 300 characters, also where the input is long. The draw, the
+    period kernel and the worker share fail the test where the row is
+    refused before any period, and the ``protocol`` functions the commands
+    call where it is refused while its command reads its input.
+    """
+
+    def check(key):
+        row, path, out = REFUSALS[key], tmp_path / "refused.cfg", tmp_path / "refused.out"
+        write_config(row.config, path)
+        with monkeypatch.context() as patch, pytest.warns(row.warns) if row.warns else contextlib.nullcontext():
+            if row.refused != DRAWN:
+                for name in ("rng_for_period", "_simulate_chunk", "_Share"):
+                    patch.setattr(protocol, name, mock.Mock(side_effect=AssertionError(f"{name} reached")))
+            if row.refused == READ:
+                for name in ("run_session", "error_rate", "level_readings", "squared_current_spectrum"):
+                    patch.setattr(cli, name, mock.Mock(side_effect=AssertionError(f"{name} reached")))
+            code = run(row.argv + ["--config", str(path), "--out", str(out)])
+        std = capsys.readouterr()
+        assert code == row.code
+        assert std.out == "" and not out.exists()
+        assert std.err.startswith("usage:" if row.usage else {2: "config error: ", 3: "runtime error: "}[code])
+        text = row.err.replace("{config}", str(path))
+        assert std.err == text if text.endswith("\n") else text in std.err
+        assert all(len(line) < 300 for line in std.err.splitlines())
+        assert multiprocessing.active_children() == []
+
+    return check
 
 
-def _no_session(*args, **kwargs):
-    raise AssertionError("a run the kernel cannot do must be refused before any period runs")
+def cases(group):
+    """Parametrize ``key`` over the ``group[case]`` rows of ``REFUSALS``, with their case ids."""
+    keys = [key for key in REFUSALS if key.startswith(group + "[")]
+    return pytest.mark.parametrize("key", keys, ids=[key[len(group) + 1 : -1] for key in keys])
 
 
 def run_cli(capsys, argv):
@@ -173,18 +210,9 @@ class TestLevels:
         assert code == 0
         assert "1.380649e-23" in out
 
-    @pytest.mark.parametrize(
-        "argv",
-        [["levels"], ["session"], ["sweep", "--gammas", "30"]],
-        ids=["levels", "session", "sweep"],
-    )
-    def test_infinite_gamma_is_config_error(self, capsys, tmp_path, argv):
-        path = tmp_path / "inf.cfg"
-        path.write_text("gamma = inf\n")
-        code, out, err = run_cli(capsys, argv + ["--config", str(path)])
-        assert code == 2
-        assert out == ""
-        assert "config error" in err and "gamma" in err
+    @cases("infinite-gamma")
+    def test_infinite_gamma_is_config_error(self, refuse, key):
+        refuse(key)
 
     @pytest.mark.parametrize(
         "failing_call",
@@ -220,21 +248,11 @@ class TestLevels:
         assert err.startswith("runtime error:") and "Traceback" not in err
         assert threading.active_count() == threads
 
-    def test_too_few_samples_is_config_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(protocol, "rng_for_period", _no_draw)
-        code, out, err = run_cli(capsys, ["levels", "--samples", "1"])
-        assert code == 2
-        assert out == ""
-        assert "config error" in err and "--samples" in err
+    def test_too_few_samples_is_config_error(self, refuse):
+        refuse("levels-too-few-samples")
 
-    def test_no_in_band_bin_is_config_error(self, capsys, monkeypatch):
-        # 3 samples at the default oversample 4 put bin 1 at 4/3 of the band edge: every
-        # wave would be zero, and every empirical level 0
-        monkeypatch.setattr(protocol, "rng_for_period", _no_draw)
-        code, out, err = run_cli(capsys, ["levels", "--samples", "3"])
-        assert code == 2
-        assert out == ""
-        assert "config error" in err and "--samples 3" in err and "no FFT bin" in err
+    def test_no_in_band_bin_is_config_error(self, refuse):
+        refuse("levels-no-in-band-bin")
 
     def test_shortest_synthesis_runs(self, capsys):
         # 4 samples at oversample 4 put bin 1 at the band edge
@@ -243,12 +261,8 @@ class TestLevels:
         empirical = [float(line.split()[2]) for line in out.splitlines()[4:]]
         assert len(empirical) == 3 and all(level > 0 for level in empirical)
 
-    def test_invalid_alpha_names_constraint(self, capsys, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("alpha = 0.5\n")
-        code, _, err = run_cli(capsys, ["levels", "--config", str(path)])
-        assert code == 2
-        assert "alpha" in err
+    def test_invalid_alpha_names_constraint(self, refuse):
+        refuse("levels-invalid-alpha")
 
 
 class TestSweep:
@@ -275,20 +289,17 @@ class TestSweep:
         assert float(rows[0][1]) == pytest.approx(1.24e-6, rel=3e-3)
         assert float(rows[1][1]) == pytest.approx(4.6e-12, rel=7e-3)
 
-    def test_empty_gamma_list_is_usage_error(self, capsys, fast_config):
-        code, _, err = run_cli(capsys, ["sweep", "--config", fast_config, "--gammas", " "])
-        assert code == 2
-        assert "gammas" in err
+    def test_empty_gamma_list_is_usage_error(self, refuse):
+        refuse("sweep-empty-gammas")
 
-    def test_infinite_gamma_in_list_is_config_error(self, capsys, fast_config):
-        code, out, err = run_cli(capsys, ["sweep", "--config", fast_config, "--gammas", "30,inf"])
-        assert code == 2
-        assert out == ""
-        assert "config error" in err and "gamma" in err
+    def test_infinite_gamma_in_list_is_config_error(self, refuse):
+        refuse("sweep-infinite-gamma-in-list")
 
-    def test_descending_gammas_rejected(self, capsys, fast_config):
-        code, _, _ = run_cli(capsys, ["sweep", "--config", fast_config, "--gammas", "100,50"])
-        assert code == 2
+    def test_descending_gammas_rejected(self, refuse):
+        refuse("sweep-descending-gammas")
+
+    def test_empty_secure_band_is_runtime_error(self, refuse):
+        refuse("empty-secure-band[sweep]")
 
     def test_deterministic_output(self, capsys, fast_config, tmp_path):
         argv = ["sweep", "--config", fast_config, "--gammas", "20,30",
@@ -319,21 +330,11 @@ class TestSession:
         _, out2, _ = run_cli(capsys, ["session", "--config", fast_config])
         assert out1 == out2
 
-    def test_zero_periods_usage_error(self, capsys, tmp_path):
-        path = tmp_path / "zero.cfg"
-        path.write_text("n_periods = 0\n")
-        code, _, err = run_cli(capsys, ["session", "--config", str(path)])
-        assert code == 2
-        assert "n_periods" in err
+    def test_zero_periods_usage_error(self, refuse):
+        refuse("unrunnable[session-zero-periods]")
 
-    def test_empty_secure_band_is_runtime_error(self, capsys, tmp_path):
-        path = tmp_path / "tight.cfg"
-        # alpha barely above 1: levels nearly coincide, 0.5 fractions overlap
-        path.write_text("alpha = 1.05\nn_periods = 10\n")
-        with pytest.warns(UserWarning):
-            code, _, err = run_cli(capsys, ["session", "--config", str(path)])
-        assert code == 3
-        assert "empty secure band" in err
+    def test_empty_secure_band_is_runtime_error(self, refuse):
+        refuse("empty-secure-band[session]")
 
     def test_seed_flag_changes_output(self, capsys, fast_config):
         _, out1, _ = run_cli(capsys, ["session", "--config", fast_config, "--seed", "1"])
@@ -341,117 +342,29 @@ class TestSession:
         assert out1 != out2
 
 
-@pytest.mark.parametrize("command", [["session"], ["sweep", "--gammas", "30"]])
-@pytest.mark.parametrize("workers", ["0", "-2"])
-def test_workers_below_one_is_config_error(capsys, monkeypatch, fast_config, command, workers):
-    # refused by the protocol's own check, before any period runs
-    monkeypatch.setattr(protocol, "_Share", _no_session)
-    monkeypatch.setattr(protocol, "_simulate_chunk", _no_session)
-    code, out, err = run_cli(capsys, command + ["--config", fast_config, "--workers", workers])
-    assert code == 2
-    assert out == ""
-    assert err == f"config error: workers must be >= 1, got {workers}\n"
+@cases("workers-below-one")
+def test_workers_below_one_is_config_error(refuse, key):
+    refuse(key)
 
 
-@pytest.mark.parametrize(
-    "config_text, command, message",
-    [
-        ("n_periods = 0\n", ["session"], "n_periods must be >= 1"),
-        ("n_periods = 0\n", ["sweep", "--gammas", "30"], "n_periods must be >= 1"),
-        # oversample 4 at gamma 0.1 rounds to 0 samples per period
-        ("gamma = 0.1\n", ["session"], "0 samples per period"),
-        ("", ["sweep", "--gammas", "0.1,30"], "0 samples per period"),
-        ("oversample = 2\n", ["sweep", "--gammas", "0.2,30"], "0 samples per period"),
-        # more samples per period than float64 tells FFT bins apart at: 4e300 used to hang
-        # the top-bin search, 4e17 to fail allocating
-        # counts beyond 2**53 print in 6 significant digits, not in 301
-        ("gamma = 1e300\n", ["session"], "gives 4e+300 samples per period; more than 2**53 samples"),
-        ("gamma = 1e17\n", ["session"], "more than 2**53 samples"),
-        ("", ["sweep", "--gammas", "30,1e17"], "more than 2**53 samples"),
-        # an infinite sample rate, an infinite period, and an oversample no float64 holds
-        ("b_kljn = 1e308\n", ["session"], "samples per period overflow float64"),
-        ("gamma = 1e300\nb_kljn = 1e-300\n", ["session"], "samples per period overflow float64"),
-        (f"oversample = 1{'0' * 400}\n", ["session"], "at oversample = 1e+400: the sample rate or the samples"),
-        # a malformed line, or an unknown key, is echoed by its first 40 characters and its line number
-        (f"x{'0' * 400}\n", ["session"], f":1: expected 'key = value', got 'x{'0' * 39}'... (401 characters)"),
-        (f"gamma = 30\nx{'0' * 400} = 1\n", ["session"], f":2: unknown key 'x{'0' * 39}'... (401 characters)"),
-    ],
-    ids=["session-zero-periods", "sweep-zero-periods", "session-short-period", "sweep-short-period",
-         "sweep-short-period-nyquist", "session-huge-period", "session-2e53-period", "sweep-2e53-period",
-         "session-infinite-rate", "session-infinite-tau", "session-huge-oversample", "session-long-line",
-         "session-long-key"],
-)
-@pytest.mark.filterwarnings("ignore::kljn.estimator.SmallGammaWarning")
-def test_unrunnable_config_is_config_error(capsys, monkeypatch, tmp_path, config_text, command, message):
-    """session and sweep give the same exit code for a config no period can run."""
-    monkeypatch.setattr(cli, "run_session", _no_session)
-    monkeypatch.setattr(cli, "error_rate", _no_session)
-    path = tmp_path / "bad.cfg"
-    path.write_text(config_text)
-    code, out, err = run_cli(capsys, command + ["--config", str(path)])
-    assert code == 2
-    assert out == ""
-    assert "config error" in err and message in err
-    # a refusal line is short, also where the input is long: the 401-digit oversample prints as 1e+400,
-    # and a 401-character line by its start
-    assert all(len(line) < 300 for line in err.splitlines())
+@cases("unrunnable")
+def test_unrunnable_config_is_config_error(refuse, key):
+    refuse(key)
 
 
-@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
-@pytest.mark.parametrize("command", [["session"], ["levels", "--samples", "4096"]], ids=["session", "levels"])
-def test_unreadable_config_is_config_error(capsys, monkeypatch, tmp_path, kind, command):
-    """A config file that cannot be read is a config error that names it, not a runtime failure."""
-    monkeypatch.setattr(cli, "run_session", _no_session)
-    monkeypatch.setattr(protocol, "rng_for_period", _no_draw)
-    path = tmp_path / f"{kind}.cfg"
-    if kind == "directory":
-        path.mkdir()
-    elif kind == "not-utf8":
-        path.write_bytes(b"\xff\xfegamma = 30\n")
-    code, out, err = run_cli(capsys, command + ["--config", str(path)])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("config error: ") and str(path) in err
+@cases("unreadable")
+def test_unreadable_config_is_config_error(refuse, key):
+    refuse(key)
 
 
-@pytest.mark.parametrize(
-    "config_text, message",
-    [("n_periods = 0\n", "n_periods must be >= 1"), ("gamma = 0.1\n", "0 samples per period")],
-    ids=["zero-periods", "short-period"],
-)
-@pytest.mark.parametrize(
-    "argv",
-    [["levels", "--samples", "4096"], ["spectra", "--samples", "4096", "--bins", "64"]],
-    ids=["levels", "spectra"],
-)
-@pytest.mark.filterwarnings("ignore::kljn.estimator.SmallGammaWarning")
-def test_unrunnable_config_refused_by_every_command(capsys, monkeypatch, tmp_path, config_text, message, argv):
-    """levels and spectra run no period, yet refuse a config no period could run, as session does."""
-    monkeypatch.setattr(protocol, "rng_for_period", _no_draw)
-    path = tmp_path / "bad.cfg"
-    path.write_text(config_text)
-    code, out, err = run_cli(capsys, argv + ["--config", str(path)])
-    assert code == 2
-    assert out == ""
-    assert "config error" in err and message in err
+@cases("refused-by-every-command")
+def test_unrunnable_config_refused_by_every_command(refuse, key):
+    refuse(key)
 
 
-@pytest.mark.parametrize(
-    "config_text, command",
-    [("gamma = 0.5\n", ["session"]), ("", ["sweep", "--gammas", "0.5,30"])],
-    ids=["session", "sweep"],
-)
-@pytest.mark.filterwarnings("ignore::kljn.estimator.SmallGammaWarning")
-def test_no_in_band_bin_is_config_error(capsys, monkeypatch, tmp_path, config_text, command):
-    """gamma 0.5 at oversample 4 gives 2 samples per period, whose noise would be all zeros."""
-    monkeypatch.setattr(cli, "run_session", _no_session)
-    monkeypatch.setattr(cli, "error_rate", _no_session)
-    path = tmp_path / "bad.cfg"
-    path.write_text(config_text)
-    code, out, err = run_cli(capsys, command + ["--config", str(path)])
-    assert code == 2
-    assert out == ""
-    assert "config error" in err and "2 samples per period; no FFT bin" in err
+@cases("no-in-band-bin")
+def test_no_in_band_bin_is_config_error(refuse, key):
+    refuse(key)
 
 
 @pytest.mark.filterwarnings("ignore::kljn.estimator.SmallGammaWarning")
@@ -465,15 +378,8 @@ def test_nyquist_only_period_runs(capsys, tmp_path):
         assert n == 0 or (sum_v > 0 and sum_i > 0)
 
 
-def test_sweep_force_state_0110_is_usage_error(capsys, monkeypatch, fast_config):
-    monkeypatch.setattr(cli, "run_session", _no_session)
-    monkeypatch.setattr(cli, "error_rate", _no_session)
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--config", fast_config, "--gammas", "30", "--force-state", "0110"])
-    assert exc.value.code == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert "--force-state" in out.err
+def test_sweep_force_state_0110_is_usage_error(refuse):
+    refuse("sweep-force-state-0110")
 
 
 class TestSpectra:
@@ -504,27 +410,12 @@ class TestSpectra:
         assert out == ""
         assert out_path.read_text().startswith("#")
 
-    @pytest.mark.parametrize(
-        "argv, flag",
-        [(["--bins", "1"], "--bins"), (["--samples", "127", "--bins", "64"], "--samples")],
-        ids=["one-bin", "shorter-than-a-segment"],
-    )
-    def test_bad_size_is_config_error(self, capsys, monkeypatch, argv, flag):
-        monkeypatch.setattr(protocol, "rng_for_period", _no_draw)
-        code, out, err = run_cli(capsys, ["spectra"] + argv)
-        assert code == 2
-        assert out == ""
-        assert "config error" in err and flag in err
+    @cases("spectra-bad-size")
+    def test_bad_size_is_config_error(self, refuse, key):
+        refuse(key)
 
-    def test_no_in_band_bin_is_config_error(self, capsys, monkeypatch, tmp_path):
-        # 6 samples at oversample 8 put bin 1 at 4/3 of the band edge: the spectrum would be zero
-        path = tmp_path / "oversample8.cfg"
-        path.write_text("oversample = 8\n")
-        monkeypatch.setattr(protocol, "rng_for_period", _no_draw)
-        code, out, err = run_cli(capsys, ["spectra", "--config", str(path), "--samples", "6", "--bins", "3"])
-        assert code == 2
-        assert out == ""
-        assert "config error" in err and "--samples 6" in err and "no FFT bin" in err
+    def test_no_in_band_bin_is_config_error(self, refuse):
+        refuse("spectra-no-in-band-bin")
 
     def test_values_match_scipy_welch_pipeline(self, capsys, monkeypatch, fast_config):
         """The printed spectrum is the old solve, square and ``scipy.signal.welch`` pipeline's.
@@ -692,8 +583,7 @@ def test_package_root_exports_no_waveform_reference():
     import kljn
 
     reference = [
-        "band_coefficients", "channel_waveforms", "measure_period", "synth_band_limited", "interpret_current",
-        "interpret_voltage",
+        "channel_waveforms", "measure_period", "synth_band_limited", "interpret_current", "interpret_voltage",
     ]
     assert [name for name in reference if hasattr(kljn, name)] == []
 
@@ -703,26 +593,9 @@ def test_package_root_exports_no_waveform_reference():
 # the mean squares (up to about 1e306) fit
 PERIODOGRAM_OVERFLOW = "t_eff = 1e290\nr = 1\nalpha = 1000\n"
 SYNTHESIS_OVERFLOW = "t_eff = 3.6e305\nr = 1e20\nalpha = 1000\n"
-# finite levels and samples, but the session report's sums of squared mean squares overflow
-REPORT_OVERFLOW = "t_eff = 1e300\nr = 1e20\ngamma = 30\nn_periods = 50\n"
 # finite levels and mean squares, but 11 loop currents near 1.7e307 whose squares overflow
 SQUARE_OVERFLOW = "r = 1e-10\nb_kljn = 3.4e298\n"
 _OUTPUT = "runtime error: non-finite output values: the noise levels overflow float64\n"
-
-
-# configs whose level table float64 cannot hold, by test id: the voltage levels overflow; or R1 = alpha * R
-# overflows, and the levels read nan; or R_A * R_B underflows, and the voltage levels read 0; or 4kT_eff is
-# subnormal, and the current levels of 0110 and 11 both read 4.94e-324; or R_A * R_B and the 11 loop's
-# R_A + R_B overflow, and a cold t_eff makes every current level 0; or every level fits, but the larger
-# generator's PSD 4kT * R1 overflows
-LEVEL_OVERFLOWS = {
-    "hot": "t_eff = 1e308\nr = 1e300\n",
-    "large-r1": "r = 1e300\nalpha = 1e10\n",
-    "tiny-r": "r = 1e-200\n",
-    "tiny-t": "t_eff = 1e-300\n",
-    "huge-loop": "r = 1e305\nalpha = 1000\nt_eff = 1e-10\n",
-    "huge-psd": "t_eff = 1e300\nr = 1e30\nalpha = 1000\nb_kljn = 1e-10\n",
-}
 
 
 class TestNonFiniteOutput:
@@ -776,40 +649,12 @@ class TestNonFiniteOutput:
         # levels' 18 readings, theories and relative errors, or the sweep row's 7 values
         assert len(numbers) >= 7 and np.isfinite(numbers).all()
 
-    def test_overflowing_report_value_is_runtime_error(self, capsys, tmp_path):
-        path = tmp_path / "overflow.cfg"
-        path.write_text(REPORT_OVERFLOW)
-        out_path = tmp_path / "session.json"
-        code, out, err = run_cli(capsys, ["session", "--config", str(path), "--out", str(out_path)])
-        assert code == 3
-        assert out == "" and not out_path.exists()
-        assert "non-finite output values" in err
+    def test_overflowing_report_value_is_runtime_error(self, refuse):
+        refuse("session-report-overflow")
 
-    @pytest.mark.parametrize("text", list(LEVEL_OVERFLOWS.values()), ids=list(LEVEL_OVERFLOWS))
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["session"],
-            ["levels", "--samples", "8192"],
-            ["sweep", "--gammas", "30"],
-            ["spectra", "--samples", "8192", "--bins", "64"],
-        ],
-        ids=["session", "levels", "sweep", "spectra"],
-    )
-    def test_overflowing_levels_are_runtime_error(self, capsys, monkeypatch, tmp_path, argv, text):
-        """Every command reports levels that overflow or underflow float64 as such, before any draw.
-
-        Not as an empty secure band, a scale that is not finite or a non-finite output value.
-        """
-        monkeypatch.setattr(protocol, "rng_for_period", _no_draw)
-        monkeypatch.setattr(protocol, "_simulate_chunk", _no_session)
-        path = tmp_path / "overflow.cfg"
-        path.write_text(text)
-        code, out, err = run_cli(capsys, argv + ["--config", str(path)])
-        assert code == 3
-        assert out == ""
-        assert "mean-square levels not finite and positive" in err and "overflow or underflow" in err
-        assert "empty secure band" not in err
+    @cases("level-overflow")
+    def test_overflowing_levels_are_runtime_error(self, refuse, key):
+        refuse(key)
 
     def test_levels_finite_where_only_the_periodogram_overflows(self, capsys, tmp_path):
         # the mean squares themselves (about 1e270) are finite, so levels reports them
@@ -829,16 +674,9 @@ NO_UNDERFLOW = "t_eff = 1e-100\ngamma = 30\nn_periods = 50\n"
 
 
 class TestUnderflowedOutput:
-    def test_underflowed_moment_sums_are_runtime_error(self, capsys, tmp_path):
-        path = tmp_path / "underflow.cfg"
-        out_path = tmp_path / "session.json"
-        # also at the default gamma 100, the run that printed second moments of 0.0
-        for text, seed in ((UNDERFLOW, []), ("t_eff = 1e-150\nn_periods = 200\n", ["--seed", "3"])):
-            path.write_text(text)
-            code, out, err = run_cli(capsys, ["session", "--config", str(path), "--out", str(out_path)] + seed)
-            assert code == 3
-            assert out == "" and not out_path.exists()
-            assert err.startswith("runtime error: ") and "underflow" in err
+    def test_underflowed_moment_sums_are_runtime_error(self, refuse):
+        for key in ("session-underflow[gamma-30]", "session-underflow[gamma-100]"):
+            refuse(key)
 
     def test_small_normal_moment_sums_are_printed(self, capsys, tmp_path):
         path = tmp_path / "small.cfg"

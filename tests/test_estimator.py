@@ -45,8 +45,8 @@ class TestAveragingWindow:
         assert [w.filename for w in record] == [__file__]
 
 
-class TestFiniteMeanSquare:
-    """``measure_period``'s mean of squares, on waves whose leading and trailing halves are alike."""
+class TestMeasurePeriod:
+    """``measure_period``'s mean squares over the trailing half, also on waves whose halves are alike."""
 
     def test_constant(self):
         assert measure_period(np.full(10, 3.0), np.full(10, -2.0)) == pytest.approx((9.0, 4.0))
@@ -63,8 +63,6 @@ class TestFiniteMeanSquare:
         ms = period_mean_squares(gamma=100, n_periods=1, seed=4)[0]
         assert abs(ms - 1.0) < 5.0 / math.sqrt(100)
 
-
-class TestMeasurePeriod:
     def test_uses_trailing_half(self):
         n = 8
         u = np.zeros(n)

@@ -4,6 +4,7 @@ import sys
 import threading
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -13,13 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kljn import noise
-from kljn.noise import (
-    NoiseSpec,
-    band_coefficients,
-    periodogram,
-    rng_for_period,
-    synth_band_limited,
-)
+from kljn.noise import NoiseSpec, periodogram, rng_for_period, synth_band_limited
 from streams import drawn_periods
 
 
@@ -28,8 +23,13 @@ def make(psd=1.0, bw=1.0, fs=4.0, n=2**16, seed=0):
     return synth_band_limited(spec, np.random.default_rng(seed))
 
 
+def drawn(normals):
+    """A stand-in generator whose ``standard_normal`` returns ``normals``."""
+    return SimpleNamespace(standard_normal=lambda size: normals)
+
+
 def reference_band_coefficients(layout, normals, scale, nyquist_scale):
-    """Coefficients as ``band_coefficients`` used to build them, through complex temporaries."""
+    """The rfft coefficients a synthesis fills from ``normals``, built through complex temporaries."""
     coeffs = np.zeros(normals.shape[:-1] + (layout.n_samples // 2 + 1,), dtype=complex)
     if layout.nyquist:
         coeffs[..., -1] = normals[..., 0] * nyquist_scale
@@ -221,16 +221,16 @@ class TestSynth:
             synth_band_limited(spec, np.random.default_rng(0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
-    @pytest.mark.parametrize("where", [0, 3, 8], ids=["dc", "in-band", "nyquist"])
-    def test_samples_reject_non_finite_spectrum(self, monkeypatch, bad, where):
-        """A spectrum with a nan or an infinity in any bin is refused after its inverse FFT."""
-        coeffs = np.zeros(9, dtype=complex)
-        coeffs[1:4] = 1.0
-        coeffs[where] = bad
-        monkeypatch.setattr(noise, "band_coefficients", lambda *args: coeffs)
+    # normal 0 fills the Nyquist bin, and normal 5 the real part of bin 3
+    @pytest.mark.parametrize("where", [5, 0], ids=["in-band", "nyquist"])
+    def test_samples_reject_non_finite_spectrum(self, bad, where):
+        """A spectrum with a nan or an infinity in any bin it fills is refused after its inverse FFT."""
         spec = NoiseSpec(psd_level=1.0, bandwidth=1.0, sample_rate=2.0, n_samples=16)
+        normals = np.zeros(spec.n_normals)
+        normals[1:7] = 1.0
+        normals[where] = bad
         with pytest.raises(ValueError, match="non-finite"), np.errstate(all="ignore"):
-            synth_band_limited(spec, np.random.default_rng(0))
+            synth_band_limited(spec, drawn(normals))
 
     def test_nyquist_rate_synthesis_variance(self):
         # fs = 2B puts the band edge on the Nyquist bin
@@ -317,21 +317,24 @@ class TestBandCoefficients:
         rows=st.sampled_from([(), (3,), (2, 2)]),
     )
     def test_matches_complex_expression(self, sample_rate, data, n, rows):
-        """Writing ``normals * scale`` into the interleaved parts matches the complex expression.
+        """A synthesis is the inverse FFT of the coefficients that the complex expression builds from its normals.
 
-        Both compute each real and imaginary part as one normal times its
-        scale; the sign of an exactly zero coefficient is the only possible
-        difference, and ``array_equal`` counts -0.0 equal to 0.0.
+        ``synth_band_limited`` writes ``normals * scale`` into the interleaved
+        parts; both compute each real and imaginary part as one normal times
+        its scale, so the sign of an exactly zero coefficient is the only
+        possible difference, and ``array_equal`` counts -0.0 equal to 0.0.
+        Each row of normals is one synthesis.
         """
         assume(n >= sample_rate)  # bin 1, at sample_rate / n, must be in the band (0, 1]
-        layout = NoiseSpec(psd_level=1.0, bandwidth=1.0, sample_rate=sample_rate, n_samples=n)
+        psd_level = data.draw(st.floats(0.0, 1e6))
+        layout = NoiseSpec(psd_level=psd_level, bandwidth=1.0, sample_rate=sample_rate, n_samples=n)
         assert layout.nyquist == (sample_rate == 2.0 and n % 2 == 0)
         normals = data.draw(arrays(np.float64, rows + (layout.n_normals,), elements=st.floats(-1e6, 1e6)))
-        scale, nyquist_scale = data.draw(st.floats(0.0, 1e6)), data.draw(st.floats(0.0, 1e6))
-        got = band_coefficients(layout, normals, scale, nyquist_scale)
-        expected = reference_band_coefficients(layout, normals, scale, nyquist_scale)
-        assert got.dtype == expected.dtype and got.shape == expected.shape
-        assert np.array_equal(got, expected)
+        for row in normals.reshape(-1, layout.n_normals):
+            got = synth_band_limited(layout, drawn(row))
+            expected = np.fft.irfft(reference_band_coefficients(layout, row, layout.scale, layout.nyquist_scale), n=n)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize(
         "sample_rate, n, nyquist",

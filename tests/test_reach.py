@@ -2,12 +2,12 @@
 
 The commands run in process through ``cli.main``, under ``sys.setprofile``:
 each successful run of the four commands, at both FFT layouts, in every
-forced state, serial and with a child process, and ``session`` on each
-config that a command refuses for float64, an empty secure band or an
-input too long to echo. A function is reached when its code object starts
-a frame. Functions are found in the source with ``ast``, methods and nested
-functions included, and keyed by file and first line (decorators
-included), as a code object's ``co_firstlineno`` counts it.
+forced state, serial and with a child process, and every run of the
+refusal table that the CLI tests check (``refusals.REFUSALS``). A function
+is reached when its code object starts a frame. Functions are found in the
+source with ``ast``, methods and nested functions included, and keyed by
+file and first line (decorators included), as a code object's
+``co_firstlineno`` counts it.
 """
 
 import ast
@@ -18,7 +18,7 @@ import pytest
 
 import kljn
 from kljn import cli, protocol
-from test_cli import LEVEL_OVERFLOWS
+from refusals import REFUSALS, run, write_config
 from test_tracer_names import load_tracer
 
 SRC = Path(kljn.__file__).resolve().parent
@@ -40,7 +40,6 @@ ALLOWED = {
     "decision.interpret_voltage": TRACED,
     "decision.interpret_current": TRACED,
     "noise.synth_band_limited": REFERENCE,
-    "noise.band_coefficients": REFERENCE,
     "circuit.channel_waveforms": REFERENCE,
     "estimator.measure_period": REFERENCE,
     "analytic.rice_rate": CLOSED_FORM,
@@ -60,7 +59,7 @@ SI_NYQUIST = BASE + "oversample = 2\nt_eff = 300\n"
 LEVELS = ["levels", "--samples", "8192"]
 SPECTRA = ["spectra", "--samples", "8192", "--bins", "64"]
 
-# (config text, argv, exit code) of each run
+# (config, as ``refusals.write_config`` writes it, argv, exit code) of each run
 RUNS = [
     (BASE, LEVELS, 0),
     (BASE, SPECTRA, 0),
@@ -71,10 +70,7 @@ RUNS = [
     (BASE, ["session", "--force-state", "00"], 0),
     (BASE, ["sweep", "--gammas", "30", "--mode", "voltage"], 0),
     (BASE, ["sweep", "--gammas", "30,40", "--mode", "combined", "--force-state", "00"], 0),
-    *((text, ["session"], 3) for text in LEVEL_OVERFLOWS.values()),
-    ("alpha = 2\nbeta = 0.9\ndelta = 0.9\n", ["session"], 3),  # an empty secure band
-    (f"x{'0' * 400} = 1\n", ["session"], 2),
-    (f"oversample = 1{'0' * 400}\n", ["session"], 2),
+    *((row.config, row.argv, row.code) for row in REFUSALS.values()),
 ]
 # runs that share their periods with a child process
 POOLED_RUNS = [
@@ -113,29 +109,31 @@ def reached_functions(tmp_path, monkeypatch, capsys) -> set:
 
     # the parser is built once per process: build it again here, where it is traced
     cli.build_parser.cache_clear()
-    path = tmp_path / "run.cfg"
     exits = []
 
-    def run(text, argv):
-        path.write_text(text)
+    def traced(config, argv):
+        path = tmp_path / f"run{len(exits)}.cfg"
+        write_config(config, path)
         sys.setprofile(profile)
         try:
-            exits.append(cli.main(argv + ["--config", str(path)]))
+            exits.append(run(argv + ["--config", str(path)]))
         finally:
             sys.setprofile(None)
         capsys.readouterr()
 
-    for text, argv, _ in RUNS:
-        run(text, argv)
+    for config, argv, _ in RUNS:
+        traced(config, argv)
     with monkeypatch.context() as patch:
         patch.setattr(protocol, "_usable_cpus", lambda: 2)  # a child process on any machine
-        for text, argv, _ in POOLED_RUNS:
-            run(text, argv)
+        for config, argv, _ in POOLED_RUNS:
+            traced(config, argv)
     assert exits == [code for _, _, code in RUNS + POOLED_RUNS]
     return {(str(Path(code.co_filename).resolve()), code.co_firstlineno) for code in codes}
 
 
-@pytest.mark.filterwarnings("ignore::kljn.circuit.DegenerateLevelsWarning")  # alpha = 2 of the empty band
+# the refused runs at alpha 1.05 and at gamma below 10 warn
+@pytest.mark.filterwarnings("ignore::kljn.circuit.DegenerateLevelsWarning")
+@pytest.mark.filterwarnings("ignore::kljn.estimator.SmallGammaWarning")
 def test_every_function_is_reached_or_allowed(tmp_path, monkeypatch, capsys):
     functions = defined_functions()
     assert len(set(functions.values())) == len(functions)  # one name per function
