@@ -37,16 +37,6 @@ class TestGeneratorPsd:
         assert generator_psd(1e4, consts) == pytest.approx(5.5226e-1, rel=1e-4)
 
 
-def draw_solve_inputs(data, rows, n, per_row):
-    """Two generator waves of shape ``rows + (n,)`` and two resistances, scalars or one per row."""
-    samples = arrays(np.float64, rows + (n,), elements=st.floats(-1e6, 1e6))
-    if per_row:
-        resistances = arrays(np.float64, rows + (1,), elements=st.floats(1e-3, 1e6))
-    else:
-        resistances = st.floats(1e-3, 1e6)
-    return data.draw(samples), data.draw(samples), data.draw(resistances), data.draw(resistances)
-
-
 class TestChannelWaveforms:
     def test_voltage_divider(self):
         u_c, i_c = channel_waveforms(const_wave(1.0), const_wave(0.0), 1.0, 1.0)
@@ -89,21 +79,49 @@ class TestChannelWaveforms:
             assert np.array_equal(u_c[row], u_row)
             assert np.array_equal(i_c[row], i_row)
 
+
+def draw_solve_inputs(data, rows, n, per_row):
+    """Two generator waves of shape ``rows + (n,)`` and two resistances, scalars or one per row."""
+    samples = arrays(np.float64, rows + (n,), elements=st.floats(-1e6, 1e6))
+    if per_row:
+        resistances = arrays(np.float64, rows + (1,), elements=st.floats(1e-3, 1e6))
+    else:
+        resistances = st.floats(1e-3, 1e6)
+    return data.draw(samples), data.draw(samples), data.draw(resistances), data.draw(resistances)
+
+
+class TestChannelCurrent:
     @settings(deadline=None)
     @given(data=st.data(), rows=st.sampled_from([(), (1,), (3,), (2, 2)]), n=st.integers(1, 32), per_row=st.booleans())
-    def test_matches_kirchhoff_expressions(self, data, rows, n, per_row):
-        """The voltage is (u_a R_B + u_b R_A) / (R_A + R_B) and the current (u_a - u_b) / (R_A + R_B), bit for bit.
-
-        The solve leaves its inputs unchanged.
-        """
+    def test_matches_channel_waveforms(self, data, rows, n, per_row):
+        """The solve's current is (u_a - u_b) / (R_A + R_B), bit for bit, and leaves its inputs unchanged."""
         u_a, u_b, r_a, r_b = draw_solve_inputs(data, rows, n, per_row)
         before = u_a.copy(), u_b.copy()
-        u_c, i_c = channel_waveforms(u_a, u_b, r_a, r_b)
-        for wave in (u_c, i_c):
-            assert wave.shape == u_a.shape and wave.dtype == np.float64
-        assert np.array_equal(u_c, (u_a * r_b + u_b * r_a) / (r_a + r_b))
+        i_c = channel_waveforms(u_a, u_b, r_a, r_b)[1]
+        assert i_c.shape == u_a.shape and i_c.dtype == np.float64
         assert np.array_equal(i_c, (u_a - u_b) / (r_a + r_b))
         assert np.array_equal(u_a, before[0]) and np.array_equal(u_b, before[1])
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            channel_waveforms(const_wave(1.0, n=8), const_wave(1.0, n=9), 1.0, 1.0)
+
+
+class TestChannelVoltage:
+    @settings(deadline=None)
+    @given(data=st.data(), rows=st.sampled_from([(), (1,), (3,), (2, 2)]), n=st.integers(1, 32), per_row=st.booleans())
+    def test_matches_channel_waveforms(self, data, rows, n, per_row):
+        """The solve's voltage is (u_a R_B + u_b R_A) / (R_A + R_B), bit for bit, and leaves its inputs unchanged."""
+        u_a, u_b, r_a, r_b = draw_solve_inputs(data, rows, n, per_row)
+        before = u_a.copy(), u_b.copy()
+        u_c = channel_waveforms(u_a, u_b, r_a, r_b)[0]
+        assert u_c.shape == u_a.shape and u_c.dtype == np.float64
+        assert np.array_equal(u_c, (u_a * r_b + u_b * r_a) / (r_a + r_b))
+        assert np.array_equal(u_a, before[0]) and np.array_equal(u_b, before[1])
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            channel_waveforms(const_wave(1.0, n=8), const_wave(1.0, n=9), 1.0, 1.0)
 
 
 class TestResistorSet:
