@@ -67,16 +67,15 @@ def cmd_levels(args) -> str:
 def cmd_sweep(args) -> str:
     config = _load(args)
     mode = args.mode or _MODE_SHORT[config.mode]
-    gammas = _parse_gammas(args.gammas)
-    configs = [with_overrides(config, gamma=gamma) for gamma in gammas]
+    configs = _sweep_configs(config, args.gammas)
     lines = [
         f"# config_hash={config.config_hash()} mode={mode} force_state={args.force_state}",
         "gamma,eps_analytic,eps_mc,ci_low,ci_high,n_errors,n_trials",
     ]
-    for gamma, cfg in zip(gammas, configs):
-        eps_th = analytic.epsilon_analytic(mode, args.force_state, cfg.fractions, gamma)
+    for cfg in configs:
+        eps_th = analytic.epsilon_analytic(mode, args.force_state, cfg.fractions, cfg.gamma)
         est = error_rate(cfg, mode=mode, force_state=args.force_state, workers=args.workers)
-        lines.append(",".join(_fmt(x) for x in (gamma, eps_th, est.p, est.ci_low, est.ci_high, est.k, est.n)))
+        lines.append(",".join(_fmt(x) for x in (cfg.gamma, eps_th, est.p, est.ci_low, est.ci_high, est.k, est.n)))
     return "\n".join(lines) + "\n"
 
 
@@ -114,7 +113,12 @@ def cmd_spectra(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_gammas(text: str) -> list[float]:
+def _sweep_configs(config: SystemConfig, text: str) -> list[SystemConfig]:
+    """``config`` at each γ of ``--gammas text``; every refusal names the flag.
+
+    A γ that no config holds is refused as a config file's value is, with the
+    list in place of the file's name (its first 40 characters, where longer).
+    """
     if not text or not text.strip():
         raise ConfigError("--gammas must be a non-empty comma-separated list")
     try:
@@ -123,7 +127,11 @@ def _parse_gammas(text: str) -> list[float]:
         raise ConfigError(f"bad --gammas list: {exc}") from exc
     if any(b <= a for a, b in zip(gammas, gammas[1:])):
         raise ConfigError("--gammas must be strictly ascending")
-    return gammas
+    try:
+        return [with_overrides(config, gamma=gamma) for gamma in gammas]
+    except ConfigError as exc:
+        shown = text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+        raise ConfigError(f"--gammas {shown}: {exc}") from exc
 
 
 @functools.cache

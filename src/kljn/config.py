@@ -54,16 +54,17 @@ class SystemConfig:
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must fit in 64 bits")
         # delegate the physics invariants so the error names the constraint; the
-        # derived objects are built (and warn) once here, then cached on the instance
+        # derived objects are built once here, then cached on the instance
         try:
             self.constants
             self.resistors
             self.fractions
-            self.window
+            if self.gamma <= 0 or self.b_kljn <= 0:
+                self.window  # refuses them in the window's own words
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         try:
-            samples = self.sample_rate * self.window.tau
+            samples = self.sample_rate * self._tau
         except OverflowError:  # an int oversample beyond float64
             samples = math.inf
         at = f"gamma = {self.gamma} at oversample = {_shown(self.oversample)}"
@@ -73,6 +74,8 @@ class SystemConfig:
             )
         n = self.samples_per_period
         self.check_samples(n, f"{at} gives {_shown(n)} samples per period")
+        # built last, so that a config refused for its period prints no gamma < 10 warning first
+        self.window
 
     @property
     def normalized(self) -> bool:
@@ -99,9 +102,14 @@ class SystemConfig:
         return self.oversample * self.b_kljn
 
     @property
+    def _tau(self) -> float:
+        """The averaging period ``window.tau``, computed as it does, without building (and warning) the window."""
+        return self.gamma / self.b_kljn
+
+    @property
     def samples_per_period(self) -> int:
         # even count so the trailing-half measurement window is exact
-        n = int(round(self.sample_rate * self.window.tau))
+        n = int(round(self.sample_rate * self._tau))
         return n + (n % 2)
 
     def check_samples(self, n_samples: int, what: str) -> None:

@@ -9,7 +9,6 @@ from typing import Optional, Union
 
 from kljn import cli
 from kljn.circuit import DegenerateLevelsWarning as DEGENERATE
-from kljn.estimator import SmallGammaWarning as SMALL
 
 MISSING, DIRECTORY = None, object()
 # where a run is refused: while its command reads the config and arguments, before it calls ``protocol``;
@@ -84,7 +83,8 @@ REFUSALS = {
     "levels-no-in-band-bin": Refusal("", ["levels", "--samples", "3"], 2, "levels --samples 3; no FFT bin"),
     "levels-invalid-alpha": Refusal("alpha = 0.5\n", ["levels"], 2, "alpha must be > 1, got 0.5"),
     "sweep-empty-gammas": Refusal("", ["sweep", "--gammas", " "], 2, "--gammas must be a non-empty"),
-    "sweep-infinite-gamma-in-list": Refusal("", ["sweep", "--gammas", "30,inf"], 2, "gamma must be finite"),
+    "sweep-infinite-gamma-in-list": Refusal(
+        "", ["sweep", "--gammas", "30,inf"], 2, "config error: --gammas 30,inf: gamma must be finite, got inf\n"),
     "sweep-descending-gammas": Refusal("", ["sweep", "--gammas", "100,50"], 2, "--gammas must be strictly ascending"),
     **{f"empty-secure-band[{c}]": Refusal(TIGHT, COMMANDS[c], 3, EMPTY_BAND, refused=RUN, warns=DEGENERATE)
        for c in ("session", "sweep")},
@@ -95,11 +95,10 @@ REFUSALS = {
     "unrunnable[session-zero-periods]": Refusal("n_periods = 0\n", ["session"], 2, "n_periods must be >= 1"),
     "unrunnable[sweep-zero-periods]": Refusal("n_periods = 0\n", COMMANDS["sweep"], 2, "n_periods must be >= 1"),
     # oversample 4 at gamma 0.1 rounds to 0 samples per period
-    "unrunnable[session-short-period]": Refusal("gamma = 0.1\n", ["session"], 2, "0 samples per period", warns=SMALL),
-    "unrunnable[sweep-short-period]": Refusal(
-        "", ["sweep", "--gammas", "0.1,30"], 2, "0 samples per period", warns=SMALL),
+    "unrunnable[session-short-period]": Refusal("gamma = 0.1\n", ["session"], 2, "0 samples per period"),
+    "unrunnable[sweep-short-period]": Refusal("", ["sweep", "--gammas", "0.1,30"], 2, "0 samples per period"),
     "unrunnable[sweep-short-period-nyquist]": Refusal(
-        "oversample = 2\n", ["sweep", "--gammas", "0.2,30"], 2, "0 samples per period", warns=SMALL),
+        "oversample = 2\n", ["sweep", "--gammas", "0.2,30"], 2, "0 samples per period"),
     # more samples per period than float64 tells FFT bins apart at: 4e300 used to hang the top-bin search,
     # 4e17 to fail allocating; counts beyond 2**53 print in 6 significant digits, not in 301
     "unrunnable[session-huge-period]": Refusal(
@@ -123,12 +122,12 @@ REFUSALS = {
        for c in COMMANDS for kind, config in (
            ("missing", MISSING), ("directory", DIRECTORY), ("not-utf8", b"\xff\xfegamma = 30\n"))},
     # levels and spectra run no period, yet refuse a config no period could run
-    **{f"refused-by-every-command[{c}-{case}]": Refusal(text, COMMANDS[c], 2, err, warns=warns)
-       for c in ("levels", "spectra") for case, text, err, warns in (
-           ("zero-periods", "n_periods = 0\n", "n_periods must be >= 1", None),
-           ("short-period", "gamma = 0.1\n", "0 samples per period", SMALL))},
+    **{f"refused-by-every-command[{c}-{case}]": Refusal(text, COMMANDS[c], 2, err)
+       for c in ("levels", "spectra") for case, text, err in (
+           ("zero-periods", "n_periods = 0\n", "n_periods must be >= 1"),
+           ("short-period", "gamma = 0.1\n", "0 samples per period"))},
     # gamma 0.5 at oversample 4 gives 2 samples per period, whose noise would be all zeros
-    **{f"no-in-band-bin[{c}]": Refusal(text, argv, 2, "2 samples per period; no FFT bin", warns=SMALL)
+    **{f"no-in-band-bin[{c}]": Refusal(text, argv, 2, "2 samples per period; no FFT bin")
        for c, text, argv in (("session", "gamma = 0.5\n", ["session"]),
                              ("sweep", "", ["sweep", "--gammas", "0.5,30"]))},
     "sweep-force-state-0110": Refusal(

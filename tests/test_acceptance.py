@@ -4,9 +4,10 @@ Criteria 3, 4 and 5 read the program: the levels that ``kljn levels``
 prints, the spectrum that ``kljn spectra`` prints, and the kernel's forced
 readings in ``run_session``'s moment sums. The Monte Carlo criteria keep
 factor-of-x tolerances against the paper's closed forms, which are
-rare-crossing approximations. Criteria 3 and 5 to 8 also carry exact gates
-at |z| < 4.5: against the chi-square level law, the window's cumulants, and
-the exact rates of ``kljn.exact.rate``, each read at its gate's own config.
+rare-crossing approximations. Criteria 3 and 5 to 8 also carry exact gates:
+against the chi-square level law, the window's cumulants, and the exact
+rates of ``kljn.exact.rate``, each read at its gate's own config. Each gate
+reads its threshold, seeds and periods from its row of ``gates.GATES``.
 The rates and cumulants come from the library's one window operator,
 ``kljn.exact.window_gram``; the tests here also check that operator against
 the window's cosine Toeplitz form, Imhof's integral (``tests/exact.py``) at
@@ -49,10 +50,9 @@ from exact import (
     q_sample_moments,
     window_cumulants,
 )
+from gates import GATES
 
 NORM = PhysicsConstants.normalized()
-# a true value fails |z| < 4.5 with two-sided probability 6.8e-6 (normal approximation)
-Z_GATE = 4.5
 
 
 def announce(num, description):
@@ -86,11 +86,13 @@ def test_criterion_02_rice_consistency():
 
 
 def test_criterion_03_level_reproduction(tmp_path):
-    """``kljn levels`` prints all six levels within 1% of theory and within 4.5 SD of their chi-square law."""
+    """``kljn levels`` prints all six levels within 1% of theory and within the z gate of their chi-square law
+    (row criterion-3-levels)."""
+    gate = GATES["criterion-3-levels"]
     n = 10**7
     levels = theoretical_levels(ResistorSet(1.0, 10.0), NORM, bandwidth=1.0)
     out = tmp_path / "levels.txt"
-    assert main(["levels", "--samples", str(n), "--seed", "42", "--out", str(out)]) == 0
+    assert main(["levels", "--samples", str(n), "--seed", str(gate.seed), "--out", str(out)]) == 0
     rows = [line.split() for line in out.read_text().splitlines()[4:]]
     mean, rel_sd = level_law(n, 4.0, 1.0)
     for row, state in zip(rows, ("00", "0110", "11"), strict=True):
@@ -102,7 +104,7 @@ def test_criterion_03_level_reproduction(tmp_path):
             assert float(printed) == pytest.approx(theory, rel=1e-11)
             assert float(empirical) == pytest.approx(theory, rel=0.01)
             z = (float(empirical) / theory / mean - 1) / rel_sd
-            assert abs(z) < Z_GATE, f"{state}: {empirical} is {z:+.2f} sd from its law"
+            assert abs(z) < gate.threshold, f"{state}: {empirical} is {z:+.2f} sd from its law"
     announce(3, "empirical channel mean squares match theory within 1% for all bit states")
 
 
@@ -132,8 +134,9 @@ def test_criterion_04_squared_noise_spectrum(tmp_path):
 @pytest.mark.parametrize("gamma", [50, 100])
 def test_criterion_05_fluctuation_rms(gamma):
     """The kernel's forced 11 readings spread as f_B·sqrt(2γ) over their levels, within 10%, and their
-    variances lie within 4.5 SD of the window's Var Q."""
-    cfg = SystemConfig(gamma=gamma, n_periods=10**4, master_seed=1000 + gamma)
+    variances lie within the z gate of the window's Var Q (row criterion-5-variance)."""
+    gate = GATES["criterion-5-variance"]
+    cfg = gate.config(SystemConfig(gamma=gamma), gamma)
     n, sum_v, sum_i, sum_vv, sum_ii, _ = run_session(cfg, force_state="11").moment_sums["11"]
     levels = theoretical_levels(ResistorSet(1.0, 10.0), NORM, bandwidth=1.0)
     # a flat band of unit mean square has S = 1/B = 1, so its fluctuation RMS is the relative spread
@@ -143,12 +146,13 @@ def test_criterion_05_fluctuation_rms(gamma):
         mean, var = q_sample_moments(n, total, squares, level)
         assert math.sqrt(var) == pytest.approx(predicted, rel=0.10), reading
         z = q_moment_z(n, mean, var, k2, k4)[1]
-        assert abs(z) < Z_GATE, f"{reading} variance: {z:+.2f} sd from Var Q"
+        assert abs(z) < gate.threshold, f"{reading} variance: {z:+.2f} sd from Var Q"
     announce(5, f"finite-time average spread matches sqrt(2*gamma)*S*f_B at gamma={gamma}")
 
 
 def test_criterion_06_monte_carlo_vs_analytic():
-    cfg = SystemConfig(alpha=100.0, gamma=50.0, n_periods=10**5, master_seed=11)
+    gate = GATES["criterion-6-rate"]
+    cfg = gate.config(SystemConfig(alpha=100.0, gamma=50.0))
     report = run_session(cfg, force_state="11", workers=2)
     est = report.rates["eps_hat_i_11"]
     analytic = epsilon_current_11(0.5, 50.0)
@@ -159,33 +163,34 @@ def test_criterion_06_monte_carlo_vs_analytic():
     exact = rate(cfg, "11", "current")
     assert exact == pytest.approx(1.2043e-2, rel=1e-4)
     z = binomial_z(est, exact)
-    assert abs(z) < Z_GATE, f"{est.k}/{est.n} is {z:+.2f} sd from the exact rate {exact:.4e}"
+    assert abs(z) < gate.threshold, f"{est.k}/{est.n} is {z:+.2f} sd from the exact rate {exact:.4e}"
     announce(6, "measured 11->secure current error rate within factor 3 of the closed form")
 
 
 def test_monte_carlo_vs_exact_rates_gamma_30():
-    """Both current-mode error rates sit within 4 standard errors of the exact rates.
+    """Both current-mode error rates sit within their gate's standard errors of the exact rates (row
+    session-rates-gamma-30).
 
     The paper's closed form gives 8.85e-2 for both states here: its exponent
     f^2/4 is only the second-order term that the lower tail's (-f - ln(1-f))/2
     and the upper tail's (f - ln(1+f))/2 share, so it is 9.7x the exact 00 rate.
     """
-    cfg = SystemConfig(alpha=100.0, gamma=30.0, mode="current_only", n_periods=2 * 10**4, master_seed=1)
+    gate = GATES["session-rates-gamma-30"]
+    cfg = gate.config(SystemConfig(alpha=100.0, gamma=30.0, mode="current_only"))
     report = run_session(cfg)
     for state in ("00", "11"):
         est, exact = report.rates[f"eps_hat_i_{state}"], rate(cfg, state, "current")
         z = binomial_z(est, exact)
-        assert abs(z) < 4, f"eps_hat_i_{state}: {est.k}/{est.n} is {z:+.2f} sd from {exact}"
+        assert abs(z) < gate.threshold, f"eps_hat_i_{state}: {est.k}/{est.n} is {z:+.2f} sd from {exact}"
     paper = epsilon_current_00(0.5, 30.0)
     assert paper == pytest.approx(8.85e-2, rel=1e-3)
     assert paper / rate(cfg, "00", "current") == pytest.approx(9.7, abs=0.05)
 
 
-# 2e5 periods: enough that a 10% error in the averaging period or the noise band moves the 00 rate
-# about 13 standard errors (test_exact_rate_gate_catches_10pct_mutants)
-EXACT_GATE_CONFIG = SystemConfig(alpha=100.0, gamma=30.0, n_periods=2 * 10**5)
-# forced 00 and 11 periods of one seed draw the same normals, so each state has its own seed
-STATE_SEEDS = {"00": 1, "11": 2}
+# the physics of the γ = 30 gates; each gate's row gives its seeds and periods (forced 00 and 11 periods of
+# one seed draw the same normals, so each state has its own seed)
+EXACT_GATE_CONFIG = SystemConfig(alpha=100.0, gamma=30.0)
+RATE_GATE = GATES["rate-gamma-30"]
 # the (mode, state) cells of the γ = 30 rate gates; the current-mode cases keep the ids they had before the
 # voltage-mode cases joined them
 GATE_CELLS = [("current", "00"), ("current", "11"), ("voltage", "00"), ("voltage", "11")]
@@ -193,17 +198,18 @@ GATE_CELL_IDS = ["00", "11", "voltage-00", "voltage-11"]
 
 
 def rate_z(mode, state, workers):
-    """The z-score of ``error_rate``'s rate of ``EXACT_GATE_CONFIG`` at the state's seed in ``mode``
-    against ``kljn.exact.rate``, which reads neither the period's sample count nor the noise spec."""
-    cfg = dataclasses.replace(EXACT_GATE_CONFIG, master_seed=STATE_SEEDS[state])
+    """The z-score of ``error_rate``'s rate of ``EXACT_GATE_CONFIG`` at the state's seed and periods of row
+    rate-gamma-30 in ``mode`` against ``kljn.exact.rate``, which reads neither the period's sample count nor
+    the noise spec."""
+    cfg = RATE_GATE.config(EXACT_GATE_CONFIG, state)
     return binomial_z(error_rate(cfg, mode, state, workers=workers), rate(cfg, state, mode))
 
 
 @pytest.mark.parametrize("mode, state", GATE_CELLS, ids=GATE_CELL_IDS)
 def test_error_rate_vs_exact_rates_gamma_30(mode, state):
-    """The sweep's rate sits within 4.5 standard errors of the exact rate (false alarm 6.8e-6)."""
+    """The sweep's rate sits within the z gate of the exact rate (row rate-gamma-30)."""
     z = rate_z(mode, state, workers=2)
-    assert abs(z) < Z_GATE, f"{mode} {state}: {z:+.2f} sd from the exact rate"
+    assert abs(z) < RATE_GATE.threshold, f"{mode} {state}: {z:+.2f} sd from the exact rate"
 
 
 def _period_10pct_long(monkeypatch):
@@ -229,22 +235,21 @@ def test_exact_rate_gate_catches_10pct_mutants(mutate, monkeypatch):
     """The state-00 gate above fails on a kernel with either 10% fault, patched in this process (1 worker)."""
     mutate(monkeypatch)
     z = rate_z("current", "00", workers=1)
-    assert abs(z) >= Z_GATE, f"{z:+.2f} sd from the exact rate"
+    assert abs(z) >= RATE_GATE.threshold, f"{z:+.2f} sd from the exact rate"
 
 
-# 2e4 forced periods per state: a 10% error in the averaging period or the noise band moves each reading's
-# variance 6 to 9 standard errors (test_moment_gate_catches_10pct_mutants)
-MOMENT_GATE_PERIODS = 2 * 10**4
+MOMENT_GATE = GATES["moments-gamma-30"]
 
 
 def moment_z(state):
-    """z-scores ``{(reading, "mean" | "var"): z}`` of a forced state's readings over their levels against Q's moments.
+    """z-scores ``{(reading, "mean" | "var"): z}`` of a forced state's readings over their levels against Q's moments,
+    at the state's seed and periods of row moments-gamma-30.
 
     The mean of Q = reading/level is gated against E[Q] = 1 and its sample
     variance against κ2 (``exact.q_moment_z``). ``run_session``'s
     ``moment_sums`` give both.
     """
-    cfg = SystemConfig(alpha=100.0, gamma=30.0, n_periods=MOMENT_GATE_PERIODS, master_seed=STATE_SEEDS[state])
+    cfg = MOMENT_GATE.config(EXACT_GATE_CONFIG, state)
     k2, k4 = window_cumulants(cfg.gamma, cfg.oversample)
     n, sum_v, sum_i, sum_vv, sum_ii, _ = run_session(cfg, force_state=state).moment_sums[state]
     levels = cfg.levels()
@@ -413,15 +418,16 @@ def test_exact_rate_peak_memory_at_gamma_500():
 
 # oversample 2 puts the Nyquist bin in band, which carries half a bin's power: Σλ = (n - 1)/n, not 1
 NYQUIST_GATE_CONFIG = dataclasses.replace(EXACT_GATE_CONFIG, oversample=2)
-NYQUIST_GATE_SEEDS = {"00": 31, "11": 32}
+NYQUIST_GATE = GATES["rate-oversample-2"]
 
 
 @pytest.fixture(scope="module")
 def nyquist_rates():
-    """``error_rate``'s current-mode rate of forced 00 and 11 ``NYQUIST_GATE_CONFIG`` periods, each at its seed."""
+    """``error_rate``'s current-mode rate of forced 00 and 11 ``NYQUIST_GATE_CONFIG`` periods, each at its seed
+    and periods of row rate-oversample-2."""
     return {
-        state: error_rate(dataclasses.replace(NYQUIST_GATE_CONFIG, master_seed=seed), "current", state, workers=2)
-        for state, seed in NYQUIST_GATE_SEEDS.items()
+        state: error_rate(NYQUIST_GATE.config(NYQUIST_GATE_CONFIG, state), "current", state, workers=2)
+        for state in NYQUIST_GATE.seeds
     }
 
 
@@ -431,9 +437,10 @@ def nyquist_z(nyquist_rates):
 
 
 def test_error_rate_vs_exact_rates_at_oversample_2(nyquist_rates):
-    """At oversample 2 both current-mode rates sit within 4.5 standard errors of ``kljn.exact.rate``."""
+    """At oversample 2 both current-mode rates sit within the z gate of ``kljn.exact.rate`` (row
+    rate-oversample-2)."""
     for state, z in nyquist_z(nyquist_rates).items():
-        assert abs(z) < Z_GATE, f"{state}: {z:+.2f} sd from the exact rate"
+        assert abs(z) < NYQUIST_GATE.threshold, f"{state}: {z:+.2f} sd from the exact rate"
 
 
 def test_oversample_2_gate_catches_trace_scaling(nyquist_rates, monkeypatch):
@@ -446,7 +453,7 @@ def test_oversample_2_gate_catches_trace_scaling(nyquist_rates, monkeypatch):
 
     monkeypatch.setattr(kljn.exact, "window_eigenvalues", trace_scaled)
     z = nyquist_z(nyquist_rates)
-    assert max(abs(v) for v in z.values()) >= Z_GATE, z
+    assert max(abs(v) for v in z.values()) >= NYQUIST_GATE.threshold, z
 
 
 @pytest.mark.parametrize("oversample", [3, 4])
@@ -475,17 +482,31 @@ def test_window_gram_matches_the_cosine_toeplitz_form(gamma, oversample):
     assert (lam**2).sum() == pytest.approx(lag_sum, rel=1e-12)
 
 
-@pytest.mark.parametrize("state", list(STATE_SEEDS))
-def test_forced_reading_moments_gamma_30(state):
-    """Each forced reading's mean and variance over its level sit within 4.5 standard errors of E[Q] and Var Q.
+@pytest.mark.parametrize("gamma", [30.0, 101.0, 500.0])
+def test_window_eigenvalues_at_oversample_2_are_closed_form(gamma):
+    """At oversample 2 the band holds every bin but DC, so λ is known in closed form, to 1e-15.
 
-    Four z-scores per state, each of two-sided false-alarm probability
-    6.8e-6 (normal approximation): at most 2.7e-5 per state, by the union
-    bound. In a state of equal resistors, the voltage reads z_a + z_b and
-    the current z_a - z_b, which are independent.
+    With n = 2γ samples, SᵀS on the window is (2/n²)(nI − 11ᵀ): its nonzero
+    λ are 2/n, n/2 − 1 times, and the Nyquist bin's 1/n, once, so Q is
+    (2/n)·χ²_{n/2−1} + (1/n)·χ²₁. The other n/2 − 1 λ are zero.
+    """
+    n = round(2 * gamma)
+    plateau = np.full(n // 2 - 1, 2 / n)
+    expected = np.concatenate([plateau, [1 / n], np.zeros_like(plateau)])
+    lam = np.sort(window_eigenvalues(gamma, 2))[::-1]
+    np.testing.assert_allclose(lam, expected, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("state", list(MOMENT_GATE.seeds))
+def test_forced_reading_moments_gamma_30(state):
+    """Each forced reading's mean and variance over its level sit within the z gate of E[Q] and Var Q.
+
+    Four z-scores per state (row moments-gamma-30). In a state of equal
+    resistors, the voltage reads z_a + z_b and the current z_a - z_b, which
+    are independent.
     """
     for (reading, moment), z in moment_z(state).items():
-        assert abs(z) < Z_GATE, f"{state} {reading} {moment}: {z:+.2f} sd from Q's"
+        assert abs(z) < MOMENT_GATE.threshold, f"{state} {reading} {moment}: {z:+.2f} sd from Q's"
 
 
 @pytest.mark.parametrize("mutate", [_period_10pct_long, _band_10pct_wide], ids=["period", "band"])
@@ -494,15 +515,15 @@ def test_moment_gate_catches_10pct_mutants(mutate, monkeypatch):
     is unchanged, need not."""
     mutate(monkeypatch)
     z = moment_z("00")
-    assert z["msv", "var"] <= -Z_GATE and z["msi", "var"] <= -Z_GATE, z
+    assert z["msv", "var"] <= -MOMENT_GATE.threshold and z["msi", "var"] <= -MOMENT_GATE.threshold, z
 
 
 def test_criterion_07_exponential_decay_slope():
+    gate = GATES["criterion-7-slope"]
     gammas = np.array([20.0, 30.0, 40.0, 50.0])
-    n = 50_000
     counts, trials, exact = [], [], []
     for gamma in gammas:
-        cfg = SystemConfig(alpha=100.0, gamma=gamma, n_periods=n, master_seed=13)
+        cfg = gate.config(SystemConfig(alpha=100.0, gamma=gamma))
         report = run_session(cfg, force_state="11", workers=2)
         counts.append(report.rates["eps_hat_i_11"].k)
         trials.append(report.rates["eps_hat_i_11"].n)
@@ -519,16 +540,16 @@ def test_criterion_07_exponential_decay_slope():
     # the fit's covariance (DᵀWD)⁻¹, with W the inverse variances
     se = math.sqrt(np.linalg.inv(design.T @ (w[:, None] * design))[1, 1])
     z = (slope - exact_slope) / se
-    assert abs(z) < Z_GATE, f"slope {slope:.5f} is {z:+.2f} sd from the exact rates' {exact_slope:.5f}"
+    assert abs(z) < gate.threshold, f"slope {slope:.5f} is {z:+.2f} sd from the exact rates' {exact_slope:.5f}"
     announce(7, f"ln(error rate) decays in gamma with slope {slope:.4f} ~ -lambda^2/4")
 
 
 def test_criterion_08_independence_and_product_law():
-    n = 10**6
-    cfg = SystemConfig(alpha=100.0, gamma=30.0, n_periods=n, master_seed=17)
+    correlation_gate, rate_gate = GATES["criterion-8-correlation"], GATES["criterion-8-rates"]
+    cfg = rate_gate.config(EXACT_GATE_CONFIG)
     report = run_session(cfg, force_state="11", workers=2)
     corr = msq_correlation(report.moment_sums["11"])
-    assert abs(corr) < 4.0 / math.sqrt(n)
+    assert abs(corr) < correlation_gate.threshold / math.sqrt(cfg.n_periods)
     p_v = report.rates["eps_hat_v_11"].p
     p_i = report.rates["eps_hat_i_11"].p
     p_comb = report.rates["eps_hat_combined_11"].p
@@ -538,7 +559,7 @@ def test_criterion_08_independence_and_product_law():
     for name, mode in (("v", "voltage"), ("i", "current"), ("combined", "combined")):
         exact = rate(cfg, "11", mode)
         z = binomial_z(report.rates[f"eps_hat_{name}_11"], exact)
-        assert abs(z) < Z_GATE, f"eps_hat_{name}_11: {z:+.2f} sd from the exact rate {exact:.4e}"
+        assert abs(z) < rate_gate.threshold, f"eps_hat_{name}_11: {z:+.2f} sd from the exact rate {exact:.4e}"
     announce(
         8,
         f"msv/msi correlation {corr:+.1e} ~ 0 and combined rate {p_comb:.2e} "
@@ -546,23 +567,17 @@ def test_criterion_08_independence_and_product_law():
     )
 
 
-# forced 00 and 11 periods of one seed draw the same normals, so each state has its own seed
-INDEPENDENCE_GATE_SEEDS = {"00": 11, "11": 12, "0110": 13}
-# a table whose law holds fails with probability 1e-5 (chi-square approximation of the statistic): at most
-# 3e-5 over the three tables, by the union bound
-P_GATE = 1e-5
+PRODUCT_GATE = GATES["independence-product"]
 
 
-def secure_table(state, workers=2):
-    """Counts [[both secure, voltage only], [current only, neither]] of forced ``state`` periods.
+def secure_table(cfg, state, workers=2):
+    """Counts [[both secure, voltage only], [current only, neither]] of forced ``state`` periods of ``cfg``.
 
-    The physics is ``EXACT_GATE_CONFIG``'s, at the state's own seed. A
-    reading that is not secure is pooled into one row or column: in forced
+    A reading that is not secure is pooled into one row or column: in forced
     00 and 11 a reading never reads the other equal state, and in 0110 the
     voltage reads only 00 and the current only 11. Both readings are secure
     in exactly the periods kept as secure.
     """
-    cfg = dataclasses.replace(EXACT_GATE_CONFIG, master_seed=INDEPENDENCE_GATE_SEEDS[state])
     report = run_session(cfg, force_state=state, workers=workers)
     a = ACTUAL_STATES.index(state)
     v, i = report.confusion_v[a], report.confusion_i[a]
@@ -578,10 +593,11 @@ def secure_table(state, workers=2):
 def product_divergence(state, workers=2):
     """The table of ``secure_table`` and its Cressie-Read statistic and p-value against the exact product law.
 
-    The expected table is n·p_v·p_i with each reading's exact rate (3
-    degrees of freedom: no parameter is estimated).
+    The periods are ``EXACT_GATE_CONFIG``'s at the state's seed and periods
+    of row independence-product. The expected table is n·p_v·p_i with each
+    reading's exact rate (3 degrees of freedom: no parameter is estimated).
     """
-    table = secure_table(state, workers)
+    table = secure_table(PRODUCT_GATE.config(EXACT_GATE_CONFIG, state), state, workers)
     p_v, p_i = rate(EXACT_GATE_CONFIG, state, "voltage"), rate(EXACT_GATE_CONFIG, state, "current")
     expected = table.sum() * np.outer([p_v, 1 - p_v], [p_i, 1 - p_i])
     stat, p = power_divergence(table.ravel(), expected.ravel(), lambda_="cressie-read")
@@ -595,10 +611,11 @@ def test_criterion_08_secure_table_is_exact_product(state):
     In a state of equal resistors the voltage reads z_a + z_b and the
     current z_a - z_b, which are independent, so the joint law is the
     product of the exact single-reading rates. Power-divergence statistic
-    with λ = 2/3 (Read & Cressie 1988); the gate refuses at p < 1e-5.
+    with λ = 2/3 (Read & Cressie 1988); the gate refuses below its row's p
+    (row independence-product).
     """
     table, stat, p = product_divergence(state)
-    assert p >= P_GATE, f"{state}: {table.tolist()} reads {stat:.2f} (p = {p:.1e}) against the exact product"
+    assert p >= PRODUCT_GATE.threshold, f"{state}: {table.tolist()} reads {stat:.2f} (p = {p:.1e}) against the product"
     announce(8, f"forced {state} reading table matches the exact product law (p = {p:.2f})")
 
 
@@ -612,15 +629,16 @@ def test_independence_gate_catches_sign_mutant(monkeypatch):
     monkeypatch.setitem(protocol._EQUAL_RESISTORS, "msi", np.add)
     for state in ("00", "11"):
         table, stat, p = product_divergence(state, workers=1)
-        assert table[0, 0] == 0 and p < P_GATE, f"{state}: {table.tolist()} reads {stat:.2f} (p = {p:.1e})"
+        assert table[0, 0] == 0 and p < PRODUCT_GATE.threshold, f"{state}: {table.tolist()} reads {stat:.2f}, p = {p:.1e}"
 
 
 def test_0110_secure_table_is_independent():
     """In 0110 the two readings are independent too; their marginals have no exact rate here, so they are
-    estimated (1 degree of freedom), with the same statistic and gate."""
-    table = secure_table("0110")
+    estimated (1 degree of freedom), with the same statistic and gate (row independence-0110)."""
+    gate = GATES["independence-0110"]
+    table = secure_table(gate.config(EXACT_GATE_CONFIG), "0110")
     stat, p, _, _ = chi2_contingency(table, correction=False, lambda_="cressie-read")
-    assert p >= P_GATE, f"0110: {table.tolist()} reads {stat:.2f} (p = {p:.1e}) against independence"
+    assert p >= gate.threshold, f"0110: {table.tolist()} reads {stat:.2f} (p = {p:.1e}) against independence"
 
 
 def test_criterion_09_table_2_logic():

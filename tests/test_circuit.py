@@ -14,6 +14,7 @@ from kljn.circuit import (
     theoretical_levels,
 )
 from kljn.config import SystemConfig
+from gates import GATES
 from reference import reference_waves
 
 NORM = PhysicsConstants.normalized()
@@ -175,12 +176,13 @@ class TestTheoreticalLevels:
 
 class TestEmpiricalPhysics:
     def test_voltage_current_uncorrelated_in_secure_state(self):
-        # <u_c * i_c> is statistically zero in the 01 state
-        u_c, i_c = reference_waves(SystemConfig(), (0, 1), 2**20, np.random.default_rng(21))
+        # <u_c * i_c> is statistically zero in the 01 state (row circuit-uncorrelated)
+        gate = GATES["circuit-uncorrelated"]
+        u_c, i_c = reference_waves(SystemConfig(), (0, 1), 2**20, np.random.default_rng(gate.seed))
         prod = u_c * i_c
         batches = prod.reshape(64, -1).mean(axis=1)
         se = batches.std(ddof=1) / np.sqrt(64)
-        assert abs(prod.mean()) < 4 * se
+        assert abs(prod.mean()) < gate.threshold * se
 
     def test_mean_squares_match_levels(self):
         levels = theoretical_levels(ResistorSet(1.0, 10.0), NORM, bandwidth=1.0)

@@ -1,6 +1,5 @@
 import argparse
 import ast
-import contextlib
 import dataclasses
 import hashlib
 import json
@@ -8,6 +7,7 @@ import multiprocessing
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -19,6 +19,7 @@ from kljn.cli import main
 from kljn.config import ConfigError, SystemConfig, load_config
 from kljn.noise import rng_for_period
 from exact import level_law
+from gates import GATES
 from reference import reference_waves
 from refusals import DRAWN, READ, REFUSALS, run, write_config
 
@@ -57,7 +58,9 @@ def refuse(capsys, monkeypatch, tmp_path):
     def check(key):
         row, path, out = REFUSALS[key], tmp_path / "refused.cfg", tmp_path / "refused.out"
         write_config(row.config, path)
-        with monkeypatch.context() as patch, pytest.warns(row.warns) if row.warns else contextlib.nullcontext():
+        with monkeypatch.context() as patch, pytest.warns(row.warns) if row.warns else warnings.catch_warnings():
+            if not row.warns:
+                warnings.simplefilter("error")  # a row that names no warning raises none
             if row.refused != DRAWN:
                 for name in ("rng_for_period", "_simulate_chunk", "_Share"):
                     patch.setattr(protocol, name, mock.Mock(side_effect=AssertionError(f"{name} reached")))
@@ -102,10 +105,6 @@ def traced_peak(argv):
     finally:
         if not tracing:
             tracemalloc.stop()
-
-
-# a true level fails |z| < 4.5 with two-sided probability at most 9.2e-6 (test_levels_follow_exact_chi2_law)
-Z_GATE = 4.5
 
 
 def levels_z(capsys, tmp_path, oversample, n, seed):
@@ -162,18 +161,16 @@ class TestLevels:
     @pytest.mark.parametrize("n", [4097, 65536, 262143, 2**20])
     @pytest.mark.parametrize("oversample", [2, 3, 4])
     def test_levels_follow_exact_chi2_law(self, capsys, tmp_path, oversample, n):
-        """Every printed level over its theory column lies within 4.5 SD of its exact law, at seeds 1-4.
+        """Every printed level over its theory column lies within the z gate of its exact law, at each seed of
+        row levels-chi2.
 
         The law is a scaled chi-square on 2K + nyq degrees of freedom, for K
         in-band bins and nyq in-band Nyquist bins (``exact.level_law``).
-        With at least 2048 degrees of freedom here, a true value fails the
-        gate with two-sided probability at most 9.2e-6 (chi-square tails), so
-        the 24 values of one case at most 2.2e-4 and all 288 at most 2.7e-3,
-        by the union bound.
         """
-        for seed in range(1, 5):
+        gate = GATES["levels-chi2"]
+        for seed in gate.seeds:
             z = levels_z(capsys, tmp_path, oversample, n, seed)
-            assert np.abs(z).max() < Z_GATE, f"seed {seed}: z = {np.round(z, 2).tolist()}"
+            assert np.abs(z).max() < gate.threshold, f"seed {seed}: z = {np.round(z, 2).tolist()}"
 
     @pytest.mark.parametrize("mutant", ["level", "band"])
     def test_exact_level_gate_catches_2pct_mutants(self, capsys, monkeypatch, tmp_path, mutant):
@@ -194,7 +191,7 @@ class TestLevels:
                 "noise_spec",
                 lambda self, r, n: dataclasses.replace(spec(self, r, n), bandwidth=self.b_kljn * 1.02),
             )
-        z = levels_z(capsys, tmp_path, 4, 2**20, 1)
+        z = levels_z(capsys, tmp_path, 4, 2**20, GATES["levels-chi2"].seeds[0])
         assert np.abs(z).max() > 8, np.round(z, 2).tolist()
 
     def test_reference_levels_in_output(self, capsys, fast_config):

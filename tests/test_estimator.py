@@ -13,6 +13,7 @@ from kljn.estimator import (
     squared_noise_psd_theory,
 )
 from kljn.noise import NoiseSpec, rng_for_period, synth_band_limited
+from gates import GATES
 
 
 def period_mean_squares(gamma, n_periods, seed=0, psd=1.0, bw=1.0, fs=4.0):
@@ -60,8 +61,9 @@ class TestMeasurePeriod:
             measure_period(np.array([]), np.array([]))
 
     def test_single_period_close_to_level(self):
-        ms = period_mean_squares(gamma=100, n_periods=1, seed=4)[0]
-        assert abs(ms - 1.0) < 5.0 / math.sqrt(100)
+        gate = GATES["estimator-single-period"]
+        ms = period_mean_squares(gamma=100, n_periods=len(gate.periods), seed=gate.seed)[0]
+        assert abs(ms - 1.0) < gate.threshold / math.sqrt(100)
 
     def test_uses_trailing_half(self):
         n = 8
@@ -112,7 +114,8 @@ class TestAveragedFluctuationRms:
 
 class TestFluctuationDistribution:
     def test_period_averages_are_gaussian(self):
-        # KS distance to the fitted normal, against the 1% critical value
-        ms = period_mean_squares(gamma=50, n_periods=1000, seed=17)
+        # KS distance to the fitted normal, against the 1% critical value of a normal law (row estimator-ks)
+        gate = GATES["estimator-ks"]
+        ms = period_mean_squares(gamma=50, n_periods=len(gate.periods), seed=gate.seed)
         stat, _ = stats.kstest(ms, "norm", args=(ms.mean(), ms.std(ddof=1)))
-        assert stat < 1.628 / math.sqrt(ms.size)
+        assert stat < gate.threshold / math.sqrt(ms.size)

@@ -15,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from kljn import noise
 from kljn.noise import NoiseSpec, periodogram, rng_for_period, synth_band_limited
+from gates import GATES
 from streams import drawn_periods
 
 
@@ -158,14 +159,15 @@ class TestSynth:
         assert np.all(w == 0.0)
 
     def test_variance_matches_psd_times_bandwidth(self):
-        # <x^2> -> S * B; standard error estimated by batching
+        # <x^2> -> S * B; standard error estimated by batching (row noise-variance)
+        gate = GATES["noise-variance"]
         spec = NoiseSpec(psd_level=4.0, bandwidth=0.5, sample_rate=2.0, n_samples=2**20)
-        w = synth_band_limited(spec, np.random.default_rng(7))
+        w = synth_band_limited(spec, np.random.default_rng(gate.seed))
         batches = w.reshape(64, -1)
         means = (batches**2).mean(axis=1)
         var = means.mean()
         se = means.std(ddof=1) / np.sqrt(64)
-        assert abs(var - 2.0) < 3 * se
+        assert abs(var - 2.0) < gate.threshold * se
 
     def test_spectrum_flat_in_band_and_clean_above(self):
         w = make(psd=1.0, bw=1.0, fs=4.0, n=2**20, seed=3)
@@ -190,23 +192,25 @@ class TestSynth:
         assert not np.array_equal(a, b)
 
     def test_gaussianity_excess_kurtosis(self):
-        w = make(n=2**20, seed=11)
+        gate = GATES["noise-kurtosis"]
+        w = make(n=2**20, seed=gate.seed)
         x = w
         m2 = np.mean(x**2)
         m4 = np.mean(x**4)
         excess = m4 / m2**2 - 3.0
         se = np.sqrt(24.0 / x.size)
-        assert abs(excess) < 5 * se
+        assert abs(excess) < gate.threshold * se
 
     def test_stationarity_between_halves(self):
-        w = make(n=2**20, seed=13)
+        gate = GATES["noise-stationarity"]
+        w = make(n=2**20, seed=gate.seed)
         half = w.size // 2
         a, b = w[:half], w[half:]
         va, vb = a.var(), b.var()
         # variance-of-variance for a correlated Gaussian sequence, batched
         sa = (a.reshape(32, -1) ** 2).mean(axis=1).std(ddof=1) / np.sqrt(32)
         sb = (b.reshape(32, -1) ** 2).mean(axis=1).std(ddof=1) / np.sqrt(32)
-        assert abs(va - vb) < 3 * np.hypot(sa, sb)
+        assert abs(va - vb) < gate.threshold * np.hypot(sa, sb)
 
     def test_returns_float64_array(self):
         w = make(n=4096)

@@ -41,6 +41,7 @@ from kljn.protocol import (
     wilson_interval,
 )
 from exact import msq_correlation
+from gates import GATES
 from reference import reference_waves
 from streams import drawn_periods
 from test_cli import GOLDEN_OUTPUT, GOLDEN_RUN_OUTPUT, counts_digest, digest, golden_stdout
@@ -289,11 +290,13 @@ class TestRunSession:
         assert min(kept_00_11) > 0 or force_state is not None
 
     def test_secure_fraction_near_half(self):
-        n = 4000
-        report = run_session(small_config(n_periods=n, master_seed=13))
+        gate = GATES["secure-fraction"]
+        cfg = gate.config(small_config())
+        n = cfg.n_periods
+        report = run_session(cfg)
         n_secure = report.moment_sums["0110"][0]
-        # 4-sigma binomial window around 1/2
-        assert abs(n_secure - n / 2) < 4 * math.sqrt(n * 0.25)
+        # a binomial window around 1/2
+        assert abs(n_secure - n / 2) < gate.threshold * math.sqrt(n * 0.25)
 
     def test_matches_per_period_simulation(self):
         cfg = small_config(n_periods=25, master_seed=17)
@@ -467,9 +470,11 @@ class TestRunSession:
         assert protocol._usable_cpus() == 1
 
     def test_msq_correlation_diagnostic(self):
-        report = run_session(small_config(n_periods=2000, master_seed=29), force_state="11")
+        gate = GATES["msq-correlation"]
+        cfg = gate.config(small_config())
+        report = run_session(cfg, force_state="11")
         corr = msq_correlation(report.moment_sums["11"])
-        assert abs(corr) < 4 / math.sqrt(2000)
+        assert abs(corr) < gate.threshold / math.sqrt(cfg.n_periods)
 
 
 def fork_children(monkeypatch):
