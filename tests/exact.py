@@ -4,8 +4,9 @@ A period's windowed mean square over its level is Q = Σλ_k χ²₁, with λ
 the eigenvalues of ``kljn.exact.window_gram`` scaled to the level
 (``kljn.exact.window_eigenvalues``). The rate gates read
 ``kljn.exact.rate``; Imhof's integral over λ gives Q's tails, the
-reference for ``kljn.exact.tail``, and λ's sums give Q's cumulants, which
-the moment gates read. A whole wave's mean square has the chi-square law
+reference for ``kljn.exact.tail``; ``q_cdf`` reads Q's CDF off those tails
+for the KS gate; and λ's sums give Q's cumulants, which the moment gates
+read. A whole wave's mean square has the chi-square law
 of ``level_law``. The rest turns a run's counts and moment sums into
 z-scores against these laws.
 """
@@ -15,7 +16,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from kljn.exact import window_eigenvalues
+from kljn.exact import tail, window_eigenvalues
 
 
 def window_cumulants(gamma, oversample):
@@ -40,6 +41,17 @@ def imhof_upper_tail(lam, x):
 
     value, error = quad(integrand, 0, math.inf, epsabs=1e-13, epsrel=1e-10, limit=200)
     return 0.5 + value / math.pi, error / math.pi
+
+
+def q_cdf(lam, x):
+    """P(Q <= x) for Q = Σλ_k χ²₁ at each value of ``x``, from ``kljn.exact.tail`` on x's side of Σλ.
+
+    Below the mean it is the lower tail itself; above it, 1 minus the upper
+    tail, as ``kljn.exact._within`` reads its cuts.
+    """
+    mean = lam.sum()
+    cdf = [tail(lam, v, False) if v <= mean else 1 - tail(lam, v, True) for v in np.ravel(x)]
+    return np.reshape(cdf, np.shape(x))
 
 
 def binomial_z(est, exact):

@@ -520,10 +520,10 @@ def test_moment_gate_catches_10pct_mutants(mutate, monkeypatch):
 
 def test_criterion_07_exponential_decay_slope():
     gate = GATES["criterion-7-slope"]
-    gammas = np.array([20.0, 30.0, 40.0, 50.0])
+    gammas = np.array(list(gate.seeds))
     counts, trials, exact = [], [], []
     for gamma in gammas:
-        cfg = gate.config(SystemConfig(alpha=100.0, gamma=gamma))
+        cfg = gate.config(SystemConfig(alpha=100.0, gamma=gamma), gamma)
         report = run_session(cfg, force_state="11", workers=2)
         counts.append(report.rates["eps_hat_i_11"].k)
         trials.append(report.rates["eps_hat_i_11"].n)

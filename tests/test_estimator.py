@@ -1,18 +1,21 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from kljn import estimator
 from kljn.estimator import (
     AveragingWindow,
     SmallGammaWarning,
     averaged_fluctuation_rms,
     measure_period,
-    measurement_slice,
     squared_noise_psd_theory,
 )
+from kljn.exact import window_eigenvalues
 from kljn.noise import NoiseSpec, rng_for_period, synth_band_limited
+from exact import imhof_upper_tail, q_cdf
 from gates import GATES
 
 
@@ -21,7 +24,7 @@ def period_mean_squares(gamma, n_periods, seed=0, psd=1.0, bw=1.0, fs=4.0):
     n = int(round(fs * gamma / bw))
     n += n % 2
     spec = NoiseSpec(psd_level=psd, bandwidth=bw, sample_rate=fs, n_samples=n)
-    sl = measurement_slice(n)
+    sl = estimator.measurement_slice(n)
     out = np.empty(n_periods)
     for k in range(n_periods):
         w = synth_band_limited(spec, rng_for_period(seed, k))
@@ -112,10 +115,33 @@ class TestAveragedFluctuationRms:
         assert ms.std(ddof=1) == pytest.approx(predicted, rel=0.10)
 
 
+KS_GATE = GATES["estimator-ks"]
+
+
+def ks_distance():
+    """The KS distance of row estimator-ks's period averages at γ = 50 to Q's exact law, ``exact.q_cdf``."""
+    ms = period_mean_squares(gamma=50, n_periods=len(KS_GATE.periods), seed=KS_GATE.seed)
+    return stats.kstest(ms, functools.partial(q_cdf, window_eigenvalues(50, 4))).statistic
+
+
 class TestFluctuationDistribution:
     def test_period_averages_are_gaussian(self):
-        # KS distance to the fitted normal, against the 1% critical value of a normal law (row estimator-ks)
-        gate = GATES["estimator-ks"]
-        ms = period_mean_squares(gamma=50, n_periods=len(gate.periods), seed=gate.seed)
-        stat, _ = stats.kstest(ms, "norm", args=(ms.mean(), ms.std(ddof=1)))
-        assert stat < gate.threshold / math.sqrt(ms.size)
+        """The period averages at γ = 50 follow Q's exact law: their KS distance to ``exact.q_cdf`` lies below
+        the 1% point of Kolmogorov's law at n = 1000 (row estimator-ks).
+
+        No parameter is fitted, so the distance follows Kolmogorov's law. Q
+        is skewed, not Gaussian; the name is kept as the test's id.
+        """
+        assert ks_distance() < KS_GATE.threshold / math.sqrt(len(KS_GATE.periods))
+
+    def test_ks_gate_catches_whole_period_window(self, monkeypatch):
+        """Averages over the whole period, not its trailing half, are Q at twice the window: the gate fails."""
+        monkeypatch.setattr(estimator, "measurement_slice", lambda n: slice(0, n))
+        assert ks_distance() >= KS_GATE.threshold / math.sqrt(len(KS_GATE.periods))
+
+    def test_q_cdf_matches_imhof(self):
+        """``exact.q_cdf`` at γ = 50 lies within 1e-5 of 1 minus Imhof's upper tail over the averages' range."""
+        lam = window_eigenvalues(50, 4)
+        x = np.linspace(0.5, 1.6, 23)
+        reference = [1 - imhof_upper_tail(lam, v)[0] for v in x]
+        np.testing.assert_allclose(q_cdf(lam, x), reference, rtol=0, atol=1e-5)

@@ -15,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from kljn import noise
 from kljn.noise import NoiseSpec, periodogram, rng_for_period, synth_band_limited
+from exact import level_law
 from gates import GATES
 from streams import drawn_periods
 
@@ -22,6 +23,19 @@ from streams import drawn_periods
 def make(psd=1.0, bw=1.0, fs=4.0, n=2**16, seed=0):
     spec = NoiseSpec(psd_level=psd, bandwidth=bw, sample_rate=fs, n_samples=n)
     return synth_band_limited(spec, np.random.default_rng(seed))
+
+
+def variance_z():
+    """The z-score of the mean square of 2**20 samples at S·B = 2 over S·B against its exact law.
+
+    The law is ``exact.level_law``'s chi-square at the spec's sample rate
+    and band, at the seed of row noise-variance.
+    """
+    n, sample_rate, bandwidth = 2**20, 2.0, 0.5
+    spec = NoiseSpec(psd_level=4.0, bandwidth=bandwidth, sample_rate=sample_rate, n_samples=n)
+    w = synth_band_limited(spec, np.random.default_rng(GATES["noise-variance"].seed))
+    mean, rel_sd = level_law(n, sample_rate, bandwidth)
+    return (np.mean(w**2) / (spec.psd_level * bandwidth) / mean - 1) / rel_sd
 
 
 def drawn(normals):
@@ -159,15 +173,16 @@ class TestSynth:
         assert np.all(w == 0.0)
 
     def test_variance_matches_psd_times_bandwidth(self):
-        # <x^2> -> S * B; standard error estimated by batching (row noise-variance)
-        gate = GATES["noise-variance"]
-        spec = NoiseSpec(psd_level=4.0, bandwidth=0.5, sample_rate=2.0, n_samples=2**20)
-        w = synth_band_limited(spec, np.random.default_rng(gate.seed))
-        batches = w.reshape(64, -1)
-        means = (batches**2).mean(axis=1)
-        var = means.mean()
-        se = means.std(ddof=1) / np.sqrt(64)
-        assert abs(var - 2.0) < gate.threshold * se
+        """<x²> over S·B lies within the z gate of its exact chi-square law (row noise-variance)."""
+        z = variance_z()
+        assert abs(z) < GATES["noise-variance"].threshold, f"z = {z:+.2f}"
+
+    def test_variance_gate_catches_2pct_psd(self, monkeypatch):
+        """A synthesis whose power is 2% high, its scales sqrt(1.02) times too large, fails the gate above."""
+        root = noise._root
+        monkeypatch.setattr(noise, "_root", lambda *args: root(*args) * math.sqrt(1.02))
+        z = variance_z()
+        assert abs(z) >= GATES["noise-variance"].threshold, f"z = {z:+.2f}"
 
     def test_spectrum_flat_in_band_and_clean_above(self):
         w = make(psd=1.0, bw=1.0, fs=4.0, n=2**20, seed=3)

@@ -242,6 +242,20 @@ class TestSimulatePeriod:
             assert OUTCOMES[code] is combine(v, i)
 
 
+def secure_fraction_z():
+    """The count of 0110 periods of a random-bits session against n/2, in binomial SDs (row secure-fraction)."""
+    cfg = GATES["secure-fraction"].config(small_config())
+    n = cfg.n_periods
+    n_secure = run_session(cfg).moment_sums["0110"][0]
+    return (n_secure - n / 2) / math.sqrt(n * 0.25)
+
+
+def msq_correlation_z():
+    """sqrt(n) times the correlation of the forced 11 readings, which are independent (row msq-correlation)."""
+    cfg = GATES["msq-correlation"].config(small_config())
+    return math.sqrt(cfg.n_periods) * msq_correlation(run_session(cfg, force_state="11").moment_sums["11"])
+
+
 class TestRunSession:
     def test_report_describes_its_config(self):
         cfg = small_config(n_periods=50, master_seed=1)
@@ -290,13 +304,21 @@ class TestRunSession:
         assert min(kept_00_11) > 0 or force_state is not None
 
     def test_secure_fraction_near_half(self):
-        gate = GATES["secure-fraction"]
-        cfg = gate.config(small_config())
-        n = cfg.n_periods
-        report = run_session(cfg)
-        n_secure = report.moment_sums["0110"][0]
-        # a binomial window around 1/2
-        assert abs(n_secure - n / 2) < gate.threshold * math.sqrt(n * 0.25)
+        z = secure_fraction_z()
+        assert abs(z) < GATES["secure-fraction"].threshold, f"z = {z:+.2f}"
+
+    def test_secure_fraction_gate_catches_equal_bits(self, monkeypatch):
+        """A kernel whose Bob takes Alice's bit draws no 0110 period and fails the gate above."""
+        draw = protocol.draw_periods
+
+        def equal_bits(master_seed, start, stop, force_state, normals, bits):
+            for lo, k, a, _ in draw(master_seed, start, stop, force_state, normals, bits):
+                bits[lo : lo + k, 1] = a
+                yield lo, k, a, a
+
+        monkeypatch.setattr(protocol, "draw_periods", equal_bits)
+        z = secure_fraction_z()
+        assert abs(z) >= GATES["secure-fraction"].threshold, f"z = {z:+.2f}"
 
     def test_matches_per_period_simulation(self):
         cfg = small_config(n_periods=25, master_seed=17)
@@ -470,11 +492,14 @@ class TestRunSession:
         assert protocol._usable_cpus() == 1
 
     def test_msq_correlation_diagnostic(self):
-        gate = GATES["msq-correlation"]
-        cfg = gate.config(small_config())
-        report = run_session(cfg, force_state="11")
-        corr = msq_correlation(report.moment_sums["11"])
-        assert abs(corr) < gate.threshold / math.sqrt(cfg.n_periods)
+        z = msq_correlation_z()
+        assert abs(z) < GATES["msq-correlation"].threshold, f"sqrt(n) r = {z:+.2f}"
+
+    def test_msq_correlation_gate_catches_sign_mutant(self, monkeypatch):
+        """A kernel that builds the current from z_a + z_b makes the two readings one Q: the gate above fails."""
+        monkeypatch.setitem(protocol._EQUAL_RESISTORS, "msi", np.add)
+        z = msq_correlation_z()
+        assert abs(z) >= GATES["msq-correlation"].threshold, f"sqrt(n) r = {z:+.2f}"
 
 
 def fork_children(monkeypatch):
