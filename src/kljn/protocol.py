@@ -36,9 +36,6 @@ _OUTCOMES = tuple(CombinedOutcome)
 _KEEP = _OUTCOMES.index(CombinedOutcome.KEEP_SECURE)
 # a one-reading error_rate mode's mean square and its reader
 _ONE_READING = {"voltage": ("msv", voltage_codes), "current": ("msi", current_codes)}
-# per mean square, z_a + z_b or z_a - z_b in one pass: z_a + rho * z_b where rho is exactly +1 or -1, as
-# it is when both generators have one resistor (see _reading_tables and _fill)
-_EQUAL_RESISTORS = {"msv": np.add, "msi": np.subtract}
 
 
 @dataclass(frozen=True)
@@ -166,21 +163,18 @@ def _fill(spectrum: np.ndarray, z: np.ndarray, a, b, rule: tuple, name: str) -> 
     ``(..., 2, n_normals)``, and ``spectrum`` C-contiguous complex, whose
     bins reach at least the band's top one, with the Nyquist bin, if any,
     last (``n // 2 + 1`` bins for an ``irfft``). The bits are arrays of
-    shape ``z.shape[:-2]`` or one int per party; one int shared by both
-    takes the one-pass sum, keyed by the reading, not by rho's sign (nan
-    where a scale overflowed). The Nyquist slot, if any, takes
+    shape ``z.shape[:-2]`` or one int per party. Every state takes the one
+    rule: where both parties have one resistor rho is exactly +1 or -1, so
+    the product is exact and the slots hold z_a ± z_b to the bit (nan where
+    a scale overflowed). The Nyquist slot, if any, takes
     (z_a0 + rho_nyquist·z_b0)·q_a.
     """
     layout, q, tables = rule
     _, rho, rho_nyquist = tables[name]
     nyquist, in_band = layout.slots(spectrum)
     nyq = int(layout.nyquist)
-    z_a, z_b = z[..., 0, nyq:], z[..., 1, nyq:]
-    if isinstance(a, int) and a == b:
-        _EQUAL_RESISTORS[name](z_a, z_b, out=in_band)
-    else:
-        np.multiply(z_b, rho[a, b, None], out=in_band)
-        in_band += z_a
+    np.multiply(z[..., 1, nyq:], rho[a, b, None], out=in_band)
+    in_band += z[..., 0, nyq:]
     if nyquist is not None:
         nyquist[...] = (z[..., 0, 0] + rho_nyquist[a, b] * z[..., 1, 0]) * q[a]
 

@@ -122,7 +122,6 @@ CRITERION_8 = dict(seeds=(17,), periods=range(10**6))
 # a sampled mean's and a sampled variance's mutants: a 10% longer period, and a band 10% wide at the same power
 TEN_PERCENT_RATE = ACCEPTANCE + "test_exact_rate_gate_catches_10pct_mutants"
 TEN_PERCENT_MOMENTS = ACCEPTANCE + "test_moment_gate_catches_10pct_mutants"
-NO_MUTANT = "no mutant has been run against it"
 
 GATES = {
     # the level law at 10**7 samples is a chi-square on 5·10**6 degrees of freedom, a normal to 1e-4 of its tail
@@ -182,8 +181,7 @@ GATES = {
     "independence-0110": Gate(
         ACCEPTANCE + "test_0110_secure_table_is_independent",
         "Cressie-Read p-value of the 0110 secure table against independence (1 dof)",
-        P_GATE, 1, (13,), range(2 * 10**5), P_GATE,
-        no_power="the sign mutant changes only states of equal resistors, so 0110 reads as before"),
+        P_GATE, 1, (13,), range(2 * 10**5), P_GATE, power=ACCEPTANCE + "test_0110_gate_catches_sign_mutant"),
     # at least 2048 degrees of freedom in each of the 12 cases, 6 levels at each of 4 seeds
     "levels-chi2": Gate(
         "test_cli.py::TestLevels::test_levels_follow_exact_chi2_law", "z of a printed level against its chi-square law",
@@ -195,20 +193,22 @@ GATES = {
         "test_noise.py::TestSynth::test_variance_matches_psd_times_bandwidth",
         "z of the mean square over S·B against its chi-square law", 3.0, 1, (7,), PERIOD_0, chi2_tail(3.0, 2**19),
         power="test_noise.py::TestSynth::test_variance_gate_catches_2pct_psd", stream=PCG64),
-    # the samples are correlated, with Σρ⁴ = 4/3 at oversample 4, so the gate's 5 nominal standard errors of
-    # sqrt(24/N) are 5/sqrt(4/3) = 4.33 true ones
+    # the samples are correlated, with Σρ⁴ = 4/3 at oversample 4, so the excess kurtosis's standard error is
+    # sqrt(24·Σρ⁴/N) = sqrt(32/N)
     "noise-kurtosis": Gate(
-        "test_noise.py::TestSynth::test_gaussianity_excess_kurtosis", "excess kurtosis over sqrt(24/N)",
-        5.0, 1, (11,), PERIOD_0, normal_tail(5.0 / math.sqrt(4 / 3)), no_power=NO_MUTANT, stream=PCG64),
+        "test_noise.py::TestSynth::test_gaussianity_excess_kurtosis", "excess kurtosis over sqrt(32/N)",
+        5.0 / math.sqrt(4 / 3), 1, (11,), PERIOD_0, normal_tail(5.0 / math.sqrt(4 / 3)),
+        power="test_noise.py::TestSynth::test_kurtosis_gate_catches_clipping", stream=PCG64),
     # the variances' difference over two 32-batch standard errors: Welch's t, about 62 degrees of freedom
     "noise-stationarity": Gate(
         "test_noise.py::TestSynth::test_stationarity_between_halves",
         "the halves' variance difference over its batched standard error", 3.0, 1, (13,), PERIOD_0,
-        t_tail(3.0, 62), no_power=NO_MUTANT, stream=PCG64),
+        t_tail(3.0, 62), power="test_noise.py::TestSynth::test_stationarity_gate_catches_2pct_step", stream=PCG64),
     "circuit-uncorrelated": Gate(
         "test_circuit.py::TestEmpiricalPhysics::test_voltage_current_uncorrelated_in_secure_state",
         "the mean of u·i in 0110 over its 64-batch standard error", 4.0, 1, (21,), PERIOD_0, t_tail(4.0, 63),
-        no_power=NO_MUTANT, stream=PCG64),
+        power="test_circuit.py::TestEmpiricalPhysics::test_uncorrelated_gate_catches_psd_not_proportional_to_r",
+        stream=PCG64),
     # exact binomial: the count of 4000 fair draws lies 127 or more from 2000
     "secure-fraction": Gate(
         "test_protocol.py::TestRunSession::test_secure_fraction_near_half",
@@ -225,7 +225,7 @@ GATES = {
         "test_estimator.py::TestMeasurePeriod::test_single_period_close_to_level",
         "sqrt(γ) times one period's error |Q - 1|, at γ = 100", 5.0, 1, (4,), PERIOD_0,
         q_outside(100.0, 5.0 / math.sqrt(100)),
-        no_power=NO_MUTANT),
+        no_power="no mutant has been run against it"),
     # the period averages are Q at γ = 50, and no parameter of its CDF is fitted, so the distance follows
     # Kolmogorov's law (against a fitted normal it would not: Lilliefors 1967); the 10% period mutants cannot
     # fail it at n = 1000, reading 1.17 at γ = 45 and 0.77 at γ = 55

@@ -25,7 +25,6 @@ import pytest
 from scipy.stats import chi2_contingency, power_divergence
 
 import kljn.exact
-from kljn import protocol
 from kljn.analytic import (
     SQRT3,
     epsilon_combined,
@@ -51,6 +50,7 @@ from exact import (
     window_cumulants,
 )
 from gates import GATES
+from test_protocol import wrong_current_sign
 
 NORM = PhysicsConstants.normalized()
 
@@ -620,25 +620,47 @@ def test_criterion_08_secure_table_is_exact_product(state):
 
 
 def test_independence_gate_catches_sign_mutant(monkeypatch):
-    """Both gates above fail on a kernel that builds the current from z_a + z_b, patched in this process.
+    """Both gates above fail on the loop law with Bob's current sign wrong, patched in this process.
 
-    The mutant's marginals stay exact, but its two readings are one Q: the
+    In 00 and 11 the mutant builds the current from z_a + z_b, as the
+    voltage. Its marginals stay exact, but its two readings are one Q: the
     secure tails are opposite, so no period reads both secure, where about
     67 are expected.
     """
-    monkeypatch.setitem(protocol._EQUAL_RESISTORS, "msi", np.add)
+    wrong_current_sign(monkeypatch)
     for state in ("00", "11"):
         table, stat, p = product_divergence(state, workers=1)
         assert table[0, 0] == 0 and p < PRODUCT_GATE.threshold, f"{state}: {table.tolist()} reads {stat:.2f}, p = {p:.1e}"
 
 
+INDEPENDENCE_0110 = GATES["independence-0110"]
+
+
+def independence_0110(workers=2):
+    """The 0110 table of ``secure_table`` at row independence-0110's seed and periods, and its Cressie-Read
+    statistic and p-value against independence, with the marginals estimated (1 degree of freedom)."""
+    table = secure_table(INDEPENDENCE_0110.config(EXACT_GATE_CONFIG), "0110", workers)
+    stat, p, _, _ = chi2_contingency(table, correction=False, lambda_="cressie-read")
+    return table, stat, p
+
+
 def test_0110_secure_table_is_independent():
     """In 0110 the two readings are independent too; their marginals have no exact rate here, so they are
-    estimated (1 degree of freedom), with the same statistic and gate (row independence-0110)."""
-    gate = GATES["independence-0110"]
-    table = secure_table(gate.config(EXACT_GATE_CONFIG), "0110")
-    stat, p, _, _ = chi2_contingency(table, correction=False, lambda_="cressie-read")
-    assert p >= gate.threshold, f"0110: {table.tolist()} reads {stat:.2f} (p = {p:.1e}) against independence"
+    estimated, with the same statistic and gate (row independence-0110)."""
+    table, stat, p = independence_0110()
+    assert p >= INDEPENDENCE_0110.threshold, f"0110: {table.tolist()} reads {stat:.2f} (p = {p:.1e})"
+
+
+def test_0110_gate_catches_sign_mutant(monkeypatch):
+    """The gate above fails on the loop law with Bob's current sign wrong, patched in this process.
+
+    In 0110 the mutant's voltage and current weigh Bob's normals with one
+    sign, so the two readings are correlated and the secure table is not
+    a product.
+    """
+    wrong_current_sign(monkeypatch)
+    table, stat, p = independence_0110(workers=1)
+    assert p < INDEPENDENCE_0110.threshold, f"0110: {table.tolist()} reads {stat:.2f}, p = {p:.1e}"
 
 
 def test_criterion_09_table_2_logic():

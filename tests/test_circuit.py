@@ -14,6 +14,7 @@ from kljn.circuit import (
     theoretical_levels,
 )
 from kljn.config import SystemConfig
+import reference
 from gates import GATES
 from reference import reference_waves
 
@@ -174,15 +175,29 @@ class TestTheoreticalLevels:
         assert levels.i_11 < levels.i_0110 < levels.i_00
 
 
+def secure_product_t():
+    """The mean of u_c·i_c over its 64-batch standard error, in the 01 state of 2**20 samples at row
+    circuit-uncorrelated's seed."""
+    u_c, i_c = reference_waves(SystemConfig(), (0, 1), 2**20, np.random.default_rng(GATES["circuit-uncorrelated"].seed))
+    prod = u_c * i_c
+    batches = prod.reshape(64, -1).mean(axis=1)
+    return prod.mean() / (batches.std(ddof=1) / np.sqrt(64))
+
+
 class TestEmpiricalPhysics:
     def test_voltage_current_uncorrelated_in_secure_state(self):
         # <u_c * i_c> is statistically zero in the 01 state (row circuit-uncorrelated)
-        gate = GATES["circuit-uncorrelated"]
-        u_c, i_c = reference_waves(SystemConfig(), (0, 1), 2**20, np.random.default_rng(gate.seed))
-        prod = u_c * i_c
-        batches = prod.reshape(64, -1).mean(axis=1)
-        se = batches.std(ddof=1) / np.sqrt(64)
-        assert abs(prod.mean()) < gate.threshold * se
+        t = secure_product_t()
+        assert abs(t) < GATES["circuit-uncorrelated"].threshold, f"t = {t:+.2f}"
+
+    def test_uncorrelated_gate_catches_psd_not_proportional_to_r(self, monkeypatch):
+        """Generators whose PSD is not ∝ R, R1's 10% high, make u·i correlated in 01: the gate above fails."""
+        r1 = SystemConfig().resistors.r1
+        monkeypatch.setattr(
+            reference, "generator_psd", lambda r, constants: generator_psd(r, constants) * (1.1 if r == r1 else 1.0)
+        )
+        t = secure_product_t()
+        assert abs(t) >= GATES["circuit-uncorrelated"].threshold, f"t = {t:+.2f}"
 
     def test_mean_squares_match_levels(self):
         levels = theoretical_levels(ResistorSet(1.0, 10.0), NORM, bandwidth=1.0)

@@ -463,7 +463,7 @@ GOLDEN_OUTPUT = {
                         "3c0c91543696dbb77ede6521b92d9684ea34e337c157e128b02d236b4b295724"),
     "levels-nyquist": ("oversample = 2\n", ["levels", "--samples", "65536"],
                        "757b1bd74f7287751692c8286e93812aa95824cc266e23be5ec8d8ad40461936"),
-    # 2343 segments and 96 trailing samples: five periodogram chunks, split 2 + 3
+    # 2343 segments and 96 trailing samples: five periodogram chunks
     "spectra-periodogram-halves": ("", ["spectra", "--samples", "300000", "--bins", "64"],
                                    "53a137a85fefa3f4fdfb43cf90327d11f2a330fec5f066d3618707fd50464170"),
 }

@@ -22,7 +22,41 @@ from streams import drawn_periods
 
 def make(psd=1.0, bw=1.0, fs=4.0, n=2**16, seed=0):
     spec = NoiseSpec(psd_level=psd, bandwidth=bw, sample_rate=fs, n_samples=n)
-    return synth_band_limited(spec, np.random.default_rng(seed))
+    # looked up on the module, so that a mutant test may patch the synthesis
+    return noise.synth_band_limited(spec, np.random.default_rng(seed))
+
+
+def patch_synthesis(monkeypatch, change):
+    """Patch ``noise.synth_band_limited`` so that ``change`` rewrites every wave it returns, in place."""
+    synth = noise.synth_band_limited
+
+    def mutant(spec, rng):
+        w = synth(spec, rng)
+        change(w)
+        return w
+
+    monkeypatch.setattr(noise, "synth_band_limited", mutant)
+
+
+def kurtosis_z():
+    """The excess kurtosis of 2**20 samples at f_s = 4B over its standard error, at row noise-kurtosis's seed.
+
+    The samples are correlated, with Σρ⁴ = 4/3 at oversample 4, so the
+    standard error is sqrt(24·Σρ⁴/N) = sqrt(32/N).
+    """
+    w = make(n=2**20, seed=GATES["noise-kurtosis"].seed)
+    excess = np.mean(w**4) / np.mean(w**2) ** 2 - 3.0
+    return excess / math.sqrt(32.0 / w.size)
+
+
+def stationarity_t():
+    """The first half's variance less the second's over two 32-batch standard errors, at row
+    noise-stationarity's seed (2**20 samples)."""
+    w = make(n=2**20, seed=GATES["noise-stationarity"].seed)
+    halves = w.reshape(2, 32, -1)
+    # variance-of-variance for a correlated Gaussian sequence, batched
+    se = (halves**2).mean(axis=2).std(axis=1, ddof=1) / np.sqrt(32)
+    return (halves[0].var() - halves[1].var()) / np.hypot(*se)
 
 
 def variance_z():
@@ -207,25 +241,28 @@ class TestSynth:
         assert not np.array_equal(a, b)
 
     def test_gaussianity_excess_kurtosis(self):
-        gate = GATES["noise-kurtosis"]
-        w = make(n=2**20, seed=gate.seed)
-        x = w
-        m2 = np.mean(x**2)
-        m4 = np.mean(x**4)
-        excess = m4 / m2**2 - 3.0
-        se = np.sqrt(24.0 / x.size)
-        assert abs(excess) < gate.threshold * se
+        z = kurtosis_z()
+        assert abs(z) < GATES["noise-kurtosis"].threshold, f"z = {z:+.2f}"
+
+    def test_kurtosis_gate_catches_clipping(self, monkeypatch):
+        """A synthesis whose wave is clipped at ±2 RMS, sqrt(S·B) = 1 here, fails the gate above."""
+        patch_synthesis(monkeypatch, lambda w: np.clip(w, -2.0, 2.0, out=w))
+        z = kurtosis_z()
+        assert abs(z) >= GATES["noise-kurtosis"].threshold, f"z = {z:+.2f}"
 
     def test_stationarity_between_halves(self):
-        gate = GATES["noise-stationarity"]
-        w = make(n=2**20, seed=gate.seed)
-        half = w.size // 2
-        a, b = w[:half], w[half:]
-        va, vb = a.var(), b.var()
-        # variance-of-variance for a correlated Gaussian sequence, batched
-        sa = (a.reshape(32, -1) ** 2).mean(axis=1).std(ddof=1) / np.sqrt(32)
-        sb = (b.reshape(32, -1) ** 2).mean(axis=1).std(ddof=1) / np.sqrt(32)
-        assert abs(va - vb) < gate.threshold * np.hypot(sa, sb)
+        t = stationarity_t()
+        assert abs(t) < GATES["noise-stationarity"].threshold, f"t = {t:+.2f}"
+
+    def test_stationarity_gate_catches_2pct_step(self, monkeypatch):
+        """A synthesis whose second half is 2% louder fails the gate above."""
+
+        def step(w):
+            w[w.size // 2 :] *= 1.02
+
+        patch_synthesis(monkeypatch, step)
+        t = stationarity_t()
+        assert abs(t) >= GATES["noise-stationarity"].threshold, f"t = {t:+.2f}"
 
     def test_returns_float64_array(self):
         w = make(n=4096)

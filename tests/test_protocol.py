@@ -496,10 +496,28 @@ class TestRunSession:
         assert abs(z) < GATES["msq-correlation"].threshold, f"sqrt(n) r = {z:+.2f}"
 
     def test_msq_correlation_gate_catches_sign_mutant(self, monkeypatch):
-        """A kernel that builds the current from z_a + z_b makes the two readings one Q: the gate above fails."""
-        monkeypatch.setitem(protocol._EQUAL_RESISTORS, "msi", np.add)
+        """A loop law with Bob's current sign wrong builds the 11 current from z_a + z_b, as the voltage: the two
+        readings are one Q, and the gate above fails."""
+        wrong_current_sign(monkeypatch)
         z = msq_correlation_z()
         assert abs(z) >= GATES["msq-correlation"].threshold, f"sqrt(n) r = {z:+.2f}"
+
+
+def wrong_current_sign(monkeypatch):
+    """Patch ``protocol._reading_tables`` into the loop law with Bob's current sign wrong, in every state.
+
+    The current's rho and rho_nyquist are negated, so it reads z_a - rho·z_b
+    where the law gives z_a + rho·z_b. A serial run is patched whatever the
+    start method; a worker process is patched only if it is forked.
+    """
+    tables = protocol._reading_tables
+
+    def mutant(config, n_samples):
+        layout, q, by_name = tables(config, n_samples)
+        amp, rho, rho_nyquist = by_name["msi"]
+        return layout, q, {**by_name, "msi": (amp, -rho, -rho_nyquist)}
+
+    monkeypatch.setattr(protocol, "_reading_tables", mutant)
 
 
 def fork_children(monkeypatch):
@@ -930,10 +948,9 @@ class TestReadingTables:
     def test_equal_resistors_give_rho_plus_or_minus_one(self, r, alpha, t_eff, gamma, oversample):
         """rho[b, b] is exactly +1 for msv and -1 for msi, and the gains are the circuit's loop law at unit inputs.
 
-        So in a forced 00 or 11 chunk the one-pass ``np.add`` or
-        ``np.subtract`` of the normals writes the bytes of the general
-        ``z_a + rho * z_b``, and the Nyquist slot's rho_nyquist is +1 or -1
-        too. The stored factor is amp/n, with amp = g_a·s_a, and
+        So in a forced 00 or 11 chunk ``z_a + rho * z_b`` is exactly
+        ``z_a + z_b`` or ``z_a - z_b``, and the Nyquist slot's rho_nyquist
+        is +1 or -1 too. The stored factor is amp/n, with amp = g_a·s_a, and
         rho = g_b·s_b/(g_a·s_a).
         """
         with warnings.catch_warnings():
@@ -1069,7 +1086,8 @@ class TestStage:
         k=st.integers(1, 4),
     )
     def test_shared_int_bit_matches_the_array_path(self, seed, oversample, name, bit, k):
-        """One int bit for both parties (the one-pass sum) writes the bytes of per-period bit arrays."""
+        """One int bit for both parties, as a forced 00 or 11 block passes, writes the bytes of per-period bit
+        arrays: the rule indexes rho the same way for both."""
         cfg = small_config(gamma=12.0, oversample=oversample)
         n = cfg.samples_per_period
         rule = protocol._reading_tables(cfg, n)
