@@ -133,11 +133,10 @@ GATES = {
     "criterion-5-variance": Gate(
         ACCEPTANCE + "test_criterion_05_fluctuation_rms", "z of a forced 11 reading's variance against Var Q",
         Z_GATE, 4, {50: 1050, 100: 1100}, range(10**4), Z_P,
-        no_power="no mutant runs at γ = 50 or 100; moments-gamma-30's mutants fail the same statistic at γ = 30"),
+        power=ACCEPTANCE + "test_criterion_05_gate_catches_10pct_mutants"),
     "criterion-6-rate": Gate(
         ACCEPTANCE + "test_criterion_06_monte_carlo_vs_analytic", "binomial z of the 11 current rate at γ = 50",
-        Z_GATE, 1, (11,), range(10**5), Z_P,
-        no_power="no mutant runs at γ = 50; rate-gamma-30's mutants fail the same statistic at γ = 30"),
+        Z_GATE, 1, (11,), range(10**5), Z_P, power=ACCEPTANCE + "test_criterion_06_gate_catches_10pct_mutants"),
     "session-rates-gamma-30": Gate(
         ACCEPTANCE + "test_monte_carlo_vs_exact_rates_gamma_30", "binomial z of a random-bits session's current rates",
         4.0, 2, (1,), range(2 * 10**4), normal_tail(4.0),

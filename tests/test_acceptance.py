@@ -131,39 +131,56 @@ def test_criterion_04_squared_noise_spectrum(tmp_path):
     announce(4, "squared-current spectrum follows the triangular law within 10% per bin")
 
 
-@pytest.mark.parametrize("gamma", [50, 100])
+VARIANCE_GATE = GATES["criterion-5-variance"]
+
+
+def variance_z(gamma):
+    """``{reading: (var, z)}`` of criterion 5's forced 11 readings over their levels at γ: the sample variance
+    and its z-score against Var Q, at the γ's seed and periods of row criterion-5-variance."""
+    cfg = VARIANCE_GATE.config(SystemConfig(gamma=gamma), gamma)
+    n, sum_v, sum_i, sum_vv, sum_ii, _ = run_session(cfg, force_state="11").moment_sums["11"]
+    levels = theoretical_levels(ResistorSet(1.0, 10.0), NORM, bandwidth=1.0)
+    k2, k4 = window_cumulants(gamma, 4)
+    got = {}
+    for reading, total, squares, level in (("msv", sum_v, sum_vv, levels.v_11), ("msi", sum_i, sum_ii, levels.i_11)):
+        mean, var = q_sample_moments(n, total, squares, level)
+        got[reading] = var, q_moment_z(n, mean, var, k2, k4)[1]
+    return got
+
+
+@pytest.mark.parametrize("gamma", list(VARIANCE_GATE.seeds))
 def test_criterion_05_fluctuation_rms(gamma):
     """The kernel's forced 11 readings spread as f_B·sqrt(2γ) over their levels, within 10%, and their
     variances lie within the z gate of the window's Var Q (row criterion-5-variance)."""
-    gate = GATES["criterion-5-variance"]
-    cfg = gate.config(SystemConfig(gamma=gamma), gamma)
-    n, sum_v, sum_i, sum_vv, sum_ii, _ = run_session(cfg, force_state="11").moment_sums["11"]
-    levels = theoretical_levels(ResistorSet(1.0, 10.0), NORM, bandwidth=1.0)
     # a flat band of unit mean square has S = 1/B = 1, so its fluctuation RMS is the relative spread
     predicted = averaged_fluctuation_rms(1.0, AveragingWindow(gamma=gamma, bandwidth=1.0))
-    k2, k4 = window_cumulants(gamma, 4)
-    for reading, total, squares, level in (("msv", sum_v, sum_vv, levels.v_11), ("msi", sum_i, sum_ii, levels.i_11)):
-        mean, var = q_sample_moments(n, total, squares, level)
+    for reading, (var, z) in variance_z(gamma).items():
         assert math.sqrt(var) == pytest.approx(predicted, rel=0.10), reading
-        z = q_moment_z(n, mean, var, k2, k4)[1]
-        assert abs(z) < gate.threshold, f"{reading} variance: {z:+.2f} sd from Var Q"
+        assert abs(z) < VARIANCE_GATE.threshold, f"{reading} variance: {z:+.2f} sd from Var Q"
     announce(5, f"finite-time average spread matches sqrt(2*gamma)*S*f_B at gamma={gamma}")
 
 
+CRITERION_6_GATE = GATES["criterion-6-rate"]
+CRITERION_6_CONFIG = CRITERION_6_GATE.config(SystemConfig(alpha=100.0, gamma=50.0))
+
+
+def criterion_6_z(workers):
+    """``(z, est, exact)``: criterion 6's forced 11 current rate at γ = 50, at the seed and periods of row
+    criterion-6-rate, its exact rate, and its z-score against it."""
+    est = run_session(CRITERION_6_CONFIG, force_state="11", workers=workers).rates["eps_hat_i_11"]
+    exact = rate(CRITERION_6_CONFIG, "11", "current")
+    return binomial_z(est, exact), est, exact
+
+
 def test_criterion_06_monte_carlo_vs_analytic():
-    gate = GATES["criterion-6-rate"]
-    cfg = gate.config(SystemConfig(alpha=100.0, gamma=50.0))
-    report = run_session(cfg, force_state="11", workers=2)
-    est = report.rates["eps_hat_i_11"]
+    z, est, exact = criterion_6_z(workers=2)
     analytic = epsilon_current_11(0.5, 50.0)
     assert analytic == pytest.approx(2.53e-2, rel=5e-3)
     assert analytic / 3 <= est.p <= analytic * 3
     assert est.ci_low > 0.0
     assert est.ci_high < 1.0 / SQRT3
-    exact = rate(cfg, "11", "current")
     assert exact == pytest.approx(1.2043e-2, rel=1e-4)
-    z = binomial_z(est, exact)
-    assert abs(z) < gate.threshold, f"{est.k}/{est.n} is {z:+.2f} sd from the exact rate {exact:.4e}"
+    assert abs(z) < CRITERION_6_GATE.threshold, f"{est.k}/{est.n} is {z:+.2f} sd from the exact rate {exact:.4e}"
     announce(6, "measured 11->secure current error rate within factor 3 of the closed form")
 
 
@@ -236,6 +253,24 @@ def test_exact_rate_gate_catches_10pct_mutants(mutate, monkeypatch):
     mutate(monkeypatch)
     z = rate_z("current", "00", workers=1)
     assert abs(z) >= RATE_GATE.threshold, f"{z:+.2f} sd from the exact rate"
+
+
+@pytest.mark.parametrize("mutate", [_period_10pct_long, _band_10pct_wide], ids=["period", "band"])
+def test_criterion_05_gate_catches_10pct_mutants(mutate, monkeypatch):
+    """All four variance gates of criterion 5 fail on a kernel with either 10% fault, patched in this process
+    (1 worker)."""
+    mutate(monkeypatch)
+    for gamma in VARIANCE_GATE.seeds:
+        for reading, (_, z) in variance_z(gamma).items():
+            assert abs(z) >= VARIANCE_GATE.threshold, f"γ = {gamma} {reading}: {z:+.2f} sd from Var Q"
+
+
+@pytest.mark.parametrize("mutate", [_period_10pct_long, _band_10pct_wide], ids=["period", "band"])
+def test_criterion_06_gate_catches_10pct_mutants(mutate, monkeypatch):
+    """Criterion 6's gate fails on a kernel with either 10% fault, patched in this process (1 worker)."""
+    mutate(monkeypatch)
+    z = criterion_6_z(workers=1)[0]
+    assert abs(z) >= CRITERION_6_GATE.threshold, f"{z:+.2f} sd from the exact rate"
 
 
 MOMENT_GATE = GATES["moments-gamma-30"]

@@ -171,20 +171,26 @@ def reference_simulate_chunk(config, master_seed, start, stop, force_state):
     return {"bits": bits, "msv": msv, "msi": msi}
 
 
-def assert_matches_reference(cfg, start, stop, force_state, got):
-    """``got``, the chunk of periods [start, stop), against ``reference_simulate_chunk`` and per-period chunks.
+def assert_matches_reference(cfg, start, stop, force_state, got, reading=None):
+    """``got``, the chunk of periods [start, stop) in ``reading`` (both readings where None), against
+    ``reference_simulate_chunk`` and per-period chunks.
 
-    The bits are the reference's, and so are the voltage and current codes
-    at ``cfg.bands()``. The mean squares are the bytes of one
-    ``_simulate_chunk`` call per period, and lie within 1e-14 relative of
-    the reference's, which synthesizes each wave alone and solves the loop
-    on the samples, so it rounds otherwise.
+    The chunk holds the bits and exactly the readings asked for. The bits
+    are the reference's, and so are each reading's codes at ``cfg.bands()``.
+    The mean squares are the bytes of one ``_simulate_chunk`` call per
+    period in the same reading, and lie within 1e-14 relative of the
+    reference's, which synthesizes each wave alone and solves the loop on the
+    samples, so it rounds otherwise.
     """
+    readers = {"msv": voltage_codes, "msi": current_codes}
+    if reading is not None:
+        readers = {reading: readers[reading]}
+    assert sorted(got) == sorted(["bits", *readers])
     expected = reference_simulate_chunk(cfg, cfg.master_seed, start, stop, force_state)
-    per_period = [_simulate_chunk(cfg, p, p + 1, force_state) for p in range(start, stop)]
+    per_period = [_simulate_chunk(cfg, p, p + 1, force_state, reading) for p in range(start, stop)]
     assert np.array_equal(got["bits"], expected["bits"])
     bands = cfg.bands()
-    for name, codes in (("msv", voltage_codes), ("msi", current_codes)):
+    for name, codes in readers.items():
         assert got[name].tobytes() == np.concatenate([c[name] for c in per_period]).tobytes(), name
         assert np.max(np.abs(got[name] - expected[name]) / expected[name]) <= 1e-14, name
         assert np.array_equal(codes(got[name], bands), codes(expected[name], bands)), name
@@ -740,24 +746,47 @@ class TestErrorRate:
             protocol._run_shares(cfg, force_state, 1, reading)
 
 
-def chunk_peaks(cfg, *args):
-    """Counts of 25 and 100 blocks of periods, and the traced peak memory of ``_simulate_chunk`` over each."""
-    block = protocol._block_periods(cfg.samples_per_period)
-    counts = (25 * block, 100 * block)
+# the period kernel's entry points: both readings (a session's chunks) and each one alone (a sweep's)
+READINGS = [None, "msv", "msi"]
+
+
+def assert_block_bounded(cfg, force_state, reading):
+    """Peak memory of chunks of 25 and 100 blocks stays within the budget, for blocks of many short periods or
+    of a few long ones, and grows only by the chunk's own results."""
+    n = cfg.samples_per_period
+    block = protocol._block_periods(n)
+    # the block's samples alone (two parties, float64) fit the budget
+    assert 1 < block * 2 * n * 8 <= protocol._BLOCK_BYTES
     # untraced warm-up: one-time allocations of a first call would hide growth in the first peak
-    _simulate_chunk(cfg, 0, block, *args)
-    peaks = []
+    _simulate_chunk(cfg, 0, block, force_state, reading)
+    counts, peaks = (25 * block, 100 * block), []
     for count in counts:
         tracemalloc.start()
         try:
-            _simulate_chunk(cfg, 0, count, *args)
+            chunk = _simulate_chunk(cfg, 0, count, force_state, reading)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    return counts, peaks
+    # at gamma 1000, holding 400 periods at once would take 400 * 2 * 4000 * 8 B = 25.6 MB of samples
+    assert peaks[1] < 2 * protocol._BLOCK_BYTES
+    # beyond the chunk's own results (a period's row of each of its arrays: int8 bits of both parties, a
+    # float64 mean square per reading), memory does not grow with the number of blocks
+    results = (counts[1] - counts[0]) * sum(array[0].nbytes for array in chunk.values())
+    assert peaks[1] - peaks[0] - results < 0.05 * protocol._BLOCK_BYTES
+
+
+def assert_one_reading_of_both(cfg, start, stop, force_state, reading):
+    """A one-reading chunk holds the bits and that reading of the two-reading chunk, byte for byte."""
+    both = _simulate_chunk(cfg, start, stop, force_state)
+    one = _simulate_chunk(cfg, start, stop, force_state, reading)
+    assert sorted(one) == sorted(["bits", reading])
+    assert one["bits"].tobytes() == both["bits"].tobytes()
+    assert one[reading].tobytes() == both[reading].tobytes()
 
 
 class TestBlockKernel:
+    """Every reading's chunks against the per-period reference and within the budget, and the report."""
+
     @settings(max_examples=80, deadline=None)
     @given(
         gamma=st.floats(3.0, 200.0),
@@ -768,9 +797,10 @@ class TestBlockKernel:
         start=st.integers(0, 2**40),
         length=st.integers(1, 12),
         block_bytes=st.integers(1, 2**16),
+        reading=st.sampled_from(READINGS),
     )
     def test_matches_per_period_loop(
-        self, gamma, alpha, oversample, force_state, master_seed, start, length, block_bytes
+        self, gamma, alpha, oversample, force_state, master_seed, start, length, block_bytes, reading
     ):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SmallGammaWarning)
@@ -782,8 +812,8 @@ class TestBlockKernel:
             warnings.simplefilter("error")  # the config warned when built; the kernel must not
             # a budget this small puts block boundaries inside the chunk
             mp.setattr(protocol, "_BLOCK_BYTES", block_bytes)
-            got = _simulate_chunk(cfg, start, start + length, force_state)
-        assert_matches_reference(cfg, start, start + length, force_state, got)
+            got = _simulate_chunk(cfg, start, start + length, force_state, reading)
+        assert_matches_reference(cfg, start, start + length, force_state, got, reading)
 
     @pytest.mark.parametrize(
         "gamma, oversample",
@@ -800,23 +830,13 @@ class TestBlockKernel:
             assert protocol._block_periods(n) < block  # the budget alone gives smaller blocks
         # two floor-sized blocks and a partial one
         start, stop = 2**40 + 11, 2**40 + 11 + 2 * block + 3
-        assert_matches_reference(cfg, start, stop, force_state, _simulate_chunk(cfg, start, stop, force_state))
+        for reading in READINGS:
+            got = _simulate_chunk(cfg, start, stop, force_state, reading)
+            assert_matches_reference(cfg, start, stop, force_state, got, reading)
 
     @pytest.mark.parametrize("gamma", [30.0, 1000.0, 2048.0])
     def test_block_bounded_by_budget(self, gamma):
-        """Peak memory stays within the budget for blocks of many short periods or of a few long ones."""
-        cfg = small_config(gamma=gamma)
-        n = cfg.samples_per_period
-        block = protocol._block_periods(n)
-        # the block's samples alone (two parties, float64) fit the budget
-        assert 1 < block * 2 * n * 8 <= protocol._BLOCK_BYTES
-        counts, peaks = chunk_peaks(cfg, None)
-        # at gamma 1000, holding 400 periods at once would take 400 * 2 * 4000 * 8 B = 25.6 MB of samples
-        assert peaks[1] < 2 * protocol._BLOCK_BYTES
-        # beyond the chunk's own results (int8 bits of both parties, float64 msv and msi),
-        # memory does not grow with the number of blocks
-        results = (counts[1] - counts[0]) * (2 + 8 + 8)
-        assert peaks[1] - peaks[0] - results < 0.05 * protocol._BLOCK_BYTES
+        assert_block_bounded(small_config(gamma=gamma), None, None)
 
     def test_report_independent_of_block_size(self):
         # at gamma 1000 the long-period floor sets the default block size
@@ -834,34 +854,26 @@ class TestBlockKernel:
 
 
 class TestOneReadingKernel:
+    """One-reading chunks against two-reading ones and within the budget, and every chunk per block size."""
+
     @pytest.mark.parametrize("gamma", [12.0, 37.3, 100.0, 1000.0])
     @pytest.mark.parametrize("oversample", [2, 3, 4])
     @pytest.mark.parametrize("force_state", ["00", "11"])
     @pytest.mark.parametrize("reading", ["msv", "msi"])
     def test_agrees_with_two_wave_kernel(self, gamma, oversample, force_state, reading):
-        """A one-reading chunk gives that reading of the two-reading chunk, byte for byte."""
+        """Two blocks and a partial one, in each forced state of equal resistors (rho +1 or -1)."""
         cfg = small_config(gamma=gamma, alpha=10.0, oversample=oversample, master_seed=2**64 - 59)
-        block = protocol._block_periods(cfg.samples_per_period)
-        start, stop = 2**40 + 11, 2**40 + 11 + 2 * block + 3  # two blocks and a partial one
-        both = _simulate_chunk(cfg, start, stop, force_state)
-        one = _simulate_chunk(cfg, start, stop, force_state, reading)
-        assert sorted(one) == sorted(["bits", reading])
-        assert one["bits"].tobytes() == both["bits"].tobytes()
-        assert one[reading].tobytes() == both[reading].tobytes()
+        start = 2**40 + 11
+        stop = start + 2 * protocol._block_periods(cfg.samples_per_period) + 3
+        assert_one_reading_of_both(cfg, start, stop, force_state, reading)
 
-    @pytest.mark.parametrize("gamma", [30.0, 1000.0])
+    @pytest.mark.parametrize("gamma", [30.0, 1000.0, 2048.0])
     @pytest.mark.parametrize("reading", ["msv", "msi"])
     def test_block_bounded_by_budget(self, gamma, reading):
-        """The two-reading chunk's memory bounds hold for a one-reading chunk, in the same blocks."""
-        counts, peaks = chunk_peaks(small_config(gamma=gamma), "11", reading)
-        assert peaks[1] < 2 * protocol._BLOCK_BYTES
-        # beyond the chunk's own results (int8 bits of both parties, float64 mean squares of the
-        # reading), memory does not grow with the number of blocks
-        results = (counts[1] - counts[0]) * (2 + 8)
-        assert peaks[1] - peaks[0] - results < 0.05 * protocol._BLOCK_BYTES
+        assert_block_bounded(small_config(gamma=gamma), "11", reading)
 
     @pytest.mark.parametrize("force_state", ["00", "11"])
-    @pytest.mark.parametrize("reading", ["msv", "msi"])
+    @pytest.mark.parametrize("reading", ["msv", "msi", None])
     def test_independent_of_block_size(self, force_state, reading):
         """The floor's blocks, one period per block and the budget's blocks give the same bytes."""
         cfg = small_config(gamma=1000.0, master_seed=37)
@@ -877,24 +889,18 @@ class TestOneReadingKernel:
         # at gamma 1000 the long-period floor sets the default block size
         assert sizes[0] > sizes[2] > sizes[1] == 1
         for got in results[1:]:
-            assert got["bits"].tobytes() == results[0]["bits"].tobytes()
-            assert got[reading].tobytes() == results[0][reading].tobytes()
+            assert sorted(got) == sorted(results[0])
+            for name in got:
+                assert got[name].tobytes() == results[0][name].tobytes(), name
 
     @pytest.mark.parametrize("force_state", ["0110", None, "00", "11"])
     @pytest.mark.parametrize("reading", ["msv", "msi"])
     def test_equals_that_reading_of_both(self, force_state, reading):
-        """In every state a one-reading chunk gives that reading of the two-reading chunk, byte for byte.
-
-        Random and 0110 periods have unequal resistors, whose rho is not
-        +1 or -1; oversample 2 puts the Nyquist bin in band.
-        """
+        """In every state: random and 0110 periods have unequal resistors, whose rho is not +1 or -1;
+        oversample 2 puts the Nyquist bin in band."""
         for oversample in (2, 4):
             cfg = small_config(oversample=oversample, n_periods=300, master_seed=2**64 - 59)
-            both = _simulate_chunk(cfg, 0, cfg.n_periods, force_state)
-            one = _simulate_chunk(cfg, 0, cfg.n_periods, force_state, reading)
-            assert sorted(one) == sorted(["bits", reading])
-            assert one["bits"].tobytes() == both["bits"].tobytes()
-            assert one[reading].tobytes() == both[reading].tobytes()
+            assert_one_reading_of_both(cfg, 0, cfg.n_periods, force_state, reading)
 
     # resistors that bring the reading's mean squares near the top of float64 at an SI t_eff below it
     @pytest.mark.parametrize(
