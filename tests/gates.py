@@ -20,7 +20,8 @@ family of its own.
 Not rows: the relative tolerances (criterion 3's 1%, criterion 4's 10% and
 2%, criterion 5's 10%, criterion 7's 30%, and the 2% and 10% checks of the
 circuit, noise and estimator tests), whose false-alarm probabilities are not
-stated; and the mutant tests, which are the rows' power.
+stated; and the mutant tests, which are the rows' power (``wrong_current_sign``
+is the mutant that three rows' tests share).
 
 To add a gate: add its row here, with its sample set and the mutant test
 that fails it (or the reason there is none), read its threshold, seeds and
@@ -34,6 +35,7 @@ from typing import Optional, Union
 
 from scipy import stats
 
+from kljn import protocol
 from kljn.exact import tail, window_eigenvalues
 
 # the stream families a row's seeds key: kljn's period streams, or numpy's default generator
@@ -112,6 +114,24 @@ class Gate:
         """``base`` at the row's seed (``case``'s, where the row keys its seeds) and its period count."""
         seed = self.seed if case is None else self.seeds[case]
         return replace(base, master_seed=seed, n_periods=len(self.periods))
+
+
+def wrong_current_sign(monkeypatch):
+    """Patch ``protocol._reading_tables`` into the loop law with Bob's current sign wrong, in every state.
+
+    The current's rho and rho_nyquist are negated, so it reads z_a - rho·z_b
+    where the law gives z_a + rho·z_b. A serial run is patched whatever the
+    start method; a worker process is patched only if it is forked. It is the
+    mutant of rows independence-product, independence-0110 and msq-correlation.
+    """
+    tables = protocol._reading_tables
+
+    def mutant(config, n_samples):
+        layout, q, by_name = tables(config, n_samples)
+        amp, rho, rho_nyquist = by_name["msi"]
+        return layout, q, {**by_name, "msi": (amp, -rho, -rho_nyquist)}
+
+    monkeypatch.setattr(protocol, "_reading_tables", mutant)
 
 
 Z_P = normal_tail(Z_GATE)
@@ -224,7 +244,7 @@ GATES = {
         "test_estimator.py::TestMeasurePeriod::test_single_period_close_to_level",
         "sqrt(γ) times one period's error |Q - 1|, at γ = 100", 5.0, 1, (4,), PERIOD_0,
         q_outside(100.0, 5.0 / math.sqrt(100)),
-        no_power="no mutant has been run against it"),
+        power="test_estimator.py::TestMeasurePeriod::test_single_period_gate_catches_doubled_psd"),
     # the period averages are Q at γ = 50, and no parameter of its CDF is fitted, so the distance follows
     # Kolmogorov's law (against a fitted normal it would not: Lilliefors 1967); the 10% period mutants cannot
     # fail it at n = 1000, reading 1.17 at γ = 45 and 0.77 at γ = 55

@@ -49,8 +49,7 @@ from exact import (
     q_sample_moments,
     window_cumulants,
 )
-from gates import GATES
-from test_protocol import wrong_current_sign
+from gates import GATES, wrong_current_sign
 
 NORM = PhysicsConstants.normalized()
 

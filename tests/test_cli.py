@@ -1,7 +1,6 @@
 import argparse
 import ast
 import dataclasses
-import hashlib
 import json
 import multiprocessing
 import sys
@@ -20,6 +19,7 @@ from kljn.config import ConfigError, SystemConfig, load_config
 from kljn.noise import rng_for_period
 from exact import level_law
 from gates import GATES
+from goldens import compute, rows
 from reference import reference_waves
 from refusals import DRAWN, READ, REFUSALS, run, write_config
 
@@ -453,126 +453,22 @@ class TestSpectra:
         assert peak <= 2 * 8 * n, f"peak {peak / (8 * n):.2f}x the signal's bytes"
 
 
-# id: (config text, argv, sha256 of stdout)
-GOLDEN_OUTPUT = {
-    "spectra": ("", ["spectra", "--samples", "65536", "--bins", "64"],
-                "7cef3c03eb5faf73d83375e8413dbe33ce603e0ae5730cdcb0adb9f1406cccde"),
-    "levels": ("", ["levels", "--samples", "65536"],
-               "aecac1f0d23cff2f186c874f535e1f9af67f65c779b082253bd21e81ccc791e8"),
-    "spectra-nyquist": ("oversample = 2\n", ["spectra", "--samples", "65536", "--bins", "64"],
-                        "3c0c91543696dbb77ede6521b92d9684ea34e337c157e128b02d236b4b295724"),
-    "levels-nyquist": ("oversample = 2\n", ["levels", "--samples", "65536"],
-                       "757b1bd74f7287751692c8286e93812aa95824cc266e23be5ec8d8ad40461936"),
-    # 2343 segments and 96 trailing samples: five periodogram chunks
-    "spectra-periodogram-halves": ("", ["spectra", "--samples", "300000", "--bins", "64"],
-                                   "53a137a85fefa3f4fdfb43cf90327d11f2a330fec5f066d3618707fd50464170"),
-}
+@rows("test_golden_output")
+def test_golden_output(row):
+    """spectra and levels print the bytes they printed when each synthesis ran alone; ``oversample = 2`` fills
+    the Nyquist bin."""
+    assert compute(row) == row.recorded
 
 
-def golden_stdout(capsys, tmp_path, config_text, argv):
-    """What ``argv`` prints with ``config_text`` as its config file; the command must succeed."""
-    path = tmp_path / "golden.cfg"
-    path.write_text(config_text)
-    code, out, _ = run_cli(capsys, argv + ["--config", str(path)])
-    assert code == 0
-    return out
-
-
-def digest(text):
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def counts_digest(session_stdout):
-    """The digest of a session's JSON without its moment sums, re-serialized as ``session`` serializes it."""
-    payload = json.loads(session_stdout)
-    del payload["moment_sums"]
-    return digest(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
-
-
-@pytest.mark.parametrize("config_text, argv, sha256", list(GOLDEN_OUTPUT.values()), ids=list(GOLDEN_OUTPUT))
-def test_golden_output(capsys, tmp_path, config_text, argv, sha256):
-    """spectra and levels print the bytes they printed when each synthesis ran alone.
-
-    The digests were recorded from the CLI whose syntheses drew and
-    transformed one wave at a time; ``oversample = 2`` fills the Nyquist bin.
-    The five-chunk periodogram's digest was recorded from the CLI that
-    transformed every chunk on the calling thread. All five held when both
-    commands came to compute their readings from the normals, which moves
-    the values only in their last bits.
-    """
-    assert digest(golden_stdout(capsys, tmp_path, config_text, argv)) == sha256
-
-
-# at alpha 100 and lambda 0.2 some 0110 periods read insecure, so a state's counts span outcomes
-GOLDEN_RUN_CONFIG = "n_periods = 2000\nalpha = 100\nlambda = 0.2\n"
-
-# id: (config text, argv, sha256 of stdout, sha256 of a session's counts (``counts_digest``) or None)
-GOLDEN_RUN_OUTPUT = {
-    "session": (
-        GOLDEN_RUN_CONFIG, ["session", "--seed", "3"],
-        "a2a24f75349a924cc12c76070f34b182f8dd024db013962c3b8fb4d1f0316583",
-        "baafa6f39df9d37f0a45850ae4633017c7382993b77a3fbb4ffaf6369e2c5c69",
-    ),
-    "session-0110": (
-        GOLDEN_RUN_CONFIG, ["session", "--seed", "3", "--force-state", "0110"],
-        "543115fa20b3e4c3070193deb713f6a2bda85d613c0b509ff83f037631f2b530",
-        "87f5b182e6b8470034fe25465502c91001d2c9607503f2b68c72305821f39d8d",
-    ),
-    # oversample 2 puts the Nyquist bin in band, which a 01/10 period's row fills from both parties
-    "session-nyquist": (
-        GOLDEN_RUN_CONFIG + "oversample = 2\n", ["session", "--seed", "3"],
-        "22800edbfbe56f0bd63a8039787bf2ffa83b0085d27b6498ef24a83b634c9907",
-        "59f235c0c0b2992e92edda3238d543bb6ed74cc505765169cbdf08dcb1fcf0e9",
-    ),
-    "sweep-current-11": (
-        GOLDEN_RUN_CONFIG, ["sweep", "--seed", "3", "--gammas", "20,30", "--mode", "current"],
-        "6b4ba3d5157606395f04004faeb9fce2e094c62e4420f3d795c4b821710230f7", None,
-    ),
-    "sweep-combined-00": (
-        GOLDEN_RUN_CONFIG, ["sweep", "--seed", "3", "--gammas", "20,30", "--mode", "combined", "--force-state", "00"],
-        "0d744bf7612bf1f84723ac95f036b06126ef016cbcc2b18d5dc0debe9be43d11", None,
-    ),
-    "sweep-voltage-00": (
-        GOLDEN_RUN_CONFIG, ["sweep", "--seed", "3", "--gammas", "20,30", "--mode", "voltage", "--force-state", "00"],
-        "50fa59b2d6c8b6c2c7c93e27e4a19953588f36a07e43cd1790ba44d817f67b23", None,
-    ),
-    "sweep-current-00": (
-        GOLDEN_RUN_CONFIG, ["sweep", "--seed", "3", "--gammas", "20,30", "--mode", "current", "--force-state", "00"],
-        "72b5bf684c1fa4e05490bd89f2f48cf790f0efdb86a49c684ccb889338391828", None,
-    ),
-    # oversample 2 puts the Nyquist bin in band, which the stage fills on its own
-    "sweep-current-11-nyquist": (
-        GOLDEN_RUN_CONFIG + "oversample = 2\n", ["sweep", "--seed", "3", "--gammas", "20,30", "--mode", "current"],
-        "96a58df5e1482dad92fd69e6f7613f0f9dd9abe5d927779441de9061c60d543c", None,
-    ),
-    "sweep-voltage-00-nyquist": (
-        GOLDEN_RUN_CONFIG + "oversample = 2\n",
-        ["sweep", "--seed", "3", "--gammas", "20,30", "--mode", "voltage", "--force-state", "00"],
-        "bd250f58483c243d2265a2fdfbae9ce3135b8beb97a9c8f405952bdf446ead49", None,
-    ),
-}
-
-
-@pytest.mark.parametrize(
-    "config_text, argv, sha256, counts_sha256", list(GOLDEN_RUN_OUTPUT.values()), ids=list(GOLDEN_RUN_OUTPUT)
-)
-def test_golden_run_output(capsys, tmp_path, config_text, argv, sha256, counts_sha256):
+@rows("test_golden_run_output")
+def test_golden_run_output(row):
     """session and sweep print the bytes they printed before their run rules were each stated once.
 
     The session digests pin the JSON's confusion tables, combined counts,
-    rates, moment sums and key hex, not only what the acceptance tests read.
-    They were re-recorded when sessions came to solve the loop on the
-    normals, which moved the moment sums' last bits and nothing else:
-    ``counts_sha256``, the digest of the session JSON without its moment
-    sums (``counts_digest``), was recorded before that change and held
-    through it. The sweep digests held through it too; the two Nyquist
-    sweeps' digests were recorded from the one-reading kernel that first
-    solved the loop on the normals.
+    rates, moment sums and key hex, not only what the acceptance tests read;
+    ``counts_sha256`` pins the JSON without its moment sums.
     """
-    out = golden_stdout(capsys, tmp_path, config_text, argv)
-    if counts_sha256 is not None:
-        assert counts_digest(out) == counts_sha256
-    assert digest(out) == sha256
+    assert compute(row) == row.recorded
 
 
 def test_package_root_exports_no_waveform_reference():

@@ -112,21 +112,6 @@ class TestInterpret:
 class TestCombine:
     S, B0, B1 = Interpretation.SECURE_0110, Interpretation.B00, Interpretation.B11
 
-    def test_full_table(self):
-        expected = {
-            (self.S, self.S): CombinedOutcome.KEEP_SECURE,
-            (self.B0, self.B0): CombinedOutcome.DISCARD_INSECURE_00,
-            (self.B0, self.S): CombinedOutcome.DISCARD_INSECURE_00,
-            (self.S, self.B0): CombinedOutcome.DISCARD_INSECURE_00,
-            (self.B1, self.B1): CombinedOutcome.DISCARD_INSECURE_11,
-            (self.B1, self.S): CombinedOutcome.DISCARD_INSECURE_11,
-            (self.S, self.B1): CombinedOutcome.DISCARD_INSECURE_11,
-            (self.B0, self.B1): CombinedOutcome.ALARM_CONFLICT,
-            (self.B1, self.B0): CombinedOutcome.ALARM_CONFLICT,
-        }
-        for (v, i), outcome in expected.items():
-            assert combine(v, i) is outcome
-
     def test_total_over_all_cells(self):
         for v, i in itertools.product(Interpretation, repeat=2):
             assert isinstance(combine(v, i), CombinedOutcome)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from kljn import estimator
+from kljn import estimator, noise
 from kljn.estimator import (
     AveragingWindow,
     SmallGammaWarning,
@@ -30,6 +30,14 @@ def period_mean_squares(gamma, n_periods, seed=0, psd=1.0, bw=1.0, fs=4.0):
         w = synth_band_limited(spec, rng_for_period(seed, k))
         out[k] = np.mean(w[sl] ** 2)
     return out
+
+
+SINGLE_PERIOD = GATES["estimator-single-period"]
+
+
+def single_period_q():
+    """Row estimator-single-period's one period's mean square over its level, Q at γ = 100."""
+    return period_mean_squares(gamma=100, n_periods=len(SINGLE_PERIOD.periods), seed=SINGLE_PERIOD.seed)[0]
 
 
 class TestAveragingWindow:
@@ -64,9 +72,16 @@ class TestMeasurePeriod:
             measure_period(np.array([]), np.array([]))
 
     def test_single_period_close_to_level(self):
-        gate = GATES["estimator-single-period"]
-        ms = period_mean_squares(gamma=100, n_periods=len(gate.periods), seed=gate.seed)[0]
-        assert abs(ms - 1.0) < gate.threshold / math.sqrt(100)
+        q = single_period_q()
+        assert abs(q - 1.0) < SINGLE_PERIOD.threshold / math.sqrt(100), f"Q = {q:.3f}"
+
+    def test_single_period_gate_catches_doubled_psd(self, monkeypatch):
+        """A synthesis at twice its PSD, a one-sided/two-sided convention slip whose scales are sqrt(2) times
+        too large, fails the gate above."""
+        root = noise._root
+        monkeypatch.setattr(noise, "_root", lambda *args: root(*args) * math.sqrt(2))
+        q = single_period_q()
+        assert abs(q - 1.0) >= SINGLE_PERIOD.threshold / math.sqrt(100), f"Q = {q:.3f}"
 
     def test_uses_trailing_half(self):
         n = 8

@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import math
 import multiprocessing
 import os
@@ -41,16 +40,12 @@ from kljn.protocol import (
     wilson_interval,
 )
 from exact import msq_correlation
-from gates import GATES
+from gates import GATES, wrong_current_sign
+from goldens import COUNTS, FLOAT, GOLDENS, compute, rows
 from reference import reference_waves
 from streams import drawn_periods
-from test_cli import GOLDEN_OUTPUT, GOLDEN_RUN_OUTPUT, counts_digest, digest, golden_stdout
 
 OUTCOMES = tuple(CombinedOutcome)
-
-
-def sha256(array):
-    return hashlib.sha256(array.tobytes()).hexdigest()
 
 
 def small_config(**kw):
@@ -507,23 +502,6 @@ class TestRunSession:
         wrong_current_sign(monkeypatch)
         z = msq_correlation_z()
         assert abs(z) >= GATES["msq-correlation"].threshold, f"sqrt(n) r = {z:+.2f}"
-
-
-def wrong_current_sign(monkeypatch):
-    """Patch ``protocol._reading_tables`` into the loop law with Bob's current sign wrong, in every state.
-
-    The current's rho and rho_nyquist are negated, so it reads z_a - rho·z_b
-    where the law gives z_a + rho·z_b. A serial run is patched whatever the
-    start method; a worker process is patched only if it is forked.
-    """
-    tables = protocol._reading_tables
-
-    def mutant(config, n_samples):
-        layout, q, by_name = tables(config, n_samples)
-        amp, rho, rho_nyquist = by_name["msi"]
-        return layout, q, {**by_name, "msi": (amp, -rho, -rho_nyquist)}
-
-    monkeypatch.setattr(protocol, "_reading_tables", mutant)
 
 
 def fork_children(monkeypatch):
@@ -1149,148 +1127,41 @@ class TestDrawBits:
 
 
 class TestSeedExactOutput:
-    """Per-period bits, outcome codes and counts pinned across commits.
+    """Per-period bits, outcome codes, counts, accounting and mean-square bytes pinned across commits.
 
-    The digests and counts were recorded before the kernel called the
-    library's loop solve and mean square, and before ``_draw_bits`` drew its
-    two bits as scalars; any change of the simulated stream moves them.
+    Their rows, with when each value was recorded, are ``goldens.py``'s; any
+    change of the simulated stream moves them.
     """
 
-    CONFIG = SystemConfig(gamma=30, alpha=100, lam=0.2, n_periods=2000, master_seed=41)
+    @rows("test_golden")
+    def test_golden(self, row):
+        """A session's bits, outcome codes and combined counts."""
+        assert compute(row) == row.recorded
 
-    # force_state, bits_sha256, outcome_sha256, counts
-    SESSIONS = [
-        (
-            None,
-            "b599c2249ccdcabed9af1d046451cdcd9e9542bc70dae112c0913414ddf10fdb",
-            "983ac9ddb4c1275c3ee5047e814199014a28c429c36ca06d495bb4891069d6ac",
-            {
-                "00": (0, 524, 0, 0),
-                "11": (0, 0, 515, 0),
-                "0110": (786, 141, 27, 7),
-            },
-        ),
-        (
-            "0110",
-            "b2741801315a5239d22cfeb7b6bfa5f2a48c48f291ccc3891751f3d9174cc85f",
-            "3d18bf79cb26c0b48b376cf22809c3080f7d62236548a6e36f595838b9fb9448",
-            {
-                "00": (0, 0, 0, 0),
-                "11": (0, 0, 0, 0),
-                "0110": (1641, 283, 64, 12),
-            },
-        ),
-    ]
-
-    def session_goldens(self, force_state):
-        """sha256 of the session's bits and of its outcome codes, and its combined counts."""
-        report = run_session(self.CONFIG, force_state=force_state)
-        return sha256(report.bits), sha256(report.outcome_code), report.combined_counts
-
-    @staticmethod
-    def counts_by_name(counts):
-        """``combined_counts`` of a golden's counts per actual state in tuple(CombinedOutcome) order."""
-        return {state: {o.value: c for o, c in zip(OUTCOMES, row)} for state, row in counts.items()}
-
-    @pytest.mark.parametrize("force_state, bits_sha256, outcome_sha256, counts", SESSIONS)
-    def test_golden(self, force_state, bits_sha256, outcome_sha256, counts):
-        assert self.session_goldens(force_state) == (bits_sha256, outcome_sha256, self.counts_by_name(counts))
-
-    # overrides, force_state, sha256 of the chunk's (bits, msv, msi)
-    CHUNKS = [
-        (
-            dict(gamma=100.0, n_periods=500, master_seed=43),
-            "11",
-            (
-                "353c38352a855c80f4ecb0793a76493228541b5fab5ef7af26effac91e77ec46",
-                "491375f7cae641b3dbd2eab9d1efc6841f6343a96dfa56e926dff73fd0c6b377",
-                "bccbe99b61ca42861b33d5b4400ecd53f60f441265d6c902c2a1b19672f210ba",
-            ),
-        ),
-        (
-            dict(gamma=1000.0, n_periods=53, master_seed=47),
-            "11",
-            (
-                "4fb5820c88b9bbde14a63d9512f66a0ff12d9dcbc3cd27f4e82cb88dc25020a0",
-                "b41010020e5d8e026f63057046ffc2a59335c6a635377e777a1bb19b665132d7",
-                "6623cb18bdf1da464ec445edd5b5ae0d40fb66ed39cd4744ba222383825ac25d",
-            ),
-        ),
-        (
-            # sample_rate = 2 * b_kljn: the Nyquist bin is in band
-            dict(gamma=37.3, oversample=2, n_periods=2500, master_seed=53),
-            None,
-            (
-                "0884e270a2cf16b3b724544df4a9c9473375b31dcbe30c7ffde0b2dbd4fa2e6b",
-                "396d3edca2e6a80075c7f341bacbefb962498e9bde33bdfd0554b33fd55b6180",
-                "ea856bf691ff5731a8f24bab26088a9e4208d7b66e9a2ab75a911e85e084c0d3",
-            ),
-        ),
-    ]
-
-    @pytest.mark.parametrize("overrides, force_state, digests", CHUNKS)
-    def test_golden_multi_block_chunks(self, overrides, force_state, digests):
+    @rows("test_golden_multi_block_chunks")
+    def test_golden_multi_block_chunks(self, row):
         """Bits and mean-square bytes of chunks that span several blocks and end in a partial one.
 
-        The bits were recorded with 4 MiB blocks, where these chunks also end
-        in a partial block; the mean squares were re-recorded when every
-        reading came to be solved on the normals and transformed alone (the
-        forced chunks' digests are those the one-reading chunks had before).
         The float bytes pin more than the outcome codes do.
         """
-        assert self.chunk_goldens(overrides, force_state) == digests
+        assert compute(row) == row.recorded
 
-    @staticmethod
-    def chunk_goldens(overrides, force_state):
-        """sha256 of the chunk's bits, msv and msi."""
-        cfg = SystemConfig(alpha=100.0, lam=0.3, **overrides)
-        block = protocol._block_periods(cfg.samples_per_period)
-        assert cfg.n_periods > 2 * block and cfg.n_periods % block
-        got = _simulate_chunk(cfg, 0, cfg.n_periods, force_state)
-        return tuple(sha256(got[name]) for name in ("bits", "msv", "msi"))
+    @rows("test_golden_accounting")
+    def test_golden_accounting(self, row):
+        """A session's confusion tables, rates, fidelity and discard rate."""
+        assert compute(row) == row.recorded
 
-    def goldens(self, capsys, tmp_path):
-        """``(recorded, computed)``: every digest and count of the golden cases here and of the CLI's, by case."""
-        recorded, computed = {}, {}
-        for case, (text, argv, sha) in GOLDEN_OUTPUT.items():
-            recorded[f"output[{case}]"] = sha
-            computed[f"output[{case}]"] = digest(golden_stdout(capsys, tmp_path, text, argv))
-        for case, (text, argv, sha, counts_sha) in GOLDEN_RUN_OUTPUT.items():
-            out = golden_stdout(capsys, tmp_path, text, argv)
-            recorded[f"run[{case}]"], computed[f"run[{case}]"] = sha, digest(out)
-            if counts_sha is not None:
-                recorded[f"run[{case}].counts"], computed[f"run[{case}].counts"] = counts_sha, counts_digest(out)
-        for force_state, bits_sha, outcome_sha, counts in self.SESSIONS:
-            keys = [f"session[{force_state}].{name}" for name in ("bits", "outcomes", "counts")]
-            recorded.update(zip(keys, (bits_sha, outcome_sha, self.counts_by_name(counts))))
-            computed.update(zip(keys, self.session_goldens(force_state)))
-        for k, (overrides, force_state, shas) in enumerate(self.CHUNKS):
-            keys = [f"chunk[{k}].{name}" for name in ("bits", "msv", "msi")]
-            recorded.update(zip(keys, shas))
-            computed.update(zip(keys, self.chunk_goldens(overrides, force_state)))
-        return recorded, computed
-
-    # the float bytes that a float-only change of every irfft result moves: the stdout of the sessions, which
-    # print moment sums, the oversample-2 spectrum, and the chunks' mean squares
-    FLOAT_GOLDENS = {
-        "run[session]",
-        "run[session-0110]",
-        "run[session-nyquist]",
-        "output[spectra-nyquist]",
-        *(f"chunk[{k}].{name}" for k in range(len(CHUNKS)) for name in ("msv", "msi")),
-    }
-
-    def test_float_only_fft_change_moves_only_the_float_digests(self, capsys, monkeypatch, tmp_path):
-        """``irfft`` results one ulp high move exactly ``FLOAT_GOLDENS``; a 10% band fault moves all but the bits.
+    def test_float_only_fft_change_moves_only_the_float_digests(self, monkeypatch):
+        """``irfft`` results one ulp high move exactly the ``FLOAT`` values of every golden row; a 10% band fault
+        moves the ``COUNTS`` values too.
 
         The float-only change multiplies each result by 1 + 2^-52 in place,
-        so it allocates nothing more. Every count, outcome and bits digest
-        must hold under it, and every float digest listed must move, or the
+        so it allocates nothing more. Every ``BITS`` and ``COUNTS`` value
+        must hold under it, and every ``FLOAT`` value must move, or the
         goldens would pin nothing below the counts. The band fault narrows
         each generator's band by 1.1 at unchanged power (a 10% wider band
         would pass the Nyquist frequency at oversample 2, which ``NoiseSpec``
-        refuses); it moves the counts as well, and only the bits, drawn
-        before the normals, hold.
+        refuses); only the ``BITS`` values hold.
         """
         irfft, noise_spec = np.fft.irfft, SystemConfig.noise_spec
 
@@ -1303,45 +1174,17 @@ class TestSeedExactOutput:
             spec = noise_spec(self, r, n_samples)
             return dataclasses.replace(spec, psd_level=spec.psd_level * 1.1, bandwidth=spec.bandwidth / 1.1)
 
-        for target, name, fault, moves in (
-            (np.fft, "irfft", one_ulp_high, lambda key: key in self.FLOAT_GOLDENS),
-            (SystemConfig, "noise_spec", narrow, lambda key: not key.endswith(".bits")),
+        goldens = {(test, case): row for test, table in GOLDENS.items() for case, row in table.items()}
+        pins = [(key, pin, kind, value) for key, row in goldens.items() for pin, (kind, value) in row.pins.items()]
+        for target, name, fault, kinds in (
+            (np.fft, "irfft", one_ulp_high, {FLOAT}),
+            (SystemConfig, "noise_spec", narrow, {COUNTS, FLOAT}),
         ):
             with monkeypatch.context() as patch:
                 patch.setattr(target, name, fault)
-                recorded, computed = self.goldens(capsys, tmp_path)
-            moved = {key for key in recorded if computed[key] != recorded[key]}
-            assert moved == set(filter(moves, recorded)), name
-
-    @pytest.mark.parametrize(
-        "force_state, confusion_v, confusion_i, rates, fidelity, discard_rate",
-        [
-            (
-                None,
-                [[509, 0, 15], [0, 511, 4], [148, 0, 813]],
-                [[517, 0, 7], [0, 422, 93], [0, 34, 927]],
-                {"v_00": (15, 524), "v_11": (4, 515), "i_00": (7, 524), "i_11": (93, 515),
-                 "combined_00": (0, 524), "combined_11": (0, 515)},
-                0.81789802289282,
-                0.607,
-            ),
-            (
-                "0110",
-                [[0, 0, 0], [0, 0, 0], [295, 0, 1705]],
-                [[0, 0, 0], [0, 0, 0], [0, 76, 1924]],
-                {name: (0, 0) for name in ("v_00", "v_11", "i_00", "i_11", "combined_00", "combined_11")},
-                0.8205,
-                0.1795,
-            ),
-        ],
-    )
-    def test_golden_accounting(self, force_state, confusion_v, confusion_i, rates, fidelity, discard_rate):
-        report = run_session(self.CONFIG, force_state=force_state)
-        assert report.confusion_v == confusion_v
-        assert report.confusion_i == confusion_i
-        assert {name[len("eps_hat_"):]: (r.k, r.n) for name, r in report.rates.items()} == rates
-        assert report.fidelity == fidelity
-        assert report.discard_rate == discard_rate
+                computed = {key: compute(row) for key, row in goldens.items()}
+            moved = {(key, pin) for key, pin, _, value in pins if computed[key][pin] != value}
+            assert moved == {(key, pin) for key, pin, kind, _ in pins if kind in kinds}, name
 
 
 class TestKeyExtraction:
