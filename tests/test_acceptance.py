@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency, power_divergence
 
-import kljn.exact
 from kljn.analytic import (
     SQRT3,
     epsilon_combined,
@@ -49,7 +48,8 @@ from exact import (
     q_sample_moments,
     window_cumulants,
 )
-from gates import GATES, wrong_current_sign
+from gates import GATES
+from mutants import inject
 
 NORM = PhysicsConstants.normalized()
 
@@ -228,47 +228,29 @@ def test_error_rate_vs_exact_rates_gamma_30(mode, state):
     assert abs(z) < RATE_GATE.threshold, f"{mode} {state}: {z:+.2f} sd from the exact rate"
 
 
-def _period_10pct_long(monkeypatch):
-    n = SystemConfig.samples_per_period.fget
-    monkeypatch.setattr(SystemConfig, "samples_per_period", property(lambda self: n(self) * 11 // 10))
-    assert EXACT_GATE_CONFIG.samples_per_period == 132
-
-
-def _band_10pct_wide(monkeypatch):
-    """The band edge x 1.1 and the PSD / 1.1, so each generator's power is unchanged."""
-    spec = SystemConfig.noise_spec
-
-    def wide(self, r, n_samples):
-        s = spec(self, r, n_samples)
-        return dataclasses.replace(s, psd_level=s.psd_level / 1.1, bandwidth=s.bandwidth * 1.1)
-
-    monkeypatch.setattr(SystemConfig, "noise_spec", wide)
-    assert EXACT_GATE_CONFIG.noise_spec(1.0, 120).bandwidth == EXACT_GATE_CONFIG.b_kljn * 1.1
-
-
-@pytest.mark.parametrize("mutate", [_period_10pct_long, _band_10pct_wide], ids=["period", "band"])
-def test_exact_rate_gate_catches_10pct_mutants(mutate, monkeypatch):
+@pytest.mark.parametrize("fault", ["period", "band"])
+def test_exact_rate_gate_catches_10pct_mutants(fault):
     """The state-00 gate above fails on a kernel with either 10% fault, patched in this process (1 worker)."""
-    mutate(monkeypatch)
-    z = rate_z("current", "00", workers=1)
+    with inject(fault, 1.1):
+        z = rate_z("current", "00", workers=1)
     assert abs(z) >= RATE_GATE.threshold, f"{z:+.2f} sd from the exact rate"
 
 
-@pytest.mark.parametrize("mutate", [_period_10pct_long, _band_10pct_wide], ids=["period", "band"])
-def test_criterion_05_gate_catches_10pct_mutants(mutate, monkeypatch):
+@pytest.mark.parametrize("fault", ["period", "band"])
+def test_criterion_05_gate_catches_10pct_mutants(fault):
     """All four variance gates of criterion 5 fail on a kernel with either 10% fault, patched in this process
     (1 worker)."""
-    mutate(monkeypatch)
-    for gamma in VARIANCE_GATE.seeds:
-        for reading, (_, z) in variance_z(gamma).items():
-            assert abs(z) >= VARIANCE_GATE.threshold, f"γ = {gamma} {reading}: {z:+.2f} sd from Var Q"
+    with inject(fault, 1.1):
+        for gamma in VARIANCE_GATE.seeds:
+            for reading, (_, z) in variance_z(gamma).items():
+                assert abs(z) >= VARIANCE_GATE.threshold, f"γ = {gamma} {reading}: {z:+.2f} sd from Var Q"
 
 
-@pytest.mark.parametrize("mutate", [_period_10pct_long, _band_10pct_wide], ids=["period", "band"])
-def test_criterion_06_gate_catches_10pct_mutants(mutate, monkeypatch):
+@pytest.mark.parametrize("fault", ["period", "band"])
+def test_criterion_06_gate_catches_10pct_mutants(fault):
     """Criterion 6's gate fails on a kernel with either 10% fault, patched in this process (1 worker)."""
-    mutate(monkeypatch)
-    z = criterion_6_z(workers=1)[0]
+    with inject(fault, 1.1):
+        z = criterion_6_z(workers=1)[0]
     assert abs(z) >= CRITERION_6_GATE.threshold, f"{z:+.2f} sd from the exact rate"
 
 
@@ -477,16 +459,10 @@ def test_error_rate_vs_exact_rates_at_oversample_2(nyquist_rates):
         assert abs(z) < NYQUIST_GATE.threshold, f"{state}: {z:+.2f} sd from the exact rate"
 
 
-def test_oversample_2_gate_catches_trace_scaling(nyquist_rates, monkeypatch):
+def test_oversample_2_gate_catches_trace_scaling(nyquist_rates):
     """The gate above fails on eigenvalues scaled to their trace, Σλ = 1, which drop the Nyquist bin's half bin."""
-    level_scaled = kljn.exact.window_eigenvalues
-
-    def trace_scaled(gamma, oversample):
-        lam = level_scaled(gamma, oversample)
-        return lam / lam.sum()
-
-    monkeypatch.setattr(kljn.exact, "window_eigenvalues", trace_scaled)
-    z = nyquist_z(nyquist_rates)
+    with inject("trace-scaled"):
+        z = nyquist_z(nyquist_rates)
     assert max(abs(v) for v in z.values()) >= NYQUIST_GATE.threshold, z
 
 
@@ -543,12 +519,12 @@ def test_forced_reading_moments_gamma_30(state):
         assert abs(z) < MOMENT_GATE.threshold, f"{state} {reading} {moment}: {z:+.2f} sd from Q's"
 
 
-@pytest.mark.parametrize("mutate", [_period_10pct_long, _band_10pct_wide], ids=["period", "band"])
-def test_moment_gate_catches_10pct_mutants(mutate, monkeypatch):
+@pytest.mark.parametrize("fault", ["period", "band"])
+def test_moment_gate_catches_10pct_mutants(fault):
     """Both state-00 variance gates above fail on a kernel with either 10% fault; the means, whose power
     is unchanged, need not."""
-    mutate(monkeypatch)
-    z = moment_z("00")
+    with inject(fault, 1.1):
+        z = moment_z("00")
     assert z["msv", "var"] <= -MOMENT_GATE.threshold and z["msi", "var"] <= -MOMENT_GATE.threshold, z
 
 
@@ -653,7 +629,7 @@ def test_criterion_08_secure_table_is_exact_product(state):
     announce(8, f"forced {state} reading table matches the exact product law (p = {p:.2f})")
 
 
-def test_independence_gate_catches_sign_mutant(monkeypatch):
+def test_independence_gate_catches_sign_mutant():
     """Both gates above fail on the loop law with Bob's current sign wrong, patched in this process.
 
     In 00 and 11 the mutant builds the current from z_a + z_b, as the
@@ -661,10 +637,11 @@ def test_independence_gate_catches_sign_mutant(monkeypatch):
     secure tails are opposite, so no period reads both secure, where about
     67 are expected.
     """
-    wrong_current_sign(monkeypatch)
-    for state in ("00", "11"):
-        table, stat, p = product_divergence(state, workers=1)
-        assert table[0, 0] == 0 and p < PRODUCT_GATE.threshold, f"{state}: {table.tolist()} reads {stat:.2f}, p = {p:.1e}"
+    with inject("sign"):
+        for state in ("00", "11"):
+            table, stat, p = product_divergence(state, workers=1)
+            message = f"{state}: {table.tolist()} reads {stat:.2f}, p = {p:.1e}"
+            assert table[0, 0] == 0 and p < PRODUCT_GATE.threshold, message
 
 
 INDEPENDENCE_0110 = GATES["independence-0110"]
@@ -685,15 +662,15 @@ def test_0110_secure_table_is_independent():
     assert p >= INDEPENDENCE_0110.threshold, f"0110: {table.tolist()} reads {stat:.2f} (p = {p:.1e})"
 
 
-def test_0110_gate_catches_sign_mutant(monkeypatch):
+def test_0110_gate_catches_sign_mutant():
     """The gate above fails on the loop law with Bob's current sign wrong, patched in this process.
 
     In 0110 the mutant's voltage and current weigh Bob's normals with one
     sign, so the two readings are correlated and the secure table is not
     a product.
     """
-    wrong_current_sign(monkeypatch)
-    table, stat, p = independence_0110(workers=1)
+    with inject("sign"):
+        table, stat, p = independence_0110(workers=1)
     assert p < INDEPENDENCE_0110.threshold, f"0110: {table.tolist()} reads {stat:.2f}, p = {p:.1e}"
 
 

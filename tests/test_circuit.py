@@ -14,8 +14,8 @@ from kljn.circuit import (
     theoretical_levels,
 )
 from kljn.config import SystemConfig
-import reference
 from gates import GATES
+from mutants import inject
 from reference import reference_waves
 
 NORM = PhysicsConstants.normalized()
@@ -190,13 +190,10 @@ class TestEmpiricalPhysics:
         t = secure_product_t()
         assert abs(t) < GATES["circuit-uncorrelated"].threshold, f"t = {t:+.2f}"
 
-    def test_uncorrelated_gate_catches_psd_not_proportional_to_r(self, monkeypatch):
+    def test_uncorrelated_gate_catches_psd_not_proportional_to_r(self):
         """Generators whose PSD is not ∝ R, R1's 10% high, make u·i correlated in 01: the gate above fails."""
-        r1 = SystemConfig().resistors.r1
-        monkeypatch.setattr(
-            reference, "generator_psd", lambda r, constants: generator_psd(r, constants) * (1.1 if r == r1 else 1.0)
-        )
-        t = secure_product_t()
+        with inject("reference-r1-psd"):
+            t = secure_product_t()
         assert abs(t) >= GATES["circuit-uncorrelated"].threshold, f"t = {t:+.2f}"
 
     def test_mean_squares_match_levels(self):

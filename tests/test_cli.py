@@ -1,6 +1,5 @@
 import argparse
 import ast
-import dataclasses
 import json
 import multiprocessing
 import sys
@@ -15,11 +14,12 @@ import pytest
 
 from kljn import cli, protocol
 from kljn.cli import main
-from kljn.config import ConfigError, SystemConfig, load_config
+from kljn.config import ConfigError, load_config
 from kljn.noise import rng_for_period
 from exact import level_law
 from gates import GATES
 from goldens import compute, rows
+from mutants import inject
 from reference import reference_waves
 from refusals import DRAWN, READ, REFUSALS, run, write_config
 
@@ -172,26 +172,12 @@ class TestLevels:
             z = levels_z(capsys, tmp_path, oversample, n, seed)
             assert np.abs(z).max() < gate.threshold, f"seed {seed}: z = {np.round(z, 2).tolist()}"
 
-    @pytest.mark.parametrize("mutant", ["level", "band"])
-    def test_exact_level_gate_catches_2pct_mutants(self, capsys, monkeypatch, tmp_path, mutant):
+    @pytest.mark.parametrize("fault", [("level",), ("band", 1.02, 1.0)], ids=["level", "band"])
+    def test_exact_level_gate_catches_2pct_mutants(self, capsys, tmp_path, fault):
         """At 2**20 samples (oversample 4, SD 0.2%), one level 2% high, or a band 2% wide at the same PSD,
         moves a printed level more than 8 SD."""
-        if mutant == "level":
-            original, calls = protocol._whole_mean_square, []
-
-            def high(*args):  # the 0110 voltage
-                calls.append(None)
-                return original(*args) * (1.02 if len(calls) == 3 else 1.0)
-
-            monkeypatch.setattr(protocol, "_whole_mean_square", high)
-        else:
-            spec = SystemConfig.noise_spec
-            monkeypatch.setattr(
-                SystemConfig,
-                "noise_spec",
-                lambda self, r, n: dataclasses.replace(spec(self, r, n), bandwidth=self.b_kljn * 1.02),
-            )
-        z = levels_z(capsys, tmp_path, 4, 2**20, GATES["levels-chi2"].seeds[0])
+        with inject(*fault):
+            z = levels_z(capsys, tmp_path, 4, 2**20, GATES["levels-chi2"].seeds[0])
         assert np.abs(z).max() > 8, np.round(z, 2).tolist()
 
     def test_reference_levels_in_output(self, capsys, fast_config):

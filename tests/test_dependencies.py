@@ -3,8 +3,9 @@
 scipy is a test dependency only (the oracles of the acceptance, estimator and
 periodogram tests, and ``tests/exact.py``'s Imhof integral);
 tests/test_entry_point.py checks that no command loads it. The tests' own
-helper modules (``exact``, ``gates``, ``reference``, ``refusals``,
-``streams``) are local, not packages.
+helper modules (``exact``, ``gates``, ``goldens``, ``mutants``, ``reference``,
+``refusals``, ``streams``, ``traced``) and the kill matrix's script
+(``kill_matrix``, which pytest does not collect) are local, not packages.
 """
 
 import ast

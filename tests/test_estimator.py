@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from kljn import estimator, noise
+from kljn import estimator
+from kljn.config import SystemConfig
 from kljn.estimator import (
     AveragingWindow,
     SmallGammaWarning,
@@ -15,8 +16,10 @@ from kljn.estimator import (
 )
 from kljn.exact import window_eigenvalues
 from kljn.noise import NoiseSpec, rng_for_period, synth_band_limited
+from kljn.protocol import _simulate_chunk
 from exact import imhof_upper_tail, q_cdf
 from gates import GATES
+from mutants import inject
 
 
 def period_mean_squares(gamma, n_periods, seed=0, psd=1.0, bw=1.0, fs=4.0):
@@ -75,12 +78,11 @@ class TestMeasurePeriod:
         q = single_period_q()
         assert abs(q - 1.0) < SINGLE_PERIOD.threshold / math.sqrt(100), f"Q = {q:.3f}"
 
-    def test_single_period_gate_catches_doubled_psd(self, monkeypatch):
+    def test_single_period_gate_catches_doubled_psd(self):
         """A synthesis at twice its PSD, a one-sided/two-sided convention slip whose scales are sqrt(2) times
         too large, fails the gate above."""
-        root = noise._root
-        monkeypatch.setattr(noise, "_root", lambda *args: root(*args) * math.sqrt(2))
-        q = single_period_q()
+        with inject("psd", 2):
+            q = single_period_q()
         assert abs(q - 1.0) >= SINGLE_PERIOD.threshold / math.sqrt(100), f"Q = {q:.3f}"
 
     def test_uses_trailing_half(self):
@@ -131,28 +133,33 @@ class TestAveragedFluctuationRms:
 
 
 KS_GATE = GATES["estimator-ks"]
+KS_CONFIG = KS_GATE.config(SystemConfig(gamma=50.0))
 
 
 def ks_distance():
-    """The KS distance of row estimator-ks's period averages at γ = 50 to Q's exact law, ``exact.q_cdf``."""
-    ms = period_mean_squares(gamma=50, n_periods=len(KS_GATE.periods), seed=KS_GATE.seed)
-    return stats.kstest(ms, functools.partial(q_cdf, window_eigenvalues(50, 4))).statistic
+    """The KS distance of the kernel's forced 00 current readings over their level, Q at γ = 50, to Q's exact
+    law, ``exact.q_cdf``, at row estimator-ks's seed and periods."""
+    readings = _simulate_chunk(KS_CONFIG, 0, KS_CONFIG.n_periods, "00", "msi")["msi"]
+    q = readings / KS_CONFIG.levels().current_for("00")
+    return stats.kstest(q, functools.partial(q_cdf, window_eigenvalues(50, 4))).statistic
 
 
 class TestFluctuationDistribution:
     def test_period_averages_are_gaussian(self):
-        """The period averages at γ = 50 follow Q's exact law: their KS distance to ``exact.q_cdf`` lies below
-        the 1% point of Kolmogorov's law at n = 1000 (row estimator-ks).
+        """The kernel's period averages at γ = 50 follow Q's exact law: their KS distance to ``exact.q_cdf``
+        lies below the 1% point of Kolmogorov's law at n = 1000 (row estimator-ks).
 
         No parameter is fitted, so the distance follows Kolmogorov's law. Q
         is skewed, not Gaussian; the name is kept as the test's id.
         """
         assert ks_distance() < KS_GATE.threshold / math.sqrt(len(KS_GATE.periods))
 
-    def test_ks_gate_catches_whole_period_window(self, monkeypatch):
-        """Averages over the whole period, not its trailing half, are Q at twice the window: the gate fails."""
-        monkeypatch.setattr(estimator, "measurement_slice", lambda n: slice(0, n))
-        assert ks_distance() >= KS_GATE.threshold / math.sqrt(len(KS_GATE.periods))
+    def test_ks_gate_catches_whole_period_window(self):
+        """The kernel's averages over the whole period, not its trailing half, are Q at twice the window: the
+        gate fails."""
+        with inject("whole-window"):
+            distance = ks_distance()
+        assert distance >= KS_GATE.threshold / math.sqrt(len(KS_GATE.periods))
 
     def test_q_cdf_matches_imhof(self):
         """``exact.q_cdf`` at γ = 50 lies within 1e-5 of 1 minus Imhof's upper tail over the averages' range."""

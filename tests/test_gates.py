@@ -1,19 +1,23 @@
-"""The ledger's own checks: the suite's false-alarm bound, the rows' sample sets, and the tests they name."""
+"""The ledger's own checks: the suite's false-alarm bound, the rows' sample sets, the tests and the faults they
+name, and the faults the tests use."""
 
+import ast
 import importlib
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from gates import GATES, PCG64, PHILOX, SUITE_BOUND
+from mutants import FAULTS
 
 
 def test_suite_false_alarm_bound():
     """The rows' unions sum to ``SUITE_BOUND``: a correct program fails some gate of tier-1 at most this often.
 
     The bound is pinned, so a row added, removed or changed shows here. The
-    bound, its three largest rows and the rows that no mutant test fails yet
-    are printed, which ``-rP`` shows.
+    bound, its three largest rows, the rows that no mutant test fails and
+    the rows that gate the reference alone are printed, which ``-rP`` shows.
     """
     total = sum(gate.union for gate in GATES.values())
     largest = sorted(GATES.items(), key=lambda item: item[1].union, reverse=True)[:3]
@@ -22,6 +26,8 @@ def test_suite_false_alarm_bound():
         print(f"  {name}: {gate.values} x {gate.p:.3g} = {gate.union:.3g}")
     unpowered = [name for name, gate in GATES.items() if gate.power is None]
     print(f"{len(unpowered)} gates without a mutant: {', '.join(unpowered)}")
+    reference = [name for name, gate in GATES.items() if gate.gates_reference]
+    print(f"{len(reference)} gates of the waveform reference alone: {', '.join(reference)}")
     assert total == pytest.approx(SUITE_BOUND, rel=1e-9)
 
 
@@ -55,9 +61,29 @@ def resolve(test_id):
 
 
 def test_rows_name_tier_1_tests():
-    """Every row's test and mutant test exist, and a row without a mutant says why."""
+    """Every row's test and mutant test exist, and every row names registry faults that fail it."""
     for name, gate in GATES.items():
         assert resolve(gate.test), f"{name}: no test {gate.test}"
         assert gate.power is None or resolve(gate.power), f"{name}: no mutant test {gate.power}"
-        assert (gate.power is None) == bool(gate.no_power), name
+        assert gate.faults and set(gate.faults) <= set(FAULTS), f"{name}: faults {gate.faults}"
         assert gate.values >= 1 and 0 < gate.p < 1 and gate.periods.start == 0, name
+
+
+def injected():
+    """The names of registry faults that a test function which calls ``inject`` holds as string constants, in
+    its body or its decorators."""
+    names = set()
+    for path in Path(__file__).resolve().parent.glob("test_*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(call, ast.Call) and getattr(call.func, "id", None) == "inject" for call in ast.walk(node)
+            ):
+                names |= {c.value for c in ast.walk(node) if isinstance(c, ast.Constant) and c.value in FAULTS}
+    return names
+
+
+def test_every_fault_is_used():
+    """Every fault of the registry is injected by a test or named by a row: the registry holds no fault that
+    nothing reads."""
+    named = {fault for gate in GATES.values() for fault in gate.faults}
+    assert set(FAULTS) - injected() - named == set()

@@ -17,25 +17,13 @@ from kljn import noise
 from kljn.noise import NoiseSpec, periodogram, rng_for_period, synth_band_limited
 from exact import level_law
 from gates import GATES
+from mutants import inject
 from streams import drawn_periods
 
 
 def make(psd=1.0, bw=1.0, fs=4.0, n=2**16, seed=0):
     spec = NoiseSpec(psd_level=psd, bandwidth=bw, sample_rate=fs, n_samples=n)
-    # looked up on the module, so that a mutant test may patch the synthesis
-    return noise.synth_band_limited(spec, np.random.default_rng(seed))
-
-
-def patch_synthesis(monkeypatch, change):
-    """Patch ``noise.synth_band_limited`` so that ``change`` rewrites every wave it returns, in place."""
-    synth = noise.synth_band_limited
-
-    def mutant(spec, rng):
-        w = synth(spec, rng)
-        change(w)
-        return w
-
-    monkeypatch.setattr(noise, "synth_band_limited", mutant)
+    return synth_band_limited(spec, np.random.default_rng(seed))
 
 
 def kurtosis_z():
@@ -211,11 +199,10 @@ class TestSynth:
         z = variance_z()
         assert abs(z) < GATES["noise-variance"].threshold, f"z = {z:+.2f}"
 
-    def test_variance_gate_catches_2pct_psd(self, monkeypatch):
+    def test_variance_gate_catches_2pct_psd(self):
         """A synthesis whose power is 2% high, its scales sqrt(1.02) times too large, fails the gate above."""
-        root = noise._root
-        monkeypatch.setattr(noise, "_root", lambda *args: root(*args) * math.sqrt(1.02))
-        z = variance_z()
+        with inject("psd", 1.02):
+            z = variance_z()
         assert abs(z) >= GATES["noise-variance"].threshold, f"z = {z:+.2f}"
 
     def test_spectrum_flat_in_band_and_clean_above(self):
@@ -244,24 +231,20 @@ class TestSynth:
         z = kurtosis_z()
         assert abs(z) < GATES["noise-kurtosis"].threshold, f"z = {z:+.2f}"
 
-    def test_kurtosis_gate_catches_clipping(self, monkeypatch):
+    def test_kurtosis_gate_catches_clipping(self):
         """A synthesis whose wave is clipped at ±2 RMS, sqrt(S·B) = 1 here, fails the gate above."""
-        patch_synthesis(monkeypatch, lambda w: np.clip(w, -2.0, 2.0, out=w))
-        z = kurtosis_z()
+        with inject("reference-clip"):
+            z = kurtosis_z()
         assert abs(z) >= GATES["noise-kurtosis"].threshold, f"z = {z:+.2f}"
 
     def test_stationarity_between_halves(self):
         t = stationarity_t()
         assert abs(t) < GATES["noise-stationarity"].threshold, f"t = {t:+.2f}"
 
-    def test_stationarity_gate_catches_2pct_step(self, monkeypatch):
+    def test_stationarity_gate_catches_2pct_step(self):
         """A synthesis whose second half is 2% louder fails the gate above."""
-
-        def step(w):
-            w[w.size // 2 :] *= 1.02
-
-        patch_synthesis(monkeypatch, step)
-        t = stationarity_t()
+        with inject("reference-step"):
+            t = stationarity_t()
         assert abs(t) >= GATES["noise-stationarity"].threshold, f"t = {t:+.2f}"
 
     def test_returns_float64_array(self):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import multiprocessing
 import os
@@ -40,8 +39,9 @@ from kljn.protocol import (
     wilson_interval,
 )
 from exact import msq_correlation
-from gates import GATES, wrong_current_sign
+from gates import GATES
 from goldens import COUNTS, FLOAT, GOLDENS, compute, rows
+from mutants import inject
 from reference import reference_waves
 from streams import drawn_periods
 
@@ -308,17 +308,10 @@ class TestRunSession:
         z = secure_fraction_z()
         assert abs(z) < GATES["secure-fraction"].threshold, f"z = {z:+.2f}"
 
-    def test_secure_fraction_gate_catches_equal_bits(self, monkeypatch):
+    def test_secure_fraction_gate_catches_equal_bits(self):
         """A kernel whose Bob takes Alice's bit draws no 0110 period and fails the gate above."""
-        draw = protocol.draw_periods
-
-        def equal_bits(master_seed, start, stop, force_state, normals, bits):
-            for lo, k, a, _ in draw(master_seed, start, stop, force_state, normals, bits):
-                bits[lo : lo + k, 1] = a
-                yield lo, k, a, a
-
-        monkeypatch.setattr(protocol, "draw_periods", equal_bits)
-        z = secure_fraction_z()
+        with inject("equal-bits"):
+            z = secure_fraction_z()
         assert abs(z) >= GATES["secure-fraction"].threshold, f"z = {z:+.2f}"
 
     def test_matches_per_period_simulation(self):
@@ -496,11 +489,11 @@ class TestRunSession:
         z = msq_correlation_z()
         assert abs(z) < GATES["msq-correlation"].threshold, f"sqrt(n) r = {z:+.2f}"
 
-    def test_msq_correlation_gate_catches_sign_mutant(self, monkeypatch):
+    def test_msq_correlation_gate_catches_sign_mutant(self):
         """A loop law with Bob's current sign wrong builds the 11 current from z_a + z_b, as the voltage: the two
         readings are one Q, and the gate above fails."""
-        wrong_current_sign(monkeypatch)
-        z = msq_correlation_z()
+        with inject("sign"):
+            z = msq_correlation_z()
         assert abs(z) >= GATES["msq-correlation"].threshold, f"sqrt(n) r = {z:+.2f}"
 
 
@@ -959,23 +952,17 @@ class TestReadingTables:
         assert np.array_equal(q, [cfg.noise_spec(x, n).nyquist_scale / cfg.noise_spec(x, n).scale for x in r_bit])
 
     @pytest.mark.parametrize("force_state", [None, "00"])
-    def test_tables_follow_a_patched_noise_spec(self, monkeypatch, force_state):
+    def test_tables_follow_a_patched_noise_spec(self, force_state):
         """A run after ``noise_spec`` is patched reads the patched spec, whatever ran before it in the process.
 
-        Each call builds its tables anew: four times the PSD doubles every
-        scale exactly, so every mean square is exactly four times the one the
-        unpatched run gave.
+        Each call builds its tables anew: the band fault at its own width and
+        four times the PSD doubles every scale exactly, so every mean square
+        is exactly four times the one the unpatched run gave.
         """
         cfg = small_config(n_periods=20)
         before = _simulate_chunk(cfg, 0, cfg.n_periods, force_state)
-        spec = SystemConfig.noise_spec
-
-        def hotter(self, r, n_samples):
-            s = spec(self, r, n_samples)
-            return dataclasses.replace(s, psd_level=4 * s.psd_level)
-
-        monkeypatch.setattr(SystemConfig, "noise_spec", hotter)
-        after = _simulate_chunk(cfg, 0, cfg.n_periods, force_state)
+        with inject("band", 1, 4):
+            after = _simulate_chunk(cfg, 0, cfg.n_periods, force_state)
         assert np.array_equal(after["bits"], before["bits"])
         for name in ("msv", "msi"):
             assert np.array_equal(after[name], 4 * before[name]), name
@@ -1151,40 +1138,26 @@ class TestSeedExactOutput:
         """A session's confusion tables, rates, fidelity and discard rate."""
         assert compute(row) == row.recorded
 
-    def test_float_only_fft_change_moves_only_the_float_digests(self, monkeypatch):
+    def test_float_only_fft_change_moves_only_the_float_digests(self):
         """``irfft`` results one ulp high move exactly the ``FLOAT`` values of every golden row; a 10% band fault
         moves the ``COUNTS`` values too.
 
-        The float-only change multiplies each result by 1 + 2^-52 in place,
-        so it allocates nothing more. Every ``BITS`` and ``COUNTS`` value
-        must hold under it, and every ``FLOAT`` value must move, or the
-        goldens would pin nothing below the counts. The band fault narrows
-        each generator's band by 1.1 at unchanged power (a 10% wider band
-        would pass the Nyquist frequency at oversample 2, which ``NoiseSpec``
-        refuses); only the ``BITS`` values hold.
+        The float-only change multiplies each of the program's ``irfft``
+        results by 1 + 2^-52 in place, so it allocates nothing more. Every
+        ``BITS`` and ``COUNTS`` value must hold under it, and every ``FLOAT``
+        value must move, or the goldens would pin nothing below the counts.
+        The band fault narrows each generator's band by 1.1 at unchanged
+        power (a 10% wider band would pass the Nyquist frequency at
+        oversample 2, which ``NoiseSpec`` refuses); only the ``BITS`` values
+        hold.
         """
-        irfft, noise_spec = np.fft.irfft, SystemConfig.noise_spec
-
-        def one_ulp_high(*args, **kwargs):
-            out = irfft(*args, **kwargs)
-            out *= 1 + 2.0**-52
-            return out
-
-        def narrow(self, r, n_samples):
-            spec = noise_spec(self, r, n_samples)
-            return dataclasses.replace(spec, psd_level=spec.psd_level * 1.1, bandwidth=spec.bandwidth / 1.1)
-
         goldens = {(test, case): row for test, table in GOLDENS.items() for case, row in table.items()}
         pins = [(key, pin, kind, value) for key, row in goldens.items() for pin, (kind, value) in row.pins.items()]
-        for target, name, fault, kinds in (
-            (np.fft, "irfft", one_ulp_high, {FLOAT}),
-            (SystemConfig, "noise_spec", narrow, {COUNTS, FLOAT}),
-        ):
-            with monkeypatch.context() as patch:
-                patch.setattr(target, name, fault)
+        for fault, kinds in ((("irfft-ulp",), {FLOAT}), (("band", 1 / 1.1), {COUNTS, FLOAT})):
+            with inject(*fault):
                 computed = {key: compute(row) for key, row in goldens.items()}
             moved = {(key, pin) for key, pin, _, value in pins if computed[key][pin] != value}
-            assert moved == {(key, pin) for key, pin, kind, _ in pins if kind in kinds}, name
+            assert moved == {(key, pin) for key, pin, kind, _ in pins if kind in kinds}, fault
 
 
 class TestKeyExtraction:

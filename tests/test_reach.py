@@ -19,7 +19,7 @@ import pytest
 import kljn
 from kljn import cli, protocol
 from refusals import REFUSALS, run, write_config
-from test_tracer_names import load_tracer
+from traced import load_tracer
 
 SRC = Path(kljn.__file__).resolve().parent
 

@@ -1,19 +1,9 @@
 """The benchmark tracer wraps kljn functions by name: each of those names must resolve, and take its layer's count."""
 
 import importlib
-import importlib.util
 import inspect
-from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-
-
-def load_tracer():
-    """The module ``perfbench/tracer.py``, read from the file without running a benchmark."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+from traced import load_tracer
 
 
 def resolve(module_name, attr):
